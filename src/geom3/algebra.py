@@ -46,6 +46,8 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 
 Scalar = Union[int, Fraction, "QuadRat"]
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 
 class QuadRat:
     """An element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
@@ -68,6 +70,16 @@ class QuadRat:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _make(cls, a: Fraction, b: Fraction, d: int) -> "QuadRat":
+        """Trusted constructor for arithmetic results: a and b are already
+        Fractions and d is already square-free whenever b != 0."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("QuadRat is immutable")
@@ -92,13 +104,16 @@ class QuadRat:
     def _coerce(self, other) -> "QuadRat | None":
         if isinstance(other, QuadRat):
             if other.b == 0:
-                return QuadRat(other.a, 0, self.d if self.b else other.d)
+                return QuadRat._make(other.a, _ZERO,
+                                     self.d if self.b else other.d)
             if self.b != 0 and self.d != other.d:
                 raise MixedDiscriminantError(
                     f"cannot mix sqrt({self.d}) with sqrt({other.d})")
             return other
-        if isinstance(other, (int, Fraction)):
-            return QuadRat(other, 0, self.d)
+        if isinstance(other, Fraction):
+            return QuadRat._make(other, _ZERO, self.d)
+        if isinstance(other, int):
+            return QuadRat._make(Fraction(other), _ZERO, self.d)
         return None
 
     # -- field structure --------------------------------------------------
@@ -113,7 +128,7 @@ class QuadRat:
         return self.a
 
     def conjugate(self) -> "QuadRat":
-        return QuadRat(self.a, -self.b, self.d)
+        return QuadRat._make(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
         """Field norm a**2 - d*b**2 (multiplicative, rational)."""
@@ -124,18 +139,19 @@ class QuadRat:
         if o is None:
             return NotImplemented
         d = self.d if self.b else o.d
-        return QuadRat(self.a + o.a, self.b + o.b, d)
+        return QuadRat._make(self.a + o.a, self.b + o.b, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadRat(-self.a, -self.b, self.d)
+        return QuadRat._make(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        d = self.d if self.b else o.d
+        return QuadRat._make(self.a - o.a, self.b - o.b, d)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -145,8 +161,8 @@ class QuadRat:
         if o is None:
             return NotImplemented
         d = self.d if self.b else o.d
-        return QuadRat(self.a * o.a + self.b * o.b * d,
-                       self.a * o.b + self.b * o.a, d)
+        return QuadRat._make(self.a * o.a + self.b * o.b * d,
+                             self.a * o.b + self.b * o.a, d)
 
     __rmul__ = __mul__
 
@@ -154,7 +170,7 @@ class QuadRat:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(d))")
-        return QuadRat(self.a / n, -self.b / n, self.d)
+        return QuadRat._make(self.a / n, -self.b / n, self.d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -169,9 +185,14 @@ class QuadRat:
         if not isinstance(k, int):
             return NotImplemented
         base = self if k >= 0 else self.inverse()
-        out = QuadRat(1, 0, self.d)
-        for _ in range(abs(k)):
-            out = out * base
+        out = QuadRat._make(_ONE, _ZERO, self.d)
+        k = abs(k)
+        while k:                      # repeated squaring
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     # -- comparisons -------------------------------------------------------
@@ -259,12 +280,6 @@ def galois_conjugate(x: Scalar) -> Scalar:
     if isinstance(x, QuadRat):
         return x.conjugate()
     return x
-
-
-def scalar_sign(x: Scalar) -> int:
-    if isinstance(x, QuadRat):
-        return x.sign()
-    return (x > 0) - (x < 0)
 
 
 def scalar_is_rational(x: Scalar) -> bool:

@@ -154,6 +154,8 @@ def _cmd_nil(args) -> dict:
             raise SchemaError("point-group needs --u and --v")
         pg = nil.planar_point_group(_vec2(args.u), _vec2(args.v))
         return {"tag": pg.tag, "order": pg.order}
+    if args.action in ("dichotomy", "volume") and args.word_bound < 0:
+        raise SchemaError("--word-bound must be >= 0")
     if args.action == "dichotomy":
         res = nil.nil_projection_dichotomy(_nil_generators(args.gens),
                                            word_bound=args.word_bound)

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .descriptors import IsoDescriptor
 from .hyperbolic import MobiusMap, expm_sl2
 
@@ -146,6 +144,18 @@ class NonDiscreteShiftError(ValueError):
     """The projected shift set is not discrete within the word bound."""
 
 
+def _near_identity(m, atol: float) -> bool:
+    """numpy.allclose(m, I, atol=atol) for a 3x3 float matrix:
+    |m_ij - I_ij| <= atol + 1e-5 |I_ij| everywhere; NaN and inf fail."""
+    return all(abs(m[i][j] - (i == j)) <= atol + 1e-5 * (i == j)
+               for i in range(3) for j in range(3))
+
+
+def _unit(v) -> list[float]:
+    n = math.hypot(*v)
+    return [x / n for x in v]
+
+
 @dataclass(frozen=True)
 class S2RIsometry:
     """Element (rot, shift, flip) of O(3) x (R x| Z_2)."""
@@ -158,11 +168,15 @@ class S2RIsometry:
         if self.flip not in (1, -1):
             raise ValueError("flip must be +1 or -1")
         r = self.matrix()
-        if not np.allclose(r @ r.T, np.eye(3), atol=1e-12):
+        if len(r) != 3 or any(len(row) != 3 for row in r):
+            raise ValueError("rotation part must be a 3x3 matrix")
+        gram = [[sum(r[i][k] * r[j][k] for k in range(3)) for j in range(3)]
+                for i in range(3)]
+        if not _near_identity(gram, 1e-12):
             raise ValueError("rotation part must be orthogonal")
 
-    def matrix(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.rot])
+    def matrix(self) -> list[list[float]]:
+        return [[float(v) for v in row] for row in self.rot]
 
     def compose(self, other: "S2RIsometry") -> "S2RIsometry":
         rot = tuple(tuple(sum(self.rot[i][k] * other.rot[k][j]
@@ -246,6 +260,8 @@ def s2r_decompose(gens: Sequence[S2RIsometry],
     """
     if not gens:
         raise ValueError("at least one generator required")
+    if word_bound < 0:
+        raise ValueError("word_bound must be >= 0")
     ball = _ball(gens, word_bound)
     exact = all(isinstance(g.shift, (int, Fraction)) for g in gens)
     shifts = [el.shift for el in ball]
@@ -295,17 +311,27 @@ S1_X_S1 = "S1xS1"
 S1_ONLY = "S1"
 
 
-def _axis_of(r: np.ndarray) -> Optional[np.ndarray]:
+def _axis_of(r) -> Optional[list[float]]:
     """Rotation axis of r in SO(3), or None for +-identity."""
-    if np.allclose(r, np.eye(3), atol=1e-9):
+    if _near_identity(r, 1e-9):
         return None
-    anti = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    if np.linalg.norm(anti) > 1e-9:
-        return anti / np.linalg.norm(anti)
-    # angle pi: columns of r + I span the axis
-    m = r + np.eye(3)
-    col = m[:, int(np.argmax(np.linalg.norm(m, axis=0)))]
-    return col / np.linalg.norm(col)
+    anti = [r[2][1] - r[1][2], r[0][2] - r[2][0], r[1][0] - r[0][1]]
+    if math.hypot(*anti) > 1e-9:
+        return _unit(anti)
+    # angle pi: columns of r + I span the axis; take the first longest
+    cols = [[r[i][j] + (i == j) for i in range(3)] for j in range(3)]
+    return _unit(max(cols, key=lambda c: math.hypot(*c)))
+
+
+def _det3(r) -> float:
+    return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
+
+
+def _cross(a, b) -> list[float]:
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0]]
 
 
 def s2r_quotient_identity_component(dec: S2RDecomposition) -> str:
@@ -321,17 +347,17 @@ def s2r_quotient_identity_component(dec: S2RDecomposition) -> str:
     if dec.twist is not None:
         mats.append(dec.twist)
     for rot in mats:
-        r = np.array([[float(v) for v in row] for row in rot])
-        if np.linalg.det(r) < 0:
-            r = -r                    # -I is central: same centralizer
-        if np.allclose(r, np.eye(3), atol=1e-9):
+        r = [[float(v) for v in row] for row in rot]
+        if _det3(r) < 0:
+            r = [[-v for v in row] for row in r]   # -I is central
+        if _near_identity(r, 1e-9):
             continue
         holonomy.append(r)
     if not holonomy:
         return SO3_X_S1
     axes = [_axis_of(r) for r in holonomy]
     first = axes[0]
-    if all(np.linalg.norm(np.cross(first, ax)) < 1e-9 for ax in axes[1:]):
+    if all(math.hypot(*_cross(first, ax)) < 1e-9 for ax in axes[1:]):
         return S1_X_S1
     return S1_ONLY
 

@@ -18,10 +18,6 @@ Vec2 = tuple[Scalar, Scalar]
 
 # -- generic 2x2 arithmetic over any exact scalar field ----------------------
 
-def mat2(a, b, c, d) -> Mat2:
-    return ((a, b), (c, d))
-
-
 def mat2_mul(m: Mat2, n: Mat2) -> Mat2:
     return ((m[0][0] * n[0][0] + m[0][1] * n[1][0],
              m[0][0] * n[0][1] + m[0][1] * n[1][1]),
@@ -68,16 +64,8 @@ def vec2_dot(u: Vec2, v: Vec2) -> Scalar:
     return u[0] * v[0] + u[1] * v[1]
 
 
-def vec2_add(u: Vec2, v: Vec2) -> Vec2:
-    return (u[0] + v[0], u[1] + v[1])
-
-
 def vec2_sub(u: Vec2, v: Vec2) -> Vec2:
     return (u[0] - v[0], u[1] - v[1])
-
-
-def vec2_scale(c: Scalar, u: Vec2) -> Vec2:
-    return (c * u[0], c * u[1])
 
 
 # -- integer matrices ---------------------------------------------------------

@@ -17,6 +17,7 @@ group law is symmetric under A and the action is linear.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,7 +61,7 @@ def _to_int(x: Scalar) -> int:
 
 # -- points -------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeisPoint:
     """Group element with global coordinates (x, y, z), all exact."""
 
@@ -129,7 +130,17 @@ def _orthogonal_order(rot: Mat2) -> int:
     dividing 12; the crystallographic orders {1, 2, 3, 4, 6} are the ones
     that can stabilize a lattice, but words in such rotations about
     different centers may still pass through order-12 elements.
+
+    The check runs once per matrix value: the rotation parts met in one
+    computation form a small finite group, so products keep hitting the
+    cache.  A matrix that fails raises every time (exceptions are not
+    cached).
     """
+    return _cached_order(tuple(map(tuple, rot)))
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_order(rot: Mat2) -> int:
     if not mat2_eq(mat2_mul(mat2_transpose(rot), rot), MAT2_ID):
         raise ValueError("rotation part must be orthogonal")
     power = rot
@@ -149,7 +160,7 @@ ROT_PI_3: Mat2 = ((HALF, QuadRat(0, -HALF, 3)),
 REFLECT = ((1, 0), (0, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeisIsometry:
     """Isometry p |-> trans * sigma_rot(p); rot orthogonal of finite order."""
 
@@ -670,6 +681,7 @@ DISCRETE_PROJECTION = "DiscreteProjection"
 FIXES_POINT = "AbelianFixesPoint"
 FIXES_LINE = "AbelianFixesLine"
 UNDETERMINED = "Undetermined"
+NON_DISCRETE_INPUT = "NonDiscreteInput"
 
 
 @dataclass(frozen=True)
@@ -752,7 +764,18 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
     volume verdict); failing that, a bounded search for a nontrivial
     central word certifies a discrete projection.  Discreteness itself is
     only semi-decidable, so the remaining case is Undetermined.
+
+    One obstruction is decided exactly before the search: with no fixed
+    point the projected group is infinite, so if it were discrete it would
+    hold a lattice of translations of rank 1 or 2 that every linear part
+    preserves, and the crystallographic restriction allows no rotation of
+    order 12.  Such a generator set is reported as NonDiscreteInput.  The
+    input group is then not discrete either: its translations would
+    project onto a subgroup of rank 4 of the plane, more than a discrete
+    subgroup of the Heisenberg group (Hirsch length at most 3) can carry.
     """
+    if word_bound < 0:
+        raise ValueError("word_bound must be >= 0")
     planar = [g.planar_part() for g in gens]
 
     # common fixed point (or pointwise fixed line)
@@ -774,6 +797,9 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
     line = _invariant_line(planar)
     if line is not None:
         return DichotomyResult(FIXES_LINE, direction=line)
+
+    if _has_order_12(planar):
+        return DichotomyResult(NON_DISCRETE_INPUT)
 
     witness = _central_word(gens, word_bound)
     if witness is not None:
@@ -844,6 +870,35 @@ def _reflection_axis(rot: Mat2) -> Vec2:
     return col0 if (col0[0] != 0 or col0[1] != 0) else col1
 
 
+def _has_order_12(planar) -> bool:
+    """Whether the linear parts generate a rotation of order 12.
+
+    They generate a finite subgroup of O(2), at most D12 with 24 elements.
+    Unlike `_close_under_mul`'s all-pairs closure, this search multiplies
+    by generators only and stops at the first order-12 element, a few ms
+    at most over Q(sqrt(3)); every product passes the order check, so an
+    infinite-order product raises here as it would in a word search."""
+    gens: list[Mat2] = []
+    for rot, _ in planar:
+        if not any(mat2_eq(rot, g) for g in gens + [MAT2_ID]):
+            gens.append(rot)
+    elems: list[Mat2] = [MAT2_ID]
+    frontier = list(gens)
+    while frontier:
+        nxt = []
+        for m in frontier:
+            if any(mat2_eq(m, e) for e in elems):
+                continue
+            if _orthogonal_order(m) == 12:
+                return True
+            elems.append(m)
+            if len(elems) > 24:
+                raise ValueError("linear parts generate too large a group")
+            nxt.extend(mat2_mul(m, g) for g in gens)
+        frontier = nxt
+    return False
+
+
 def _central_word(gens: Sequence[HeisIsometry], bound: int,
                   cap: int = 20000) -> Optional[HeisPoint]:
     moves = []
@@ -887,6 +942,8 @@ def nil_volume_verdict(result: DichotomyResult) -> str:
     """Fixed point or line forces infinite volume of the quotient."""
     if result.kind == UNDETERMINED:
         raise ValueError("no volume verdict for an undetermined projection")
+    if result.kind == NON_DISCRETE_INPUT:
+        raise ValueError("no volume verdict for a non-discrete input group")
     if result.kind in (FIXES_POINT, FIXES_LINE):
         return INFINITE_VOLUME
     return FINITE_VOLUME_POSSIBLE

@@ -89,9 +89,6 @@ def sol_inv(g: SolPoint) -> SolPoint:
                     -g.level, g.unit)
 
 
-SOL_ID = SolPoint(0.0, 0.0, 0.0)
-
-
 def sol_fixed_line(g: SolPoint) -> tuple:
     """Axis {(p, q, s)} translated by g; requires t != 0.
 

@@ -126,3 +126,32 @@ def test_float_respects_sign(x):
     approx = float(x)
     if abs(approx) > 1e-9:
         assert (approx > 0) == (x.sign() > 0)
+
+
+@given(quadrats(), st.integers(min_value=-8, max_value=24))
+@settings(max_examples=150)
+def test_pow_matches_looped_product(x, k):
+    if x == 0 and k < 0:
+        with pytest.raises(ZeroDivisionError):
+            x ** k
+        return
+    base = x if k >= 0 else x.inverse()
+    looped = QuadRat(1, 0, x.d)
+    for _ in range(abs(k)):
+        looped = looped * base
+    assert x ** k == looped
+    assert (x ** k).d == looped.d
+
+
+@given(quadrats(d=7), quadrats(d=7), st.fractions(max_denominator=9))
+@settings(max_examples=150)
+def test_arithmetic_results_are_canonical(x, y, q):
+    # results skip the public constructor's checks; rebuilding each one
+    # through it must change nothing
+    results = [x + y, x - y, x * y, -x, x.conjugate(), x + q, q - x, x * q]
+    if x != 0:
+        results += [x.inverse(), y / x, q / x]
+    for r in results:
+        assert isinstance(r.a, Fraction) and isinstance(r.b, Fraction)
+        rebuilt = QuadRat(r.a, r.b, r.d)
+        assert (rebuilt.a, rebuilt.b, rebuilt.d) == (r.a, r.b, r.d)

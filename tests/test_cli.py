@@ -80,6 +80,17 @@ def test_nil_dichotomy_cli():
     assert payload["kind"] == "AbelianFixesPoint"
 
 
+def test_nil_dichotomy_non_discrete_input_cli():
+    for bound in ("0", "8"):
+        code, payload = run_json(["nil", "dichotomy", "--gens",
+                                  "rot6;rot4@1,0,0", "--word-bound", bound,
+                                  "--json"])
+        assert code == 0 and payload == {"kind": "NonDiscreteInput"}
+    code, payload = run_json(["nil", "volume", "--gens", "rot6;rot4@1,0,0",
+                              "--json"])
+    assert code == 1 and "non-discrete" in payload["error"]["detail"]
+
+
 def test_zimmer_cli():
     code, payload = run_json(["zimmer", "verdict", "--geometry", "nil",
                               "--preset", "HZ", "--factors", "SL(3,R)",
@@ -160,6 +171,18 @@ def test_schema_error_exit_code():
     assert code == 2
     code, _ = run_cli(["nil", "iso"])
     assert code == 2
+
+
+def test_negative_word_bound_is_a_schema_error():
+    for action in ("dichotomy", "volume"):
+        code, payload = run_json(["nil", action, "--gens", "rot4;rot4@1,0,0",
+                                  "--word-bound", "-5", "--json"])
+        assert code == 2
+        assert payload["error"]["kind"] == "schema"
+        assert "--word-bound" in payload["error"]["detail"]
+    code, payload = run_json(["nil", "dichotomy", "--gens", "1,0,0;0,1,0",
+                              "--word-bound", "0", "--json"])
+    assert code == 0 and payload["kind"] == "Undetermined"
 
 
 def test_argparse_error_exit_code():

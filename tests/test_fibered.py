@@ -202,6 +202,10 @@ def test_s2r_identity_components():
                            S2RIsometry(RHO_Z, 0.0),
                            S2RIsometry(RHO_X, 0.0)])
     assert s2r_quotient_identity_component(klein) == S1_ONLY
+    # half turns about one axis: the axis comes from the columns of r + I
+    half_turns = s2r_decompose([S2RIsometry(RHO_Z, 1.0),
+                                S2RIsometry(RHO_Z, 0.0)])
+    assert s2r_quotient_identity_component(half_turns) == S1_X_S1
     # minus the identity in O(3) is central: still the full component
     minus = s2r_decompose([S2RIsometry(((-1, 0, 0), (0, -1, 0), (0, 0, -1)),
                                        1.0)])
@@ -225,3 +229,67 @@ def test_tangent_vector_validation():
     blob = TangentVector(1j, 1, 2j, 2).to_json_dict()
     assert blob == {"z": [0.0, 1.0], "w": [1.0, 0.0],
                     "X": [0.0, 2.0], "Z": [2.0, 0.0]}
+
+
+def _rodrigues(axis, angle):
+    n = math.sqrt(sum(a * a for a in axis))
+    x, y, z = (a / n for a in axis)
+    c, s = math.cos(angle), math.sin(angle)
+    t = 1 - c
+    return [[c + x * x * t, x * y * t - z * s, x * z * t + y * s],
+            [y * x * t + z * s, c + y * y * t, y * z * t - x * s],
+            [z * x * t - y * s, z * y * t + x * s, c + z * z * t]]
+
+
+def test_orthogonality_check_matches_numpy_allclose():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(7)
+    # entry perturbations on both sides of the 1e-12 absolute tolerance,
+    # row scalings on both sides of the 1e-5 relative one on the diagonal
+    deltas = [0.0, 1e-15, 1e-13, 2e-13, 1e-12, 3e-12, 1e-9, 1e-6, 1e-3,
+              math.nan, math.inf, -math.inf]
+    scales = [1 + 3e-6, 1 - 3e-6, 1 + 6e-6, 1 - 6e-6]
+    cases = []
+    for _ in range(20):
+        axis = [rng.uniform(-1, 1) for _ in range(3)]
+        r = _rodrigues(axis, rng.uniform(-math.pi, math.pi))
+        if rng.random() < 0.5:
+            r = [[-v for v in row] for row in r]
+        for delta in deltas:
+            i, j = rng.randrange(3), rng.randrange(3)
+            m = [row[:] for row in r]
+            m[i][j] += delta
+            cases.append(m)
+        for scale in scales:
+            i = rng.randrange(3)
+            m = [row[:] for row in r]
+            m[i] = [v * scale for v in m[i]]
+            cases.append(m)
+    accepted = 0
+    for m in cases:
+        a = np.array(m)
+        with np.errstate(invalid="ignore"):
+            expect = bool(np.allclose(a @ a.T, np.eye(3), atol=1e-12))
+        rot = tuple(tuple(row) for row in m)
+        try:
+            S2RIsometry(rot, 0.0)
+            got = True
+        except ValueError:
+            got = False
+        assert got == expect, m
+        accepted += got
+    assert 0 < accepted < len(cases)
+
+
+def test_rotation_part_must_be_3x3():
+    for rot in (((1, 0), (0, 1)),
+                ((1, 0), (0, 1), (0, 0)),
+                ((1, 0, 0), (0, 1), (0, 0, 1)),
+                ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))):
+        with pytest.raises(ValueError):
+            S2RIsometry(rot, 0.0)
+
+
+def test_s2r_decompose_rejects_negative_word_bound():
+    with pytest.raises(ValueError, match="word_bound"):
+        s2r_decompose([S2RIsometry(S2R_ROT_ID, 1.0)], word_bound=-1)

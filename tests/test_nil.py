@@ -17,6 +17,7 @@ from geom3.nil import (
     ROT_PI,
     ROT_PI_2,
     ROT_PI_3,
+    NON_DISCRETE_INPUT,
     UNDETERMINED,
     HeisIsometry,
     HeisPoint,
@@ -324,7 +325,7 @@ def test_quotient_isometry_generic_lattice_offsets():
     lat = nil_lattice_make((1, 0), (0, 1), r=QuadRat(0, Fraction(1, 5), 2),
                            s=0, n=1)
     d = nil_quotient_isometry(lat)
-    assert d.finite_part["order"] == d.finite_part["order"]
+    assert d.finite_part["order"] == 8      # n = 1, point group D4
     assert "generators reported" in d.finite_part["structure"]
     assert d.notes
 
@@ -416,14 +417,41 @@ def test_dichotomy_off_origin_rotation():
 
 
 def test_dichotomy_undetermined_and_volume_error():
+    # a quarter turn and a translation: discrete (a p4 group), but no word
+    # of length 1 is central
+    gens = [HeisIsometry.point_symmetry(ROT_PI_2),
+            HeisIsometry.translation(HeisPoint.of(1, 0, 0))]
+    res = nil_projection_dichotomy(gens, word_bound=1)
+    assert res.kind == UNDETERMINED
+    with pytest.raises(ValueError):
+        nil_volume_verdict(res)
+
+
+def test_dichotomy_order_12_linear_part_is_non_discrete():
+    # rotations of orders 6 and 4 about different centers: their linear
+    # parts generate an order-12 rotation, which no infinite discrete
+    # planar group holds, and no point is fixed
     t = HeisIsometry.translation(HeisPoint.of(1, 0, 0))
     rot_far = t.compose(
         HeisIsometry.point_symmetry(ROT_PI_2)).compose(t.inverse())
     gens = [HeisIsometry.point_symmetry(ROT_PI_3), rot_far]
-    res = nil_projection_dichotomy(gens, word_bound=4)
-    assert res.kind == UNDETERMINED
-    with pytest.raises(ValueError):
+    for bound in (0, 4, 8):
+        res = nil_projection_dichotomy(gens, word_bound=bound)
+        assert res.kind == NON_DISCRETE_INPUT
+        assert res.to_json_dict() == {"kind": "NonDiscreteInput"}
+    with pytest.raises(ValueError, match="non-discrete"):
         nil_volume_verdict(res)
+    # the same rotations about one center fix it
+    same = [HeisIsometry.point_symmetry(ROT_PI_3),
+            HeisIsometry.point_symmetry(ROT_PI_2)]
+    assert nil_projection_dichotomy(same).kind == FIXES_POINT
+    # two reflections whose axes meet at pi/12 generate D12
+    half = Fraction(1, 2)
+    refl_30 = ((half, QuadRat(0, half, 3)), (QuadRat(0, half, 3), -half))
+    refl_45 = ((0, 1), (1, 0))
+    gens = [HeisIsometry.point_symmetry(refl_30),
+            HeisIsometry(refl_45, HeisPoint.of(1, 0, 0))]
+    assert nil_projection_dichotomy(gens).kind == NON_DISCRETE_INPUT
 
 
 def test_dichotomy_central_generators_fix_everything():
@@ -477,3 +505,46 @@ def test_serialization_shapes():
     d = nil_quotient_isometry(lattice_gp(2)).to_json_dict()
     assert d["identity_component"] == "S1"
     assert d["finite_part"]["order"] == 32
+
+
+# a rational reflection whose axis (3, 4) lies off every D12 axis
+REFLECT_34 = ((Fraction(-7, 25), Fraction(24, 25)),
+              (Fraction(24, 25), Fraction(7, 25)))
+
+
+def test_infinite_order_product_raises_every_time():
+    # both reflections have order 2; their product is a rotation of
+    # infinite order, and the memoised order check must reject it on every
+    # call, not only the first
+    a = HeisIsometry.point_symmetry(REFLECT_34)
+    b = HeisIsometry.point_symmetry(REFLECT)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="finite order dividing 12"):
+            a.compose(b)
+    gens = [a, HeisIsometry(REFLECT, HeisPoint.of(0, 1, 0)),
+            HeisIsometry.translation(HeisPoint.of(1, 0, 0))]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="finite order dividing 12"):
+            nil_projection_dichotomy(gens)
+
+
+def test_non_orthogonal_rotation_rejected_every_time():
+    shear = ((1, 1), (0, 1))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="orthogonal"):
+            HeisIsometry.point_symmetry(shear)
+
+
+def test_list_valued_rotation_constructs():
+    iso = HeisIsometry([[0, -1], [1, 0]], HeisPoint.of(1, 0, 0))
+    assert iso.rot == [[0, -1], [1, 0]]
+    square = iso.compose(iso)
+    assert mat2_eq(square.rot, ROT_PI)
+    assert mat2_eq(iso.inverse().compose(iso).rot, MAT2_ID)
+
+
+def test_dichotomy_rejects_negative_word_bound():
+    gens = [HeisIsometry.translation(HeisPoint.of(1, 0, 0))]
+    with pytest.raises(ValueError, match="word_bound"):
+        nil_projection_dichotomy(gens, word_bound=-1)
+    assert nil_projection_dichotomy(gens, word_bound=0).kind == FIXES_LINE
