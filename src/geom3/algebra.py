@@ -8,7 +8,7 @@ in arithmetic as long as at most one square-free discriminant is involved.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import sqrt
+from math import isqrt, lcm, sqrt
 from typing import Union
 
 
@@ -255,6 +255,18 @@ class QuadRat:
 
     def __float__(self):
         return float(self.a) + float(self.b) * sqrt(self.d)
+
+    def __floor__(self) -> int:
+        """Exact floor, without floats: write the value as (A + B sqrt(d))/D
+        with integers A, B, D; isqrt gives the floor of B sqrt(d), which is
+        irrational whenever B != 0."""
+        den = lcm(self.a.denominator, self.b.denominator)
+        num_a = self.a.numerator * (den // self.a.denominator)
+        num_b = self.b.numerator * (den // self.b.denominator)
+        root = isqrt(num_b * num_b * self.d)
+        if num_b < 0:
+            root = -root - 1
+        return (num_a + root) // den
 
     def __repr__(self):
         return f"QuadRat({self.a!r}, {self.b!r}, {self.d})"

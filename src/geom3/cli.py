@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -29,9 +30,12 @@ def _frac(text: str) -> Fraction:
 
 def _float(text: str) -> float:
     try:
-        return float(Fraction(text)) if "/" in text else float(text)
-    except ValueError as exc:
+        value = float(Fraction(text)) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise SchemaError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise SchemaError(f"not a finite number: {text!r}")
+    return value
 
 
 def _int_matrix(text: str) -> IntMat2:
@@ -527,6 +531,7 @@ def main(argv=None, out=None) -> int:
         return int(exc.code or 0)
     try:
         payload = _HANDLERS[args.command](args)
+        rendered = canonical_json(payload)   # ValueError on NaN or inf
     except SchemaError as exc:
         _emit_error(out, "schema", str(exc), getattr(args, "json", False))
         return 2
@@ -543,7 +548,7 @@ def main(argv=None, out=None) -> int:
         out.write(f"{payload['passed']}/{payload['total']} passed\n")
         return 0 if payload["ok"] else 1
     if getattr(args, "json", False):
-        out.write(canonical_json(payload) + "\n")
+        out.write(rendered + "\n")
     else:
         _render_text(payload, out)
     return 0

@@ -68,5 +68,8 @@ class Verdict:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON rendering used for golden files and CLI output."""
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """Deterministic JSON rendering used for golden files and CLI output.
+
+    NaN and infinity have no JSON form and raise ValueError; a point at
+    infinity is written as the string "inf"."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 from .algebra import QuadRat, Scalar
 
@@ -66,6 +66,36 @@ def vec2_dot(u: Vec2, v: Vec2) -> Scalar:
 
 def vec2_sub(u: Vec2, v: Vec2) -> Vec2:
     return (u[0] - v[0], u[1] - v[1])
+
+
+_HALF = Fraction(1, 2)
+
+
+def gauss_reduce(u: Vec2, v: Vec2) -> tuple[Vec2, Vec2, Mat2]:
+    """Lagrange-Gauss reduction of a basis u, v of a planar lattice, exactly.
+
+    Returns (u', v', p) with u' = p00 u + p10 v and v' = p01 u + p11 v for
+    an integer matrix p of determinant +-1, such that |u'| <= |v'| and
+    |2 u'.v'| <= |u'|^2 (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 1.3.14).  Nearest integers are exact floors, so no float
+    enters, whatever the size of the entries.
+    """
+    p = [[1, 0], [0, 1]]
+    nu, nv = vec2_dot(u, u), vec2_dot(v, v)
+    if isinstance(nu, int):
+        nu = Fraction(nu)
+    while True:
+        if nv < nu:
+            u, v, nu, nv = v, u, nv, nu
+            for row in p:
+                row[0], row[1] = row[1], row[0]
+        q = floor(vec2_dot(u, v) / nu + _HALF)
+        if q == 0:
+            return u, v, ((p[0][0], p[0][1]), (p[1][0], p[1][1]))
+        v = (v[0] - q * u[0], v[1] - q * u[1])
+        nv = vec2_dot(v, v)
+        for row in p:
+            row[1] -= q * row[0]
 
 
 # -- integer matrices ---------------------------------------------------------

@@ -18,7 +18,6 @@ group law is symmetric under A and the action is linear.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -29,6 +28,7 @@ from .intmat import (
     MAT2_ID,
     Mat2,
     Vec2,
+    gauss_reduce,
     mat2_apply,
     mat2_det,
     mat2_eq,
@@ -365,33 +365,19 @@ def _supported_planar_scalar(x: Scalar) -> bool:
     return scalar_is_rational(x) or (isinstance(x, QuadRat) and x.d == 3)
 
 
-def _vectors_of_norm(u: Vec2, v: Vec2, target: Scalar) -> list[Vec2]:
-    """All k u + l v with |k u + l v|^2 == target, by bounded enumeration."""
-    g11 = float(vec2_dot(u, u))
-    g12 = float(vec2_dot(u, v))
-    g22 = float(vec2_dot(v, v))
-    # smallest eigenvalue of the Gram matrix bounds the search box
-    half_tr = (g11 + g22) / 2.0
-    rad = math.sqrt(((g11 - g22) / 2.0) ** 2 + g12 * g12)
-    lam_min = half_tr - rad
-    if lam_min <= 0:
-        raise ValueError("degenerate Gram matrix")
-    bound = int(math.floor(math.sqrt(float(target) / lam_min) * 1.001)) + 1
-    out = []
-    for k in range(-bound, bound + 1):
-        for l in range(-bound, bound + 1):
-            w = (k * u[0] + l * v[0], k * u[1] + l * v[1])
-            if vec2_dot(w, w) == target:
-                out.append(w)
-    return out
-
-
 def planar_point_group(u, v) -> PlanarPointGroup:
     """Orthogonal stabilizer of the lattice Z u + Z v, computed exactly.
 
-    Every stabilizing map is pinned down by the images of u and v, which
-    must be lattice vectors with the same norms and inner product; each
-    candidate pair is verified orthogonal before being admitted.
+    Every stabilizing map is pinned down by the images of a Gauss-reduced
+    basis u', v' (see `gauss_reduce`): lattice vectors with the norms and
+    the inner product of u', v'.  In a reduced basis, a u' + b v' with
+    |b| >= 2, or with |b| = 1 and |a| >= 2, is longer than v', so both
+    images have coordinates in {-1, 0, 1}^2 except an image m u' of v'
+    with m >= 2; that one cannot occur, since the inverse map would send
+    u' to v'/m, which is not a lattice vector.  So there are O(1)
+    candidates and no float enters.  Each candidate pair is verified
+    orthogonal before being admitted.  The elements are ordered by the
+    coordinates of their images of u and v in the basis u, v.
     """
     u = (as_exact(u[0]), as_exact(u[1]))
     v = (as_exact(v[0]), as_exact(v[1]))
@@ -400,20 +386,35 @@ def planar_point_group(u, v) -> PlanarPointGroup:
     for x in (*u, *v):
         if not _supported_planar_scalar(x):
             raise ValueError("planar scalars must lie in Q or Q(sqrt(3))")
-    basis_inv = mat2_inv(((u[0], v[0]), (u[1], v[1])))
-    dot_uv = vec2_dot(u, v)
-    images_u = _vectors_of_norm(u, v, vec2_dot(u, u))
-    images_v = _vectors_of_norm(u, v, vec2_dot(v, v))
-    found: list[Mat2] = []
+    ru, rv, p = gauss_reduce(u, v)
+    g11, g12, g22 = vec2_dot(ru, ru), vec2_dot(ru, rv), vec2_dot(rv, rv)
+
+    def form(a, b) -> Scalar:       # inner product in reduced coordinates
+        return (a[0] * b[0] * g11 + (a[0] * b[1] + a[1] * b[0]) * g12
+                + a[1] * b[1] * g22)
+
+    small = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    images_u = [w for w in small if form(w, w) == g11]
+    images_v = [w for w in small if form(w, w) == g22]
+    # reduced coordinates -> coordinates in the basis u, v: conjugate by p
+    det = mat2_det(p)                   # +-1, so p^-1 = det * adj(p)
+    p_inv = ((det * p[1][1], -det * p[0][1]),
+             (-det * p[1][0], det * p[0][0]))
+    coords = []
     for iu in images_u:
         for iv in images_v:
-            if vec2_dot(iu, iv) != dot_uv:
-                continue
-            t = mat2_mul(((iu[0], iv[0]), (iu[1], iv[1])), basis_inv)
-            if not mat2_eq(mat2_mul(mat2_transpose(t), t), MAT2_ID):
-                continue
-            if not any(mat2_eq(t, m) for m in found):
-                found.append(t)
+            if form(iu, iv) == g12:
+                c = mat2_mul(mat2_mul(p, ((iu[0], iv[0]), (iu[1], iv[1]))),
+                             p_inv)
+                coords.append((c[0][0], c[1][0], c[0][1], c[1][1]))
+    basis_inv = mat2_inv(((u[0], v[0]), (u[1], v[1])))
+    found: list[Mat2] = []
+    for ku, lu, kv, lv in sorted(coords):
+        iu = (ku * u[0] + lu * v[0], ku * u[1] + lu * v[1])
+        iv = (kv * u[0] + lv * v[0], kv * u[1] + lv * v[1])
+        t = mat2_mul(((iu[0], iv[0]), (iu[1], iv[1])), basis_inv)
+        if mat2_eq(mat2_mul(mat2_transpose(t), t), MAT2_ID):
+            found.append(t)
     order = len(found)
     if order not in _PG_TAGS:
         raise RuntimeError(f"unexpected stabilizer order {order}")
@@ -601,22 +602,29 @@ def nil_quotient_isometry(lat: NilLattice,
             continue
         extra_lifts[m] = lift_point_symmetry(lat, m)
     if extra_lifts and not _lift_group_closes(lat, extra_lifts):
-        raise ValueError("adjoined point group does not close over this "
-                         "lattice")
+        u, v = (", ".join(map(format_scalar, w)) for w in (lat.u, lat.v))
+        raise ValueError(
+            f"adjoined point group does not close over the lattice "
+            f"u = ({u}), v = ({v}), r = {format_scalar(lat.r)}, "
+            f"s = {format_scalar(lat.s)}, n = {lat.n}: a product of two "
+            f"lifted point symmetries is not a lattice element times a lift")
 
     nontrivial_lifts = list(extra_lifts.values())
     has_reflection = any(mat2_det(m) == -1 for m in extra_lifts)
 
-    # admissible translation cosets of the projected refinement
-    admissible = 0
-    for k in range(lat.n):
-        for l in range(lat.n):
-            tau = (Fraction(k, lat.n) * lat.u[0]
-                   + Fraction(l, lat.n) * lat.v[0],
-                   Fraction(k, lat.n) * lat.u[1]
-                   + Fraction(l, lat.n) * lat.v[1])
-            if _coset_constraints(lat, tau, nontrivial_lifts) is not None:
-                admissible += 1
+    # admissible translation cosets of the projected refinement: with no
+    # map adjoined there is no condition, so all n^2 of them
+    admissible = lat.n ** 2
+    if nontrivial_lifts:
+        admissible = 0
+        for k in range(lat.n):
+            for l in range(lat.n):
+                tau = (Fraction(k, lat.n) * lat.u[0]
+                       + Fraction(l, lat.n) * lat.v[0],
+                       Fraction(k, lat.n) * lat.u[1]
+                       + Fraction(l, lat.n) * lat.v[1])
+                if _coset_constraints(lat, tau, nontrivial_lifts) is not None:
+                    admissible += 1
 
     # point symmetries extending to the full group
     if extra is None or len(extra_mats) == pg.order:

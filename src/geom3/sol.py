@@ -221,8 +221,7 @@ def sol_centralizer(lat: SolLattice) -> dict:
     eigencoordinates nonzero) and then e^s x = x against the nontrivial
     holonomy step (forcing x = y = 0).
     """
-    hol = lat.holonomy()
-    (lam, lam_inv), basis = intmat.diagonalize_sl2(hol)
+    lam, basis = _holonomy_eigen(lat)
     binv = mat2_inv(basis)
     steps = []
     # a planar lattice vector with both eigencoordinates nonzero
@@ -274,5 +273,16 @@ def sol_q_structure(a: IntMat2) -> dict:
 
 def sol_unit(lat: SolLattice) -> QuadRat:
     """The exact e-power base for exact-mode points over this lattice."""
-    (lam, _), _basis = intmat.diagonalize_sl2(lat.holonomy())
-    return lam
+    return _holonomy_eigen(lat)[0]
+
+
+def _holonomy_eigen(lat: SolLattice) -> tuple[QuadRat, Mat2]:
+    """The eigenvalue > 1 of the holonomy A^n, and an eigenbasis of A^n.
+
+    A's eigenbasis (columns as in diagonalize_sl2) also diagonalizes A^n,
+    whose eigenvalues lam^n and lam^-n lie in the field of lam.  So only A
+    is diagonalized: the square-free part of tr(A)^2 - 4 is factored, never
+    that of tr(A^n)^2 - 4.
+    """
+    (lam, _), basis = intmat.diagonalize_sl2(lat.a)
+    return lam ** lat.n, basis

@@ -1,5 +1,6 @@
 """Field arithmetic in Q(sqrt(d)): worked values and field axioms."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -155,3 +156,19 @@ def test_arithmetic_results_are_canonical(x, y, q):
         assert isinstance(r.a, Fraction) and isinstance(r.b, Fraction)
         rebuilt = QuadRat(r.a, r.b, r.d)
         assert (rebuilt.a, rebuilt.b, rebuilt.d) == (r.a, r.b, r.d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadrats())
+def test_floor_is_exact(x):
+    f = math.floor(x)
+    assert isinstance(f, int)
+    assert f <= x < f + 1
+
+
+def test_floor_beyond_float_range():
+    big = 10 ** 400                      # float(x) would overflow
+    x = QuadRat(Fraction(1, 3), big, 2)  # 1/3 + 10^400 sqrt(2)
+    assert math.floor(x) == math.isqrt(2 * big * big)
+    assert math.floor(-x) == -math.isqrt(2 * big * big) - 1
+    assert math.floor(QuadRat(Fraction(-7, 2), 0, 5)) == -4

@@ -9,7 +9,9 @@ import sys
 import pytest
 
 from geom3 import cli, euclid, intmat, selfcheck
+from geom3.descriptors import canonical_json
 from geom3.intmat import IntMat2, SnfResult
+from support import deadline
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -247,3 +249,68 @@ def test_zimmer_action_defaults_to_verdict():
                               "--json"])
     assert code == 0
     assert payload["verdict"]["tag"] == "FactorsThroughFinite"
+
+
+def test_point_group_of_a_huge_basis_needs_no_float():
+    # a float search box overflows on this basis; the exact search does not
+    code, payload = run_json(["nil", "point-group", "--u", "1,0",
+                              "--v", "0,1e300", "--json"])
+    assert code == 0
+    assert payload == {"tag": "D2", "order": 4}
+
+
+def test_stress_sizes_answer_quickly():
+    with deadline(20):
+        code, payload = run_json(["sol", "centralizer", "--preset", "fib",
+                                  "--power", "2000", "--json"])
+        assert code == 0 and payload["group"] == "trivial"
+        code, payload = run_json(["nil", "iso", "--preset", "Gp:700",
+                                  "--json"])
+        assert code == 0 and payload["finite_part"]["order"] == 8 * 700**2
+        code, payload = run_json(["nil", "point-group", "--u", "1,0",
+                                  "--v", "24,1", "--json"])
+        assert code == 0 and payload == {"tag": "D4", "order": 8}
+
+
+@pytest.mark.parametrize("argv", [
+    ["hyp", "classify", "--matrix", "inf,0,0,1"],
+    ["hyp", "classify", "--matrix", "nan,0,0,1"],
+    ["hyp", "classify", "--matrix", "1,0,0,-Infinity"],
+    ["hyp", "apply", "--matrix", "1,0,0,1", "--z", "0,nan"],
+    ["hyp", "commute", "--m1", "1e400,0,0,1", "--m2", "1,0,0,1"],
+    ["sol", "fixed-line", "--t", "nan"],
+    ["sol", "fixed-line", "--x", "1/0", "--t", "1"],
+    ["fiber", "norm", "--z", "0,inf"],
+])
+def test_non_finite_numbers_are_schema_errors(argv):
+    code, payload = run_json(argv + ["--json"])
+    assert code == 2
+    assert payload["error"]["kind"] == "schema"
+    code, text = run_cli(argv)
+    assert code == 2 and text.startswith("error[schema]")
+
+
+def test_non_finite_results_are_structured_errors():
+    # finite inputs whose image overflows: no NaN or Infinity in the output
+    argv = ["hyp", "apply", "--matrix", "1e300,0,0,1e-300", "--z", "1e300,1"]
+    code, payload = run_json(argv + ["--json"])
+    assert code == 1
+    assert payload["error"]["kind"] == "ValueError"
+    code, text = run_cli(argv)
+    assert code == 1 and text.startswith("error[ValueError]")
+    with pytest.raises(ValueError):
+        canonical_json({"x": float("nan")})
+    assert canonical_json({"boundary": "inf"}) \
+        == '{\n  "boundary": "inf"\n}'
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nil_iso_hex_adjoin_full_does_not_close(n):
+    code, payload = run_json(["nil", "iso", "--preset", f"hex:{n}",
+                              "--adjoin", "full", "--json"])
+    assert code == 1
+    assert payload["error"]["kind"] == "ValueError"
+    detail = payload["error"]["detail"]
+    assert detail.startswith("adjoined point group does not close over "
+                             "the lattice u = (1/2, 1/2√3), v = (1, 0), ")
+    assert f"n = {n}:" in detail

@@ -10,19 +10,22 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geom3.algebra import QuadRat
 from geom3.intmat import (
     IntMat2,
     diagonalize_sl2,
+    gauss_reduce,
     int_mat_pow,
     mat2_apply,
     mat2_det,
     mat2_inv,
     mat2_mul,
     smith_normal_form,
+    vec2_cross,
+    vec2_dot,
 )
 
 entries = st.integers(min_value=-100, max_value=100)
@@ -147,3 +150,49 @@ def test_diagonalize_conjugation_identity():
         diag = mat2_mul(mat2_inv(basis), mat2_mul(field, basis))
         assert diag[0][0] == lam and diag[1][1] == lam_inv
         assert diag[0][1] == 0 and diag[1][0] == 0
+
+
+coords = st.fractions(min_value=-50, max_value=50, max_denominator=7)
+
+
+@st.composite
+def planar_bases(draw):
+    """Independent u, v over Q or over Q(sqrt(3))."""
+    if draw(st.booleans()):
+        vals = [QuadRat(draw(coords), draw(coords), 3) for _ in range(4)]
+    else:
+        vals = [draw(coords) for _ in range(4)]
+    u, v = (vals[0], vals[1]), (vals[2], vals[3])
+    assume(vec2_cross(u, v) != 0)
+    return u, v
+
+
+def combine(u, v, k, l):
+    return (k * u[0] + l * v[0], k * u[1] + l * v[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(planar_bases())
+def test_gauss_reduce_gives_a_reduced_basis_of_the_same_lattice(basis):
+    u, v = basis
+    ru, rv, p = gauss_reduce(u, v)
+    assert all(isinstance(x, int) for row in p for x in row)
+    assert abs(mat2_det(p)) == 1
+    assert ru == combine(u, v, p[0][0], p[1][0])
+    assert rv == combine(u, v, p[0][1], p[1][1])
+    n1, n2, g = vec2_dot(ru, ru), vec2_dot(rv, rv), vec2_dot(ru, rv)
+    assert n1 <= n2 and abs(2 * g) <= n1
+    # u' is a shortest vector: no small combination of u, v is shorter
+    for k in range(-3, 4):
+        for l in range(-3, 4):
+            if (k, l) != (0, 0):
+                w = combine(u, v, k, l)
+                assert vec2_dot(w, w) >= n1
+
+
+def test_gauss_reduce_beyond_float_range():
+    big = 10 ** 300
+    ru, rv, p = gauss_reduce((Fraction(1), Fraction(0)),
+                             (Fraction(big), Fraction(1)))
+    assert (ru, rv) == ((1, 0), (0, 1))
+    assert p == ((1, -big), (0, 1))

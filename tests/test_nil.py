@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geom3.algebra import QuadRat
 from geom3.intmat import MAT2_ID, mat2_det, mat2_eq, mat2_mul, mat2_transpose
@@ -12,6 +15,7 @@ from geom3.nil import (
     FINITE_VOLUME_POSSIBLE,
     FIXES_LINE,
     FIXES_POINT,
+    HALF,
     INFINITE_VOLUME,
     REFLECT,
     ROT_PI,
@@ -38,6 +42,12 @@ from geom3.nil import (
     nil_volume_verdict,
     planar_point_group,
     rot_apply,
+)
+from support import (
+    SIGNED_PERMUTATIONS,
+    coset_count_by_loop,
+    deadline,
+    point_group_by_box,
 )
 
 
@@ -548,3 +558,128 @@ def test_dichotomy_rejects_negative_word_bound():
     with pytest.raises(ValueError, match="word_bound"):
         nil_projection_dichotomy(gens, word_bound=-1)
     assert nil_projection_dichotomy(gens, word_bound=0).kind == FIXES_LINE
+
+
+# -- closed forms against the brute forces in support.py ------------------------
+
+HEX = ((HALF, QuadRat(0, HALF, 3)), (1, 0))
+
+
+def change_basis(u, v, m):
+    """The basis (u, v) m: its vectors are k u + l v for the columns of m."""
+    return tuple((m[0][j] * u[0] + m[1][j] * v[0],
+                  m[0][j] * u[1] + m[1][j] * v[1]) for j in range(2))
+
+
+@st.composite
+def small_unimodular(draw):
+    """Products of up to three elementary matrices (entries -1..1) and
+    swaps: skew small enough for the brute-force box."""
+    m = MAT2_ID
+    for _ in range(draw(st.integers(0, 3))):
+        q = draw(st.integers(-1, 1))
+        m = mat2_mul(m, draw(st.sampled_from(
+            [((1, q), (0, 1)), ((1, 0), (q, 1)), ((0, 1), (1, 0))])))
+    return m
+
+
+sides = st.fractions(min_value=HALF, max_value=2, max_denominator=5)
+
+
+@st.composite
+def planar_lattices(draw):
+    """Bases of Z^2, the hexagonal lattice, and rational rectangular and
+    rhombic lattices (including one whose reflection axis lies off D12)."""
+    kind = draw(st.sampled_from(["square", "hex", "rectangular", "rhombic",
+                                 "rhombic-34"]))
+    if kind == "square":
+        return ((1, 0), (0, 1))
+    if kind == "hex":
+        return HEX
+    if kind == "rhombic-34":
+        return ((1, 0), (Fraction(3, 5), Fraction(4, 5)))
+    a, b = draw(sides), draw(sides)
+    if kind == "rectangular":
+        return ((a, 0), (0, b))
+    return ((a, b), (a, -b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(planar_lattices(), small_unimodular())
+def test_point_group_matches_box_enumeration(lattice, m):
+    u, v = change_basis(*lattice, m)
+    # the same elements in the same order: sorted by the coordinates of the
+    # images of u and v, as the box enumeration meets them
+    assert planar_point_group(u, v).elements == point_group_by_box(u, v)
+
+
+@st.composite
+def z2_bases(draw):
+    """A basis matrix of Z^2 with entries up to about 10^12."""
+    a = draw(st.integers(-10**12, 10**12))
+    c = draw(st.integers(-10**12, 10**12))
+    g = gcd(a, c) or 1
+    a, c = (a // g, c // g) if (a, c) != (0, 0) else (1, 0)
+    # extended Euclid: a x + c y = 1 makes ((a, -y), (c, x)) unimodular
+    r0, r1, x0, x1, y0, y1 = a, c, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    x0, y0 = (x0, y0) if r0 == 1 else (-x0, -y0)
+    k = draw(st.integers(-10**6, 10**6))
+    m = ((a, -y0 + k * a), (c, x0 + k * c))
+    if draw(st.booleans()):
+        m = ((m[0][1], m[0][0]), (m[1][1], m[1][0]))
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(z2_bases())
+def test_every_basis_of_z2_gives_the_signed_permutations(m):
+    assert abs(mat2_det(m)) == 1
+    u, v = (m[0][0], m[1][0]), (m[0][1], m[1][1])
+    with deadline(10):
+        pg = planar_point_group(u, v)
+    assert pg.tag == "D4" and pg.order == 8
+    assert set(pg.elements) == SIGNED_PERMUTATIONS
+
+
+offsets = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12),
+       st.sampled_from([((1, 0), (0, 1)), HEX, ((1, 0), (0, 2)),
+                        ((1, 0), (Fraction(1, 3), Fraction(7, 5)))]),
+       offsets, offsets)
+def test_coset_count_matches_the_loop(n, basis, r, s):
+    lat = nil_lattice_make(*basis, r=r, s=s, n=n)
+    loop = coset_count_by_loop(lat)
+    assert loop == n * n
+    order = planar_point_group(lat.u, lat.v).order
+    assert nil_quotient_isometry(lat).finite_part["order"] == loop * order
+
+
+def test_adjoined_lifts_still_count_cosets_by_the_loop():
+    # with the full point group adjoined, Gp:n keeps 1 coset of n^2
+    for n in (1, 2, 3):
+        lat = lattice_gp(n)
+        pg = planar_point_group(lat.u, lat.v)
+        lifts = [lift_point_symmetry(lat, m) for m in pg.elements
+                 if not mat2_eq(m, MAT2_ID)]
+        d = nil_quotient_isometry(lat, extra=pg)
+        assert d.finite_part["translation_cosets"] \
+            == coset_count_by_loop(lat, lifts) == 1
+
+
+def test_large_quotients_take_bounded_time():
+    with deadline(10):
+        d = nil_quotient_isometry(lattice_gp(100000))
+        skewed = planar_point_group((1, 0), (1000, 1))
+        wide = planar_point_group((1, 0), (0, Fraction(10) ** 300))
+    assert d.finite_part["order"] == 8 * 10**10
+    assert d.finite_part["translation_part"] == [100000, 100000]
+    assert skewed.tag == "D4" and set(skewed.elements) == SIGNED_PERMUTATIONS
+    assert wide.tag == "D2"

@@ -22,6 +22,7 @@ from geom3.sol import (
     sol_quotient_isometry,
     sol_unit,
 )
+from support import deadline
 
 A = IntMat2(2, 1, 1, 1)
 
@@ -264,3 +265,25 @@ def test_json_shapes():
     assert lat.to_json_dict() == {"matrix": [[2, 1], [1, 1]], "power": 5}
     nrm = sol_normalizer_lattice(lat).to_json_dict()
     assert nrm["index"] == 121
+
+
+def test_unit_of_a_power_is_the_power_of_the_unit():
+    for a in (A, IntMat2(3, 1, 2, 1)):
+        lam = sol_unit(sol_lattice_make(a, 1))
+        for n in range(1, 25):
+            lat = sol_lattice_make(a, n)
+            unit = sol_unit(lat)
+            assert unit == lam ** n
+            # the eigenvalue of the holonomy itself, through tr(A^n)^2 - 4
+            (mu, _), _ = intmat.diagonalize_sl2(lat.holonomy())
+            assert (unit.a, unit.b, unit.d) == (mu.a, mu.b, mu.d)
+
+
+def test_centralizer_of_large_powers_is_immediate():
+    # factoring tr(A^n)^2 - 4 by trial division takes seconds at n = 37 and
+    # does not finish at n = 52 to 65
+    small = sol_centralizer(sol_lattice_make(A, 1))
+    for n in (37, 52, 65, 2000):
+        with deadline(10):
+            res = sol_centralizer(sol_lattice_make(A, n))
+        assert res == small
