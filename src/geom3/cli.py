@@ -1,7 +1,8 @@
 """Command line front end with deterministic JSON/text output.
 
 Exit codes: 0 on success, 1 on a domain error (reported as a structured
-error object), 2 on an argument schema error.
+error object), 2 on an argument schema error, 3 on an internal error (a
+bug: any other exception, reported the same way with its type).
 """
 
 from __future__ import annotations
@@ -535,11 +536,14 @@ def main(argv=None, out=None) -> int:
     except SchemaError as exc:
         _emit_error(out, "schema", str(exc), getattr(args, "json", False))
         return 2
-    except (ValueError, ZeroDivisionError, ArithmeticError,
-            KeyError, TypeError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         _emit_error(out, type(exc).__name__, str(exc),
                     getattr(args, "json", False))
         return 1
+    except Exception as exc:
+        _emit_error(out, "internal", f"{type(exc).__name__}: {exc}",
+                    getattr(args, "json", False))
+        return 3
     if args.command == "selfcheck":
         for item in payload["items"]:
             mark = "PASS" if item["ok"] else "FAIL"

@@ -16,7 +16,13 @@ from typing import Optional, Sequence
 from . import nil
 from .algebra import frac
 from .descriptors import IsoDescriptor
-from .intmat import elementary_divisors_stack
+from .intmat import (
+    SearchCapError,
+    elementary_divisors_stack,
+    matmul,
+    transpose,
+    word_ball,
+)
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -31,17 +37,6 @@ def _to_matrix(rows, dim: int) -> Matrix:
     if len(out) != dim or any(len(r) != dim for r in out):
         raise ValueError(f"{dim}x{dim} matrix expected")
     return out
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                       for j in range(n)) for i in range(n))
-
-
-def _mat_transpose(a: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
 
 
 def _mat_apply(a: Matrix, v: Vector) -> Vector:
@@ -147,7 +142,7 @@ def crystal_group_make(point_gens, trans_basis, vector_system=None,
     gens = tuple(_to_matrix(g, dim) for g in point_gens)
     ident = _identity(dim)
     for g in gens:
-        if _mat_mul(_mat_transpose(g), g) != ident:
+        if matmul(transpose(g), g) != ident:
             raise ValueError("point generators must be orthogonal")
     for vec in basis:
         if len(vec) != dim:
@@ -292,26 +287,19 @@ def euclid_quotient_isometry(g: CrystalGroup) -> IsoDescriptor:
                                 "worked cases",))
 
 
+# A safety bound: the point group of a lattice has at most 48 elements.
+CLOSURE_CAP = 96
+
+
 def _integer_group_closure(mats: list) -> list:
-    elems = [tuple(tuple(row) for row in m) for m in mats]
-    ident = tuple(tuple(1 if i == j else 0 for j in range(len(elems[0])))
-                  for i in range(len(elems[0]))) if elems else ()
-    group = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in elems:
-                n = len(a)
-                c = tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                                for j in range(n)) for i in range(n))
-                if c not in group:
-                    group.add(c)
-                    nxt.append(c)
-                    if len(group) > 96:
-                        raise ValueError("point group closure too large")
-        frontier = nxt
-    return [list(map(list, m)) for m in sorted(group)]
+    """Group generated by nonempty integer matrices, sorted."""
+    n = len(mats[0])
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    try:
+        group = sorted(word_ball(ident, mats, matmul, tuple, cap=CLOSURE_CAP))
+    except SearchCapError:
+        raise ValueError("point group closure too large") from None
+    return [list(map(list, m)) for m in group]
 
 
 # -- spherical and S^2 x R lookup data ----------------------------------------

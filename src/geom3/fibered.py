@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from .descriptors import IsoDescriptor
 from .hyperbolic import MobiusMap, expm_sl2
+from .intmat import SearchCapError, matmul, transpose, word_ball
 
 
 def christoffel_h2(p: complex, i: int, j: int, k: int) -> float:
@@ -144,6 +145,10 @@ class NonDiscreteShiftError(ValueError):
     """The projected shift set is not discrete within the word bound."""
 
 
+# A word ball larger than this is taken as a sign of a non-discrete group.
+BALL_CAP = 4000
+
+
 def _near_identity(m, atol: float) -> bool:
     """numpy.allclose(m, I, atol=atol) for a 3x3 float matrix:
     |m_ij - I_ij| <= atol + 1e-5 |I_ij| everywhere; NaN and inf fail."""
@@ -175,19 +180,27 @@ class S2RIsometry:
         if not _near_identity(gram, 1e-12):
             raise ValueError("rotation part must be orthogonal")
 
+    @classmethod
+    def _make(cls, rot: tuple, shift, flip: int) -> "S2RIsometry":
+        """Trusted constructor for products and inverses of checked
+        elements, which are orthogonal 3x3 matrices with flip +-1."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rot", rot)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "flip", flip)
+        return self
+
     def matrix(self) -> list[list[float]]:
         return [[float(v) for v in row] for row in self.rot]
 
     def compose(self, other: "S2RIsometry") -> "S2RIsometry":
-        rot = tuple(tuple(sum(self.rot[i][k] * other.rot[k][j]
-                              for k in range(3)) for j in range(3))
-                    for i in range(3))
-        return S2RIsometry(rot, self.flip * other.shift + self.shift,
-                           self.flip * other.flip)
+        return S2RIsometry._make(matmul(self.rot, other.rot),
+                                 self.flip * other.shift + self.shift,
+                                 self.flip * other.flip)
 
     def inverse(self) -> "S2RIsometry":
-        rot = tuple(tuple(self.rot[j][i] for j in range(3)) for i in range(3))
-        return S2RIsometry(rot, -self.flip * self.shift, self.flip)
+        return S2RIsometry._make(transpose(self.rot),
+                                 -self.flip * self.shift, self.flip)
 
     def key(self):
         return (tuple(round(float(v), 9) for row in self.rot for v in row),
@@ -221,32 +234,15 @@ class S2RDecomposition:
                 "f_order_bound": self.f_order_bound}
 
 
-def _ball(gens: Sequence[S2RIsometry], bound: int, cap: int = 4000):
-    moves = []
-    for g in gens:
-        moves.append(g)
-        moves.append(g.inverse())
-    ident = S2RIsometry(S2R_ROT_ID, 0)
-    elements = {ident.key(): ident}
-    frontier = [ident]
-    for _ in range(bound):
-        nxt = []
-        for el in frontier:
-            for mv in moves:
-                cand = el.compose(mv)
-                k = cand.key()
-                if k in elements:
-                    continue
-                elements[k] = cand
-                nxt.append(cand)
-                if len(elements) > cap:
-                    raise NonDiscreteShiftError(
-                        "word ball keeps growing; projected group looks "
-                        "non-discrete")
-        frontier = nxt
-        if not frontier:
-            break
-    return list(elements.values())
+def _ball(gens: Sequence[S2RIsometry], bound: int) -> list[S2RIsometry]:
+    moves = [h for g in gens for h in (g, g.inverse())]
+    try:
+        return list(word_ball(S2RIsometry(S2R_ROT_ID, 0), moves,
+                              S2RIsometry.compose, S2RIsometry.key, bound,
+                              cap=BALL_CAP))
+    except SearchCapError:
+        raise NonDiscreteShiftError("word ball keeps growing; projected "
+                                    "group looks non-discrete") from None
 
 
 def s2r_decompose(gens: Sequence[S2RIsometry],

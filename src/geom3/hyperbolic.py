@@ -90,9 +90,13 @@ class MobiusMap:
                     exact = False
         if not exact:
             a, b, c, d = float(a), float(b), float(c), float(d)
+            if not all(map(math.isfinite, (a, b, c, d))):
+                raise ValueError("finite entries required")
             det = a * d - b * c
-            if det <= 0:
+            if not det > 0:             # NaN when a*d and b*c overflow
                 raise ValueError("positive determinant required")
+            if det == math.inf:
+                raise ValueError("determinant overflows a float")
             scale = 1.0 / math.sqrt(det)
             a, b, c, d = a * scale, b * scale, c * scale, d * scale
         # canonical sign for the PSL2 class

@@ -1,7 +1,8 @@
 """2x2 integer matrices, Smith normal form, and exact SL2 spectral data.
 
-Generic 2x2/vector helpers over exact scalars live here too; the geometry
-modules share them.
+The helpers the geometry modules share live here too: 2x2/vector
+arithmetic over exact scalars, the n x n matrix product, and the
+breadth-first word ball behind every closure and word search.
 """
 
 from __future__ import annotations
@@ -55,6 +56,17 @@ def mat2_eq(m: Mat2, n: Mat2) -> bool:
 MAT2_ID: Mat2 = ((1, 0), (0, 1))
 
 
+def matmul(a, b) -> tuple:
+    """Product of two n x n matrices over any scalars, as row tuples."""
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
+                       for j in range(n)) for i in range(n))
+
+
+def transpose(a) -> tuple:
+    return tuple(zip(*a))
+
+
 def vec2_cross(u: Vec2, v: Vec2) -> Scalar:
     """Scalar cross product u1*v2 - u2*v1 (signed area)."""
     return u[0] * v[1] - u[1] * v[0]
@@ -96,6 +108,40 @@ def gauss_reduce(u: Vec2, v: Vec2) -> tuple[Vec2, Vec2, Mat2]:
         nv = vec2_dot(v, v)
         for row in p:
             row[1] -= q * row[0]
+
+
+# -- breadth-first word balls ------------------------------------------------
+
+class SearchCapError(ValueError):
+    """A word ball grew past its cap."""
+
+
+def word_ball(identity, moves, compose, key, bound=None, *, cap: int):
+    """Elements reachable from identity by words in moves, shortest first.
+
+    Yields identity, then each element compose(w, m) whose key(...) is new,
+    layer by layer in order of word length.  Stops after `bound` layers
+    (None: when a layer adds nothing).  Raises SearchCapError when more
+    than `cap` elements have been seen; the check follows each yield, so a
+    caller that stops at the element it looks for never meets it.
+    """
+    seen = set()
+    candidates, depth = (identity,), 0
+    while True:
+        frontier = []
+        for el in candidates:
+            k = key(el)
+            if k in seen:
+                continue
+            seen.add(k)
+            yield el
+            if len(seen) > cap:
+                raise SearchCapError(f"word ball exceeds {cap} elements")
+            frontier.append(el)
+        if not frontier or depth == bound:
+            return
+        depth += 1
+        candidates = (compose(el, mv) for el in frontier for mv in moves)
 
 
 # -- integer matrices ---------------------------------------------------------

@@ -20,13 +20,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import QuadRat, Scalar, as_exact, format_scalar, scalar_is_rational
 from .descriptors import IsoDescriptor
 from .intmat import (
     MAT2_ID,
     Mat2,
+    SearchCapError,
     Vec2,
     gauss_reduce,
     mat2_apply,
@@ -38,9 +39,17 @@ from .intmat import (
     vec2_cross,
     vec2_dot,
     vec2_sub,
+    word_ball,
 )
 
 HALF = Fraction(1, 2)
+
+# Caps of the word balls: the largest exactly representable point group
+# is D12, and a central word is looked for among this many words.  Point
+# groups are keyed by their matrices (tuples of rows; a QuadRat with b = 0
+# hashes as its rational part, so hashing agrees with ==).
+POINT_GROUP_CAP = 24
+CENTRAL_WORD_CAP = 20000
 
 
 def _is_integral(x: Scalar) -> bool:
@@ -421,26 +430,6 @@ def planar_point_group(u, v) -> PlanarPointGroup:
     return PlanarPointGroup(_PG_TAGS[order], tuple(found))
 
 
-def _close_under_mul(mats: Iterable[Mat2]) -> list[Mat2]:
-    elems: list[Mat2] = [MAT2_ID]
-    frontier = [m for m in mats if not mat2_eq(m, MAT2_ID)]
-    for m in frontier:
-        if not any(mat2_eq(m, e) for e in elems):
-            elems.append(m)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(elems):
-            for b in list(elems):
-                c = mat2_mul(a, b)
-                if not any(mat2_eq(c, e) for e in elems):
-                    elems.append(c)
-                    changed = True
-                    if len(elems) > 24:
-                        raise ValueError("adjoined set generates too large a group")
-    return elems
-
-
 # -- lifting point symmetries to lattice normalizers --------------------------
 
 def lift_point_symmetry(lat: NilLattice, rot: Mat2) -> HeisIsometry:
@@ -512,23 +501,13 @@ def _coset_constraints(lat: NilLattice, tau: Vec2,
 
 def _lift_group_closes(lat: NilLattice, lifts: dict) -> bool:
     """Products of lifts must land back in lattice * lift."""
-    mats = list(lifts)
-    for a in mats:
-        for b in mats:
-            prod = lifts[a].compose(lifts[b])
-            if mat2_eq(prod.rot, MAT2_ID):
-                if not lat.contains(prod.trans):
-                    return False
-                continue
-            target = None
-            for m in mats:
-                if mat2_eq(m, prod.rot):
-                    target = lifts[m]
-                    break
-            if target is None:
-                return False
-            resid = prod.compose(target.inverse())
-            if not lat.contains(resid.trans):
+    group = {MAT2_ID: HEIS_ISO_ID, **lifts}
+    for a in lifts.values():
+        for b in lifts.values():
+            prod = a.compose(b)
+            target = group.get(prod.rot)
+            if target is None or not lat.contains(
+                    prod.compose(target.inverse()).trans):
                 return False
     return True
 
@@ -540,7 +519,6 @@ def _extends_to_group_normalizer(lat: NilLattice, rot: Mat2,
         base = lift_point_symmetry(lat, rot)
     except ValueError:
         return False
-    mats = list(extra_lifts)
     step = lat.center_step()
     denom = 2 * lat.n
     for k in range(denom):
@@ -555,13 +533,9 @@ def _extends_to_group_normalizer(lat: NilLattice, rot: Mat2,
                          for g in lat.generators())
                 if not ok:
                     continue
-                for m in mats:
-                    conj = cand.compose(extra_lifts[m]).compose(cand.inverse())
-                    match = None
-                    for mm in mats:
-                        if mat2_eq(mm, conj.rot):
-                            match = extra_lifts[mm]
-                            break
+                for lift in extra_lifts.values():
+                    conj = cand.compose(lift).compose(cand.inverse())
+                    match = extra_lifts.get(conj.rot)
                     if match is None:
                         ok = False
                         break
@@ -589,18 +563,18 @@ def nil_quotient_isometry(lat: NilLattice,
         extra_mats: list[Mat2] = [MAT2_ID]
     else:
         mats = extra.elements if isinstance(extra, PlanarPointGroup) else extra
-        extra_mats = _close_under_mul(mats)
-        pg_set = pg.elements
-        for m in extra_mats:
-            if not any(mat2_eq(m, e) for e in pg_set):
-                raise ValueError("adjoined point group does not normalize "
-                                 "the lattice")
+        try:
+            extra_mats = list(word_ball(MAT2_ID, tuple(mats), mat2_mul,
+                                        tuple, cap=POINT_GROUP_CAP))
+        except SearchCapError:
+            raise ValueError(
+                "adjoined set generates too large a group") from None
+        if not set(extra_mats) <= set(pg.elements):
+            raise ValueError("adjoined point group does not normalize "
+                             "the lattice")
 
-    extra_lifts = {}
-    for m in extra_mats:
-        if mat2_eq(m, MAT2_ID):
-            continue
-        extra_lifts[m] = lift_point_symmetry(lat, m)
+    # the word ball yields the identity first
+    extra_lifts = {m: lift_point_symmetry(lat, m) for m in extra_mats[1:]}
     if extra_lifts and not _lift_group_closes(lat, extra_lifts):
         u, v = (", ".join(map(format_scalar, w)) for w in (lat.u, lat.v))
         raise ValueError(
@@ -631,8 +605,9 @@ def nil_quotient_isometry(lat: NilLattice,
         extending = pg.order
     else:
         extending = 0
+        extra_set = set(extra_mats)
         for m in pg.elements:
-            if any(mat2_eq(m, e) for e in extra_mats):
+            if m in extra_set:
                 extending += 1
             elif _extends_to_group_normalizer(lat, m, extra_lifts):
                 extending += 1
@@ -882,59 +857,32 @@ def _has_order_12(planar) -> bool:
     """Whether the linear parts generate a rotation of order 12.
 
     They generate a finite subgroup of O(2), at most D12 with 24 elements.
-    Unlike `_close_under_mul`'s all-pairs closure, this search multiplies
-    by generators only and stops at the first order-12 element, a few ms
-    at most over Q(sqrt(3)); every product passes the order check, so an
-    infinite-order product raises here as it would in a word search."""
-    gens: list[Mat2] = []
-    for rot, _ in planar:
-        if not any(mat2_eq(rot, g) for g in gens + [MAT2_ID]):
-            gens.append(rot)
-    elems: list[Mat2] = [MAT2_ID]
-    frontier = list(gens)
-    while frontier:
-        nxt = []
-        for m in frontier:
-            if any(mat2_eq(m, e) for e in elems):
-                continue
-            if _orthogonal_order(m) == 12:
-                return True
-            elems.append(m)
-            if len(elems) > 24:
-                raise ValueError("linear parts generate too large a group")
-            nxt.extend(mat2_mul(m, g) for g in gens)
-        frontier = nxt
-    return False
+    The word ball over the linear parts stops at the first order-12
+    element, a few ms at most over Q(sqrt(3)); every element passes the
+    order check, so an infinite-order product raises here as it would in a
+    word search."""
+    try:
+        return any(_orthogonal_order(m) == 12
+                   for m in word_ball(MAT2_ID, [rot for rot, _ in planar],
+                                      mat2_mul, tuple,
+                                      cap=POINT_GROUP_CAP))
+    except SearchCapError:
+        raise ValueError("linear parts generate too large a group") from None
 
 
-def _central_word(gens: Sequence[HeisIsometry], bound: int,
-                  cap: int = 20000) -> Optional[HeisPoint]:
-    moves = []
-    for g in gens:
-        moves.append(g)
-        moves.append(g.inverse())
-    seen: dict = {}
-    frontier = [HEIS_ISO_ID]
-    seen[_iso_key(HEIS_ISO_ID)] = True
-    for _ in range(bound):
-        nxt = []
-        for el in frontier:
-            for mv in moves:
-                cand = el.compose(mv)
-                key = _iso_key(cand)
-                if key in seen:
-                    continue
-                seen[key] = True
-                if (mat2_eq(cand.rot, MAT2_ID)
-                        and cand.trans.x == 0 and cand.trans.y == 0
-                        and cand.trans.z != 0):
-                    return cand.trans
-                nxt.append(cand)
-                if len(seen) > cap:
-                    return None
-        frontier = nxt
-        if not frontier:
-            break
+def _central_word(gens: Sequence[HeisIsometry],
+                  bound: int) -> Optional[HeisPoint]:
+    """First nontrivial central element in the word ball, or None."""
+    moves = [h for g in gens for h in (g, g.inverse())]
+    try:
+        for el in word_ball(HEIS_ISO_ID, moves, HeisIsometry.compose,
+                            _iso_key, bound, cap=CENTRAL_WORD_CAP):
+            t = el.trans
+            if (mat2_eq(el.rot, MAT2_ID)
+                    and t.x == 0 and t.y == 0 and t.z != 0):
+                return t
+    except SearchCapError:
+        pass
     return None
 
 

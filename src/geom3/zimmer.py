@@ -24,6 +24,7 @@ from .descriptors import (
     IsoDescriptor,
     Verdict,
 )
+from .intmat import matmul, transpose
 
 _FAMILIES = ("SL(n,R)", "SU(p,q)", "SL(n,C)", "SO(p,q)", "SO(n,C)",
              "Sp(2n,R)", "Sp(p,q)", "Sp(2n,C)", "G2", "F4", "E6", "E7",
@@ -324,15 +325,6 @@ def max_isometry_dim(n: int) -> int:
 
 # -- restriction of scalars demo ----------------------------------------------
 
-def _mat4_mul(a, b):
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(4))
-                       for j in range(4)) for i in range(4))
-
-
-def _mat4_transpose(a):
-    return tuple(tuple(a[j][i] for j in range(4)) for i in range(4))
-
-
 def _twist_form() -> tuple:
     root2 = QuadRat(0, 1, 2)
     z = QuadRat(0, 0, 2)
@@ -350,9 +342,9 @@ def galois_twist_pair(g) -> dict:
     q = _twist_form()
     sigma_mat = tuple(tuple(galois_conjugate(v) for v in row) for row in mat)
     sigma_q = tuple(tuple(galois_conjugate(v) for v in row) for row in q)
-    first = _mat4_mul(_mat4_transpose(mat), _mat4_mul(q, mat)) == q
-    second = _mat4_mul(_mat4_transpose(sigma_mat),
-                       _mat4_mul(sigma_q, sigma_mat)) == sigma_q
+    first = matmul(transpose(mat), matmul(q, mat)) == q
+    second = matmul(transpose(sigma_mat),
+                    matmul(sigma_q, sigma_mat)) == sigma_q
     return {"matrix": mat, "conjugate": sigma_mat,
             "preserves_form": bool(first),
             "conjugate_preserves_twisted_form": bool(second)}

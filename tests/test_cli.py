@@ -187,6 +187,35 @@ def test_negative_word_bound_is_a_schema_error():
     assert code == 0 and payload["kind"] == "Undetermined"
 
 
+@pytest.mark.parametrize("exc", [AssertionError("lift verification failed"),
+                                 RuntimeError("unexpected stabilizer order"),
+                                 KeyError("x"), TypeError("bad operand")])
+def test_internal_error_exit_code(monkeypatch, exc):
+    def broken(args):
+        raise exc
+    monkeypatch.setitem(cli._HANDLERS, "nil", broken)
+    argv = ["nil", "iso", "--preset", "HZ"]
+    code, payload = run_json(argv + ["--json"])
+    assert code == 3
+    assert payload == {"error": {"kind": "internal",
+                                 "detail": f"{type(exc).__name__}: {exc}"}}
+    code, text = run_cli(argv)
+    assert code == 3
+    assert text == f"error[internal]: {type(exc).__name__}: {exc}\n"
+
+
+@pytest.mark.parametrize("matrix, detail", [
+    ("1e200,1e200,1e200,1e200", "positive determinant required"),
+    ("1e200,0,0,1e200", "determinant overflows a float"),
+])
+def test_mobius_overflow_is_a_domain_error(matrix, detail):
+    # 1e200 * 1e200 overflows: the determinant is inf - inf = NaN, or inf
+    for action in ("classify", "centralizer"):
+        code, text = run_cli(["hyp", action, "--matrix", matrix])
+        assert code == 1
+        assert text == f"error[ValueError]: {detail}\n"
+
+
 def test_argparse_error_exit_code():
     code, _ = run_cli(["nonsense"])
     assert code == 2

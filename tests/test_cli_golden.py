@@ -1,0 +1,101 @@
+"""CLI golden suite: every command's output and exit code, byte for byte.
+
+`golden/cli/cases.json` holds, for each argv below, what `cli.main`
+printed and returned.  Refactors must leave it unchanged; a deliberate
+change of output is recorded again with
+
+    PYTHONPATH=src python tests/test_cli_golden.py --record
+"""
+
+import functools
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+
+from geom3 import cli
+
+CASES_FILE = pathlib.Path(__file__).parent / "golden" / "cli" / "cases.json"
+
+README = [
+    "sol iso --matrix 2,1,1,1 --power 5",
+    "nil iso --preset HZ",
+    "nil iso --preset HZ --adjoin full",
+    "nil iso --preset hex:2",
+    "nil volume --gens 1,0,1;1/3,0,1;-1",
+    "nil dichotomy --gens rot6;rot4@1,0,0",
+    "nil point-group --u 1,0 --v 1/2,1/2",
+    "sol normalizer --matrix 2,1,1,1 --power 2",
+    "sol qstructure --matrix 2,1,1,1",
+    "hyp classify --matrix 2,0,0,1/2",
+    "hyp commute --m1 2,0,0,0.5 --m2 1,1,0,1",
+    "hyp verdict --dim 3",
+    "fiber frame",
+    "fiber s2r --preset klein",
+    "euclid iso --preset Z2",
+    "euclid betti --preset Z3xD4xy",
+    "lookup --family spherical-orbifold-orientation-preserving",
+    "zimmer verdict --geometry nil --preset HZ --factors SL(3,R) "
+    "--nonuniform",
+    "zimmer verdict --geometry s3 --component SO(4) --factors SO(2,2) "
+    "--uniform",
+    "zimmer aspherical --sl-degree 3 --manifold-dim 2",
+    "zimmer maxdim --space-dim 3",
+]
+
+# The searches, closures and matrix products behind these commands.  The
+# Q(sqrt(3)) witness at word bound 8 is the first central word met in
+# breadth-first order, so it pins that order.
+SEARCHES = [
+    "nil iso --preset Gp:2 --adjoin full",
+    "nil iso --preset Gp:3 --adjoin full",
+    "nil iso --preset hex:1 --adjoin full",
+    "nil dichotomy --gens rot6;1,0,0 --word-bound 4",
+    "nil dichotomy --gens rot6;1,0,0 --word-bound 8",
+    "nil dichotomy --gens rot4;1,0,0 --word-bound 8",
+    "nil dichotomy --gens 1,0,0;0,1,0 --word-bound 8",
+    "nil volume --gens rot6;1,0,0 --word-bound 8",
+    "fiber s2r --preset twist",
+    "fiber s2r --preset product",
+    "fiber s2r --preset rho",
+    "fiber s2r --preset flip",
+    "euclid iso --preset Z2xD4",
+    "euclid iso --preset centered",
+    "zimmer galois-demo",
+    "nil dichotomy --gens rot6 --word-bound -1",
+]
+
+# Space-separated commands (no argument contains a space), each run as
+# written and with --json.
+COMMANDS = [c.split(" ") for c in README + SEARCHES]
+ARGVS = [["selfcheck"]] + [a + j for a in COMMANDS for j in ([], ["--json"])]
+
+
+def run(argv):
+    out = io.StringIO()
+    code = cli.main(argv, out=out)
+    return {"argv": argv, "exit": code, "out": out.getvalue()}
+
+
+@functools.cache
+def _recorded() -> dict:
+    cases = json.loads(CASES_FILE.read_text(encoding="utf-8"))
+    return {tuple(case["argv"]): case for case in cases}
+
+
+def test_every_recorded_case_is_run():
+    assert list(_recorded()) == [tuple(argv) for argv in ARGVS]
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+def test_cli_output_is_unchanged(argv):
+    assert run(argv) == _recorded()[tuple(argv)]
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    CASES_FILE.parent.mkdir(parents=True, exist_ok=True)
+    CASES_FILE.write_text(
+        json.dumps([run(argv) for argv in ARGVS], indent=1,
+                   ensure_ascii=False) + "\n", encoding="utf-8")

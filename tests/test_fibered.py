@@ -132,6 +132,16 @@ def test_s2r_compose_inverse():
     assert abs(float(gi.shift)) < 1e-12 and gi.flip == 1
 
 
+def test_s2r_products_agree_with_the_checked_constructor():
+    # compose and inverse skip the orthogonality check; what they build
+    # must pass it and equal the element the public constructor builds
+    gens = [S2RIsometry(s2r_rotation_z(0.8), 1.5, flip=-1),
+            S2RIsometry(RHO_X, Fraction(-2, 5)), S2RIsometry(RHO_Z, 0)]
+    for g, h in itertools.product(gens, repeat=2):
+        for el in (g.compose(h), g.compose(h).inverse(), g.inverse()):
+            assert S2RIsometry(el.rot, el.shift, el.flip) == el
+
+
 def test_s2r_decompose_irrational_twist():
     dec = s2r_decompose([S2RIsometry(s2r_rotation_z(1.0), 1.0)])
     assert dec.l_type == LAMBDA_Z

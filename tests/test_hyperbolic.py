@@ -228,3 +228,12 @@ def test_tolerance_env(monkeypatch):
     assert classify_isometry(m).tag == PARABOLIC
     monkeypatch.delenv("GEOM3_TOL")
     assert classify_isometry(m).tag == HYPERBOLIC
+
+
+@pytest.mark.parametrize("entries", [
+    (math.nan, 0, 0, 1), (math.inf, 0, 0, 1), (1, -math.inf, 0, 1),
+    (1e200, 1e200, 1e200, 1e200), (1e200, 0, 0, 1e200),
+])
+def test_non_finite_entries_and_determinants_are_rejected(entries):
+    with pytest.raises(ValueError):
+        MobiusMap(*entries)

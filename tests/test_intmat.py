@@ -5,6 +5,7 @@ are (gcd of entries, |det| / gcd); cokernel orders are cross-checked by
 enumerating lattice points of a fundamental parallelogram.
 """
 
+import functools
 import random
 from fractions import Fraction
 from math import gcd
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from geom3.algebra import QuadRat
 from geom3.intmat import (
     IntMat2,
+    SearchCapError,
     diagonalize_sl2,
     gauss_reduce,
     int_mat_pow,
@@ -23,10 +25,22 @@ from geom3.intmat import (
     mat2_det,
     mat2_inv,
     mat2_mul,
+    matmul,
     smith_normal_form,
+    transpose,
     vec2_cross,
     vec2_dot,
+    word_ball,
 )
+from geom3.nil import (
+    MAT2_ID,
+    REFLECT,
+    ROT_PI_2,
+    ROT_PI_3,
+    _orthogonal_order,
+    planar_point_group,
+)
+from test_nil import change_basis, planar_lattices, small_unimodular
 
 entries = st.integers(min_value=-100, max_value=100)
 matrices = st.builds(IntMat2, entries, entries, entries, entries)
@@ -196,3 +210,81 @@ def test_gauss_reduce_beyond_float_range():
                              (Fraction(big), Fraction(1)))
     assert (ru, rv) == ((1, 0), (0, 1))
     assert p == ((1, -big), (0, 1))
+
+
+# -- the word-ball kernel against closed forms ------------------------------
+
+# F2 = <a, b>: a word is a freely reduced tuple of letters (generator, +-1),
+# so its length is its distance from the identity.
+F2_MOVES = [("a", 1), ("b", 1), ("a", -1), ("b", -1)]
+
+
+def f2_mul(word, letter):
+    if word and word[-1] == (letter[0], -letter[1]):
+        return word[:-1]
+    return word + (letter,)
+
+
+Z2_MOVES = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
+
+def z2_add(p, q):
+    return (p[0] + q[0], p[1] + q[1])
+
+
+@pytest.mark.parametrize("r", range(6))
+def test_word_ball_sizes_and_order_match_closed_forms(r):
+    free = list(word_ball((), F2_MOVES, f2_mul, tuple, r, cap=10**4))
+    assert len(free) == 2 * 3 ** r - 1
+    assert [len(w) for w in free] == sorted(len(w) for w in free)
+    plane = list(word_ball((0, 0), Z2_MOVES, z2_add, tuple, r, cap=10**4))
+    assert len(plane) == 2 * r * r + 2 * r + 1
+    taxicab = [abs(x) + abs(y) for x, y in plane]
+    assert taxicab == sorted(taxicab) and max(taxicab) == r
+    if r == 0:
+        assert free == [()] and plane == [(0, 0)]
+
+
+def test_word_ball_cap_counts_every_element_it_yields():
+    size = 2 * 3 ** 3 - 1
+    assert len(list(word_ball((), F2_MOVES, f2_mul, tuple, 3,
+                              cap=size))) == size
+    met = []
+    with pytest.raises(SearchCapError):
+        for w in word_ball((), F2_MOVES, f2_mul, tuple, 3, cap=size - 1):
+            met.append(w)
+    assert len(met) == size      # the element past the cap is still yielded
+    assert issubclass(SearchCapError, ValueError)
+
+
+def _sixth_turns(k):
+    return functools.reduce(mat2_mul, [ROT_PI_3] * k, MAT2_ID)
+
+
+@pytest.mark.parametrize("n, rot", [(1, _sixth_turns(6)), (2, _sixth_turns(3)),
+                                    (3, _sixth_turns(2)), (4, ROT_PI_2),
+                                    (6, ROT_PI_3)])
+def test_dihedral_closures_have_order_2n(n, rot):
+    assert _orthogonal_order(rot) == n
+    group = list(word_ball(MAT2_ID, [rot, REFLECT], mat2_mul, tuple, cap=24))
+    assert len(group) == len(set(group)) == 2 * n
+
+
+@settings(max_examples=40, deadline=None)
+@given(planar_lattices(), small_unimodular())
+def test_lattice_point_group_is_the_closure_of_two_generators(lattice, m):
+    pg = planar_point_group(*change_basis(*lattice, m))
+    rot = max(pg.rotations(), key=_orthogonal_order)
+    gens = [rot] + [t for t in pg.elements if mat2_det(t) == -1][:1]
+    group = list(word_ball(MAT2_ID, gens, mat2_mul, tuple, cap=24))
+    assert len(group) == pg.order
+    assert set(group) == set(pg.elements)
+
+
+def test_matmul_and_transpose_of_n_by_n_matrices():
+    a = ((1, 2, 0), (0, 1, Fraction(1, 2)), (3, 0, 1))
+    b = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    assert matmul(a, b) == ((2, 1, 0), (1, 0, Fraction(1, 2)), (0, 3, 1))
+    assert transpose(a) == ((1, 0, 3), (2, 1, 0), (0, Fraction(1, 2), 1))
+    r3 = ((QuadRat(0, 1, 3), 0), (0, 1))
+    assert matmul(r3, r3) == mat2_mul(r3, r3) == ((3, 0), (0, 1))
