@@ -7,8 +7,10 @@ in arithmetic as long as at most one square-free discriminant is involved.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import isqrt, lcm, sqrt
+from itertools import count
+from math import gcd, isqrt, lcm, sqrt
 from typing import Union
 
 
@@ -27,37 +29,121 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n > 0 as s**2 * d with d square-free; returns (s, d)."""
-    if n <= 0:
-        raise ValueError("positive integer required")
-    s, d, p = 1, 1, 2
-    while p * p <= n:
-        e = 0
+# Factoring: trial division below _TRIAL_BOUND, then Miller-Rabin and
+# Pollard's rho on what is left.  The Miller-Rabin bases below are the first
+# 13 primes, which decide primality for every n < FACTOR_LIMIT (Sorenson and
+# Webster 2015); a larger cofactor is refused rather than guessed at.
+_TRIAL_BOUND = 1000
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+FACTOR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd 41 < n < FACTOR_LIMIT."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper divisor of the odd composite n: Pollard's rho with Brent's
+    cycle finding and batched gcds (Pollard 1975, Brent 1980)."""
+    for c in count(1):
+        y, power, g, acc = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(power):
+                y = (y * y + c) % n
+            k = 0
+            while k < power and g == 1:
+                saved = y
+                for _ in range(min(128, power - k)):
+                    y = (y * y + c) % n
+                    acc = acc * abs(x - y) % n
+                g = gcd(acc, n)
+                k += 128
+            power *= 2
+        if g == n:
+            # the batch overshot the collision: redo it one step at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = gcd(abs(x - saved), n)
+        if g != n:
+            return g
+
+
+def _factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} for an integer n > 0."""
+    factors: dict[int, int] = {}
+    p = 2
+    while p < _TRIAL_BOUND and p * p <= n:
         while n % p == 0:
             n //= p
-            e += 1
+            factors[p] = factors.get(p, 0) + 1
+        p += 1 if p == 2 else 2
+    if n == 1:
+        return factors
+    if n >= FACTOR_LIMIT:
+        raise ValueError(
+            f"cannot factor: the part {n} without prime factors below "
+            f"{_TRIAL_BOUND} is not below the factoring limit {FACTOR_LIMIT}")
+    pending = [n]                     # no prime factor below p remains
+    while pending:
+        m = pending.pop()
+        if p * p > m or _is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            f = _rho_factor(m)
+            pending += [f, m // f]
+    return factors
+
+
+def squarefree_decompose(n: int) -> tuple[int, int]:
+    """Write n > 0 as s**2 * d with d square-free; returns (s, d).
+
+    Raises ValueError when the part of n left after trial division is not
+    below FACTOR_LIMIT, so every call ends in bounded time (about a second
+    for the worst case below the limit, two primes near 1.8e12)."""
+    if n <= 0:
+        raise ValueError("positive integer required")
+    s = d = 1
+    for p, e in _factorize(n).items():
         s *= p ** (e // 2)
         if e % 2:
             d *= p
-        p += 1 if p == 2 else 2
-    return s, d * n
+    return s, d
 
 
 Scalar = Union[int, Fraction, "QuadRat"]
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_HASH_MODULUS = sys.hash_info.modulus
 
 
 class QuadRat:
     """An element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
 
-    d is a square-free integer > 1, fixed per value; a and b are reduced
-    rationals.  Values with b == 0 are rational and interoperate with any
-    discriminant.  All operations are exact; instances are immutable.
+    d is a square-free integer > 1, fixed per value.  The value is stored
+    over one common denominator as integers (p + q*sqrt(d))/r with r > 0 and
+    gcd(p, q, r) == 1, so every value has exactly one (p, q, r); a and b are
+    the reduced rationals p/r and q/r.  Values with b == 0 are rational and
+    interoperate with any discriminant.  All operations are exact;
+    instances are immutable.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("p", "q", "r", "d")
 
     def __init__(self, a, b, d: int):
         a, b = frac(a), frac(b)
@@ -67,22 +153,24 @@ class QuadRat:
             s, d0 = squarefree_decompose(d)
             if s != 1:
                 b, d = b * s, d0
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-
-    @classmethod
-    def _make(cls, a: Fraction, b: Fraction, d: int) -> "QuadRat":
-        """Trusted constructor for arithmetic results: a and b are already
-        Fractions and d is already square-free whenever b != 0."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-        return self
+        r = lcm(a.denominator, b.denominator)
+        _set_p(self, a.numerator * (r // a.denominator))
+        _set_q(self, b.numerator * (r // b.denominator))
+        _set_r(self, r)
+        _set_d(self, d)
 
     def __setattr__(self, *_):
         raise AttributeError("QuadRat is immutable")
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part p/r, reduced."""
+        return Fraction(self.p, self.r)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient q/r of sqrt(d), reduced."""
+        return Fraction(self.q, self.r)
 
     # -- construction helpers -------------------------------------------
 
@@ -101,57 +189,63 @@ class QuadRat:
             return coeff
         return QuadRat(0, coeff, d)
 
-    def _coerce(self, other) -> "QuadRat | None":
+    def _coerce(self, other) -> "tuple[int, int, int, int] | None":
+        """(p, q, r, d) of `other`, with d the field of a result combining
+        self and other; None if other is not an exact scalar."""
         if isinstance(other, QuadRat):
-            if other.b == 0:
-                return QuadRat._make(other.a, _ZERO,
-                                     self.d if self.b else other.d)
-            if self.b != 0 and self.d != other.d:
+            if self.q and other.q and self.d != other.d:
                 raise MixedDiscriminantError(
                     f"cannot mix sqrt({self.d}) with sqrt({other.d})")
-            return other
-        if isinstance(other, Fraction):
-            return QuadRat._make(other, _ZERO, self.d)
+            return other.p, other.q, other.r, self.d if self.q else other.d
         if isinstance(other, int):
-            return QuadRat._make(Fraction(other), _ZERO, self.d)
+            return other, 0, 1, self.d
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator, self.d
         return None
 
     # -- field structure --------------------------------------------------
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.q == 0
 
     def as_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self.q != 0:
             raise ValueError(f"{self} is irrational")
-        return self.a
+        return Fraction(self.p, self.r)
 
     def conjugate(self) -> "QuadRat":
-        return QuadRat._make(self.a, -self.b, self.d)
+        return _reduced(self.p, -self.q, self.r, self.d)
 
     def norm(self) -> Fraction:
         """Field norm a**2 - d*b**2 (multiplicative, rational)."""
-        return self.a * self.a - self.b * self.b * self.d
+        return Fraction(self.p * self.p - self.q * self.q * self.d,
+                        self.r * self.r)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.d if self.b else o.d
-        return QuadRat._make(self.a + o.a, self.b + o.b, d)
+        p, q, r, d = o
+        if r == self.r:
+            return _reduced(self.p + p, self.q + q, r, d)
+        return _reduced(self.p * r + p * self.r, self.q * r + q * self.r,
+                        self.r * r, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadRat._make(-self.a, -self.b, self.d)
+        return _reduced(-self.p, -self.q, self.r, self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.d if self.b else o.d
-        return QuadRat._make(self.a - o.a, self.b - o.b, d)
+        p, q, r, d = o
+        if r == self.r:
+            return _reduced(self.p - p, self.q - q, r, d)
+        return _reduced(self.p * r - p * self.r, self.q * r - q * self.r,
+                        self.r * r, d)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -160,23 +254,36 @@ class QuadRat:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.d if self.b else o.d
-        return QuadRat._make(self.a * o.a + self.b * o.b * d,
-                             self.a * o.b + self.b * o.a, d)
+        p, q, r, d = o
+        return _reduced(self.p * p + self.q * q * d, self.p * q + self.q * p,
+                        self.r * r, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadRat":
-        n = self.norm()
+        # r/(p + q sqrt d) = r (p - q sqrt d) / (p^2 - d q^2)
+        p, q, r = self.p, self.q, self.r
+        n = p * p - q * q * self.d
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(d))")
-        return QuadRat._make(self.a / n, -self.b / n, self.d)
+        if n < 0:
+            n, r = -n, -r
+        return _reduced(r * p, -r * q, n, self.d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        # (p1 + q1 s)/r1 / ((p2 + q2 s)/r2)
+        #     = r2 (p1 + q1 s)(p2 - q2 s) / (r1 (p2^2 - d q2^2))
+        p, q, r, d = o
+        n = p * p - q * q * d
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(sqrt(d))")
+        if n < 0:
+            n, r = -n, -r
+        return _reduced(r * (self.p * p - self.q * q * d),
+                        r * (self.q * p - self.p * q), self.r * n, d)
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -185,7 +292,7 @@ class QuadRat:
         if not isinstance(k, int):
             return NotImplemented
         base = self if k >= 0 else self.inverse()
-        out = QuadRat._make(_ONE, _ZERO, self.d)
+        out = _reduced(1, 0, 1, self.d)
         k = abs(k)
         while k:                      # repeated squaring
             if k & 1:
@@ -198,22 +305,17 @@ class QuadRat:
     # -- comparisons -------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(d)."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # opposite signs: compare a**2 with d*b**2
-        lhs, rhs = self.a * self.a, self.b * self.b * self.d
-        if lhs == rhs:
-            return 0  # unreachable for square-free d > 1
-        bigger_rational = lhs > rhs
-        return (1 if bigger_rational else -1) if self.a > 0 else \
-               (-1 if bigger_rational else 1)
+        """Exact sign of (p + q*sqrt(d))/r, i.e. of p + q*sqrt(d)."""
+        p, q = self.p, self.q
+        if q == 0:
+            return (p > 0) - (p < 0)
+        if p == 0 or (p > 0) == (q > 0):
+            return 1 if q > 0 else -1
+        # opposite signs: the larger of p^2 and d q^2 decides
+        # (never equal, since d > 1 is square-free)
+        if p * p > q * q * self.d:
+            return 1 if p > 0 else -1
+        return 1 if q > 0 else -1
 
     def __eq__(self, other):
         try:
@@ -222,19 +324,15 @@ class QuadRat:
             return False  # sqrt(d) never lies in Q(sqrt(d')) for d != d'
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self.p == o[0] and self.q == o[1] and self.r == o[2]
 
     def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
+        diff = self.__sub__(other)
+        return diff if diff is NotImplemented else diff.sign() < 0
 
     def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
+        diff = self.__sub__(other)
+        return diff if diff is NotImplemented else diff.sign() <= 0
 
     def __gt__(self, other):
         return not self <= other
@@ -243,36 +341,67 @@ class QuadRat:
         return not self < other
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        # hash(a) when b == 0 and hash((a, b, d)) otherwise, for the
+        # Fractions a and b, by the numeric hash rule that Fraction.__hash__
+        # follows: +-(|n| * r**-1 mod P), with -1 mapped to -2.  Its value
+        # does not depend on n/r being in lowest terms.
+        p, q, r = self.p, self.q, self.r
+        try:
+            dinv = pow(r, -1, _HASH_MODULUS)
+        except ValueError:            # r is a multiple of the modulus
+            return hash((self.a, self.b, self.d)) if q else hash(self.a)
+        h = abs(p) * dinv % _HASH_MODULUS
+        h = -2 if p < 0 and h == 1 else (-h if p < 0 else h)
+        if q == 0:
+            return h
+        k = abs(q) * dinv % _HASH_MODULUS
+        k = -2 if q < 0 and k == 1 else (-k if q < 0 else k)
+        return hash((h, k, self.d))
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self.p != 0 or self.q != 0
 
     def __abs__(self):
         return self if self.sign() >= 0 else -self
 
     def __float__(self):
-        return float(self.a) + float(self.b) * sqrt(self.d)
+        # int / int is correctly rounded, as float(Fraction) is
+        return self.p / self.r + self.q / self.r * sqrt(self.d)
 
     def __floor__(self) -> int:
-        """Exact floor, without floats: write the value as (A + B sqrt(d))/D
-        with integers A, B, D; isqrt gives the floor of B sqrt(d), which is
-        irrational whenever B != 0."""
-        den = lcm(self.a.denominator, self.b.denominator)
-        num_a = self.a.numerator * (den // self.a.denominator)
-        num_b = self.b.numerator * (den // self.b.denominator)
-        root = isqrt(num_b * num_b * self.d)
-        if num_b < 0:
+        """Exact floor, without floats: isqrt gives the floor of q sqrt(d),
+        which is irrational whenever q != 0."""
+        root = isqrt(self.q * self.q * self.d)
+        if self.q < 0:
             root = -root - 1
-        return (num_a + root) // den
+        return (self.p + root) // self.r
 
     def __repr__(self):
         return f"QuadRat({self.a!r}, {self.b!r}, {self.d})"
 
     def __str__(self):
         return format_scalar(self)
+
+
+_set_p, _set_q, _set_r, _set_d = (QuadRat.__dict__[name].__set__
+                                  for name in QuadRat.__slots__)
+_new = object.__new__
+
+
+def _reduced(p: int, q: int, r: int, d: int) -> QuadRat:
+    """Trusted constructor for arithmetic results: r > 0 and d is
+    square-free whenever q != 0; divides out gcd(p, q, r)."""
+    g = gcd(p, q, r)
+    if g != 1:
+        p //= g
+        q //= g
+        r //= g
+    x = _new(QuadRat)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_r(x, r)
+    _set_d(x, d)
+    return x
 
 
 def quad_arith(x: QuadRat, y: QuadRat, op: str) -> QuadRat:
@@ -295,7 +424,7 @@ def galois_conjugate(x: Scalar) -> Scalar:
 
 
 def scalar_is_rational(x: Scalar) -> bool:
-    return not (isinstance(x, QuadRat) and x.b != 0)
+    return not (isinstance(x, QuadRat) and x.q != 0)
 
 
 def as_exact(x) -> Scalar:
@@ -307,15 +436,16 @@ def as_exact(x) -> Scalar:
 
 def format_scalar(x: Scalar) -> str:
     """Canonical rendering "a + b√d" with reduced fractions."""
-    if not isinstance(x, QuadRat) or x.b == 0:
+    if not isinstance(x, QuadRat) or x.q == 0:
         q = x.a if isinstance(x, QuadRat) else frac(x)
         return str(q)
+    a, b = x.a, x.b
     root = f"√{x.d}"
-    if abs(x.b) == 1:
+    if abs(b) == 1:
         bpart = root
     else:
-        bpart = f"{abs(x.b)}{root}"
-    sign = "-" if x.b < 0 else "+"
-    if x.a == 0:
-        return f"-{bpart}" if x.b < 0 else bpart
-    return f"{x.a} {sign} {bpart}"
+        bpart = f"{abs(b)}{root}"
+    sign = "-" if b < 0 else "+"
+    if a == 0:
+        return f"-{bpart}" if b < 0 else bpart
+    return f"{a} {sign} {bpart}"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -93,10 +94,15 @@ class MobiusMap:
             if not all(map(math.isfinite, (a, b, c, d))):
                 raise ValueError("finite entries required")
             det = a * d - b * c
-            if not det > 0:             # NaN when a*d and b*c overflow
+            if not sys.float_info.min <= abs(det) < math.inf:
+                # a*d or b*c under- or overflowed (det 0, subnormal, inf or
+                # NaN): retry with the entries scaled by a power of two, which
+                # is exact; the normalization to det 1 below divides it out
+                _, exp = math.frexp(max(map(abs, (a, b, c, d))))
+                a, b, c, d = (math.ldexp(x, -exp) for x in (a, b, c, d))
+                det = a * d - b * c
+            if not det > 0:
                 raise ValueError("positive determinant required")
-            if det == math.inf:
-                raise ValueError("determinant overflows a float")
             scale = 1.0 / math.sqrt(det)
             a, b, c, d = a * scale, b * scale, c * scale, d * scale
         # canonical sign for the PSL2 class

@@ -1,4 +1,4 @@
-"""Test-only brute forces for the closed forms in geom3.nil, and a deadline.
+"""Test-only reference implementations, and a deadline.
 
 `point_group_by_box` and `coset_count_by_loop` are the enumerations that
 `planar_point_group` and `nil_quotient_isometry` used before they became
@@ -6,6 +6,11 @@ O(1): a box of coefficients bounded through the smallest eigenvalue of the
 Gram matrix (in floats, so only for small, moderately skewed bases), and a
 loop over all n^2 translation cosets.  They serve as oracles on small
 inputs.
+
+`FractionPairQuadRat` is the earlier representation of `QuadRat`, a pair of
+reduced Fractions (a, b), with its arithmetic as it was; and
+`squarefree_by_trial_division` is the earlier factoring loop.  They are the
+oracles for the integer-numerator `QuadRat` and for Pollard's rho.
 """
 
 import contextlib
@@ -13,7 +18,7 @@ import math
 import signal
 from fractions import Fraction
 
-from geom3.algebra import as_exact
+from geom3.algebra import MixedDiscriminantError, as_exact, frac
 from geom3.intmat import (
     MAT2_ID,
     mat2_eq,
@@ -96,3 +101,182 @@ def deadline(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def squarefree_by_trial_division(n: int) -> tuple[int, int]:
+    """n = s**2 * d with d square-free, by trial division up to sqrt(n)."""
+    s, d, p = 1, 1, 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        s *= p ** (e // 2)
+        if e % 2:
+            d *= p
+        p += 1 if p == 2 else 2
+    return s, d * n
+
+
+class FractionPairQuadRat:
+    """a + b*sqrt(d) with a and b reduced Fractions.
+
+    Same constructor, operations, repr and str as `geom3.algebra.QuadRat`;
+    every result is built from Fraction arithmetic.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b, d: int):
+        a, b = frac(a), frac(b)
+        if b != 0:
+            if d <= 1:
+                raise ValueError("discriminant must be an integer > 1")
+            s, d0 = squarefree_by_trial_division(d)
+            if s != 1:
+                b, d = b * s, d0
+        self._set(a, b, d)
+
+    def _set(self, a, b, d):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _make(cls, a: Fraction, b: Fraction, d: int):
+        self = object.__new__(cls)
+        self._set(a, b, d)
+        return self
+
+    def __setattr__(self, *_):
+        raise AttributeError("immutable")
+
+    def _coerce(self, other):
+        if isinstance(other, FractionPairQuadRat):
+            if other.b == 0:
+                return self._make(other.a, Fraction(0),
+                                  self.d if self.b else other.d)
+            if self.b != 0 and self.d != other.d:
+                raise MixedDiscriminantError(
+                    f"cannot mix sqrt({self.d}) with sqrt({other.d})")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self._make(Fraction(other), Fraction(0), self.d)
+        return None
+
+    def conjugate(self):
+        return self._make(self.a, -self.b, self.d)
+
+    def norm(self) -> Fraction:
+        return self.a * self.a - self.b * self.b * self.d
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        d = self.d if self.b else o.d
+        return self._make(self.a + o.a, self.b + o.b, d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._make(-self.a, -self.b, self.d)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        d = self.d if self.b else o.d
+        return self._make(self.a - o.a, self.b - o.b, d)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        d = self.d if self.b else o.d
+        return self._make(self.a * o.a + self.b * o.b * d,
+                          self.a * o.b + self.b * o.a, d)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(sqrt(d))")
+        return self._make(self.a / n, -self.b / n, self.d)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, k: int):
+        base = self if k >= 0 else self.inverse()
+        out = self._make(Fraction(1), Fraction(0), self.d)
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+    def sign(self) -> int:
+        if self.b == 0:
+            return (self.a > 0) - (self.a < 0)
+        if self.a == 0:
+            return 1 if self.b > 0 else -1
+        if self.a > 0 and self.b > 0:
+            return 1
+        if self.a < 0 and self.b < 0:
+            return -1
+        bigger_rational = self.a * self.a > self.b * self.b * self.d
+        return (1 if bigger_rational else -1) if self.a > 0 else \
+               (-1 if bigger_rational else 1)
+
+    def __eq__(self, other):
+        try:
+            o = self._coerce(other)
+        except MixedDiscriminantError:
+            return False
+        if o is None:
+            return NotImplemented
+        return self.a == o.a and self.b == o.b
+
+    def __lt__(self, other):
+        return (self - self._coerce(other)).sign() < 0
+
+    def __le__(self, other):
+        return (self - self._coerce(other)).sign() <= 0
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.d))
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * math.sqrt(self.d)
+
+    def __floor__(self) -> int:
+        den = math.lcm(self.a.denominator, self.b.denominator)
+        num_a = self.a.numerator * (den // self.a.denominator)
+        num_b = self.b.numerator * (den // self.b.denominator)
+        root = math.isqrt(num_b * num_b * self.d)
+        if num_b < 0:
+            root = -root - 1
+        return (num_a + root) // den
+
+    def __repr__(self):
+        return f"QuadRat({self.a!r}, {self.b!r}, {self.d})"
+
+    def __str__(self):
+        if self.b == 0:
+            return str(self.a)
+        root = f"√{self.d}"
+        bpart = root if abs(self.b) == 1 else f"{abs(self.b)}{root}"
+        if self.a == 0:
+            return f"-{bpart}" if self.b < 0 else bpart
+        return f"{self.a} {'-' if self.b < 0 else '+'} {bpart}"

@@ -1,6 +1,7 @@
 """Field arithmetic in Q(sqrt(d)): worked values and field axioms."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geom3.algebra import (
+    FACTOR_LIMIT,
     MixedDiscriminantError,
     QuadRat,
     format_scalar,
     galois_conjugate,
     quad_arith,
     squarefree_decompose,
+)
+from support import (
+    FractionPairQuadRat,
+    deadline,
+    squarefree_by_trial_division,
 )
 
 rationals = st.fractions(max_denominator=20,
@@ -172,3 +179,182 @@ def test_floor_beyond_float_range():
     assert math.floor(x) == math.isqrt(2 * big * big)
     assert math.floor(-x) == -math.isqrt(2 * big * big) - 1
     assert math.floor(QuadRat(Fraction(-7, 2), 0, 5)) == -4
+
+
+# -- the integer-numerator QuadRat against the Fraction-pair reference -----
+
+BIG = 10 ** 12
+big_rationals = st.builds(Fraction, st.integers(-BIG, BIG),
+                          st.integers(1, BIG))
+small_or_big = st.one_of(rationals, big_rationals)
+
+
+@st.composite
+def quadrat_pairs(draw, d=None):
+    """The same value as a QuadRat and as a FractionPairQuadRat."""
+    d = d if d is not None else draw(st.sampled_from([2, 3, 5]))
+    a, b = draw(small_or_big), draw(st.one_of(small_or_big, st.just(0)))
+    return QuadRat(a, b, d), FractionPairQuadRat(a, b, d)
+
+
+def assert_same(x, ref):
+    """x agrees with the reference in value and in every rendering."""
+    assert isinstance(x, QuadRat)
+    assert (x.a, x.b, x.d) == (ref.a, ref.b, ref.d)
+    assert isinstance(x.a, Fraction) and isinstance(x.b, Fraction)
+    assert repr(x) == repr(ref)
+    assert str(x) == str(ref) == format_scalar(x)
+    assert hash(x) == hash(ref)
+    assert math.floor(x) == math.floor(ref)
+    assert x.sign() == ref.sign()
+    assert float(x) == float(ref)
+    assert x.r > 0 and math.gcd(x.p, x.q, x.r) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(quadrat_pairs(), st.data())
+def test_arithmetic_matches_the_fraction_pair_reference(pair, data):
+    (x, rx) = pair
+    (y, ry) = data.draw(quadrat_pairs(d=x.d))
+    q = data.draw(small_or_big)
+    n = data.draw(st.integers(-BIG, BIG))
+    assert_same(x, rx)
+    for got, want in [(x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry),
+                      (-x, -rx), (x.conjugate(), rx.conjugate()),
+                      (x + q, rx + q), (q + x, q + rx), (x - n, rx - n),
+                      (n - x, n - rx), (x * q, rx * q), (n * x, n * rx)]:
+        assert_same(got, want)
+    if y != 0:
+        assert_same(x / y, rx / ry)
+        assert_same(q / y, q / ry)
+        assert_same(y.inverse(), ry.inverse())
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+    if q != 0:
+        assert_same(x / q, rx / q)
+    assert x.norm() == rx.norm() and isinstance(x.norm(), Fraction)
+    assert (x < y, x <= y, x > y, x >= y, x == y) == \
+        (rx < ry, rx <= ry, not rx <= ry, not rx < ry, rx == ry)
+    assert (x < q, x <= q, x == q) == (rx < q, rx <= q, rx == q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(quadrat_pairs(), st.integers(min_value=-8, max_value=24))
+def test_pow_matches_the_fraction_pair_reference(pair, k):
+    x, rx = pair
+    if x == 0 and k < 0:
+        with pytest.raises(ZeroDivisionError):
+            x ** k
+        return
+    assert_same(x ** k, rx ** k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(quadrat_pairs(), quadrat_pairs())
+def test_equal_values_have_one_representation(pair, other):
+    (x, _), (y, _) = pair, other
+    if y.d != x.d and y.q != 0 and x.q != 0:
+        y = QuadRat(y.a, y.b, x.d)
+    roundabout = [x + y - y, x * 3 / 3, QuadRat(x.a, x.b, x.d)]
+    if y != 0:
+        roundabout.append(x * y / y)
+    for z in roundabout:
+        assert z == x and hash(z) == hash(x)
+        assert (z.p, z.q, z.r) == (x.p, x.q, x.r)
+        assert z.r > 0 and math.gcd(z.p, z.q, z.r) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_or_big, st.sampled_from([2, 3, 5, 12]))
+def test_rational_values_are_ints_and_fractions(q, d):
+    x = QuadRat(q, 0, d)
+    assert x == q and q == x and hash(x) == hash(q)
+    assert {q: "found"}[x] == "found" and {x: "found"}[q] == "found"
+    n = math.floor(q)
+    y = QuadRat(n, 0, d)
+    assert y == n and hash(y) == hash(n) and {n: 1}[y] == 1
+    assert (x.q, x.r) == (0, q.denominator) and x.p == q.numerator
+    root = QuadRat(0, 1, 3)
+    assert (root * 0 + q) == q and hash(root * 0 + q) == hash(q)
+
+
+def test_hash_edge_cases_match_the_reference():
+    modulus = sys.hash_info.modulus
+    minus_one = Fraction(-(modulus + 3), 3)     # Fraction hash -1 -> -2
+    cases = [
+        # r is a multiple of the hash modulus: no inverse modulo it
+        (Fraction(1, modulus), 0), (Fraction(3, 2 * modulus), 1),
+        (Fraction(1, 3), Fraction(5, modulus)),
+        # a component whose hash would be -1
+        (-1, 0), (-1, -1), (minus_one, 0), (2, minus_one),
+    ]
+    for a, b in cases:
+        assert hash(QuadRat(a, b, 3)) == hash(FractionPairQuadRat(a, b, 3))
+    assert hash(QuadRat(minus_one, 0, 3)) == hash(minus_one) == -2
+
+
+def test_mixed_discriminants_still_raise():
+    root2, root3 = QuadRat(0, 1, 2), QuadRat(1, 1, 3)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+               lambda x, y: x / y, lambda x, y: x < y, lambda x, y: x <= y):
+        with pytest.raises(MixedDiscriminantError):
+            op(root2, root3)
+        with pytest.raises(MixedDiscriminantError):
+            op(root3, root2)
+    assert root2 != root3 and not root2 == root3
+    # a rational value of either field mixes with both
+    assert root2 + QuadRat(5, 0, 3) == QuadRat(5, 1, 2)
+    assert (root3 * QuadRat(2, 0, 2)).d == 3
+
+
+def test_instances_are_immutable():
+    x = QuadRat(1, 1, 3)
+    with pytest.raises(AttributeError):
+        x.p = 2
+    with pytest.raises(AttributeError):
+        x.a = 2
+
+
+# -- factoring ----------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=BIG))
+def test_squarefree_matches_trial_division(n):
+    assert squarefree_decompose(n) == squarefree_by_trial_division(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=2, max_value=10 ** 8), min_size=1,
+                max_size=2))
+def test_squarefree_matches_sympy(factors):
+    sympy = pytest.importorskip("sympy")
+    n = math.prod(factors) * factors[0]       # below 10^24 < FACTOR_LIMIT
+    s, d = 1, 1
+    for p, e in sympy.factorint(n).items():
+        s *= p ** (e // 2)
+        d *= p ** (e % 2)
+    assert squarefree_decompose(n) == (s, d)
+
+
+def test_squarefree_of_large_semiprimes_ends_quickly():
+    p, q = 1000000093, 1000000097           # sol qstructure's t^2 - 4
+    r, t = 1000000000039, 1000000000061     # two primes near 1e12
+    with deadline(10):
+        assert squarefree_decompose(p * q) == (1, p * q)
+        assert squarefree_decompose(p * p * 6) == (p, 6)
+        assert squarefree_decompose(r * t * 4) == (2, r * t)
+        assert squarefree_decompose(r * r) == (r, 1)
+
+
+def test_squarefree_beyond_the_factoring_limit_is_refused():
+    # FACTOR_LIMIT is the smallest strong pseudoprime to the 13 bases: a
+    # composite that Miller-Rabin with them would call prime
+    with pytest.raises(ValueError, match=str(FACTOR_LIMIT)):
+        squarefree_decompose(FACTOR_LIMIT)
+    with pytest.raises(ValueError, match="factoring limit"):
+        squarefree_decompose(1009 * (10 ** 30 + 57))
+    # small prime factors are divided out first, whatever the size
+    assert squarefree_decompose(2 ** 201 * 3 ** 100) == (2 ** 100 * 3 ** 50, 2)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -206,14 +207,25 @@ def test_internal_error_exit_code(monkeypatch, exc):
 
 @pytest.mark.parametrize("matrix, detail", [
     ("1e200,1e200,1e200,1e200", "positive determinant required"),
-    ("1e200,0,0,1e200", "determinant overflows a float"),
 ])
 def test_mobius_overflow_is_a_domain_error(matrix, detail):
-    # 1e200 * 1e200 overflows: the determinant is inf - inf = NaN, or inf
+    # 1e200 * 1e200 overflows to inf - inf = NaN; rescaled, the matrix is
+    # singular
     for action in ("classify", "centralizer"):
         code, text = run_cli(["hyp", action, "--matrix", matrix])
         assert code == 1
         assert text == f"error[ValueError]: {detail}\n"
+
+
+@pytest.mark.parametrize("matrix", ["1e200,0,0,1e200", "1e-200,0,0,1e-200"])
+def test_mobius_scaled_identity_is_the_identity(matrix):
+    # a*d overflows to inf or underflows to 0; the entries are rescaled by a
+    # power of two before the determinant is normalized
+    for action in ("classify", "centralizer"):
+        for flag in ([], ["--json"]):
+            expected = run_cli(["hyp", action, "--matrix", "1,0,0,1"] + flag)
+            assert run_cli(["hyp", action, "--matrix", matrix] + flag) \
+                == expected
 
 
 def test_argparse_error_exit_code():
@@ -263,10 +275,15 @@ def test_selfcheck_detects_snf_mismatch(monkeypatch):
 
 
 def test_module_entry_point():
+    # the child finds the package where this process imported it from, with
+    # or without PYTHONPATH set
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "geom3", "lookup", "--family", "all",
          "--json"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["version"] == 1
@@ -299,6 +316,20 @@ def test_stress_sizes_answer_quickly():
         code, payload = run_json(["nil", "point-group", "--u", "1,0",
                                   "--v", "24,1", "--json"])
         assert code == 0 and payload == {"tag": "D4", "order": 8}
+
+
+def test_qstructure_of_a_large_trace_is_factored_quickly():
+    # t^2 - 4 = 1000000093 * 1000000097: trial division up to its square
+    # root did not finish; Pollard's rho splits it in milliseconds
+    with deadline(5):
+        code, payload = run_json(["sol", "qstructure", "--matrix",
+                                  "1,1,1000000093,1000000094", "--json"])
+    assert code == 0
+    assert payload == {
+        "d": 1000000190000009021,
+        "eigenvalues": ["1000000095/2 + 1/2\u221a1000000190000009021",
+                        "1000000095/2 - 1/2\u221a1000000190000009021"],
+        "galois_pair_check": True}
 
 
 @pytest.mark.parametrize("argv", [

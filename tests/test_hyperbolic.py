@@ -232,8 +232,25 @@ def test_tolerance_env(monkeypatch):
 
 @pytest.mark.parametrize("entries", [
     (math.nan, 0, 0, 1), (math.inf, 0, 0, 1), (1, -math.inf, 0, 1),
-    (1e200, 1e200, 1e200, 1e200), (1e200, 0, 0, 1e200),
+    (1e200, 1e200, 1e200, 1e200), (1e-200, 1e-200, 1e-200, 1e-200),
 ])
 def test_non_finite_entries_and_determinants_are_rejected(entries):
     with pytest.raises(ValueError):
         MobiusMap(*entries)
+
+
+@pytest.mark.parametrize("k", [-700, -520, 520, 700])
+@pytest.mark.parametrize("entries", [
+    (1, 0, 0, 1), (2, 1, 1, 2), (0, -1, 1, 0), (1, 3, 0, 1), (3, 5, 1, 2),
+])
+def test_power_of_two_multiples_normalize_to_the_same_map(entries, k):
+    # at these scales a*d under- or overflows (subnormal, 0 or inf); the
+    # rescaled retry gives the unscaled result bit for bit
+    base = MobiusMap(*map(float, entries))
+    scaled = MobiusMap(*(math.ldexp(x, k) for x in entries))
+    assert scaled.entries() == base.entries()
+
+
+def test_tiny_and_huge_identity_multiples_are_the_identity():
+    for s in (1e-200, 1e200, 5e-324, 1.7e308):
+        assert MobiusMap(s, 0, 0, s).entries() == (1.0, 0.0, 0.0, 1.0)

@@ -464,6 +464,19 @@ def test_dichotomy_order_12_linear_part_is_non_discrete():
     assert nil_projection_dichotomy(gens).kind == NON_DISCRETE_INPUT
 
 
+def test_dichotomy_hexagonal_word_search_is_fast():
+    # a sixth turn and a translation (a p6 group): every product is over
+    # Q(sqrt 3), and the first central word has length 7
+    gens = [HeisIsometry.point_symmetry(ROT_PI_3),
+            HeisIsometry.translation(HeisPoint.of(1, 0, 0))]
+    with deadline(2):
+        assert nil_projection_dichotomy(gens, word_bound=6).kind \
+            == UNDETERMINED
+        res = nil_projection_dichotomy(gens, word_bound=8)
+    assert res.kind == DISCRETE_PROJECTION
+    assert res.witness == HeisPoint.of(0, 0, QuadRat(0, Fraction(1, 4), 3))
+
+
 def test_dichotomy_central_generators_fix_everything():
     gens = [HeisIsometry.translation(HeisPoint.of(0, 0, 1))]
     res = nil_projection_dichotomy(gens)
