@@ -162,6 +162,11 @@ class QuadRat:
     def __setattr__(self, *_):
         raise AttributeError("QuadRat is immutable")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the trusted constructor;
+        # the default slot restore would go through __setattr__
+        return _reduced, (self.p, self.q, self.r, self.d)
+
     @property
     def a(self) -> Fraction:
         """The rational part p/r, reduced."""

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import euclid, fibered, hyperbolic, nil, selfcheck, sol, zimmer
-from .descriptors import canonical_json
+from .descriptors import canonical_json, check_output_size
 from .intmat import IntMat2
 
 
@@ -437,7 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lattice_opts(p_nil)
     p_nil.add_argument("--adjoin")
     p_nil.add_argument("--gens")
-    p_nil.add_argument("--word-bound", type=int, default=6)
+    p_nil.add_argument("--word-bound", type=int, default=6,
+                       help="kept for compatibility, must be >= 0: the Nil "
+                            "dichotomy is decided exactly and no verdict "
+                            "depends on it; a word bound now affects only "
+                            "the S2xR word ball of 'fiber s2r'")
 
     p_sol = sub_add("sol", help="Sol geometry")
     p_sol.add_argument("action", choices=["iso", "normalizer", "centralizer",
@@ -532,6 +536,7 @@ def main(argv=None, out=None) -> int:
         return int(exc.code or 0)
     try:
         payload = _HANDLERS[args.command](args)
+        check_output_size(payload)
         rendered = canonical_json(payload)   # ValueError on NaN or inf
     except SchemaError as exc:
         _emit_error(out, "schema", str(exc), getattr(args, "json", False))

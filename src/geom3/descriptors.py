@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 
@@ -65,6 +66,31 @@ class Verdict:
 
     def to_json_dict(self) -> dict:
         return {"tag": self.tag, "reasons": list(self.reasons)}
+
+
+# The longest integer an output may hold, in decimal digits: CPython's
+# default limit for int -> str conversion.  Values are measured against it
+# before any conversion, so a huge exact answer is a domain error that
+# names the limit.
+OUTPUT_DIGIT_LIMIT = 4300
+_OUTPUT_INT_BOUND = 10 ** OUTPUT_DIGIT_LIMIT
+
+
+def check_output_size(obj) -> None:
+    """Raise ValueError if an int or Fraction anywhere in obj (nested
+    dicts, lists and tuples) has more than OUTPUT_DIGIT_LIMIT digits."""
+    if isinstance(obj, dict):
+        for value in obj.values():
+            check_output_size(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            check_output_size(value)
+    elif isinstance(obj, Fraction):
+        check_output_size((obj.numerator, obj.denominator))
+    elif isinstance(obj, int) and abs(obj) >= _OUTPUT_INT_BOUND:
+        raise ValueError(
+            f"exact answer has {obj.bit_length()} bits, more than the "
+            f"{OUTPUT_DIGIT_LIMIT}-digit output limit for one integer")
 
 
 def canonical_json(obj) -> str:

@@ -126,16 +126,17 @@ def word_ball(identity, moves, compose, key, bound=None, *, cap: int):
     caller that stops at the element it looks for never meets it.
     """
     seen = set()
+    size = 0                  # len(seen): a key is new if adding grows it
     candidates, depth = (identity,), 0
     while True:
         frontier = []
         for el in candidates:
-            k = key(el)
-            if k in seen:
+            seen.add(key(el))
+            if len(seen) == size:
                 continue
-            seen.add(k)
+            size += 1
             yield el
-            if len(seen) > cap:
+            if size > cap:
                 raise SearchCapError(f"word ball exceeds {cap} elements")
             frontier.append(el)
         if not frontier or depth == bound:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .algebra import QuadRat, Scalar, as_exact, format_scalar, scalar_is_rational
@@ -44,12 +45,11 @@ from .intmat import (
 
 HALF = Fraction(1, 2)
 
-# Caps of the word balls: the largest exactly representable point group
-# is D12, and a central word is looked for among this many words.  Point
-# groups are keyed by their matrices (tuples of rows; a QuadRat with b = 0
-# hashes as its rational part, so hashing agrees with ==).
+# Cap of the point-group searches: the largest exactly representable point
+# group is D12.  Point groups are keyed by their matrices (tuples of rows;
+# a QuadRat with b = 0 hashes as its rational part, so hashing agrees
+# with ==).
 POINT_GROUP_CAP = 24
-CENTRAL_WORD_CAP = 20000
 
 
 def _is_integral(x: Scalar) -> bool:
@@ -663,7 +663,6 @@ def nil_quotient_isometry(lat: NilLattice,
 DISCRETE_PROJECTION = "DiscreteProjection"
 FIXES_POINT = "AbelianFixesPoint"
 FIXES_LINE = "AbelianFixesLine"
-UNDETERMINED = "Undetermined"
 NON_DISCRETE_INPUT = "NonDiscreteInput"
 
 
@@ -743,19 +742,43 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
                              word_bound: int = 6) -> DichotomyResult:
     """Classify the projected action on the plane of a discrete group.
 
-    Invariance of a point or a line is decided exactly (it drives the
-    volume verdict); failing that, a bounded search for a nontrivial
-    central word certifies a discrete projection.  Discreteness itself is
-    only semi-decidable, so the remaining case is Undetermined.
+    Decided exactly, in three steps.  A common fixed point (or pointwise
+    fixed line) and then an invariant line are found by exact linear
+    algebra; either one forces infinite volume.  Failing both, the
+    projected group P is infinite, and discreteness is read off its
+    translation subgroup T by Reidemeister-Schreier (Magnus, Karrass and
+    Solitar, Combinatorial Group Theory, section 2.3):
 
-    One obstruction is decided exactly before the search: with no fixed
-    point the projected group is infinite, so if it were discrete it would
-    hold a lattice of translations of rank 1 or 2 that every linear part
-    preserves, and the crystallographic restriction allows no rotation of
-    order 12.  Such a generator set is reported as NonDiscreteInput.  The
-    input group is then not discrete either: its translations would
-    project onto a subgroup of rank 4 of the plane, more than a discrete
-    subgroup of the Heisenberg group (Hirsch length at most 3) can carry.
+    - the linear parts R_i generate a finite group F of at most 24
+      elements; a breadth-first search over F that carries the planar
+      affine part gives one element s_f of P over each f in F;
+    - T has index |F| in P and is generated by the translation parts of
+      s_f g_i s_{f R_i}^-1;
+    - the Z-rank r of T is the dimension of its Q-span (each coordinate
+      a + b sqrt(d) read as (a, b), so T lies in Q^4), and s is the
+      dimension of its real span.
+
+    With s = 2 and r = 2, T is a lattice and P is crystallographic:
+    DiscreteProjection.  The witness (0, 0, c) is the commutator of lifts
+    of a positively oriented basis of T, so c > 0 is the covolume of T:
+    every area cross(t_i, t_j) lies in c Z, and together they generate it.
+
+    With s = 2 and r >= 3, T is not discrete, and neither is the input
+    group: its translations would project onto a subgroup of rank r of
+    the plane, more than a discrete subgroup of the Heisenberg group
+    (Hirsch length at most 3) can carry.  This is NonDiscreteInput; it
+    covers every set whose linear parts hold a rotation of order 12,
+    which no planar lattice admits.  s <= 1 would mean a fixed point or an
+    invariant line, which the first two steps catch, so reaching it is an
+    internal error.
+
+    Out of scope: discreteness along the center.  For example (0, 0,
+    sqrt(3)) adjoined to (1, 0, 0) and (0, 1, 0) gives a group that is not
+    discrete, but its projection is, and the verdict is
+    DiscreteProjection.
+
+    `word_bound` is kept for compatibility and must be >= 0; no verdict
+    depends on it.
     """
     if word_bound < 0:
         raise ValueError("word_bound must be >= 0")
@@ -781,13 +804,74 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
     if line is not None:
         return DichotomyResult(FIXES_LINE, direction=line)
 
-    if _has_order_12(planar):
+    covolume = _translation_covolume(_schreier_translations(planar))
+    if covolume is None:
         return DichotomyResult(NON_DISCRETE_INPUT)
+    return DichotomyResult(DISCRETE_PROJECTION,
+                           witness=HeisPoint(Fraction(0), Fraction(0),
+                                             covolume))
 
-    witness = _central_word(gens, word_bound)
-    if witness is not None:
-        return DichotomyResult(DISCRETE_PROJECTION, witness=witness)
-    return DichotomyResult(UNDETERMINED)
+
+def _schreier_translations(planar) -> list[Vec2]:
+    """Nonzero generators of the translation subgroup of the planar group.
+
+    Breadth-first over the linear parts: the first element met over each
+    linear part f is its transversal element s_f = (f, w_f), and every
+    other edge s_f g_i gives the Schreier generator s_f g_i s_{f R_i}^-1,
+    the translation by w_f + f w_i - w_{f R_i}.  Every new linear part
+    passes the order check, and at most POINT_GROUP_CAP are admitted.
+    """
+    queue = [(MAT2_ID, (Fraction(0), Fraction(0)))]
+    transversal = dict(queue)
+    out = []
+    for f, w_f in queue:                 # grows while it is walked
+        for rot, w in planar:
+            f_rot = mat2_mul(f, rot)
+            fw = mat2_apply(f, w)
+            image = (w_f[0] + fw[0], w_f[1] + fw[1])
+            w_next = transversal.get(f_rot)
+            if w_next is None:
+                _orthogonal_order(f_rot)
+                if len(transversal) == POINT_GROUP_CAP:
+                    raise ValueError("linear parts generate too large a group")
+                transversal[f_rot] = image
+                queue.append((f_rot, image))
+            else:
+                t = vec2_sub(image, w_next)
+                if t[0] or t[1]:
+                    out.append(t)
+    return out
+
+
+def _translation_covolume(translations: list[Vec2]) -> Optional[Scalar]:
+    """Covolume of the group the translations generate if it is a lattice,
+    None if its Q-span has dimension 3 or more.
+
+    Each t_i is written as alpha_i t_a + beta_i t_b in a basis t_a, t_b of
+    the plane taken from the list.  The Q-span has dimension 2 exactly
+    when every alpha_i, beta_i is rational; then cross(t_i, t_j) =
+    (alpha_i beta_j - alpha_j beta_i) cross(t_a, t_b), and the covolume is
+    the gcd of these areas.
+    """
+    ts = list(dict.fromkeys(translations))
+    t_a = ts[0] if ts else None
+    t_b = next((t for t in ts if vec2_cross(t_a, t) != 0), None)
+    if t_b is None:
+        raise RuntimeError("translation subgroup spans at most a line after "
+                           "the fixed-point and invariant-line checks")
+    area = vec2_cross(t_a, t_b)
+    coords = []
+    for t in ts:
+        for x in (vec2_cross(t, t_b) / area, vec2_cross(t_a, t) / area):
+            if not scalar_is_rational(x):
+                return None
+            coords.append(x.as_fraction() if isinstance(x, QuadRat) else x)
+    den = lcm(*(x.denominator for x in coords))
+    ints = [x.numerator * (den // x.denominator) for x in coords]
+    pairs = list(zip(ints[::2], ints[1::2]))
+    minors = gcd(*(a * d - b * c for i, (a, b) in enumerate(pairs)
+                   for c, d in pairs[i + 1:]))
+    return abs(area) * Fraction(minors, den * den)
 
 
 def _rotation_kind(rot: Mat2) -> str:
@@ -853,51 +937,12 @@ def _reflection_axis(rot: Mat2) -> Vec2:
     return col0 if (col0[0] != 0 or col0[1] != 0) else col1
 
 
-def _has_order_12(planar) -> bool:
-    """Whether the linear parts generate a rotation of order 12.
-
-    They generate a finite subgroup of O(2), at most D12 with 24 elements.
-    The word ball over the linear parts stops at the first order-12
-    element, a few ms at most over Q(sqrt(3)); every element passes the
-    order check, so an infinite-order product raises here as it would in a
-    word search."""
-    try:
-        return any(_orthogonal_order(m) == 12
-                   for m in word_ball(MAT2_ID, [rot for rot, _ in planar],
-                                      mat2_mul, tuple,
-                                      cap=POINT_GROUP_CAP))
-    except SearchCapError:
-        raise ValueError("linear parts generate too large a group") from None
-
-
-def _central_word(gens: Sequence[HeisIsometry],
-                  bound: int) -> Optional[HeisPoint]:
-    """First nontrivial central element in the word ball, or None."""
-    moves = [h for g in gens for h in (g, g.inverse())]
-    try:
-        for el in word_ball(HEIS_ISO_ID, moves, HeisIsometry.compose,
-                            _iso_key, bound, cap=CENTRAL_WORD_CAP):
-            t = el.trans
-            if (mat2_eq(el.rot, MAT2_ID)
-                    and t.x == 0 and t.y == 0 and t.z != 0):
-                return t
-    except SearchCapError:
-        pass
-    return None
-
-
-def _iso_key(iso: HeisIsometry):
-    return (iso.rot, iso.trans.x, iso.trans.y, iso.trans.z)
-
-
 INFINITE_VOLUME = "InfiniteVolume"
 FINITE_VOLUME_POSSIBLE = "FiniteVolumePossible"
 
 
 def nil_volume_verdict(result: DichotomyResult) -> str:
     """Fixed point or line forces infinite volume of the quotient."""
-    if result.kind == UNDETERMINED:
-        raise ValueError("no volume verdict for an undetermined projection")
     if result.kind == NON_DISCRETE_INPUT:
         raise ValueError("no volume verdict for a non-discrete input group")
     if result.kind in (FIXES_POINT, FIXES_LINE):

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import intmat
 from .algebra import QuadRat, galois_conjugate
-from .descriptors import IsoDescriptor
+from .descriptors import IsoDescriptor, check_output_size
 from .intmat import (
     IntMat2,
     Mat2,
@@ -138,6 +138,7 @@ class SolNormalizer:
     index: int                      # [Lambda_n : Z^2] = |det(I - A^n)|
 
     def to_json_dict(self) -> dict:
+        check_output_size(self.basis)
         return {
             "basis": [[str(self.basis[0][0]), str(self.basis[0][1])],
                       [str(self.basis[1][0]), str(self.basis[1][1])]],
@@ -202,6 +203,7 @@ def _cokernel_action(a: IntMat2, snf: intmat.SnfResult) -> list:
 
 
 def _structure_label(invariants: list[int], n: int) -> str:
+    check_output_size(invariants)
     if not invariants and n == 1:
         return "trivial"
     core = " x ".join(f"Z{d}" for d in invariants) if invariants else "trivial"

@@ -1,6 +1,8 @@
 """Field arithmetic in Q(sqrt(d)): worked values and field axioms."""
 
+import copy
 import math
+import pickle
 import sys
 from fractions import Fraction
 
@@ -358,3 +360,21 @@ def test_squarefree_beyond_the_factoring_limit_is_refused():
         squarefree_decompose(1009 * (10 ** 30 + 57))
     # small prime factors are divided out first, whatever the size
     assert squarefree_decompose(2 ** 201 * 3 ** 100) == (2 ** 100 * 3 ** 50, 2)
+
+
+def _round_trips(x):
+    return [copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
+
+
+def test_copy_and_pickle_keep_value_repr_and_hash():
+    from geom3.nil import ROT_PI_3, HeisIsometry, HeisPoint, lattice_hex
+    iso = HeisIsometry(ROT_PI_3, HeisPoint(QuadRat(1, -2, 3), Fraction(1, 3),
+                                           QuadRat(0, Fraction(5, 7), 3)))
+    for x in (QuadRat(Fraction(-3, 4), Fraction(5, 6), 3), QuadRat(2, 0, 7),
+              iso, lattice_hex(2)):
+        for y in _round_trips(x):
+            assert y == x and repr(y) == repr(x) and hash(y) == hash(x)
+    for y in _round_trips(QuadRat(1, 2, 3)):
+        assert (y.p, y.q, y.r, y.d) == (1, 2, 1, 3)
+        with pytest.raises(AttributeError, match="immutable"):
+            y.p = 5

@@ -185,7 +185,31 @@ def test_negative_word_bound_is_a_schema_error():
         assert "--word-bound" in payload["error"]["detail"]
     code, payload = run_json(["nil", "dichotomy", "--gens", "1,0,0;0,1,0",
                               "--word-bound", "0", "--json"])
-    assert code == 0 and payload["kind"] == "Undetermined"
+    assert code == 0 and payload == {"kind": "DiscreteProjection",
+                                     "central_witness": ["0", "0", "1"]}
+
+
+def test_huge_exact_output_is_a_domain_error_naming_the_limit():
+    # A^n for A = [[2, 1], [1, 1]]: det(I - A^n) has about 0.42 n digits.
+    # At n = 100000 both cokernel invariants (half of that each) pass 4300
+    # digits inside the library; at n = 12000 only the order and the
+    # normalizer's index and basis do
+    for argv in (["sol", "iso", "--matrix", "2,1,1,1", "--power", "100000"],
+                 ["sol", "normalizer", "--matrix", "2,1,1,1", "--power",
+                  "12000"]):
+        code, text = run_cli(argv)
+        assert code == 1 and text.startswith("error[ValueError]: ")
+        assert "4300-digit output limit" in text
+        assert "set_int_max_str_digits" not in text
+    for action in ("iso", "normalizer"):
+        code, payload = run_json(["sol", action, "--matrix", "2,1,1,1",
+                                  "--power", "12000", "--json"])
+        assert code == 1 and payload["error"]["kind"] == "ValueError"
+        assert "4300-digit output limit" in payload["error"]["detail"]
+    # just under the limit the answer is printed in full
+    code, payload = run_json(["sol", "iso", "--matrix", "2,1,1,1",
+                              "--power", "10000", "--json"])
+    assert code == 0 and len(str(payload["finite"]["order"])) > 4000
 
 
 @pytest.mark.parametrize("exc", [AssertionError("lift verification failed"),

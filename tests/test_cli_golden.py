@@ -5,6 +5,8 @@ printed and returned.  Refactors must leave it unchanged; a deliberate
 change of output is recorded again with
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
+
+which prints the argv of every case whose exit code or output changed.
 """
 
 import functools
@@ -46,8 +48,10 @@ README = [
 ]
 
 # The searches, closures and matrix products behind these commands.  The
-# Q(sqrt(3)) witness at word bound 8 is the first central word met in
-# breadth-first order, so it pins that order.
+# Nil dichotomy cases pin the exact decision, whose witness is the
+# covolume of the projected translations at every word bound; the last two
+# are inputs a bounded word search gets wrong (a non-discrete group called
+# discrete, and a verdict that moves with the bound).
 SEARCHES = [
     "nil iso --preset Gp:2 --adjoin full",
     "nil iso --preset Gp:3 --adjoin full",
@@ -65,6 +69,8 @@ SEARCHES = [
     "euclid iso --preset centered",
     "zimmer galois-demo",
     "nil dichotomy --gens rot6 --word-bound -1",
+    "nil dichotomy --gens rot6;1,0,0;0,1,0",
+    "nil volume --gens rot4;1,0,0;1/3,0,0",
 ]
 
 # Space-separated commands (no argument contains a space), each run as
@@ -95,7 +101,12 @@ def test_cli_output_is_unchanged(argv):
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    old = _recorded() if CASES_FILE.exists() else {}
+    cases = [run(argv) for argv in ARGVS]
+    for case in cases:
+        if old.get(tuple(case["argv"])) != case:
+            print(" ".join(case["argv"]))
     CASES_FILE.parent.mkdir(parents=True, exist_ok=True)
     CASES_FILE.write_text(
-        json.dumps([run(argv) for argv in ARGVS], indent=1,
-                   ensure_ascii=False) + "\n", encoding="utf-8")
+        json.dumps(cases, indent=1, ensure_ascii=False) + "\n",
+        encoding="utf-8")

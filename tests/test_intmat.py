@@ -257,6 +257,38 @@ def test_word_ball_cap_counts_every_element_it_yields():
     assert issubclass(SearchCapError, ValueError)
 
 
+class CountingKey:
+    """A key that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        CountingKey.hashes += 1
+        return hash(self.value)
+
+    def __eq__(self, other):
+        return self.value == other.value
+
+
+def test_word_ball_hashes_each_candidate_key_once():
+    CountingKey.hashes = 0
+    calls = []
+
+    def key(word):
+        calls.append(word)
+        return CountingKey(word)
+
+    ball = list(word_ball((), F2_MOVES, f2_mul, key, 3, cap=10**4))
+    assert len(ball) == 2 * 3 ** 3 - 1
+    # every candidate is keyed once and its key hashed once: the identity,
+    # then 4 moves from each element of the first 3 layers
+    assert len(calls) == 1 + 4 * (2 * 3 ** 2 - 1)
+    assert CountingKey.hashes == len(calls)
+
+
 def _sixth_turns(k):
     return functools.reduce(mat2_mul, [ROT_PI_3] * k, MAT2_ID)
 

@@ -1,5 +1,6 @@
 """Heisenberg arithmetic, lattices, normalizers and quotient isometries."""
 
+import functools
 import random
 from fractions import Fraction
 from math import gcd
@@ -9,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geom3.algebra import QuadRat
-from geom3.intmat import MAT2_ID, mat2_det, mat2_eq, mat2_mul, mat2_transpose
+from geom3.cli import _nil_generators
+from geom3.intmat import (
+    MAT2_ID,
+    mat2_apply,
+    mat2_det,
+    mat2_eq,
+    mat2_mul,
+    mat2_transpose,
+)
 from geom3.nil import (
     DISCRETE_PROJECTION,
     FINITE_VOLUME_POSSIBLE,
@@ -22,9 +31,9 @@ from geom3.nil import (
     ROT_PI_2,
     ROT_PI_3,
     NON_DISCRETE_INPUT,
-    UNDETERMINED,
     HeisIsometry,
     HeisPoint,
+    _translation_covolume,
     heis_commutator,
     heis_conjugate,
     heis_inv,
@@ -426,15 +435,17 @@ def test_dichotomy_off_origin_rotation():
     assert res.point == (Fraction(1), Fraction(0))
 
 
-def test_dichotomy_undetermined_and_volume_error():
-    # a quarter turn and a translation: discrete (a p4 group), but no word
-    # of length 1 is central
+def test_dichotomy_p4_is_decided_at_every_word_bound():
+    # a quarter turn and a translation: a p4 group, whose translations are
+    # Z^2, so the witness is their commutator (0, 0, 1) however short the
+    # bound (no word of length 1 is central)
     gens = [HeisIsometry.point_symmetry(ROT_PI_2),
             HeisIsometry.translation(HeisPoint.of(1, 0, 0))]
-    res = nil_projection_dichotomy(gens, word_bound=1)
-    assert res.kind == UNDETERMINED
-    with pytest.raises(ValueError):
-        nil_volume_verdict(res)
+    for bound in (0, 1, 8):
+        res = nil_projection_dichotomy(gens, word_bound=bound)
+        assert res.kind == DISCRETE_PROJECTION
+        assert res.witness == HeisPoint.of(0, 0, 1)
+        assert nil_volume_verdict(res) == FINITE_VOLUME_POSSIBLE
 
 
 def test_dichotomy_order_12_linear_part_is_non_discrete():
@@ -464,17 +475,18 @@ def test_dichotomy_order_12_linear_part_is_non_discrete():
     assert nil_projection_dichotomy(gens).kind == NON_DISCRETE_INPUT
 
 
-def test_dichotomy_hexagonal_word_search_is_fast():
-    # a sixth turn and a translation (a p6 group): every product is over
-    # Q(sqrt 3), and the first central word has length 7
+def test_dichotomy_hexagonal_witness_is_the_covolume():
+    # a sixth turn and a translation (a p6 group): the translations are the
+    # hexagonal lattice on (1, 0), (1/2, sqrt(3)/2), of covolume sqrt(3)/2,
+    # at every word bound (the old search needed words of length 7)
     gens = [HeisIsometry.point_symmetry(ROT_PI_3),
             HeisIsometry.translation(HeisPoint.of(1, 0, 0))]
     with deadline(2):
-        assert nil_projection_dichotomy(gens, word_bound=6).kind \
-            == UNDETERMINED
-        res = nil_projection_dichotomy(gens, word_bound=8)
-    assert res.kind == DISCRETE_PROJECTION
-    assert res.witness == HeisPoint.of(0, 0, QuadRat(0, Fraction(1, 4), 3))
+        results = [nil_projection_dichotomy(gens, word_bound=bound)
+                   for bound in (0, 6, 8)]
+    for res in results:
+        assert res.kind == DISCRETE_PROJECTION
+        assert res.witness == HeisPoint.of(0, 0, QuadRat(0, HALF, 3))
 
 
 def test_dichotomy_central_generators_fix_everything():
@@ -696,3 +708,198 @@ def test_large_quotients_take_bounded_time():
     assert d.finite_part["translation_part"] == [100000, 100000]
     assert skewed.tag == "D4" and set(skewed.elements) == SIGNED_PERMUTATIONS
     assert wide.tag == "D2"
+
+
+# -- the exact dichotomy ------------------------------------------------------------
+
+SQRT3 = QuadRat(0, 1, 3)
+ROT_PI_6 = ((SQRT3 * HALF, -HALF), (HALF, SQRT3 * HALF))
+# all 24 elements of D12: the linear parts that pass the order check
+TURNS = [functools.reduce(mat2_mul, [ROT_PI_6] * k, MAT2_ID)
+         for k in range(12)]
+D12 = tuple(TURNS) + tuple(mat2_mul(m, REFLECT) for m in TURNS)
+
+
+def _shift(x, y, z=0) -> HeisIsometry:
+    return HeisIsometry.translation(HeisPoint.of(x, y, z))
+
+
+def _about(rot, c, z) -> HeisIsometry:
+    """The isometry acting on the plane as rot about the point c."""
+    rc = mat2_apply(rot, c)
+    return HeisIsometry(rot, HeisPoint.of(c[0] - rc[0], c[1] - rc[1], z))
+
+
+def _as_fraction(x) -> Fraction:
+    return x.as_fraction() if isinstance(x, QuadRat) else Fraction(x)
+
+
+def _assert_central_witness(res, gens):
+    """The witness is a nontrivial element of the center of the Heisenberg
+    group: it commutes with every translation part, multiplied out."""
+    w = res.witness
+    assert w.x == 0 and w.y == 0 and w.z > 0
+    assert not w.is_identity()
+    for g in gens:
+        assert heis_mul(w, g.trans) == heis_mul(g.trans, w)
+        assert heis_conjugate(g.trans, w) == w
+
+
+def test_dichotomy_decides_the_bounded_search_failures():
+    rot4 = HeisIsometry.point_symmetry(ROT_PI_2)
+    rot6 = HeisIsometry.point_symmetry(ROT_PI_3)
+    third = Fraction(1, 3)
+    cases = [
+        # translations (1, 0), (0, 1) and their sixth turns: Z-rank 4
+        ([rot6, _shift(1, 0), _shift(0, 1)], NON_DISCRETE_INPUT, None),
+        ([_shift(1, 0), _shift(SQRT3, 0), _shift(0, 1)],
+         NON_DISCRETE_INPUT, None),
+        # the quarter turn makes the translations (1/3) Z^2
+        ([rot4, _shift(1, 0), _shift(third, 0)], DISCRETE_PROJECTION,
+         Fraction(1, 9)),
+        ([rot6, _shift(1, 0)], DISCRETE_PROJECTION, SQRT3 * HALF),
+        # out of scope: (0, 0, sqrt 3) makes the group non-discrete along
+        # the center, but its projection is the lattice Z^2
+        ([_shift(1, 0), _shift(0, 1), _shift(0, 0, SQRT3)],
+         DISCRETE_PROJECTION, Fraction(1)),
+    ]
+    for gens, kind, z in cases:
+        for bound in (0, 6, 8):
+            res = nil_projection_dichotomy(gens, word_bound=bound)
+            assert res.kind == kind
+            if z is None:
+                assert res.witness is None
+                with pytest.raises(ValueError, match="non-discrete"):
+                    nil_volume_verdict(res)
+            else:
+                assert res.witness == HeisPoint.of(0, 0, z)
+                assert nil_volume_verdict(res) == FINITE_VOLUME_POSSIBLE
+
+
+def test_translation_spanning_at_most_a_line_is_an_internal_error():
+    # the fixed-point and line checks catch every such group first
+    for ts in ([], [(Fraction(1), Fraction(0)), (Fraction(2), Fraction(0))]):
+        with pytest.raises(RuntimeError, match="at most a line"):
+            _translation_covolume(ts)
+
+
+def test_dichotomy_is_fast_on_every_golden_input():
+    # the golden Nil generator sets, ten times each: under 5 ms a call
+    gens_texts = ["rot6;rot4@1,0,0", "rot6;1,0,0", "rot4;1,0,0",
+                  "1,0,0;0,1,0", "rot6;1,0,0;0,1,0", "rot4;1,0,0;1/3,0,0",
+                  "1,0,1;1/3,0,1;-1"]
+    with deadline(0.35):
+        for text in gens_texts:
+            for _ in range(10):
+                nil_projection_dichotomy(_nil_generators(text))
+
+
+@st.composite
+def nil_lattices(draw):
+    u, v = change_basis(*draw(planar_lattices()), draw(small_unimodular()))
+    return nil_lattice_make(u, v, r=draw(offsets), s=draw(offsets),
+                            n=draw(st.integers(1, 3)))
+
+
+@st.composite
+def lattice_groups(draw):
+    """A lattice and lifts of a subset of its point group (their closure
+    with the lattice is a discrete group)."""
+    lat = draw(nil_lattices())
+    pg = planar_point_group(lat.u, lat.v)
+    mats = draw(st.lists(st.sampled_from(pg.elements), max_size=3))
+    gens = [HeisIsometry.translation(g) for g in lat.generators()]
+    gens += [lift_point_symmetry(lat, m) for m in mats]
+    return lat, draw(st.permutations(gens)), mats
+
+
+@settings(max_examples=80, deadline=None)
+@given(lattice_groups())
+def test_lattice_with_point_symmetries_is_discrete(case):
+    lat, gens, mats = case
+    res = nil_projection_dichotomy(gens)
+    assert res.kind == DISCRETE_PROJECTION
+    _assert_central_witness(res, gens)
+    # the translations T lie between the projected lattice and its n-fold
+    # refinement (they normalize the lattice), so the covolume of T divides
+    # |lambda| with a quotient dividing n^2
+    index = _as_fraction(abs(lat.lam) / res.witness.z)
+    assert index.denominator == 1 and (lat.n ** 2) % index == 0
+    if not any(m != MAT2_ID for m in mats):
+        # T is the projected lattice: the witness is the commutator of the
+        # lattice generators, multiplied out
+        a, b = lat.generators()[:2]
+        comm = heis_mul(heis_mul(a, b), heis_inv(heis_mul(b, a)))
+        assert comm.x == 0 and comm.y == 0
+        assert res.witness.z == abs(comm.z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_groups(), offsets.filter(bool), offsets, offsets)
+def test_translation_raising_the_rank_is_non_discrete(case, q, p, z):
+    # q sqrt(3) u + p v is not in the Q-span of u, v, so T gets Z-rank 3
+    lat, gens, _ = case
+    t = tuple(q * SQRT3 * lat.u[i] + p * lat.v[i] for i in range(2))
+    res = nil_projection_dichotomy(gens + [_shift(*t, z)])
+    assert res.kind == NON_DISCRETE_INPUT and res.witness is None
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def planar_scalars(draw):
+    q = draw(small)
+    return q * SQRT3 if draw(st.booleans()) else q
+
+
+@st.composite
+def isometries(draw):
+    """A translation over Q(sqrt(3)) or an element of D12 about a rational
+    point, with a rational central part."""
+    z = draw(small)
+    if draw(st.booleans()):
+        return _shift(draw(planar_scalars()), draw(planar_scalars()), z)
+    return _about(draw(st.sampled_from(D12)), (draw(small), draw(small)), z)
+
+
+generator_sets = st.lists(isometries(), min_size=1, max_size=4)
+
+
+def _verdict(gens):
+    """What no change of generators may move: the kind, the witness, and a
+    fixed point (unique when a rotation or a pair of axes fixes it)."""
+    res = nil_projection_dichotomy(gens)
+    if res.kind == DISCRETE_PROJECTION:
+        _assert_central_witness(res, gens)
+    return res.kind, res.witness, res.point
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets, st.data())
+def test_verdict_is_invariant_under_nielsen_moves(gens, data):
+    # also: no generated input reaches the internal error for T spanning at
+    # most a line, which _verdict would raise
+    before = _verdict(gens)
+    if len(gens) > 1:
+        i, j = data.draw(st.permutations(range(len(gens))))[:2]
+        moved = list(gens)
+        moved[i] = gens[i].compose(gens[j])
+        assert _verdict(moved) == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_sets, st.data())
+def test_verdict_is_invariant_under_appending_a_product(gens, data):
+    word = data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=4))
+    product = functools.reduce(HeisIsometry.compose, word)
+    assert _verdict(gens + [product]) == _verdict(gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_sets, isometries())
+def test_verdict_is_invariant_under_conjugation(gens, h):
+    # conjugation moves a fixed point, but keeps the kind and the covolume
+    kind, witness, _ = _verdict(gens)
+    conj = [h.compose(g).compose(h.inverse()) for g in gens]
+    assert _verdict(conj)[:2] == (kind, witness)
