@@ -3,6 +3,9 @@
 Exit codes: 0 on success, 1 on a domain error (reported as a structured
 error object), 2 on an argument schema error, 3 on an internal error (a
 bug: any other exception, reported the same way with its type).
+
+Each handler imports the geometry it runs, so a call loads only the
+modules of its own subcommand: start-up is most of a call's time.
 """
 
 from __future__ import annotations
@@ -12,10 +15,13 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import euclid, fibered, hyperbolic, nil, selfcheck, sol, zimmer
 from .descriptors import canonical_json, check_output_size
-from .intmat import IntMat2
+
+if TYPE_CHECKING:
+    from . import euclid, hyperbolic, nil, sol
+    from .intmat import IntMat2
 
 
 class SchemaError(ValueError):
@@ -40,6 +46,7 @@ def _float(text: str) -> float:
 
 
 def _int_matrix(text: str) -> IntMat2:
+    from .intmat import IntMat2
     parts = text.split(",")
     if len(parts) != 4:
         raise SchemaError("matrix must be 4 comma-separated integers "
@@ -73,6 +80,7 @@ def _vec2(text: str) -> tuple:
 
 
 def _nil_lattice(args) -> nil.NilLattice:
+    from . import nil
     if args.preset:
         name = args.preset
         if name == "HZ":
@@ -98,15 +106,17 @@ def _preset_int(name: str) -> int:
     return value
 
 
+# generator token -> name of the linear part in nil
 _GEN_ROTATIONS = {
-    "rot2": nil.ROT_PI, "-1": nil.ROT_PI, "rot4": nil.ROT_PI_2,
-    "rot6": nil.ROT_PI_3, "reflect": nil.REFLECT,
+    "rot2": "ROT_PI", "-1": "ROT_PI", "rot4": "ROT_PI_2",
+    "rot6": "ROT_PI_3", "reflect": "REFLECT",
 }
 
 
 def _nil_generators(text: str) -> list:
     """Tokens separated by ';': "x,y,z" translation, "rot4", "reflect",
     "-1", optionally "rot4@x,y,z" for a rotation composed with one."""
+    from . import nil
     gens = []
     for token in text.split(";"):
         token = token.strip()
@@ -114,9 +124,9 @@ def _nil_generators(text: str) -> list:
             continue
         if "@" in token:
             head, tail = token.split("@", 1)
-            rot = _GEN_ROTATIONS.get(head)
-            if rot is None:
+            if head not in _GEN_ROTATIONS:
                 raise SchemaError(f"unknown rotation token {head!r}")
+            rot = getattr(nil, _GEN_ROTATIONS[head])
             parts = tail.split(",")
             if len(parts) != 3:
                 raise SchemaError("translation part must be x,y,z")
@@ -124,7 +134,7 @@ def _nil_generators(text: str) -> list:
             gens.append(nil.HeisIsometry(rot, trans))
         elif token in _GEN_ROTATIONS:
             gens.append(nil.HeisIsometry.point_symmetry(
-                _GEN_ROTATIONS[token]))
+                getattr(nil, _GEN_ROTATIONS[token])))
         else:
             parts = token.split(",")
             if len(parts) != 3:
@@ -139,6 +149,7 @@ def _nil_generators(text: str) -> list:
 # -- command handlers -----------------------------------------------------------
 
 def _cmd_nil(args) -> dict:
+    from . import nil
     if args.action == "iso":
         lat = _nil_lattice(args)
         extra = None
@@ -174,6 +185,8 @@ def _cmd_nil(args) -> dict:
 
 
 def _sol_lattice(args) -> sol.SolLattice:
+    from . import sol
+    from .intmat import IntMat2
     if args.preset == "fib":
         return sol.sol_lattice_make(IntMat2(2, 1, 1, 1), args.power)
     if not args.matrix:
@@ -182,6 +195,7 @@ def _sol_lattice(args) -> sol.SolLattice:
 
 
 def _cmd_sol(args) -> dict:
+    from . import sol
     if args.action == "iso":
         d = sol.sol_quotient_isometry(_sol_lattice(args))
         return {
@@ -213,6 +227,7 @@ def _cmd_sol(args) -> dict:
 
 
 def _mobius(text: str) -> hyperbolic.MobiusMap:
+    from . import hyperbolic
     vals = text.split(",")
     if len(vals) != 4:
         raise SchemaError("matrix must be 4 comma-separated numbers")
@@ -228,6 +243,7 @@ def _is_int_literal(v: str) -> bool:
 
 
 def _cmd_hyp(args) -> dict:
+    from . import hyperbolic
     if args.action == "classify":
         return hyperbolic.classify_isometry(_mobius(args.matrix)) \
             .to_json_dict()
@@ -246,23 +262,24 @@ def _cmd_hyp(args) -> dict:
     raise SchemaError(f"unknown hyp action {args.action!r}")
 
 
+# preset name -> generators, built from the fibered module
 _S2R_PRESETS = {
-    "twist": lambda: [fibered.S2RIsometry(fibered.s2r_rotation_z(1.0), 1.0)],
-    "product": lambda: [fibered.S2RIsometry(fibered.S2R_ROT_ID, 1.0)],
-    "rho": lambda: [fibered.S2RIsometry(fibered.S2R_ROT_ID, 1.0),
-                    fibered.S2RIsometry(((-1, 0, 0), (0, -1, 0), (0, 0, 1)),
-                                        0.0)],
-    "flip": lambda: [fibered.S2RIsometry(fibered.S2R_ROT_ID, 1.0),
-                     fibered.S2RIsometry(fibered.S2R_ROT_ID, 0.0, flip=-1)],
-    "klein": lambda: [fibered.S2RIsometry(fibered.S2R_ROT_ID, 1.0),
-                      fibered.S2RIsometry(((-1, 0, 0), (0, -1, 0), (0, 0, 1)),
-                                          0.0),
-                      fibered.S2RIsometry(((1, 0, 0), (0, -1, 0), (0, 0, -1)),
-                                          0.0)],
+    "twist": lambda f: [f.S2RIsometry(f.s2r_rotation_z(1.0), 1.0)],
+    "product": lambda f: [f.S2RIsometry(f.S2R_ROT_ID, 1.0)],
+    "rho": lambda f: [f.S2RIsometry(f.S2R_ROT_ID, 1.0),
+                      f.S2RIsometry(((-1, 0, 0), (0, -1, 0), (0, 0, 1)), 0.0)],
+    "flip": lambda f: [f.S2RIsometry(f.S2R_ROT_ID, 1.0),
+                       f.S2RIsometry(f.S2R_ROT_ID, 0.0, flip=-1)],
+    "klein": lambda f: [f.S2RIsometry(f.S2R_ROT_ID, 1.0),
+                        f.S2RIsometry(((-1, 0, 0), (0, -1, 0), (0, 0, 1)),
+                                      0.0),
+                        f.S2RIsometry(((1, 0, 0), (0, -1, 0), (0, 0, -1)),
+                                      0.0)],
 }
 
 
 def _cmd_fiber(args) -> dict:
+    from . import fibered
     if args.action == "frame":
         frame = fibered.frame_at_identity()
         return {"frame": [v.to_json_dict() for v in frame]}
@@ -286,7 +303,7 @@ def _cmd_fiber(args) -> dict:
         maker = _S2R_PRESETS.get(args.preset)
         if maker is None:
             raise SchemaError(f"unknown s2r preset {args.preset!r}")
-        dec = fibered.s2r_decompose(maker())
+        dec = fibered.s2r_decompose(maker(fibered))
         out = dec.to_json_dict()
         if dec.l_type != fibered.TRIVIAL_L:
             out["identity_component"] = \
@@ -298,6 +315,7 @@ def _cmd_fiber(args) -> dict:
 
 
 def _crystal(args) -> euclid.CrystalGroup:
+    from . import euclid
     if not args.preset:
         raise SchemaError("euclid commands take --preset "
                           "(Z2, Z2xD4, Z3, Z3xD4xy, screw, slab, centered)")
@@ -308,6 +326,7 @@ def _crystal(args) -> euclid.CrystalGroup:
 
 
 def _cmd_euclid(args) -> dict:
+    from . import euclid
     g = _crystal(args)
     if args.action == "rank":
         return {"translation_rank": euclid.translation_rank(g)}
@@ -323,14 +342,17 @@ def _cmd_euclid(args) -> dict:
 
 
 def _cmd_lookup(args) -> dict:
+    from . import euclid
     rows = euclid.spherical_components_lookup(args.family)
     return {"family": args.family, "rows": rows,
             "version": euclid.lookup_table_version()}
 
 
 def _zimmer_quotient(args):
+    from . import zimmer
     geometry = args.geometry
     if geometry == "nil":
+        from . import nil
         lat = _nil_lattice(args)
         extra = None
         if args.adjoin == "full":
@@ -351,6 +373,7 @@ def _zimmer_quotient(args):
 
 
 def _cmd_zimmer(args) -> dict:
+    from . import zimmer
     if args.action == "verdict":
         if args.uniform and args.nonuniform:
             raise SchemaError("choose one of --uniform/--nonuniform")
@@ -391,6 +414,7 @@ def _cmd_zimmer(args) -> dict:
 
 
 def _cmd_selfcheck(args) -> dict:
+    from . import selfcheck
     report = selfcheck.run_selfcheck()
     passed = sum(1 for r in report if r["ok"])
     return {"items": report, "passed": passed, "total": len(report),
@@ -426,7 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def sub_add(name, **kw):
         p = sub.add_parser(name, **kw)
+        # SUPPRESS: unless given here, the top-level value stands
         p.add_argument("--json", action="store_true",
+                       default=argparse.SUPPRESS,
                        help="emit canonical JSON instead of text")
         return p
 
@@ -539,15 +565,14 @@ def main(argv=None, out=None) -> int:
         check_output_size(payload)
         rendered = canonical_json(payload)   # ValueError on NaN or inf
     except SchemaError as exc:
-        _emit_error(out, "schema", str(exc), getattr(args, "json", False))
+        _emit_error(out, "schema", str(exc), args.json)
         return 2
     except (ValueError, ArithmeticError) as exc:
-        _emit_error(out, type(exc).__name__, str(exc),
-                    getattr(args, "json", False))
+        _emit_error(out, type(exc).__name__, str(exc), args.json)
         return 1
     except Exception as exc:
         _emit_error(out, "internal", f"{type(exc).__name__}: {exc}",
-                    getattr(args, "json", False))
+                    args.json)
         return 3
     if args.command == "selfcheck":
         for item in payload["items"]:
@@ -556,7 +581,7 @@ def main(argv=None, out=None) -> int:
             out.write(f"{mark} {item['id']}{suffix}\n")
         out.write(f"{payload['passed']}/{payload['total']} passed\n")
         return 0 if payload["ok"] else 1
-    if getattr(args, "json", False):
+    if args.json:
         out.write(rendered + "\n")
     else:
         _render_text(payload, out)

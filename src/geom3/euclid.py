@@ -13,7 +13,6 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional, Sequence
 
-from . import nil
 from .algebra import frac
 from .descriptors import IsoDescriptor
 from .intmat import (
@@ -247,11 +246,12 @@ def euclid_quotient_isometry(g: CrystalGroup) -> IsoDescriptor:
     """Identity component is the Betti torus; the finite part is computed
     exactly for the planar lattice and lattice-with-full-point-group cases
     and reported as not computed otherwise."""
+    from .nil import planar_point_group   # no other euclid code needs nil
     betti, torus = betti_identity_component(g)
     if g.dim == 2 and not g.point_gens:
         u = (g.trans_basis[0][0], g.trans_basis[0][1])
         v = (g.trans_basis[1][0], g.trans_basis[1][1])
-        pg = nil.planar_point_group(u, v)
+        pg = planar_point_group(u, v)
         finite = {"order": pg.order, "structure": pg.tag,
                   "point_group": pg.tag}
         return IsoDescriptor(geometry="euclid", identity_component=torus,
@@ -259,7 +259,7 @@ def euclid_quotient_isometry(g: CrystalGroup) -> IsoDescriptor:
     if g.dim == 2:
         u = (g.trans_basis[0][0], g.trans_basis[0][1])
         v = (g.trans_basis[1][0], g.trans_basis[1][1])
-        pg = nil.planar_point_group(u, v)
+        pg = planar_point_group(u, v)
         in_basis = point_gens_in_lattice_basis(g)
         closure = _integer_group_closure(in_basis)
         if len(closure) == pg.order and betti == 0:

@@ -162,18 +162,22 @@ def sol_quotient_isometry(lat: SolLattice) -> IsoDescriptor:
     """Finite isometry group (Lambda_n / Z^2) x|_A Z_n of the quotient.
 
     The cokernel structure comes from the Smith normal form of I - A^n;
-    its order is cross-checked against det(I - A^n) = 2 - tr(A^n).
+    its order is cross-checked against det(I - A^n) = 2 - tr(A^n).  An
+    order past the output limit is refused before the Smith normal form,
+    whose Euclid steps grow quadratically in n; every invariant divides
+    it, so none is past the limit either.
     """
     hol = lat.holonomy()
+    det_order = abs(2 - hol.trace())
+    order = det_order * lat.n
+    check_output_size(order)
     m = IntMat2.identity() - hol
     snf = intmat.smith_normal_form(m)
-    det_order = abs(2 - hol.trace())
     if snf.d1 * snf.d2 != det_order:
         raise RuntimeError(
             f"cokernel order {snf.d1 * snf.d2} contradicts determinant "
             f"formula {det_order}")
     invariants = snf.abelian_invariants()
-    order = det_order * lat.n
     action = _cokernel_action(lat.a, snf)
     structure = _structure_label(invariants, lat.n)
     finite = {
@@ -203,7 +207,6 @@ def _cokernel_action(a: IntMat2, snf: intmat.SnfResult) -> list:
 
 
 def _structure_label(invariants: list[int], n: int) -> str:
-    check_output_size(invariants)
     if not invariants and n == 1:
         return "trivial"
     core = " x ".join(f"Z{d}" for d in invariants) if invariants else "trivial"

@@ -12,11 +12,6 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from . import euclid as euclid_mod
-from . import fibered as fibered_mod
-from . import hyperbolic as hyperbolic_mod
-from . import nil as nil_mod
-from . import sol as sol_mod
 from .algebra import QuadRat, galois_conjugate
 from .descriptors import (
     FACTORS_THROUGH_FINITE,
@@ -382,20 +377,26 @@ GEOMETRIES = ("nil", "sol", "h3", "euclid", "s3", "s2xr", "h2xr", "sl2r")
 
 def quotient_isometry_summary(geometry: str, descriptor=None,
                               extra=None) -> IsoDescriptor:
-    """Route a quotient description to the geometry that computes it."""
+    """Route a quotient description to the geometry that computes it.
+
+    Each branch imports its geometry, so a verdict loads only that one."""
     if geometry == "nil":
-        return nil_mod.nil_quotient_isometry(descriptor, extra=extra)
+        from . import nil
+        return nil.nil_quotient_isometry(descriptor, extra=extra)
     if geometry == "sol":
-        return sol_mod.sol_quotient_isometry(descriptor)
+        from . import sol
+        return sol.sol_quotient_isometry(descriptor)
     if geometry == "h3":
-        fact = hyperbolic_mod.hn_quotient_isometry_verdict(3)
+        from . import hyperbolic
+        fact = hyperbolic.hn_quotient_isometry_verdict(3)
         return IsoDescriptor(geometry="h3", identity_component="trivial",
                              finite_part={"structure": "finite group",
                                           "order": None,
                                           "order_formula":
                                               fact["order_formula"]})
     if geometry == "euclid":
-        return euclid_mod.euclid_quotient_isometry(descriptor)
+        from . import euclid
+        return euclid.euclid_quotient_isometry(descriptor)
     if geometry == "s3":
         tag = descriptor if isinstance(descriptor, str) \
             else descriptor.get("identity_component")
@@ -408,11 +409,13 @@ def quotient_isometry_summary(geometry: str, descriptor=None,
         if isinstance(descriptor, str):
             tag = descriptor
         else:
-            tag = fibered_mod.s2r_quotient_identity_component(descriptor)
+            from . import fibered
+            tag = fibered.s2r_quotient_identity_component(descriptor)
         return IsoDescriptor(geometry="s2xr", identity_component=tag,
                              finite_part={"structure":
                                           "closed subgroup of SO(3) x S1, "
                                           "up to finite index"})
     if geometry in ("h2xr", "sl2r"):
-        return fibered_mod.psl2_quotient_isometry(geometry)
+        from . import fibered
+        return fibered.psl2_quotient_isometry(geometry)
     raise ValueError(f"unknown geometry tag {geometry!r}")

@@ -192,24 +192,27 @@ def test_negative_word_bound_is_a_schema_error():
 def test_huge_exact_output_is_a_domain_error_naming_the_limit():
     # A^n for A = [[2, 1], [1, 1]]: det(I - A^n) has about 0.42 n digits.
     # At n = 100000 both cokernel invariants (half of that each) pass 4300
-    # digits inside the library; at n = 12000 only the order and the
-    # normalizer's index and basis do
-    for argv in (["sol", "iso", "--matrix", "2,1,1,1", "--power", "100000"],
-                 ["sol", "normalizer", "--matrix", "2,1,1,1", "--power",
-                  "12000"]):
-        code, text = run_cli(argv)
-        assert code == 1 and text.startswith("error[ValueError]: ")
-        assert "4300-digit output limit" in text
-        assert "set_int_max_str_digits" not in text
-    for action in ("iso", "normalizer"):
-        code, payload = run_json(["sol", action, "--matrix", "2,1,1,1",
-                                  "--power", "12000", "--json"])
-        assert code == 1 and payload["error"]["kind"] == "ValueError"
-        assert "4300-digit output limit" in payload["error"]["detail"]
-    # just under the limit the answer is printed in full
-    code, payload = run_json(["sol", "iso", "--matrix", "2,1,1,1",
-                              "--power", "10000", "--json"])
-    assert code == 0 and len(str(payload["finite"]["order"])) > 4000
+    # digits, and their Smith normal form alone would take seconds: the
+    # order is refused before it runs.  At n = 12000 only the order and the
+    # normalizer's index and basis pass the limit
+    with deadline(1):
+        for argv in (["sol", "iso", "--matrix", "2,1,1,1", "--power",
+                      "100000"],
+                     ["sol", "normalizer", "--matrix", "2,1,1,1", "--power",
+                      "12000"]):
+            code, text = run_cli(argv)
+            assert code == 1 and text.startswith("error[ValueError]: ")
+            assert "4300-digit output limit" in text
+            assert "set_int_max_str_digits" not in text
+        for action in ("iso", "normalizer"):
+            code, payload = run_json(["sol", action, "--matrix", "2,1,1,1",
+                                      "--power", "12000", "--json"])
+            assert code == 1 and payload["error"]["kind"] == "ValueError"
+            assert "4300-digit output limit" in payload["error"]["detail"]
+        # just under the limit the answer is printed in full
+        code, payload = run_json(["sol", "iso", "--matrix", "2,1,1,1",
+                                  "--power", "10000", "--json"])
+        assert code == 0 and len(str(payload["finite"]["order"])) > 4000
 
 
 @pytest.mark.parametrize("exc", [AssertionError("lift verification failed"),
@@ -261,6 +264,17 @@ def test_text_mode():
     code, text = run_cli(["zimmer", "maxdim", "--space-dim", "3"])
     assert code == 0
     assert "bound: 6" in text
+
+
+def test_json_flag_works_before_and_after_the_subcommand():
+    for argv in (["nil", "center", "--preset", "HZ"],
+                 ["zimmer", "maxdim", "--space-dim", "3"],
+                 ["sol", "iso", "--matrix", "0,-1,1,0"]):
+        text_mode = run_cli(argv)
+        before = run_cli(["--json"] + argv)
+        after = run_cli(argv + ["--json"])
+        assert before == after != text_mode
+        json.loads(before[1])
 
 
 def test_selfcheck_passes():

@@ -1,25 +1,30 @@
 """CLI golden suite: every command's output and exit code, byte for byte.
 
 `golden/cli/cases.json` holds, for each argv below, what `cli.main`
-printed and returned.  Refactors must leave it unchanged; a deliberate
-change of output is recorded again with
+printed and returned; `golden/cli/help.json` does the same for the help
+of the parser and of each subcommand, at 80 columns.  Refactors must
+leave both unchanged; a deliberate change of output is recorded again with
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
 
 which prints the argv of every case whose exit code or output changed.
 """
 
+import contextlib
 import functools
 import io
 import json
+import os
 import pathlib
 import sys
+from unittest import mock
 
 import pytest
 
 from geom3 import cli
 
 CASES_FILE = pathlib.Path(__file__).parent / "golden" / "cli" / "cases.json"
+HELP_FILE = CASES_FILE.with_name("help.json")
 
 README = [
     "sol iso --matrix 2,1,1,1 --power 5",
@@ -78,6 +83,10 @@ SEARCHES = [
 COMMANDS = [c.split(" ") for c in README + SEARCHES]
 ARGVS = [["selfcheck"]] + [a + j for a in COMMANDS for j in ([], ["--json"])]
 
+SUBCOMMANDS = ("nil", "sol", "hyp", "fiber", "euclid", "lookup", "zimmer",
+               "selfcheck")
+HELP_ARGVS = [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
+
 
 def run(argv):
     out = io.StringIO()
@@ -85,28 +94,47 @@ def run(argv):
     return {"argv": argv, "exit": code, "out": out.getvalue()}
 
 
+def run_help(argv):
+    """argparse prints help to sys.stdout, wrapped to $COLUMNS."""
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS="80"), \
+            contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return {"argv": argv, "exit": code, "out": out.getvalue()}
+
+
 @functools.cache
-def _recorded() -> dict:
-    cases = json.loads(CASES_FILE.read_text(encoding="utf-8"))
+def _recorded(path) -> dict:
+    cases = json.loads(path.read_text(encoding="utf-8"))
     return {tuple(case["argv"]): case for case in cases}
 
 
 def test_every_recorded_case_is_run():
-    assert list(_recorded()) == [tuple(argv) for argv in ARGVS]
+    assert list(_recorded(CASES_FILE)) == [tuple(argv) for argv in ARGVS]
+    assert list(_recorded(HELP_FILE)) == [tuple(argv) for argv in HELP_ARGVS]
 
 
 @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
 def test_cli_output_is_unchanged(argv):
-    assert run(argv) == _recorded()[tuple(argv)]
+    assert run(argv) == _recorded(CASES_FILE)[tuple(argv)]
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
-    old = _recorded() if CASES_FILE.exists() else {}
-    cases = [run(argv) for argv in ARGVS]
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+def test_cli_help_is_unchanged(argv):
+    assert run_help(argv) == _recorded(HELP_FILE)[tuple(argv)]
+
+
+def _record(path, runner, argvs):
+    old = _recorded(path) if path.exists() else {}
+    cases = [runner(argv) for argv in argvs]
     for case in cases:
         if old.get(tuple(case["argv"])) != case:
             print(" ".join(case["argv"]))
-    CASES_FILE.parent.mkdir(parents=True, exist_ok=True)
-    CASES_FILE.write_text(
-        json.dumps(cases, indent=1, ensure_ascii=False) + "\n",
-        encoding="utf-8")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(cases, indent=1, ensure_ascii=False) + "\n",
+                    encoding="utf-8")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    _record(CASES_FILE, run, ARGVS)
+    _record(HELP_FILE, run_help, HELP_ARGVS)
