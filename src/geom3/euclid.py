@@ -8,6 +8,7 @@ symmorphic) extensions are supported for the Betti computation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -17,8 +18,8 @@ from .algebra import frac
 from .descriptors import IsoDescriptor
 from .intmat import (
     SearchCapError,
-    elementary_divisors_stack,
     matmul,
+    snf,
     transpose,
     word_ball,
 )
@@ -48,32 +49,15 @@ def _identity(n: int) -> Matrix:
                  for i in range(n))
 
 
-def _rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q by fraction-free Gaussian elimination."""
-    m = [list(map(Fraction, row)) for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank, prow = 0, 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(prow, len(m)):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[prow], m[pivot] = m[pivot], m[prow]
-        pv = m[prow][col]
-        for r in range(len(m)):
-            if r != prow and m[r][col] != 0:
-                factor = m[r][col] / pv
-                m[r] = [m[r][k] - factor * m[prow][k] for k in range(ncols)]
-        prow += 1
-        rank += 1
-        if prow == len(m):
-            break
-    return rank
+def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank over Q: the number of nonzero Smith divisors of the rows, each
+    row scaled to integers by the lcm of its denominators."""
+    scaled = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        den = math.lcm(*(x.denominator for x in row))
+        scaled.append([int(x * den) for x in row])
+    return sum(1 for d in snf(scaled)[0] if d)
 
 
 def _solve_rational(columns: Sequence[Vector], target: Vector) \
@@ -161,7 +145,7 @@ def crystal_group_make(point_gens, trans_basis, vector_system=None,
 
 
 def translation_rank(g: CrystalGroup) -> int:
-    return _rational_rank(list(g.trans_basis))
+    return _rank(list(g.trans_basis))
 
 
 INFINITE_VOLUME = "InfiniteVolume"
@@ -216,13 +200,13 @@ def betti_identity_component(g: CrystalGroup) -> tuple[int, str]:
     for gen in g.point_gens:
         for i in range(g.dim):
             rows.append([gen[i][j] - ident[i][j] for j in range(g.dim)])
-    betti = g.dim - _rational_rank(rows) if rows else g.dim
+    betti = g.dim - _rank(rows) if rows else g.dim
     torus = {0: "trivial", 1: "S1", 2: "T2", 3: "T3"}[betti]
     return betti, torus
 
 
 def coinvariant_rank(g: CrystalGroup) -> int:
-    """Free rank of Z^d / <(sigma - 1) v>, via integer elementary divisors.
+    """Free rank of Z^d / <(sigma - 1) v>: d minus the nonzero Smith divisors.
 
     The relation matrix is assembled in lattice coordinates, where the
     point action is integral; this is the abelianization-rank oracle for
@@ -238,8 +222,7 @@ def coinvariant_rank(g: CrystalGroup) -> int:
                          for j in range(g.dim)])
     if not rows:
         return g.dim
-    divisors = elementary_divisors_stack(rows, g.dim)
-    return divisors.count(0)
+    return g.dim - sum(1 for d in snf(rows)[0] if d)
 
 
 def euclid_quotient_isometry(g: CrystalGroup) -> IsoDescriptor:
@@ -268,10 +251,7 @@ def euclid_quotient_isometry(g: CrystalGroup) -> IsoDescriptor:
                 for i in range(2):
                     rows.append([(1 if i == j else 0) - mat[i][j]
                                  for j in range(2)])
-            divisors = elementary_divisors_stack(rows, 2)
-            order = 1
-            for d in divisors:
-                order *= max(d, 1)
+            order = math.prod(max(d, 1) for d in snf(rows)[0])
             finite = {"order": order,
                       "structure": {1: "trivial", 2: "Z2"}.get(
                           order, f"order {order}"),

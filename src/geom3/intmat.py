@@ -1,4 +1,9 @@
-"""2x2 integer matrices, Smith normal form, and exact SL2 spectral data.
+"""Integer matrices: the Smith normal form, 2x2 matrices, SL2 spectral data.
+
+`snf` is the Smith normal form of any m x n integer matrix, with its
+unimodular transforms.  Sol's cokernel Z^2/(I - A^n)Z^2 (through the 2x2
+wrapper `smith_normal_form`) and the Euclidean coinvariants and ranks
+all go through it.
 
 The helpers the geometry modules share live here too: 2x2/vector
 arithmetic over exact scalars, the n x n matrix product, and the
@@ -9,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd
+from math import floor
 
 from .algebra import QuadRat, Scalar
 
@@ -228,72 +233,82 @@ class SnfResult:
 
 
 def smith_normal_form(m: IntMat2) -> SnfResult:
-    """Diagonalize an integer matrix by unimodular row/column operations."""
-    a = [[m.a, m.b], [m.c, m.d]]
-    u = [[1, 0], [0, 1]]
-    v = [[1, 0], [0, 1]]
+    """`snf` of a 2x2 integer matrix, as an SnfResult."""
+    (d1, d2), u, v = snf(m.rows())
+    return SnfResult(d1, d2, IntMat2.from_rows(u), IntMat2.from_rows(v))
+
+
+def snf(rows) -> tuple[tuple[int, ...], tuple, tuple]:
+    """Smith normal form of an m x n integer matrix, given by its rows.
+
+    Returns (d, u, v): the diagonal d1 | d2 | ... (min(m, n) entries, all
+    >= 0) and unimodular u (m x m) and v (n x n), as row tuples, with
+    u @ rows @ v = diag(d).  At each pivot, Euclid steps run down its
+    column and then along its row, each against the first nonzero entry;
+    then an entry further on that the pivot does not divide has its column
+    added to the pivot's, and the pivot is settled again (Cohen, A Course
+    in Computational Algebraic Number Theory, 2.4).  u follows from that
+    order, and sol reads it: the order is part of the output.
+    """
+    a = [list(row) for row in rows]
+    m, n = len(a), len(a[0]) if a else 0
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_op(i, j, q):  # row_i -= q * row_j, tracked in u
-        for k in range(2):
-            a[i][k] -= q * a[j][k]
-            u[i][k] -= q * u[j][k]
+        for w in (a, u):
+            wi, wj = w[i], w[j]
+            for k in range(len(wi)):
+                wi[k] -= q * wj[k]
 
     def col_op(i, j, q):  # col_i -= q * col_j, tracked in v
-        for k in range(2):
-            a[k][i] -= q * a[k][j]
-            v[k][i] -= q * v[k][j]
+        for w in (a, v):
+            for row in w:
+                row[i] -= q * row[j]
 
-    def swap_rows():
-        a[0], a[1] = a[1], a[0]
-        u[0], u[1] = u[1], u[0]
+    def swap_rows(i, j):
+        for w in (a, u):
+            w[i], w[j] = w[j], w[i]
 
-    def swap_cols():
-        for k in range(2):
-            a[k][0], a[k][1] = a[k][1], a[k][0]
-            v[k][0], v[k][1] = v[k][1], v[k][0]
+    def swap_cols(i, j):
+        for w in (a, v):
+            for row in w:
+                row[i], row[j] = row[j], row[i]
 
-    # clear the first row and column by gcd elimination
-    while a[0][1] != 0 or a[1][0] != 0:
-        if a[0][0] == 0:
-            if a[1][0] != 0:
-                swap_rows()
+    for t in range(min(m, n)):
+        while True:
+            for i in range(t + 1, m):     # Euclid down column t
+                while a[i][t]:
+                    if a[t][t]:
+                        row_op(i, t, a[i][t] // a[t][t])
+                    if a[i][t]:
+                        swap_rows(t, i)
+            p = a[t][t]
+            j = next((j for j in range(t + 1, n) if a[t][j]), None)
+            if j is not None:             # then along row t
+                if p:
+                    col_op(j, t, a[t][j] // p)
+                if a[t][j]:
+                    swap_cols(t, j)
+                continue
+            # row and column t are clear; p must divide the rest
+            ij = next(((i, j) for i in range(t + 1, m)
+                       for j in range(t + 1, n)
+                       if (a[i][j] % p if p else a[i][j])), None)
+            if ij is None:
+                break
+            i, j = ij
+            if p:
+                col_op(t, j, -1)          # col_t += col_j
             else:
-                swap_cols()
-            continue
-        if a[1][0] != 0:
-            q = a[1][0] // a[0][0]
-            row_op(1, 0, q)
-            if a[1][0] != 0:
-                swap_rows()
-            continue
-        q = a[0][1] // a[0][0]
-        col_op(1, 0, q)
-        if a[0][1] != 0:
-            swap_cols()
-
-    # enforce the divisibility d1 | d2
-    if a[0][0] != 0 and a[1][1] % a[0][0] != 0:
-        col_op(0, 1, -1)          # col_0 += col_1, reintroduces a[1][0]
-        while a[1][0] != 0:
-            q = a[1][0] // a[0][0]
-            row_op(1, 0, q)
-            if a[1][0] != 0:
-                swap_rows()
-        q = a[0][1] // a[0][0]
-        col_op(1, 0, q)
-    if a[0][0] == 0 and a[1][1] != 0:
-        swap_rows()
-        swap_cols()
-
-    # sign normalization: diagonal >= 0
-    for i in range(2):
-        if a[i][i] < 0:
-            for k in range(2):
-                a[k][i] = -a[k][i]
-                v[k][i] = -v[k][i]
-
-    return SnfResult(a[0][0], a[1][1],
-                     IntMat2.from_rows(u), IntMat2.from_rows(v))
+                swap_rows(t, i)
+                swap_cols(t, j)
+        if a[t][t] < 0:
+            for w in (a, v):
+                for row in w:
+                    row[t] = -row[t]
+    return (tuple(a[t][t] for t in range(min(m, n))),
+            tuple(map(tuple, u)), tuple(map(tuple, v)))
 
 
 def diagonalize_sl2(a: IntMat2) -> tuple[tuple[QuadRat, QuadRat], Mat2]:
@@ -325,51 +340,3 @@ def diagonalize_sl2(a: IntMat2) -> tuple[tuple[QuadRat, QuadRat], Mat2]:
     basis = ((basis[0][0], basis[0][1] / det),
              (basis[1][0], basis[1][1] / det))
     return (lam, lam_inv), basis
-
-
-def elementary_divisors_stack(rows: list[list[int]], ncols: int) -> list[int]:
-    """Elementary divisors d1 | d2 | ... of an integer matrix given by rows.
-
-    Used for cokernels of stacked relation matrices (k x ncols, ncols <= 3).
-    Computed from gcds of minors; zero entries signal free factors.
-    """
-    if ncols == 0:
-        return []
-    import itertools
-
-    def minors(order):
-        vals = []
-        idx_rows = range(len(rows))
-        for rs in itertools.combinations(idx_rows, order):
-            for cs in itertools.combinations(range(ncols), order):
-                vals.append(_det_minor(rows, rs, cs))
-        g = 0
-        for val in vals:
-            g = gcd(g, val)
-        return g
-
-    divisors = []
-    prev = 1
-    for order in range(1, ncols + 1):
-        g = minors(order) if len(rows) >= order else 0
-        if g == 0:
-            divisors.append(0)
-            prev = 0
-        else:
-            divisors.append(g // prev if prev else 0)
-            prev = g
-    return divisors
-
-
-def _det_minor(rows, rs, cs):
-    sub = [[rows[r][c] for c in cs] for r in rs]
-    n = len(sub)
-    if n == 1:
-        return sub[0][0]
-    if n == 2:
-        return sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-    if n == 3:
-        return (sub[0][0] * (sub[1][1] * sub[2][2] - sub[1][2] * sub[2][1])
-                - sub[0][1] * (sub[1][0] * sub[2][2] - sub[1][2] * sub[2][0])
-                + sub[0][2] * (sub[1][0] * sub[2][1] - sub[1][1] * sub[2][0]))
-    raise ValueError("minor order > 3 not supported")

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from .algebra import QuadRat, galois_conjugate
 from .descriptors import (
     FACTORS_THROUGH_FINITE,
     POSSIBLE_INFINITE_ACTION,
     IsoDescriptor,
     Verdict,
 )
-from .intmat import matmul, transpose
+
+if TYPE_CHECKING:
+    from .algebra import QuadRat
 
 _FAMILIES = ("SL(n,R)", "SU(p,q)", "SL(n,C)", "SO(p,q)", "SO(n,C)",
              "Sp(2n,R)", "Sp(p,q)", "Sp(2n,C)", "G2", "F4", "E6", "E7",
@@ -319,8 +320,11 @@ def max_isometry_dim(n: int) -> int:
 
 
 # -- restriction of scalars demo ----------------------------------------------
+# Only this demo computes over Q(sqrt(2)), so only its functions import
+# algebra and intmat: the other zimmer actions load neither.
 
 def _twist_form() -> tuple:
+    from .algebra import QuadRat
     root2 = QuadRat(0, 1, 2)
     z = QuadRat(0, 0, 2)
     one = QuadRat(1, 0, 2)
@@ -331,6 +335,8 @@ def _twist_form() -> tuple:
 def galois_twist_pair(g) -> dict:
     """Pair (g, sigma(g)) with form-preservation for the quadratic form
     x^2 + y^2 - sqrt(2) z^2 - sqrt(2) t^2 and its Galois twist."""
+    from .algebra import galois_conjugate
+    from .intmat import matmul, transpose
     mat = tuple(tuple(_as_q2(v) for v in row) for row in g)
     if len(mat) != 4 or any(len(r) != 4 for r in mat):
         raise ValueError("4x4 matrix required")
@@ -346,6 +352,7 @@ def galois_twist_pair(g) -> dict:
 
 
 def _as_q2(v) -> QuadRat:
+    from .algebra import QuadRat
     if isinstance(v, QuadRat):
         if v.b != 0 and v.d != 2:
             raise ValueError("entries must lie in Q(sqrt(2))")
@@ -359,6 +366,7 @@ def galois_twist_example() -> tuple:
     a = 3 + 2 sqrt(2) and c = 2 + 2 sqrt(2) solve a^2 - sqrt(2) c^2 = 1
     (smallest solution found by searching Z[sqrt(2)] coefficients).
     """
+    from .algebra import QuadRat
     a = QuadRat(3, 2, 2)
     c = QuadRat(2, 2, 2)
     root2 = QuadRat(0, 1, 2)

@@ -11,9 +11,14 @@ inputs.
 reduced Fractions (a, b), with its arithmetic as it was; and
 `squarefree_by_trial_division` is the earlier factoring loop.  They are the
 oracles for the integer-numerator `QuadRat` and for Pollard's rho.
+
+`elementary_divisors_stack` takes the gcds of all minors of each order, and
+`rational_rank_by_elimination` is a Gaussian elimination over Q: the
+integer-lattice code that `intmat.snf` replaced, kept as its oracles.
 """
 
 import contextlib
+import itertools
 import math
 import signal
 from fractions import Fraction
@@ -280,3 +285,91 @@ class FractionPairQuadRat:
         if self.a == 0:
             return f"-{bpart}" if self.b < 0 else bpart
         return f"{self.a} {'-' if self.b < 0 else '+'} {bpart}"
+
+
+def elementary_divisors_stack(rows: list[list[int]], ncols: int) -> list[int]:
+    """Elementary divisors d1 | d2 | ... of an integer matrix given by rows.
+
+    For k x ncols matrices with ncols <= 3.  Computed from gcds of minors;
+    zero entries signal free factors.
+    """
+    divisors = []
+    prev = 1
+    for order in range(1, ncols + 1):
+        g = 0
+        for rs in itertools.combinations(range(len(rows)), order):
+            for cs in itertools.combinations(range(ncols), order):
+                g = math.gcd(g, _det_minor(rows, rs, cs))
+        if g == 0:
+            divisors.append(0)
+            prev = 0
+        else:
+            divisors.append(g // prev if prev else 0)
+            prev = g
+    return divisors
+
+
+def _det_minor(rows, rs, cs):
+    sub = [[rows[r][c] for c in cs] for r in rs]
+    n = len(sub)
+    if n == 1:
+        return sub[0][0]
+    if n == 2:
+        return sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
+    if n == 3:
+        return (sub[0][0] * (sub[1][1] * sub[2][2] - sub[1][2] * sub[2][1])
+                - sub[0][1] * (sub[1][0] * sub[2][2] - sub[1][2] * sub[2][0])
+                + sub[0][2] * (sub[1][0] * sub[2][1] - sub[1][1] * sub[2][0]))
+    raise ValueError("minor order > 3 not supported")
+
+
+def rational_rank_by_elimination(rows) -> int:
+    """Rank over Q by Gaussian elimination."""
+    m = [list(map(Fraction, row)) for row in rows]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    rank, prow = 0, 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(prow, len(m)):
+            if m[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        m[prow], m[pivot] = m[pivot], m[prow]
+        pv = m[prow][col]
+        for r in range(len(m)):
+            if r != prow and m[r][col] != 0:
+                factor = m[r][col] / pv
+                m[r] = [m[r][k] - factor * m[prow][k] for k in range(ncols)]
+        prow += 1
+        rank += 1
+        if prow == len(m):
+            break
+    return rank
+
+
+def determinant(rows) -> Fraction:
+    """Determinant of a square matrix by elimination over Q."""
+    m = [list(map(Fraction, row)) for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col] / m[col][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def matmul_rect(a, b) -> tuple:
+    """Product of an m x k and a k x n matrix, as row tuples."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col))
+                       for col in zip(*b)) for row in a)

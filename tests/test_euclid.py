@@ -5,12 +5,15 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geom3.descriptors import canonical_json
 from geom3.euclid import (
     FINITE_VOLUME_COMPACT,
     INFINITE_VOLUME,
     NonSymmorphicError,
+    _rank,
     betti_identity_component,
     coinvariant_rank,
     crystal_group_make,
@@ -21,6 +24,7 @@ from geom3.euclid import (
     spherical_components_lookup,
     translation_rank,
 )
+from support import rational_rank_by_elimination
 
 HALF = Fraction(1, 2)
 
@@ -170,3 +174,28 @@ def test_lookup_round_trip_bit_exact():
     again = canonical_json(json.loads(blob))
     assert blob == again
     assert isinstance(lookup_table_version(), int)
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def rational_rows(draw):
+    """Up to 6 rows of width 1-4; later rows may repeat a scaled earlier
+    one, so that ranks below full show up often."""
+    n = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        if rows and draw(st.booleans()):
+            k = draw(small_fractions)
+            rows.append([k * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(small_fractions | st.just(Fraction(0)),
+                                      min_size=n, max_size=n)))
+    return rows
+
+
+@given(rational_rows())
+@settings(max_examples=300, deadline=None)
+def test_rank_agrees_with_gaussian_elimination(rows):
+    assert _rank(rows) == rational_rank_by_elimination(rows)

@@ -37,6 +37,9 @@ def run_fresh(script: str, *argv: str):
 
 NOT_FOR_HYP = (GEOMETRIES - {"geom3.hyperbolic"}) | {"geom3.zimmer",
                                                      "geom3.selfcheck"}
+# only the Galois-twist demo computes over Q(sqrt 2)
+NOT_FOR_ZIMMER = GEOMETRIES | {"geom3.selfcheck", "geom3.algebra",
+                               "geom3.intmat"}
 
 # command -> (a module it must load, modules it must not load)
 CASES = {
@@ -46,10 +49,10 @@ CASES = {
                                            {"geom3.nil", "geom3.euclid"}),
     "lookup --family all": ("geom3.euclid", {"geom3.nil"}),
     "euclid betti --preset Z3xD4xy": ("geom3.euclid", {"geom3.nil"}),
-    "zimmer maxdim --space-dim 3": ("geom3.zimmer",
-                                    GEOMETRIES | {"geom3.selfcheck"}),
+    "zimmer maxdim --space-dim 3": ("geom3.zimmer", NOT_FOR_ZIMMER),
     "zimmer verdict --geometry s3 --component SO(4) --factors SO(2,2) "
-    "--uniform": ("geom3.zimmer", GEOMETRIES | {"geom3.selfcheck"}),
+    "--uniform": ("geom3.zimmer", NOT_FOR_ZIMMER),
+    "zimmer galois-demo": ("geom3.algebra", GEOMETRIES | {"geom3.selfcheck"}),
     "nil iso --preset HZ": ("geom3.nil", {"geom3.sol", "geom3.euclid",
                                           "geom3.selfcheck"}),
 }

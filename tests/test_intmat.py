@@ -1,11 +1,14 @@
 """Smith normal form and exact SL2 spectral data.
 
-The SNF oracle: for a nonsingular 2x2 integer matrix the invariant factors
-are (gcd of entries, |det| / gcd); cokernel orders are cross-checked by
+The SNF oracles: for a nonsingular 2x2 integer matrix the invariant factors
+are (gcd of entries, |det| / gcd); for any k x n matrix with n <= 3 they are
+quotients of gcds of minors (`support.elementary_divisors_stack`), and sympy,
+when installed, checks wider ones; cokernel orders are cross-checked by
 enumerating lattice points of a fundamental parallelogram.
 """
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -27,6 +30,7 @@ from geom3.intmat import (
     mat2_mul,
     matmul,
     smith_normal_form,
+    snf,
     transpose,
     vec2_cross,
     vec2_dot,
@@ -39,6 +43,12 @@ from geom3.nil import (
     ROT_PI_3,
     _orthogonal_order,
     planar_point_group,
+)
+from support import (
+    deadline,
+    determinant,
+    elementary_divisors_stack,
+    matmul_rect,
 )
 from test_nil import change_basis, planar_lattices, small_unimodular
 
@@ -116,6 +126,73 @@ def test_cokernel_order_against_bruteforce():
         res = smith_normal_form(m)
         assert cokernel_order_bruteforce(m) == res.d1 * res.d2
         done += 1
+
+
+@st.composite
+def int_matrices(draw, max_rows=8, max_cols=3, bound=9):
+    m = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, max_cols))
+    row = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=m, max_size=m))
+
+
+def checked_snf(rows) -> tuple:
+    """snf(rows), after checking u @ rows @ v = diag(d), |det u| = |det v|
+    = 1 and that d is a nonnegative divisibility chain."""
+    d, u, v = snf(rows)
+    m, n = len(rows), len(rows[0])
+    assert len(d) == min(m, n)
+    assert matmul_rect(matmul_rect(u, rows), v) == tuple(
+        tuple(d[i] if i == j else 0 for j in range(n)) for i in range(m))
+    assert abs(determinant(u)) == 1 and abs(determinant(v)) == 1
+    assert all(x >= 0 for x in d)
+    for x, y in zip(d, d[1:]):
+        assert y % x == 0 if x else y == 0
+    return d
+
+
+@given(int_matrices())
+@settings(max_examples=300, deadline=None)
+def test_snf_of_any_matrix_agrees_with_the_minors(rows):
+    d = checked_snf(rows)
+    n = len(rows[0])
+    assert list(d) + [0] * (n - len(d)) == elementary_divisors_stack(rows, n)
+
+
+def test_snf_agrees_with_sympy():
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import ZZ, Matrix
+
+    rng = random.Random(2024)
+    for _ in range(200):
+        m, n = rng.randint(1, 6), rng.randint(1, 5)
+        rows = [[rng.randint(-20, 20) * rng.randint(0, 1) for _ in range(n)]
+                for _ in range(m)]
+        d = checked_snf(rows)
+        ref = normalforms.smith_normal_form(Matrix(rows), domain=ZZ)
+        assert d == tuple(abs(int(ref[i, i])) for i in range(min(m, n)))
+
+
+def test_snf_of_empty_and_wide_matrices():
+    assert snf([]) == ((), (), ())
+    assert snf([[]]) == ((), ((1,),), ())
+    assert checked_snf([[0, 0, 5], [0, 0, 0]]) == (5, 0)
+    assert checked_snf([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == (2, 6, 12)
+
+
+def test_snf_of_the_signed_permutation_stack():
+    """(1 - sigma) over the 48 signed permutations of Z^3: a 144 x 3 stack
+    whose minors the earlier gcd-of-minors code took seconds to visit."""
+    rows = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1, -1), repeat=3):
+            rows += [[int(i == j) - signs[i] * (perm[i] == j)
+                      for j in range(3)] for i in range(3)]
+    with deadline(0.5):
+        d, u, v = snf(rows)
+    assert len(rows) == 144 and d == (1, 1, 2)
+    assert matmul_rect(matmul_rect(u, rows), v)[:3] == (
+        (1, 0, 0), (0, 1, 0), (0, 0, 2))
 
 
 def test_int_mat_pow():

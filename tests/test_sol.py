@@ -287,3 +287,39 @@ def test_centralizer_of_large_powers_is_immediate():
         with deadline(10):
             res = sol_centralizer(sol_lattice_make(A, n))
         assert res == small
+
+
+# (abelian_invariants, action_on_invariants) of sol_quotient_isometry,
+# recorded before snf replaced the 2x2 elimination: the action is read off
+# the transform U, so these pin the kernel's pivot order.
+COKERNEL_ACTIONS = {
+    ((2, 1, 1, 1), 1): ([], []),
+    ((2, 1, 1, 1), 2): ([5], [[0, 4]]),
+    ((2, 1, 1, 1), 3): ([4, 4], [[3, 1], [3, 0]]),
+    ((2, 1, 1, 1), 4): ([3, 15], [[1, 1], [10, 14]]),
+    ((2, 1, 1, 1), 5): ([11, 11], [[3, 1], [10, 0]]),
+    ((2, 1, 1, 1), 6): ([8, 40], [[4, 1], [35, 39]]),
+    ((2, 1, 1, 1), 7): ([29, 29], [[3, 1], [28, 0]]),
+    ((2, 1, 1, 1), 8): ([21, 105], [[4, 1], [100, 104]]),
+    ((2, 1, 1, 1), 9): ([76, 76], [[3, 1], [75, 0]]),
+    ((2, 1, 1, 1), 10): ([55, 275], [[4, 1], [270, 274]]),
+    ((2, 1, 1, 1), 11): ([199, 199], [[3, 1], [198, 0]]),
+    ((2, 1, 1, 1), 12): ([144, 720], [[4, 1], [715, 719]]),
+    ((3, 1, 2, 1), 1): ([2], [[0, 1]]),
+    ((3, 1, 2, 1), 2): ([2, 6], [[1, 1], [0, 5]]),
+    ((3, 1, 2, 1), 3): ([5, 10], [[3, 1], [2, 1]]),
+    ((5, 2, 2, 1), 1): ([2, 2], [[1, 0], [0, 1]]),
+    ((5, 2, 2, 1), 2): ([4, 8], [[3, 2], [4, 7]]),
+    ((5, 2, 2, 1), 3): ([14, 14], [[5, 2], [2, 1]]),
+    ((1, 2, 3, 7), 1): ([6], [[0, 1]]),
+    ((1, 2, 3, 7), 2): ([2, 30], [[1, 1], [0, 19]]),
+    ((1, 2, 3, 7), 3): ([9, 54], [[1, 7], [24, 43]]),
+}
+
+
+@pytest.mark.parametrize("matrix, n", COKERNEL_ACTIONS)
+def test_cokernel_action_is_pinned(matrix, n):
+    finite = sol_quotient_isometry(
+        sol_lattice_make(IntMat2(*matrix), n)).finite_part
+    assert (finite["abelian_invariants"], finite["action_on_invariants"]) \
+        == COKERNEL_ACTIONS[matrix, n]
