@@ -58,13 +58,6 @@ def _int_matrix(text: str) -> IntMat2:
     return IntMat2(*vals)
 
 
-def _float_matrix(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise SchemaError("matrix must be 4 comma-separated numbers")
-    return tuple(_float(p) for p in parts)
-
-
 def _complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:

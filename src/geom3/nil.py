@@ -314,12 +314,6 @@ class NilNormalizer:
         return [HeisPoint(self.planar_u[0], self.planar_u[1], Fraction(0)),
                 HeisPoint(self.planar_v[0], self.planar_v[1], Fraction(0))]
 
-    def contains_translation(self, p: HeisPoint) -> bool:
-        basis = ((self.planar_u[0], self.planar_v[0]),
-                 (self.planar_u[1], self.planar_v[1]))
-        k, l = mat2_apply(mat2_inv(basis), p.planar())
-        return _is_integral(k) and _is_integral(l)
-
     def to_json_dict(self) -> dict:
         return {
             "planar_u": [format_scalar(self.planar_u[0]),
@@ -686,91 +680,53 @@ class DichotomyResult:
         return out
 
 
-def _solve_affine(mat: Mat2, rhs: Vec2):
-    """Solution set of mat p = rhs as (point, tuple_of_directions) or None."""
-    det = mat2_det(mat)
-    if det != 0:
-        return (mat2_apply(mat2_inv(mat), rhs), ())
-    rows = [(mat[0][0], mat[0][1], rhs[0]), (mat[1][0], mat[1][1], rhs[1])]
-    nonzero = [r for r in rows if r[0] != 0 or r[1] != 0]
-    if not nonzero:
-        if rhs[0] == 0 and rhs[1] == 0:
-            return ((Fraction(0), Fraction(0)), ((1, 0), (0, 1)))
-        return None
-    a, b, c = nonzero[0]
-    for a2, b2, c2 in nonzero[1:]:
-        # proportional rows must carry proportional right-hand sides
-        if a * c2 != a2 * c or b * c2 != b2 * c:
-            return None
-    point = (c / a, Fraction(0)) if a != 0 else (Fraction(0), c / b)
-    return (point, ((-b, a),))
-
-
-def _intersect_affine(s1, s2):
-    if s1 is None or s2 is None:
-        return None
-    (p1, d1), (p2, d2) = s1, s2
-    if len(d1) == 2:
-        return s2
-    if len(d2) == 2:
-        return s1
-    if len(d1) == 0 and len(d2) == 0:
-        return s1 if (p1[0] == p2[0] and p1[1] == p2[1]) else None
-    if len(d1) == 0:
-        s1, s2 = s2, s1
-        (p1, d1), (p2, d2) = s1, s2
-    # s1 is a line p1 + t d; s2 is a point or a line
-    d = d1[0]
-    if len(d2) == 0:
-        diff = vec2_sub(p2, p1)
-        return s2 if vec2_cross(d, diff) == 0 else None
-    e = d2[0]
-    if vec2_cross(d, e) == 0:
-        diff = vec2_sub(p2, p1)
-        return s1 if vec2_cross(d, diff) == 0 else None
-    # transversal lines: solve p1 + t d = p2 + s e
-    mat = ((d[0], -e[0]), (d[1], -e[1]))
-    t, _ = mat2_apply(mat2_inv(mat), vec2_sub(p2, p1))
-    return ((p1[0] + t * d[0], p1[1] + t * d[1]), ())
-
-
-def _parallel(u: Vec2, v: Vec2) -> bool:
-    return vec2_cross(u, v) == 0
-
-
 def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
                              word_bound: int = 6) -> DichotomyResult:
     """Classify the projected action on the plane of a discrete group.
 
-    Decided exactly, in three steps.  A common fixed point (or pointwise
-    fixed line) and then an invariant line are found by exact linear
-    algebra; either one forces infinite volume.  Failing both, the
-    projected group P is infinite, and discreteness is read off its
-    translation subgroup T by Reidemeister-Schreier (Magnus, Karrass and
-    Solitar, Combinatorial Group Theory, section 2.3):
+    Decided exactly by one Reidemeister-Schreier pass (Magnus, Karrass and
+    Solitar, Combinatorial Group Theory, section 2.3) over the projected
+    group P:
 
     - the linear parts R_i generate a finite group F of at most 24
       elements; a breadth-first search over F that carries the planar
-      affine part gives one element s_f of P over each f in F;
-    - T has index |F| in P and is generated by the translation parts of
-      s_f g_i s_{f R_i}^-1;
-    - the Z-rank r of T is the dimension of its Q-span (each coordinate
-      a + b sqrt(d) read as (a, b), so T lies in Q^4), and s is the
-      dimension of its real span.
+      affine part gives one element s_f = (f, w_f) of P over each f in F;
+    - the translation subgroup T has index |F| in P and is generated by
+      the translation parts of s_f g_i s_{f R_i}^-1.
 
-    With s = 2 and r = 2, T is a lattice and P is crystallographic:
-    DiscreteProjection.  The witness (0, 0, c) is the commutator of lifts
-    of a positively oriented basis of T, so c > 0 is the covolume of T:
-    every area cross(t_i, t_j) lies in c Z, and together they generate it.
+    The verdict follows from |F| and the span of T:
 
-    With s = 2 and r >= 3, T is not discrete, and neither is the input
-    group: its translations would project onto a subgroup of rank r of
-    the plane, more than a discrete subgroup of the Heisenberg group
-    (Hirsch length at most 3) can carry.  This is NonDiscreteInput; it
-    covers every set whose linear parts hold a rotation of order 12,
-    which no planar lattice admits.  s <= 1 would mean a fixed point or an
-    invariant line, which the first two steps catch, so reaching it is an
-    internal error.
+    =================  ====================================================
+    T                  verdict
+    =================  ====================================================
+    0, F = {I, sigma}  AbelianFixesLine: sigma is a reflection and fixes
+                       its axis pointwise; direction (-b, a) for the
+                       first nonzero row (a, b) of I - sigma
+    0, otherwise       AbelianFixesPoint: P = {s_f} is finite and fixes
+                       the centroid of the orbit sum(w_f) / |F| of the
+                       origin, unique unless F = {I}, which gives (0, 0)
+    spans one line     AbelianFixesLine: F preserves the line of T, and P
+                       an affine line parallel to it (see
+                       `_invariant_direction` for the vector reported)
+    spans the plane,   DiscreteProjection: T is a lattice and P is
+    Z-rank 2           crystallographic
+    spans the plane,   NonDiscreteInput
+    Z-rank >= 3
+    =================  ====================================================
+
+    The Z-rank of T is the dimension of its Q-span (each coordinate
+    a + b sqrt(d) read as (a, b), so T lies in Q^4).  For a lattice, the
+    witness (0, 0, c) is the commutator of lifts of a positively oriented
+    basis of T, so c > 0 is the covolume of T: every area cross(t_i, t_j)
+    lies in c Z, and together they generate it.  With Z-rank 3 or more,
+    the input group is not discrete: its translations would project onto
+    a subgroup of that rank of the plane, more than a discrete subgroup of
+    the Heisenberg group (Hirsch length at most 3) can carry.  This covers
+    every set whose linear parts hold a rotation of order 12, which no
+    planar lattice admits.
+
+    Linear parts that generate an infinite group raise ValueError, also
+    when every generator fixes one point.
 
     Out of scope: discreteness along the center.  For example (0, 0,
     sqrt(3)) adjoined to (1, 0, 0) and (0, 1, 0) gives a group that is not
@@ -783,28 +739,27 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
     if word_bound < 0:
         raise ValueError("word_bound must be >= 0")
     planar = [g.planar_part() for g in gens]
+    transversal, translations = _schreier_translations(planar)
 
-    # common fixed point (or pointwise fixed line)
-    common = ((Fraction(0), Fraction(0)), ((1, 0), (0, 1)))
-    for rot, w in planar:
-        mat = ((1 - rot[0][0], -rot[0][1]), (-rot[1][0], 1 - rot[1][1]))
-        common = _intersect_affine(common, _solve_affine(mat, w))
-        if common is None:
-            break
-    if common is not None:
-        point, dirs = common
-        if len(dirs) == 0:
-            return DichotomyResult(FIXES_POINT, point=point)
-        if len(dirs) == 1:
-            return DichotomyResult(FIXES_LINE, direction=dirs[0])
-        return DichotomyResult(FIXES_POINT, point=(Fraction(0), Fraction(0)))
+    if not translations:
+        if len(transversal) == 2:
+            sigma = list(transversal)[1]
+            if mat2_det(sigma) == -1:
+                rows = ((1 - sigma[0][0], -sigma[0][1]),
+                        (-sigma[1][0], 1 - sigma[1][1]))
+                a, b = next(r for r in rows if r[0] or r[1])
+                return DichotomyResult(FIXES_LINE, direction=(-b, a))
+        inv = Fraction(1, len(transversal))
+        point = (sum(w[0] for w in transversal.values()) * inv,
+                 sum(w[1] for w in transversal.values()) * inv)
+        return DichotomyResult(FIXES_POINT, point=point)
 
-    # invariant line
-    line = _invariant_line(planar)
-    if line is not None:
-        return DichotomyResult(FIXES_LINE, direction=line)
+    t0 = translations[0]
+    if all(vec2_cross(t0, t) == 0 for t in translations):
+        return DichotomyResult(FIXES_LINE,
+                               direction=_invariant_direction(planar, t0))
 
-    covolume = _translation_covolume(_schreier_translations(planar))
+    covolume = _translation_covolume(translations)
     if covolume is None:
         return DichotomyResult(NON_DISCRETE_INPUT)
     return DichotomyResult(DISCRETE_PROJECTION,
@@ -812,8 +767,9 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
                                              covolume))
 
 
-def _schreier_translations(planar) -> list[Vec2]:
-    """Nonzero generators of the translation subgroup of the planar group.
+def _schreier_translations(planar) -> tuple[dict, list[Vec2]]:
+    """Transversal {f: w_f} and the nonzero generators of the translation
+    subgroup of the planar group.
 
     Breadth-first over the linear parts: the first element met over each
     linear part f is its transversal element s_f = (f, w_f), and every
@@ -840,12 +796,13 @@ def _schreier_translations(planar) -> list[Vec2]:
                 t = vec2_sub(image, w_next)
                 if t[0] or t[1]:
                     out.append(t)
-    return out
+    return transversal, out
 
 
 def _translation_covolume(translations: list[Vec2]) -> Optional[Scalar]:
     """Covolume of the group the translations generate if it is a lattice,
-    None if its Q-span has dimension 3 or more.
+    None if its Q-span has dimension 3 or more.  The translations must
+    span the plane.
 
     Each t_i is written as alpha_i t_a + beta_i t_b in a basis t_a, t_b of
     the plane taken from the list.  The Q-span has dimension 2 exactly
@@ -854,11 +811,8 @@ def _translation_covolume(translations: list[Vec2]) -> Optional[Scalar]:
     the gcd of these areas.
     """
     ts = list(dict.fromkeys(translations))
-    t_a = ts[0] if ts else None
-    t_b = next((t for t in ts if vec2_cross(t_a, t) != 0), None)
-    if t_b is None:
-        raise RuntimeError("translation subgroup spans at most a line after "
-                           "the fixed-point and invariant-line checks")
+    t_a = ts[0]
+    t_b = next(t for t in ts if vec2_cross(t_a, t) != 0)
     area = vec2_cross(t_a, t_b)
     coords = []
     for t in ts:
@@ -874,60 +828,31 @@ def _translation_covolume(translations: list[Vec2]) -> Optional[Scalar]:
     return abs(area) * Fraction(minors, den * den)
 
 
-def _rotation_kind(rot: Mat2) -> str:
-    if mat2_eq(rot, MAT2_ID):
-        return "id"
-    if mat2_eq(rot, ROT_PI):
-        return "minus"
-    return "rotation" if mat2_det(rot) == 1 else "reflection"
+def _invariant_direction(planar, t0: Vec2) -> Vec2:
+    """Direction of a line preserved by a planar group whose translations
+    are nonzero and parallel to t0.
 
-
-def _invariant_line(planar) -> Optional[Vec2]:
-    candidates: Optional[list[Vec2]] = None   # None means unconstrained
+    F then lies in {I, -I, sigma, -sigma} for a reflection sigma whose
+    axis is parallel or perpendicular to t0.  The vector reported is the
+    first one met: the translation part of a generator with linear part
+    I, or the axis of a reflection generator or its perpendicular,
+    whichever is parallel to t0.  With neither, the generators have linear
+    parts I (and no translation) or -I, and w_i - w_j for two -I
+    generators lies in T: the first nonzero one is reported.
+    """
+    minus_ws = []
     for rot, w in planar:
-        kind = _rotation_kind(rot)
-        if kind == "rotation":
-            return None                       # no eigendirection at all
-        if kind == "id":
-            local = None if (w[0] == 0 and w[1] == 0) else [w]
-        elif kind == "minus":
-            local = None
-        else:  # reflection: axis and its perpendicular
+        if mat2_eq(rot, MAT2_ID):
+            if w[0] or w[1]:
+                return w
+        elif mat2_det(rot) == -1:
             axis = _reflection_axis(rot)
-            local = [axis, (-axis[1], axis[0])]
-        if local is None:
-            continue
-        if candidates is None:
-            candidates = local
+            return axis if vec2_cross(axis, t0) == 0 else (-axis[1], axis[0])
         else:
-            candidates = [c for c in candidates
-                          if any(_parallel(c, d) for d in local)]
-        if not candidates:
-            return None
-    if candidates is None:
-        # only +-identity rotation parts: directions from induced translations
-        minus_ws = [w for rot, w in planar if _rotation_kind(rot) == "minus"]
-        diffs = [vec2_sub(a, b) for i, a in enumerate(minus_ws)
-                 for b in minus_ws[i + 1:]]
-        candidates = [d for d in diffs if d[0] != 0 or d[1] != 0]
-        if not candidates:
-            return None
-    for d in candidates:
-        # position constraints: (rot - I) p + w parallel to d for all
-        solset = ((Fraction(0), Fraction(0)), ((1, 0), (0, 1)))
-        for rot, w in planar:
-            m = ((rot[0][0] - 1, rot[0][1]), (rot[1][0], rot[1][1] - 1))
-            # cross(d, m p + w) = 0: linear equation a.p = rhs
-            a = (d[0] * m[1][0] - d[1] * m[0][0],
-                 d[0] * m[1][1] - d[1] * m[0][1])
-            rhs = -(d[0] * w[1] - d[1] * w[0])
-            solset = _intersect_affine(solset, _solve_affine(
-                ((a[0], a[1]), (0, 0)), (rhs, Fraction(0))))
-            if solset is None:
-                break
-        if solset is not None:
-            return d
-    return None
+            minus_ws.append(w)
+    diffs = (vec2_sub(a, b) for i, a in enumerate(minus_ws)
+             for b in minus_ws[i + 1:])
+    return next(d for d in diffs if d[0] or d[1])
 
 
 def _reflection_axis(rot: Mat2) -> Vec2:

@@ -81,6 +81,16 @@ def test_nil_dichotomy_cli():
     code, payload = run_json(["nil", "dichotomy", "--gens", "rot4@0,0,1/2",
                               "--json"])
     assert payload["kind"] == "AbelianFixesPoint"
+    # a glide along the x-axis and a quarter turn about a point on it
+    # generate a wallpaper group (translations of covolume 2; words up to
+    # length 7 agree); taking the glide for a reflection that fixes its
+    # axis gave AbelianFixesPoint (0, 0) and InfiniteVolume
+    code, payload = run_json(["nil", "volume", "--gens", "reflect@1,0,0;rot4",
+                              "--json"])
+    assert code == 0
+    assert payload == {"dichotomy": {"kind": "DiscreteProjection",
+                                     "central_witness": ["0", "0", "2"]},
+                       "volume": "FiniteVolumePossible"}
 
 
 def test_nil_dichotomy_non_discrete_input_cli():

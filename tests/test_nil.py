@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from geom3.algebra import QuadRat
 from geom3.cli import _nil_generators
+from geom3.descriptors import canonical_json
 from geom3.intmat import (
     MAT2_ID,
     mat2_apply,
@@ -33,7 +34,7 @@ from geom3.nil import (
     NON_DISCRETE_INPUT,
     HeisIsometry,
     HeisPoint,
-    _translation_covolume,
+    _schreier_translations,
     heis_commutator,
     heis_conjugate,
     heis_inv,
@@ -56,6 +57,7 @@ from support import (
     SIGNED_PERMUTATIONS,
     coset_count_by_loop,
     deadline,
+    dichotomy_by_fixed_sets,
     point_group_by_box,
 )
 
@@ -561,6 +563,11 @@ def test_infinite_order_product_raises_every_time():
     for _ in range(2):
         with pytest.raises(ValueError, match="finite order dividing 12"):
             nil_projection_dichotomy(gens)
+    # through the origin, both reflections fix (0, 0); the verdict still
+    # needs the group of linear parts, which is infinite, so it raises too
+    for _ in range(2):
+        with pytest.raises(ValueError, match="finite order dividing 12"):
+            nil_projection_dichotomy([a, b])
 
 
 def test_non_orthogonal_rotation_rejected_every_time():
@@ -776,18 +783,42 @@ def test_dichotomy_decides_the_bounded_search_failures():
                 assert nil_volume_verdict(res) == FINITE_VOLUME_POSSIBLE
 
 
-def test_translation_spanning_at_most_a_line_is_an_internal_error():
-    # the fixed-point and line checks catch every such group first
-    for ts in ([], [(Fraction(1), Fraction(0)), (Fraction(2), Fraction(0))]):
-        with pytest.raises(RuntimeError, match="at most a line"):
-            _translation_covolume(ts)
+def test_translation_spanning_at_most_a_line_fixes_a_point_or_a_line():
+    # T = 0 gives the centroid of the orbit of the origin, or the axis of
+    # the one reflection; T in one line gives a direction parallel to it
+    reflect = HeisIsometry.point_symmetry(REFLECT)
+    glide = HeisIsometry(REFLECT, HeisPoint.of(1, 0, 0))
+    mirror = HeisIsometry(REFLECT, HeisPoint.of(0, 1, 0))   # about y = 1/2
+    cases = [
+        ([HeisIsometry.point_symmetry(ROT_PI_2)], FIXES_POINT, (0, 0)),
+        ([_about(ROT_PI_3, (1, 2), 0), _shift(0, 0, 1)], FIXES_POINT,
+         (1, 2)),
+        ([_shift(0, 0, 1), _shift(0, 0, 2)], FIXES_POINT, (0, 0)),
+        ([_shift(0, 0, 1), reflect], FIXES_LINE, (-2, 0)),
+        ([_shift(1, 0), _shift(2, 0)], FIXES_LINE, (1, 0)),
+        # a glide fixes no point: its square is the translation by (2, 0)
+        ([glide], FIXES_LINE, (2, 0)),                 # the axis
+        ([mirror, _shift(0, 3)], FIXES_LINE, (0, 2)),  # its perpendicular
+        ([glide, HeisIsometry(REFLECT, HeisPoint.of(2, 0, 0))], FIXES_LINE,
+         (2, 0)),
+        ([glide, HeisIsometry.point_symmetry(ROT_PI)], FIXES_LINE, (2, 0)),
+        ([_about(ROT_PI, (0, 0), 0), _about(ROT_PI, (0, HALF), 1)],
+         FIXES_LINE, (0, -1)),
+    ]
+    for gens, kind, vec in cases:
+        _, ts = _schreier_translations([g.planar_part() for g in gens])
+        assert all(t[0] * ts[0][1] == t[1] * ts[0][0] for t in ts)
+        res = nil_projection_dichotomy(gens)
+        assert res.kind == kind
+        assert (res.point if kind == FIXES_POINT else res.direction) == vec
+        assert res == dichotomy_by_fixed_sets(gens)
 
 
 def test_dichotomy_is_fast_on_every_golden_input():
     # the golden Nil generator sets, ten times each: under 5 ms a call
     gens_texts = ["rot6;rot4@1,0,0", "rot6;1,0,0", "rot4;1,0,0",
                   "1,0,0;0,1,0", "rot6;1,0,0;0,1,0", "rot4;1,0,0;1/3,0,0",
-                  "1,0,1;1/3,0,1;-1"]
+                  "1,0,1;1/3,0,1;-1", "rot6;rot6@0,0,1"]
     with deadline(0.35):
         for text in gens_texts:
             for _ in range(10):
@@ -878,8 +909,6 @@ def _verdict(gens):
 @settings(max_examples=150, deadline=None)
 @given(generator_sets, st.data())
 def test_verdict_is_invariant_under_nielsen_moves(gens, data):
-    # also: no generated input reaches the internal error for T spanning at
-    # most a line, which _verdict would raise
     before = _verdict(gens)
     if len(gens) > 1:
         i, j = data.draw(st.permutations(range(len(gens))))[:2]
@@ -903,3 +932,94 @@ def test_verdict_is_invariant_under_conjugation(gens, h):
     kind, witness, _ = _verdict(gens)
     conj = [h.compose(g).compose(h.inverse()) for g in gens]
     assert _verdict(conj)[:2] == (kind, witness)
+
+
+# -- the Schreier pass against the fixed-set solvers in support.py ------------------
+
+# a small pool, so that centres and translations repeat or vanish
+FEW = st.sampled_from((0, 1, -HALF))
+
+
+@st.composite
+def sign_sets(draw):
+    """Linear parts I and -I only, translations often repeated or zero."""
+    coord = st.one_of(FEW, planar_scalars())
+    return [HeisIsometry(draw(st.sampled_from((MAT2_ID, ROT_PI))),
+                         HeisPoint.of(draw(coord), draw(coord), draw(small)))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+@st.composite
+def reflection_sets(draw):
+    """One reflection sigma: reflections in lines parallel to its axis,
+    glides along them, half turns, and translations along or across."""
+    sigma = draw(st.sampled_from(D12[12:]))
+    # nonzero columns of I + sigma lie along the axis, of I - sigma across
+    plus = ((1 + sigma[0][0], sigma[0][1]), (sigma[1][0], 1 + sigma[1][1]))
+    minus = ((1 - sigma[0][0], -sigma[0][1]), (-sigma[1][0], 1 - sigma[1][1]))
+    along = next(c for c in zip(*plus) if c[0] or c[1])
+    across = next(c for c in zip(*minus) if c[0] or c[1])
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("mirror", "glide", "half", "along",
+                                     "across")))
+        q = draw(st.one_of(FEW, small))
+        c = (draw(FEW), draw(FEW))
+        z = draw(small)
+        if kind in ("along", "across"):
+            t = along if kind == "along" else across
+            gens.append(_shift(q * t[0], q * t[1], z))
+        elif kind == "half":
+            gens.append(_about(ROT_PI, c, z))
+        else:
+            g = _about(sigma, c, z)
+            if kind == "glide":
+                g = _shift(q * along[0], q * along[1]).compose(g)
+            gens.append(g)
+    return gens
+
+
+@st.composite
+def mirror_sets(draw):
+    """F = {I, sigma} and T = 0: one reflection in a line, central shifts."""
+    sigma = draw(st.sampled_from(D12[12:]))
+    c = (draw(small), draw(small))
+    gens = [_about(sigma, c, draw(small))
+            for _ in range(draw(st.integers(1, 3)))]
+    gens += [_shift(0, 0, draw(small)) for _ in range(draw(st.integers(0, 2)))]
+    return draw(st.permutations(gens))
+
+
+@st.composite
+def translation_sets(draw):
+    """Linear part I only."""
+    coord = st.one_of(FEW, planar_scalars())
+    return [_shift(draw(coord), draw(coord), draw(small))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+FAMILIES = {
+    "generator_sets": generator_sets,
+    "sign_sets": sign_sets(),
+    "reflection_sets": reflection_sets(),
+    "mirror_sets": mirror_sets(),
+    "translation_sets": translation_sets(),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_dichotomy_matches_the_fixed_set_solvers(family, data):
+    gens = data.draw(FAMILIES[family])
+    # some rotation parts as nested lists, as a library caller may pass them
+    listed = data.draw(st.lists(st.booleans(), min_size=len(gens),
+                                max_size=len(gens)))
+    gens = [HeisIsometry([list(row) for row in g.rot], g.trans) if flag
+            else g for g, flag in zip(gens, listed)]
+    res = nil_projection_dichotomy(gens)
+    expected = dichotomy_by_fixed_sets(gens)
+    assert (canonical_json(res.to_json_dict())
+            == canonical_json(expected.to_json_dict()))
+    if family == "mirror_sets":
+        assert res.kind == FIXES_LINE
