@@ -143,7 +143,8 @@ class QuadRat:
     instances are immutable.
     """
 
-    __slots__ = ("p", "q", "r", "d")
+    # _hash is set on the first hash() call; p, q, r, d by the constructors
+    __slots__ = ("p", "q", "r", "d", "_hash")
 
     def __init__(self, a, b, d: int):
         a, b = frac(a), frac(b)
@@ -346,6 +347,14 @@ class QuadRat:
         return not self < other
 
     def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:        # first call: compute and keep it
+            h = self._numeric_hash()
+            _set_hash(self, h)
+            return h
+
+    def _numeric_hash(self) -> int:
         # hash(a) when b == 0 and hash((a, b, d)) otherwise, for the
         # Fractions a and b, by the numeric hash rule that Fraction.__hash__
         # follows: +-(|n| * r**-1 mod P), with -1 mapped to -2.  Its value
@@ -388,8 +397,8 @@ class QuadRat:
         return format_scalar(self)
 
 
-_set_p, _set_q, _set_r, _set_d = (QuadRat.__dict__[name].__set__
-                                  for name in QuadRat.__slots__)
+_set_p, _set_q, _set_r, _set_d, _set_hash = (
+    QuadRat.__dict__[name].__set__ for name in QuadRat.__slots__)
 _new = object.__new__
 
 

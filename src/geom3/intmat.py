@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, gcd
 
 from .algebra import QuadRat, Scalar
 
@@ -309,6 +309,38 @@ def snf(rows) -> tuple[tuple[int, ...], tuple, tuple]:
                     row[t] = -row[t]
     return (tuple(a[t][t] for t in range(min(m, n))),
             tuple(map(tuple, u)), tuple(map(tuple, v)))
+
+
+def congruence_solutions(rows, rhs, n: int) -> list[tuple[int, int]]:
+    """Every k in (Z/n)^2 with rows @ k = rhs (mod n), in ascending order.
+
+    rows is an m x 2 integer matrix and rhs has m entries.  With
+    u @ rows @ v = diag(d) from `snf`, the system becomes d_i j_i = (u rhs)_i
+    (mod n) in j = v^-1 k, with 0 = (u rhs)_i (mod n) for the rows past
+    the diagonal.  The i-th equation has gcd(d_i, n) solutions or none, so
+    there are prod gcd(d_i, n) solutions or none at all.  With no rows
+    every k solves.
+    """
+    if not rows:
+        return [(k, l) for k in range(n) for l in range(n)]
+    d, u, v = snf(rows)
+    c = [sum(x * y for x, y in zip(row, rhs)) for row in u]
+    if any(ci % n for ci in c[2:]):
+        return []
+    if len(d) == 1:                     # a single row: j_2 is free
+        d = (d[0], 0)
+        c.append(0)
+    coords = []
+    for di, ci in zip(d, c):
+        g = gcd(di, n)
+        if ci % g:
+            return []
+        step = n // g
+        j0 = ci // g * pow(di // g, -1, step) % step
+        coords.append(range(j0, n, step))
+    return sorted(((v[0][0] * j1 + v[0][1] * j2) % n,
+                   (v[1][0] * j1 + v[1][1] * j2) % n)
+                  for j1 in coords[0] for j2 in coords[1])
 
 
 def diagonalize_sl2(a: IntMat2) -> tuple[tuple[QuadRat, QuadRat], Mat2]:

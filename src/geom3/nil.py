@@ -30,6 +30,7 @@ from .intmat import (
     Mat2,
     SearchCapError,
     Vec2,
+    congruence_solutions,
     gauss_reduce,
     mat2_apply,
     mat2_det,
@@ -238,10 +239,20 @@ class NilLattice:
             lam = Fraction(lam)
         return lam / self.n
 
+    @property
+    def basis(self) -> Mat2:
+        """B = (u v), the planar basis as columns."""
+        return ((self.u[0], self.v[0]), (self.u[1], self.v[1]))
+
+    @functools.cached_property
+    def basis_inv(self) -> Mat2:
+        """B^-1, computed once per lattice (not a field: eq, hash and repr
+        ignore it)."""
+        return mat2_inv(self.basis)
+
     def planar_coords(self, w: Vec2) -> Optional[tuple[Scalar, Scalar]]:
         """Coordinates (k, l) with k u + l v = w, or None if non-integral."""
-        basis = ((self.u[0], self.v[0]), (self.u[1], self.v[1]))
-        k, l = mat2_apply(mat2_inv(basis), w)
+        k, l = mat2_apply(self.basis_inv, w)
         if _is_integral(k) and _is_integral(l):
             return (_to_int(k), _to_int(l))
         return None
@@ -493,52 +504,130 @@ def _coset_constraints(lat: NilLattice, tau: Vec2,
     return z_constraints
 
 
-def _lift_group_closes(lat: NilLattice, lifts: dict) -> bool:
-    """Products of lifts must land back in lattice * lift."""
-    group = {MAT2_ID: HEIS_ISO_ID, **lifts}
+def _point_group_generators(mats: Sequence[Mat2]) -> list[Mat2]:
+    """Generators of a finite group F of orthogonal matrices: its rotation
+    of largest order, unless that is I, and its first reflection, if any.
+
+    Every finite subgroup of O(2) is cyclic or dihedral, so these generate
+    F; for F = {I} the list is empty.
+    """
+    rot = max((m for m in mats if mat2_det(m) == 1), key=_orthogonal_order)
+    gens = [rot] if _orthogonal_order(rot) > 1 else []
+    return gens + [m for m in mats if mat2_det(m) == -1][:1]
+
+
+def _identity_minus_lattice_matrix(lat: NilLattice, rot: Mat2) -> Mat2:
+    """I - M for M = B^-1 rot B, rot in the coordinates of the basis
+    B = (u v): an integer matrix when rot preserves the projected lattice."""
+    m = mat2_mul(mat2_mul(lat.basis_inv, rot), lat.basis)
+    if not all(_is_integral(x) for row in m for x in row):
+        raise ValueError("rotation does not preserve the projected lattice")
+    return ((1 - _to_int(m[0][0]), -_to_int(m[0][1])),
+            (-_to_int(m[1][0]), 1 - _to_int(m[1][1])))
+
+
+def _refinement_vector(lat: NilLattice, k: int, l: int) -> Vec2:
+    """tau = (k u + l v) / n, a translation of the projected refinement."""
+    a, b = Fraction(k, lat.n), Fraction(l, lat.n)
+    return (a * lat.u[0] + b * lat.v[0], a * lat.u[1] + b * lat.v[1])
+
+
+def _lift_group_closes(lat: NilLattice, lifts: dict, gens) -> bool:
+    """Whether the lifts L(f), f in F, form a group modulo the lattice.
+
+    Checks L(a) L(g) in lattice * L(ag) for a != I in F and g among the
+    generators of F only.  That suffices: the lifts normalize the lattice,
+    so by induction on the length of a word b in the generators, with
+    b = b' g,
+
+        L(a) L(b) in lattice * L(a) L(b') L(g)
+                  in lattice * L(ab') L(g)  in lattice * L(ab).
+    """
+    inverses = {MAT2_ID: HEIS_ISO_ID}
+    inverses.update((m, lift.inverse()) for m, lift in lifts.items())
     for a in lifts.values():
-        for b in lifts.values():
-            prod = a.compose(b)
-            target = group.get(prod.rot)
+        for g in gens:
+            prod = a.compose(lifts[g])
+            target = inverses.get(prod.rot)
             if target is None or not lat.contains(
-                    prod.compose(target.inverse()).trans):
+                    prod.compose(target).trans):
                 return False
     return True
 
 
+def _admissible_cosets(lat: NilLattice, lifts: dict, gens) -> int:
+    """Number of translation cosets tau = B k / n, k in (Z/n)^2, that
+    normalize the group generated by the lattice and the lifts.
+
+    The planar part of [tau, L(g)] is tau - R_g tau, a lattice vector
+    exactly when (I - M_g) k = 0 (mod n) for M_g = B^-1 R_g B.  Each
+    solution is checked exactly against the generator lifts by
+    `_coset_constraints`; by the argument of `_lift_group_closes`, a
+    translation that conjugates each generator into the group normalizes
+    it.
+    """
+    rows = [row for g in gens
+            for row in _identity_minus_lattice_matrix(lat, g)]
+    gen_lifts = [lifts[g] for g in gens]
+    return sum(
+        _coset_constraints(lat, _refinement_vector(lat, k, l), gen_lifts)
+        is not None
+        for k, l in congruence_solutions(rows, [0] * len(rows), lat.n))
+
+
 def _extends_to_group_normalizer(lat: NilLattice, rot: Mat2,
-                                 extra_lifts: dict) -> bool:
-    """Search a translation adjustment making rot normalize lattice+extra."""
+                                 extra_lifts: dict, gens) -> bool:
+    """Whether a translate t * base of the lift of rot normalizes the group
+    generated by the lattice and the adjoined lifts.
+
+    t * base normalizes the lattice exactly when t = (tau, z) has
+    tau = B k / n for some k in (Z/n)^2 (see `nil_normalizer`).  It must
+    conjugate each generator lift phi into lattice * phi', where phi' is
+    the lift with the rotation part of Y = base phi base^-1; by the
+    argument of `_lift_group_closes` the generators suffice.  The planar
+    part of (t Y t^-1) phi'^-1 is (I - R') tau + w_Y - w_phi', so with
+    M' = B^-1 R' B and c = B^-1 (w_Y - w_phi') it is a lattice vector
+    exactly when
+
+        (I - M') k = -n c  (mod n),
+
+    which needs n c integral.  Each solution is then checked exactly, at
+    z = 0 and z = step/2, against the lattice generators and the generator
+    lifts.
+    """
     try:
         base = lift_point_symmetry(lat, rot)
     except ValueError:
         return False
+    base_inv = base.inverse()
+    rows, rhs, targets = [], [], []
+    for g in gens:
+        phi = extra_lifts[g]
+        y = base.compose(phi).compose(base_inv)
+        match = extra_lifts.get(y.rot)
+        if match is None:
+            return False
+        c = mat2_apply(lat.basis_inv,
+                       vec2_sub(y.trans.planar(), match.trans.planar()))
+        if not all(_is_integral(lat.n * x) for x in c):
+            return False
+        rows += _identity_minus_lattice_matrix(lat, y.rot)
+        rhs += [-_to_int(lat.n * x) for x in c]
+        targets.append((phi, match.inverse()))
     step = lat.center_step()
-    denom = 2 * lat.n
-    for k in range(denom):
-        for l in range(denom):
-            tau = (Fraction(k, denom) * lat.u[0] + Fraction(l, denom) * lat.v[0],
-                   Fraction(k, denom) * lat.u[1] + Fraction(l, denom) * lat.v[1])
-            for z_num in (0, 1):
-                z = step * Fraction(z_num, 2)
-                t = HeisIsometry.translation(HeisPoint(tau[0], tau[1], z))
-                cand = t.compose(base)
-                ok = all(lat.contains(cand.conjugate_translation(g))
-                         for g in lat.generators())
-                if not ok:
-                    continue
-                for lift in extra_lifts.values():
-                    conj = cand.compose(lift).compose(cand.inverse())
-                    match = extra_lifts.get(conj.rot)
-                    if match is None:
-                        ok = False
-                        break
-                    resid = conj.compose(match.inverse())
-                    if not lat.contains(resid.trans):
-                        ok = False
-                        break
-                if ok:
-                    return True
+    for k, l in congruence_solutions(rows, rhs, lat.n):
+        tau = _refinement_vector(lat, k, l)
+        for z in (Fraction(0), step * HALF):
+            t = HeisIsometry.translation(HeisPoint(tau[0], tau[1], z))
+            cand = t.compose(base)
+            if not all(lat.contains(cand.conjugate_translation(gen))
+                       for gen in lat.generators()):
+                continue
+            cand_inv = cand.inverse()
+            if all(lat.contains(cand.compose(phi).compose(cand_inv)
+                                .compose(match_inv).trans)
+                   for phi, match_inv in targets):
+                return True
     return False
 
 
@@ -549,7 +638,22 @@ def nil_quotient_isometry(lat: NilLattice,
     For a plain lattice the answer is the extension of the circle acting on
     the central fiber by (Z_n x Z_n) |x Aut of the projected lattice.
     Adjoining orientation reversing point symmetries quantizes the circle
-    down to Z_2 and shrinks the finite part, as worked out coset by coset.
+    down to Z_2 and shrinks the finite part.
+
+    With maps adjoined, every condition is checked on at most two
+    generators g of the adjoined finite group F (`_point_group_generators`)
+    and the lattice conditions are solved as congruences mod n (following
+    Zassenhaus's algorithm for space groups):
+
+    - closure: L(a) L(g) in lattice * L(ag) for a in F (`_lift_group_closes`);
+    - admissible cosets: a translation tau = B k / n of the projected
+      refinement, B = (u v), commutes with L(g) modulo the lattice in the
+      plane exactly when (I - B^-1 R_g B) k = 0 (mod n).  The solutions
+      (prod gcd(d_i, n) of them, d the Smith diagonal of the stacked
+      matrices) are each checked exactly against the generator lifts
+      (`_admissible_cosets`);
+    - extending point symmetries: one affine congruence per generator
+      (`_extends_to_group_normalizer`).
     """
     pg = planar_point_group(lat.u, lat.v)
 
@@ -569,7 +673,8 @@ def nil_quotient_isometry(lat: NilLattice,
 
     # the word ball yields the identity first
     extra_lifts = {m: lift_point_symmetry(lat, m) for m in extra_mats[1:]}
-    if extra_lifts and not _lift_group_closes(lat, extra_lifts):
+    gens = _point_group_generators(extra_mats)
+    if gens and not _lift_group_closes(lat, extra_lifts, gens):
         u, v = (", ".join(map(format_scalar, w)) for w in (lat.u, lat.v))
         raise ValueError(
             f"adjoined point group does not close over the lattice "
@@ -577,34 +682,23 @@ def nil_quotient_isometry(lat: NilLattice,
             f"s = {format_scalar(lat.s)}, n = {lat.n}: a product of two "
             f"lifted point symmetries is not a lattice element times a lift")
 
-    nontrivial_lifts = list(extra_lifts.values())
     has_reflection = any(mat2_det(m) == -1 for m in extra_lifts)
 
     # admissible translation cosets of the projected refinement: with no
     # map adjoined there is no condition, so all n^2 of them
-    admissible = lat.n ** 2
-    if nontrivial_lifts:
-        admissible = 0
-        for k in range(lat.n):
-            for l in range(lat.n):
-                tau = (Fraction(k, lat.n) * lat.u[0]
-                       + Fraction(l, lat.n) * lat.v[0],
-                       Fraction(k, lat.n) * lat.u[1]
-                       + Fraction(l, lat.n) * lat.v[1])
-                if _coset_constraints(lat, tau, nontrivial_lifts) is not None:
-                    admissible += 1
+    admissible = (_admissible_cosets(lat, extra_lifts, gens) if gens
+                  else lat.n ** 2)
 
-    # point symmetries extending to the full group
-    if extra is None or len(extra_mats) == pg.order:
+    # point symmetries extending to the full group; with nothing adjoined,
+    # the lift of each one normalizes the lattice
+    if not gens or len(extra_mats) == pg.order:
         extending = pg.order
     else:
-        extending = 0
         extra_set = set(extra_mats)
-        for m in pg.elements:
-            if m in extra_set:
-                extending += 1
-            elif _extends_to_group_normalizer(lat, m, extra_lifts):
-                extending += 1
+        extending = sum(
+            m in extra_set
+            or _extends_to_group_normalizer(lat, m, extra_lifts, gens)
+            for m in pg.elements)
 
     point_quotient = extending // len(extra_mats)
     finite_order = admissible * point_quotient

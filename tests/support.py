@@ -5,7 +5,11 @@
 O(1): a box of coefficients bounded through the smallest eigenvalue of the
 Gram matrix (in floats, so only for small, moderately skewed bases), and a
 loop over all n^2 translation cosets.  They serve as oracles on small
-inputs.
+inputs.  With maps adjoined, `nil_quotient_isometry` also used to check
+closure on every pair of lifts (`lift_group_closes_by_pairs`) and to find
+extending point symmetries by a scan of the (2n)^2 half-step grid
+(`extends_by_scan`); it now works on the generators of the adjoined group
+and solves congruences mod n.
 
 `FractionPairQuadRat` is the earlier representation of `QuadRat`, a pair of
 reduced Fractions (a, b), with its arithmetic as it was; and
@@ -47,14 +51,17 @@ from geom3.nil import (
     DISCRETE_PROJECTION,
     FIXES_LINE,
     FIXES_POINT,
+    HEIS_ISO_ID,
     NON_DISCRETE_INPUT,
     ROT_PI,
     DichotomyResult,
+    HeisIsometry,
     HeisPoint,
     _coset_constraints,
     _reflection_axis,
     _schreier_translations,
     _translation_covolume,
+    lift_point_symmetry,
 )
 
 SIGNED_PERMUTATIONS = frozenset(
@@ -99,6 +106,56 @@ def point_group_by_box(u, v) -> tuple:
             if not any(mat2_eq(t, m) for m in found):
                 found.append(t)
     return tuple(found)
+
+
+def lift_group_closes_by_pairs(lat, lifts: dict) -> bool:
+    """Every product of two lifts lands back in lattice * lift."""
+    group = {MAT2_ID: HEIS_ISO_ID, **lifts}
+    for a in lifts.values():
+        for b in lifts.values():
+            prod = a.compose(b)
+            target = group.get(prod.rot)
+            if target is None or not lat.contains(
+                    prod.compose(target.inverse()).trans):
+                return False
+    return True
+
+
+def extends_by_scan(lat, rot, extra_lifts: dict) -> bool:
+    """Search the (2n)^2 half-step grid of translations tau, at z = 0 and
+    z = step/2, for a translate of the lift of rot that normalizes the
+    lattice and conjugates every adjoined lift into lattice * lift."""
+    try:
+        base = lift_point_symmetry(lat, rot)
+    except ValueError:
+        return False
+    step = lat.center_step()
+    denom = 2 * lat.n
+    for k in range(denom):
+        for l in range(denom):
+            tau = (Fraction(k, denom) * lat.u[0] + Fraction(l, denom) * lat.v[0],
+                   Fraction(k, denom) * lat.u[1] + Fraction(l, denom) * lat.v[1])
+            for z_num in (0, 1):
+                z = step * Fraction(z_num, 2)
+                t = HeisIsometry.translation(HeisPoint(tau[0], tau[1], z))
+                cand = t.compose(base)
+                ok = all(lat.contains(cand.conjugate_translation(g))
+                         for g in lat.generators())
+                if not ok:
+                    continue
+                for lift in extra_lifts.values():
+                    conj = cand.compose(lift).compose(cand.inverse())
+                    match = extra_lifts.get(conj.rot)
+                    if match is None:
+                        ok = False
+                        break
+                    resid = conj.compose(match.inverse())
+                    if not lat.contains(resid.trans):
+                        ok = False
+                        break
+                if ok:
+                    return True
+    return False
 
 
 def coset_count_by_loop(lat, lifts=()) -> int:

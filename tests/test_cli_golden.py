@@ -61,6 +61,12 @@ SEARCHES = [
     "nil iso --preset Gp:2 --adjoin full",
     "nil iso --preset Gp:3 --adjoin full",
     "nil iso --preset hex:1 --adjoin full",
+    "nil iso --preset Gp:4 --adjoin full",
+    "nil iso --preset Gp:6 --adjoin full",
+    "nil iso --preset Gp:12 --adjoin full",
+    "nil iso --preset Gp:24 --adjoin full",
+    "nil iso --preset hex:2 --adjoin full",
+    "zimmer summary --geometry nil --preset Gp:4 --adjoin full",
     "nil dichotomy --gens rot6;1,0,0 --word-bound 4",
     "nil dichotomy --gens rot6;1,0,0 --word-bound 8",
     "nil dichotomy --gens rot4;1,0,0 --word-bound 8",

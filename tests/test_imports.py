@@ -67,6 +67,14 @@ def test_a_call_imports_only_its_geometry(command):
     assert not skips & set(modules)
 
 
+def test_adjoining_the_point_group_loads_no_further_module():
+    # the congruences mod n use intmat, which a Nil call loads anyway
+    plain = run_fresh(CALL, "nil", "iso", "--preset", "HZ")
+    full = run_fresh(CALL, "nil", "iso", "--preset", "HZ", "--adjoin", "full")
+    assert plain[0] == full[0] == 0
+    assert full[1] == plain[1]
+
+
 PACKAGE = """
 import json, sys
 import geom3

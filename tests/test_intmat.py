@@ -21,6 +21,7 @@ from geom3.algebra import QuadRat
 from geom3.intmat import (
     IntMat2,
     SearchCapError,
+    congruence_solutions,
     diagonalize_sl2,
     gauss_reduce,
     int_mat_pow,
@@ -42,6 +43,7 @@ from geom3.nil import (
     ROT_PI_2,
     ROT_PI_3,
     _orthogonal_order,
+    _point_group_generators,
     planar_point_group,
 )
 from support import (
@@ -178,6 +180,36 @@ def test_snf_of_empty_and_wide_matrices():
     assert snf([[]]) == ((), ((1,),), ())
     assert checked_snf([[0, 0, 5], [0, 0, 0]]) == (5, 0)
     assert checked_snf([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == (2, 6, 12)
+
+
+@st.composite
+def congruence_systems(draw):
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(0, 4))
+    small = st.integers(-6, 6)
+    rows = [[draw(small), draw(small)] for _ in range(m)]
+    return rows, [draw(small) for _ in range(m)], n
+
+
+@given(congruence_systems())
+@settings(max_examples=300, deadline=None)
+def test_congruence_solutions_match_brute_force(system):
+    rows, rhs, n = system
+    brute = [(k, l) for k in range(n) for l in range(n)
+             if all((a * k + b * l - c) % n == 0
+                    for (a, b), c in zip(rows, rhs))]
+    assert congruence_solutions(rows, rhs, n) == brute
+
+
+def test_congruence_solutions_count_is_the_product_of_gcds():
+    # (I - R) for a quarter turn and a reflection, stacked: Smith diagonal
+    # (1, 2), so gcd(1, n) * gcd(2, n) solutions of the homogeneous system
+    rows = [[1, 1], [-1, 1], [0, 0], [0, 2]]
+    for n in range(1, 13):
+        assert len(congruence_solutions(rows, [0] * 4, n)) == gcd(2, n)
+    assert congruence_solutions([[2, 0]], [1], 4) == []
+    assert congruence_solutions([], [], 3) == [(k, l) for k in range(3)
+                                              for l in range(3)]
 
 
 def test_snf_of_the_signed_permutation_stack():
@@ -383,8 +415,8 @@ def test_dihedral_closures_have_order_2n(n, rot):
 @given(planar_lattices(), small_unimodular())
 def test_lattice_point_group_is_the_closure_of_two_generators(lattice, m):
     pg = planar_point_group(*change_basis(*lattice, m))
-    rot = max(pg.rotations(), key=_orthogonal_order)
-    gens = [rot] + [t for t in pg.elements if mat2_det(t) == -1][:1]
+    gens = _point_group_generators(pg.elements)
+    assert len(gens) == 2 and mat2_det(gens[1]) == -1
     group = list(word_ball(MAT2_ID, gens, mat2_mul, tuple, cap=24))
     assert len(group) == pg.order
     assert set(group) == set(pg.elements)
