@@ -467,41 +467,33 @@ def lift_point_symmetry(lat: NilLattice, rot: Mat2) -> HeisIsometry:
 
 # -- quotient isometry groups -------------------------------------------------
 
-def _mod_step(x: Scalar, step: Scalar) -> bool:
-    return _is_integral(x / step)
+def _coset_constraints(lat: NilLattice, tau: Vec2, pairs) -> bool:
+    """Whether some translation (tau, z) conjugates Y into lattice * phi for
+    every pair (Y, phi) of isometries with equal rotation parts.
 
-
-def _coset_constraints(lat: NilLattice, tau: Vec2,
-                       extra_lifts: Sequence[HeisIsometry]):
-    """Conjugation conditions on translations (tau, z) against adjoined maps.
-
-    Returns None when the coset cannot normalize, otherwise the list of
-    values c with 2 z = c (mod lam/n) collected from the orientation
-    reversing maps (empty list means z is unconstrained).
+    The residual q = (tau, 0) Y (tau, 0)^-1 phi^-1 is a translation, and its
+    planar part must lie in the projected lattice.  Conjugating Y by the
+    central (0, 0, z) as well multiplies q by (0, 0, (1 - det) z): for a
+    det 1 rotation part z drops out, so the central residual must be 0
+    (mod lam/n); for det -1 it shifts by 2 z, so those residuals must agree
+    (mod lam/n), and z = c/2 then works for their common value c.
     """
     step = lat.center_step()
     t0 = HeisPoint(tau[0], tau[1], Fraction(0))
-    z_constraints = []
-    for phi in extra_lifts:
-        det = mat2_det(phi.rot)
-        q0 = heis_mul(
-            heis_mul(heis_mul(t0, phi.trans),
-                     rot_apply(phi.rot, heis_inv(t0))),
-            heis_inv(phi.trans))
-        coords = lat.planar_coords(q0.planar())
+    t0_inv = heis_inv(t0)
+    reversing = []
+    for y, phi in pairs:
+        q = heis_mul(heis_mul(heis_mul(t0, y.trans), rot_apply(y.rot, t0_inv)),
+                     heis_inv(phi.trans))
+        coords = lat.planar_coords(q.planar())
         if coords is None:
-            return None
-        need = lat.word_z(*coords) - q0.z
-        if det == 1:
-            if not _mod_step(need, step):
-                return None
-        else:
-            z_constraints.append(need)
-    for i in range(len(z_constraints)):
-        for j in range(i + 1, len(z_constraints)):
-            if not _mod_step(z_constraints[i] - z_constraints[j], step):
-                return None
-    return z_constraints
+            return False
+        need = lat.word_z(*coords) - q.z
+        if mat2_det(y.rot) == -1:
+            reversing.append(need)
+        elif not _is_integral(need / step):
+            return False
+    return all(_is_integral((c - reversing[0]) / step) for c in reversing[1:])
 
 
 def _point_group_generators(mats: Sequence[Mat2]) -> list[Mat2]:
@@ -524,12 +516,6 @@ def _identity_minus_lattice_matrix(lat: NilLattice, rot: Mat2) -> Mat2:
         raise ValueError("rotation does not preserve the projected lattice")
     return ((1 - _to_int(m[0][0]), -_to_int(m[0][1])),
             (-_to_int(m[1][0]), 1 - _to_int(m[1][1])))
-
-
-def _refinement_vector(lat: NilLattice, k: int, l: int) -> Vec2:
-    """tau = (k u + l v) / n, a translation of the projected refinement."""
-    a, b = Fraction(k, lat.n), Fraction(l, lat.n)
-    return (a * lat.u[0] + b * lat.v[0], a * lat.u[1] + b * lat.v[1])
 
 
 def _lift_group_closes(lat: NilLattice, lifts: dict, gens) -> bool:
@@ -555,80 +541,60 @@ def _lift_group_closes(lat: NilLattice, lifts: dict, gens) -> bool:
     return True
 
 
-def _admissible_cosets(lat: NilLattice, lifts: dict, gens) -> int:
-    """Number of translation cosets tau = B k / n, k in (Z/n)^2, that
-    normalize the group generated by the lattice and the lifts.
+def _normalizing_cosets(lat: NilLattice, pairs):
+    """Yield each tau = B k / n, k in (Z/n)^2, for which some translation
+    (tau, z) conjugates Y into lattice * phi for every pair (Y, phi) with
+    equal rotation parts R_Y.
 
-    The planar part of [tau, L(g)] is tau - R_g tau, a lattice vector
-    exactly when (I - M_g) k = 0 (mod n) for M_g = B^-1 R_g B.  Each
-    solution is checked exactly against the generator lifts by
-    `_coset_constraints`; by the argument of `_lift_group_closes`, a
-    translation that conjugates each generator into the group normalizes
-    it.
+    The planar part of (tau, z) Y (tau, z)^-1 phi^-1 is
+    (I - R_Y) tau + w_Y - w_phi, so with M = B^-1 R_Y B and
+    c = B^-1 (w_Y - w_phi) it is a lattice vector exactly when
+
+        (I - M) k = -n c  (mod n),
+
+    which needs n c integral.  Each solution is checked exactly by
+    `_coset_constraints` only when the caller asks for the next one.
     """
-    rows = [row for g in gens
-            for row in _identity_minus_lattice_matrix(lat, g)]
-    gen_lifts = [lifts[g] for g in gens]
-    return sum(
-        _coset_constraints(lat, _refinement_vector(lat, k, l), gen_lifts)
-        is not None
-        for k, l in congruence_solutions(rows, [0] * len(rows), lat.n))
+    rows, rhs = [], []
+    for y, phi in pairs:
+        c = mat2_apply(lat.basis_inv,
+                       vec2_sub(y.trans.planar(), phi.trans.planar()))
+        if not all(_is_integral(lat.n * x) for x in c):
+            return
+        rows += _identity_minus_lattice_matrix(lat, y.rot)
+        rhs += [-_to_int(lat.n * x) for x in c]
+    for k, l in congruence_solutions(rows, rhs, lat.n):
+        tau = mat2_apply(lat.basis, (Fraction(k, lat.n), Fraction(l, lat.n)))
+        if _coset_constraints(lat, tau, pairs):
+            yield tau
 
 
 def _extends_to_group_normalizer(lat: NilLattice, rot: Mat2,
                                  extra_lifts: dict, gens) -> bool:
-    """Whether a translate t * base of the lift of rot normalizes the group
-    generated by the lattice and the adjoined lifts.
+    """Whether a translate t * base of the lift base of rot normalizes the
+    group generated by the lattice and the adjoined lifts.
 
-    t * base normalizes the lattice exactly when t = (tau, z) has
-    tau = B k / n for some k in (Z/n)^2 (see `nil_normalizer`).  It must
-    conjugate each generator lift phi into lattice * phi', where phi' is
-    the lift with the rotation part of Y = base phi base^-1; by the
-    argument of `_lift_group_closes` the generators suffice.  The planar
-    part of (t Y t^-1) phi'^-1 is (I - R') tau + w_Y - w_phi', so with
-    M' = B^-1 R' B and c = B^-1 (w_Y - w_phi') it is a lattice vector
-    exactly when
-
-        (I - M') k = -n c  (mod n),
-
-    which needs n c integral.  Each solution is then checked exactly, at
-    z = 0 and z = step/2, against the lattice generators and the generator
-    lifts.
+    base normalizes the lattice (`lift_point_symmetry` verifies it), so
+    t * base does exactly when t = (tau, z) has tau = B k / n for some k in
+    (Z/n)^2 (see `nil_normalizer`).  It must also conjugate each generator
+    lift phi into lattice * phi', where phi' is the lift with the rotation
+    part of Y = base phi base^-1; by the argument of `_lift_group_closes`
+    the generators suffice.  That is, t must conjugate Y into
+    lattice * phi': one of the `_normalizing_cosets` of the pairs (Y, phi').
     """
     try:
         base = lift_point_symmetry(lat, rot)
     except ValueError:
         return False
     base_inv = base.inverse()
-    rows, rhs, targets = [], [], []
+    pairs = []
     for g in gens:
-        phi = extra_lifts[g]
-        y = base.compose(phi).compose(base_inv)
+        y = base.compose(extra_lifts[g]).compose(base_inv)
         match = extra_lifts.get(y.rot)
         if match is None:
             return False
-        c = mat2_apply(lat.basis_inv,
-                       vec2_sub(y.trans.planar(), match.trans.planar()))
-        if not all(_is_integral(lat.n * x) for x in c):
-            return False
-        rows += _identity_minus_lattice_matrix(lat, y.rot)
-        rhs += [-_to_int(lat.n * x) for x in c]
-        targets.append((phi, match.inverse()))
-    step = lat.center_step()
-    for k, l in congruence_solutions(rows, rhs, lat.n):
-        tau = _refinement_vector(lat, k, l)
-        for z in (Fraction(0), step * HALF):
-            t = HeisIsometry.translation(HeisPoint(tau[0], tau[1], z))
-            cand = t.compose(base)
-            if not all(lat.contains(cand.conjugate_translation(gen))
-                       for gen in lat.generators()):
-                continue
-            cand_inv = cand.inverse()
-            if all(lat.contains(cand.compose(phi).compose(cand_inv)
-                                .compose(match_inv).trans)
-                   for phi, match_inv in targets):
-                return True
-    return False
+        pairs.append((y, match))
+    return any(True for _ in _normalizing_cosets(lat, pairs))
 
 
 def nil_quotient_isometry(lat: NilLattice,
@@ -646,13 +612,17 @@ def nil_quotient_isometry(lat: NilLattice,
     Zassenhaus's algorithm for space groups):
 
     - closure: L(a) L(g) in lattice * L(ag) for a in F (`_lift_group_closes`);
-    - admissible cosets: a translation tau = B k / n of the projected
-      refinement, B = (u v), commutes with L(g) modulo the lattice in the
-      plane exactly when (I - B^-1 R_g B) k = 0 (mod n).  The solutions
+    - one solver, `_normalizing_cosets`, for the translations (tau, z),
+      tau = B k / n in the projected refinement, B = (u v), that conjugate
+      each of a list of isometries Y into lattice * phi: a congruence
+      (I - B^-1 R_Y B) k = rhs (mod n) for the planar part, whose solutions
       (prod gcd(d_i, n) of them, d the Smith diagonal of the stacked
-      matrices) are each checked exactly against the generator lifts
-      (`_admissible_cosets`);
-    - extending point symmetries: one affine congruence per generator
+      matrices) are each checked exactly on the central part.  There a
+      central (0, 0, z) drops out for det 1 and shifts the residual by 2 z
+      for det -1, so z = c/2 for the common det -1 residual c serves all;
+    - admissible cosets: the solutions for the pairs (L(g), L(g));
+    - extending point symmetries m: whether the pairs
+      (base L(g) base^-1, L(m g m^-1)), base the lift of m, have a solution
       (`_extends_to_group_normalizer`).
     """
     pg = planar_point_group(lat.u, lat.v)
@@ -686,8 +656,11 @@ def nil_quotient_isometry(lat: NilLattice,
 
     # admissible translation cosets of the projected refinement: with no
     # map adjoined there is no condition, so all n^2 of them
-    admissible = (_admissible_cosets(lat, extra_lifts, gens) if gens
-                  else lat.n ** 2)
+    if gens:
+        own = [(extra_lifts[g], extra_lifts[g]) for g in gens]
+        admissible = sum(1 for _ in _normalizing_cosets(lat, own))
+    else:
+        admissible = lat.n ** 2
 
     # point symmetries extending to the full group; with nothing adjoined,
     # the lift of each one normalizes the lattice

@@ -9,7 +9,10 @@ inputs.  With maps adjoined, `nil_quotient_isometry` also used to check
 closure on every pair of lifts (`lift_group_closes_by_pairs`) and to find
 extending point symmetries by a scan of the (2n)^2 half-step grid
 (`extends_by_scan`); it now works on the generators of the adjoined group
-and solves congruences mod n.
+and solves congruences mod n.  One fault is mended in the scan: it tried
+only z = 0 and z = step/2, but a central z shifts the residual of a det -1
+conjugate by 2 z, so it now also tries z = c/2 for each such residual c.
+`coset_count_by_loop` takes the pairs (Y, phi) of `_coset_constraints`.
 
 `FractionPairQuadRat` is the earlier representation of `QuadRat`, a pair of
 reduced Fractions (a, b), with its arithmetic as it was; and
@@ -122,9 +125,15 @@ def lift_group_closes_by_pairs(lat, lifts: dict) -> bool:
 
 
 def extends_by_scan(lat, rot, extra_lifts: dict) -> bool:
-    """Search the (2n)^2 half-step grid of translations tau, at z = 0 and
-    z = step/2, for a translate of the lift of rot that normalizes the
-    lattice and conjugates every adjoined lift into lattice * lift."""
+    """Search the (2n)^2 half-step grid of translations tau for a translate
+    t = (tau, z) of the lift of rot that normalizes the lattice and
+    conjugates every adjoined lift into lattice * lift.
+
+    z is tried at 0, at step/2, and at c/2 for the central residual c of
+    each det -1 conjugate at z = 0: conjugation by the central (0, 0, z)
+    shifts that residual by 2 z and leaves the others alone.  At each z
+    every check is a full conjugation, so a pass is an explicit
+    normalizing element."""
     try:
         base = lift_point_symmetry(lat, rot)
     except ValueError:
@@ -135,31 +144,50 @@ def extends_by_scan(lat, rot, extra_lifts: dict) -> bool:
         for l in range(denom):
             tau = (Fraction(k, denom) * lat.u[0] + Fraction(l, denom) * lat.v[0],
                    Fraction(k, denom) * lat.u[1] + Fraction(l, denom) * lat.v[1])
-            for z_num in (0, 1):
-                z = step * Fraction(z_num, 2)
-                t = HeisIsometry.translation(HeisPoint(tau[0], tau[1], z))
-                cand = t.compose(base)
-                ok = all(lat.contains(cand.conjugate_translation(g))
-                         for g in lat.generators())
-                if not ok:
+            flat = HeisIsometry.translation(
+                HeisPoint(tau[0], tau[1], Fraction(0))).compose(base)
+            zs = [Fraction(0), step / 2]
+            for lift in extra_lifts.values():
+                if mat2_det(lift.rot) == 1:
                     continue
-                for lift in extra_lifts.values():
-                    conj = cand.compose(lift).compose(cand.inverse())
-                    match = extra_lifts.get(conj.rot)
-                    if match is None:
-                        ok = False
-                        break
-                    resid = conj.compose(match.inverse())
-                    if not lat.contains(resid.trans):
-                        ok = False
-                        break
-                if ok:
+                resid = _conjugation_residual(flat, lift, extra_lifts)
+                coords = (None if resid is None
+                          else lat.planar_coords(resid.planar()))
+                if coords is not None:
+                    zs.append((lat.word_z(*coords) - resid.z) / 2)
+            for z in zs:
+                t = HeisIsometry.translation(HeisPoint(tau[0], tau[1], z))
+                if _normalizes(lat, t.compose(base), extra_lifts):
                     return True
     return False
 
 
-def coset_count_by_loop(lat, lifts=()) -> int:
-    """Translation cosets k u/n + l v/n that pass `_coset_constraints`."""
+def _conjugation_residual(cand, lift, extra_lifts: dict):
+    """Translation part of cand lift cand^-1 match^-1, for the lift match
+    with the rotation part of the conjugate; None if there is no such lift."""
+    conj = cand.compose(lift).compose(cand.inverse())
+    match = extra_lifts.get(conj.rot)
+    if match is None:
+        return None
+    return conj.compose(match.inverse()).trans
+
+
+def _normalizes(lat, cand, extra_lifts: dict) -> bool:
+    """cand conjugates every lattice generator into the lattice and every
+    adjoined lift into lattice * lift."""
+    if not all(lat.contains(cand.conjugate_translation(g))
+               for g in lat.generators()):
+        return False
+    for lift in extra_lifts.values():
+        resid = _conjugation_residual(cand, lift, extra_lifts)
+        if resid is None or not lat.contains(resid):
+            return False
+    return True
+
+
+def coset_count_by_loop(lat, pairs=()) -> int:
+    """Translation cosets k u/n + l v/n that pass `_coset_constraints` for
+    the pairs (Y, phi)."""
     count = 0
     for k in range(lat.n):
         for l in range(lat.n):
@@ -167,7 +195,7 @@ def coset_count_by_loop(lat, lifts=()) -> int:
                    + Fraction(l, lat.n) * lat.v[0],
                    Fraction(k, lat.n) * lat.u[1]
                    + Fraction(l, lat.n) * lat.v[1])
-            if _coset_constraints(lat, tau, list(lifts)) is not None:
+            if _coset_constraints(lat, tau, list(pairs)):
                 count += 1
     return count
 

@@ -36,9 +36,9 @@ from geom3.nil import (
     NON_DISCRETE_INPUT,
     HeisIsometry,
     HeisPoint,
-    _admissible_cosets,
     _extends_to_group_normalizer,
     _lift_group_closes,
+    _normalizing_cosets,
     _point_group_generators,
     _schreier_translations,
     heis_commutator,
@@ -711,7 +711,7 @@ def test_adjoined_lifts_still_count_cosets_by_the_loop():
                  if not mat2_eq(m, MAT2_ID)]
         d = nil_quotient_isometry(lat, extra=pg)
         assert d.finite_part["translation_cosets"] \
-            == coset_count_by_loop(lat, lifts) == 1
+            == coset_count_by_loop(lat, [(l, l) for l in lifts]) == 1
 
 
 def point_subgroups(pg) -> list[list]:
@@ -732,7 +732,8 @@ def offset_lattice(n: int):
 LATTICE_FAMILIES = {"Gp": lattice_gp, "hex": lattice_hex,
                     "offset": offset_lattice}
 # the (2n)^2 scan is the slow side of the comparison, so extension verdicts
-# are compared up to this n only (all 1082 verdicts to n = 6 agree, ~30 s)
+# are compared up to this n only (all 1082 verdicts to n = 6 agree, ~21 s
+# on a 2-core Xeon)
 SCAN_N_MAX = {"Gp": 4, "hex": 2, "offset": 3}
 
 
@@ -753,13 +754,54 @@ def test_generator_checks_match_the_pair_coset_and_scan_oracles(family, n):
         if not closes:
             continue
         if gens:
-            assert _admissible_cosets(lat, lifts, gens) \
-                == coset_count_by_loop(lat, lifts.values())
+            own = [(lifts[g], lifts[g]) for g in gens]
+            assert sum(1 for _ in _normalizing_cosets(lat, own)) \
+                == coset_count_by_loop(lat, [(l, l) for l in lifts.values()])
         if n > SCAN_N_MAX[family]:
             continue
         for m in set(pg.elements) - set(group):
             assert _extends_to_group_normalizer(lat, m, lifts, gens) \
                 == extends_by_scan(lat, m, lifts)
+
+
+@pytest.mark.parametrize("family", LATTICE_FAMILIES)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_extending_symmetries_form_a_group(family, n):
+    # the point symmetries whose lifts normalize <lattice, lifts of F> form
+    # a group containing F, of order point_quotient * |F|
+    lat = LATTICE_FAMILIES[family](n)
+    pg = planar_point_group(lat.u, lat.v)
+    for group in point_subgroups(pg):
+        lifts = {m: lift_point_symmetry(lat, m) for m in group[1:]}
+        gens = _point_group_generators(group)
+        if not _lift_group_closes(lat, lifts, gens):
+            continue
+        extending = set(group) | {
+            m for m in pg.elements
+            if _extends_to_group_normalizer(lat, m, lifts, gens)}
+        assert {mat2_mul(a, b) for a in extending for b in extending} \
+            == extending
+        d = nil_quotient_isometry(lat, extra=group)
+        assert len(extending) == d.finite_part["point_quotient"] * len(group)
+
+
+SIGMA = ((HALF, -HALF * QuadRat(0, 1, 3)), (-HALF * QuadRat(0, 1, 3), -HALF))
+
+
+@pytest.mark.parametrize("lat, extra, order", [
+    (lattice_hex(1), SIGMA, 4),
+    (lattice_hex(3), SIGMA, 12),
+    (offset_lattice(1), REFLECT, 4),
+    (offset_lattice(1), ((0, 1), (1, 0)), 4),
+    (offset_lattice(2), REFLECT, 16),
+], ids=["hex1-sigma", "hex3-sigma", "offset1-reflect", "offset1-swap",
+        "offset2-reflect"])
+def test_reflections_extend_at_every_central_shift(lat, extra, order):
+    # the det -1 conjugates here are repaired only by the central shift
+    # z = c/2 for their residual c, neither 0 nor step/2
+    d = nil_quotient_isometry(lat, extra=[extra])
+    assert d.total_order == d.finite_part["order"] == order
+    assert d.finite_part["point_quotient"] == 2
 
 
 def test_point_group_generators():
