@@ -235,10 +235,47 @@ class S2RDecomposition:
 
 
 def _ball(gens: Sequence[S2RIsometry], bound: int) -> list[S2RIsometry]:
-    moves = [h for g in gens for h in (g, g.inverse())]
+    """The word ball that `word_ball` builds with `S2RIsometry.compose` and
+    `S2RIsometry.key`: the same elements in the same order, bit for bit.
+
+    A ball holds few distinct rotation parts, so each product of one with a
+    move's rotation is computed once, from the entries `compose` would
+    multiply.  Rotations are interned by the reprs of their entries, which
+    tell 1, 1.0, Fraction(1) and -0.0 apart, so no product changes type; a
+    table maps the ids of two interned factors to their interned product,
+    and each interned rotation keeps its rounded key.  `interned` keeps the
+    tuples alive, so their ids are not reused.
+    """
+    interned = {}           # entry reprs -> rotation
+    rot_keys = {}           # id(rotation) -> its part of S2RIsometry.key
+    products = {}           # (id(rotation), id(move.rot)) -> interned product
+
+    def intern(rot):
+        rot = interned.setdefault(tuple(repr(v) for row in rot for v in row),
+                                  rot)
+        if id(rot) not in rot_keys:
+            rot_keys[id(rot)] = tuple(round(float(v), 9)
+                                      for row in rot for v in row)
+        return rot
+
+    def compose(el, mv):
+        pair = (id(el.rot), id(mv.rot))
+        rot = products.get(pair)
+        if rot is None:
+            rot = products[pair] = intern(matmul(el.rot, mv.rot))
+        return S2RIsometry._make(rot, el.flip * mv.shift + el.shift,
+                                 el.flip * mv.flip)
+
+    def key(el):
+        return rot_keys[id(el.rot)], round(float(el.shift), 9), el.flip
+
+    # as row tuples: a product interned to a list-valued rotation would be
+    # a list, where `compose` returns tuples
+    moves = [S2RIsometry._make(intern(tuple(map(tuple, h.rot))), h.shift,
+                               h.flip) for g in gens for h in (g, g.inverse())]
+    identity = S2RIsometry(intern(S2R_ROT_ID), 0)
     try:
-        return list(word_ball(S2RIsometry(S2R_ROT_ID, 0), moves,
-                              S2RIsometry.compose, S2RIsometry.key, bound,
+        return list(word_ball(identity, moves, compose, key, bound,
                               cap=BALL_CAP))
     except SearchCapError:
         raise NonDiscreteShiftError("word ball keeps growing; projected "

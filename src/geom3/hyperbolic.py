@@ -105,7 +105,10 @@ class MobiusMap:
                 raise ValueError("positive determinant required")
             scale = 1.0 / math.sqrt(det)
             a, b, c, d = a * scale, b * scale, c * scale, d * scale
-        # canonical sign for the PSL2 class
+        self._set_canonical(a, b, c, d, exact)
+
+    def _set_canonical(self, a, b, c, d, exact: bool) -> None:
+        """Store det-1 entries with the canonical sign of the PSL2 class."""
         tr = a + d
         flip = tr < 0
         if tr == 0:
@@ -132,11 +135,18 @@ class MobiusMap:
         return self.a + self.d
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
-        return MobiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d)
+        entries = (self.a * other.a + self.b * other.c,
+                   self.a * other.b + self.b * other.d,
+                   self.c * other.a + self.d * other.c,
+                   self.c * other.b + self.d * other.d)
+        if self.exact and other.exact:
+            # Fractions of det 1 multiply to Fractions of det 1: nothing
+            # for __init__ to wrap, check or rescale
+            product = object.__new__(MobiusMap)
+            product._set_canonical(*entries, True)
+            return product
+        # a float factor: __init__'s 1/sqrt(det) rescale sets the float bits
+        return MobiusMap(*entries)
 
     def inverse(self) -> "MobiusMap":
         return MobiusMap(self.d, -self.b, -self.c, self.a)

@@ -29,6 +29,10 @@ pointwise fixed line by exact affine solves, then an invariant line by a
 search over candidate directions, and only then the translation subgroup.
 One fault is mended in it: `_solve_affine` used to drop a row reading
 0 = c with c != 0, so a glide reflection seemed to fix its axis pointwise.
+
+`s2r_ball_by_products` is the S^2 x R word ball as `fibered._ball` built
+it before its product table: one `S2RIsometry.compose` and one
+`S2RIsometry.key` per candidate.
 """
 
 import contextlib
@@ -38,8 +42,15 @@ import signal
 from fractions import Fraction
 
 from geom3.algebra import MixedDiscriminantError, as_exact, frac
+from geom3.fibered import (
+    BALL_CAP,
+    S2R_ROT_ID,
+    NonDiscreteShiftError,
+    S2RIsometry,
+)
 from geom3.intmat import (
     MAT2_ID,
+    SearchCapError,
     mat2_apply,
     mat2_det,
     mat2_eq,
@@ -49,6 +60,7 @@ from geom3.intmat import (
     vec2_cross,
     vec2_dot,
     vec2_sub,
+    word_ball,
 )
 from geom3.nil import (
     DISCRETE_PROJECTION,
@@ -625,3 +637,15 @@ def _invariant_line(planar):
         if solset is not None:
             return d
     return None
+
+
+def s2r_ball_by_products(gens, bound: int) -> list:
+    """The word ball of `fibered._ball`, one product per candidate."""
+    moves = [h for g in gens for h in (g, g.inverse())]
+    try:
+        return list(word_ball(S2RIsometry(S2R_ROT_ID, 0), moves,
+                              S2RIsometry.compose, S2RIsometry.key, bound,
+                              cap=BALL_CAP))
+    except SearchCapError:
+        raise NonDiscreteShiftError("word ball keeps growing; projected "
+                                    "group looks non-discrete") from None

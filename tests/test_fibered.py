@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from geom3 import fibered
 from geom3.fibered import (
     LAMBDA_Z,
     LAMBDA_Z_SEMIDIRECT,
@@ -19,6 +20,7 @@ from geom3.fibered import (
     S2R_ROT_ID,
     S2RIsometry,
     TangentVector,
+    _ball,
     christoffel_h2,
     frame_at_identity,
     hv_decompose,
@@ -32,6 +34,7 @@ from geom3.fibered import (
     unit_tangent_embed,
 )
 from geom3.hyperbolic import MobiusMap, expm_sl2
+from support import s2r_ball_by_products
 from test_hyperbolic import random_sl2
 
 RHO_Z = ((-1, 0, 0), (0, -1, 0), (0, 0, 1))
@@ -140,6 +143,111 @@ def test_s2r_products_agree_with_the_checked_constructor():
     for g, h in itertools.product(gens, repeat=2):
         for el in (g.compose(h), g.compose(h).inverse(), g.inverse()):
             assert S2RIsometry(el.rot, el.shift, el.flip) == el
+
+
+# -- the tabled word ball against one product per candidate ------------------
+
+_SHIFTS = {"float": (1.5, 0.0), "int": (2, 0), "fraction": (Fraction(3, 2), 0)}
+_R_PI = {"float": ((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0)),
+         "int": RHO_Z,
+         "fraction": tuple(tuple(map(Fraction, row)) for row in RHO_Z)}
+GOLDEN = (math.sqrt(5) - 1) / 2
+
+
+def _cyclic_or_dihedral(order, dihedral, flip, shifts):
+    """<(I, lam), (R_z(2 pi/order), 0)[, (R_x(pi), 0)][, (I, 0, flip)]>."""
+    lam, zero = _SHIFTS[shifts]
+    gens = [S2RIsometry(S2R_ROT_ID, lam)]
+    if order > 1:
+        gens.append(S2RIsometry(s2r_rotation_z(2 * math.pi / order), zero))
+    if dihedral:
+        gens.append(S2RIsometry(RHO_X, zero))
+    if flip:
+        gens.append(S2RIsometry(S2R_ROT_ID, zero, flip=-1))
+    return gens
+
+
+def _assert_same_ball(gens, bound) -> bool:
+    """Whether the ball outgrew BALL_CAP (in both versions)."""
+    try:
+        want = repr(s2r_ball_by_products(gens, bound))
+    except NonDiscreteShiftError:
+        with pytest.raises(NonDiscreteShiftError):
+            _ball(gens, bound)
+        return True
+    assert repr(_ball(gens, bound)) == want
+    return False
+
+
+@pytest.mark.parametrize("shifts", sorted(_SHIFTS))
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("dihedral", [False, True])
+def test_ball_matches_one_product_per_candidate(dihedral, flip, shifts):
+    # order m at bounds m - 1, m + 4 and 16: over the twelve orders, every
+    # bound 0-16 is checked in each family
+    for order in range(1, 13):
+        gens = _cyclic_or_dihedral(order, dihedral, flip, shifts)
+        for bound in sorted({order - 1, order + 4, 16}):
+            _assert_same_ball(gens, bound)
+
+
+@pytest.mark.parametrize("gens", [
+    # the irrational twist: every power of R_z(1 rad) is a new rotation
+    [S2RIsometry(s2r_rotation_z(1.0), 1.0)],
+    [S2RIsometry(s2r_rotation_z(1.0), 1.0), S2RIsometry(S2R_ROT_ID, 1.0)],
+    # two irrational rotations: the ball outgrows BALL_CAP
+    [S2RIsometry(s2r_rotation_z(1.0), 0.0),
+     S2RIsometry(((1.0, 0.0, 0.0), (0.0, math.cos(1.0), -math.sin(1.0)),
+                  (0.0, math.sin(1.0), math.cos(1.0))), 0.0)],
+    # equal entries of different types must not share a product: repr
+    # tells -1.0 from -1 and from Fraction(-1, 1)
+    [S2RIsometry(_R_PI["float"], 1.0), S2RIsometry(_R_PI["int"], 0.0)],
+    [S2RIsometry(_R_PI["fraction"], 1), S2RIsometry(_R_PI["int"], 0)],
+    # a list-valued rotation: products are still row tuples
+    [S2RIsometry([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1),
+     S2RIsometry([list(row) for row in RHO_Z], 0)],
+    # non-discrete shifts
+    [S2RIsometry(S2R_ROT_ID, 1.0), S2RIsometry(S2R_ROT_ID, GOLDEN)],
+    [S2RIsometry(S2R_ROT_ID, 5), S2RIsometry(S2R_ROT_ID, 3)],
+], ids=["twist", "twist-and-shift", "cap", "float-and-int-pi",
+        "fraction-and-int-pi", "lists", "golden", "shifts-5-3"])
+def test_ball_matches_one_product_per_candidate_on_edge_cases(
+        gens, monkeypatch):
+    for bound in range(17):
+        capped = _assert_same_ball(gens, bound)
+        tabled = _decomposition(gens, bound)
+        with monkeypatch.context() as m:
+            m.setattr(fibered, "_ball", s2r_ball_by_products)
+            assert _decomposition(gens, bound) == tabled
+        if capped:
+            break       # both balls yield the same first BALL_CAP elements
+
+
+def _decomposition(gens, bound) -> str:
+    try:
+        return repr(s2r_decompose(gens, bound))
+    except NonDiscreteShiftError as exc:
+        return f"NonDiscreteShiftError: {exc}"
+
+
+def test_ball_multiplies_each_rotation_by_each_move_once(monkeypatch):
+    # D6 with a flip at bound 16: 672 elements over 12 rotations, and four
+    # distinct move rotations (I, R, R^-1 and R_x(pi) = its inverse); one
+    # product per candidate would be 4992 products
+    gens = _cyclic_or_dihedral(6, True, True, "float")
+    calls = 0
+    real_matmul = fibered.matmul
+
+    def counting_matmul(a, b):
+        nonlocal calls
+        calls += 1
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(fibered, "matmul", counting_matmul)
+    ball = _ball(gens, 16)
+    rotations = {el.key()[0] for el in ball}
+    assert (len(ball), len(rotations)) == (672, 12)
+    assert calls <= len(rotations) * 4
 
 
 def test_s2r_decompose_irrational_twist():

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from geom3.hyperbolic import (
     CIRCLE,
@@ -254,3 +256,44 @@ def test_power_of_two_multiples_normalize_to_the_same_map(entries, k):
 def test_tiny_and_huge_identity_multiples_are_the_identity():
     for s in (1e-200, 1e200, 5e-324, 1.7e308):
         assert MobiusMap(s, 0, 0, s).entries() == (1.0, 0.0, 0.0, 1.0)
+
+
+# -- products against the checked constructor --------------------------------
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+_NONZERO = _RATIONALS.filter(bool)
+
+
+@st.composite
+def _maps(draw):
+    """Exact maps (det 1, trace 0, or rescaled from a square det) and float
+    ones (float entries, or an exact matrix whose det is not a square)."""
+    a, b, c = draw(_NONZERO), draw(_RATIONALS), draw(_RATIONALS)
+    kind = draw(st.sampled_from(
+        ["det1", "trace0", "square", "float", "non-square"]))
+    if kind == "trace0":
+        b = b or Fraction(1)
+        return MobiusMap(a, b, (-1 - a * a) / b, -a)
+    entries = (a, b, c, (1 + b * c) / a)
+    if kind == "square":
+        return MobiusMap(*(3 * v for v in entries))
+    if kind == "float":
+        return MobiusMap(*map(float, entries))
+    if kind == "non-square":
+        return MobiusMap(2 * a, 2 * b, c, entries[3])
+    return MobiusMap(*entries)
+
+
+@given(_maps(), _maps())
+# raw products (-1, 2, -1, 1) with trace 0 and -I: the sign is flipped
+@example(MobiusMap(2, 1, 1, 1), MobiusMap(0, 1, -1, 0))
+@example(MobiusMap(0, 1, -1, 0), MobiusMap(0, 1, -1, 0))
+def test_compose_matches_the_constructor_on_the_raw_product(f, g):
+    # compose skips __init__ when both factors are exact; the result must
+    # be the map __init__ makes of the raw product, down to entry types
+    raw = (f.a * g.a + f.b * g.c, f.a * g.b + f.b * g.d,
+           f.c * g.a + f.d * g.c, f.c * g.b + f.d * g.d)
+    want, got = MobiusMap(*raw), f.compose(g)
+    assert repr(got) == repr(want)
+    assert got.exact == want.exact
+    assert list(map(type, got.entries())) == list(map(type, want.entries()))

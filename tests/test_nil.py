@@ -552,30 +552,34 @@ def test_serialization_shapes():
     assert d["finite_part"]["order"] == 32
 
 
-# a rational reflection whose axis (3, 4) lies off every D12 axis
+# rational reflections whose axes, (3, 4) and (2, 1), lie off every D12 axis
 REFLECT_34 = ((Fraction(-7, 25), Fraction(24, 25)),
               (Fraction(24, 25), Fraction(7, 25)))
+REFLECT_21 = ((Fraction(3, 5), Fraction(4, 5)),
+              (Fraction(4, 5), Fraction(-3, 5)))
 
 
 def test_infinite_order_product_raises_every_time():
     # both reflections have order 2; their product is a rotation of
     # infinite order, and the memoised order check must reject it on every
-    # call, not only the first
-    a = HeisIsometry.point_symmetry(REFLECT_34)
-    b = HeisIsometry.point_symmetry(REFLECT)
-    for _ in range(3):
-        with pytest.raises(ValueError, match="finite order dividing 12"):
-            a.compose(b)
-    gens = [a, HeisIsometry(REFLECT, HeisPoint.of(0, 1, 0)),
-            HeisIsometry.translation(HeisPoint.of(1, 0, 0))]
-    for _ in range(2):
-        with pytest.raises(ValueError, match="finite order dividing 12"):
-            nil_projection_dichotomy(gens)
-    # through the origin, both reflections fix (0, 0); the verdict still
-    # needs the group of linear parts, which is infinite, so it raises too
-    for _ in range(2):
-        with pytest.raises(ValueError, match="finite order dividing 12"):
-            nil_projection_dichotomy([a, b])
+    # call, not only the first.  So a trusted constructor for products
+    # must still check the rotation parts it has not seen.
+    for reflection in (REFLECT_34, REFLECT_21):
+        a = HeisIsometry.point_symmetry(reflection)
+        b = HeisIsometry.point_symmetry(REFLECT)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="finite order dividing 12"):
+                a.compose(b)
+        gens = [a, HeisIsometry(REFLECT, HeisPoint.of(0, 1, 0)),
+                HeisIsometry.translation(HeisPoint.of(1, 0, 0))]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="finite order dividing 12"):
+                nil_projection_dichotomy(gens)
+        # through the origin, both reflections fix (0, 0); the verdict still
+        # needs the group of linear parts, which is infinite, so it raises
+        for _ in range(2):
+            with pytest.raises(ValueError, match="finite order dividing 12"):
+                nil_projection_dichotomy([a, b])
 
 
 def test_non_orthogonal_rotation_rejected_every_time():
