@@ -141,15 +141,21 @@ def _nil_generators(text: str) -> list:
 
 # -- command handlers -----------------------------------------------------------
 
+def _adjoined_point_group(args, lat):
+    """The point group --adjoin names for a Nil lattice, or None."""
+    if not args.adjoin:
+        return None
+    if args.adjoin != "full":
+        raise SchemaError("--adjoin supports only 'full'")
+    from . import nil
+    return nil.planar_point_group(lat.u, lat.v)
+
+
 def _cmd_nil(args) -> dict:
     from . import nil
     if args.action == "iso":
         lat = _nil_lattice(args)
-        extra = None
-        if args.adjoin:
-            if args.adjoin != "full":
-                raise SchemaError("--adjoin supports only 'full'")
-            extra = nil.planar_point_group(lat.u, lat.v)
+        extra = _adjoined_point_group(args, lat)
         return nil.nil_quotient_isometry(lat, extra=extra).to_json_dict()
     if args.action == "normalizer":
         return nil.nil_normalizer(_nil_lattice(args)).to_json_dict()
@@ -344,12 +350,11 @@ def _cmd_lookup(args) -> dict:
 def _zimmer_quotient(args):
     from . import zimmer
     geometry = args.geometry
+    if args.adjoin and geometry != "nil":
+        raise SchemaError("--adjoin applies only to --geometry nil")
     if geometry == "nil":
-        from . import nil
         lat = _nil_lattice(args)
-        extra = None
-        if args.adjoin == "full":
-            extra = nil.planar_point_group(lat.u, lat.v)
+        extra = _adjoined_point_group(args, lat)
         return zimmer.quotient_isometry_summary("nil", lat, extra=extra)
     if geometry == "sol":
         return zimmer.quotient_isometry_summary("sol", _sol_lattice(args))

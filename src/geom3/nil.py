@@ -13,12 +13,27 @@ An orthogonal matrix A acts as the group automorphism
 
 the unique isometric lift: in the shifted coordinate Z = z - x*y/2 the
 group law is symmetric under A and the action is linear.
+
+With point symmetries adjoined, `nil_quotient_isometry` works in the
+lattice frame of the lattice generated by (u, r), (v, s) and the central
+(0, 0, lam/n), with B = (u v) and lam = cross(u, v):
+
+    k = B^-1 (x, y),   zeta = (z - x*y/2) * 2n / lam.
+
+There the group law is zeta'' = zeta + zeta' + n cross(k, k'), the
+lattice is {k in Z^2, zeta - (k1 alpha + k2 beta + n k1 k2) in 2Z} with
+alpha = (r - u1 u2/2) 2n / lam and beta = (s - v1 v2/2) 2n / lam, and a
+point symmetry R acts as (k, zeta) |-> (M k, det(M) zeta) for the integer
+matrix M = B^-1 R B.  `_LatticeFrame` scales k and zeta by fixed integers
+so that every lift, closure, coset and extension check is integer
+arithmetic (in Z[sqrt(d)] when alpha, beta or the basis form are
+irrational).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -153,13 +168,19 @@ def _orthogonal_order(rot: Mat2) -> int:
 def _cached_order(rot: Mat2) -> int:
     if not mat2_eq(mat2_mul(mat2_transpose(rot), rot), MAT2_ID):
         raise ValueError("rotation part must be orthogonal")
-    power = rot
+    return _matrix_order(rot)
+
+
+def _matrix_order(m: Mat2) -> int:
+    """Order of a 2x2 matrix whose order divides 12: an orthogonal matrix,
+    or its integer matrix B^-1 m B in a lattice basis B."""
+    power = m
     for k in range(1, 13):
         if mat2_eq(power, MAT2_ID):
             if 12 % k:
                 raise ValueError(f"order {k} is not exactly representable")
             return k
-        power = mat2_mul(power, rot)
+        power = mat2_mul(power, m)
     raise ValueError("rotation part must have finite order dividing 12")
 
 
@@ -359,10 +380,17 @@ _PG_TAGS = {2: "C2", 4: "D2", 8: "D4", 12: "D6"}
 
 @dataclass(frozen=True)
 class PlanarPointGroup:
-    """Full orthogonal stabilizer of a planar lattice."""
+    """Full orthogonal stabilizer of a planar lattice.
+
+    basis_matrices holds, for each element R, the integer matrix B^-1 R B
+    in the basis B = (u v) the group was computed from (not compared, not
+    shown).
+    """
 
     tag: str
     elements: tuple[Mat2, ...]
+    basis_matrices: tuple[Mat2, ...] = field(default=(), repr=False,
+                                             compare=False)
 
     @property
     def order(self) -> int:
@@ -379,6 +407,15 @@ def _supported_planar_scalar(x: Scalar) -> bool:
     return scalar_is_rational(x) or (isinstance(x, QuadRat) and x.d == 3)
 
 
+def _integer_pairs(xs) -> list[tuple[int, int]]:
+    """Each x in xs, all in Q(sqrt(3)), as the integer pair (p, q) with
+    x = (p + q sqrt(3)) / r over one common denominator r."""
+    parts = [(x.p, x.q, x.r) if isinstance(x, QuadRat)
+             else (x.numerator, 0, x.denominator) for x in xs]
+    r = lcm(*(part[2] for part in parts))
+    return [(p * (r // d), q * (r // d)) for p, q, d in parts]
+
+
 def planar_point_group(u, v) -> PlanarPointGroup:
     """Orthogonal stabilizer of the lattice Z u + Z v, computed exactly.
 
@@ -389,9 +426,11 @@ def planar_point_group(u, v) -> PlanarPointGroup:
     images have coordinates in {-1, 0, 1}^2 except an image m u' of v'
     with m >= 2; that one cannot occur, since the inverse map would send
     u' to v'/m, which is not a lattice vector.  So there are O(1)
-    candidates and no float enters.  Each candidate pair is verified
-    orthogonal before being admitted.  The elements are ordered by the
-    coordinates of their images of u and v in the basis u, v.
+    candidates and no float enters: the Gram forms are compared as
+    integer pairs (rational part, sqrt(3) part) over one denominator.
+    Each candidate pair is verified orthogonal before being admitted.  The
+    elements are ordered by the coordinates of their images of u and v in
+    the basis u, v, and each comes with its integer matrix in that basis.
     """
     u = (as_exact(u[0]), as_exact(u[1]))
     v = (as_exact(v[0]), as_exact(v[1]))
@@ -401,11 +440,14 @@ def planar_point_group(u, v) -> PlanarPointGroup:
         if not _supported_planar_scalar(x):
             raise ValueError("planar scalars must lie in Q or Q(sqrt(3))")
     ru, rv, p = gauss_reduce(u, v)
-    g11, g12, g22 = vec2_dot(ru, ru), vec2_dot(ru, rv), vec2_dot(rv, rv)
+    gram = _integer_pairs((vec2_dot(ru, ru), vec2_dot(ru, rv),
+                           vec2_dot(rv, rv)))
+    g11, g12, g22 = gram
 
-    def form(a, b) -> Scalar:       # inner product in reduced coordinates
-        return (a[0] * b[0] * g11 + (a[0] * b[1] + a[1] * b[0]) * g12
-                + a[1] * b[1] * g22)
+    def form(a, b) -> tuple[int, int]:  # inner product, reduced coordinates
+        c11, c12 = a[0] * b[0], a[0] * b[1] + a[1] * b[0]
+        c22 = a[1] * b[1]
+        return tuple(c11 * x + c12 * y + c22 * z for x, y, z in zip(*gram))
 
     small = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
     images_u = [w for w in small if form(w, w) == g11]
@@ -423,103 +465,227 @@ def planar_point_group(u, v) -> PlanarPointGroup:
                 coords.append((c[0][0], c[1][0], c[0][1], c[1][1]))
     basis_inv = mat2_inv(((u[0], v[0]), (u[1], v[1])))
     found: list[Mat2] = []
+    in_basis: list[Mat2] = []
     for ku, lu, kv, lv in sorted(coords):
         iu = (ku * u[0] + lu * v[0], ku * u[1] + lu * v[1])
         iv = (kv * u[0] + lv * v[0], kv * u[1] + lv * v[1])
         t = mat2_mul(((iu[0], iv[0]), (iu[1], iv[1])), basis_inv)
         if mat2_eq(mat2_mul(mat2_transpose(t), t), MAT2_ID):
             found.append(t)
+            in_basis.append(((ku, kv), (lu, lv)))
     order = len(found)
     if order not in _PG_TAGS:
         raise RuntimeError(f"unexpected stabilizer order {order}")
-    return PlanarPointGroup(_PG_TAGS[order], tuple(found))
+    return PlanarPointGroup(_PG_TAGS[order], tuple(found), tuple(in_basis))
 
 
-# -- lifting point symmetries to lattice normalizers --------------------------
+# -- the lattice frame ---------------------------------------------------------
+
+def _denominator(x: Scalar) -> int:
+    """Least r > 0 with r x in Z, or in Z[sqrt(d)] for an irrational x."""
+    return x.r if isinstance(x, QuadRat) else x.denominator
+
+
+def _ring(x: Scalar):
+    """x, an element of Z or Z[sqrt(d)], as an int when it is rational."""
+    if isinstance(x, QuadRat):
+        return x.p if x.q == 0 else x
+    return int(x)
+
+
+def _quotient(x, m: int) -> Optional[int]:
+    """x / m if x, an int or an element of Z[sqrt(d)], is an integer
+    multiple of m; else None."""
+    if isinstance(x, int):
+        q, rem = divmod(x, m)
+        return None if rem else q
+    if x.q or x.r != 1 or x.p % m:
+        return None
+    return x.p // m
+
+
+class _LatticeFrame:
+    """The lattice frame of one lattice (see the module docstring), scaled
+    to integers.
+
+    With w = B j, the basis form n w1 w2 / lam is a j1^2 + c j1 j2 + b j2^2
+    for a = n u1 u2 / lam, b = n v1 v2 / lam, c = n (u1 v2 + u2 v1) / lam.
+    Let D be the least positive integer with D alpha, D beta integral and
+    G the least with G a, G b, G c integral.  A Heisenberg element is the
+    pair (K, W) = (P k, C zeta) for the scales P = 2 n D and C = P^2 G, so
+
+        (K, W) (K', W') = (K + K', W + W' + h cross(K, K')),  h = G n,
+
+    the lattice is {K in P Z^2, W - C base(K / P) in 2 C Z} with
+    base(k) = k1 alpha + k2 beta + n k1 k2, and an isometry
+    p |-> t sigma_R(p) is the triple (M, K, W) of M = B^-1 R B and t.
+    Lifts, and every product and residual below, have integral
+    coordinates: ints for rational alpha, beta, a, b, c (every `Gp:N` and
+    `hex:N`), elements of Z[sqrt(d)] otherwise, by the same code.
+    """
+
+    __slots__ = ("lat", "n", "dn", "P", "C", "h", "ra", "rb", "qa", "qb",
+                 "qc", "ca", "cb", "cn")
+
+    def __init__(self, lat: NilLattice):
+        (u1, u2), (v1, v2), n = lat.u, lat.v, lat.n
+        scale = Fraction(n) / lat.lam
+        a, b = scale * u1 * u2, scale * v1 * v2
+        c = scale * (u1 * v2 + u2 * v1)
+        alpha, beta = 2 * scale * lat.r - a, 2 * scale * lat.s - b
+        d = lcm(_denominator(alpha), _denominator(beta))
+        g = lcm(_denominator(a), _denominator(b), _denominator(c))
+        self.lat, self.n, self.dn = lat, n, d * n
+        self.P = 2 * n * d
+        self.C = self.P * self.P * g
+        self.h = g * n
+        # D alpha, D beta (the lift's system) and G a, G b, G c (its center)
+        self.ra, self.rb = _ring(d * alpha), _ring(d * beta)
+        self.qa, self.qb, self.qc = _ring(g * a), _ring(g * b), _ring(g * c)
+        # C alpha, C beta, C n: the central coordinates of lattice words
+        self.ca = 2 * n * self.P * g * self.ra
+        self.cb = 2 * n * self.P * g * self.rb
+        self.cn = self.C * n
+
+    def residual(self, k, w):
+        """C base(K / P) - W, or None when K is not in P Z^2."""
+        k1, k2 = _quotient(k[0], self.P), _quotient(k[1], self.P)
+        if k1 is None or k2 is None:
+            return None
+        return self.ca * k1 + self.cb * k2 + self.cn * k1 * k2 - w
+
+    def contains(self, k, w) -> bool:
+        need = self.residual(k, w)
+        return need is not None and _quotient(need, 2 * self.C) is not None
+
+    def compose(self, x, y):
+        (m, k, w), (m2, k2, w2) = x, y
+        mk = mat2_apply(m, k2)
+        return (mat2_mul(m, m2), (k[0] + mk[0], k[1] + mk[1]),
+                w + mat2_det(m) * w2 + self.h * (k[0] * mk[1] - k[1] * mk[0]))
+
+    def inverse(self, x):
+        m, k, w = x
+        det = mat2_det(m)
+        m_inv = ((det * m[1][1], -det * m[0][1]),
+                 (-det * m[1][0], det * m[0][0]))
+        mk = mat2_apply(m_inv, k)
+        return m_inv, (-mk[0], -mk[1]), -det * w
+
+    def difference(self, x, y):
+        """Translation part (K, W) of x y^-1, for x, y with one linear
+        part: t_x t_y^-1."""
+        (_, k, w), (_, k2, w2) = x, y
+        return ((k[0] - k2[0], k[1] - k2[1]),
+                w - w2 - self.h * (k[0] * k2[1] - k[1] * k2[0]))
+
+    def lift(self, m: Mat2):
+        """The lift (M, K, W) of the point symmetry with lattice matrix
+        M = m, verified by conjugating every lattice generator.
+
+        Its translation t conjugates each generator (e_i, alpha_i), with
+        alpha_1 = alpha and alpha_2 = beta, exactly onto the lattice word
+        over M e_i: cross(k, M e_i) = (base(M e_i) - det alpha_i) / 2n, a
+        2 x 2 system of determinant det M = +-1.  Its central part is
+        zeta = -det (a j1^2 + c j1 j2 + b j2^2) for j = M^-1 k: the lift is
+        sigma_R after the translation (w, 0), w = B j.  Closure verdicts
+        depend on this choice of central part, so it must not change.
+        """
+        det = mat2_det(m)
+        (m11, m12), (m21, m22) = m
+        rhs1 = (self.ra * m11 + self.rb * m21 + self.dn * m11 * m21
+                - det * self.ra)
+        rhs2 = (self.ra * m12 + self.rb * m22 + self.dn * m12 * m22
+                - det * self.rb)
+        k = (det * (m11 * rhs2 - m12 * rhs1), det * (m21 * rhs2 - m22 * rhs1))
+        j1 = det * (m22 * k[0] - m12 * k[1])
+        j2 = det * (m11 * k[1] - m21 * k[0])
+        lift = (m, k, -det * (self.qa * j1 * j1 + self.qc * j1 * j2
+                              + self.qb * j2 * j2))
+        # t sigma(g) t^-1 = (M K_g, det W_g + 2 h cross(K, M K_g))
+        for kg, wg in (((self.P, 0), self.ca), ((0, self.P), self.cb),
+                       ((0, 0), 2 * self.C)):
+            mk = mat2_apply(m, kg)
+            if not self.contains(mk, det * wg + 2 * self.h * (
+                    k[0] * mk[1] - k[1] * mk[0])):
+                raise AssertionError("lift verification failed")
+        return lift
+
+    def to_global(self, rot: Mat2, x) -> HeisIsometry:
+        """The isometry with frame coordinates x and rotation part rot."""
+        _, k, w = x
+        lat = self.lat
+        inv_p = Fraction(1, self.P)
+        px = (lat.u[0] * k[0] + lat.v[0] * k[1]) * inv_p
+        py = (lat.u[1] * k[0] + lat.v[1] * k[1]) * inv_p
+        z = w * lat.lam * Fraction(1, 2 * self.n * self.C) + px * py * HALF
+        return HeisIsometry(rot, HeisPoint(px, py, z))
+
 
 def lift_point_symmetry(lat: NilLattice, rot: Mat2) -> HeisIsometry:
     """Find a translation correction making rot normalize the lattice.
 
-    Solves the linear system cross(w, u) = c_u, cross(w, v) = c_v where the
-    c-values are forced by membership of the rotated generators; always
-    solvable because u, v span the plane.  The result is verified by
-    conjugating every lattice generator.
+    rot must preserve the projected lattice, M = B^-1 rot B integral, and
+    be orthogonal of finite order; else ValueError.  The lift is solved
+    and verified in the lattice frame (`_LatticeFrame.lift`).
     """
-    det = mat2_det(rot)
-    step = lat.center_step()
-    targets = []
-    for vec, off in ((lat.u, lat.r), (lat.v, lat.s)):
-        img = mat2_apply(rot, vec)
-        coords = lat.planar_coords(img)
-        if coords is None:
-            raise ValueError("rotation does not preserve the projected lattice")
-        eta = (img[0] * img[1] - det * vec[0] * vec[1]) * HALF
-        targets.append(det * (lat.word_z(*coords) - eta) - off)
-    mat = ((lat.u[1], -lat.u[0]), (lat.v[1], -lat.v[0]))
-    w1, w2 = mat2_apply(mat2_inv(mat), (targets[0], targets[1]))
-    w = HeisPoint(w1, w2, Fraction(0))
-    iso = HeisIsometry(rot, rot_apply(rot, w))
-    for gen in lat.generators():
-        if not lat.contains(iso.conjugate_translation(gen)):
-            raise AssertionError("lift verification failed")
-    return iso
+    m = mat2_mul(mat2_mul(lat.basis_inv, rot), lat.basis)
+    if not all(_is_integral(x) for row in m for x in row):
+        raise ValueError("rotation does not preserve the projected lattice")
+    _orthogonal_order(rot)
+    frame = _LatticeFrame(lat)
+    m = tuple(tuple(_to_int(x) for x in row) for row in m)
+    return frame.to_global(rot, frame.lift(m))
 
 
 # -- quotient isometry groups -------------------------------------------------
 
-def _coset_constraints(lat: NilLattice, tau: Vec2, pairs) -> bool:
-    """Whether some translation (tau, z) conjugates Y into lattice * phi for
-    every pair (Y, phi) of isometries with equal rotation parts.
+def _coset_constraints(frame: _LatticeFrame, k: Vec2, pairs) -> bool:
+    """Whether some translation (tau, z), tau = B k / n, conjugates Y into
+    lattice * phi for every pair (Y, phi) of frame isometries with equal
+    linear parts.
 
-    The residual q = (tau, 0) Y (tau, 0)^-1 phi^-1 is a translation, and its
-    planar part must lie in the projected lattice.  Conjugating Y by the
-    central (0, 0, z) as well multiplies q by (0, 0, (1 - det) z): for a
-    det 1 rotation part z drops out, so the central residual must be 0
-    (mod lam/n); for det -1 it shifts by 2 z, so those residuals must agree
-    (mod lam/n), and z = c/2 then works for their common value c.
+    The residual q = t Y t^-1 phi^-1 for t = (tau, zeta = 0) is a
+    translation, and its planar part must lie in the projected lattice.
+    Conjugating Y by the central (0, 0, z) as well multiplies q by
+    (0, 0, (1 - det) z): for a det 1 linear part z drops out, so the
+    central residual must be 0 (mod 2 C, the frame's lam/n); for det -1 it
+    shifts by 2 z, so those residuals must agree (mod 2 C), and z = c/2
+    then works for their common value c.
     """
-    step = lat.center_step()
-    t0 = HeisPoint(tau[0], tau[1], Fraction(0))
-    t0_inv = heis_inv(t0)
+    step = frame.P // frame.n               # K of B k / n is 2 D k
+    t = (MAT2_ID, (step * k[0], step * k[1]), 0)
+    t_inv = (MAT2_ID, (-t[1][0], -t[1][1]), 0)
     reversing = []
     for y, phi in pairs:
-        q = heis_mul(heis_mul(heis_mul(t0, y.trans), rot_apply(y.rot, t0_inv)),
-                     heis_inv(phi.trans))
-        coords = lat.planar_coords(q.planar())
-        if coords is None:
+        conj = frame.compose(frame.compose(t, y), t_inv)
+        need = frame.residual(*frame.difference(conj, phi))
+        if need is None:
             return False
-        need = lat.word_z(*coords) - q.z
-        if mat2_det(y.rot) == -1:
+        if mat2_det(y[0]) == -1:
             reversing.append(need)
-        elif not _is_integral(need / step):
+        elif _quotient(need, 2 * frame.C) is None:
             return False
-    return all(_is_integral((c - reversing[0]) / step) for c in reversing[1:])
+    return all(_quotient(c - reversing[0], 2 * frame.C) is not None
+               for c in reversing[1:])
 
 
 def _point_group_generators(mats: Sequence[Mat2]) -> list[Mat2]:
-    """Generators of a finite group F of orthogonal matrices: its rotation
-    of largest order, unless that is I, and its first reflection, if any.
+    """Generators of a finite group F of orthogonal matrices, or of their
+    integer matrices in a lattice basis: its rotation of largest order,
+    unless that is I, and its first reflection, if any.
 
     Every finite subgroup of O(2) is cyclic or dihedral, so these generate
     F; for F = {I} the list is empty.
     """
-    rot = max((m for m in mats if mat2_det(m) == 1), key=_orthogonal_order)
-    gens = [rot] if _orthogonal_order(rot) > 1 else []
+    rot = max((m for m in mats if mat2_det(m) == 1), key=_matrix_order)
+    gens = [rot] if _matrix_order(rot) > 1 else []
     return gens + [m for m in mats if mat2_det(m) == -1][:1]
 
 
-def _identity_minus_lattice_matrix(lat: NilLattice, rot: Mat2) -> Mat2:
-    """I - M for M = B^-1 rot B, rot in the coordinates of the basis
-    B = (u v): an integer matrix when rot preserves the projected lattice."""
-    m = mat2_mul(mat2_mul(lat.basis_inv, rot), lat.basis)
-    if not all(_is_integral(x) for row in m for x in row):
-        raise ValueError("rotation does not preserve the projected lattice")
-    return ((1 - _to_int(m[0][0]), -_to_int(m[0][1])),
-            (-_to_int(m[1][0]), 1 - _to_int(m[1][1])))
-
-
-def _lift_group_closes(lat: NilLattice, lifts: dict, gens) -> bool:
-    """Whether the lifts L(f), f in F, form a group modulo the lattice.
+def _lift_group_closes(frame: _LatticeFrame, lifts: dict, gens) -> bool:
+    """Whether the lifts L(f), f in F, keyed by lattice matrix, form a
+    group modulo the lattice.
 
     Checks L(a) L(g) in lattice * L(ag) for a != I in F and g among the
     generators of F only.  That suffices: the lifts normalize the lattice,
@@ -529,72 +695,99 @@ def _lift_group_closes(lat: NilLattice, lifts: dict, gens) -> bool:
         L(a) L(b) in lattice * L(a) L(b') L(g)
                   in lattice * L(ab') L(g)  in lattice * L(ab).
     """
-    inverses = {MAT2_ID: HEIS_ISO_ID}
-    inverses.update((m, lift.inverse()) for m, lift in lifts.items())
+    group = {MAT2_ID: (MAT2_ID, (0, 0), 0), **lifts}
     for a in lifts.values():
         for g in gens:
-            prod = a.compose(lifts[g])
-            target = inverses.get(prod.rot)
-            if target is None or not lat.contains(
-                    prod.compose(target).trans):
+            prod = frame.compose(a, lifts[g])
+            target = group.get(prod[0])
+            if target is None or not frame.contains(
+                    *frame.difference(prod, target)):
                 return False
     return True
 
 
-def _normalizing_cosets(lat: NilLattice, pairs):
-    """Yield each tau = B k / n, k in (Z/n)^2, for which some translation
-    (tau, z) conjugates Y into lattice * phi for every pair (Y, phi) with
-    equal rotation parts R_Y.
+def _normalizing_cosets(frame: _LatticeFrame, pairs):
+    """Yield each k in (Z/n)^2 for which some translation (tau, z),
+    tau = B k / n, conjugates Y into lattice * phi for every pair (Y, phi)
+    of frame isometries with equal linear parts M.
 
     The planar part of (tau, z) Y (tau, z)^-1 phi^-1 is
-    (I - R_Y) tau + w_Y - w_phi, so with M = B^-1 R_Y B and
-    c = B^-1 (w_Y - w_phi) it is a lattice vector exactly when
+    (I - R) tau + w_Y - w_phi, which in lattice coordinates is
+    (I - M) k / n + c for c = B^-1 (w_Y - w_phi); it is a lattice vector
+    exactly when
 
         (I - M) k = -n c  (mod n),
 
     which needs n c integral.  Each solution is checked exactly by
     `_coset_constraints` only when the caller asks for the next one.
     """
+    n = frame.n
     rows, rhs = [], []
     for y, phi in pairs:
-        c = mat2_apply(lat.basis_inv,
-                       vec2_sub(y.trans.planar(), phi.trans.planar()))
-        if not all(_is_integral(lat.n * x) for x in c):
+        nc = [_quotient(n * (a - b), frame.P) for a, b in zip(y[1], phi[1])]
+        if nc[0] is None or nc[1] is None:
             return
-        rows += _identity_minus_lattice_matrix(lat, y.rot)
-        rhs += [-_to_int(lat.n * x) for x in c]
-    for k, l in congruence_solutions(rows, rhs, lat.n):
-        tau = mat2_apply(lat.basis, (Fraction(k, lat.n), Fraction(l, lat.n)))
-        if _coset_constraints(lat, tau, pairs):
-            yield tau
+        m = y[0]
+        rows += ((1 - m[0][0], -m[0][1]), (-m[1][0], 1 - m[1][1]))
+        rhs += [-nc[0], -nc[1]]
+    for k in congruence_solutions(rows, rhs, n):
+        if _coset_constraints(frame, k, pairs):
+            yield k
 
 
-def _extends_to_group_normalizer(lat: NilLattice, rot: Mat2,
-                                 extra_lifts: dict, gens) -> bool:
-    """Whether a translate t * base of the lift base of rot normalizes the
-    group generated by the lattice and the adjoined lifts.
+def _extends_to_group_normalizer(frame: _LatticeFrame, m: Mat2,
+                                 lifts: dict, gens) -> bool:
+    """Whether a translate t * base of the lift base of the point symmetry
+    with lattice matrix m normalizes the group generated by the lattice
+    and the adjoined lifts.
 
-    base normalizes the lattice (`lift_point_symmetry` verifies it), so
+    base normalizes the lattice (`_LatticeFrame.lift` verifies it), so
     t * base does exactly when t = (tau, z) has tau = B k / n for some k in
     (Z/n)^2 (see `nil_normalizer`).  It must also conjugate each generator
-    lift phi into lattice * phi', where phi' is the lift with the rotation
+    lift phi into lattice * phi', where phi' is the lift with the linear
     part of Y = base phi base^-1; by the argument of `_lift_group_closes`
     the generators suffice.  That is, t must conjugate Y into
     lattice * phi': one of the `_normalizing_cosets` of the pairs (Y, phi').
     """
-    try:
-        base = lift_point_symmetry(lat, rot)
-    except ValueError:
-        return False
-    base_inv = base.inverse()
+    base = frame.lift(m)
+    base_inv = frame.inverse(base)
     pairs = []
     for g in gens:
-        y = base.compose(extra_lifts[g]).compose(base_inv)
-        match = extra_lifts.get(y.rot)
+        y = frame.compose(frame.compose(base, lifts[g]), base_inv)
+        match = lifts.get(y[0])
         if match is None:
             return False
         pairs.append((y, match))
-    return any(True for _ in _normalizing_cosets(lat, pairs))
+    return any(True for _ in _normalizing_cosets(frame, pairs))
+
+
+def _adjoined_group(pg: PlanarPointGroup, extra) -> list[Mat2]:
+    """The group the adjoined matrices generate, as lattice matrices of
+    the point group pg of the lattice, identity first.
+
+    When every adjoined matrix lies in pg, its lattice matrix is read off
+    pg.  Otherwise the group is not in pg: it is "too large" when the
+    word ball over the matrices themselves passes POINT_GROUP_CAP, and
+    it does not normalize the lattice otherwise.
+    """
+    mats = tuple(extra.elements if isinstance(extra, PlanarPointGroup)
+                 else extra)
+    # found by ==, not by hash: hashing Fraction entries costs more here
+    in_basis = list(zip(pg.elements, pg.basis_matrices))
+    moves = tuple(next((b for r, b in in_basis if r == rows), None)
+                  for rows in (tuple(map(tuple, m)) for m in mats))
+    if None in moves:
+        try:
+            for _ in word_ball(MAT2_ID, mats, mat2_mul, tuple,
+                               cap=POINT_GROUP_CAP):
+                pass
+        except SearchCapError:
+            raise ValueError(
+                "adjoined set generates too large a group") from None
+        raise ValueError("adjoined point group does not normalize "
+                         "the lattice")
+    return list(word_ball(MAT2_ID, moves, mat2_mul, tuple,
+                          cap=POINT_GROUP_CAP))
 
 
 def nil_quotient_isometry(lat: NilLattice,
@@ -606,16 +799,18 @@ def nil_quotient_isometry(lat: NilLattice,
     Adjoining orientation reversing point symmetries quantizes the circle
     down to Z_2 and shrinks the finite part.
 
-    With maps adjoined, every condition is checked on at most two
-    generators g of the adjoined finite group F (`_point_group_generators`)
-    and the lattice conditions are solved as congruences mod n (following
-    Zassenhaus's algorithm for space groups):
+    With maps adjoined, everything runs in the lattice frame
+    (`_LatticeFrame`), on the lattice matrices M = B^-1 R B of the
+    adjoined finite group F, B = (u v).  Every condition is checked on at
+    most two generators g of F (`_point_group_generators`) and the lattice
+    conditions are solved as congruences mod n (following Zassenhaus's
+    algorithm for space groups):
 
     - closure: L(a) L(g) in lattice * L(ag) for a in F (`_lift_group_closes`);
     - one solver, `_normalizing_cosets`, for the translations (tau, z),
-      tau = B k / n in the projected refinement, B = (u v), that conjugate
-      each of a list of isometries Y into lattice * phi: a congruence
-      (I - B^-1 R_Y B) k = rhs (mod n) for the planar part, whose solutions
+      tau = B k / n in the projected refinement, that conjugate each of a
+      list of isometries Y into lattice * phi: a congruence
+      (I - M_Y) k = rhs (mod n) for the planar part, whose solutions
       (prod gcd(d_i, n) of them, d the Smith diagonal of the stacked
       matrices) are each checked exactly on the central part.  There a
       central (0, 0, z) drops out for det 1 and shifts the residual by 2 z
@@ -626,54 +821,35 @@ def nil_quotient_isometry(lat: NilLattice,
       (`_extends_to_group_normalizer`).
     """
     pg = planar_point_group(lat.u, lat.v)
+    group = [MAT2_ID] if extra is None else _adjoined_group(pg, extra)
+    gens = _point_group_generators(group)
 
-    if extra is None:
-        extra_mats: list[Mat2] = [MAT2_ID]
-    else:
-        mats = extra.elements if isinstance(extra, PlanarPointGroup) else extra
-        try:
-            extra_mats = list(word_ball(MAT2_ID, tuple(mats), mat2_mul,
-                                        tuple, cap=POINT_GROUP_CAP))
-        except SearchCapError:
-            raise ValueError(
-                "adjoined set generates too large a group") from None
-        if not set(extra_mats) <= set(pg.elements):
-            raise ValueError("adjoined point group does not normalize "
-                             "the lattice")
-
-    # the word ball yields the identity first
-    extra_lifts = {m: lift_point_symmetry(lat, m) for m in extra_mats[1:]}
-    gens = _point_group_generators(extra_mats)
-    if gens and not _lift_group_closes(lat, extra_lifts, gens):
-        u, v = (", ".join(map(format_scalar, w)) for w in (lat.u, lat.v))
-        raise ValueError(
-            f"adjoined point group does not close over the lattice "
-            f"u = ({u}), v = ({v}), r = {format_scalar(lat.r)}, "
-            f"s = {format_scalar(lat.s)}, n = {lat.n}: a product of two "
-            f"lifted point symmetries is not a lattice element times a lift")
-
-    has_reflection = any(mat2_det(m) == -1 for m in extra_lifts)
-
-    # admissible translation cosets of the projected refinement: with no
-    # map adjoined there is no condition, so all n^2 of them
+    # with no map adjoined there is no condition: all n^2 translation
+    # cosets are admissible and every point symmetry extends
+    admissible, extending = lat.n ** 2, pg.order
     if gens:
-        own = [(extra_lifts[g], extra_lifts[g]) for g in gens]
-        admissible = sum(1 for _ in _normalizing_cosets(lat, own))
-    else:
-        admissible = lat.n ** 2
+        frame = _LatticeFrame(lat)
+        # the word ball yields the identity first
+        lifts = {m: frame.lift(m) for m in group[1:]}
+        if not _lift_group_closes(frame, lifts, gens):
+            u, v = (", ".join(map(format_scalar, w)) for w in (lat.u, lat.v))
+            raise ValueError(
+                f"adjoined point group does not close over the lattice "
+                f"u = ({u}), v = ({v}), r = {format_scalar(lat.r)}, "
+                f"s = {format_scalar(lat.s)}, n = {lat.n}: a product of "
+                f"two lifted point symmetries is not a lattice element "
+                f"times a lift")
+        own = [(lifts[g], lifts[g]) for g in gens]
+        admissible = sum(1 for _ in _normalizing_cosets(frame, own))
+        if len(group) < pg.order:
+            in_group = set(group)
+            extending = sum(
+                m in in_group
+                or _extends_to_group_normalizer(frame, m, lifts, gens)
+                for m in pg.basis_matrices)
+    has_reflection = any(mat2_det(m) == -1 for m in group)
 
-    # point symmetries extending to the full group; with nothing adjoined,
-    # the lift of each one normalizes the lattice
-    if not gens or len(extra_mats) == pg.order:
-        extending = pg.order
-    else:
-        extra_set = set(extra_mats)
-        extending = sum(
-            m in extra_set
-            or _extends_to_group_normalizer(lat, m, extra_lifts, gens)
-            for m in pg.elements)
-
-    point_quotient = extending // len(extra_mats)
+    point_quotient = extending // len(group)
     finite_order = admissible * point_quotient
 
     law_pinned = (scalar_is_rational(lat.r / lat.lam)

@@ -12,7 +12,16 @@ extending point symmetries by a scan of the (2n)^2 half-step grid
 and solves congruences mod n.  One fault is mended in the scan: it tried
 only z = 0 and z = step/2, but a central z shifts the residual of a det -1
 conjugate by 2 z, so it now also tries z = c/2 for each such residual c.
-`coset_count_by_loop` takes the pairs (Y, phi) of `_coset_constraints`.
+`coset_count_by_loop` takes the pairs (Y, phi) of
+`global_coset_constraints`.
+
+`global_quotient_isometry` is `nil_quotient_isometry` with maps adjoined
+as it was before it ran in the lattice frame: the lift solved in global
+coordinates (`global_lift`), and the closure, coset and extension checks
+on `HeisIsometry` products with `Fraction` and `QuadRat` scalars
+(`global_lift_group_closes`, `global_normalizing_cosets`,
+`global_extends_to_group_normalizer`).  The scan and loop oracles above
+build on these.
 
 `FractionPairQuadRat` is the earlier representation of `QuadRat`, a pair of
 reduced Fractions (a, b), with its arithmetic as it was; and
@@ -48,9 +57,12 @@ from geom3.fibered import (
     NonDiscreteShiftError,
     S2RIsometry,
 )
+from geom3.algebra import format_scalar
+from geom3.descriptors import IsoDescriptor
 from geom3.intmat import (
     MAT2_ID,
     SearchCapError,
+    congruence_solutions,
     mat2_apply,
     mat2_det,
     mat2_eq,
@@ -66,17 +78,25 @@ from geom3.nil import (
     DISCRETE_PROJECTION,
     FIXES_LINE,
     FIXES_POINT,
+    HALF,
     HEIS_ISO_ID,
     NON_DISCRETE_INPUT,
+    POINT_GROUP_CAP,
     ROT_PI,
     DichotomyResult,
     HeisIsometry,
     HeisPoint,
-    _coset_constraints,
+    PlanarPointGroup,
+    _is_integral,
+    _point_group_generators,
     _reflection_axis,
     _schreier_translations,
+    _to_int,
     _translation_covolume,
-    lift_point_symmetry,
+    heis_inv,
+    heis_mul,
+    planar_point_group,
+    rot_apply,
 )
 
 SIGNED_PERMUTATIONS = frozenset(
@@ -147,7 +167,7 @@ def extends_by_scan(lat, rot, extra_lifts: dict) -> bool:
     every check is a full conjugation, so a pass is an explicit
     normalizing element."""
     try:
-        base = lift_point_symmetry(lat, rot)
+        base = global_lift(lat, rot)
     except ValueError:
         return False
     step = lat.center_step()
@@ -198,8 +218,8 @@ def _normalizes(lat, cand, extra_lifts: dict) -> bool:
 
 
 def coset_count_by_loop(lat, pairs=()) -> int:
-    """Translation cosets k u/n + l v/n that pass `_coset_constraints` for
-    the pairs (Y, phi)."""
+    """Translation cosets k u/n + l v/n that pass `global_coset_constraints`
+    for the pairs (Y, phi)."""
     count = 0
     for k in range(lat.n):
         for l in range(lat.n):
@@ -207,9 +227,163 @@ def coset_count_by_loop(lat, pairs=()) -> int:
                    + Fraction(l, lat.n) * lat.v[0],
                    Fraction(k, lat.n) * lat.u[1]
                    + Fraction(l, lat.n) * lat.v[1])
-            if _coset_constraints(lat, tau, list(pairs)):
+            if global_coset_constraints(lat, tau, list(pairs)):
                 count += 1
     return count
+
+
+def global_lift(lat, rot) -> HeisIsometry:
+    """The lift of rot solved in global coordinates: cross(w, u) = c_u,
+    cross(w, v) = c_v, the c-values forced by membership of the rotated
+    generators; verified by conjugating every lattice generator."""
+    det = mat2_det(rot)
+    targets = []
+    for vec, off in ((lat.u, lat.r), (lat.v, lat.s)):
+        img = mat2_apply(rot, vec)
+        coords = lat.planar_coords(img)
+        if coords is None:
+            raise ValueError("rotation does not preserve the projected lattice")
+        eta = (img[0] * img[1] - det * vec[0] * vec[1]) * HALF
+        targets.append(det * (lat.word_z(*coords) - eta) - off)
+    mat = ((lat.u[1], -lat.u[0]), (lat.v[1], -lat.v[0]))
+    w1, w2 = mat2_apply(mat2_inv(mat), (targets[0], targets[1]))
+    w = HeisPoint(w1, w2, Fraction(0))
+    iso = HeisIsometry(rot, rot_apply(rot, w))
+    for gen in lat.generators():
+        if not lat.contains(iso.conjugate_translation(gen)):
+            raise AssertionError("lift verification failed")
+    return iso
+
+
+def global_coset_constraints(lat, tau, pairs) -> bool:
+    """Whether some translation (tau, z) conjugates Y into lattice * phi for
+    every pair (Y, phi) of isometries with equal rotation parts: the
+    residual (tau, 0) Y (tau, 0)^-1 phi^-1 must be a lattice vector up to
+    a central z, which drops out for det 1 and shifts it by 2 z for
+    det -1."""
+    step = lat.center_step()
+    t0 = HeisPoint(tau[0], tau[1], Fraction(0))
+    t0_inv = heis_inv(t0)
+    reversing = []
+    for y, phi in pairs:
+        q = heis_mul(heis_mul(heis_mul(t0, y.trans), rot_apply(y.rot, t0_inv)),
+                     heis_inv(phi.trans))
+        coords = lat.planar_coords(q.planar())
+        if coords is None:
+            return False
+        need = lat.word_z(*coords) - q.z
+        if mat2_det(y.rot) == -1:
+            reversing.append(need)
+        elif not _is_integral(need / step):
+            return False
+    return all(_is_integral((c - reversing[0]) / step) for c in reversing[1:])
+
+
+def _identity_minus_lattice_matrix(lat, rot):
+    m = mat2_mul(mat2_mul(lat.basis_inv, rot), lat.basis)
+    if not all(_is_integral(x) for row in m for x in row):
+        raise ValueError("rotation does not preserve the projected lattice")
+    return ((1 - _to_int(m[0][0]), -_to_int(m[0][1])),
+            (-_to_int(m[1][0]), 1 - _to_int(m[1][1])))
+
+
+def global_lift_group_closes(lat, lifts: dict, gens) -> bool:
+    """L(a) L(g) in lattice * L(ag) for every lift a and generator g."""
+    inverses = {MAT2_ID: HEIS_ISO_ID}
+    inverses.update((m, lift.inverse()) for m, lift in lifts.items())
+    for a in lifts.values():
+        for g in gens:
+            prod = a.compose(lifts[g])
+            target = inverses.get(prod.rot)
+            if target is None or not lat.contains(
+                    prod.compose(target).trans):
+                return False
+    return True
+
+
+def global_normalizing_cosets(lat, pairs):
+    """Each tau = B k / n solving the planar congruence
+    (I - B^-1 R_Y B) k = -n B^-1 (w_Y - w_phi) (mod n) of every pair and
+    passing `global_coset_constraints`."""
+    rows, rhs = [], []
+    for y, phi in pairs:
+        c = mat2_apply(lat.basis_inv,
+                       vec2_sub(y.trans.planar(), phi.trans.planar()))
+        if not all(_is_integral(lat.n * x) for x in c):
+            return
+        rows += _identity_minus_lattice_matrix(lat, y.rot)
+        rhs += [-_to_int(lat.n * x) for x in c]
+    for k, l in congruence_solutions(rows, rhs, lat.n):
+        tau = mat2_apply(lat.basis, (Fraction(k, lat.n), Fraction(l, lat.n)))
+        if global_coset_constraints(lat, tau, pairs):
+            yield tau
+
+
+def global_extends_to_group_normalizer(lat, rot, lifts: dict, gens) -> bool:
+    """Some t = (B k / n, z) has t * base conjugating each generator lift
+    into lattice * lift, base the lift of rot."""
+    try:
+        base = global_lift(lat, rot)
+    except ValueError:
+        return False
+    base_inv = base.inverse()
+    pairs = []
+    for g in gens:
+        y = base.compose(lifts[g]).compose(base_inv)
+        match = lifts.get(y.rot)
+        if match is None:
+            return False
+        pairs.append((y, match))
+    return any(True for _ in global_normalizing_cosets(lat, pairs))
+
+
+def global_quotient_isometry(lat, extra) -> IsoDescriptor:
+    """`nil_quotient_isometry(lat, extra)` in global coordinates."""
+    pg = planar_point_group(lat.u, lat.v)
+    mats = extra.elements if isinstance(extra, PlanarPointGroup) else extra
+    try:
+        extra_mats = list(word_ball(MAT2_ID, tuple(mats), mat2_mul, tuple,
+                                    cap=POINT_GROUP_CAP))
+    except SearchCapError:
+        raise ValueError("adjoined set generates too large a group") from None
+    if not set(extra_mats) <= set(pg.elements):
+        raise ValueError("adjoined point group does not normalize "
+                         "the lattice")
+    lifts = {m: global_lift(lat, m) for m in extra_mats[1:]}
+    gens = _point_group_generators(extra_mats)
+    if gens and not global_lift_group_closes(lat, lifts, gens):
+        u, v = (", ".join(map(format_scalar, w)) for w in (lat.u, lat.v))
+        raise ValueError(
+            f"adjoined point group does not close over the lattice "
+            f"u = ({u}), v = ({v}), r = {format_scalar(lat.r)}, "
+            f"s = {format_scalar(lat.s)}, n = {lat.n}: a product of two "
+            f"lifted point symmetries is not a lattice element times a lift")
+    if gens:
+        own = [(lifts[g], lifts[g]) for g in gens]
+        admissible = sum(1 for _ in global_normalizing_cosets(lat, own))
+    else:
+        admissible = lat.n ** 2
+    if not gens or len(extra_mats) == pg.order:
+        extending = pg.order
+    else:
+        extending = sum(
+            m in set(extra_mats)
+            or global_extends_to_group_normalizer(lat, m, lifts, gens)
+            for m in pg.elements)
+    finite_order = admissible * (extending // len(extra_mats))
+    finite = {"order": finite_order, "translation_cosets": admissible,
+              "point_quotient": extending // len(extra_mats)}
+    if any(mat2_det(m) == -1 for m in lifts):
+        total = 2 * finite_order
+        finite.update(order=total, circle_quantized_to=2,
+                      structure={1: "trivial", 2: "Z2"}.get(
+                          total, f"order {total}"))
+        return IsoDescriptor(geometry="nil", identity_component="trivial",
+                             circle_factor=2, finite_part=finite,
+                             total_order=total)
+    finite["structure"] = f"order {finite_order}"
+    return IsoDescriptor(geometry="nil", identity_component="S1",
+                         circle_factor="S1", finite_part=finite)
 
 
 @contextlib.contextmanager

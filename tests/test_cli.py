@@ -412,6 +412,18 @@ def test_non_finite_results_are_structured_errors():
         == '{\n  "boundary": "inf"\n}'
 
 
+def test_nil_iso_offset_adjoin_full_does_not_close():
+    code, payload = run_json(["nil", "iso", "--u", "1,0", "--v", "0,1",
+                              "--r", "1/3", "--adjoin", "full", "--json"])
+    assert code == 1
+    assert payload["error"] == {
+        "kind": "ValueError",
+        "detail": "adjoined point group does not close over the lattice "
+                  "u = (1, 0), v = (0, 1), r = 1/3, s = 0, n = 1: a product "
+                  "of two lifted point symmetries is not a lattice element "
+                  "times a lift"}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_nil_iso_hex_adjoin_full_does_not_close(n):
     code, payload = run_json(["nil", "iso", "--preset", f"hex:{n}",

@@ -82,6 +82,13 @@ SEARCHES = [
     "nil dichotomy --gens rot6 --word-bound -1",
     "nil dichotomy --gens rot6;1,0,0;0,1,0",
     "nil volume --gens rot4;1,0,0;1/3,0,0",
+    # --adjoin is 'full', and only for nil: anything else is a schema error
+    "zimmer verdict --geometry nil --preset HZ --adjoin bogus "
+    "--factors SL(3,R) --nonuniform",
+    "zimmer summary --geometry nil --preset HZ --adjoin bogus",
+    "zimmer verdict --geometry sol --preset fib --adjoin full "
+    "--factors SL(3,R) --nonuniform",
+    "zimmer summary --geometry sol --preset fib --adjoin full",
 ]
 
 # Space-separated commands (no argument contains a space), each run as

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -37,6 +38,7 @@ from geom3.nil import (
     HeisIsometry,
     HeisPoint,
     _extends_to_group_normalizer,
+    _LatticeFrame,
     _lift_group_closes,
     _normalizing_cosets,
     _point_group_generators,
@@ -65,6 +67,8 @@ from support import (
     deadline,
     dichotomy_by_fixed_sets,
     extends_by_scan,
+    global_lift,
+    global_quotient_isometry,
     lift_group_closes_by_pairs,
     point_group_by_box,
 )
@@ -362,7 +366,9 @@ def test_quotient_isometry_generic_lattice_offsets():
 def test_quotient_isometry_rejects_foreign_point_group():
     hexa = planar_point_group(
         (Fraction(1, 2), QuadRat(0, Fraction(1, 2), 3)), (1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^adjoined point group does not normalize "
+                             "the lattice$"):
         nil_quotient_isometry(lattice_hz(), extra=hexa)
 
 
@@ -558,6 +564,40 @@ REFLECT_34 = ((Fraction(-7, 25), Fraction(24, 25)),
 REFLECT_21 = ((Fraction(3, 5), Fraction(4, 5)),
               (Fraction(4, 5), Fraction(-3, 5)))
 
+TOO_LARGE = "^adjoined set generates too large a group$"
+NOT_NORMALIZING = "^adjoined point group does not normalize the lattice$"
+
+
+def not_closing(u: str, v: str, r, n: int) -> str:
+    return "^" + re.escape(
+        f"adjoined point group does not close over the lattice u = ({u}), "
+        f"v = ({v}), r = {r}, s = 0, n = {n}: a product of two lifted "
+        f"point symmetries is not a lattice element times a lift") + "$"
+
+
+@pytest.mark.parametrize("lat, extra, message", [
+    # lattice matrices B^-1 R B integral but off the point group
+    (lattice_hz(), [((1, 1), (0, 1))], TOO_LARGE),
+    (lattice_hz(), [((2, 0), (0, 1))], TOO_LARGE),
+    (nil_lattice_make((1, 0), (0, 2)), [((0, HALF), (2, 0))],
+     NOT_NORMALIZING),
+    # B^-1 R B not integral: the word ball over R itself decides
+    (lattice_hz(), [REFLECT_34, REFLECT], TOO_LARGE),
+    (lattice_hz(), [ROT_PI_3], NOT_NORMALIZING),
+    *[(lattice_hex(n), [ROT_PI_3], not_closing("1/2, 1/2√3", "1, 0", 0, n))
+      for n in (1, 2, 3)],
+    (nil_lattice_make((1, 0), (0, 1), r=Fraction(1, 3)),
+     planar_point_group((1, 0), (0, 1)),
+     not_closing("1, 0", "0, 1", "1/3", 1)),
+], ids=["shear", "stretch", "swap-scaled", "reflect34-reflect",
+        "hz-rot-pi-3", "hex1-rot-pi-3", "hex2-rot-pi-3", "hex3-rot-pi-3",
+        "offset-third-full"])
+def test_adjoined_errors_and_their_order(lat, extra, message):
+    with pytest.raises(ValueError, match=message):
+        nil_quotient_isometry(lat, extra=extra)
+    with pytest.raises(ValueError, match=message):
+        global_quotient_isometry(lat, extra)
+
 
 def test_infinite_order_product_raises_every_time():
     # both reflections have order 2; their product is a rotation of
@@ -741,6 +781,18 @@ LATTICE_FAMILIES = {"Gp": lattice_gp, "hex": lattice_hex,
 SCAN_N_MAX = {"Gp": 4, "hex": 2, "offset": 3}
 
 
+def frame_lifts(lat, pg, group):
+    """The frame, the frame lifts of group (keyed by lattice matrix), the
+    lattice matrices of its generators, and the oracle lifts (keyed by
+    rotation)."""
+    frame = _LatticeFrame(lat)
+    in_basis = dict(zip(pg.elements, pg.basis_matrices))
+    lifts = {in_basis[m]: frame.lift(in_basis[m]) for m in group[1:]}
+    gens = [in_basis[g] for g in _point_group_generators(group)]
+    oracle = {m: global_lift(lat, m) for m in group[1:]}
+    return frame, lifts, gens, oracle
+
+
 @pytest.mark.parametrize("family", LATTICE_FAMILIES)
 @pytest.mark.parametrize("n", range(1, 7))
 def test_generator_checks_match_the_pair_coset_and_scan_oracles(family, n):
@@ -749,23 +801,23 @@ def test_generator_checks_match_the_pair_coset_and_scan_oracles(family, n):
     groups = point_subgroups(pg)
     assert len(groups) == {"C2": 2, "D2": 5, "D4": 10, "D6": 16}[pg.tag]
     for group in groups:
-        lifts = {m: lift_point_symmetry(lat, m) for m in group[1:]}
-        gens = _point_group_generators(group)
+        frame, lifts, gens, oracle = frame_lifts(lat, pg, group)
         assert len(list(word_ball(MAT2_ID, gens, mat2_mul, tuple,
                                   cap=24))) == len(group)
-        closes = lift_group_closes_by_pairs(lat, lifts)
-        assert _lift_group_closes(lat, lifts, gens) == closes
+        closes = lift_group_closes_by_pairs(lat, oracle)
+        assert _lift_group_closes(frame, lifts, gens) == closes
         if not closes:
             continue
         if gens:
             own = [(lifts[g], lifts[g]) for g in gens]
-            assert sum(1 for _ in _normalizing_cosets(lat, own)) \
-                == coset_count_by_loop(lat, [(l, l) for l in lifts.values()])
+            assert sum(1 for _ in _normalizing_cosets(frame, own)) \
+                == coset_count_by_loop(lat, [(l, l) for l in oracle.values()])
         if n > SCAN_N_MAX[family]:
             continue
-        for m in set(pg.elements) - set(group):
-            assert _extends_to_group_normalizer(lat, m, lifts, gens) \
-                == extends_by_scan(lat, m, lifts)
+        for r, m in zip(pg.elements, pg.basis_matrices):
+            if r not in group:
+                assert _extends_to_group_normalizer(frame, m, lifts, gens) \
+                    == extends_by_scan(lat, r, oracle)
 
 
 @pytest.mark.parametrize("family", LATTICE_FAMILIES)
@@ -776,17 +828,69 @@ def test_extending_symmetries_form_a_group(family, n):
     lat = LATTICE_FAMILIES[family](n)
     pg = planar_point_group(lat.u, lat.v)
     for group in point_subgroups(pg):
-        lifts = {m: lift_point_symmetry(lat, m) for m in group[1:]}
-        gens = _point_group_generators(group)
-        if not _lift_group_closes(lat, lifts, gens):
+        frame, lifts, gens, _ = frame_lifts(lat, pg, group)
+        if not _lift_group_closes(frame, lifts, gens):
             continue
-        extending = set(group) | {
-            m for m in pg.elements
-            if _extends_to_group_normalizer(lat, m, lifts, gens)}
+        extending = set(lifts) | {MAT2_ID} | {
+            m for m in pg.basis_matrices
+            if _extends_to_group_normalizer(frame, m, lifts, gens)}
         assert {mat2_mul(a, b) for a in extending for b in extending} \
             == extending
         d = nil_quotient_isometry(lat, extra=group)
         assert len(extending) == d.finite_part["point_quotient"] * len(group)
+
+
+def irrational_offset_lattice(n: int):
+    return nil_lattice_make((1, 0), (0, 1), r=QuadRat(0, 1, 3),
+                            s=Fraction(1, 2), n=n)
+
+
+def hex_offset_lattice(n: int):
+    return nil_lattice_make(*HEX, r=Fraction(1, 3), n=n)
+
+
+def answer(call):
+    """Canonical JSON of a descriptor, or the text of its domain error."""
+    try:
+        return canonical_json(call().to_json_dict())
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_frame_matches_the_global_oracles(lat, groups):
+    pg = planar_point_group(lat.u, lat.v)
+    for r, m in zip(pg.elements, pg.basis_matrices):
+        lift = lift_point_symmetry(lat, r)
+        assert lift == global_lift(lat, r)
+        frame = _LatticeFrame(lat)
+        assert frame.to_global(r, frame.lift(m)) == lift
+    for group in groups:
+        assert answer(lambda: nil_quotient_isometry(lat, extra=group)) \
+            == answer(lambda: global_quotient_isometry(lat, group))
+
+
+@pytest.mark.parametrize("family", [
+    "Gp", "hex", "offset", "irrational-offset", "hex-offset"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_frame_path_matches_the_global_oracles(family, n):
+    # the lifts, and the descriptor or error of every subgroup adjoined
+    # (also by two of its elements), equal those of the global-coordinate
+    # path the frame replaced
+    lat = {**LATTICE_FAMILIES, "irrational-offset": irrational_offset_lattice,
+           "hex-offset": hex_offset_lattice}[family](n)
+    groups = point_subgroups(planar_point_group(lat.u, lat.v))
+    assert_frame_matches_the_global_oracles(
+        lat, groups + [group[1:3] for group in groups])
+
+
+@settings(max_examples=40, deadline=None)
+@given(planar_lattices(), small_unimodular(), offsets, offsets,
+       st.integers(1, 4), st.randoms(use_true_random=False))
+def test_frame_matches_the_global_oracles_on_skewed_bases(
+        lattice, m, r, s, n, rng):
+    lat = nil_lattice_make(*change_basis(*lattice, m), r=r, s=s, n=n)
+    groups = point_subgroups(planar_point_group(lat.u, lat.v))
+    assert_frame_matches_the_global_oracles(lat, rng.sample(groups, 2))
 
 
 SIGMA = ((HALF, -HALF * QuadRat(0, 1, 3)), (-HALF * QuadRat(0, 1, 3), -HALF))
