@@ -169,15 +169,11 @@ def _cmd_nil(args) -> dict:
             raise SchemaError("point-group needs --u and --v")
         pg = nil.planar_point_group(_vec2(args.u), _vec2(args.v))
         return {"tag": pg.tag, "order": pg.order}
-    if args.action in ("dichotomy", "volume") and args.word_bound < 0:
-        raise SchemaError("--word-bound must be >= 0")
     if args.action == "dichotomy":
-        res = nil.nil_projection_dichotomy(_nil_generators(args.gens),
-                                           word_bound=args.word_bound)
+        res = nil.nil_projection_dichotomy(_nil_generators(args.gens))
         return res.to_json_dict()
     if args.action == "volume":
-        res = nil.nil_projection_dichotomy(_nil_generators(args.gens),
-                                           word_bound=args.word_bound)
+        res = nil.nil_projection_dichotomy(_nil_generators(args.gens))
         return {"dichotomy": res.to_json_dict(),
                 "volume": nil.nil_volume_verdict(res)}
     raise SchemaError(f"unknown nil action {args.action!r}")
@@ -461,11 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_lattice_opts(p_nil)
     p_nil.add_argument("--adjoin")
     p_nil.add_argument("--gens")
-    p_nil.add_argument("--word-bound", type=int, default=6,
-                       help="kept for compatibility, must be >= 0: the Nil "
-                            "dichotomy is decided exactly and no verdict "
-                            "depends on it; a word bound now affects only "
-                            "the S2xR word ball of 'fiber s2r'")
 
     p_sol = sub_add("sol", help="Sol geometry")
     p_sol.add_argument("action", choices=["iso", "normalizer", "centralizer",

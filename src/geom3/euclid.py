@@ -225,24 +225,31 @@ def coinvariant_rank(g: CrystalGroup) -> int:
     return g.dim - sum(1 for d in snf(rows)[0] if d)
 
 
+def _planar_point_group(g: CrystalGroup):
+    """Point group of the lattice spanned by the first two vectors."""
+    from .nil import planar_point_group   # no other euclid code needs nil
+    u, v, *further = g.trans_basis
+    for w in further:
+        coeffs = _solve_rational((u, v), w)
+        if coeffs is None or any(c.denominator != 1 for c in coeffs):
+            raise ValueError("translation vectors after the first two must "
+                             "be integer combinations of them")
+    return planar_point_group(u, v)
+
+
 def euclid_quotient_isometry(g: CrystalGroup) -> IsoDescriptor:
     """Identity component is the Betti torus; the finite part is computed
     exactly for the planar lattice and lattice-with-full-point-group cases
     and reported as not computed otherwise."""
-    from .nil import planar_point_group   # no other euclid code needs nil
     betti, torus = betti_identity_component(g)
     if g.dim == 2 and not g.point_gens:
-        u = (g.trans_basis[0][0], g.trans_basis[0][1])
-        v = (g.trans_basis[1][0], g.trans_basis[1][1])
-        pg = planar_point_group(u, v)
+        pg = _planar_point_group(g)
         finite = {"order": pg.order, "structure": pg.tag,
                   "point_group": pg.tag}
         return IsoDescriptor(geometry="euclid", identity_component=torus,
                              finite_part=finite)
     if g.dim == 2:
-        u = (g.trans_basis[0][0], g.trans_basis[0][1])
-        v = (g.trans_basis[1][0], g.trans_basis[1][1])
-        pg = planar_point_group(u, v)
+        pg = _planar_point_group(g)
         in_basis = point_gens_in_lattice_basis(g)
         closure = _integer_group_closure(in_basis)
         if len(closure) == pg.order and betti == 0:

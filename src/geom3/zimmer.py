@@ -9,6 +9,7 @@ a copy of SO(3) and the ambient group is isotypic of the matching type.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -22,9 +23,27 @@ from .descriptors import (
 if TYPE_CHECKING:
     from .algebra import QuadRat
 
-_FAMILIES = ("SL(n,R)", "SU(p,q)", "SL(n,C)", "SO(p,q)", "SO(n,C)",
-             "Sp(2n,R)", "Sp(p,q)", "Sp(2n,C)", "G2", "F4", "E6", "E7",
-             "E8", "SO(3)", "SO(4)")
+# Each family's complexified algebra ("sl", "so", "sp" or an exceptional
+# type), kind of real form, least size m and error for a smaller m.  A
+# split form is written R and a complex one C, as in SL(n,R) and SL(n,C);
+# a family without parameters has the one size `least` and no message.
+_SPLIT, _COMPLEX, _PQ, _COMPACT = "R", "C", "p,q", "compact"
+_RealForm = namedtuple("_RealForm", "algebra kind least message",
+                       defaults=(None,))
+_REAL_FORMS = {
+    "SL(n,R)": _RealForm("sl", _SPLIT, 2, "SL needs n >= 2"),
+    "SU(p,q)": _RealForm("sl", _PQ, 2, "SU(p,q) needs p + q >= 2"),
+    "SL(n,C)": _RealForm("sl", _COMPLEX, 2, "SL needs n >= 2"),
+    "SO(p,q)": _RealForm("so", _PQ, 3, "SO(p,q) needs p + q >= 3"),
+    "SO(n,C)": _RealForm("so", _COMPLEX, 3, "SO(n,C) needs n >= 3"),
+    "Sp(2n,R)": _RealForm("sp", _SPLIT, 1, "Sp needs n >= 1"),
+    "Sp(p,q)": _RealForm("sp", _PQ, 1, "Sp(p,q) needs p + q >= 1"),
+    "Sp(2n,C)": _RealForm("sp", _COMPLEX, 1, "Sp needs n >= 1"),
+    **{name: _RealForm(name, _COMPLEX, int(name[1]))    # m is the rank
+       for name in ("G2", "F4", "E6", "E7", "E8")},
+    "SO(3)": _RealForm("so", _COMPACT, 3),
+    "SO(4)": _RealForm("so", _COMPACT, 4),
+}
 
 
 @dataclass(frozen=True)
@@ -35,93 +54,64 @@ class SimpleFactor:
     params: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        form = _REAL_FORMS.get(self.family)
+        if form is None:
             raise ValueError(f"unknown family {self.family!r}")
-        _validate_params(self.family, self.params)
+        p = self.params
+        if form.message is None:
+            if p:
+                raise ValueError(f"{self.family} takes no parameters")
+            return
+        if form.kind == _PQ:
+            if len(p) != 2 or p[0] < p[1] or p[1] < 0:
+                raise ValueError(f"{self.family} needs p >= q >= 0")
+        elif len(p) != 1:
+            raise ValueError(form.message)
+        if sum(p) < form.least:
+            raise ValueError(form.message)
 
     def __str__(self):
-        if self.family in ("SO(3)", "SO(4)"):
-            return self.family
-        if self.family in ("G2", "F4", "E6", "E7", "E8"):
+        form = _REAL_FORMS[self.family]
+        if form.message is None:
             return self.family
         head = self.family.split("(")[0]
-        tail = self.family[self.family.index("(") + 1:-1]
-        parts = tail.split(",")
-        if parts[-1] in ("R", "C"):
-            if self.family.startswith("Sp"):
-                return f"{head}({2 * self.params[0]},{parts[-1]})"
-            return f"{head}({self.params[0]},{parts[-1]})"
-        return f"{head}({self.params[0]},{self.params[1]})"
+        if form.kind == _PQ:
+            return f"{head}({self.params[0]},{self.params[1]})"
+        n = 2 * self.params[0] if form.algebra == "sp" else self.params[0]
+        return f"{head}({n},{form.kind})"
 
 
-def _validate_params(family: str, params: tuple):
-    if family in ("SO(3)", "SO(4)", "G2", "F4", "E6", "E7", "E8"):
-        if params:
-            raise ValueError(f"{family} takes no parameters")
-        return
-    if family in ("SL(n,R)", "SL(n,C)"):
-        if len(params) != 1 or params[0] < 2:
-            raise ValueError("SL needs n >= 2")
-    elif family == "SO(n,C)":
-        if len(params) != 1 or params[0] < 3:
-            raise ValueError("SO(n,C) needs n >= 3")
-    elif family in ("Sp(2n,R)", "Sp(2n,C)"):
-        if len(params) != 1 or params[0] < 1:
-            raise ValueError("Sp needs n >= 1")
-    elif family in ("SU(p,q)", "SO(p,q)", "Sp(p,q)"):
-        if len(params) != 2 or params[0] < params[1] or params[1] < 0:
-            raise ValueError(f"{family} needs p >= q >= 0")
-        p, q = params
-        if family == "SO(p,q)" and p + q < 3:
-            raise ValueError("SO(p,q) needs p + q >= 3")
-        if family == "SU(p,q)" and p + q < 2:
-            raise ValueError("SU(p,q) needs p + q >= 2")
-        if family == "Sp(p,q)" and p + q < 1:
-            raise ValueError("Sp(p,q) needs p + q >= 1")
-    else:
-        raise ValueError(f"unknown family {family!r}")
+def _size(f: SimpleFactor) -> int:
+    """n, p + q, or the one size of a family without parameters."""
+    return sum(f.params) if f.params else _REAL_FORMS[f.family].least
 
 
-_EXCEPTIONAL_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
+def _complex_rank(algebra: str, m: int) -> int:
+    return {"sl": m - 1, "so": m // 2}.get(algebra, m)
 
 
 def real_rank(f: SimpleFactor) -> int:
     """Real rank per the standard table; compact groups have rank 0."""
-    fam, p = f.family, f.params
-    if fam == "SL(n,R)" or fam == "SL(n,C)":
-        return p[0] - 1
-    if fam in ("SU(p,q)", "SO(p,q)", "Sp(p,q)"):
-        return min(p)
-    if fam == "SO(n,C)":
-        return p[0] // 2
-    if fam in ("Sp(2n,R)", "Sp(2n,C)"):
-        return p[0]
-    if fam in _EXCEPTIONAL_RANK:
-        return _EXCEPTIONAL_RANK[fam]
-    return 0                        # SO(3), SO(4)
+    form = _REAL_FORMS[f.family]
+    if form.kind == _COMPACT:
+        return 0
+    if form.kind == _PQ:
+        return min(f.params)
+    return _complex_rank(form.algebra, _size(f))
 
 
-def _so_complex_type(m: int) -> tuple[str, ...]:
-    """Simple type(s) of so(m, C), with the small-rank identifications."""
-    if m < 3:
-        raise ValueError("so(m) is not semisimple for m < 3")
-    if m % 2:
-        rank = (m - 1) // 2
-        return ("A1",) if rank == 1 else (f"B{rank}",)
-    rank = m // 2
-    if rank == 2:
-        return ("A1", "A1")
-    if rank == 3:
-        return ("A3",)
-    return (f"D{rank}",)
+# so(3) = sp(1) = sl(2), so(4) = sl(2) + sl(2), sp(2) = so(5), so(6) = sl(4)
+_SMALL_RANK = {"B1": ("A1",), "C1": ("A1",), "D2": ("A1", "A1"),
+               "C2": ("B2",), "D3": ("A3",)}
 
 
-def _sp_complex_type(n: int) -> tuple[str, ...]:
-    if n == 1:
-        return ("A1",)
-    if n == 2:
-        return ("B2",)              # C2 = B2
-    return (f"C{n}",)
+def _simple_types(algebra: str, m: int) -> tuple[str, ...]:
+    """Simple types of the complex algebra, e.g. so(5) -> B2."""
+    letter = {"sl": "A", "so": "DB"[m % 2], "sp": "C"}.get(algebra)
+    if letter is None:
+        return (algebra,)
+    label = f"{letter}{_complex_rank(algebra, m)}"
+    return _SMALL_RANK.get(label, (label,))
 
 
 def complex_type(f: SimpleFactor) -> tuple[str, ...]:
@@ -130,33 +120,10 @@ def complex_type(f: SimpleFactor) -> tuple[str, ...]:
     A complex group viewed as a real group complexifies to two copies of
     itself, so its types are doubled.
     """
-    fam, p = f.family, f.params
-    if fam == "SL(n,R)":
-        types = ("A1",) if p[0] == 2 else (f"A{p[0] - 1}",)
-    elif fam == "SU(p,q)":
-        n = p[0] + p[1]
-        types = (f"A{n - 1}",)
-    elif fam == "SL(n,C)":
-        base = f"A{p[0] - 1}"
-        types = (base, base)
-    elif fam == "SO(p,q)":
-        types = _so_complex_type(p[0] + p[1])
-    elif fam == "SO(n,C)":
-        types = _so_complex_type(p[0]) * 2
-    elif fam == "Sp(2n,R)":
-        types = _sp_complex_type(p[0])
-    elif fam == "Sp(p,q)":
-        types = _sp_complex_type(p[0] + p[1])
-    elif fam == "Sp(2n,C)":
-        types = _sp_complex_type(p[0]) * 2
-    elif fam in _EXCEPTIONAL_RANK:
-        types = (fam, fam)          # complex exceptional group, doubled
-    elif fam == "SO(3)":
-        types = ("A1",)
-    elif fam == "SO(4)":
-        types = ("A1", "A1")
-    else:
-        raise ValueError(fam)
+    form = _REAL_FORMS[f.family]
+    types = _simple_types(form.algebra, _size(f))
+    if form.kind == _COMPLEX:
+        types *= 2
     return tuple(sorted(types))
 
 
@@ -192,51 +159,45 @@ _FACTOR_RE = re.compile(
     r"^\s*(G2|F4|E6|E7|E8)\s*$|^\s*SO\s*\(\s*([34])\s*\)\s*$")
 
 
+# (head, kind) -> the family with parameters, e.g. ("Sp", "R") -> "Sp(2n,R)"
+_BY_HEAD = {(family.split("(")[0], form.kind): family
+            for family, form in _REAL_FORMS.items() if form.message}
+
+
 def parse_factor(text: str) -> SimpleFactor:
     """Parse "SL(3,R)", "SO(2,2)", "Sp(4,R)", "SO(4)", "G2" and friends."""
     m = _FACTOR_RE.match(text)
     if not m:
         raise ValueError(f"cannot parse factor {text!r}")
-    if m.group(4):
-        return SimpleFactor(m.group(4))
-    if m.group(5):
-        return SimpleFactor(f"SO({m.group(5)})")
+    if m.group(4) or m.group(5):
+        return SimpleFactor(m.group(4) or f"SO({m.group(5)})")
     head, first, second = m.group(1), int(m.group(2)), m.group(3)
-    if second == "R":
-        if head == "SL":
-            return SimpleFactor("SL(n,R)", (first,))
-        if head == "Sp":
+    if second in (_SPLIT, _COMPLEX):
+        family = _BY_HEAD.get((head, second))
+        if family is None:
+            raise ValueError(f"{head}(n,{second}) is not in the table")
+        if _REAL_FORMS[family].algebra == "sp":
             if first % 2:
-                raise ValueError("Sp(2n,R) needs an even first parameter")
-            return SimpleFactor("Sp(2n,R)", (first // 2,))
-        raise ValueError(f"{head}(n,R) is not in the table")
-    if second == "C":
-        if head == "SL":
-            return SimpleFactor("SL(n,C)", (first,))
-        if head == "SO":
-            return SimpleFactor("SO(n,C)", (first,))
-        if head == "Sp":
-            if first % 2:
-                raise ValueError("Sp(2n,C) needs an even first parameter")
-            return SimpleFactor("Sp(2n,C)", (first // 2,))
-        raise ValueError(f"{head}(n,C) is not in the table")
+                raise ValueError(f"{family} needs an even first parameter")
+            first //= 2
+        return SimpleFactor(family, (first,))
     q = int(second)
     p, q = max(first, q), min(first, q)
-    if head == "SU":
-        return SimpleFactor("SU(p,q)", (p, q))
-    if head == "SO":
-        if q == 0 and p in (3, 4):
-            return SimpleFactor(f"SO({p})")
-        return SimpleFactor("SO(p,q)", (p, q))
-    if head == "Sp":
-        return SimpleFactor("Sp(p,q)", (p, q))
-    raise ValueError(f"cannot parse factor {text!r}")
+    if q == 0 and f"{head}({p})" in _REAL_FORMS:     # SO(3,0) is SO(3)
+        return SimpleFactor(f"{head}({p})")
+    if (head, _PQ) not in _BY_HEAD:
+        raise ValueError(f"cannot parse factor {text!r}")
+    return SimpleFactor(_BY_HEAD[head, _PQ], (p, q))
+
+
+# "x" joins two factors with or without spaces, but is no separator inside
+# a word; a separator with no factor on one side is an error
+_SEPARATOR_RE = re.compile(r"\s*(?:\*|×|(?<![A-Za-z])x)\s*")
 
 
 def parse_spec(text: str, uniform: bool) -> LatticeSpec:
-    parts = re.split(r"\s*(?:\*|×|\bx\b)\s*", text)
-    return LatticeSpec(tuple(parse_factor(p) for p in parts if p.strip()),
-                       uniform)
+    parts = _SEPARATOR_RE.split(text) if text.strip() else []
+    return LatticeSpec(tuple(parse_factor(p) for p in parts), uniform)
 
 
 _SO3_BEARING = {"SO(3)", "SO(4)", "O(4)", "SO3xS1"}

@@ -42,11 +42,17 @@ One fault is mended in it: `_solve_affine` used to drop a row reading
 `s2r_ball_by_products` is the S^2 x R word ball as `fibered._ball` built
 it before its product table: one `S2RIsometry.compose` and one
 `S2RIsometry.key` per candidate.
+
+`zimmer_factor_by_cases` and `zimmer_parse_by_cases` are the simple-factor
+families of `zimmer` as they were before one real-form table gave every
+answer: a case analysis per family for validation, display, real rank and
+complex type, and one for parsing a factor.
 """
 
 import contextlib
 import itertools
 import math
+import re
 import signal
 from fractions import Fraction
 
@@ -823,3 +829,185 @@ def s2r_ball_by_products(gens, bound: int) -> list:
     except SearchCapError:
         raise NonDiscreteShiftError("word ball keeps growing; projected "
                                     "group looks non-discrete") from None
+
+
+_ZIMMER_FAMILIES = ("SL(n,R)", "SU(p,q)", "SL(n,C)", "SO(p,q)", "SO(n,C)",
+                    "Sp(2n,R)", "Sp(p,q)", "Sp(2n,C)", "G2", "F4", "E6",
+                    "E7", "E8", "SO(3)", "SO(4)")
+_EXCEPTIONAL_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
+
+
+def _validate_zimmer_params(family: str, params: tuple):
+    if family in ("SO(3)", "SO(4)", "G2", "F4", "E6", "E7", "E8"):
+        if params:
+            raise ValueError(f"{family} takes no parameters")
+        return
+    if family in ("SL(n,R)", "SL(n,C)"):
+        if len(params) != 1 or params[0] < 2:
+            raise ValueError("SL needs n >= 2")
+    elif family == "SO(n,C)":
+        if len(params) != 1 or params[0] < 3:
+            raise ValueError("SO(n,C) needs n >= 3")
+    elif family in ("Sp(2n,R)", "Sp(2n,C)"):
+        if len(params) != 1 or params[0] < 1:
+            raise ValueError("Sp needs n >= 1")
+    elif family in ("SU(p,q)", "SO(p,q)", "Sp(p,q)"):
+        if len(params) != 2 or params[0] < params[1] or params[1] < 0:
+            raise ValueError(f"{family} needs p >= q >= 0")
+        p, q = params
+        if family == "SO(p,q)" and p + q < 3:
+            raise ValueError("SO(p,q) needs p + q >= 3")
+        if family == "SU(p,q)" and p + q < 2:
+            raise ValueError("SU(p,q) needs p + q >= 2")
+        if family == "Sp(p,q)" and p + q < 1:
+            raise ValueError("Sp(p,q) needs p + q >= 1")
+    else:
+        raise ValueError(f"unknown family {family!r}")
+
+
+def _factor_display(family: str, params: tuple) -> str:
+    if family in ("SO(3)", "SO(4)"):
+        return family
+    if family in ("G2", "F4", "E6", "E7", "E8"):
+        return family
+    head = family.split("(")[0]
+    tail = family[family.index("(") + 1:-1]
+    parts = tail.split(",")
+    if parts[-1] in ("R", "C"):
+        if family.startswith("Sp"):
+            return f"{head}({2 * params[0]},{parts[-1]})"
+        return f"{head}({params[0]},{parts[-1]})"
+    return f"{head}({params[0]},{params[1]})"
+
+
+def _factor_real_rank(fam: str, p: tuple) -> int:
+    if fam == "SL(n,R)" or fam == "SL(n,C)":
+        return p[0] - 1
+    if fam in ("SU(p,q)", "SO(p,q)", "Sp(p,q)"):
+        return min(p)
+    if fam == "SO(n,C)":
+        return p[0] // 2
+    if fam in ("Sp(2n,R)", "Sp(2n,C)"):
+        return p[0]
+    if fam in _EXCEPTIONAL_RANK:
+        return _EXCEPTIONAL_RANK[fam]
+    return 0                        # SO(3), SO(4)
+
+
+def _so_complex_type(m: int) -> tuple[str, ...]:
+    """Simple type(s) of so(m, C), with the small-rank identifications."""
+    if m < 3:
+        raise ValueError("so(m) is not semisimple for m < 3")
+    if m % 2:
+        rank = (m - 1) // 2
+        return ("A1",) if rank == 1 else (f"B{rank}",)
+    rank = m // 2
+    if rank == 2:
+        return ("A1", "A1")
+    if rank == 3:
+        return ("A3",)
+    return (f"D{rank}",)
+
+
+def _sp_complex_type(n: int) -> tuple[str, ...]:
+    if n == 1:
+        return ("A1",)
+    if n == 2:
+        return ("B2",)              # C2 = B2
+    return (f"C{n}",)
+
+
+def _factor_complex_type(fam: str, p: tuple) -> tuple[str, ...]:
+    if fam == "SL(n,R)":
+        types = ("A1",) if p[0] == 2 else (f"A{p[0] - 1}",)
+    elif fam == "SU(p,q)":
+        n = p[0] + p[1]
+        types = (f"A{n - 1}",)
+    elif fam == "SL(n,C)":
+        base = f"A{p[0] - 1}"
+        types = (base, base)
+    elif fam == "SO(p,q)":
+        types = _so_complex_type(p[0] + p[1])
+    elif fam == "SO(n,C)":
+        types = _so_complex_type(p[0]) * 2
+    elif fam == "Sp(2n,R)":
+        types = _sp_complex_type(p[0])
+    elif fam == "Sp(p,q)":
+        types = _sp_complex_type(p[0] + p[1])
+    elif fam == "Sp(2n,C)":
+        types = _sp_complex_type(p[0]) * 2
+    elif fam in _EXCEPTIONAL_RANK:
+        types = (fam, fam)          # complex exceptional group, doubled
+    elif fam == "SO(3)":
+        types = ("A1",)
+    elif fam == "SO(4)":
+        types = ("A1", "A1")
+    else:
+        raise ValueError(fam)
+    return tuple(sorted(types))
+
+
+def zimmer_factor_by_cases(family: str, params: tuple = ()) -> dict:
+    """Display, real rank and complex type of a simple factor, or the
+    ValueError that `SimpleFactor(family, params)` raises."""
+    if family not in _ZIMMER_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    _validate_zimmer_params(family, params)
+    return {"str": _factor_display(family, params),
+            "real_rank": _factor_real_rank(family, params),
+            "complex_type": _factor_complex_type(family, params)}
+
+
+_ZIMMER_FACTOR_RE = re.compile(
+    r"^\s*(SL|SU|SO|Sp)\s*\(\s*(\d+)\s*,\s*(\d+|R|C)\s*\)\s*$|"
+    r"^\s*(G2|F4|E6|E7|E8)\s*$|^\s*SO\s*\(\s*([34])\s*\)\s*$")
+
+
+def zimmer_parse_by_cases(text: str) -> tuple:
+    """(family, params) of a factor such as "Sp(4,R)", each family by its
+    own branch, or the ValueError that `parse_factor` raises; a family and
+    parameters out of range raise through `zimmer_factor_by_cases`."""
+    m = _ZIMMER_FACTOR_RE.match(text)
+    if not m:
+        raise ValueError(f"cannot parse factor {text!r}")
+    if m.group(4):
+        found = (m.group(4), ())
+    elif m.group(5):
+        found = (f"SO({m.group(5)})", ())
+    else:
+        found = _parse_with_params(text, m.group(1), int(m.group(2)),
+                                   m.group(3))
+    zimmer_factor_by_cases(*found)
+    return found
+
+
+def _parse_with_params(text, head, first, second) -> tuple:
+    if second == "R":
+        if head == "SL":
+            return ("SL(n,R)", (first,))
+        if head == "Sp":
+            if first % 2:
+                raise ValueError("Sp(2n,R) needs an even first parameter")
+            return ("Sp(2n,R)", (first // 2,))
+        raise ValueError(f"{head}(n,R) is not in the table")
+    if second == "C":
+        if head == "SL":
+            return ("SL(n,C)", (first,))
+        if head == "SO":
+            return ("SO(n,C)", (first,))
+        if head == "Sp":
+            if first % 2:
+                raise ValueError("Sp(2n,C) needs an even first parameter")
+            return ("Sp(2n,C)", (first // 2,))
+        raise ValueError(f"{head}(n,C) is not in the table")
+    q = int(second)
+    p, q = max(first, q), min(first, q)
+    if head == "SU":
+        return ("SU(p,q)", (p, q))
+    if head == "SO":
+        if q == 0 and p in (3, 4):
+            return (f"SO({p})", ())
+        return ("SO(p,q)", (p, q))
+    if head == "Sp":
+        return ("Sp(p,q)", (p, q))
+    raise ValueError(f"cannot parse factor {text!r}")

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from geom3 import cli, euclid, intmat, selfcheck
+from geom3 import cli, euclid, intmat, nil, selfcheck
 from geom3.descriptors import canonical_json
 from geom3.intmat import IntMat2, SnfResult
 from support import deadline
@@ -94,11 +94,13 @@ def test_nil_dichotomy_cli():
 
 
 def test_nil_dichotomy_non_discrete_input_cli():
-    for bound in ("0", "8"):
-        code, payload = run_json(["nil", "dichotomy", "--gens",
-                                  "rot6;rot4@1,0,0", "--word-bound", bound,
-                                  "--json"])
-        assert code == 0 and payload == {"kind": "NonDiscreteInput"}
+    gens = cli._nil_generators("rot6;rot4@1,0,0")
+    for bound in (0, 8):
+        res = nil.nil_projection_dichotomy(gens, word_bound=bound)
+        assert res.to_json_dict() == {"kind": "NonDiscreteInput"}
+    code, payload = run_json(["nil", "dichotomy", "--gens", "rot6;rot4@1,0,0",
+                              "--json"])
+    assert code == 0 and payload == {"kind": "NonDiscreteInput"}
     code, payload = run_json(["nil", "volume", "--gens", "rot6;rot4@1,0,0",
                               "--json"])
     assert code == 1 and "non-discrete" in payload["error"]["detail"]
@@ -186,17 +188,20 @@ def test_schema_error_exit_code():
     assert code == 2
 
 
-def test_negative_word_bound_is_a_schema_error():
+def test_word_bound_flag_is_rejected():
+    # the Nil dichotomy is exact, so the flag is gone; the library keeps
+    # word_bound, and no verdict depends on it
     for action in ("dichotomy", "volume"):
-        code, payload = run_json(["nil", action, "--gens", "rot4;rot4@1,0,0",
-                                  "--word-bound", "-5", "--json"])
-        assert code == 2
-        assert payload["error"]["kind"] == "schema"
-        assert "--word-bound" in payload["error"]["detail"]
-    code, payload = run_json(["nil", "dichotomy", "--gens", "1,0,0;0,1,0",
-                              "--word-bound", "0", "--json"])
-    assert code == 0 and payload == {"kind": "DiscreteProjection",
-                                     "central_witness": ["0", "0", "1"]}
+        for bound in ("-5", "0"):
+            code, text = run_cli(["nil", action, "--gens", "rot4;rot4@1,0,0",
+                                  "--word-bound", bound, "--json"])
+            assert code == 2 and text == ""
+    gens = cli._nil_generators("1,0,0;0,1,0")
+    with pytest.raises(ValueError, match="word_bound must be >= 0"):
+        nil.nil_projection_dichotomy(gens, word_bound=-5)
+    res = nil.nil_projection_dichotomy(gens, word_bound=0)
+    assert res.to_json_dict() == {"kind": "DiscreteProjection",
+                                  "central_witness": ["0", "0", "1"]}
 
 
 def test_huge_exact_output_is_a_domain_error_naming_the_limit():

@@ -54,9 +54,11 @@ README = [
 
 # The searches, closures and matrix products behind these commands.  The
 # Nil dichotomy cases pin the exact decision, whose witness is the
-# covolume of the projected translations at every word bound; the last two
-# are inputs a bounded word search gets wrong (a non-discrete group called
-# discrete, and a verdict that moves with the bound).
+# covolume of the projected translations; the last two are inputs a
+# bounded word search got wrong (a non-discrete group called discrete,
+# and a verdict that moved with the bound).  Since no verdict depends on
+# a word bound, `nil` has no --word-bound: the cases that passed one pin
+# that it is rejected.
 SEARCHES = [
     "nil iso --preset Gp:2 --adjoin full",
     "nil iso --preset Gp:3 --adjoin full",
@@ -67,6 +69,10 @@ SEARCHES = [
     "nil iso --preset Gp:24 --adjoin full",
     "nil iso --preset hex:2 --adjoin full",
     "zimmer summary --geometry nil --preset Gp:4 --adjoin full",
+    "nil dichotomy --gens rot6;1,0,0",
+    "nil dichotomy --gens rot4;1,0,0",
+    "nil dichotomy --gens 1,0,0;0,1,0",
+    "nil volume --gens rot6;1,0,0",
     "nil dichotomy --gens rot6;1,0,0 --word-bound 4",
     "nil dichotomy --gens rot6;1,0,0 --word-bound 8",
     "nil dichotomy --gens rot4;1,0,0 --word-bound 8",
@@ -89,6 +95,9 @@ SEARCHES = [
     "zimmer verdict --geometry sol --preset fib --adjoin full "
     "--factors SL(3,R) --nonuniform",
     "zimmer summary --geometry sol --preset fib --adjoin full",
+    # "x" joins two factors without spaces too
+    "zimmer verdict --geometry s3 --component SO(4) "
+    "--factors SO(2,2)xSO(4) --uniform",
 ]
 
 # Space-separated commands (no argument contains a space), each run as

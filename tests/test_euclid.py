@@ -145,6 +145,18 @@ def test_quotient_isometry_z2_d4():
     assert d.finite_part["structure"] == "Z2"
 
 
+def test_planar_finite_part_reads_every_translation_vector():
+    # (2,0), (0,1), (3,0) generate Z^2, whose group is D4 of order 8; the
+    # first two alone span an index-2 sublattice, whose group is D2
+    for basis in ([(2, 0), (0, 1), (3, 0)], [(2, 0), (3, 0), (0, 1)]):
+        with pytest.raises(ValueError, match="integer combinations"):
+            euclid_quotient_isometry(crystal_group_make([], basis))
+    d = euclid_quotient_isometry(crystal_group_make([], [(1, 0), (0, 1),
+                                                        (3, -2)]))
+    assert d.finite_part == {"order": 8, "structure": "D4",
+                             "point_group": "D4"}
+
+
 def test_quotient_isometry_z3():
     d = euclid_quotient_isometry(preset_crystal("Z3"))
     assert d.identity_component == "T3"

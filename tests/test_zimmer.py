@@ -28,6 +28,7 @@ from geom3.zimmer import (
     real_rank,
     zimmer_verdict,
 )
+from support import zimmer_factor_by_cases, zimmer_parse_by_cases
 
 
 def test_real_rank_table():
@@ -246,3 +247,123 @@ def test_spec_rendering():
     assert "SL(2,R)" in str(spec) and "uniform" in str(spec)
     assert str(parse_factor("Sp(4,R)")) == "Sp(4,R)"
     assert str(parse_factor("SO(2,2)")) == "SO(2,2)"
+
+
+def _outcome(call):
+    """What a call returns, or the type and text of its ValueError."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _by_table(factor):
+    return {"str": str(factor), "real_rank": real_rank(factor),
+            "complex_type": complex_type(factor)}
+
+
+FAMILIES = ("SL(n,R)", "SU(p,q)", "SL(n,C)", "SO(p,q)", "SO(n,C)",
+            "Sp(2n,R)", "Sp(p,q)", "Sp(2n,C)", "G2", "F4", "E6", "E7", "E8",
+            "SO(3)", "SO(4)", "XX(n)")
+PARAMS = ([(), (1, 1, 1)] + [(n,) for n in range(-1, 9)]
+          + [(p, q) for p in range(-1, 7) for q in range(-1, 7)])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_real_form_table_matches_the_case_analyses(family):
+    for params in PARAMS:
+        assert _outcome(lambda: _by_table(SimpleFactor(family, params))) \
+            == _outcome(lambda: zimmer_factor_by_cases(family, params)), \
+            (family, params)
+
+
+@pytest.mark.parametrize("head", ["SL", "SU", "SO", "Sp", "XX"])
+def test_parse_factor_matches_the_case_analyses(head):
+    texts = [f"{head}({a},{b})" for a in range(9)
+             for b in [*map(str, range(9)), "R", "C"]]
+    if head == "SO":
+        texts += ["SO(3)", "SO(4)", "SO(5)", " SO ( 3 ) ", "G2", "F4", "E6",
+                  "E7", "E8", "E9", "so(3)", ""]
+    for text in texts:
+        def by_table():
+            factor = parse_factor(text)
+            return (factor.family, factor.params), _by_table(factor)
+
+        def by_cases():
+            found = zimmer_parse_by_cases(text)
+            return found, zimmer_factor_by_cases(*found)
+
+        assert _outcome(by_table) == _outcome(by_cases), text
+
+
+def test_small_rank_identities():
+    # sl(2) = so(3) = sp(1) = A1
+    for text in ("SL(2,R)", "SU(1,1)", "SO(3)", "SO(2,1)", "Sp(2,R)",
+                 "Sp(1,0)"):
+        assert complex_type(parse_factor(text)) == ("A1",), text
+    # so(4) = A1 A1
+    for text in ("SO(4)", "SO(2,2)", "SO(3,1)"):
+        assert complex_type(parse_factor(text)) == ("A1", "A1"), text
+    # sp(2) = so(5) = B2
+    for text in ("Sp(4,R)", "Sp(1,1)", "Sp(2,0)", "SO(3,2)", "SO(4,1)"):
+        assert complex_type(parse_factor(text)) == ("B2",), text
+    # so(6) = A3 = sl(4)
+    for text in ("SO(3,3)", "SO(4,2)", "SO(5,1)", "SU(2,2)", "SL(4,R)"):
+        assert complex_type(parse_factor(text)) == ("A3",), text
+    assert complex_type(parse_factor("SO(6,C)")) == ("A3", "A3")
+    assert complex_type(parse_factor("Sp(4,C)")) == ("B2", "B2")
+
+
+def _type_rank(label: str) -> int:
+    return int(label[1:])
+
+
+def test_real_rank_of_each_kind_of_real_form():
+    """A split form has the rank of its complexification, a complex group
+    half of it (its types come doubled), a (p, q) form min(p, q)."""
+    for n in range(2, 9):
+        for text in (f"SL({n},R)", f"Sp({2 * n},R)"):
+            f = parse_factor(text)
+            assert real_rank(f) == sum(map(_type_rank, complex_type(f)))
+        for text in (f"SL({n},C)", f"Sp({2 * n},C)", f"SO({n + 1},C)"):
+            f = parse_factor(text)
+            assert 2 * real_rank(f) == sum(map(_type_rank, complex_type(f)))
+    for text in ("G2", "F4", "E6", "E7", "E8"):
+        assert real_rank(parse_factor(text)) == _type_rank(text)
+    for p in range(2, 7):
+        for q in range(max(0, 3 - p), p + 1):
+            for head in ("SU", "SO", "Sp"):
+                f = parse_factor(f"{head}({p},{q})")
+                if f.params:                # SO(3) and SO(4) are compact
+                    assert real_rank(f) == min(p, q)
+                else:
+                    assert real_rank(f) == 0
+
+
+@pytest.mark.parametrize("text", ["SL(3,R)xSL(3,R)", "SL(3,R) x SL(3,R)",
+                                  "SL(3,R)x SL(3,R)", "SL(3,R) *SL(3,R)",
+                                  "SL(3,R)×SL(3,R)"])
+def test_parse_spec_separators(text):
+    spec = parse_spec(text, uniform=True)
+    assert spec.factors == (parse_factor("SL(3,R)"),) * 2
+    assert str(spec) == "SL(3,R) x SL(3,R) (uniform)"
+
+
+def test_parse_spec_joins_exceptional_and_compact_factors():
+    spec = parse_spec("G2xSO(2,2)xSO(4)", uniform=False)
+    assert [str(f) for f in spec.factors] == ["G2", "SO(2,2)", "SO(4)"]
+
+
+@pytest.mark.parametrize("text", ["x SL(3,R)", "xSL(3,R)", "SL(3,R)x",
+                                  "SL(3,R) x", "SL(3,R) x x SO(4)",
+                                  "* SL(3,R)"])
+def test_parse_spec_rejects_a_separator_without_two_factors(text):
+    with pytest.raises(ValueError, match="cannot parse factor ''"):
+        parse_spec(text, uniform=True)
+
+
+def test_parse_spec_keeps_x_inside_a_word():
+    with pytest.raises(ValueError, match="cannot parse factor 'SLx"):
+        parse_spec("SLx(3,R)", uniform=True)
+    with pytest.raises(ValueError, match="nonempty factor list required"):
+        parse_spec(" ", uniform=True)
