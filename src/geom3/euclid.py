@@ -1,12 +1,15 @@
 """Euclidean crystallographic input and the spherical lookup tables.
 
 Crystallographic groups are given by exact rational orthogonal point
-generators together with a translation lattice basis; only split (i.e.
-symmorphic) extensions are supported for the Betti computation.
+generators together with translation vectors that generate the lattice
+(a basis or any other generating set, reduced to a basis by one Smith
+normal form); only split (i.e. symmorphic) extensions are supported for
+the Betti computation.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -49,51 +52,41 @@ def _identity(n: int) -> Matrix:
                  for i in range(n))
 
 
-def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q: the number of nonzero Smith divisors of the rows, each
-    row scaled to integers by the lcm of its denominators."""
-    scaled = []
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        den = math.lcm(*(x.denominator for x in row))
-        scaled.append([int(x * den) for x in row])
-    return sum(1 for d in snf(scaled)[0] if d)
+class _Lattice:
+    """The Z-span of rational vectors, read off one Smith normal form.
 
+    With D the common denominator of the vectors, A = D * vectors (one row
+    each) and u @ A @ v = diag(d) from `snf`, the rank is the number of
+    nonzero d_i (they come first), and the nonzero rows of u @ A, over D,
+    are a basis.  Since u @ A = diag(d) @ v^-1, a vector w lies in the
+    lattice when W = D w is integral and W @ v = (c_0 d_0, ...,
+    c_{r-1} d_{r-1}, 0, ..., 0) for integers c_i, its coordinates in that
+    basis.  Any generating set will do, zero and redundant vectors too.
+    """
 
-def _solve_rational(columns: Sequence[Vector], target: Vector) \
-        -> Optional[list[Fraction]]:
-    """Coefficients x with sum x_i columns_i = target, or None."""
-    nrows = len(target)
-    ncols = len(columns)
-    aug = [[columns[j][i] for j in range(ncols)] + [target[i]]
-           for i in range(nrows)]
-    pivots = []
-    prow = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(prow, nrows):
-            if aug[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        aug[prow], aug[pivot] = aug[pivot], aug[prow]
-        pv = aug[prow][col]
-        aug[prow] = [v / pv for v in aug[prow]]
-        for r in range(nrows):
-            if r != prow and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [aug[r][k] - f * aug[prow][k]
-                          for k in range(ncols + 1)]
-        pivots.append(col)
-        prow += 1
-    for r in range(prow, nrows):
-        if aug[r][ncols] != 0:
+    def __init__(self, vectors: Sequence[Vector], dim: int):
+        den = math.lcm(*(x.denominator for vec in vectors for x in vec))
+        rows = [[x.numerator * (den // x.denominator) for x in vec]
+                for vec in vectors] or [[0] * dim]
+        d, u, v = snf(rows)
+        self.rank = rank = sum(1 for x in d if x)
+        self.basis = tuple(
+            tuple(Fraction(sum(c * row[j] for c, row in zip(ui, rows)), den)
+                  for j in range(dim))
+            for ui in u[:rank])
+        self._den, self._divisors = den, d[:rank]
+        self._columns = tuple(zip(*v))
+
+    def coords(self, w: Vector) -> Optional[tuple[int, ...]]:
+        """Integer coordinates of w in `basis`, or None off the lattice."""
+        den = self._den
+        if any(den % x.denominator for x in w):
             return None
-    x = [Fraction(0)] * ncols
-    for idx, col in enumerate(pivots):
-        x[col] = aug[idx][ncols]
-    return x
+        big = [x.numerator * (den // x.denominator) for x in w]
+        s = [sum(a * b for a, b in zip(big, col)) for col in self._columns]
+        if any(s[self.rank:]) or any(x % d for x, d in zip(s, self._divisors)):
+            return None
+        return tuple(x // d for x, d in zip(s, self._divisors))
 
 
 @dataclass(frozen=True)
@@ -105,16 +98,26 @@ class CrystalGroup:
     trans_basis: tuple[Vector, ...]
     vector_system: Optional[tuple[Vector, ...]] = None
 
-    def lattice_coords(self, v: Vector) -> Optional[list[Fraction]]:
-        return _solve_rational(self.trans_basis, v)
+    @functools.cached_property
+    def _lattice(self) -> _Lattice:
+        """The translation lattice, built once per group (not a field: eq,
+        hash and repr ignore it)."""
+        return _Lattice(self.trans_basis, self.dim)
+
+    def lattice_coords(self, v: Vector) -> Optional[tuple[int, ...]]:
+        """Integer coordinates of v in the lattice basis, or None."""
+        if len(v) != self.dim:
+            raise ValueError("vector must match the dimension")
+        return self._lattice.coords(v)
 
 
 def crystal_group_make(point_gens, trans_basis, vector_system=None,
                        dim: Optional[int] = None) -> CrystalGroup:
     """Validated crystallographic descriptor.
 
+    The translation vectors may be any generating set of the lattice.
     Point generators must be exactly orthogonal and map every lattice
-    basis vector back into the lattice.
+    vector back into the lattice.
     """
     basis = tuple(tuple(frac(v) for v in vec) for vec in trans_basis)
     if dim is None:
@@ -130,22 +133,26 @@ def crystal_group_make(point_gens, trans_basis, vector_system=None,
     for vec in basis:
         if len(vec) != dim:
             raise ValueError("translation vectors must match the dimension")
-    for g in gens:
-        for vec in basis:
-            coeffs = _solve_rational(basis, _mat_apply(g, vec))
-            if coeffs is None or any(c.denominator != 1 for c in coeffs):
-                raise ValueError("point generators must preserve the "
-                                 "translation lattice")
     vs = None
     if vector_system is not None:
         vs = tuple(tuple(frac(v) for v in vec) for vec in vector_system)
+    group = CrystalGroup(dim, gens, basis, vs)
+    lattice = group._lattice
+    for g in gens:
+        for vec in lattice.basis:
+            if lattice.coords(_mat_apply(g, vec)) is None:
+                raise ValueError("point generators must preserve the "
+                                 "translation lattice")
+    if vs is not None:
         if len(vs) != len(gens):
             raise ValueError("one translation part per point generator")
-    return CrystalGroup(dim, gens, basis, vs)
+        if any(len(vec) != dim for vec in vs):
+            raise ValueError("translation parts must match the dimension")
+    return group
 
 
 def translation_rank(g: CrystalGroup) -> int:
-    return _rank(list(g.trans_basis))
+    return g._lattice.rank
 
 
 INFINITE_VOLUME = "InfiniteVolume"
@@ -161,27 +168,28 @@ def euclid_volume_verdict(g: CrystalGroup) -> str:
 
 
 def _check_split(g: CrystalGroup):
-    if g.vector_system is None:
-        return
-    for vec in g.vector_system:
-        coeffs = g.lattice_coords(vec)
-        if coeffs is None or any(c.denominator != 1 for c in coeffs):
-            raise NonSymmorphicError(
-                "non-integral vector system: non-symmorphic groups are "
-                "not supported")
+    if translation_rank(g) != g.dim:
+        raise ValueError("full-rank translation lattice required")
+    if g.vector_system is not None and any(
+            g.lattice_coords(vec) is None for vec in g.vector_system):
+        raise NonSymmorphicError("non-integral vector system: "
+                                 "non-symmorphic groups are not supported")
+
+
+def _minus_identity(mats) -> list:
+    """The rows of M - I for every square matrix M in mats, stacked."""
+    return [[x - (i == j) for j, x in enumerate(row)]
+            for m in mats for i, row in enumerate(m)]
 
 
 def point_gens_in_lattice_basis(g: CrystalGroup) -> list[list[list[int]]]:
-    """Each point generator rewritten in lattice coordinates (integral)."""
+    """Each point generator as an integer matrix in the lattice basis."""
+    lattice = g._lattice
     out = []
     for gen in g.point_gens:
-        cols = []
-        for vec in g.trans_basis:
-            coeffs = _solve_rational(g.trans_basis, _mat_apply(gen, vec))
-            cols.append([int(c) for c in coeffs])
-        # columns are images of basis vectors
-        mat = [[cols[j][i] for j in range(g.dim)] for i in range(g.dim)]
-        out.append(mat)
+        # columns are the coordinates of the images of the basis vectors
+        cols = [lattice.coords(_mat_apply(gen, vec)) for vec in lattice.basis]
+        out.append([list(row) for row in zip(*cols)])
     return out
 
 
@@ -192,15 +200,8 @@ def betti_identity_component(g: CrystalGroup) -> tuple[int, str]:
     generator; for split groups this equals the free rank of the
     abelianization (see coinvariant_rank for the integral cross-check).
     """
-    if translation_rank(g) != g.dim:
-        raise ValueError("full-rank translation lattice required")
     _check_split(g)
-    rows = []
-    ident = _identity(g.dim)
-    for gen in g.point_gens:
-        for i in range(g.dim):
-            rows.append([gen[i][j] - ident[i][j] for j in range(g.dim)])
-    betti = g.dim - _rank(rows) if rows else g.dim
+    betti = g.dim - _Lattice(_minus_identity(g.point_gens), g.dim).rank
     torus = {0: "trivial", 1: "S1", 2: "T2", 3: "T3"}[betti]
     return betti, torus
 
@@ -212,29 +213,15 @@ def coinvariant_rank(g: CrystalGroup) -> int:
     point action is integral; this is the abelianization-rank oracle for
     betti_identity_component.
     """
-    if translation_rank(g) != g.dim:
-        raise ValueError("full-rank translation lattice required")
     _check_split(g)
-    rows = []
-    for mat in point_gens_in_lattice_basis(g):
-        for i in range(g.dim):
-            rows.append([mat[i][j] - (1 if i == j else 0)
-                         for j in range(g.dim)])
-    if not rows:
-        return g.dim
-    return g.dim - sum(1 for d in snf(rows)[0] if d)
+    rows = _minus_identity(point_gens_in_lattice_basis(g))
+    return g.dim - _Lattice(rows, g.dim).rank
 
 
 def _planar_point_group(g: CrystalGroup):
-    """Point group of the lattice spanned by the first two vectors."""
+    """Point group of the rank-2 translation lattice, from its basis."""
     from .nil import planar_point_group   # no other euclid code needs nil
-    u, v, *further = g.trans_basis
-    for w in further:
-        coeffs = _solve_rational((u, v), w)
-        if coeffs is None or any(c.denominator != 1 for c in coeffs):
-            raise ValueError("translation vectors after the first two must "
-                             "be integer combinations of them")
-    return planar_point_group(u, v)
+    return planar_point_group(*g._lattice.basis)
 
 
 def euclid_quotient_isometry(g: CrystalGroup) -> IsoDescriptor:
@@ -253,11 +240,7 @@ def euclid_quotient_isometry(g: CrystalGroup) -> IsoDescriptor:
         in_basis = point_gens_in_lattice_basis(g)
         closure = _integer_group_closure(in_basis)
         if len(closure) == pg.order and betti == 0:
-            rows = []
-            for mat in closure:
-                for i in range(2):
-                    rows.append([(1 if i == j else 0) - mat[i][j]
-                                 for j in range(2)])
+            rows = _minus_identity(closure)
             order = math.prod(max(d, 1) for d in snf(rows)[0])
             finite = {"order": order,
                       "structure": {1: "trivial", 2: "Z2"}.get(

@@ -24,8 +24,17 @@ CIRCLE = "Circle"
 
 
 def float_tolerance() -> float:
+    """GEOM3_TOL if set (a finite float >= 0), else 1e-9."""
     value = os.environ.get("GEOM3_TOL")
-    return float(value) if value else 1e-9
+    if not value:
+        return 1e-9
+    try:
+        tol = float(value)
+        if math.isfinite(tol) and tol >= 0:
+            return tol
+    except ValueError:
+        pass
+    raise ValueError(f"GEOM3_TOL must be a finite float >= 0, not {value!r}")
 
 
 class IdentityClassError(ValueError):

@@ -94,7 +94,7 @@ def sol_fixed_line(g: SolPoint) -> tuple:
 
     p = x / (1 - e^t), q = y / (1 - e^{-t}).
     """
-    if (g.is_exact and g.level == 0) or (not g.is_exact and g.level == 0):
+    if g.level == 0:
         raise ValueError("t = 0: no transverse fixed line")
     one = Fraction(1) if g.is_exact else 1.0
     p = g.x / (one - g.scale())

@@ -62,6 +62,8 @@ class SimpleFactor:
             if p:
                 raise ValueError(f"{self.family} takes no parameters")
             return
+        if any(type(x) is not int for x in p):   # bool is not an int here
+            raise ValueError(f"{self.family} parameters must be integers")
         if form.kind == _PQ:
             if len(p) != 2 or p[0] < p[1] or p[1] < 0:
                 raise ValueError(f"{self.family} needs p >= q >= 0")

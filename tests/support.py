@@ -32,6 +32,12 @@ oracles for the integer-numerator `QuadRat` and for Pollard's rho.
 `rational_rank_by_elimination` is a Gaussian elimination over Q: the
 integer-lattice code that `intmat.snf` replaced, kept as its oracles.
 
+`lattice_points_by_walk` decides membership in the Z-span of rational
+vectors by brute force, with no linear algebra: a breadth-first walk by
+the steps +-v inside a box.  It is the oracle for the Smith-form lattice
+kernel of `euclid`, which replaced a Gauss-Jordan solve that tested one
+particular solution only.
+
 `dichotomy_by_fixed_sets` is the Nil dichotomy as it was decided before
 one Reidemeister-Schreier pass gave every verdict: a common fixed point or
 pointwise fixed line by exact affine solves, then an invariant line by a
@@ -621,6 +627,38 @@ def _det_minor(rows, rs, cs):
                 - sub[0][1] * (sub[1][0] * sub[2][2] - sub[1][2] * sub[2][0])
                 + sub[0][2] * (sub[1][0] * sub[2][1] - sub[1][1] * sub[2][0]))
     raise ValueError("minor order > 3 not supported")
+
+
+def lattice_points_by_walk(vectors, dim: int, bound: int):
+    """(D, points): D the common denominator of the rational vectors, and
+    every point of their Z-span whose coordinates, times D, lie in
+    [-bound, bound], as those integer tuples.
+
+    The walk starts at 0 and takes the steps +-D v while it stays in the
+    box widened by dim * M, M the largest entry of any D v.  That finds
+    every point of the inner box: a lattice point W is a sum of n steps,
+    and by the Steinitz lemma (any norm, dimension dim) they can be
+    ordered so that each partial sum lies within dim * (M + |W| / n) of
+    the segment [0, W]; padding with pairs of opposite steps makes n as
+    large as needed, and partial sums are integral.
+    """
+    den = math.lcm(*(Fraction(x).denominator for v in vectors for x in v))
+    steps = {tuple(int(Fraction(x) * den) * sign for x in v)
+             for v in vectors for sign in (1, -1)}
+    reach = bound + dim * max((abs(x) for st in steps for x in st),
+                              default=0)
+    seen = {(0,) * dim}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for st in steps:
+                q = tuple(a + b for a, b in zip(p, st))
+                if q not in seen and all(abs(x) <= reach for x in q):
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return den, {p for p in seen if all(abs(x) <= bound for x in p)}
 
 
 def rational_rank_by_elimination(rows) -> int:

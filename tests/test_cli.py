@@ -127,6 +127,19 @@ def test_zimmer_cli():
     assert payload["preserves_form"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["hyp", "classify", "--matrix", "2.0,1,1,1"],
+    ["hyp", "classify", "--matrix", "2.0,0,0,0.5"],
+    ["hyp", "commute", "--m1", "2,0,0,0.5", "--m2", "1,1,0,1"],
+])
+def test_bad_tolerance_is_a_domain_error(monkeypatch, argv):
+    monkeypatch.setenv("GEOM3_TOL", "nan")
+    code, payload = run_json(argv + ["--json"])
+    assert code == 1
+    assert payload["error"]["kind"] == "ValueError"
+    assert "GEOM3_TOL" in payload["error"]["detail"]
+
+
 def test_hyp_and_fiber_cli():
     code, payload = run_json(["hyp", "classify", "--matrix", "2,0,0,0.5",
                               "--json"])

@@ -1,7 +1,10 @@
 """Crystallographic ranks, Betti numbers with their integral oracle, the
-planar worked isometry groups, and the lookup tables."""
+translation-lattice kernel against a brute-force walk, the planar worked
+isometry groups, and the lookup tables."""
 
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,7 +16,7 @@ from geom3.euclid import (
     FINITE_VOLUME_COMPACT,
     INFINITE_VOLUME,
     NonSymmorphicError,
-    _rank,
+    _Lattice,
     betti_identity_component,
     coinvariant_rank,
     crystal_group_make,
@@ -24,7 +27,11 @@ from geom3.euclid import (
     spherical_components_lookup,
     translation_rank,
 )
-from support import rational_rank_by_elimination
+from support import (
+    elementary_divisors_stack,
+    lattice_points_by_walk,
+    rational_rank_by_elimination,
+)
 
 HALF = Fraction(1, 2)
 
@@ -148,13 +155,11 @@ def test_quotient_isometry_z2_d4():
 def test_planar_finite_part_reads_every_translation_vector():
     # (2,0), (0,1), (3,0) generate Z^2, whose group is D4 of order 8; the
     # first two alone span an index-2 sublattice, whose group is D2
-    for basis in ([(2, 0), (0, 1), (3, 0)], [(2, 0), (3, 0), (0, 1)]):
-        with pytest.raises(ValueError, match="integer combinations"):
-            euclid_quotient_isometry(crystal_group_make([], basis))
-    d = euclid_quotient_isometry(crystal_group_make([], [(1, 0), (0, 1),
-                                                        (3, -2)]))
-    assert d.finite_part == {"order": 8, "structure": "D4",
-                             "point_group": "D4"}
+    for basis in ([(2, 0), (0, 1), (3, 0)], [(2, 0), (3, 0), (0, 1)],
+                  [(1, 0), (0, 1), (3, -2)]):
+        d = euclid_quotient_isometry(crystal_group_make([], basis))
+        assert d.finite_part == {"order": 8, "structure": "D4",
+                                 "point_group": "D4"}
 
 
 def test_quotient_isometry_z3():
@@ -210,4 +215,133 @@ def rational_rows(draw):
 @given(rational_rows())
 @settings(max_examples=300, deadline=None)
 def test_rank_agrees_with_gaussian_elimination(rows):
-    assert _rank(rows) == rational_rank_by_elimination(rows)
+    dim = len(rows[0]) if rows else 1
+    assert _Lattice(rows, dim).rank == rational_rank_by_elimination(rows)
+
+
+@st.composite
+def generating_sets(draw):
+    """1-4 rational vectors in dimension 2 or 3; zero vectors, repeats
+    and dependent sets all occur."""
+    dim = draw(st.sampled_from((2, 3)))
+    entry = st.fractions(min_value=Fraction(-3, 2), max_value=Fraction(3, 2),
+                         max_denominator=2)
+    vectors = draw(st.lists(st.tuples(*[entry] * dim), min_size=1,
+                            max_size=4))
+    return dim, vectors
+
+
+def _combination(coeffs, vectors, dim):
+    return tuple(sum(c * v[j] for c, v in zip(coeffs, vectors))
+                 for j in range(dim))
+
+
+@given(generating_sets())
+@settings(max_examples=100, deadline=None)
+def test_lattice_membership_agrees_with_the_walk(case):
+    dim, vectors = case
+    lattice = _Lattice(vectors, dim)
+    den, points = lattice_points_by_walk(vectors, dim, bound=2)
+    for big in itertools.product(range(-2, 3), repeat=dim):
+        w = tuple(Fraction(x, den) for x in big)
+        coords = lattice.coords(w)
+        assert (coords is not None) == (big in points), w
+        if coords is not None:
+            assert _combination(coords, lattice.basis, dim) == w
+    # the lattice lies in (1/den) Z^dim
+    assert lattice.coords((Fraction(1, 3 * den),) * dim) is None
+
+
+@given(generating_sets())
+@settings(max_examples=100, deadline=None)
+def test_lattice_basis_and_vectors_generate_each_other(case):
+    dim, vectors = case
+    lattice = _Lattice(vectors, dim)
+    assert len(lattice.basis) == lattice.rank
+    for v in vectors:   # the basis generates every vector ...
+        assert _combination(lattice.coords(v), lattice.basis, dim) == v
+    # ... and spans no more than they do: both have the same determinantal
+    # divisors, so the index of one lattice in the other is 1
+    den = math.lcm(*(x.denominator for v in vectors for x in v))
+    scaled = [[int(x * den) for x in v] for v in vectors]
+    divisors = [d for d in elementary_divisors_stack(scaled, dim) if d]
+    assert len(divisors) == lattice.rank
+    if lattice.basis:
+        basis = [[int(x * den) for x in b] for b in lattice.basis]
+        assert [d for d in elementary_divisors_stack(basis, dim) if d] \
+            == divisors
+
+
+def _lattice_readings(gens, vectors):
+    g = crystal_group_make(gens, vectors)
+    return (translation_rank(g), betti_identity_component(g),
+            coinvariant_rank(g),
+            canonical_json(euclid_quotient_isometry(g).to_json_dict()))
+
+
+UNIMODULAR = {2: [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 3), (0, 1)),
+                  ((2, 1), (1, 1)), ((-1, 2), (1, -1))],
+              3: [((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+                  ((1, 2, 0), (0, 1, 0), (0, -3, 1)),
+                  ((2, 1, 1), (1, 1, 0), (1, 0, 0))]}
+
+
+def test_readings_ignore_the_choice_of_generating_set():
+    for gens, basis in GRID:
+        expected = _lattice_readings(gens, basis)
+        dim = len(basis)
+        for m in UNIMODULAR[dim]:
+            changed = [_combination(row, basis, dim) for row in m]
+            assert _lattice_readings(gens, changed) == expected, \
+                (gens, changed)
+        redundant = [*basis, _combination((2, -1, 3), basis, dim)]
+        assert _lattice_readings(gens, redundant) == expected, \
+            (gens, redundant)
+
+
+SWAP_XY = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+
+
+def test_point_generators_see_the_lattice_not_the_vectors():
+    # (2,2,0), (3,3,0), (0,0,1) generate Z(1,1,0) + Z(0,0,1), which the
+    # swap preserves
+    g = crystal_group_make([SWAP_XY], [(2, 2, 0), (3, 3, 0), (0, 0, 1)])
+    assert translation_rank(g) == 2
+    assert g.lattice_coords((1, 1, 0)) is not None
+    assert g.lattice_coords((1, 0, 0)) is None
+    # (2,0), (0,1), (1,0) generate Z^2, which diag(1, -1) preserves
+    g = crystal_group_make([REFL_Y], [(2, 0), (0, 1), (1, 0)])
+    assert betti_identity_component(g) == (1, "S1") \
+        == betti_identity_component(crystal_group_make([REFL_Y], Z2_BASIS))
+    assert coinvariant_rank(g) == 1
+    # a lattice that the swap does not preserve is still refused
+    with pytest.raises(ValueError, match="preserve the translation"):
+        crystal_group_make([SWAP_XY], [(2, 2, 0), (3, 0, 0), (0, 0, 1)])
+
+
+def test_empty_and_zero_translation_vectors():
+    g = crystal_group_make([ROT90], [])
+    assert g.dim == 2 and translation_rank(g) == 0
+    assert g.lattice_coords((0, 0)) == ()
+    assert g.lattice_coords((1, 0)) is None
+    with pytest.raises(ValueError, match="full-rank"):
+        betti_identity_component(g)
+    for vectors in ([(1, 0), (0, 0), (0, 1)], [(0, 0), (1, 0), (0, 1)]):
+        g = crystal_group_make([], vectors)
+        assert translation_rank(g) == 2
+        assert euclid_quotient_isometry(g).finite_part \
+            == {"order": 8, "structure": "D4", "point_group": "D4"}
+        g = crystal_group_make([ROT90, REFL_Y], vectors)
+        assert euclid_quotient_isometry(g).to_json_dict() \
+            == euclid_quotient_isometry(preset_crystal("Z2xD4")).to_json_dict()
+    g = crystal_group_make([], [(0, 0, 0)])
+    assert translation_rank(g) == 0
+
+
+def test_vectors_must_match_the_dimension():
+    with pytest.raises(ValueError, match="translation parts must match"):
+        crystal_group_make([REFL_Y], Z2_BASIS, vector_system=[(HALF,)])
+    g = crystal_group_make([], Z2_BASIS)
+    for v in ((1,), (1, 0, 5)):
+        with pytest.raises(ValueError, match="must match the dimension"):
+            g.lattice_coords(v)

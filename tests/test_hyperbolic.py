@@ -232,6 +232,18 @@ def test_tolerance_env(monkeypatch):
     assert classify_isometry(m).tag == HYPERBOLIC
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
+def test_tolerance_env_must_be_a_finite_non_negative_float(monkeypatch,
+                                                           value):
+    from geom3 import hyperbolic as hyp
+    monkeypatch.setenv("GEOM3_TOL", value)
+    with pytest.raises(ValueError, match="GEOM3_TOL"):
+        hyp.float_tolerance()
+    # trace 3 once classified as Elliptic under GEOM3_TOL=nan
+    with pytest.raises(ValueError, match="GEOM3_TOL"):
+        classify_isometry(MobiusMap(2.0, 1, 1, 1))
+
+
 @pytest.mark.parametrize("entries", [
     (math.nan, 0, 0, 1), (math.inf, 0, 0, 1), (1, -math.inf, 0, 1),
     (1e200, 1e200, 1e200, 1e200), (1e-200, 1e-200, 1e-200, 1e-200),

@@ -67,6 +67,15 @@ def test_parameter_validation():
         parse_factor("XX(1,2)")
 
 
+@pytest.mark.parametrize("family, params", [
+    ("SL(n,R)", (2.5,)), ("SL(n,R)", (3.0,)), ("SL(n,R)", ("3",)),
+    ("SL(n,R)", (True,)), ("SO(p,q)", (2, 1.0)), ("Sp(p,q)", (False, 0)),
+])
+def test_parameters_must_be_integers(family, params):
+    with pytest.raises(ValueError, match="parameters must be integers"):
+        SimpleFactor(family, params)
+
+
 def test_complex_types():
     assert complex_type(parse_factor("SO(3)")) == ("A1",)
     assert complex_type(parse_factor("SO(4)")) == ("A1", "A1")
