@@ -35,8 +35,17 @@ class NonSymmorphicError(ValueError):
     """Non-integral vector systems are out of the supported range."""
 
 
+def _rational(v) -> Fraction:
+    """An exact entry (int, Fraction or "p/q"); a float is a domain error."""
+    try:
+        return frac(v)
+    except TypeError:
+        raise ValueError(
+            f"exact rational entries required, not {v!r}") from None
+
+
 def _to_matrix(rows, dim: int) -> Matrix:
-    out = tuple(tuple(frac(v) for v in row) for row in rows)
+    out = tuple(tuple(_rational(v) for v in row) for row in rows)
     if len(out) != dim or any(len(r) != dim for r in out):
         raise ValueError(f"{dim}x{dim} matrix expected")
     return out
@@ -119,7 +128,7 @@ def crystal_group_make(point_gens, trans_basis, vector_system=None,
     Point generators must be exactly orthogonal and map every lattice
     vector back into the lattice.
     """
-    basis = tuple(tuple(frac(v) for v in vec) for vec in trans_basis)
+    basis = tuple(tuple(_rational(v) for v in vec) for vec in trans_basis)
     if dim is None:
         dim = len(basis[0]) if basis else (len(point_gens[0])
                                            if point_gens else 0)
@@ -135,7 +144,8 @@ def crystal_group_make(point_gens, trans_basis, vector_system=None,
             raise ValueError("translation vectors must match the dimension")
     vs = None
     if vector_system is not None:
-        vs = tuple(tuple(frac(v) for v in vec) for vec in vector_system)
+        vs = tuple(tuple(_rational(v) for v in vec)
+                   for vec in vector_system)
     group = CrystalGroup(dim, gens, basis, vs)
     lattice = group._lattice
     for g in gens:

@@ -1,9 +1,13 @@
 """Mobius actions on the upper half-plane and the trace trichotomy.
 
 Matrices are normalized to det 1 and canonicalized up to sign, i.e. they
-represent classes in PSL2.  Classification uses the exact sign of the
-trace when the entries are exact rationals, and a tolerance (default 1e-9,
-override with the GEOM3_TOL environment variable) otherwise.
+represent classes in PSL2.  A map with exact rational entries (and a
+square determinant) is held as one primitive integer matrix over one
+denominator, (A B; C D)/q with AD - BC = q^2, so its products, inverses,
+identity test and trace sign are integer arithmetic; its Fraction entries
+are built only when read.  Classification and the commutation test are
+exact for exact maps, and use a tolerance (default 1e-9, override with the
+GEOM3_TOL environment variable) otherwise.
 """
 
 from __future__ import annotations
@@ -78,95 +82,108 @@ def _is_exact(*vals) -> bool:
 
 
 class MobiusMap:
-    """(a b; c d) acting on the upper half-plane, det normalized to 1."""
+    """(a b; c d) acting on the upper half-plane, det normalized to 1.
 
-    __slots__ = ("a", "b", "c", "d", "exact")
+    An exact map is the integer matrix (A, B, C, D) over one denominator
+    q > 0, a = A/q and so on, with
+    - AD - BC = q^2 (det 1);
+    - gcd(A, B, C, D, q) = 1, so q is the lcm of the entries' denominators
+      and each map has one representation;
+    - the canonical PSL2 sign: positive trace, or at trace 0 a positive
+      first nonzero entry.
+    `compose`, `inverse`, `is_identity` and `trace` work on these integers;
+    `a`, `b`, `c`, `d` and `entries()` build the reduced Fractions when
+    first read.  A float map keeps its float entries, with the same sign.
+    """
+
+    __slots__ = ("_ints", "_q", "_entries", "exact")
 
     def __init__(self, a, b, c, d):
-        exact = _is_exact(a, b, c, d)
-        if exact:
-            a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
-            det = a * d - b * c
+        if _is_exact(a, b, c, d):
+            fracs = [Fraction(v) for v in (a, b, c, d)]
+            den = math.lcm(*(f.denominator for f in fracs))
+            A, B, C, D = (f.numerator * (den // f.denominator) for f in fracs)
+            det = A * D - B * C
             if det <= 0:
                 raise ValueError("positive determinant required")
-            if det != 1:
-                num_s, num_ok = _exact_sqrt(det.numerator)
-                den_s, den_ok = _exact_sqrt(det.denominator)
-                if num_ok and den_ok:
-                    scale = Fraction(den_s, num_s)
-                    a, b, c, d = a * scale, b * scale, c * scale, d * scale
-                else:
-                    a, b, c, d = (float(a), float(b), float(c), float(d))
-                    exact = False
-        if not exact:
-            a, b, c, d = float(a), float(b), float(c), float(d)
-            if not all(map(math.isfinite, (a, b, c, d))):
-                raise ValueError("finite entries required")
+            q = math.isqrt(det)
+            if q * q == det:
+                # (A B; C D)/den has det (q/den)^2, so over q it has det 1
+                _set_exact(self, A, B, C, D, q)
+                return
+            # no exact det-1 representative: the det is not a square
+            a, b, c, d = fracs
+        a, b, c, d = float(a), float(b), float(c), float(d)
+        if not all(map(math.isfinite, (a, b, c, d))):
+            raise ValueError("finite entries required")
+        det = a * d - b * c
+        if not sys.float_info.min <= abs(det) < math.inf:
+            # a*d or b*c under- or overflowed (det 0, subnormal, inf or
+            # NaN): retry with the entries scaled by a power of two, which
+            # is exact; the normalization to det 1 below divides it out
+            _, exp = math.frexp(max(map(abs, (a, b, c, d))))
+            a, b, c, d = (math.ldexp(x, -exp) for x in (a, b, c, d))
             det = a * d - b * c
-            if not sys.float_info.min <= abs(det) < math.inf:
-                # a*d or b*c under- or overflowed (det 0, subnormal, inf or
-                # NaN): retry with the entries scaled by a power of two, which
-                # is exact; the normalization to det 1 below divides it out
-                _, exp = math.frexp(max(map(abs, (a, b, c, d))))
-                a, b, c, d = (math.ldexp(x, -exp) for x in (a, b, c, d))
-                det = a * d - b * c
-            if not det > 0:
-                raise ValueError("positive determinant required")
-            scale = 1.0 / math.sqrt(det)
-            a, b, c, d = a * scale, b * scale, c * scale, d * scale
-        self._set_canonical(a, b, c, d, exact)
-
-    def _set_canonical(self, a, b, c, d, exact: bool) -> None:
-        """Store det-1 entries with the canonical sign of the PSL2 class."""
-        tr = a + d
-        flip = tr < 0
-        if tr == 0:
-            for entry in (a, b, c, d):
-                if entry != 0:
-                    flip = entry < 0
-                    break
-        if flip:
-            a, b, c, d = -a, -b, -c, -d
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "exact", exact)
+        if not det > 0:
+            raise ValueError("positive determinant required")
+        scale = 1.0 / math.sqrt(det)
+        self._ints = self._q = None
+        self._entries = _canonical_sign(a * scale, b * scale, c * scale,
+                                        d * scale)
+        self.exact = False
 
     @classmethod
     def identity(cls) -> "MobiusMap":
-        return cls(1, 0, 0, 1)
+        return _set_exact(object.__new__(cls), 1, 0, 0, 1, 1)
 
     def entries(self):
-        return (self.a, self.b, self.c, self.d)
+        if self._entries is None:
+            q = self._q
+            self._entries = tuple(Fraction(x, q) for x in self._ints)
+        return self._entries
+
+    a = property(lambda self: self.entries()[0])
+    b = property(lambda self: self.entries()[1])
+    c = property(lambda self: self.entries()[2])
+    d = property(lambda self: self.entries()[3])
 
     def trace(self):
-        return self.a + self.d
+        if self.exact:
+            return Fraction(self._ints[0] + self._ints[3], self._q)
+        return self._entries[0] + self._entries[3]
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
-        entries = (self.a * other.a + self.b * other.c,
-                   self.a * other.b + self.b * other.d,
-                   self.c * other.a + self.d * other.c,
-                   self.c * other.b + self.d * other.d)
         if self.exact and other.exact:
-            # Fractions of det 1 multiply to Fractions of det 1: nothing
-            # for __init__ to wrap, check or rescale
-            product = object.__new__(MobiusMap)
-            product._set_canonical(*entries, True)
-            return product
-        # a float factor: __init__'s 1/sqrt(det) rescale sets the float bits
-        return MobiusMap(*entries)
+            # dets q^2 and q'^2: the integer product has det (q q')^2
+            A, B, C, D = self._ints
+            E, F, G, H = other._ints
+            return _set_exact(object.__new__(MobiusMap),
+                              A * E + B * G, A * F + B * H,
+                              C * E + D * G, C * F + D * H,
+                              self._q * other._q)
+        # a float factor: __init__'s 1/sqrt(det) rescale of the
+        # (Fraction times float) entries sets the float bits
+        a, b, c, d = self.entries()
+        e, f, g, h = other.entries()
+        return MobiusMap(a * e + b * g, a * f + b * h,
+                         c * e + d * g, c * f + d * h)
 
     def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
+        if self.exact:
+            A, B, C, D = self._ints
+            return _set_exact(object.__new__(MobiusMap), D, -B, -C, A,
+                              self._q)
+        a, b, c, d = self._entries
+        return MobiusMap(d, -b, -c, a)
 
     def is_identity(self, tol: float | None = None) -> bool:
         if self.exact:
-            return (self.a == 1 and self.d == 1
-                    and self.b == 0 and self.c == 0)
+            A, B, C, D = self._ints
+            return A == D == self._q and B == C == 0
+        a, b, c, d = self._entries
         tol = float_tolerance() if tol is None else tol
-        return (abs(self.a - 1) <= tol and abs(self.d - 1) <= tol
-                and abs(self.b) <= tol and abs(self.c) <= tol)
+        return (abs(a - 1) <= tol and abs(d - 1) <= tol
+                and abs(b) <= tol and abs(c) <= tol)
 
     def projective_distance(self, other: "MobiusMap") -> float:
         """Frobenius distance to +-other, the PSL2 identification."""
@@ -180,9 +197,25 @@ class MobiusMap:
         return f"MobiusMap({self.a}, {self.b}, {self.c}, {self.d})"
 
 
-def _exact_sqrt(n: int) -> tuple[int, bool]:
-    r = math.isqrt(n)
-    return r, r * r == n
+def _canonical_sign(a, b, c, d):
+    """The representative of +-(a b; c d) with positive trace, or at trace 0
+    with a positive first nonzero entry."""
+    tr = a + d
+    if tr < 0 or (tr == 0 and (a or b or c or d) < 0):
+        return -a, -b, -c, -d
+    return a, b, c, d
+
+
+def _set_exact(m: MobiusMap, A, B, C, D, q) -> MobiusMap:
+    """Make m the exact map (A B; C D)/q, given AD - BC = q^2 and q > 0."""
+    g = math.gcd(A, B, C, D, q)
+    if g != 1:
+        A, B, C, D, q = A // g, B // g, C // g, D // g, q // g
+    m._ints = _canonical_sign(A, B, C, D)
+    m._q = q
+    m._entries = None
+    m.exact = True
+    return m
 
 
 def mobius_apply(m: MobiusMap, z: complex) -> complex:
@@ -216,13 +249,14 @@ def classify_isometry(m: MobiusMap, tol: float | None = None) -> IsometryClass:
     if m.is_identity(tol):
         raise IdentityClassError("the identity carries no class")
     tol = float_tolerance() if tol is None else tol
-    tr = m.trace()
     if m.exact:
-        disc = tr * tr - 4
+        # the sign of tr^2 - 4, times q^2
+        A, _, _, D = m._ints
+        disc = (A + D) ** 2 - 4 * m._q ** 2
         kind = (HYPERBOLIC if disc > 0 else
                 PARABOLIC if disc == 0 else ELLIPTIC)
     else:
-        gap = abs(tr) - 2.0
+        gap = abs(m.trace()) - 2.0
         kind = (HYPERBOLIC if gap > tol else
                 PARABOLIC if gap >= -tol else ELLIPTIC)
     a, b, c, d = (float(v) for v in m.entries())
@@ -280,11 +314,22 @@ def fixed_sets_equal(c1: IsometryClass, c2: IsometryClass,
 
 def commute_test(m1: MobiusMap, m2: MobiusMap,
                  tol: float | None = None) -> tuple[bool, bool]:
-    """(commute, fixed_sets_equal), each computed independently."""
+    """(commute, fixed_sets_equal), each computed independently.
+
+    For two exact maps both answers are exact: the commutator is the
+    identity, and the traceless parts (a - d, b, c) are proportional, as
+    the fixed points are the roots of c z^2 + (d - a) z - b.
+    """
     if m1.is_identity() or m2.is_identity():
         raise IdentityClassError("commutation test needs non-identity maps")
     tol = float_tolerance() if tol is None else tol
     comm = m1.compose(m2).compose(m1.inverse()).compose(m2.inverse())
+    if m1.exact and m2.exact:
+        (A, B, C, D), (E, F, G, H) = m1._ints, m2._ints
+        # (A - D, B, C) x (E - H, F, G) = 0
+        proportional = ((A - D) * F == B * (E - H)
+                        and (A - D) * G == C * (E - H) and B * G == C * F)
+        return comm.is_identity(), proportional
     commutes = comm.projective_distance(MobiusMap.identity()) <= math.sqrt(tol)
     sets_equal = fixed_sets_equal(classify_isometry(m1), classify_isometry(m2))
     return commutes, sets_equal

@@ -49,6 +49,10 @@ One fault is mended in it: `_solve_affine` used to drop a row reading
 it before its product table: one `S2RIsometry.compose` and one
 `S2RIsometry.key` per candidate.
 
+`mobius_word_by_fractions` multiplies exact Mobius maps as 2x2 matrices
+of Fractions, the way `MobiusMap.compose` did before an exact map became
+one integer matrix over one denominator.
+
 `zimmer_factor_by_cases` and `zimmer_parse_by_cases` are the simple-factor
 families of `zimmer` as they were before one real-form table gave every
 answer: a case analysis per family for validation, display, real rank and
@@ -867,6 +871,23 @@ def s2r_ball_by_products(gens, bound: int) -> list:
     except SearchCapError:
         raise NonDiscreteShiftError("word ball keeps growing; projected "
                                     "group looks non-discrete") from None
+
+
+def mobius_word_by_fractions(gens, word) -> tuple:
+    """The product of gens[i] for i in word, each gen an (a, b, c, d) of
+    det 1, as plain Fraction 2x2 products: the exact `MobiusMap.compose`
+    as it was before maps became integer matrices over one denominator.
+    The result has the PSL2 sign of `MobiusMap`: positive trace, or at
+    trace 0 a positive first nonzero entry."""
+    a, b, c, d = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
+    for i in word:
+        e, f, g, h = gens[i]
+        a, b, c, d = (a * e + b * g, a * f + b * h,
+                      c * e + d * g, c * f + d * h)
+    first = next(x for x in (a, b, c, d) if x)
+    if a + d < 0 or (a + d == 0 and first < 0):
+        a, b, c, d = -a, -b, -c, -d
+    return a, b, c, d
 
 
 _ZIMMER_FAMILIES = ("SL(n,R)", "SU(p,q)", "SL(n,C)", "SO(p,q)", "SO(n,C)",

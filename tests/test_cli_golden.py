@@ -98,6 +98,9 @@ SEARCHES = [
     # "x" joins two factors without spaces too
     "zimmer verdict --geometry s3 --component SO(4) "
     "--factors SO(2,2)xSO(4) --uniform",
+    # exact maps commute only if the commutator is exactly the identity;
+    # this one is within 1e-6 of it, which once answered commute: true
+    "hyp commute --m1 1,1/1000,0,1 --m2 1,0,1/1000,1",
 ]
 
 # Space-separated commands (no argument contains a space), each run as

@@ -85,6 +85,17 @@ def test_validation():
         crystal_group_make([ROT90], RECT_BASIS)   # does not preserve lattice
 
 
+@pytest.mark.parametrize("args", [
+    ([], [(0.5, 0), (0, 1)]),                          # translation
+    ([((1.0, 0), (0, 1))], [(1, 0), (0, 1)]),          # point generator
+    ([REFL_Y], [(1, 0), (0, 1)], [(0.5, 0)]),          # vector system
+])
+def test_float_entries_are_a_domain_error(args):
+    # a float once escaped as algebra.frac's TypeError, an internal error
+    with pytest.raises(ValueError, match="exact rational entries required"):
+        crystal_group_make(*args)
+
+
 def test_betti_examples():
     assert betti_identity_component(preset_crystal("Z3")) == (3, "T3")
     assert betti_identity_component(preset_crystal("Z2xD4")) \

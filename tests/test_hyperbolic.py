@@ -1,11 +1,12 @@
-"""Trace trichotomy, fixed points, commutation, stable neighborhoods."""
+"""Trace trichotomy, fixed points, commutation, stable neighborhoods, and
+the integer form of exact maps against plain Fraction products."""
 
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from geom3.hyperbolic import (
@@ -24,6 +25,7 @@ from geom3.hyperbolic import (
     hn_quotient_isometry_verdict,
     mobius_apply,
 )
+from support import mobius_word_by_fractions
 
 
 def random_sl2(rng, scale=1.5):
@@ -309,3 +311,131 @@ def test_compose_matches_the_constructor_on_the_raw_product(f, g):
     assert repr(got) == repr(want)
     assert got.exact == want.exact
     assert list(map(type, got.entries())) == list(map(type, want.entries()))
+
+
+# -- the integer form of exact maps -------------------------------------------
+
+_DEN5 = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def _exact_maps(draw):
+    """Exact maps from entries with denominators <= 5: det 1, trace 0, or
+    a matrix of square det rescaled by the constructor."""
+    a, b, c = draw(_DEN5.filter(bool)), draw(_DEN5), draw(_DEN5)
+    kind = draw(st.sampled_from(["det1", "trace0", "square"]))
+    if kind == "trace0":
+        b = b or Fraction(1)
+        return MobiusMap(a, b, (-1 - a * a) / b, -a)
+    scale = Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    if kind == "det1":
+        scale = 1
+    return MobiusMap(scale * a, scale * b, scale * c, scale * (1 + b * c) / a)
+
+
+def _word(gens, word):
+    m = MobiusMap.identity()
+    for i in word:
+        m = m.compose(gens[i])
+    return m
+
+
+@given(st.lists(_exact_maps(), min_size=1, max_size=3),
+       st.lists(st.integers(0, 2), max_size=40))
+# a trace-0 product whose first nonzero entry is negative before the sign
+@example([MobiusMap(2, 1, 1, 1), MobiusMap(0, 1, -1, 0)], [0, 1])
+def test_exact_words_match_fraction_products(gens, word):
+    word = [i % len(gens) for i in word]
+    got = _word(gens, word)
+    want = mobius_word_by_fractions([g.entries() for g in gens], word)
+    assert repr(got) == "MobiusMap({}, {}, {}, {})".format(*want)
+    assert got.exact and all(type(x) is Fraction for x in got.entries())
+    for m in (got, *gens):
+        a, b, c, d = m.entries()
+        inv, want_inv = m.inverse(), MobiusMap(d, -b, -c, a)
+        assert repr(inv) == repr(want_inv) and inv.exact
+
+
+@given(st.lists(_exact_maps(), min_size=1, max_size=3),
+       st.lists(st.integers(0, 2), max_size=12))
+# trace 0 with a negative first nonzero entry, as given and after products
+@example([MobiusMap(0, -1, 1, 0), MobiusMap(-1, 2, -1, 1)], [0, 1, 1])
+def test_integer_form_invariants(gens, word):
+    m = _word(gens, [i % len(gens) for i in word])
+    for x in (m, m.inverse(), *gens):
+        (A, B, C, D), q = x._ints, x._q
+        assert all(type(v) is int for v in (A, B, C, D, q))
+        assert q > 0 and math.gcd(A, B, C, D, q) == 1
+        assert A * D - B * C == q * q
+        # q is the common denominator of the entries
+        assert q == math.lcm(*(f.denominator for f in x.entries()))
+        first = next(v for v in (A, B, C, D) if v)
+        assert A + D > 0 or (A + D == 0 and first > 0)
+        assert x.trace() == Fraction(A + D, q)
+        assert x.is_identity() == (x.entries() == (1, 0, 0, 1))
+
+
+@given(_exact_maps(), _exact_maps(), _exact_maps(), st.integers(1, 3),
+       st.integers(1, 3), st.sampled_from(["same", "conjugate", "other"]))
+def test_exact_maps_commute_iff_they_share_fixed_sets(g, m, other, j, k,
+                                                      kind):
+    # in PSL2(R), non-identity maps commute iff their fixed sets agree:
+    # powers of one map do, its conjugates and unrelated maps mostly not
+    m1 = _word([g, m, g.inverse()], [0] + [1] * j + [2])
+    h = g if kind == "same" else g.compose(other)
+    m2 = (_word([h, m, h.inverse()], [0] + [1] * k + [2])
+          if kind != "other" else other)
+    assume(not m1.is_identity() and not m2.is_identity())
+    commutes, same_fixed = commute_test(m1, m2)
+    assert commutes == same_fixed
+    if kind == "same":
+        assert commutes
+
+
+@pytest.mark.parametrize("m1, m2, want", [
+    ((2, 0, 0, Fraction(1, 2)), (3, 0, 0, Fraction(1, 3)), (True, True)),
+    ((2, 0, 0, Fraction(1, 2)), (1, 1, 0, 1), (False, False)),
+    ((1, 1, 0, 1), (1, -3, 0, 1), (True, True)),
+    ((0, -1, 1, 0), (1, -1, 1, 0), (False, False)),
+    ((2, 1, 1, 1), (1, -1, -1, 2), (True, True)),     # an inverse
+    ((2, 1, 1, 1), (5, 3, 3, 2), (True, True)),       # the square
+    ((0, -1, 1, 0), (1, 1, -1, 0), (False, False)),
+])
+def test_exact_and_float_maps_commute_as_often_as_they_share_fixed_sets(
+        m1, m2, want):
+    assert commute_test(MobiusMap(*m1), MobiusMap(*m2)) == want
+    floats = (MobiusMap(*map(float, m1)), MobiusMap(*map(float, m2)))
+    assert commute_test(*floats) == want
+
+
+def test_exact_commute_has_no_tolerance():
+    # the commutator of these is the identity up to about 1e-6, which the
+    # float test's sqrt(tol) let pass: exact maps said commute: True
+    m1 = MobiusMap(1, Fraction(1, 1000), 0, 1)
+    m2 = MobiusMap(1, 0, Fraction(1, 1000), 1)
+    assert commute_test(m1, m2) == (False, False)
+    assert commute_test(m1, m1.compose(m1)) == (True, True)
+
+
+def test_exact_words_build_no_fraction_until_the_entries_are_read(
+        monkeypatch):
+    gens = [MobiusMap(1, Fraction(2, 3), 0, 1),
+            MobiusMap(1, 0, Fraction(-1, 2), 1),
+            MobiusMap(Fraction(3, 2), 0, 0, Fraction(2, 3))]
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    m = MobiusMap.identity()
+    for i in range(32):
+        m = m.compose(gens[i % 3])
+        assert not m.is_identity()
+    inv = m.inverse()
+    assert inv.compose(m).is_identity()
+    assert built == []
+    m.entries()
+    assert len(built) == 4
