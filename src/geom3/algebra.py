@@ -441,6 +441,19 @@ def scalar_is_rational(x: Scalar) -> bool:
     return not (isinstance(x, QuadRat) and x.q != 0)
 
 
+def clear_denominators(xs) -> tuple[int, list]:
+    """(r, nums) for exact scalars xs: r is the least positive integer that
+    makes every r x integral (in Z, or in Z[sqrt(d)] for an irrational x),
+    and nums holds each r x in order, as an int for a rational x and as
+    the pair (p, q) of r x = p + q sqrt(d) for an irrational x, whose field
+    d the caller reads off x.  With no xs, r = 1."""
+    parts = [(x.p, x.q, x.r) if isinstance(x, QuadRat)
+             else (x.numerator, 0, x.denominator) for x in xs]
+    r = lcm(*(part[2] for part in parts))
+    return r, [(p * (r // s), q * (r // s)) if q else p * (r // s)
+               for p, q, s in parts]
+
+
 def as_exact(x) -> Scalar:
     """Coerce to an exact scalar; rejects floats."""
     if isinstance(x, QuadRat):

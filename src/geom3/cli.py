@@ -147,8 +147,7 @@ def _adjoined_point_group(args, lat):
         return None
     if args.adjoin != "full":
         raise SchemaError("--adjoin supports only 'full'")
-    from . import nil
-    return nil.planar_point_group(lat.u, lat.v)
+    return lat.point_group
 
 
 def _cmd_nil(args) -> dict:

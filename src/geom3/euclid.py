@@ -2,9 +2,11 @@
 
 Crystallographic groups are given by exact rational orthogonal point
 generators together with translation vectors that generate the lattice
-(a basis or any other generating set, reduced to a basis by one Smith
-normal form); only split (i.e. symmorphic) extensions are supported for
-the Betti computation.
+(a basis or any other generating set).  The vectors are written as
+integer rows over their common denominator, and the lattice kernel
+`intmat.ZSpan` reads rank, basis and integer coordinates off one Smith
+normal form; ranks and coinvariants go through it too.  Only split (i.e.
+symmorphic) extensions are supported for the Betti computation.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Optional
 
-from .algebra import frac
+from .algebra import clear_denominators, frac
 from .descriptors import IsoDescriptor
 from .intmat import (
     SearchCapError,
+    ZSpan,
     matmul,
     snf,
     transpose,
@@ -61,41 +64,12 @@ def _identity(n: int) -> Matrix:
                  for i in range(n))
 
 
-class _Lattice:
-    """The Z-span of rational vectors, read off one Smith normal form.
-
-    With D the common denominator of the vectors, A = D * vectors (one row
-    each) and u @ A @ v = diag(d) from `snf`, the rank is the number of
-    nonzero d_i (they come first), and the nonzero rows of u @ A, over D,
-    are a basis.  Since u @ A = diag(d) @ v^-1, a vector w lies in the
-    lattice when W = D w is integral and W @ v = (c_0 d_0, ...,
-    c_{r-1} d_{r-1}, 0, ..., 0) for integers c_i, its coordinates in that
-    basis.  Any generating set will do, zero and redundant vectors too.
-    """
-
-    def __init__(self, vectors: Sequence[Vector], dim: int):
-        den = math.lcm(*(x.denominator for vec in vectors for x in vec))
-        rows = [[x.numerator * (den // x.denominator) for x in vec]
-                for vec in vectors] or [[0] * dim]
-        d, u, v = snf(rows)
-        self.rank = rank = sum(1 for x in d if x)
-        self.basis = tuple(
-            tuple(Fraction(sum(c * row[j] for c, row in zip(ui, rows)), den)
-                  for j in range(dim))
-            for ui in u[:rank])
-        self._den, self._divisors = den, d[:rank]
-        self._columns = tuple(zip(*v))
-
-    def coords(self, w: Vector) -> Optional[tuple[int, ...]]:
-        """Integer coordinates of w in `basis`, or None off the lattice."""
-        den = self._den
-        if any(den % x.denominator for x in w):
-            return None
-        big = [x.numerator * (den // x.denominator) for x in w]
-        s = [sum(a * b for a, b in zip(big, col)) for col in self._columns]
-        if any(s[self.rank:]) or any(x % d for x, d in zip(s, self._divisors)):
-            return None
-        return tuple(x // d for x, d in zip(s, self._divisors))
+def _integer_span(vectors, dim: int) -> tuple[int, ZSpan]:
+    """(D, the Z-span of D * vectors) for D the least common denominator of
+    the rational vectors."""
+    den, nums = clear_denominators([x for vec in vectors for x in vec])
+    return den, ZSpan([nums[i:i + dim] for i in range(0, len(nums), dim)],
+                      dim)
 
 
 @dataclass(frozen=True)
@@ -108,16 +82,26 @@ class CrystalGroup:
     vector_system: Optional[tuple[Vector, ...]] = None
 
     @functools.cached_property
-    def _lattice(self) -> _Lattice:
-        """The translation lattice, built once per group (not a field: eq,
-        hash and repr ignore it)."""
-        return _Lattice(self.trans_basis, self.dim)
+    def _lattice(self) -> tuple[int, ZSpan]:
+        """The translation lattice as (D, the Z-span of D * trans_basis),
+        built once per group (not a field: eq, hash and repr ignore it)."""
+        return _integer_span(self.trans_basis, self.dim)
+
+    @functools.cached_property
+    def _lattice_basis(self) -> tuple[Vector, ...]:
+        den, span = self._lattice
+        return tuple(tuple(Fraction(x, den) for x in row)
+                     for row in span.basis)
 
     def lattice_coords(self, v: Vector) -> Optional[tuple[int, ...]]:
         """Integer coordinates of v in the lattice basis, or None."""
         if len(v) != self.dim:
             raise ValueError("vector must match the dimension")
-        return self._lattice.coords(v)
+        den, span = self._lattice
+        r, nums = clear_denominators(v)
+        if den % r:
+            return None
+        return span.coords([x * (den // r) for x in nums])
 
 
 def crystal_group_make(point_gens, trans_basis, vector_system=None,
@@ -147,12 +131,7 @@ def crystal_group_make(point_gens, trans_basis, vector_system=None,
         vs = tuple(tuple(_rational(v) for v in vec)
                    for vec in vector_system)
     group = CrystalGroup(dim, gens, basis, vs)
-    lattice = group._lattice
-    for g in gens:
-        for vec in lattice.basis:
-            if lattice.coords(_mat_apply(g, vec)) is None:
-                raise ValueError("point generators must preserve the "
-                                 "translation lattice")
+    point_gens_in_lattice_basis(group)
     if vs is not None:
         if len(vs) != len(gens):
             raise ValueError("one translation part per point generator")
@@ -162,7 +141,7 @@ def crystal_group_make(point_gens, trans_basis, vector_system=None,
 
 
 def translation_rank(g: CrystalGroup) -> int:
-    return g._lattice.rank
+    return g._lattice[1].rank
 
 
 INFINITE_VOLUME = "InfiniteVolume"
@@ -193,12 +172,16 @@ def _minus_identity(mats) -> list:
 
 
 def point_gens_in_lattice_basis(g: CrystalGroup) -> list[list[list[int]]]:
-    """Each point generator as an integer matrix in the lattice basis."""
-    lattice = g._lattice
+    """Each point generator as an integer matrix in the lattice basis;
+    ValueError if one does not preserve the lattice."""
     out = []
     for gen in g.point_gens:
         # columns are the coordinates of the images of the basis vectors
-        cols = [lattice.coords(_mat_apply(gen, vec)) for vec in lattice.basis]
+        cols = [g.lattice_coords(_mat_apply(gen, vec))
+                for vec in g._lattice_basis]
+        if None in cols:
+            raise ValueError("point generators must preserve the "
+                             "translation lattice")
         out.append([list(row) for row in zip(*cols)])
     return out
 
@@ -211,7 +194,8 @@ def betti_identity_component(g: CrystalGroup) -> tuple[int, str]:
     abelianization (see coinvariant_rank for the integral cross-check).
     """
     _check_split(g)
-    betti = g.dim - _Lattice(_minus_identity(g.point_gens), g.dim).rank
+    betti = g.dim - _integer_span(_minus_identity(g.point_gens),
+                                  g.dim)[1].rank
     torus = {0: "trivial", 1: "S1", 2: "T2", 3: "T3"}[betti]
     return betti, torus
 
@@ -225,13 +209,13 @@ def coinvariant_rank(g: CrystalGroup) -> int:
     """
     _check_split(g)
     rows = _minus_identity(point_gens_in_lattice_basis(g))
-    return g.dim - _Lattice(rows, g.dim).rank
+    return g.dim - ZSpan(rows, g.dim).rank
 
 
 def _planar_point_group(g: CrystalGroup):
     """Point group of the rank-2 translation lattice, from its basis."""
     from .nil import planar_point_group   # no other euclid code needs nil
-    return planar_point_group(*g._lattice.basis)
+    return planar_point_group(*g._lattice_basis)
 
 
 def euclid_quotient_isometry(g: CrystalGroup) -> IsoDescriptor:

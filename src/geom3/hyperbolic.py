@@ -186,12 +186,11 @@ class MobiusMap:
                 and abs(b) <= tol and abs(c) <= tol)
 
     def projective_distance(self, other: "MobiusMap") -> float:
-        """Frobenius distance to +-other, the PSL2 identification."""
-        plus = minus = 0.0
-        for p, q in zip(self.entries(), other.entries()):
-            plus += (float(p) - float(q)) ** 2
-            minus += (float(p) + float(q)) ** 2
-        return math.sqrt(min(plus, minus))
+        """Frobenius distance to +-other, the PSL2 identification
+        (`math.dist` scales, so no square overflows)."""
+        p = [float(x) for x in self.entries()]
+        q = [float(x) for x in other.entries()]
+        return min(math.dist(p, q), math.dist(p, [-x for x in q]))
 
     def __repr__(self):
         return f"MobiusMap({self.a}, {self.b}, {self.c}, {self.d})"
@@ -318,19 +317,25 @@ def commute_test(m1: MobiusMap, m2: MobiusMap,
 
     For two exact maps both answers are exact: the commutator is the
     identity, and the traceless parts (a - d, b, c) are proportional, as
-    the fixed points are the roots of c z^2 + (d - a) z - b.
+    the fixed points are the roots of c z^2 + (d - a) z - b.  Otherwise
+    the maps commute when m1 m2 and m2 m1 lie within tol |m1| |m2|
+    (Frobenius norms) of each other in PSL2, a bound that scales with the
+    maps as the rounding error of their products does, and the fixed sets
+    are compared by `fixed_sets_equal`.
     """
     if m1.is_identity() or m2.is_identity():
         raise IdentityClassError("commutation test needs non-identity maps")
     tol = float_tolerance() if tol is None else tol
-    comm = m1.compose(m2).compose(m1.inverse()).compose(m2.inverse())
     if m1.exact and m2.exact:
+        comm = m1.compose(m2).compose(m1.inverse()).compose(m2.inverse())
         (A, B, C, D), (E, F, G, H) = m1._ints, m2._ints
         # (A - D, B, C) x (E - H, F, G) = 0
         proportional = ((A - D) * F == B * (E - H)
                         and (A - D) * G == C * (E - H) and B * G == C * F)
         return comm.is_identity(), proportional
-    commutes = comm.projective_distance(MobiusMap.identity()) <= math.sqrt(tol)
+    size = math.prod(math.hypot(*map(float, m.entries())) for m in (m1, m2))
+    commutes = (m1.compose(m2).projective_distance(m2.compose(m1))
+                <= tol * size)
     sets_equal = fixed_sets_equal(classify_isometry(m1), classify_isometry(m2))
     return commutes, sets_equal
 

@@ -1,9 +1,12 @@
 """Integer matrices: the Smith normal form, 2x2 matrices, SL2 spectral data.
 
 `snf` is the Smith normal form of any m x n integer matrix, with its
-unimodular transforms.  Sol's cokernel Z^2/(I - A^n)Z^2 (through the 2x2
-wrapper `smith_normal_form`) and the Euclidean coinvariants and ranks
-all go through it.
+unimodular transforms.  Sol's cokernel Z^2/(I - A^n)Z^2 goes through the
+2x2 wrapper `smith_normal_form`, and the adjoined Nil cosets through
+`congruence_solutions`.  `ZSpan`, the one lattice kernel, reads rank,
+basis and integer coordinates of the span of integer rows off one `snf`:
+Euclidean translation lattices, ranks and coinvariants, and the Z-rank
+and covolume of the Nil dichotomy's translations all go through it.
 
 The helpers the geometry modules share live here too: 2x2/vector
 arithmetic over exact scalars, the n x n matrix product, and the
@@ -15,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
+from typing import Optional
 
 from .algebra import QuadRat, Scalar
 
@@ -309,6 +313,36 @@ def snf(rows) -> tuple[tuple[int, ...], tuple, tuple]:
                     row[t] = -row[t]
     return (tuple(a[t][t] for t in range(min(m, n))),
             tuple(map(tuple, u)), tuple(map(tuple, v)))
+
+
+class ZSpan:
+    """The Z-span of integer row vectors of width dim, read off one `snf`.
+
+    With u @ A @ v = diag(d) for the rows A, the rank is the number of
+    nonzero d_i (they come first), and the nonzero rows of u @ A are a
+    basis.  Since u @ A = diag(d) @ v^-1, an integer vector w lies in the
+    span when w @ v = (c_0 d_0, ..., c_{r-1} d_{r-1}, 0, ..., 0) for
+    integers c_i, its coordinates in that basis.  Any generating set will
+    do, zero and repeated rows too.
+    """
+
+    def __init__(self, rows, dim: int):
+        rows = list(rows) or [[0] * dim]
+        d, u, v = snf(rows)
+        self.rank = rank = sum(1 for x in d if x)
+        self.basis = tuple(tuple(sum(c * row[j] for c, row in zip(ui, rows))
+                                 for j in range(dim))
+                           for ui in u[:rank])
+        self._divisors = d[:rank]
+        self._columns = tuple(zip(*v))
+
+    def coords(self, w) -> Optional[tuple[int, ...]]:
+        """Integer coordinates of the integer vector w in `basis`, or None
+        off the span."""
+        s = [sum(a * b for a, b in zip(w, col)) for col in self._columns]
+        if any(s[self.rank:]) or any(x % d for x, d in zip(s, self._divisors)):
+            return None
+        return tuple(x // d for x, d in zip(s, self._divisors))
 
 
 def congruence_solutions(rows, rhs, n: int) -> list[tuple[int, int]]:

@@ -35,16 +35,23 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .algebra import QuadRat, Scalar, as_exact, format_scalar, scalar_is_rational
+from .algebra import (
+    QuadRat,
+    Scalar,
+    as_exact,
+    clear_denominators,
+    format_scalar,
+    scalar_is_rational,
+)
 from .descriptors import IsoDescriptor
 from .intmat import (
     MAT2_ID,
     Mat2,
     SearchCapError,
     Vec2,
+    ZSpan,
     congruence_solutions,
     gauss_reduce,
     mat2_apply,
@@ -271,6 +278,12 @@ class NilLattice:
         ignore it)."""
         return mat2_inv(self.basis)
 
+    @functools.cached_property
+    def point_group(self) -> "PlanarPointGroup":
+        """`planar_point_group` of the projected lattice, computed once per
+        lattice (not a field, like `basis_inv`)."""
+        return planar_point_group(self.u, self.v)
+
     def planar_coords(self, w: Vec2) -> Optional[tuple[Scalar, Scalar]]:
         """Coordinates (k, l) with k u + l v = w, or None if non-integral."""
         k, l = mat2_apply(self.basis_inv, w)
@@ -407,15 +420,6 @@ def _supported_planar_scalar(x: Scalar) -> bool:
     return scalar_is_rational(x) or (isinstance(x, QuadRat) and x.d == 3)
 
 
-def _integer_pairs(xs) -> list[tuple[int, int]]:
-    """Each x in xs, all in Q(sqrt(3)), as the integer pair (p, q) with
-    x = (p + q sqrt(3)) / r over one common denominator r."""
-    parts = [(x.p, x.q, x.r) if isinstance(x, QuadRat)
-             else (x.numerator, 0, x.denominator) for x in xs]
-    r = lcm(*(part[2] for part in parts))
-    return [(p * (r // d), q * (r // d)) for p, q, d in parts]
-
-
 def planar_point_group(u, v) -> PlanarPointGroup:
     """Orthogonal stabilizer of the lattice Z u + Z v, computed exactly.
 
@@ -440,8 +444,9 @@ def planar_point_group(u, v) -> PlanarPointGroup:
         if not _supported_planar_scalar(x):
             raise ValueError("planar scalars must lie in Q or Q(sqrt(3))")
     ru, rv, p = gauss_reduce(u, v)
-    gram = _integer_pairs((vec2_dot(ru, ru), vec2_dot(ru, rv),
-                           vec2_dot(rv, rv)))
+    _, nums = clear_denominators((vec2_dot(ru, ru), vec2_dot(ru, rv),
+                                  vec2_dot(rv, rv)))
+    gram = [n if isinstance(n, tuple) else (n, 0) for n in nums]
     g11, g12, g22 = gram
 
     def form(a, b) -> tuple[int, int]:  # inner product, reduced coordinates
@@ -480,18 +485,6 @@ def planar_point_group(u, v) -> PlanarPointGroup:
 
 
 # -- the lattice frame ---------------------------------------------------------
-
-def _denominator(x: Scalar) -> int:
-    """Least r > 0 with r x in Z, or in Z[sqrt(d)] for an irrational x."""
-    return x.r if isinstance(x, QuadRat) else x.denominator
-
-
-def _ring(x: Scalar):
-    """x, an element of Z or Z[sqrt(d)], as an int when it is rational."""
-    if isinstance(x, QuadRat):
-        return x.p if x.q == 0 else x
-    return int(x)
-
 
 def _quotient(x, m: int) -> Optional[int]:
     """x / m if x, an int or an element of Z[sqrt(d)], is an integer
@@ -533,15 +526,17 @@ class _LatticeFrame:
         a, b = scale * u1 * u2, scale * v1 * v2
         c = scale * (u1 * v2 + u2 * v1)
         alpha, beta = 2 * scale * lat.r - a, 2 * scale * lat.s - b
-        d = lcm(_denominator(alpha), _denominator(beta))
-        g = lcm(_denominator(a), _denominator(b), _denominator(c))
+        d, system = clear_denominators((alpha, beta))
+        g, center = clear_denominators((a, b, c))
         self.lat, self.n, self.dn = lat, n, d * n
         self.P = 2 * n * d
         self.C = self.P * self.P * g
         self.h = g * n
-        # D alpha, D beta (the lift's system) and G a, G b, G c (its center)
-        self.ra, self.rb = _ring(d * alpha), _ring(d * beta)
-        self.qa, self.qb, self.qc = _ring(g * a), _ring(g * b), _ring(g * c)
+        # D alpha, D beta (the lift's system) and G a, G b, G c (its
+        # center), as elements of Z or Z[sqrt(d)]
+        self.ra, self.rb, self.qa, self.qb, self.qc = (
+            QuadRat(*num, x.d) if isinstance(num, tuple) else num
+            for num, x in zip(system + center, (alpha, beta, a, b, c)))
         # C alpha, C beta, C n: the central coordinates of lattice words
         self.ca = 2 * n * self.P * g * self.ra
         self.cb = 2 * n * self.P * g * self.rb
@@ -820,7 +815,7 @@ def nil_quotient_isometry(lat: NilLattice,
       (base L(g) base^-1, L(m g m^-1)), base the lift of m, have a solution
       (`_extends_to_group_normalizer`).
     """
-    pg = planar_point_group(lat.u, lat.v)
+    pg = lat.point_group
     group = [MAT2_ID] if extra is None else _adjoined_group(pg, extra)
     gens = _point_group_generators(group)
 
@@ -957,11 +952,14 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
     Z-rank >= 3
     =================  ====================================================
 
-    The Z-rank of T is the dimension of its Q-span (each coordinate
-    a + b sqrt(d) read as (a, b), so T lies in Q^4).  For a lattice, the
-    witness (0, 0, c) is the commutator of lifts of a positively oriented
-    basis of T, so c > 0 is the covolume of T: every area cross(t_i, t_j)
-    lies in c Z, and together they generate it.  With Z-rank 3 or more,
+    Once T spans the plane, `_integer_rows` writes its generators as
+    integer rows, and the lattice kernel `intmat.ZSpan` reads the Z-rank
+    of T off one Smith normal form.  For a lattice, the witness (0, 0, c)
+    is the commutator of lifts of a positively oriented basis b_1, b_2 of
+    T, so c = |cross(b_1, b_2)| > 0 is the covolume of T; it is read as
+    |cross(t_a, t_b)| / [T : Z t_a + Z t_b], the index being the
+    determinant of the kernel coordinates of the first generator t_a and
+    the first t_b not parallel to it.  With Z-rank 3 or more,
     the input group is not discrete: its translations would project onto
     a subgroup of that rank of the plane, more than a discrete subgroup of
     the Heisenberg group (Hirsch length at most 3) can carry.  This covers
@@ -998,13 +996,18 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
         return DichotomyResult(FIXES_POINT, point=point)
 
     t0 = translations[0]
-    if all(vec2_cross(t0, t) == 0 for t in translations):
+    j = next((j for j, t in enumerate(translations) if vec2_cross(t0, t)),
+             None)
+    if j is None:
         return DichotomyResult(FIXES_LINE,
                                direction=_invariant_direction(planar, t0))
 
-    covolume = _translation_covolume(translations)
-    if covolume is None:
+    rows = _integer_rows(translations)
+    span = ZSpan(dict.fromkeys(rows), len(rows[0]))
+    if span.rank > 2:
         return DichotomyResult(NON_DISCRETE_INPUT)
+    (a, b), (c, d) = span.coords(rows[0]), span.coords(rows[j])
+    covolume = abs(vec2_cross(t0, translations[j])) / abs(a * d - b * c)
     return DichotomyResult(DISCRETE_PROJECTION,
                            witness=HeisPoint(Fraction(0), Fraction(0),
                                              covolume))
@@ -1042,33 +1045,24 @@ def _schreier_translations(planar) -> tuple[dict, list[Vec2]]:
     return transversal, out
 
 
-def _translation_covolume(translations: list[Vec2]) -> Optional[Scalar]:
-    """Covolume of the group the translations generate if it is a lattice,
-    None if its Q-span has dimension 3 or more.  The translations must
-    span the plane.
-
-    Each t_i is written as alpha_i t_a + beta_i t_b in a basis t_a, t_b of
-    the plane taken from the list.  The Q-span has dimension 2 exactly
-    when every alpha_i, beta_i is rational; then cross(t_i, t_j) =
-    (alpha_i beta_j - alpha_j beta_i) cross(t_a, t_b), and the covolume is
-    the gcd of these areas.
-    """
-    ts = list(dict.fromkeys(translations))
-    t_a = ts[0]
-    t_b = next(t for t in ts if vec2_cross(t_a, t) != 0)
-    area = vec2_cross(t_a, t_b)
-    coords = []
-    for t in ts:
-        for x in (vec2_cross(t, t_b) / area, vec2_cross(t_a, t) / area):
-            if not scalar_is_rational(x):
-                return None
-            coords.append(x.as_fraction() if isinstance(x, QuadRat) else x)
-    den = lcm(*(x.denominator for x in coords))
-    ints = [x.numerator * (den // x.denominator) for x in coords]
-    pairs = list(zip(ints[::2], ints[1::2]))
-    minors = gcd(*(a * d - b * c for i, (a, b) in enumerate(pairs)
-                   for c, d in pairs[i + 1:]))
-    return abs(area) * Fraction(minors, den * den)
+def _integer_rows(vectors: list[Vec2]) -> list[tuple[int, ...]]:
+    """The planar vectors as integer rows over one common denominator r,
+    on the Q-basis {1, sqrt(d_1), ..., sqrt(d_k)} of the fields that
+    occur: (x, y) -> (x_0, y_0, x_1, y_1, ...) for x = (x_0 + x_1 sqrt(d_1)
+    + ...) / r.  1 and the sqrt(d_i) are linearly independent over Q, so
+    the rows have the Q-rank of the vectors."""
+    flat = [x for v in vectors for x in v]
+    _, nums = clear_denominators(flat)
+    fields = sorted({x.d for x, num in zip(flat, nums)
+                     if isinstance(num, tuple)})
+    rows = [[0] * (2 * len(fields) + 2) for _ in vectors]
+    for i, (x, num) in enumerate(zip(flat, nums)):
+        row, k = rows[i // 2], i % 2
+        if isinstance(num, tuple):
+            row[k], row[2 * fields.index(x.d) + 2 + k] = num
+        else:
+            row[k] = num
+    return list(map(tuple, rows))
 
 
 def _invariant_direction(planar, t0: Vec2) -> Vec2:

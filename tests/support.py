@@ -44,6 +44,10 @@ pointwise fixed line by exact affine solves, then an invariant line by a
 search over candidate directions, and only then the translation subgroup.
 One fault is mended in it: `_solve_affine` used to drop a row reading
 0 = c with c != 0, so a glide reflection seemed to fix its axis pointwise.
+Its last step, `covolume_by_minors`, is the covolume test as it was
+before the lattice kernel `intmat.ZSpan` read the Z-rank off integer
+rows: coordinates in a basis taken from the translations, and the gcd of
+the 2x2 minors.
 
 `s2r_ball_by_products` is the S^2 x R word ball as `fibered._ball` built
 it before its product table: one `S2RIsometry.compose` and one
@@ -66,7 +70,13 @@ import re
 import signal
 from fractions import Fraction
 
-from geom3.algebra import MixedDiscriminantError, as_exact, frac
+from geom3.algebra import (
+    MixedDiscriminantError,
+    QuadRat,
+    as_exact,
+    frac,
+    scalar_is_rational,
+)
 from geom3.fibered import (
     BALL_CAP,
     S2R_ROT_ID,
@@ -108,7 +118,6 @@ from geom3.nil import (
     _reflection_axis,
     _schreier_translations,
     _to_int,
-    _translation_covolume,
     heis_inv,
     heis_mul,
     planar_point_group,
@@ -743,12 +752,41 @@ def dichotomy_by_fixed_sets(gens) -> DichotomyResult:
         return DichotomyResult(FIXES_LINE, direction=line)
 
     _, translations = _schreier_translations(planar)
-    covolume = _translation_covolume(translations)
+    covolume = covolume_by_minors(translations)
     if covolume is None:
         return DichotomyResult(NON_DISCRETE_INPUT)
     return DichotomyResult(DISCRETE_PROJECTION,
                            witness=HeisPoint(Fraction(0), Fraction(0),
                                              covolume))
+
+
+def covolume_by_minors(translations):
+    """Covolume of the group the planar translations generate if it is a
+    lattice, None if its Q-span has dimension 3 or more.  The translations
+    must span the plane.
+
+    Each t_i is written as alpha_i t_a + beta_i t_b in a basis t_a, t_b of
+    the plane taken from the list.  The Q-span has dimension 2 exactly
+    when every alpha_i, beta_i is rational; then cross(t_i, t_j) =
+    (alpha_i beta_j - alpha_j beta_i) cross(t_a, t_b), and the covolume is
+    the gcd of these areas.
+    """
+    ts = list(dict.fromkeys(translations))
+    t_a = ts[0]
+    t_b = next(t for t in ts if vec2_cross(t_a, t) != 0)
+    area = vec2_cross(t_a, t_b)
+    coords = []
+    for t in ts:
+        for x in (vec2_cross(t, t_b) / area, vec2_cross(t_a, t) / area):
+            if not scalar_is_rational(x):
+                return None
+            coords.append(x.as_fraction() if isinstance(x, QuadRat) else x)
+    den = math.lcm(*(x.denominator for x in coords))
+    ints = [x.numerator * (den // x.denominator) for x in coords]
+    pairs = list(zip(ints[::2], ints[1::2]))
+    minors = math.gcd(*(a * d - b * c for i, (a, b) in enumerate(pairs)
+                        for c, d in pairs[i + 1:]))
+    return abs(area) * Fraction(minors, den * den)
 
 
 def _solve_affine(mat, rhs):

@@ -452,3 +452,25 @@ def test_nil_iso_hex_adjoin_full_does_not_close(n):
     assert detail.startswith("adjoined point group does not close over "
                              "the lattice u = (1/2, 1/2√3), v = (1, 0), ")
     assert f"n = {n}:" in detail
+
+
+@pytest.mark.parametrize("argv", [
+    ["nil", "iso", "--preset", "Gp:4", "--adjoin", "full"],
+    ["zimmer", "summary", "--geometry", "nil", "--preset", "Gp:4",
+     "--adjoin", "full"],
+])
+def test_adjoin_full_computes_the_point_group_once(argv, monkeypatch):
+    # the caller's --adjoin group and nil_quotient_isometry share the
+    # lattice's cached point group
+    calls = []
+    real = nil.planar_point_group
+
+    def counted(u, v):
+        calls.append((u, v))
+        return real(u, v)
+
+    monkeypatch.setattr(nil, "planar_point_group", counted)
+    code, text = run_cli(argv)
+    monkeypatch.undo()
+    assert code == 0 and len(calls) == 1
+    assert run_cli(argv) == (0, text)

@@ -101,6 +101,11 @@ SEARCHES = [
     # exact maps commute only if the commutator is exactly the identity;
     # this one is within 1e-6 of it, which once answered commute: true
     "hyp commute --m1 1,1/1000,0,1 --m2 1,0,1/1000,1",
+    # a float or mixed pair commutes only if m1 m2 and m2 m1 agree to
+    # within tol |m1| |m2|; these are 1.4e-6 apart, and once answered
+    # commute: true next to fixed_sets_equal: false
+    "hyp commute --m1 1,0.001,0,1 --m2 1,0,0.001,1",
+    "hyp commute --m1 1,1/1000,0,1 --m2 1,0,0.001,1",
 ]
 
 # Space-separated commands (no argument contains a space), each run as

@@ -1,22 +1,18 @@
 """Crystallographic ranks, Betti numbers with their integral oracle, the
-translation-lattice kernel against a brute-force walk, the planar worked
-isometry groups, and the lookup tables."""
+translation lattice under changes of generating set, the planar worked
+isometry groups, and the lookup tables.  The lattice kernel itself
+(`intmat.ZSpan`) is tested against its oracles in test_intmat.py."""
 
-import itertools
 import json
-import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from geom3.descriptors import canonical_json
 from geom3.euclid import (
     FINITE_VOLUME_COMPACT,
     INFINITE_VOLUME,
     NonSymmorphicError,
-    _Lattice,
     betti_identity_component,
     coinvariant_rank,
     crystal_group_make,
@@ -26,11 +22,6 @@ from geom3.euclid import (
     preset_crystal,
     spherical_components_lookup,
     translation_rank,
-)
-from support import (
-    elementary_divisors_stack,
-    lattice_points_by_walk,
-    rational_rank_by_elimination,
 )
 
 HALF = Fraction(1, 2)
@@ -204,83 +195,9 @@ def test_lookup_round_trip_bit_exact():
     assert isinstance(lookup_table_version(), int)
 
 
-small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
-
-
-@st.composite
-def rational_rows(draw):
-    """Up to 6 rows of width 1-4; later rows may repeat a scaled earlier
-    one, so that ranks below full show up often."""
-    n = draw(st.integers(1, 4))
-    rows = []
-    for _ in range(draw(st.integers(0, 6))):
-        if rows and draw(st.booleans()):
-            k = draw(small_fractions)
-            rows.append([k * x for x in draw(st.sampled_from(rows))])
-        else:
-            rows.append(draw(st.lists(small_fractions | st.just(Fraction(0)),
-                                      min_size=n, max_size=n)))
-    return rows
-
-
-@given(rational_rows())
-@settings(max_examples=300, deadline=None)
-def test_rank_agrees_with_gaussian_elimination(rows):
-    dim = len(rows[0]) if rows else 1
-    assert _Lattice(rows, dim).rank == rational_rank_by_elimination(rows)
-
-
-@st.composite
-def generating_sets(draw):
-    """1-4 rational vectors in dimension 2 or 3; zero vectors, repeats
-    and dependent sets all occur."""
-    dim = draw(st.sampled_from((2, 3)))
-    entry = st.fractions(min_value=Fraction(-3, 2), max_value=Fraction(3, 2),
-                         max_denominator=2)
-    vectors = draw(st.lists(st.tuples(*[entry] * dim), min_size=1,
-                            max_size=4))
-    return dim, vectors
-
-
 def _combination(coeffs, vectors, dim):
     return tuple(sum(c * v[j] for c, v in zip(coeffs, vectors))
                  for j in range(dim))
-
-
-@given(generating_sets())
-@settings(max_examples=100, deadline=None)
-def test_lattice_membership_agrees_with_the_walk(case):
-    dim, vectors = case
-    lattice = _Lattice(vectors, dim)
-    den, points = lattice_points_by_walk(vectors, dim, bound=2)
-    for big in itertools.product(range(-2, 3), repeat=dim):
-        w = tuple(Fraction(x, den) for x in big)
-        coords = lattice.coords(w)
-        assert (coords is not None) == (big in points), w
-        if coords is not None:
-            assert _combination(coords, lattice.basis, dim) == w
-    # the lattice lies in (1/den) Z^dim
-    assert lattice.coords((Fraction(1, 3 * den),) * dim) is None
-
-
-@given(generating_sets())
-@settings(max_examples=100, deadline=None)
-def test_lattice_basis_and_vectors_generate_each_other(case):
-    dim, vectors = case
-    lattice = _Lattice(vectors, dim)
-    assert len(lattice.basis) == lattice.rank
-    for v in vectors:   # the basis generates every vector ...
-        assert _combination(lattice.coords(v), lattice.basis, dim) == v
-    # ... and spans no more than they do: both have the same determinantal
-    # divisors, so the index of one lattice in the other is 1
-    den = math.lcm(*(x.denominator for v in vectors for x in v))
-    scaled = [[int(x * den) for x in v] for v in vectors]
-    divisors = [d for d in elementary_divisors_stack(scaled, dim) if d]
-    assert len(divisors) == lattice.rank
-    if lattice.basis:
-        basis = [[int(x * den) for x in b] for b in lattice.basis]
-        assert [d for d in elementary_divisors_stack(basis, dim) if d] \
-            == divisors
 
 
 def _lattice_readings(gens, vectors):
@@ -325,6 +242,11 @@ def test_point_generators_see_the_lattice_not_the_vectors():
     assert betti_identity_component(g) == (1, "S1") \
         == betti_identity_component(crystal_group_make([REFL_Y], Z2_BASIS))
     assert coinvariant_rank(g) == 1
+    # a vector off (1/D) Z^d, D the common denominator of the translation
+    # vectors, is off the lattice before the kernel sees it
+    g = crystal_group_make([], [(HALF, 0), (0, 1)])
+    assert g.lattice_coords((Fraction(3, 2), 2)) is not None
+    assert g.lattice_coords((Fraction(1, 6), 0)) is None
     # a lattice that the swap does not preserve is still refused
     with pytest.raises(ValueError, match="preserve the translation"):
         crystal_group_make([SWAP_XY], [(2, 2, 0), (3, 0, 0), (0, 0, 1)])

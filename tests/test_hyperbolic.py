@@ -417,6 +417,22 @@ def test_exact_commute_has_no_tolerance():
     assert commute_test(m1, m1.compose(m1)) == (True, True)
 
 
+def test_float_commute_is_relative_to_the_maps():
+    # m1 m2 and m2 m1 are 1.4e-6 apart, far above tol |m1| |m2| = 2e-9;
+    # the commutator's distance to the identity once passed sqrt(tol)
+    near = (MobiusMap(1, 0.001, 0, 1), MobiusMap(1, 0, 0.001, 1))
+    assert commute_test(*near) == (False, False)
+    assert commute_test(MobiusMap(1, Fraction(1, 1000), 0, 1),
+                        near[1]) == (False, False)
+    assert commute_test(MobiusMap(2, 0, 0, 0.5),
+                        MobiusMap(3, 0, 0, 0.3333333333)) == (True, True)
+    # large entries: no square of a product overflows, and no commutator
+    # of entries near 1e200 is formed
+    big = MobiusMap(1e-200, 0, 0, 1e200)
+    assert commute_test(MobiusMap(0.5, 0, 0, 2), big) == (True, True)
+    assert commute_test(big, MobiusMap(1, 1, 0, 1)) == (False, False)
+
+
 def test_exact_words_build_no_fraction_until_the_entries_are_read(
         monkeypatch):
     gens = [MobiusMap(1, Fraction(2, 3), 0, 1),

@@ -55,6 +55,14 @@ CASES = {
     "zimmer galois-demo": ("geom3.algebra", GEOMETRIES | {"geom3.selfcheck"}),
     "nil iso --preset HZ": ("geom3.nil", {"geom3.sol", "geom3.euclid",
                                           "geom3.selfcheck"}),
+    # the dichotomy's Z-rank and covolume come from the lattice kernel in
+    # intmat, not from euclid
+    "nil dichotomy --gens rot6;1,0,0;0,1,0": ("geom3.intmat",
+                                              {"geom3.euclid", "geom3.sol",
+                                               "geom3.selfcheck"}),
+    "nil volume --gens rot4;1,0,0;1/3,0,0": ("geom3.intmat",
+                                             {"geom3.euclid", "geom3.sol",
+                                              "geom3.selfcheck"}),
 }
 
 

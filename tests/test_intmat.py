@@ -1,10 +1,12 @@
-"""Smith normal form and exact SL2 spectral data.
+"""Smith normal form, the lattice kernel and exact SL2 spectral data.
 
 The SNF oracles: for a nonsingular 2x2 integer matrix the invariant factors
 are (gcd of entries, |det| / gcd); for any k x n matrix with n <= 3 they are
 quotients of gcds of minors (`support.elementary_divisors_stack`), and sympy,
 when installed, checks wider ones; cokernel orders are cross-checked by
-enumerating lattice points of a fundamental parallelogram.
+enumerating lattice points of a fundamental parallelogram.  The lattice
+kernel `ZSpan`, on rational and Q(sqrt(d)) vectors written as integer rows,
+is checked against Gaussian elimination over Q and a brute-force walk.
 """
 
 import functools
@@ -17,10 +19,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geom3.algebra import QuadRat
+from geom3.algebra import QuadRat, clear_denominators
+from geom3.euclid import _integer_span
 from geom3.intmat import (
     IntMat2,
     SearchCapError,
+    ZSpan,
     congruence_solutions,
     diagonalize_sl2,
     gauss_reduce,
@@ -50,8 +54,11 @@ from support import (
     deadline,
     determinant,
     elementary_divisors_stack,
+    lattice_points_by_walk,
     matmul_rect,
+    rational_rank_by_elimination,
 )
+from test_euclid import _combination
 from test_nil import change_basis, planar_lattices, small_unimodular
 
 entries = st.integers(min_value=-100, max_value=100)
@@ -225,6 +232,123 @@ def test_snf_of_the_signed_permutation_stack():
     assert len(rows) == 144 and d == (1, 1, 2)
     assert matmul_rect(matmul_rect(u, rows), v)[:3] == (
         (1, 0, 0), (0, 1, 0), (0, 0, 2))
+
+
+# -- the lattice kernel against elimination and a walk ------------------------
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def rational_rows(draw):
+    """Up to 6 rows of width 1-4; later rows may repeat a scaled earlier
+    one, so that ranks below full show up often."""
+    n = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        if rows and draw(st.booleans()):
+            k = draw(small_fractions)
+            rows.append([k * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(small_fractions | st.just(Fraction(0)),
+                                      min_size=n, max_size=n)))
+    return rows
+
+
+@given(rational_rows())
+@settings(max_examples=300, deadline=None)
+def test_rank_agrees_with_gaussian_elimination(rows):
+    dim = len(rows[0]) if rows else 1
+    assert _integer_span(rows, dim)[1].rank \
+        == rational_rank_by_elimination(rows)
+
+
+@st.composite
+def generating_sets(draw):
+    """1-4 rational vectors in dimension 2 or 3; zero vectors, repeats
+    and dependent sets all occur."""
+    dim = draw(st.sampled_from((2, 3)))
+    entry = st.fractions(min_value=Fraction(-3, 2), max_value=Fraction(3, 2),
+                         max_denominator=2)
+    vectors = draw(st.lists(st.tuples(*[entry] * dim), min_size=1,
+                            max_size=4))
+    return dim, vectors
+
+
+@given(generating_sets())
+@settings(max_examples=100, deadline=None)
+def test_lattice_membership_agrees_with_the_walk(case):
+    dim, vectors = case
+    den, span = _integer_span(vectors, dim)
+    walk_den, points = lattice_points_by_walk(vectors, dim, bound=2)
+    assert walk_den == den
+    for big in itertools.product(range(-2, 3), repeat=dim):
+        coords = span.coords(big)
+        assert (coords is not None) == (big in points), big
+        if coords is not None:
+            assert _combination(coords, span.basis, dim) == big
+
+
+@given(generating_sets())
+@settings(max_examples=100, deadline=None)
+def test_lattice_basis_and_vectors_generate_each_other(case):
+    dim, vectors = case
+    den, span = _integer_span(vectors, dim)
+    assert len(span.basis) == span.rank
+    scaled = [tuple(int(x * den) for x in v) for v in vectors]
+    for v in scaled:   # the basis generates every vector ...
+        assert _combination(span.coords(v), span.basis, dim) == v
+    # ... and spans no more than they do: both have the same determinantal
+    # divisors, so the index of one lattice in the other is 1
+    divisors = [d for d in elementary_divisors_stack(scaled, dim) if d]
+    assert len(divisors) == span.rank
+    if span.basis:
+        assert [d for d in elementary_divisors_stack(span.basis, dim)
+                if d] == divisors
+
+
+@st.composite
+def quadratic_vectors(draw):
+    """1-5 vectors of width 1-3 over Q(sqrt(d)), d in {2, 3}; rational
+    entries, zero vectors and rational multiples of earlier vectors all
+    occur."""
+    d, n = draw(st.sampled_from((2, 3))), draw(st.integers(1, 3))
+    entry = st.builds(lambda a, b: QuadRat(a, b, d), small_fractions,
+                      small_fractions | st.just(Fraction(0)))
+    vectors = []
+    for _ in range(draw(st.integers(1, 5))):
+        if vectors and draw(st.booleans()):
+            k = draw(small_fractions)
+            vectors.append([k * x for x in draw(st.sampled_from(vectors))])
+        else:
+            vectors.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    return d, vectors
+
+
+@given(quadratic_vectors())
+@settings(max_examples=100, deadline=None)
+def test_quadratic_vectors_as_integer_pairs(case):
+    # each entry x becomes r x = p + q sqrt(d) over one denominator r; with
+    # the columns p_1..p_n, q_1..q_n the kernel has the Q-rank of the
+    # vectors, and its coordinates rebuild every vector
+    d, vectors = case
+    n = len(vectors[0])
+    den, nums = clear_denominators([x for v in vectors for x in v])
+    pairs = [num if isinstance(num, tuple) else (num, 0) for num in nums]
+    for x, (p, q) in zip((x for v in vectors for x in v), pairs):
+        assert x * den == QuadRat(p, q, d)
+    rows = [tuple(p for p, _ in pairs[i:i + n])
+            + tuple(q for _, q in pairs[i:i + n])
+            for i in range(0, len(pairs), n)]
+    span = ZSpan(rows, 2 * n)
+    assert span.rank == rational_rank_by_elimination(
+        [[x.a for x in v] + [x.b for x in v] for v in vectors])
+    for v, row in zip(vectors, rows):
+        back = _combination(span.coords(row), span.basis, 2 * n)
+        assert [QuadRat(Fraction(p, den), Fraction(q, den), d)
+                for p, q in zip(back[:n], back[n:])] == v
+
+
 
 
 def test_int_mat_pow():

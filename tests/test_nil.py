@@ -21,6 +21,7 @@ from geom3.intmat import (
     mat2_eq,
     mat2_mul,
     mat2_transpose,
+    vec2_cross,
     word_ball,
 )
 from geom3.nil import (
@@ -35,6 +36,7 @@ from geom3.nil import (
     ROT_PI_2,
     ROT_PI_3,
     NON_DISCRETE_INPUT,
+    DichotomyResult,
     HeisIsometry,
     HeisPoint,
     _extends_to_group_normalizer,
@@ -64,6 +66,7 @@ from geom3.nil import (
 from support import (
     SIGNED_PERMUTATIONS,
     coset_count_by_loop,
+    covolume_by_minors,
     deadline,
     dichotomy_by_fixed_sets,
     extends_by_scan,
@@ -957,6 +960,19 @@ def test_lattice_basis_inverse_is_not_a_field():
     assert mat2_mul(lat.basis_inv, lat.basis) == ((1, 0), (0, 1))
 
 
+def test_lattice_point_group_is_not_a_field():
+    lat = lattice_gp(4)
+    fresh = lattice_gp(4)
+    d = nil_quotient_isometry(lat, extra=lat.point_group)  # fills the cache
+    assert "point_group" in vars(lat) and "point_group" not in vars(fresh)
+    assert lat == fresh and hash(lat) == hash(fresh)
+    assert repr(lat) == repr(fresh)
+    assert lat.point_group is lat.point_group
+    assert lat.point_group == planar_point_group(lat.u, lat.v)
+    assert nil_quotient_isometry(
+        fresh, extra=planar_point_group(fresh.u, fresh.v)) == d
+
+
 def test_large_quotients_take_bounded_time():
     with deadline(10):
         d = nil_quotient_isometry(lattice_gp(100000))
@@ -1126,6 +1142,35 @@ def test_translation_raising_the_rank_is_non_discrete(case, q, p, z):
     assert res.kind == NON_DISCRETE_INPUT and res.witness is None
 
 
+def test_dichotomy_pins_the_covolume_and_the_rank():
+    # T spans the plane: the covolume at Z-rank 2, NonDiscreteInput at
+    # Z-rank 3 or 4, also with sqrt(2) and sqrt(3) in one input (columns
+    # on 1, sqrt 2 and sqrt 3); the oracle answers alike
+    sqrt2 = QuadRat(0, 1, 2)
+    cases = [
+        ([(HALF, 0), (Fraction(1, 3), Fraction(1, 5)), (0, Fraction(2, 7))],
+         "1/210"),
+        ([(sqrt2, 0), (0, sqrt2)], "2"),
+        ([(sqrt2, 1), (SQRT3, 0)], "√3"),
+        ([(1, 0), (0, 1), (SQRT3, 0)], None),
+        ([(1, 0), (0, 1), (sqrt2, 0), (0, SQRT3)], None),
+    ]
+    for ts, witness in cases:
+        gens = [_shift(*t) for t in ts]
+        res = nil_projection_dichotomy(gens)
+        _, translations = _schreier_translations(
+            [g.planar_part() for g in gens])
+        covolume = covolume_by_minors(translations)
+        if witness is None:
+            assert res.to_json_dict() == {"kind": NON_DISCRETE_INPUT}
+            assert covolume is None
+        else:
+            assert res.to_json_dict() == {"kind": DISCRETE_PROJECTION,
+                                          "central_witness": ["0", "0",
+                                                              witness]}
+            assert res.witness.z == covolume
+
+
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
@@ -1274,3 +1319,25 @@ def test_dichotomy_matches_the_fixed_set_solvers(family, data):
             == canonical_json(expected.to_json_dict()))
     if family == "mirror_sets":
         assert res.kind == FIXES_LINE
+
+
+@pytest.mark.parametrize("family", sorted(set(FAMILIES) - {"mirror_sets"}))
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_witness_is_the_covolume_by_minors(family, data):
+    # whenever T spans the plane, not only when no fixed set or invariant
+    # line decides first (mirror sets have T = 0)
+    gens = data.draw(FAMILIES[family])
+    _, ts = _schreier_translations([g.planar_part() for g in gens])
+    if not ts or not any(vec2_cross(ts[0], t) for t in ts[1:]):
+        return
+    res = nil_projection_dichotomy(gens)
+    covolume = covolume_by_minors(ts)
+    assert (res.kind == NON_DISCRETE_INPUT) == (covolume is None)
+    if covolume is not None:
+        expected = DichotomyResult(DISCRETE_PROJECTION,
+                                   witness=HeisPoint(Fraction(0),
+                                                     Fraction(0), covolume))
+        assert res == expected
+        assert (canonical_json(res.to_json_dict())
+                == canonical_json(expected.to_json_dict()))
