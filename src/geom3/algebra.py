@@ -211,10 +211,6 @@ class QuadRat:
 
     # -- field structure --------------------------------------------------
 
-    @property
-    def is_rational(self) -> bool:
-        return self.q == 0
-
     def as_fraction(self) -> Fraction:
         if self.q != 0:
             raise ValueError(f"{self} is irrational")

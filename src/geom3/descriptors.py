@@ -26,9 +26,6 @@ class IsoDescriptor:
     total_order: Optional[int] = None
     notes: tuple[str, ...] = ()
 
-    def is_finite(self) -> bool:
-        return self.identity_component == "trivial"
-
     def to_json_dict(self) -> dict:
         out = {
             "geometry": self.geometry,

@@ -98,7 +98,7 @@ class CrystalGroup:
         if len(v) != self.dim:
             raise ValueError("vector must match the dimension")
         den, span = self._lattice
-        r, nums = clear_denominators(v)
+        r, nums = clear_denominators([_rational(x) for x in v])
         if den % r:
             return None
         return span.coords([x * (den // r) for x in nums])

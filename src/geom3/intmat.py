@@ -202,9 +202,6 @@ class IntMat2:
     def __neg__(self) -> "IntMat2":
         return IntMat2(-self.a, -self.b, -self.c, -self.d)
 
-    def apply(self, v: Vec2) -> Vec2:
-        return mat2_apply(self.rows(), v)
-
 
 def int_mat_pow(a: IntMat2, n: int) -> IntMat2:
     """Exact n-th power, n >= 0 (n = 0 gives the identity)."""

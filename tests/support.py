@@ -23,6 +23,9 @@ on `HeisIsometry` products with `Fraction` and `QuadRat` scalars
 `global_extends_to_group_normalizer`).  The scan and loop oracles above
 build on these.
 
+`matrix_order_by_powers` is the order of a 2x2 matrix as `nil._matrix_order`
+found it before its table by (det, trace): powers up to the 12th.
+
 `FractionPairQuadRat` is the earlier representation of `QuadRat`, a pair of
 reduced Fractions (a, b), with its arithmetic as it was; and
 `squarefree_by_trial_division` is the earlier factoring loop.  They are the
@@ -166,6 +169,18 @@ def point_group_by_box(u, v) -> tuple:
             if not any(mat2_eq(t, m) for m in found):
                 found.append(t)
     return tuple(found)
+
+
+def matrix_order_by_powers(m) -> int:
+    """Order of a 2x2 matrix whose order divides 12, by its powers."""
+    power = m
+    for k in range(1, 13):
+        if mat2_eq(power, MAT2_ID):
+            if 12 % k:
+                raise ValueError(f"order {k} is not exactly representable")
+            return k
+        power = mat2_mul(power, m)
+    raise ValueError("rotation part must have finite order dividing 12")
 
 
 def lift_group_closes_by_pairs(lat, lifts: dict) -> bool:

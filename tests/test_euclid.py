@@ -80,11 +80,14 @@ def test_validation():
     ([], [(0.5, 0), (0, 1)]),                          # translation
     ([((1.0, 0), (0, 1))], [(1, 0), (0, 1)]),          # point generator
     ([REFL_Y], [(1, 0), (0, 1)], [(0.5, 0)]),          # vector system
+    ([], [(1, 0), (0, 1)], None, None, (0.5, 0)),      # lattice_coords
 ])
 def test_float_entries_are_a_domain_error(args):
-    # a float once escaped as algebra.frac's TypeError, an internal error
+    # a float once escaped as algebra.frac's TypeError (in lattice_coords
+    # as an AttributeError), an internal error; a fifth entry is the
+    # vector handed to lattice_coords
     with pytest.raises(ValueError, match="exact rational entries required"):
-        crystal_group_make(*args)
+        crystal_group_make(*args[:4]).lattice_coords(*args[4:])
 
 
 def test_betti_examples():

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geom3.algebra import QuadRat
@@ -19,6 +19,7 @@ from geom3.intmat import (
     mat2_apply,
     mat2_det,
     mat2_eq,
+    mat2_inv,
     mat2_mul,
     mat2_transpose,
     vec2_cross,
@@ -42,7 +43,9 @@ from geom3.nil import (
     _extends_to_group_normalizer,
     _LatticeFrame,
     _lift_group_closes,
+    _matrix_order,
     _normalizing_cosets,
+    _orthogonal_order,
     _point_group_generators,
     _schreier_translations,
     heis_commutator,
@@ -73,6 +76,7 @@ from support import (
     global_lift,
     global_quotient_isometry,
     lift_group_closes_by_pairs,
+    matrix_order_by_powers,
     point_group_by_box,
 )
 
@@ -982,6 +986,101 @@ def test_large_quotients_take_bounded_time():
     assert d.finite_part["translation_part"] == [100000, 100000]
     assert skewed.tag == "D4" and set(skewed.elements) == SIGNED_PERMUTATIONS
     assert wide.tag == "D2"
+
+
+# -- orders and point groups without the enumerations ---------------------------
+
+TURN_34 = ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(4, 5), Fraction(3, 5)))
+
+
+def order_table_cases() -> set:
+    """The elements of the point groups of HZ, Gp:1..4, hex:1..3, the
+    centered lattice and skewed square and hexagonal bases, the products of
+    two elements of each, their lattice matrices, ROT_PI_3 and its products
+    with the square lattice's elements (of order 12 among them)."""
+    lattices = [lattice_hz(), *map(lattice_gp, range(1, 5)),
+                *map(lattice_hex, range(1, 4))]
+    bases = [(lat.u, lat.v) for lat in lattices] + [
+        ((1, 0), (HALF, HALF)),
+        ((1, 0), (1000, 1)),
+        change_basis(*HEX, ((7, 1000), (-1, -143)))]
+    cases = {ROT_PI_3}
+    cases.update(mat2_mul(ROT_PI_3, m) for m in SIGNED_PERMUTATIONS)
+    for u, v in bases:
+        pg = planar_point_group(u, v)
+        cases.update(pg.elements, pg.basis_matrices)
+        cases.update(mat2_mul(a, b) for a in pg.elements for b in pg.elements)
+    return cases
+
+
+def test_order_table_agrees_with_the_powers():
+    cases = order_table_cases()
+    assert {matrix_order_by_powers(m) for m in cases} == {1, 2, 3, 4, 6, 12}
+    for m in cases:
+        assert _matrix_order(m) == matrix_order_by_powers(m)
+        if mat2_eq(mat2_mul(mat2_transpose(m), m), MAT2_ID):
+            assert _orthogonal_order(m) == matrix_order_by_powers(m)
+
+
+@pytest.mark.parametrize("m", [
+    ((2, 0), (0, 1)),
+    ((QuadRat(0, HALF, 2), QuadRat(0, -HALF, 2)),
+     (QuadRat(0, HALF, 2), QuadRat(0, HALF, 2))),
+    TURN_34,
+], ids=["non-orthogonal", "order-8", "infinite-order"])
+def test_order_table_raises_as_the_powers_do(m):
+    with pytest.raises(ValueError) as powers:
+        matrix_order_by_powers(m)
+    orders = [_matrix_order]
+    if mat2_eq(mat2_mul(mat2_transpose(m), m), MAT2_ID):
+        orders.append(_orthogonal_order)
+    for order in orders:
+        with pytest.raises(ValueError) as table:
+            order(m)
+        assert type(table.value) is type(powers.value)
+        assert str(table.value) == str(powers.value)
+
+
+exact_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def exact_bases(draw):
+    """Rational and Q(sqrt(3)) bases: the lattices of `planar_lattices`
+    turned by I, ROT_PI_3 or TURN_34, or random entries, in a basis with
+    coefficients up to about 10^12, far beyond `point_group_by_box`."""
+    if draw(st.booleans()):
+        turn = draw(st.sampled_from([MAT2_ID, ROT_PI_3, TURN_34]))
+        u, v = (mat2_apply(turn, w) for w in draw(planar_lattices()))
+    else:
+        field = draw(st.sampled_from(["Q", "Q(sqrt3)"]))
+        entries = [draw(exact_rationals) if field == "Q" else
+                   QuadRat(draw(exact_rationals), draw(exact_rationals), 3)
+                   for _ in range(4)]
+        u, v = entries[:2], entries[2:]
+        assume(vec2_cross(u, v) != 0)
+    m = MAT2_ID
+    for _ in range(draw(st.integers(0, 4))):
+        q = draw(st.integers(-1000, 1000))
+        m = mat2_mul(m, draw(st.sampled_from(
+            [((1, q), (0, 1)), ((1, 0), (q, 1)), ((0, 1), (1, 0))])))
+    return change_basis(u, v, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_bases())
+def test_point_group_elements_are_orthogonal_and_closed(basis):
+    pg = planar_point_group(*basis)
+    b = ((basis[0][0], basis[1][0]), (basis[0][1], basis[1][1]))
+    b_inv = mat2_inv(b)
+    assert pg.tag == {2: "C2", 4: "D2", 8: "D4", 12: "D6"}[pg.order]
+    assert len(pg.basis_matrices) == pg.order
+    for t, m in zip(pg.elements, pg.basis_matrices):
+        assert mat2_eq(mat2_mul(mat2_transpose(t), t), MAT2_ID)
+        assert mat2_eq(t, mat2_mul(mat2_mul(b, m), b_inv))
+    group = set(pg.elements)
+    assert len(group) == pg.order
+    assert {mat2_mul(a, c) for a in group for c in group} == group
 
 
 # -- the exact dichotomy ------------------------------------------------------------
