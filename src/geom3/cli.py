@@ -272,6 +272,33 @@ _S2R_PRESETS = {
 }
 
 
+def _s2r_generators(text: str) -> list:
+    """Tokens separated by ';': "m11,...,m33@shift", or "I@shift" for the
+    identity rotation, with "@-1" appended for a flip; exact entries."""
+    from . import fibered
+    gens = []
+    for token in text.split(";"):
+        token = token.strip()
+        if not token:
+            continue
+        parts = token.split("@")
+        if len(parts) not in (2, 3) or parts[2:] not in ([], ["-1"]):
+            raise SchemaError(f"bad generator token {token!r}")
+        if parts[0] == "I":
+            rot = fibered.S2R_ROT_ID
+        else:
+            entries = [_frac(e) for e in parts[0].split(",")]
+            if len(entries) != 9:
+                raise SchemaError("rotation part must be 9 comma-separated "
+                                  "rationals (row major) or I")
+            rot = tuple(tuple(entries[i:i + 3]) for i in (0, 3, 6))
+        gens.append(fibered.S2RIsometry(rot, _frac(parts[1]),
+                                        flip=-1 if parts[2:] else 1))
+    if not gens:
+        raise SchemaError("at least one generator required")
+    return gens
+
+
 def _cmd_fiber(args) -> dict:
     from . import fibered
     if args.action == "frame":
@@ -294,10 +321,16 @@ def _cmd_fiber(args) -> dict:
                                        args.k)
         return {"value": value}
     if args.action == "s2r":
-        maker = _S2R_PRESETS.get(args.preset)
-        if maker is None:
-            raise SchemaError(f"unknown s2r preset {args.preset!r}")
-        dec = fibered.s2r_decompose(maker(fibered))
+        if args.gens is not None:
+            if args.preset is not None:
+                raise SchemaError("give --preset or --gens, not both")
+            gens = _s2r_generators(args.gens)
+        else:
+            maker = _S2R_PRESETS.get(args.preset or "twist")
+            if maker is None:
+                raise SchemaError(f"unknown s2r preset {args.preset!r}")
+            gens = maker(fibered)
+        dec = fibered.s2r_decompose(gens)
         out = dec.to_json_dict()
         if dec.l_type != fibered.TRIVIAL_L:
             out["identity_component"] = \
@@ -487,7 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fib.add_argument("--i", type=int, default=1)
     p_fib.add_argument("--j", type=int, default=1)
     p_fib.add_argument("--k", type=int, default=1)
-    p_fib.add_argument("--preset", default="twist")
+    p_fib.add_argument("--preset")
+    p_fib.add_argument("--gens")
     p_fib.add_argument("--geometry", default="sl2r")
 
     p_euc = sub_add("euclid", help="Euclidean crystallographic input")

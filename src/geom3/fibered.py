@@ -142,10 +142,15 @@ def frame_at_identity(step: float = 1e-6,
 # -- S^2 x R ------------------------------------------------------------------
 
 class NonDiscreteShiftError(ValueError):
-    """The projected shift set is not discrete within the word bound."""
+    """The group is not discrete: its shifts are dense in R, or infinitely
+    many of its elements act trivially on the R factor."""
 
 
-# A word ball larger than this is taken as a sign of a non-discrete group.
+# F is a finite subgroup of O(3).  With exact entries (rational, or in one
+# Q(sqrt d)) it has at most 120 elements, so more prove it infinite.  Float
+# rotation parts can have any finite order; more than BALL_CAP elements are
+# taken as a sign of an infinite group.
+_EXACT_CAP = 120
 BALL_CAP = 4000
 
 
@@ -203,8 +208,7 @@ class S2RIsometry:
                                  -self.flip * self.shift, self.flip)
 
     def key(self):
-        return (tuple(round(float(v), 9) for row in self.rot for v in row),
-                round(float(self.shift), 9), self.flip)
+        return _rot_key(self.rot), round(float(self.shift), 9), self.flip
 
 
 S2R_ROT_ID = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -222,11 +226,16 @@ LAMBDA_Z_SEMIDIRECT = "LambdaZSemidirectZ2"
 
 @dataclass(frozen=True)
 class S2RDecomposition:
+    """1 -> F -> Gamma -> L.  L is trivial, lam Z, or with a flip lam Z
+    x| Z_2 (Z_2 alone when lam is None); f_elements lists F, the rotation
+    parts of the elements that act trivially on R, and f_order_bound is
+    |F|; twist is the rotation part of one element of shift lam."""
+
     l_type: str
     lam: object
     f_order_bound: int
     f_elements: tuple
-    twist: Optional[tuple]          # rotation part over the minimal shift
+    twist: Optional[tuple]
 
     def to_json_dict(self) -> dict:
         return {"l_type": self.l_type,
@@ -234,109 +243,196 @@ class S2RDecomposition:
                 "f_order_bound": self.f_order_bound}
 
 
-def _ball(gens: Sequence[S2RIsometry], bound: int) -> list[S2RIsometry]:
-    """The word ball that `word_ball` builds with `S2RIsometry.compose` and
-    `S2RIsometry.key`: the same elements in the same order, bit for bit.
+def _rot_key(rot) -> tuple:
+    """The rotation's entries rounded to 9 digits: float products that
+    agree up to rounding are one element."""
+    return tuple(round(float(v), 9) for row in rot for v in row)
 
-    A ball holds few distinct rotation parts, so each product of one with a
-    move's rotation is computed once, from the entries `compose` would
-    multiply.  Rotations are interned by the reprs of their entries, which
-    tell 1, 1.0, Fraction(1) and -0.0 apart, so no product changes type; a
-    table maps the ids of two interned factors to their interned product,
-    and each interned rotation keeps its rounded key.  `interned` keeps the
-    tuples alive, so their ids are not reused.
+
+def _rot_pow(rot, n: int) -> tuple:
+    """rot**n by repeated squaring; rot is orthogonal, so rot**-1 is its
+    transpose."""
+    if n < 0:
+        rot, n = transpose(rot), -n
+    out = S2R_ROT_ID
+    while n:
+        if n & 1:
+            out = matmul(out, rot)
+        n >>= 1
+        if n:
+            rot = matmul(rot, rot)
+    return out
+
+
+def _shift_generator(shifts: list, exact: bool):
+    """(lam, c): lam > 0 generates the subgroup of R that the shifts
+    generate, and lam = sum c_j shifts[j] for integers c_j; (None, None)
+    when every shift is 0.
+
+    Euclid's algorithm, started at the smallest shift, which stays as it
+    is when it divides the others.  Exact shifts are Fractions.  A float
+    shift of at most 1e-12 counts as 0, a ratio r within 1e-9 (1 + r) of
+    an integer as a multiple, and a remainder below 1e-9 max |s| proves
+    the shifts dense in R (NonDiscreteShiftError).
     """
-    interned = {}           # entry reprs -> rotation
-    rot_keys = {}           # id(rotation) -> its part of S2RIsometry.key
-    products = {}           # (id(rotation), id(move.rot)) -> interned product
+    support = sorted((j for j, s in enumerate(shifts)
+                      if abs(s) > (0 if exact else 1e-12)),
+                     key=lambda j: abs(shifts[j]))
+    if not support:
+        return None, None
+    floor = 0 if exact else 1e-9 * abs(shifts[support[-1]])
 
-    def intern(rot):
-        rot = interned.setdefault(tuple(repr(v) for row in rot for v in row),
-                                  rot)
-        if id(rot) not in rot_keys:
-            rot_keys[id(rot)] = tuple(round(float(v), 9)
-                                      for row in rot for v in row)
-        return rot
+    def unit(j):
+        c = [0] * len(shifts)
+        c[j] = 1 if shifts[j] > 0 else -1
+        return c
 
-    def compose(el, mv):
-        pair = (id(el.rot), id(mv.rot))
-        rot = products.get(pair)
-        if rot is None:
-            rot = products[pair] = intern(matmul(el.rot, mv.rot))
-        return S2RIsometry._make(rot, el.flip * mv.shift + el.shift,
-                                 el.flip * mv.flip)
+    def divides(b, a):
+        if exact:
+            return a % b == 0
+        ratio = a / b
+        return abs(ratio - round(ratio)) <= 1e-9 * (1 + ratio)
 
-    def key(el):
-        return rot_keys[id(el.rot)], round(float(el.shift), 9), el.flip
+    lam, c = abs(shifts[support[0]]), unit(support[0])
+    for j in support[1:]:
+        a, ca = abs(shifts[j]), unit(j)
+        while not divides(lam, a):
+            q = int(a // lam)
+            a, ca, lam, c = lam, c, a - q * lam, [x - q * y
+                                                  for x, y in zip(ca, c)]
+            if lam < floor:
+                raise NonDiscreteShiftError(
+                    f"shift {shifts[j]} has no common period with the "
+                    f"others: Euclid's remainder fell to {lam}")
+    return lam, c
 
-    # as row tuples: a product interned to a list-valued rotation would be
-    # a list, where `compose` returns tuples
-    moves = [S2RIsometry._make(intern(tuple(map(tuple, h.rot))), h.shift,
-                               h.flip) for g in gens for h in (g, g.inverse())]
-    identity = S2RIsometry(intern(S2R_ROT_ID), 0)
-    try:
-        return list(word_ball(identity, moves, compose, key, bound,
-                              cap=BALL_CAP))
-    except SearchCapError:
-        raise NonDiscreteShiftError("word ball keeps growing; projected "
-                                    "group looks non-discrete") from None
+
+def _twist_and_kernel(rots: list, coeffs: list, m: list):
+    """R_t = prod R_j^c_j, the rotation part of t = prod h_j^c_j, and the
+    rotation parts R_j R_t^-m_j of the k_j = h_j t^-m_j."""
+    twist = S2R_ROT_ID
+    for rot, c in zip(rots, coeffs):
+        if c:
+            twist = matmul(twist, _rot_pow(rot, c))
+    return twist, [matmul(rot, _rot_pow(twist, -mj))
+                   for rot, mj in zip(rots, m)]
+
+
+# 2 cos(2 pi j / n) for every order n of an element of O(3) with exact
+# entries: its eigenvalue sum 2 cos lies in Q or one Q(sqrt d), so phi(n)
+# <= 4 and n divides 8, 10 or 12
+_FINITE_TWO_COS = tuple(2 * math.cos(2 * math.pi * j / n)
+                        for n in (8, 10, 12) for j in range(n))
+
+
+def _screen_kernel(rots: list, coeffs: list, m: list) -> None:
+    """NonDiscreteShiftError when, computed in floats, some k_j has a trace
+    that no element of finite order has: det (1 + 2 cos(2 pi j / n)).
+
+    Exact powers of a twist of infinite order grow by a fixed number of
+    digits per step, so k_j over a large shift ratio is costly to compute
+    exactly; in floats it costs the same at any ratio.  The float error of
+    the powers grows about linearly with the exponents, far below the
+    tolerance 1e-9 (1 + sum |c_j| + max |m_j|), so a rejection is sure."""
+    as_float = [tuple(tuple(float(v) for v in row) for row in r)
+                for r in rots]
+    tol = 1e-9 * (1 + sum(map(abs, coeffs)) + max(map(abs, m)))
+    for k in _twist_and_kernel(as_float, coeffs, m)[1]:
+        trace = k[0][0] + k[1][1] + k[2][2]
+        if all(abs(sign * trace - 1 - c) > tol for sign in (1, -1)
+               for c in _FINITE_TWO_COS):
+            raise NonDiscreteShiftError(
+                f"an element over the shift 0 has trace {trace:.9g}, which "
+                "no rotation part of finite order has")
+
+
+def _twist_closure(rots: list, twist, cap: int) -> list:
+    """The least group that contains rots and is closed under conjugation
+    by twist (None: no conjugation): `word_ball` closes the generators,
+    then their conjugates join them, until a step adds nothing."""
+    gens = list({_rot_key(r): r for r in rots}.values())
+    new = gens
+    while True:
+        try:
+            group = list(word_ball(S2R_ROT_ID, gens, matmul, _rot_key,
+                                   cap=cap))
+        except SearchCapError:
+            raise NonDiscreteShiftError(
+                f"more than {cap} rotation parts act trivially on R: "
+                "they form an infinite group") from None
+        if twist is None:
+            return group
+        inv, keys = transpose(twist), {_rot_key(r) for r in group}
+        new = [r for r in (matmul(matmul(twist, g), inv) for g in new)
+               if _rot_key(r) not in keys]
+        if not new:
+            return group
+        gens += new
 
 
 def s2r_decompose(gens: Sequence[S2RIsometry],
                   word_bound: int = 8) -> S2RDecomposition:
     """Split a discrete group of S^2 x R into 1 -> F -> Gamma -> L.
 
-    L is read off the projected shifts of all words up to the bound: the
-    minimal positive shift generates, and every other shift must be one of
-    its integer multiples (otherwise the input contradicts discreteness).
-    F collects the rotation parts of shift-free, flip-free words.
+    Let p map Gamma to Isom(R).  O(3) is compact, so Gamma is discrete
+    exactly when p(Gamma) is discrete and K = ker p is finite; then L =
+    p(Gamma) and F is K.  Both come out of closed forms, not a search:
+
+    - with a flip, the flip-free elements form a subgroup Gamma+ of index
+      2 with transversal {1, r}, r the first flipping generator; its
+      Schreier generators h_j are g and r g r^-1 for g flip-free, g r^-1
+      and r g for g flipping.  Without a flip, the h_j are the generators;
+    - L = lam Z (with a flip, lam Z x| Z_2), lam the gcd of the shifts s_j
+      of the h_j, by Euclid's algorithm with integer coefficients c_j
+      (`_shift_generator`), so t = prod h_j^c_j has shift lam;
+    - k_j = h_j t^-m_j, m_j = s_j / lam, has shift 0, and K is generated
+      by the t^n k_j t^-n: F is the least group that contains the
+      rotation parts of the k_j and is closed under conjugation by the
+      rotation part R_t of t, the twist (`_twist_closure`).
+
+    NonDiscreteShiftError reports shifts that are dense in R, or an F of
+    more than 120 elements (exact entries, where no finite subgroup of O(3)
+    is larger) or of more than BALL_CAP (float entries).  Rotations are
+    compared rounded to 9 digits.
+
+    lam is None when Gamma+ shifts nothing; otherwise an int when every
+    shift is an int, a Fraction when every shift is exact, a float
+    otherwise.  `word_bound` is kept for compatibility and must be >= 0;
+    no answer depends on it.
     """
     if not gens:
         raise ValueError("at least one generator required")
     if word_bound < 0:
         raise ValueError("word_bound must be >= 0")
-    ball = _ball(gens, word_bound)
+    r = next((g for g in gens if g.flip == -1), None)
+    plus = list(gens)
+    if r is not None:
+        r_inv = r.inverse()
+        plus = [h for g in gens
+                for h in ((g, r.compose(g).compose(r_inv)) if g.flip == 1
+                          else (g.compose(r_inv), r.compose(g)))]
     exact = all(isinstance(g.shift, (int, Fraction)) for g in gens)
-    shifts = [el.shift for el in ball]
-    positive = sorted({float(s) for s in shifts if float(s) > 1e-12})
-    lam = None
-    if positive:
-        lam = min(positive)
-        for s in positive:
-            ratio = s / lam
-            if abs(ratio - round(ratio)) > 1e-9 * (1 + ratio):
-                raise NonDiscreteShiftError(
-                    f"shift {s} is not a multiple of the minimal shift {lam}")
-        if exact:
-            lam_exact = None
-            for el in ball:
-                if abs(float(el.shift) - lam) < 1e-12:
-                    lam_exact = el.shift
-                    break
-            lam = lam_exact
-    flip_present = any(el.flip == -1 for el in ball)
-    f_rotations = []
-    seen = set()
-    for el in ball:
-        if abs(float(el.shift)) <= 1e-12 and el.flip == 1:
-            k = el.key()[0]
-            if k not in seen:
-                seen.add(k)
-                f_rotations.append(el.rot)
+    shifts = [Fraction(h.shift) if exact else float(h.shift) for h in plus]
+    lam, coeffs = _shift_generator(shifts, exact)
+    rots = [h.rot for h in plus]
+    floats = any(isinstance(v, float) for g in gens for row in g.rot
+                 for v in row)
     twist = None
     if lam is not None:
-        for el in ball:
-            if el.flip == 1 and abs(float(el.shift) - float(lam)) < 1e-12:
-                twist = el.rot
-                break
-    if lam is None and not flip_present:
-        l_type = TRIVIAL_L
-    elif flip_present:
+        m = [round(s / lam) for s in shifts]
+        if not floats:
+            _screen_kernel(rots, coeffs, m)
+        twist, rots = _twist_and_kernel(rots, coeffs, m)
+        if all(isinstance(g.shift, int) for g in gens):
+            lam = int(lam)
+    f = _twist_closure(rots, twist, BALL_CAP if floats else _EXACT_CAP)
+    if r is not None:
         l_type = LAMBDA_Z_SEMIDIRECT
+    elif lam is None:
+        l_type = TRIVIAL_L
     else:
         l_type = LAMBDA_Z
-    return S2RDecomposition(l_type, lam, len(f_rotations),
-                            tuple(f_rotations), twist)
+    return S2RDecomposition(l_type, lam, len(f), tuple(f), twist)
 
 
 SO3_X_S1 = "SO3xS1"

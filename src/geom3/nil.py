@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -228,9 +229,6 @@ class HeisIsometry:
     @classmethod
     def point_symmetry(cls, rot: Mat2) -> "HeisIsometry":
         return cls(rot, HEIS_ID)
-
-    def apply(self, p: HeisPoint) -> HeisPoint:
-        return heis_mul(self.trans, rot_apply(self.rot, p))
 
     def compose(self, other: "HeisIsometry") -> "HeisIsometry":
         return HeisIsometry(mat2_mul(self.rot, other.rot),
@@ -959,17 +957,20 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
     Z-rank >= 3
     =================  ====================================================
 
-    Once T spans the plane, `_integer_rows` writes its generators as
-    integer rows, and the lattice kernel `intmat.ZSpan` reads the Z-rank
-    of T off one Smith normal form.  For a lattice, the witness (0, 0, c)
-    is the commutator of lifts of a positively oriented basis b_1, b_2 of
-    T, so c = |cross(b_1, b_2)| > 0 is the covolume of T; it is read as
-    |cross(t_a, t_b)| / [T : Z t_a + Z t_b], the index being the
-    determinant of the kernel coordinates of the first generator t_a and
-    the first t_b not parallel to it.  With Z-rank 3 or more,
-    the input group is not discrete: its translations would project onto
-    a subgroup of that rank of the plane, more than a discrete subgroup of
-    the Heisenberg group (Hirsch length at most 3) can carry.  This covers
+    `_integer_rows` writes the generators of T as integer rows.  Whether T
+    spans the plane is read off them (`_crosses`), with no product of
+    values from two fields, so the answer does not depend on the order of
+    the generators when sqrt(2) and sqrt(3) mix.  Once T spans the plane,
+    the lattice kernel `intmat.ZSpan` reads its Z-rank off one Smith
+    normal form.  For a lattice, the witness (0, 0, c) is the commutator
+    of lifts of a positively oriented basis b_1, b_2 of T, so c =
+    |cross(b_1, b_2)| > 0 is the covolume of T; it is read as |cross(t_a,
+    t_b)| / [T : Z t_a + Z t_b], the index being the determinant of the
+    kernel coordinates of the first generator t_a and the first t_b not
+    parallel to it.  With Z-rank 3 or more, the input group is not
+    discrete: its translations would project onto a subgroup of that rank
+    of the plane, more than a discrete subgroup of the Heisenberg group
+    (Hirsch length at most 3) can carry.  This covers
     every set whose linear parts hold a rotation of order 12, which no
     planar lattice admits.
 
@@ -1003,13 +1004,13 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
         return DichotomyResult(FIXES_POINT, point=point)
 
     t0 = translations[0]
-    j = next((j for j, t in enumerate(translations) if vec2_cross(t0, t)),
-             None)
+    radicands, rows = _integer_rows(translations)
+    j = next((j for j, row in enumerate(rows)
+              if _crosses(radicands, rows[0], row)), None)
     if j is None:
         return DichotomyResult(FIXES_LINE,
                                direction=_invariant_direction(planar, t0))
 
-    rows = _integer_rows(translations)
     span = ZSpan(dict.fromkeys(rows), len(rows[0]))
     if span.rank > 2:
         return DichotomyResult(NON_DISCRETE_INPUT)
@@ -1052,12 +1053,14 @@ def _schreier_translations(planar) -> tuple[dict, list[Vec2]]:
     return transversal, out
 
 
-def _integer_rows(vectors: list[Vec2]) -> list[tuple[int, ...]]:
-    """The planar vectors as integer rows over one common denominator r,
-    on the Q-basis {1, sqrt(d_1), ..., sqrt(d_k)} of the fields that
-    occur: (x, y) -> (x_0, y_0, x_1, y_1, ...) for x = (x_0 + x_1 sqrt(d_1)
-    + ...) / r.  1 and the sqrt(d_i) are linearly independent over Q, so
-    the rows have the Q-rank of the vectors."""
+def _integer_rows(vectors: list[Vec2]) \
+        -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The radicands (1, d_1, ..., d_k) of the fields that occur, and the
+    planar vectors as integer rows over one common denominator r on the
+    Q-basis {1, sqrt(d_1), ..., sqrt(d_k)}: (x, y) -> (x_0, y_0, x_1, y_1,
+    ...) for x = (x_0 + x_1 sqrt(d_1) + ...) / r.  1 and the sqrt(d_i) are
+    linearly independent over Q, so the rows have the Q-rank of the
+    vectors."""
     flat = [x for v in vectors for x in v]
     _, nums = clear_denominators(flat)
     fields = sorted({x.d for x, num in zip(flat, nums)
@@ -1069,7 +1072,27 @@ def _integer_rows(vectors: list[Vec2]) -> list[tuple[int, ...]]:
             row[k], row[2 * fields.index(x.d) + 2 + k] = num
         else:
             row[k] = num
-    return list(map(tuple, rows))
+    return (1, *fields), list(map(tuple, rows))
+
+
+def _crosses(radicands: tuple[int, ...], u: tuple[int, ...],
+             v: tuple[int, ...]) -> bool:
+    """Whether two vectors, as integer rows of `_integer_rows`, are not
+    parallel.  Their cross product is the sum over k, l of (u_x,k v_y,l -
+    u_y,k v_x,l) sqrt(d_k d_l), with sqrt(d_k d_l) = g sqrt(d_k d_l / g^2)
+    for g = gcd(d_k, d_l).  Square roots of distinct square-free integers
+    are linearly independent over Q, so the product is 0 exactly when the
+    integer coefficient of each radicand is: no two fields are multiplied
+    as QuadRat values, which would refuse sqrt(2) sqrt(3)."""
+    coeffs = {}
+    for k, dk in enumerate(radicands):
+        for l, dl in enumerate(radicands):
+            c = u[2 * k] * v[2 * l + 1] - u[2 * k + 1] * v[2 * l]
+            if c:
+                g = gcd(dk, dl)
+                d = dk * dl // (g * g)
+                coeffs[d] = coeffs.get(d, 0) + c * g
+    return any(coeffs.values())
 
 
 def _invariant_direction(planar, t0: Vec2) -> Vec2:

@@ -52,9 +52,13 @@ before the lattice kernel `intmat.ZSpan` read the Z-rank off integer
 rows: coordinates in a basis taken from the translations, and the gcd of
 the 2x2 minors.
 
-`s2r_ball_by_products` is the S^2 x R word ball as `fibered._ball` built
-it before its product table: one `S2RIsometry.compose` and one
-`S2RIsometry.key` per candidate.
+`s2r_ball_by_products` is the S^2 x R word ball that `fibered` built
+before the split became a closed form: one `S2RIsometry.compose` and one
+`S2RIsometry.key` per candidate, at most BALL_CAP elements.
+`s2r_decompose_by_ball` reads the split off that ball as
+`fibered.s2r_decompose` did: L from the least positive shift of a word, F
+from the rotation parts of the shift-free, flip-free words.  At a bound
+that reaches F and the least shift, it agrees with the closed form.
 
 `mobius_word_by_fractions` multiplies exact Mobius maps as 2x2 matrices
 of Fractions, the way `MobiusMap.compose` did before an exact map became
@@ -82,8 +86,12 @@ from geom3.algebra import (
 )
 from geom3.fibered import (
     BALL_CAP,
+    LAMBDA_Z,
+    LAMBDA_Z_SEMIDIRECT,
     S2R_ROT_ID,
+    TRIVIAL_L,
     NonDiscreteShiftError,
+    S2RDecomposition,
     S2RIsometry,
 )
 from geom3.algebra import format_scalar
@@ -915,7 +923,7 @@ def _invariant_line(planar):
 
 
 def s2r_ball_by_products(gens, bound: int) -> list:
-    """The word ball of `fibered._ball`, one product per candidate."""
+    """The S^2 x R word ball to the bound, one product per candidate."""
     moves = [h for g in gens for h in (g, g.inverse())]
     try:
         return list(word_ball(S2RIsometry(S2R_ROT_ID, 0), moves,
@@ -924,6 +932,49 @@ def s2r_ball_by_products(gens, bound: int) -> list:
     except SearchCapError:
         raise NonDiscreteShiftError("word ball keeps growing; projected "
                                     "group looks non-discrete") from None
+
+
+def s2r_decompose_by_ball(gens, bound: int) -> S2RDecomposition:
+    """The split 1 -> F -> Gamma -> L read off the word ball to the bound.
+
+    L is read off the shifts of the words: the least positive one, lam,
+    generates, and every other must be one of its integer multiples
+    (otherwise NonDiscreteShiftError).  F collects the rotation parts of
+    the shift-free, flip-free words; the twist is the rotation part of the
+    first flip-free word of shift lam.
+    """
+    ball = s2r_ball_by_products(gens, bound)
+    exact = all(isinstance(g.shift, (int, Fraction)) for g in gens)
+    positive = sorted({float(el.shift) for el in ball
+                       if float(el.shift) > 1e-12})
+    lam = None
+    if positive:
+        lam = min(positive)
+        for s in positive:
+            ratio = s / lam
+            if abs(ratio - round(ratio)) > 1e-9 * (1 + ratio):
+                raise NonDiscreteShiftError(
+                    f"shift {s} is not a multiple of the minimal shift {lam}")
+        if exact:
+            lam = next(el.shift for el in ball
+                       if abs(float(el.shift) - lam) < 1e-12)
+    flip_present = any(el.flip == -1 for el in ball)
+    f_rotations = {}
+    for el in ball:
+        if abs(float(el.shift)) <= 1e-12 and el.flip == 1:
+            f_rotations.setdefault(el.key()[0], el.rot)
+    twist = None
+    if lam is not None:
+        twist = next((el.rot for el in ball if el.flip == 1
+                      and abs(float(el.shift) - float(lam)) < 1e-12), None)
+    if flip_present:
+        l_type = LAMBDA_Z_SEMIDIRECT
+    elif lam is None:
+        l_type = TRIVIAL_L
+    else:
+        l_type = LAMBDA_Z
+    return S2RDecomposition(l_type, lam, len(f_rotations),
+                            tuple(f_rotations.values()), twist)
 
 
 def mobius_word_by_fractions(gens, word) -> tuple:

@@ -6,10 +6,11 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from geom3 import cli, euclid, intmat, nil, selfcheck
+from geom3 import cli, euclid, fibered, intmat, nil, selfcheck
 from geom3.descriptors import canonical_json
 from geom3.intmat import IntMat2, SnfResult
 from support import deadline
@@ -155,6 +156,41 @@ def test_hyp_and_fiber_cli():
     code, payload = run_json(["fiber", "embed", "--matrix", "1,0,0,1",
                               "--json"])
     assert payload["z"] == [0.0, 1.0]
+
+
+def test_s2r_gens_are_parsed_exactly():
+    gens = cli._s2r_generators("0,-1,0,1,0,0,0,0,1@1/2; I@3@-1")
+    assert [(g.rot, g.shift, g.flip) for g in gens] == [
+        (((0, -1, 0), (1, 0, 0), (0, 0, 1)), Fraction(1, 2), 1),
+        (fibered.S2R_ROT_ID, 3, -1)]
+    assert all(isinstance(v, Fraction) for v in gens[0].rot[0])
+    # the presets and --gens give one answer for one group
+    code, by_gens = run_json(["fiber", "s2r", "--gens",
+                              "I@1;-1,0,0,0,-1,0,0,0,1@0;"
+                              "1,0,0,0,-1,0,0,0,-1@0", "--json"])
+    assert code == 0
+    assert by_gens == run_json(["fiber", "s2r", "--preset", "klein",
+                                "--json"])[1]
+
+
+@pytest.mark.parametrize("gens", [
+    "", ";", "I", "I@", "I@1@1", "I@1@-1@-1", "J@1", "1,0,0@1",
+    "1,0,0,0,1,0,0,0,1,0@1", "x,0,0,0,1,0,0,0,1@1", "I@nan", "I@1/0",
+    "I@0.5.5",
+])
+def test_bad_s2r_gens_are_schema_errors(gens):
+    code, payload = run_json(["fiber", "s2r", "--gens", gens, "--json"])
+    assert code == 2
+    assert payload["error"]["kind"] == "schema"
+
+
+def test_s2r_domain_errors_exit_1():
+    for gens in ("1,1,0,0,1,0,0,0,1@1",       # not orthogonal
+                 "3/5,-4/5,0,4/5,3/5,0,0,0,1@0;I@1"):
+        code, payload = run_json(["fiber", "s2r", "--gens", gens, "--json"])
+        assert code == 1
+        assert payload["error"]["kind"] in ("ValueError",
+                                            "NonDiscreteShiftError")
 
 
 def test_euclid_and_lookup_cli():

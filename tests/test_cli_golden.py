@@ -82,6 +82,17 @@ SEARCHES = [
     "fiber s2r --preset product",
     "fiber s2r --preset rho",
     "fiber s2r --preset flip",
+    # S^2 x R generators with exact entries, "I" the identity rotation: the
+    # split is exact, so no word bound changes it.  5 and 3 give lam = 1;
+    # the 3-4-5 rotation about z has infinite order, so it twists a
+    # discrete group over the shift 1, and over the shift 0 beside a
+    # translation it makes F infinite.  A reflection's shift is not lam.
+    "fiber s2r --gens I@5;I@3",
+    "fiber s2r --gens 3/5,-4/5,0,4/5,3/5,0,0,0,1@1",
+    "fiber s2r --gens 3/5,-4/5,0,4/5,3/5,0,0,0,1@0;I@1",
+    "fiber s2r --gens I@1;I@1/2@-1",
+    "fiber s2r --gens I@1@1",
+    "fiber s2r --preset klein --gens I@1",
     "euclid iso --preset Z2xD4",
     "euclid iso --preset centered",
     "zimmer galois-demo",

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from geom3 import fibered
 from geom3.fibered import (
     LAMBDA_Z,
     LAMBDA_Z_SEMIDIRECT,
@@ -20,7 +19,6 @@ from geom3.fibered import (
     S2R_ROT_ID,
     S2RIsometry,
     TangentVector,
-    _ball,
     christoffel_h2,
     frame_at_identity,
     hv_decompose,
@@ -34,7 +32,7 @@ from geom3.fibered import (
     unit_tangent_embed,
 )
 from geom3.hyperbolic import MobiusMap, expm_sl2
-from support import s2r_ball_by_products
+from support import deadline, s2r_decompose_by_ball
 from test_hyperbolic import random_sl2
 
 RHO_Z = ((-1, 0, 0), (0, -1, 0), (0, 0, 1))
@@ -145,13 +143,16 @@ def test_s2r_products_agree_with_the_checked_constructor():
             assert S2RIsometry(el.rot, el.shift, el.flip) == el
 
 
-# -- the tabled word ball against one product per candidate ------------------
+# -- the closed-form split against the word ball -----------------------------
 
 _SHIFTS = {"float": (1.5, 0.0), "int": (2, 0), "fraction": (Fraction(3, 2), 0)}
 _R_PI = {"float": ((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0)),
          "int": RHO_Z,
          "fraction": tuple(tuple(map(Fraction, row)) for row in RHO_Z)}
 GOLDEN = (math.sqrt(5) - 1) / 2
+ROT_345 = ((Fraction(3, 5), Fraction(-4, 5), 0),
+           (Fraction(4, 5), Fraction(3, 5), 0), (0, 0, 1))
+ROT_4 = ((0, -1, 0), (1, 0, 0), (0, 0, 1))
 
 
 def _cyclic_or_dihedral(order, dihedral, flip, shifts):
@@ -167,87 +168,209 @@ def _cyclic_or_dihedral(order, dihedral, flip, shifts):
     return gens
 
 
-def _assert_same_ball(gens, bound) -> bool:
-    """Whether the ball outgrew BALL_CAP (in both versions)."""
+FAMILIES = [(order, dihedral, flip, shifts) for shifts in sorted(_SHIFTS)
+            for flip in (False, True) for dihedral in (False, True)
+            for order in range(1, 13)]
+
+
+def _invariants(dec) -> tuple:
+    """l_type, lam (floats to 9 digits), |F| and, for a compact quotient,
+    the identity component of its isometry group."""
+    lam = dec.lam
+    if isinstance(lam, float):
+        lam = round(lam, 9)
+    component = None
+    if dec.l_type != TRIVIAL_L and dec.lam is not None:
+        component = s2r_quotient_identity_component(dec)
+    return dec.l_type, type(dec.lam), lam, dec.f_order_bound, component
+
+
+def _outcome(decompose, gens, bound) -> tuple:
     try:
-        want = repr(s2r_ball_by_products(gens, bound))
+        return _invariants(decompose(gens, bound))
     except NonDiscreteShiftError:
-        with pytest.raises(NonDiscreteShiftError):
-            _ball(gens, bound)
-        return True
-    assert repr(_ball(gens, bound)) == want
-    return False
+        return ("NonDiscreteShiftError",)
 
 
 @pytest.mark.parametrize("shifts", sorted(_SHIFTS))
 @pytest.mark.parametrize("flip", [False, True])
 @pytest.mark.parametrize("dihedral", [False, True])
 def test_ball_matches_one_product_per_candidate(dihedral, flip, shifts):
-    # order m at bounds m - 1, m + 4 and 16: over the twelve orders, every
-    # bound 0-16 is checked in each family
+    """The split read off the word ball of one product per candidate
+    (`s2r_decompose_by_ball`) matches the closed form."""
+    # words of length order // 2 + 1 reach every rotation of F, and one
+    # more the least shift: the ball's answer is final there
     for order in range(1, 13):
         gens = _cyclic_or_dihedral(order, dihedral, flip, shifts)
-        for bound in sorted({order - 1, order + 4, 16}):
-            _assert_same_ball(gens, bound)
+        bound = order // 2 + 2
+        want = _invariants(s2r_decompose_by_ball(gens, bound))
+        assert _invariants(s2r_decompose_by_ball(gens, bound + 1)) == want
+        assert _invariants(s2r_decompose(gens)) == want
+        assert want[3] == order * (2 if dihedral else 1)
 
 
-@pytest.mark.parametrize("gens", [
-    # the irrational twist: every power of R_z(1 rad) is a new rotation
-    [S2RIsometry(s2r_rotation_z(1.0), 1.0)],
-    [S2RIsometry(s2r_rotation_z(1.0), 1.0), S2RIsometry(S2R_ROT_ID, 1.0)],
-    # two irrational rotations: the ball outgrows BALL_CAP
-    [S2RIsometry(s2r_rotation_z(1.0), 0.0),
-     S2RIsometry(((1.0, 0.0, 0.0), (0.0, math.cos(1.0), -math.sin(1.0)),
-                  (0.0, math.sin(1.0), math.cos(1.0))), 0.0)],
-    # equal entries of different types must not share a product: repr
-    # tells -1.0 from -1 and from Fraction(-1, 1)
-    [S2RIsometry(_R_PI["float"], 1.0), S2RIsometry(_R_PI["int"], 0.0)],
-    [S2RIsometry(_R_PI["fraction"], 1), S2RIsometry(_R_PI["int"], 0)],
-    # a list-valued rotation: products are still row tuples
-    [S2RIsometry([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1),
-     S2RIsometry([list(row) for row in RHO_Z], 0)],
-    # non-discrete shifts
-    [S2RIsometry(S2R_ROT_ID, 1.0), S2RIsometry(S2R_ROT_ID, GOLDEN)],
-    [S2RIsometry(S2R_ROT_ID, 5), S2RIsometry(S2R_ROT_ID, 3)],
-], ids=["twist", "twist-and-shift", "cap", "float-and-int-pi",
-        "fraction-and-int-pi", "lists", "golden", "shifts-5-3"])
-def test_ball_matches_one_product_per_candidate_on_edge_cases(
-        gens, monkeypatch):
+@pytest.mark.parametrize("gens, bound", [
+    # the irrational twist: one generator, so F is trivial
+    ([S2RIsometry(s2r_rotation_z(1.0), 1.0)], 16),
+    # (R_z(1 rad), 1) (I, 1)^-1 = (R_z(1 rad), 0) has infinite order: the
+    # ball never settles
+    ([S2RIsometry(s2r_rotation_z(1.0), 1.0), S2RIsometry(S2R_ROT_ID, 1.0)],
+     None),
+    # equal entries of different types: 1.0, 1 and Fraction(1)
+    ([S2RIsometry(_R_PI["float"], 1.0), S2RIsometry(_R_PI["int"], 0.0)], 16),
+    ([S2RIsometry(_R_PI["fraction"], 1), S2RIsometry(_R_PI["int"], 0)], 16),
+    # list-valued rotations
+    ([S2RIsometry([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1),
+      S2RIsometry([list(row) for row in RHO_Z], 0)], 16),
+    # F is not generated by the k_j alone: conjugating R_x(pi) by the
+    # twist R_z(pi/2) gives R_y(pi), so |F| = 4
+    ([S2RIsometry(ROT_4, 1), S2RIsometry(RHO_X, 0)], 8),
+    # the flip swaps x and y, so it conjugates R_x(pi) into R_y(pi): F
+    # has both, and their product R_z(pi)
+    ([S2RIsometry(S2R_ROT_ID, 1), S2RIsometry(RHO_X, 0),
+      S2RIsometry(((0, 1, 0), (1, 0, 0), (0, 0, -1)), 0, flip=-1)], 6),
+    # the least shift is no generator's: gcd(5, 3) = 1
+    ([S2RIsometry(S2R_ROT_ID, 5), S2RIsometry(S2R_ROT_ID, 3)], 16),
+    ([S2RIsometry(RHO_Z, Fraction(5, 2)), S2RIsometry(RHO_X, Fraction(3, 2))],
+     12),
+    # dense shifts, and two irrational rotations that outgrow BALL_CAP
+    ([S2RIsometry(S2R_ROT_ID, 1.0), S2RIsometry(S2R_ROT_ID, GOLDEN)], 16),
+    ([S2RIsometry(s2r_rotation_z(1.0), 0.0),
+      S2RIsometry(((1.0, 0.0, 0.0), (0.0, math.cos(1.0), -math.sin(1.0)),
+                   (0.0, math.sin(1.0), math.cos(1.0))), 0.0)], 16),
+], ids=["twist", "twist-and-shift", "float-and-int-pi",
+        "fraction-and-int-pi", "lists", "twisted-f", "flip-conjugates",
+        "shifts-5-3", "fraction-gcd", "golden", "cap"])
+def test_ball_matches_one_product_per_candidate_on_edge_cases(gens, bound):
+    """As above, at the given bound.  Bound None marks a group whose ball
+    gains elements over the shift 0 at every bound (1, 3, 9 and 13 at
+    bounds 1, 2, 8 and 12), which the closed form proves non-discrete."""
+    if bound is None:
+        sizes = [s2r_decompose_by_ball(gens, b).f_order_bound
+                 for b in (1, 2, 8, 12)]
+        assert sizes == [1, 3, 9, 13]
+        with pytest.raises(NonDiscreteShiftError):
+            s2r_decompose(gens)
+        return
+    assert _outcome(s2r_decompose, gens, 0) \
+        == _outcome(s2r_decompose_by_ball, gens, bound)
+
+
+def test_word_bound_changes_no_answer():
+    cases = [_cyclic_or_dihedral(*family) for family in FAMILIES]
+    cases += [[S2RIsometry(S2R_ROT_ID, 5), S2RIsometry(S2R_ROT_ID, 3)],
+              [S2RIsometry(ROT_4, 1), S2RIsometry(RHO_X, 0)],
+              [S2RIsometry(S2R_ROT_ID, 1), S2RIsometry(S2R_ROT_ID,
+                                                       Fraction(2, 5), -1)]]
+    for gens in cases:
+        assert s2r_decompose(gens, word_bound=0) \
+            == s2r_decompose(gens, word_bound=16)
+
+
+def _conjugate(gens, by):
+    by_inv = by.inverse()
+    return [by.compose(g).compose(by_inv) for g in gens]
+
+
+def test_split_is_invariant_under_conjugation():
+    # by a translation of R and by an exact and a float rotation of S^2
+    axes = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+    skew = tuple(map(tuple, _rodrigues((1, 2, 3), 0.7)))
+    for order, dihedral, flip, shifts in FAMILIES:
+        gens = _cyclic_or_dihedral(order, dihedral, flip, shifts)
+        l_type, _, lam, order_f, component = _invariants(s2r_decompose(gens))
+        shift = 0.37 if shifts == "float" else Fraction(1, 3)
+        for by in (S2RIsometry(S2R_ROT_ID, shift), S2RIsometry(axes, 0),
+                   S2RIsometry(skew, 0)):
+            got = _invariants(s2r_decompose(_conjugate(gens, by)))
+            # a Fraction translation turns int shifts into Fractions
+            assert got[:1] + got[2:] == (l_type, lam, order_f, component)
+    # a reflection's shift moves under a translation; lam does not
+    gens = [S2RIsometry(S2R_ROT_ID, 1),
+            S2RIsometry(S2R_ROT_ID, Fraction(1, 2), flip=-1)]
+    for shift in (Fraction(1, 3), Fraction(1, 4), 5):
+        moved = s2r_decompose(_conjugate(gens,
+                                         S2RIsometry(S2R_ROT_ID, shift)))
+        assert (moved.l_type, moved.lam) == (LAMBDA_Z_SEMIDIRECT, 1)
+
+
+# -- documented changes from the word ball ----------------------------------
+
+def test_commensurable_shifts_give_their_gcd_at_every_bound():
+    gens = [S2RIsometry(S2R_ROT_ID, 5), S2RIsometry(S2R_ROT_ID, 3)]
     for bound in range(17):
-        capped = _assert_same_ball(gens, bound)
-        tabled = _decomposition(gens, bound)
-        with monkeypatch.context() as m:
-            m.setattr(fibered, "_ball", s2r_ball_by_products)
-            assert _decomposition(gens, bound) == tabled
-        if capped:
-            break       # both balls yield the same first BALL_CAP elements
+        dec = s2r_decompose(gens, bound)
+        assert (dec.l_type, dec.lam, type(dec.lam)) == (LAMBDA_Z, 1, int)
+    # the ball first met 5 - 3 = 2 and called 3 no multiple of it
+    with pytest.raises(NonDiscreteShiftError):
+        s2r_decompose_by_ball(gens, 2)
 
 
-def _decomposition(gens, bound) -> str:
-    try:
-        return repr(s2r_decompose(gens, bound))
-    except NonDiscreteShiftError as exc:
-        return f"NonDiscreteShiftError: {exc}"
+def test_an_irrational_rotation_over_shift_zero_is_not_discrete():
+    # (R_z(1 rad), 1) (I, 1)^-1 = (R_z(1 rad), 0): its powers are
+    # infinitely many elements over the shift 0, at the bounds where the
+    # ball saw 1, 3, 9 and 13 of them
+    gens = [S2RIsometry(s2r_rotation_z(1.0), 1), S2RIsometry(S2R_ROT_ID, 1)]
+    for bound in (1, 2, 8, 12):
+        with pytest.raises(NonDiscreteShiftError, match="4000"):
+            s2r_decompose(gens, bound)
+    # with exact entries the rotation of infinite order shows in its trace
+    with pytest.raises(NonDiscreteShiftError, match="trace 2.2"):
+        s2r_decompose([S2RIsometry(ROT_345, 0), S2RIsometry(S2R_ROT_ID, 1)])
+    with pytest.raises(NonDiscreteShiftError):
+        s2r_decompose([S2RIsometry(s2r_rotation_z(1.0), 0.0)])
+    # two exact rotations of order 4 and 2 whose product has trace -1/9:
+    # more than 120 elements prove the group infinite
+    axis = (1, 2, 2)
+    half_turn = tuple(tuple(Fraction(2 * axis[i] * axis[j], 9) - (i == j)
+                            for j in range(3)) for i in range(3))
+    with pytest.raises(NonDiscreteShiftError, match="120"):
+        s2r_decompose([S2RIsometry(ROT_4, 0), S2RIsometry(half_turn, 0),
+                       S2RIsometry(S2R_ROT_ID, 1)])
 
 
-def test_ball_multiplies_each_rotation_by_each_move_once(monkeypatch):
-    # D6 with a flip at bound 16: 672 elements over 12 rotations, and four
-    # distinct move rotations (I, R, R^-1 and R_x(pi) = its inverse); one
-    # product per candidate would be 4992 products
-    gens = _cyclic_or_dihedral(6, True, True, "float")
-    calls = 0
-    real_matmul = fibered.matmul
+def test_large_shift_ratios_end_quickly():
+    # t^-m_j is a power of a twist of infinite order: exactly, its entries
+    # grow by a digit per step, and the powers of one k_j with 23000-digit
+    # entries once ran for minutes; the float trace settles it at once
+    for gens in ([S2RIsometry(ROT_345, 1), S2RIsometry(S2R_ROT_ID, 10**4)],
+                 [S2RIsometry(ROT_345, 1), S2RIsometry(S2R_ROT_ID, 10**6)],
+                 [S2RIsometry(ROT_345, 2), S2RIsometry(S2R_ROT_ID, 2000001)],
+                 [S2RIsometry(ROT_345, 1), S2RIsometry(RHO_Z, 10**6)]):
+        with deadline(5), pytest.raises(NonDiscreteShiftError,
+                                        match="trace"):
+            s2r_decompose(gens)
+    # the screen rejects nothing of finite order: F over a large ratio
+    dec = s2r_decompose([S2RIsometry(ROT_4, 1),
+                         S2RIsometry(RHO_X, 10**6)])
+    assert (dec.lam, dec.f_order_bound) == (1, 4)
 
-    def counting_matmul(a, b):
-        nonlocal calls
-        calls += 1
-        return real_matmul(a, b)
 
-    monkeypatch.setattr(fibered, "matmul", counting_matmul)
-    ball = _ball(gens, 16)
-    rotations = {el.key()[0] for el in ball}
-    assert (len(ball), len(rotations)) == (672, 12)
-    assert calls <= len(rotations) * 4
+def test_lam_generates_the_translations_of_a_flipped_group():
+    # <(I, 1), (I, 2/5, flip)> is discrete: its translations are Z
+    dec = s2r_decompose([S2RIsometry(S2R_ROT_ID, 1),
+                         S2RIsometry(S2R_ROT_ID, Fraction(2, 5), flip=-1)])
+    assert (dec.l_type, dec.lam, dec.f_order_bound) \
+        == (LAMBDA_Z_SEMIDIRECT, 1, 1)
+    # a reflection's shift is no translation: lam is 1, not 1/2
+    dec = s2r_decompose([S2RIsometry(S2R_ROT_ID, 1),
+                         S2RIsometry(S2R_ROT_ID, Fraction(1, 2), flip=-1)])
+    assert (dec.l_type, dec.lam) == (LAMBDA_Z_SEMIDIRECT, 1)
+    # one reflection: L is Z_2 and there is no translation
+    dec = s2r_decompose([S2RIsometry(S2R_ROT_ID, Fraction(1, 2), flip=-1)])
+    assert (dec.l_type, dec.lam, dec.twist) == (LAMBDA_Z_SEMIDIRECT, None,
+                                                None)
+
+
+def test_exact_point_groups_up_to_the_largest_rational_one():
+    # the 48 signed permutation matrices, over the shift 1
+    gens = [S2RIsometry(S2R_ROT_ID, 1),
+            S2RIsometry(((0, 0, 1), (1, 0, 0), (0, 1, 0)), 0),
+            S2RIsometry(((0, 1, 0), (1, 0, 0), (0, 0, 1)), 0),
+            S2RIsometry(((-1, 0, 0), (0, 1, 0), (0, 0, 1)), 0)]
+    dec = s2r_decompose(gens)
+    assert (dec.l_type, dec.lam, dec.f_order_bound) == (LAMBDA_Z, 1, 48)
+    assert len({S2RIsometry(r, 0).key() for r in dec.f_elements}) == 48
 
 
 def test_s2r_decompose_irrational_twist():

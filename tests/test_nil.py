@@ -1270,6 +1270,23 @@ def test_dichotomy_pins_the_covolume_and_the_rank():
             assert res.witness.z == covolume
 
 
+def test_mixed_fields_give_one_verdict_in_every_order():
+    # whether T spans the plane is decided without multiplying sqrt(2) by
+    # sqrt(3); the QuadRat cross product refused that product, so each set
+    # raised MixedDiscriminantError in some orders only
+    sqrt2 = QuadRat(0, 1, 2)
+    cases = [
+        ([(sqrt2, 0), (0, SQRT3), (1, 0), (0, 1)], NON_DISCRETE_INPUT, None),
+        ([(sqrt2, SQRT3), (1, 0)], DISCRETE_PROJECTION, SQRT3),
+        ([(sqrt2, SQRT3), (2 * sqrt2, 2 * SQRT3)], FIXES_LINE, None),
+    ]
+    for ts, kind, witness in cases:
+        for order in itertools.permutations(ts):
+            res = nil_projection_dichotomy([_shift(*t) for t in order])
+            assert res.kind == kind
+            assert (res.witness and res.witness.z) == witness
+
+
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
