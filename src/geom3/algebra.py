@@ -3,6 +3,8 @@
 Every geometry module computes over these scalars.  A scalar is an ``int``,
 a ``fractions.Fraction`` or a :class:`QuadRat`; the three types mix freely
 in arithmetic as long as at most one square-free discriminant is involved.
+`power` is the one repeated-squaring loop, for any associative product:
+powers of `QuadRat`, of integer matrices and of rotations go through it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,20 @@ def frac(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def power(x, n: int, mul, one):
+    """x**n for n >= 0 by repeated squaring, with mul the product and one
+    its identity.  It multiplies once per set bit of n and squares once per
+    bit below the highest, so n = 2**k takes k + 1 products."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return out
 
 
 # Factoring: trial division below _TRIAL_BOUND, then Miller-Rabin and
@@ -294,15 +310,7 @@ class QuadRat:
         if not isinstance(k, int):
             return NotImplemented
         base = self if k >= 0 else self.inverse()
-        out = _reduced(1, 0, 1, self.d)
-        k = abs(k)
-        while k:                      # repeated squaring
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return power(base, abs(k), QuadRat.__mul__, _reduced(1, 0, 1, self.d))
 
     # -- comparisons -------------------------------------------------------
 

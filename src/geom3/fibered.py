@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .algebra import power
 from .descriptors import IsoDescriptor
 from .hyperbolic import MobiusMap, expm_sl2
 from .intmat import SearchCapError, matmul, transpose, word_ball
@@ -180,9 +181,11 @@ class S2RIsometry:
         r = self.matrix()
         if len(r) != 3 or any(len(row) != 3 for row in r):
             raise ValueError("rotation part must be a 3x3 matrix")
-        gram = [[sum(r[i][k] * r[j][k] for k in range(3)) for j in range(3)]
-                for i in range(3)]
-        if not _near_identity(gram, 1e-12):
+        if _has_float(self.rot):
+            orthogonal = _near_identity(matmul(r, transpose(r)), 1e-12)
+        else:
+            orthogonal = matmul(self.rot, transpose(self.rot)) == S2R_ROT_ID
+        if not orthogonal:
             raise ValueError("rotation part must be orthogonal")
 
     @classmethod
@@ -243,25 +246,26 @@ class S2RDecomposition:
                 "f_order_bound": self.f_order_bound}
 
 
+def _has_float(rot) -> bool:
+    return any(isinstance(v, float) for row in rot for v in row)
+
+
 def _rot_key(rot) -> tuple:
     """The rotation's entries rounded to 9 digits: float products that
     agree up to rounding are one element."""
     return tuple(round(float(v), 9) for row in rot for v in row)
 
 
+def _exact_key(rot) -> tuple:
+    """The rotation's exact entries."""
+    return tuple(v for row in rot for v in row)
+
+
 def _rot_pow(rot, n: int) -> tuple:
-    """rot**n by repeated squaring; rot is orthogonal, so rot**-1 is its
-    transpose."""
+    """rot**n; rot is orthogonal, so rot**-1 is its transpose."""
     if n < 0:
         rot, n = transpose(rot), -n
-    out = S2R_ROT_ID
-    while n:
-        if n & 1:
-            out = matmul(out, rot)
-        n >>= 1
-        if n:
-            rot = matmul(rot, rot)
-    return out
+    return power(rot, n, matmul, S2R_ROT_ID)
 
 
 def _shift_generator(shifts: list, exact: bool):
@@ -346,25 +350,25 @@ def _screen_kernel(rots: list, coeffs: list, m: list) -> None:
                 "no rotation part of finite order has")
 
 
-def _twist_closure(rots: list, twist, cap: int) -> list:
+def _twist_closure(rots: list, twist, key, cap: int) -> list:
     """The least group that contains rots and is closed under conjugation
-    by twist (None: no conjugation): `word_ball` closes the generators,
-    then their conjugates join them, until a step adds nothing."""
-    gens = list({_rot_key(r): r for r in rots}.values())
+    by twist (None: no conjugation), its elements told apart by key:
+    `word_ball` closes the generators, then their conjugates join them,
+    until a step adds nothing."""
+    gens = list({key(r): r for r in rots}.values())
     new = gens
     while True:
         try:
-            group = list(word_ball(S2R_ROT_ID, gens, matmul, _rot_key,
-                                   cap=cap))
+            group = list(word_ball(S2R_ROT_ID, gens, matmul, key, cap=cap))
         except SearchCapError:
             raise NonDiscreteShiftError(
                 f"more than {cap} rotation parts act trivially on R: "
                 "they form an infinite group") from None
         if twist is None:
             return group
-        inv, keys = transpose(twist), {_rot_key(r) for r in group}
+        inv, keys = transpose(twist), {key(r) for r in group}
         new = [r for r in (matmul(matmul(twist, g), inv) for g in new)
-               if _rot_key(r) not in keys]
+               if key(r) not in keys]
         if not new:
             return group
         gens += new
@@ -392,8 +396,8 @@ def s2r_decompose(gens: Sequence[S2RIsometry],
 
     NonDiscreteShiftError reports shifts that are dense in R, or an F of
     more than 120 elements (exact entries, where no finite subgroup of O(3)
-    is larger) or of more than BALL_CAP (float entries).  Rotations are
-    compared rounded to 9 digits.
+    is larger) or of more than BALL_CAP (float entries).  Exact rotations
+    are compared exactly, float ones rounded to 9 digits.
 
     lam is None when Gamma+ shifts nothing; otherwise an int when every
     shift is an int, a Fraction when every shift is exact, a float
@@ -415,8 +419,7 @@ def s2r_decompose(gens: Sequence[S2RIsometry],
     shifts = [Fraction(h.shift) if exact else float(h.shift) for h in plus]
     lam, coeffs = _shift_generator(shifts, exact)
     rots = [h.rot for h in plus]
-    floats = any(isinstance(v, float) for g in gens for row in g.rot
-                 for v in row)
+    floats = any(_has_float(g.rot) for g in gens)
     twist = None
     if lam is not None:
         m = [round(s / lam) for s in shifts]
@@ -425,7 +428,8 @@ def s2r_decompose(gens: Sequence[S2RIsometry],
         twist, rots = _twist_and_kernel(rots, coeffs, m)
         if all(isinstance(g.shift, int) for g in gens):
             lam = int(lam)
-    f = _twist_closure(rots, twist, BALL_CAP if floats else _EXACT_CAP)
+    f = (_twist_closure(rots, twist, _rot_key, BALL_CAP) if floats
+         else _twist_closure(rots, twist, _exact_key, _EXACT_CAP))
     if r is not None:
         l_type = LAMBDA_Z_SEMIDIRECT
     elif lam is None:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import floor, gcd
 from typing import Optional
 
-from .algebra import QuadRat, Scalar
+from .algebra import QuadRat, Scalar, power
 
 Mat2 = tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]
 Vec2 = tuple[Scalar, Scalar]
@@ -207,13 +207,7 @@ def int_mat_pow(a: IntMat2, n: int) -> IntMat2:
     """Exact n-th power, n >= 0 (n = 0 gives the identity)."""
     if n < 0:
         raise ValueError("non-negative exponent required")
-    out, base = IntMat2.identity(), a
-    while n:
-        if n & 1:
-            out = out @ base
-        base = base @ base
-        n >>= 1
-    return out
+    return power(a, n, IntMat2.__matmul__, IntMat2.identity())
 
 
 @dataclass(frozen=True)

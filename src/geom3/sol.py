@@ -1,7 +1,9 @@
 """Sol geometry: the group R^2 x| R with diag(e^t, e^{-t}) twist.
 
-Lattices come from hyperbolic SL2(Z) matrices; their quotient isometry
+Lattices come from hyperbolic SL2(Z) matrices A; their quotient isometry
 groups are finite and computed exactly through the cokernel of I - A^n.
+The normalizer and the (trivial) centralizer are integer arithmetic on A
+too; only the rational structure and the exact unit work in Q(sqrt(d)).
 Points support two scalar modes: floats with arbitrary t, and an exact
 mode where e^t is a power of a fixed quadratic unit.
 """
@@ -16,15 +18,7 @@ from typing import Optional
 from . import intmat
 from .algebra import QuadRat, galois_conjugate
 from .descriptors import IsoDescriptor, check_output_size
-from .intmat import (
-    IntMat2,
-    Mat2,
-    Vec2,
-    int_mat_pow,
-    mat2_apply,
-    mat2_inv,
-    mat2_mul,
-)
+from .intmat import IntMat2, Vec2, int_mat_pow, mat2_eq, mat2_inv, mat2_mul
 
 
 @dataclass(frozen=True)
@@ -152,8 +146,7 @@ def sol_normalizer_lattice(lat: SolLattice) -> SolNormalizer:
     hol = lat.holonomy()
     m = IntMat2.identity() - hol
     det = m.det()                    # = 2 - tr(A^n), nonzero for trace > 2
-    inv = mat2_inv(((Fraction(m.a), Fraction(m.b)),
-                    (Fraction(m.c), Fraction(m.d))))
+    inv = mat2_inv(m.rows())
     basis = ((inv[0][0], inv[1][0]), (inv[0][1], inv[1][1]))
     return SolNormalizer(lat, basis, abs(det))
 
@@ -220,32 +213,21 @@ def _structure_label(invariants: list[int], n: int) -> str:
 
 
 def sol_centralizer(lat: SolLattice) -> dict:
-    """Centralizer of the lattice: always trivial, verified symbolically.
+    """Centralizer of the lattice: always trivial, by integer checks on A.
 
-    Solves e^t a = a (forcing t = 0 against a planar vector with both
-    eigencoordinates nonzero) and then e^s x = x against the nontrivial
-    holonomy step (forcing x = y = 0).
+    The steps: (1, 0) has both eigencoordinates nonzero, since c = 0 with
+    det A = 1 would force a = d = +-1 and tr A = +-2; tr A > 2 makes A's
+    eigenvalue lam > 1, so lam^k = 1 only for k = 0; then conjugation by
+    the holonomy step kills both planar coordinates.  A hand-built lattice
+    that `sol_lattice_make` would refuse raises its ValueError.
     """
-    lam, basis = _holonomy_eigen(lat)
-    binv = mat2_inv(basis)
-    steps = []
-    # a planar lattice vector with both eigencoordinates nonzero
-    witness = None
-    for cand in ((1, 0), (0, 1), (1, 1)):
-        coords = mat2_apply(binv, cand)
-        if coords[0] != 0 and coords[1] != 0:
-            witness = (cand, coords)
-            break
-    if witness is None:
-        raise RuntimeError("no planar vector with nonzero eigencoordinates")
-    steps.append(f"planar vector {witness[0]} has nonzero eigencoordinates")
-    # e^t a = a with a != 0 forces the unit power to be trivial
-    if not lam > 1:
-        raise RuntimeError("holonomy eigenvalue is not > 1")
-    steps.append("unit power lam^k fixes a nonzero coordinate only for k = 0")
-    # e^s x = x with s != 0 forces x = 0 (and symmetrically y = 0)
-    steps.append("conjugation by the holonomy step kills both coordinates")
-    return {"group": "trivial", "verified": True, "steps": steps}
+    sol_lattice_make(lat.a, lat.n)
+    if lat.a.c == 0:
+        raise RuntimeError("(1, 0) is an eigenvector of a hyperbolic matrix")
+    return {"group": "trivial", "verified": True, "steps": [
+        "planar vector (1, 0) has nonzero eigencoordinates",
+        "unit power lam^k fixes a nonzero coordinate only for k = 0",
+        "conjugation by the holonomy step kills both coordinates"]}
 
 
 def sol_q_structure(a: IntMat2) -> dict:
@@ -257,37 +239,27 @@ def sol_q_structure(a: IntMat2) -> dict:
     """
     (lam, lam_inv), basis = intmat.diagonalize_sl2(a)
     b = mat2_inv(basis)
-    a_field: Mat2 = ((Fraction(a.a), Fraction(a.b)),
-                     (Fraction(a.c), Fraction(a.d)))
-    diag = mat2_mul(b, mat2_mul(a_field, mat2_inv(b)))
-    first = (diag[0][0] == lam and diag[1][1] == lam_inv
-             and diag[0][1] == 0 and diag[1][0] == 0)
     b_conj = tuple(tuple(galois_conjugate(x) for x in row) for row in b)
-    diag_c = mat2_mul(b_conj, mat2_mul(a_field, mat2_inv(b_conj)))
-    second = (diag_c[0][0] == galois_conjugate(lam)
-              and diag_c[1][1] == galois_conjugate(lam_inv)
-              and diag_c[0][1] == 0 and diag_c[1][0] == 0)
+
+    def diagonalizes(p, ev, ev_inv) -> bool:
+        return mat2_eq(mat2_mul(p, mat2_mul(a.rows(), mat2_inv(p))),
+                       ((ev, 0), (0, ev_inv)))
+
     return {
         "d": lam.d,
         "eigenvalues": (lam, lam_inv),
         "basis": b,
         "basis_conjugate": b_conj,
-        "galois_pair_check": bool(first and second),
+        "galois_pair_check": (
+            diagonalizes(b, lam, lam_inv)
+            and diagonalizes(b_conj, galois_conjugate(lam),
+                             galois_conjugate(lam_inv))),
     }
 
 
 def sol_unit(lat: SolLattice) -> QuadRat:
-    """The exact e-power base for exact-mode points over this lattice."""
-    return _holonomy_eigen(lat)[0]
-
-
-def _holonomy_eigen(lat: SolLattice) -> tuple[QuadRat, Mat2]:
-    """The eigenvalue > 1 of the holonomy A^n, and an eigenbasis of A^n.
-
-    A's eigenbasis (columns as in diagonalize_sl2) also diagonalizes A^n,
-    whose eigenvalues lam^n and lam^-n lie in the field of lam.  So only A
-    is diagonalized: the square-free part of tr(A)^2 - 4 is factored, never
-    that of tr(A^n)^2 - 4.
-    """
-    (lam, _), basis = intmat.diagonalize_sl2(lat.a)
-    return lam ** lat.n, basis
+    """The exact e-power base for exact-mode points over this lattice: the
+    eigenvalue lam^n > 1 of A^n, lam that of A, so only the square-free
+    part of tr(A)^2 - 4 is factored, never that of tr(A^n)^2 - 4."""
+    (lam, _), _ = intmat.diagonalize_sl2(lat.a)
+    return lam ** lat.n

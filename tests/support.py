@@ -60,6 +60,11 @@ before the split became a closed form: one `S2RIsometry.compose` and one
 from the rotation parts of the shift-free, flip-free words.  At a bound
 that reaches F and the least shift, it agrees with the closed form.
 
+`sol_centralizer_by_eigenbasis` is `sol.sol_centralizer` as it was before
+three integer checks on A gave its answer: A diagonalized over Q(sqrt(d)),
+a planar vector with both eigencoordinates nonzero searched for, and the
+eigenvalue lam^n of the holonomy compared with 1.
+
 `mobius_word_by_fractions` multiplies exact Mobius maps as 2x2 matrices
 of Fractions, the way `MobiusMap.compose` did before an exact map became
 one integer matrix over one denominator.
@@ -100,6 +105,7 @@ from geom3.intmat import (
     MAT2_ID,
     SearchCapError,
     congruence_solutions,
+    diagonalize_sl2,
     mat2_apply,
     mat2_det,
     mat2_eq,
@@ -975,6 +981,29 @@ def s2r_decompose_by_ball(gens, bound: int) -> S2RDecomposition:
         l_type = LAMBDA_Z
     return S2RDecomposition(l_type, lam, len(f_rotations),
                             tuple(f_rotations.values()), twist)
+
+
+def sol_centralizer_by_eigenbasis(lat) -> dict:
+    """The trivial centralizer of a Sol lattice, each step checked in
+    A's eigenbasis over Q(sqrt(d))."""
+    (lam, _), basis = diagonalize_sl2(lat.a)
+    lam = lam ** lat.n
+    binv = mat2_inv(basis)
+    steps = []
+    witness = None
+    for cand in ((1, 0), (0, 1), (1, 1)):
+        coords = mat2_apply(binv, cand)
+        if coords[0] != 0 and coords[1] != 0:
+            witness = (cand, coords)
+            break
+    if witness is None:
+        raise RuntimeError("no planar vector with nonzero eigencoordinates")
+    steps.append(f"planar vector {witness[0]} has nonzero eigencoordinates")
+    if not lam > 1:
+        raise RuntimeError("holonomy eigenvalue is not > 1")
+    steps.append("unit power lam^k fixes a nonzero coordinate only for k = 0")
+    steps.append("conjugation by the holonomy step kills both coordinates")
+    return {"group": "trivial", "verified": True, "steps": steps}
 
 
 def mobius_word_by_fractions(gens, word) -> tuple:

@@ -16,6 +16,7 @@ from geom3.algebra import (
     QuadRat,
     format_scalar,
     galois_conjugate,
+    power,
     quad_arith,
     squarefree_decompose,
 )
@@ -34,6 +35,23 @@ discs = st.sampled_from([2, 3, 5, 7, 11])
 def quadrats(draw, d=None):
     d = d if d is not None else draw(discs)
     return QuadRat(draw(rationals), draw(rationals), d)
+
+
+def test_power_is_repeated_multiplication():
+    for x in (QuadRat(Fraction(3, 2), Fraction(1, 2), 5),
+              QuadRat(Fraction(-2, 3), 4, 7), QuadRat(Fraction(5, 4), 0, 2)):
+        one = QuadRat(1, 0, x.d)
+        inv = one / x
+        up, down = one, one
+        for n in range(41):
+            assert power(x, n, QuadRat.__mul__, one) == up
+            assert x ** n == up
+            assert x ** -n == down
+            up, down = up * x, down * inv
+    # the loop is generic: any associative product with its identity
+    assert [power(3, n, lambda a, b: a * b, 1) for n in range(41)] \
+        == [3 ** n for n in range(41)]
+    assert power("ab", 5, str.__add__, "") == "ab" * 5
 
 
 def test_norm_identity():

@@ -93,6 +93,15 @@ SEARCHES = [
     "fiber s2r --gens I@1;I@1/2@-1",
     "fiber s2r --gens I@1@1",
     "fiber s2r --preset klein --gens I@1",
+    # exact entries are tested and compared exactly: the first rotation is
+    # off orthogonal by 2e-14, and the second, a rotation of infinite order
+    # within 1e-20 of I, once passed as I and made F trivial
+    "fiber s2r --gens 3/5,-4/5,0,4/5,3/5,0,0,0,100000000000001/"
+    "100000000000000@1",
+    "fiber s2r --gens 99999999999999999999/100000000000000000001,"
+    "-20000000000/100000000000000000001,0,"
+    "20000000000/100000000000000000001,"
+    "99999999999999999999/100000000000000000001,0,0,0,1@0;I@1",
     "euclid iso --preset Z2xD4",
     "euclid iso --preset centered",
     "zimmer galois-demo",
@@ -117,6 +126,10 @@ SEARCHES = [
     # commute: true next to fixed_sets_equal: false
     "hyp commute --m1 1,0.001,0,1 --m2 1,0,0.001,1",
     "hyp commute --m1 1,1/1000,0,1 --m2 1,0,0.001,1",
+    # the trivial Sol centralizer, for a large power of fib and for a
+    # matrix over another field
+    "sol centralizer --preset fib --power 52",
+    "sol centralizer --matrix 3,1,2,1 --power 3",
 ]
 
 # Space-separated commands (no argument contains a space), each run as

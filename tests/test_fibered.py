@@ -31,7 +31,9 @@ from geom3.fibered import (
     tangent_action,
     unit_tangent_embed,
 )
+from geom3.fibered import _rot_pow
 from geom3.hyperbolic import MobiusMap, expm_sl2
+from geom3.intmat import matmul, transpose
 from support import deadline, s2r_decompose_by_ball
 from test_hyperbolic import random_sl2
 
@@ -344,6 +346,41 @@ def test_large_shift_ratios_end_quickly():
     dec = s2r_decompose([S2RIsometry(ROT_4, 1),
                          S2RIsometry(RHO_X, 10**6)])
     assert (dec.lam, dec.f_order_bound) == (1, 4)
+
+
+def test_exact_entries_are_tested_for_orthogonality_exactly():
+    # off orthogonal by about 2e-14, within the float Gram tolerance
+    almost = ((Fraction(3, 5), Fraction(-4, 5), 0),
+              (Fraction(4, 5), Fraction(3, 5), 0),
+              (0, 0, 1 + Fraction(1, 10**14)))
+    with pytest.raises(ValueError, match="orthogonal"):
+        S2RIsometry(almost, 1)
+    # float entries keep the tolerance
+    S2RIsometry(tuple(tuple(map(float, row)) for row in almost), 1.0)
+
+
+def test_exact_rotations_are_told_apart_exactly():
+    # a rotation of infinite order within 1e-20 of I, over the shift 0
+    # beside a translation: rounded to 9 digits it was I, its float trace
+    # is 3.0, and F came out trivial
+    m = 10**10
+    c, s = Fraction(m * m - 1, m * m + 1), Fraction(2 * m, m * m + 1)
+    near_id = ((c, -s, 0), (s, c, 0), (0, 0, 1))
+    with deadline(5), pytest.raises(NonDiscreteShiftError, match="120"):
+        s2r_decompose([S2RIsometry(near_id, 0), S2RIsometry(S2R_ROT_ID, 1)])
+
+
+def test_rot_pow_is_repeated_multiplication():
+    tilt = ((1, 0, 0), (0, Fraction(3, 5), Fraction(-4, 5)),
+            (0, Fraction(4, 5), Fraction(3, 5)))
+    for rot in (matmul(ROT_345, tilt), ROT_4, RHO_X):
+        power, power_inv = S2R_ROT_ID, S2R_ROT_ID
+        for n in range(41):
+            assert _rot_pow(rot, n) == power
+            # a negative power is a power of the transpose
+            assert _rot_pow(rot, -n) == power_inv
+            power = matmul(power, rot)
+            power_inv = matmul(power_inv, transpose(rot))
 
 
 def test_lam_generates_the_translations_of_a_flipped_group():

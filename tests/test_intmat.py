@@ -361,6 +361,31 @@ def test_int_mat_pow():
         int_mat_pow(a, -1)
 
 
+def test_int_mat_pow_is_repeated_multiplication():
+    for a in (IntMat2(2, 1, 1, 1), IntMat2(0, 1, -1, 0),
+              IntMat2(3, -7, 2, -5), IntMat2(0, 0, 0, 0)):
+        power = IntMat2.identity()
+        for n in range(41):
+            assert int_mat_pow(a, n) == power
+            power = power @ a
+
+
+def test_int_mat_pow_of_a_power_of_two_squares_once_per_bit(monkeypatch):
+    # n = 2**k takes the first factor and k squarings: k + 1 products
+    calls = []
+    product = IntMat2.__matmul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(IntMat2, "__matmul__", counted)
+    for k in range(10):
+        calls.clear()
+        int_mat_pow(IntMat2(2, 1, 1, 1), 2**k)
+        assert len(calls) == k + 1
+
+
 def test_fibonacci_pattern():
     a = IntMat2(1, 1, 1, 0)
     fib = [0, 1]

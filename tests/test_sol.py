@@ -22,7 +22,9 @@ from geom3.sol import (
     sol_quotient_isometry,
     sol_unit,
 )
-from support import deadline
+from geom3 import algebra
+from geom3.sol import SolLattice
+from support import deadline, sol_centralizer_by_eigenbasis
 
 A = IntMat2(2, 1, 1, 1)
 
@@ -287,6 +289,48 @@ def test_centralizer_of_large_powers_is_immediate():
         with deadline(10):
             res = sol_centralizer(sol_lattice_make(A, n))
         assert res == small
+
+
+def _hyperbolic_matrices(count: int, bound: int = 60) -> list:
+    """Random det-1 integer matrices of trace > 2, entries within bound."""
+    rng = random.Random(20)
+    out = []
+    while len(out) < count:
+        a, b, c = (rng.randint(-bound, bound) for _ in range(3))
+        if a == 0 or (1 + b * c) % a:
+            continue
+        d = (1 + b * c) // a
+        if abs(d) <= bound and a + d > 2:
+            out.append(IntMat2(a, b, c, d))
+    return out
+
+
+def test_centralizer_agrees_with_the_eigenbasis():
+    cases = [(m, n) for m in _hyperbolic_matrices(90) for n in (1, 2, 3)]
+    cases += [(A, n) for n in (1, 2, 5, 37, 52)]
+    for m, n in cases:
+        lat = sol_lattice_make(m, n)
+        assert sol_centralizer(lat) == sol_centralizer_by_eigenbasis(lat)
+
+
+def test_centralizer_works_on_the_integers(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("Q(sqrt(d)) arithmetic in sol_centralizer")
+
+    monkeypatch.setattr(intmat, "diagonalize_sl2", boom)
+    monkeypatch.setattr(algebra, "_reduced", boom)
+    monkeypatch.setattr(QuadRat, "__init__", boom)
+    for m in (A, IntMat2(3, 1, 2, 1)) + tuple(_hyperbolic_matrices(10)):
+        for n in (1, 3, 52):
+            assert sol_centralizer(sol_lattice_make(m, n))["verified"]
+
+
+@pytest.mark.parametrize("lat", [SolLattice(IntMat2(1, 1, 0, 1), 1),
+                                 SolLattice(IntMat2(2, 1, 1, 0), 1),
+                                 SolLattice(A, 0)])
+def test_centralizer_of_a_hand_built_lattice_checks_it(lat):
+    with pytest.raises(ValueError):
+        sol_centralizer(lat)
 
 
 # (abelian_invariants, action_on_invariants) of sol_quotient_isometry,
