@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 # that `import geom3.cli` loads no module its subcommand does not run.
 _EXPORTS = {
     "QuadRat": "algebra", "galois_conjugate": "algebra",
-    "quad_arith": "algebra",
     "IntMat2": "intmat", "SnfResult": "intmat",
     "smith_normal_form": "intmat", "int_mat_pow": "intmat",
     "diagonalize_sl2": "intmat",
@@ -17,7 +16,7 @@ _EXPORTS = {
 }
 
 __all__ = [
-    "QuadRat", "galois_conjugate", "quad_arith",
+    "QuadRat", "galois_conjugate",
     "IntMat2", "SnfResult", "smith_normal_form", "int_mat_pow",
     "diagonalize_sl2",
     "IsoDescriptor", "Verdict",

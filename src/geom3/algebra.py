@@ -422,18 +422,6 @@ def _reduced(p: int, q: int, r: int, d: int) -> QuadRat:
     return x
 
 
-def quad_arith(x: QuadRat, y: QuadRat, op: str) -> QuadRat:
-    """Field arithmetic in Q(sqrt(d)); both operands must share one field."""
-    ops = {"add": x.__add__, "sub": x.__sub__,
-           "mul": x.__mul__, "div": x.__truediv__}
-    if op not in ops:
-        raise ValueError(f"unknown operation {op!r}")
-    out = ops[op](y)
-    if out is NotImplemented:
-        raise TypeError(f"cannot {op} {x!r} and {y!r}")
-    return out
-
-
 def galois_conjugate(x: Scalar) -> Scalar:
     """The automorphism sqrt(d) -> -sqrt(d); fixes rationals."""
     if isinstance(x, QuadRat):

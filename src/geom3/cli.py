@@ -110,6 +110,8 @@ def _nil_generators(text: str) -> list:
     """Tokens separated by ';': "x,y,z" translation, "rot4", "reflect",
     "-1", optionally "rot4@x,y,z" for a rotation composed with one."""
     from . import nil
+    if text is None:
+        raise SchemaError("--gens is required")
     gens = []
     for token in text.split(";"):
         token = token.strip()

@@ -119,13 +119,13 @@ SL2_BASIS = (
 _FRAME_DISPLAY = ((2j, 2 + 0j), (0j, 2j), (2 + 0j, -2j))
 
 
-def frame_at_identity(step: float = 1e-6,
-                      check_tol: float = 1e-5) -> list[TangentVector]:
+def frame_at_identity() -> list[TangentVector]:
     """Derivatives of t -> phi(exp(t X_j)) at t = 0, by central differences.
 
     The three results must agree with (2i, 2), (0, 2i), (2, -2i) within
-    check_tol; their halves form a Sasaki-orthonormal frame at (i, 1).
+    1e-5; their halves form a Sasaki-orthonormal frame at (i, 1).
     """
+    step = 1e-6
     out = []
     for j, x in enumerate(SL2_BASIS):
         zp, wp = unit_tangent_embed(expm_sl2(x, step))
@@ -133,7 +133,7 @@ def frame_at_identity(step: float = 1e-6,
         dz = (zp - zm) / (2 * step)
         dw = (wp - wm) / (2 * step)
         ref_z, ref_w = _FRAME_DISPLAY[j]
-        if abs(dz - ref_z) > check_tol or abs(dw - ref_w) > check_tol:
+        if abs(dz - ref_z) > 1e-5 or abs(dw - ref_w) > 1e-5:
             raise AssertionError(
                 f"numerical frame vector {j + 1} drifted from the closed form")
         out.append(TangentVector(1j, 1 + 0j, dz, dw))
@@ -495,15 +495,11 @@ def s2r_quotient_identity_component(dec: S2RDecomposition) -> str:
     return S1_ONLY
 
 
-def psl2_quotient_isometry(geometry: str = "sl2r",
-                           lattice_kind: str = "finite_covolume") \
-        -> IsoDescriptor:
+def psl2_quotient_isometry(geometry: str = "sl2r") -> IsoDescriptor:
     """Circle-extension shape for quotients fibering over the hyperbolic
     plane; the finite quotient can be any finite group."""
     if geometry not in ("psl2", "sl2r", "h2xr"):
         raise ValueError(f"unknown fibered geometry {geometry!r}")
-    if lattice_kind != "finite_covolume":
-        raise ValueError(f"unsupported lattice kind {lattice_kind!r}")
     finite = {"structure": "unspecified finite group F",
               "order": None,
               "realizable": "every finite group occurs for some lattice"}

@@ -176,12 +176,12 @@ class MobiusMap:
         a, b, c, d = self._entries
         return MobiusMap(d, -b, -c, a)
 
-    def is_identity(self, tol: float | None = None) -> bool:
+    def is_identity(self) -> bool:
         if self.exact:
             A, B, C, D = self._ints
             return A == D == self._q and B == C == 0
         a, b, c, d = self._entries
-        tol = float_tolerance() if tol is None else tol
+        tol = float_tolerance()
         return (abs(a - 1) <= tol and abs(d - 1) <= tol
                 and abs(b) <= tol and abs(c) <= tol)
 
@@ -243,11 +243,11 @@ class IsometryClass:
         return {"class": self.tag, "fixed_set": pts}
 
 
-def classify_isometry(m: MobiusMap, tol: float | None = None) -> IsometryClass:
+def classify_isometry(m: MobiusMap) -> IsometryClass:
     """Trace trichotomy with fixed points from c z^2 + (d - a) z - b = 0."""
-    if m.is_identity(tol):
+    if m.is_identity():
         raise IdentityClassError("the identity carries no class")
-    tol = float_tolerance() if tol is None else tol
+    tol = float_tolerance()
     if m.exact:
         # the sign of tr^2 - 4, times q^2
         A, _, _, D = m._ints
@@ -289,8 +289,8 @@ def _sorted_boundary(points):
     return tuple(sorted(points, key=key))
 
 
-def fixed_sets_equal(c1: IsometryClass, c2: IsometryClass,
-                     tol: float = 1e-6) -> bool:
+def fixed_sets_equal(c1: IsometryClass, c2: IsometryClass) -> bool:
+    tol = 1e-6          # chordal distance; relative for an interior point
     if len(c1.fixed_set) != len(c2.fixed_set):
         return False
     interior1 = [p for p in c1.fixed_set if not isinstance(p, BoundaryPoint)]
@@ -311,8 +311,7 @@ def fixed_sets_equal(c1: IsometryClass, c2: IsometryClass,
     return direct or crossed
 
 
-def commute_test(m1: MobiusMap, m2: MobiusMap,
-                 tol: float | None = None) -> tuple[bool, bool]:
+def commute_test(m1: MobiusMap, m2: MobiusMap) -> tuple[bool, bool]:
     """(commute, fixed_sets_equal), each computed independently.
 
     For two exact maps both answers are exact: the commutator is the
@@ -325,7 +324,7 @@ def commute_test(m1: MobiusMap, m2: MobiusMap,
     """
     if m1.is_identity() or m2.is_identity():
         raise IdentityClassError("commutation test needs non-identity maps")
-    tol = float_tolerance() if tol is None else tol
+    tol = float_tolerance()
     if m1.exact and m2.exact:
         comm = m1.compose(m2).compose(m1.inverse()).compose(m2.inverse())
         (A, B, C, D), (E, F, G, H) = m1._ints, m2._ints
@@ -350,14 +349,11 @@ def centralizer_type(m: MobiusMap) -> dict:
     return {"type": REAL_LINE, "generator": generator}
 
 
-def hn_quotient_isometry_verdict(dim: int,
-                                 lattice_kind: str = "finite_covolume") -> dict:
+def hn_quotient_isometry_verdict(dim: int) -> dict:
     """Fact record: finite-covolume hyperbolic quotients have finite isometry
     groups, of order Vol(F_Gamma)/Vol(F_Lambda); no circle can act."""
     if dim < 2:
         raise ValueError("hyperbolic spaces start at dimension 2")
-    if lattice_kind != "finite_covolume":
-        raise ValueError(f"unsupported lattice kind {lattice_kind!r}")
     return {
         "verdict": "FiniteIsometryGroup",
         "dim": dim,

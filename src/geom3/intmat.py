@@ -191,16 +191,9 @@ class IntMat2:
     def __matmul__(self, other: "IntMat2") -> "IntMat2":
         return IntMat2.from_rows(mat2_mul(self.rows(), other.rows()))
 
-    def __add__(self, other: "IntMat2") -> "IntMat2":
-        return IntMat2(self.a + other.a, self.b + other.b,
-                       self.c + other.c, self.d + other.d)
-
     def __sub__(self, other: "IntMat2") -> "IntMat2":
         return IntMat2(self.a - other.a, self.b - other.b,
                        self.c - other.c, self.d - other.d)
-
-    def __neg__(self) -> "IntMat2":
-        return IntMat2(-self.a, -self.b, -self.c, -self.d)
 
 
 def int_mat_pow(a: IntMat2, n: int) -> IntMat2:
@@ -378,6 +371,9 @@ def diagonalize_sl2(a: IntMat2) -> tuple[tuple[QuadRat, QuadRat], Mat2]:
     if a.det() != 1:
         raise ValueError("determinant 1 required")
     t = a.trace()
+    if t < -2:
+        raise ValueError(f"trace {t} < -2: matrix is hyperbolic, but only "
+                         f"trace > 2 is supported")
     if t <= 2:
         raise ValueError(f"trace {t} <= 2: matrix is not hyperbolic")
     root = QuadRat.sqrt(t * t - 4)

@@ -1,8 +1,9 @@
 """Heisenberg group over exact scalars and isometry groups of its quotients.
 
 Points carry the global coordinates (x, y, z) of the unipotent upper
-triangular matrix with rows (1, x, z), (0, 1, y), (0, 0, 1).  The isometry
-group splits as the group itself (left translations) extended by O(2); the
+triangular matrix with rows (1, x, z), (0, 1, y), (0, 0, 1), so
+(x, y, z) (u, v, w) = (x + u, y + v, z + w + x v).  The isometry group
+splits as the group itself (left translations) extended by O(2); the
 O(2) part is restricted to the finite-order rotations and reflections that
 are exactly representable over Q or Q(sqrt(3)), which are precisely the
 ones that can stabilize a planar lattice.
@@ -14,9 +15,9 @@ An orthogonal matrix A acts as the group automorphism
 the unique isometric lift: in the shifted coordinate Z = z - x*y/2 the
 group law is symmetric under A and the action is linear.
 
-With point symmetries adjoined, `nil_quotient_isometry` works in the
-lattice frame of the lattice generated by (u, r), (v, s) and the central
-(0, 0, lam/n), with B = (u v) and lam = cross(u, v):
+The library multiplies in one coordinate system only, the lattice frame
+of the lattice generated by (u, r), (v, s) and the central (0, 0, lam/n),
+with B = (u v) and lam = cross(u, v):
 
     k = B^-1 (x, y),   zeta = (z - x*y/2) * 2n / lam.
 
@@ -27,7 +28,7 @@ point symmetry R acts as (k, zeta) |-> (M k, det(M) zeta) for the integer
 matrix M = B^-1 R B.  `_LatticeFrame` scales k and zeta by fixed integers
 so that every lift, closure, coset and extension check is integer
 arithmetic (in Z[sqrt(d)] when alpha, beta or the basis form are
-irrational).
+irrational); global coordinates serve the oracles of tests/support.py.
 """
 
 from __future__ import annotations
@@ -76,22 +77,6 @@ HALF = Fraction(1, 2)
 POINT_GROUP_CAP = 24
 
 
-def _is_integral(x: Scalar) -> bool:
-    if isinstance(x, int):
-        return True
-    if isinstance(x, Fraction):
-        return x.denominator == 1
-    if isinstance(x, QuadRat):
-        return x.b == 0 and x.a.denominator == 1
-    return False
-
-
-def _to_int(x: Scalar) -> int:
-    if isinstance(x, QuadRat):
-        return int(x.a)
-    return int(x)
-
-
 # -- points -------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
@@ -109,30 +94,12 @@ class HeisPoint:
     def planar(self) -> Vec2:
         return (self.x, self.y)
 
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.y == 0 and self.z == 0
-
     def to_json(self):
         return [format_scalar(self.x), format_scalar(self.y),
                 format_scalar(self.z)]
 
 
 HEIS_ID = HeisPoint(Fraction(0), Fraction(0), Fraction(0))
-
-
-def heis_mul(g: HeisPoint, h: HeisPoint) -> HeisPoint:
-    """(x,y,z)*(u,v,w) = (x+u, y+v, z+w+x*v)."""
-    return HeisPoint(g.x + h.x, g.y + h.y, g.z + h.z + g.x * h.y)
-
-
-def heis_inv(g: HeisPoint) -> HeisPoint:
-    return HeisPoint(-g.x, -g.y, g.x * g.y - g.z)
-
-
-def heis_pow(g: HeisPoint, k: int) -> HeisPoint:
-    """g**k = (k x, k y, k z + C(k,2) x y), valid for every integer k."""
-    binom = k * (k - 1) // 2
-    return HeisPoint(k * g.x, k * g.y, k * g.z + binom * g.x * g.y)
 
 
 def heis_commutator(g: HeisPoint, h: HeisPoint) -> HeisPoint:
@@ -147,14 +114,6 @@ def heis_conjugate(g: HeisPoint, t: HeisPoint) -> HeisPoint:
 
 
 # -- the O(2) part ------------------------------------------------------------
-
-def rot_apply(rot: Mat2, p: HeisPoint) -> HeisPoint:
-    """Apply the isometric automorphism attached to an orthogonal matrix."""
-    det = mat2_det(rot)
-    w = mat2_apply(rot, (p.x, p.y))
-    z = det * (p.z - p.x * p.y * HALF) + w[0] * w[1] * HALF
-    return HeisPoint(w[0], w[1], z)
-
 
 def _orthogonal_order(rot: Mat2) -> int:
     """Order of an exactly representable orthogonal matrix.
@@ -230,28 +189,9 @@ class HeisIsometry:
     def point_symmetry(cls, rot: Mat2) -> "HeisIsometry":
         return cls(rot, HEIS_ID)
 
-    def compose(self, other: "HeisIsometry") -> "HeisIsometry":
-        return HeisIsometry(mat2_mul(self.rot, other.rot),
-                            heis_mul(self.trans,
-                                     rot_apply(self.rot, other.trans)))
-
-    def inverse(self) -> "HeisIsometry":
-        rot_inv = mat2_transpose(self.rot)
-        return HeisIsometry(rot_inv, rot_apply(rot_inv, heis_inv(self.trans)))
-
-    def conjugate_translation(self, h: HeisPoint) -> HeisPoint:
-        """phi L_h phi^{-1} = L_{trans * sigma(h) * trans^{-1}}."""
-        return heis_conjugate(self.trans, rot_apply(self.rot, h))
-
-    def is_identity(self) -> bool:
-        return mat2_eq(self.rot, MAT2_ID) and self.trans.is_identity()
-
     def planar_part(self) -> tuple[Mat2, Vec2]:
         """Induced isometry of the plane: p |-> rot p + w."""
         return self.rot, self.trans.planar()
-
-
-HEIS_ISO_ID = HeisIsometry(MAT2_ID, HEIS_ID)
 
 
 # -- lattices -----------------------------------------------------------------
@@ -278,43 +218,11 @@ class NilLattice:
             lam = Fraction(lam)
         return lam / self.n
 
-    @property
-    def basis(self) -> Mat2:
-        """B = (u v), the planar basis as columns."""
-        return ((self.u[0], self.v[0]), (self.u[1], self.v[1]))
-
-    @functools.cached_property
-    def basis_inv(self) -> Mat2:
-        """B^-1, computed once per lattice (not a field: eq, hash and repr
-        ignore it)."""
-        return mat2_inv(self.basis)
-
     @functools.cached_property
     def point_group(self) -> "PlanarPointGroup":
         """`planar_point_group` of the projected lattice, computed once per
-        lattice (not a field, like `basis_inv`)."""
+        lattice (not a field: eq, hash and repr ignore it)."""
         return planar_point_group(self.u, self.v)
-
-    def planar_coords(self, w: Vec2) -> Optional[tuple[Scalar, Scalar]]:
-        """Coordinates (k, l) with k u + l v = w, or None if non-integral."""
-        k, l = mat2_apply(self.basis_inv, w)
-        if _is_integral(k) and _is_integral(l):
-            return (_to_int(k), _to_int(l))
-        return None
-
-    def word_z(self, k: int, l: int) -> Scalar:
-        """z coordinate of (u,r)^k (v,s)^l."""
-        return (k * self.r + l * self.s
-                + (k * (k - 1) // 2) * self.u[0] * self.u[1]
-                + (l * (l - 1) // 2) * self.v[0] * self.v[1]
-                + k * l * self.u[0] * self.v[1])
-
-    def contains(self, p: HeisPoint) -> bool:
-        coords = self.planar_coords(p.planar())
-        if coords is None:
-            return False
-        resid = (p.z - self.word_z(*coords)) / self.center_step()
-        return _is_integral(resid)
 
     def to_json_dict(self) -> dict:
         return {
@@ -365,10 +273,6 @@ class NilNormalizer:
     planar_u: Vec2
     planar_v: Vec2
     index: int                      # index of the projected lattice refinement
-
-    def planar_generators(self) -> list[HeisPoint]:
-        return [HeisPoint(self.planar_u[0], self.planar_u[1], Fraction(0)),
-                HeisPoint(self.planar_v[0], self.planar_v[1], Fraction(0))]
 
     def to_json_dict(self) -> dict:
         return {
@@ -521,7 +425,7 @@ class _LatticeFrame:
     `hex:N`), elements of Z[sqrt(d)] otherwise, by the same code.
     """
 
-    __slots__ = ("lat", "n", "dn", "P", "C", "h", "ra", "rb", "qa", "qb",
+    __slots__ = ("n", "dn", "P", "C", "h", "ra", "rb", "qa", "qb",
                  "qc", "ca", "cb", "cn")
 
     def __init__(self, lat: NilLattice):
@@ -532,7 +436,7 @@ class _LatticeFrame:
         alpha, beta = 2 * scale * lat.r - a, 2 * scale * lat.s - b
         d, system = clear_denominators((alpha, beta))
         g, center = clear_denominators((a, b, c))
-        self.lat, self.n, self.dn = lat, n, d * n
+        self.n, self.dn = n, d * n
         self.P = 2 * n * d
         self.C = self.P * self.P * g
         self.h = g * n
@@ -609,32 +513,6 @@ class _LatticeFrame:
                     k[0] * mk[1] - k[1] * mk[0])):
                 raise AssertionError("lift verification failed")
         return lift
-
-    def to_global(self, rot: Mat2, x) -> HeisIsometry:
-        """The isometry with frame coordinates x and rotation part rot."""
-        _, k, w = x
-        lat = self.lat
-        inv_p = Fraction(1, self.P)
-        px = (lat.u[0] * k[0] + lat.v[0] * k[1]) * inv_p
-        py = (lat.u[1] * k[0] + lat.v[1] * k[1]) * inv_p
-        z = w * lat.lam * Fraction(1, 2 * self.n * self.C) + px * py * HALF
-        return HeisIsometry(rot, HeisPoint(px, py, z))
-
-
-def lift_point_symmetry(lat: NilLattice, rot: Mat2) -> HeisIsometry:
-    """Find a translation correction making rot normalize the lattice.
-
-    rot must preserve the projected lattice, M = B^-1 rot B integral, and
-    be orthogonal of finite order; else ValueError.  The lift is solved
-    and verified in the lattice frame (`_LatticeFrame.lift`).
-    """
-    m = mat2_mul(mat2_mul(lat.basis_inv, rot), lat.basis)
-    if not all(_is_integral(x) for row in m for x in row):
-        raise ValueError("rotation does not preserve the projected lattice")
-    _orthogonal_order(rot)
-    frame = _LatticeFrame(lat)
-    m = tuple(tuple(_to_int(x) for x in row) for row in m)
-    return frame.to_global(rot, frame.lift(m))
 
 
 # -- quotient isometry groups -------------------------------------------------
@@ -958,7 +836,7 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
     =================  ====================================================
 
     `_integer_rows` writes the generators of T as integer rows.  Whether T
-    spans the plane is read off them (`_crosses`), with no product of
+    spans the plane is read off them (`_cross_parts`), with no product of
     values from two fields, so the answer does not depend on the order of
     the generators when sqrt(2) and sqrt(3) mix.  Once T spans the plane,
     the lattice kernel `intmat.ZSpan` reads its Z-rank off one Smith
@@ -967,7 +845,10 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
     |cross(b_1, b_2)| > 0 is the covolume of T; it is read as |cross(t_a,
     t_b)| / [T : Z t_a + Z t_b], the index being the determinant of the
     kernel coordinates of the first generator t_a and the first t_b not
-    parallel to it.  With Z-rank 3 or more, the input group is not
+    parallel to it.  The cross product comes off the integer rows too, so
+    sqrt(2) sqrt(3) gives the covolume sqrt(6); a covolume with terms in
+    two fields, such as sqrt(3) + sqrt(6), raises ValueError, since no
+    QuadRat holds it.  With Z-rank 3 or more, the input group is not
     discrete: its translations would project onto a subgroup of that rank
     of the plane, more than a discrete subgroup of the Heisenberg group
     (Hirsch length at most 3) can carry.  This covers
@@ -1003,19 +884,19 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
                  sum(w[1] for w in transversal.values()) * inv)
         return DichotomyResult(FIXES_POINT, point=point)
 
-    t0 = translations[0]
-    radicands, rows = _integer_rows(translations)
-    j = next((j for j, row in enumerate(rows)
-              if _crosses(radicands, rows[0], row)), None)
+    r, radicands, rows = _integer_rows(translations)
+    crossing = ((j, parts) for j, row in enumerate(rows)
+                if (parts := _cross_parts(radicands, rows[0], row)))
+    j, parts = next(crossing, (None, None))
     if j is None:
-        return DichotomyResult(FIXES_LINE,
-                               direction=_invariant_direction(planar, t0))
+        return DichotomyResult(FIXES_LINE, direction=_invariant_direction(
+            planar, translations[0]))
 
     span = ZSpan(dict.fromkeys(rows), len(rows[0]))
     if span.rank > 2:
         return DichotomyResult(NON_DISCRETE_INPUT)
     (a, b), (c, d) = span.coords(rows[0]), span.coords(rows[j])
-    covolume = abs(vec2_cross(t0, translations[j])) / abs(a * d - b * c)
+    covolume = abs(_cross_value(r, parts)) / abs(a * d - b * c)
     return DichotomyResult(DISCRETE_PROJECTION,
                            witness=HeisPoint(Fraction(0), Fraction(0),
                                              covolume))
@@ -1054,15 +935,15 @@ def _schreier_translations(planar) -> tuple[dict, list[Vec2]]:
 
 
 def _integer_rows(vectors: list[Vec2]) \
-        -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """The radicands (1, d_1, ..., d_k) of the fields that occur, and the
-    planar vectors as integer rows over one common denominator r on the
+        -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
+    """The common denominator r, the radicands (1, d_1, ..., d_k) of the
+    fields that occur, and the planar vectors as integer rows over r on the
     Q-basis {1, sqrt(d_1), ..., sqrt(d_k)}: (x, y) -> (x_0, y_0, x_1, y_1,
     ...) for x = (x_0 + x_1 sqrt(d_1) + ...) / r.  1 and the sqrt(d_i) are
     linearly independent over Q, so the rows have the Q-rank of the
     vectors."""
     flat = [x for v in vectors for x in v]
-    _, nums = clear_denominators(flat)
+    r, nums = clear_denominators(flat)
     fields = sorted({x.d for x, num in zip(flat, nums)
                      if isinstance(num, tuple)})
     rows = [[0] * (2 * len(fields) + 2) for _ in vectors]
@@ -1072,18 +953,20 @@ def _integer_rows(vectors: list[Vec2]) \
             row[k], row[2 * fields.index(x.d) + 2 + k] = num
         else:
             row[k] = num
-    return (1, *fields), list(map(tuple, rows))
+    return r, (1, *fields), list(map(tuple, rows))
 
 
-def _crosses(radicands: tuple[int, ...], u: tuple[int, ...],
-             v: tuple[int, ...]) -> bool:
-    """Whether two vectors, as integer rows of `_integer_rows`, are not
-    parallel.  Their cross product is the sum over k, l of (u_x,k v_y,l -
-    u_y,k v_x,l) sqrt(d_k d_l), with sqrt(d_k d_l) = g sqrt(d_k d_l / g^2)
-    for g = gcd(d_k, d_l).  Square roots of distinct square-free integers
-    are linearly independent over Q, so the product is 0 exactly when the
-    integer coefficient of each radicand is: no two fields are multiplied
-    as QuadRat values, which would refuse sqrt(2) sqrt(3)."""
+def _cross_parts(radicands: tuple[int, ...], u: tuple[int, ...],
+                 v: tuple[int, ...]) -> dict[int, int]:
+    """r^2 cross(u, v) for two vectors given as integer rows of
+    `_integer_rows`, as {d: c} for the nonzero terms c sqrt(d).
+
+    The cross product is the sum over k, l of (u_x,k v_y,l - u_y,k v_x,l)
+    sqrt(d_k d_l), with sqrt(d_k d_l) = g sqrt(d_k d_l / g^2) for g =
+    gcd(d_k, d_l).  Square roots of distinct square-free integers are
+    linearly independent over Q, so the vectors are parallel exactly when
+    no term is left: no two fields are multiplied as QuadRat values, which
+    would refuse sqrt(2) sqrt(3)."""
     coeffs = {}
     for k, dk in enumerate(radicands):
         for l, dl in enumerate(radicands):
@@ -1092,7 +975,22 @@ def _crosses(radicands: tuple[int, ...], u: tuple[int, ...],
                 g = gcd(dk, dl)
                 d = dk * dl // (g * g)
                 coeffs[d] = coeffs.get(d, 0) + c * g
-    return any(coeffs.values())
+    return {d: c for d, c in coeffs.items() if c}
+
+
+def _cross_value(r: int, parts: dict[int, int]) -> Scalar:
+    """The cross product sum(c sqrt(d)) / r^2 of `_cross_parts`; no single
+    Q(sqrt(d)) holds two irrational terms, such as sqrt(3) + sqrt(6)."""
+    roots = sorted(d for d in parts if d != 1)
+    if len(roots) > 1:
+        raise ValueError(
+            f"the covolume of the projected translations has terms in "
+            f"{' + '.join(f'sqrt({d})' for d in roots)}: it lies in no "
+            f"single Q(sqrt(d))")
+    rational = Fraction(parts.get(1, 0), r * r)
+    if not roots:
+        return rational
+    return QuadRat(rational, Fraction(parts[roots[0]], r * r), roots[0])
 
 
 def _invariant_direction(planar, t0: Vec2) -> Vec2:

@@ -116,6 +116,9 @@ class SolLattice:
 def sol_lattice_make(a: IntMat2, n: int = 1) -> SolLattice:
     if a.det() != 1:
         raise ValueError(f"determinant {a.det()} != 1")
+    if a.trace() < -2:
+        raise ValueError(f"trace {a.trace()} < -2: A is hyperbolic, but only "
+                         f"trace > 2 is supported")
     if a.trace() <= 2:
         raise ValueError(f"trace {a.trace()} <= 2: no hyperbolic holonomy")
     if not isinstance(n, int) or n < 1:

@@ -1,5 +1,15 @@
 """Test-only reference implementations, and a deadline.
 
+`heis_mul`, `heis_inv` and `rot_apply` are the Heisenberg group law and
+the O(2) automorphisms in global coordinates, and `iso_compose`,
+`iso_inverse`, `iso_conjugate_translation` and `iso_is_identity` the
+isometries p |-> t sigma_R(p) built on them; `lattice_contains` (through
+`planar_coords` and `word_z`) tests membership in a Nil lattice.  `nil`
+carried them beside its integer lattice frame until the frame did all of
+its work; they serve the global-coordinate oracles below, and
+`frame_point` and `frame_isometry` map lattice-frame coordinates back to
+them.
+
 `point_group_by_box` and `coset_count_by_loop` are the enumerations that
 `planar_point_group` and `nil_quotient_isometry` used before they became
 O(1): a box of coefficients bounded through the smallest eigenvalue of the
@@ -76,6 +86,7 @@ complex type, and one for parsing a factor.
 """
 
 import contextlib
+import functools
 import itertools
 import math
 import re
@@ -122,7 +133,7 @@ from geom3.nil import (
     FIXES_LINE,
     FIXES_POINT,
     HALF,
-    HEIS_ISO_ID,
+    HEIS_ID,
     NON_DISCRETE_INPUT,
     POINT_GROUP_CAP,
     ROT_PI,
@@ -130,16 +141,121 @@ from geom3.nil import (
     HeisIsometry,
     HeisPoint,
     PlanarPointGroup,
-    _is_integral,
     _point_group_generators,
     _reflection_axis,
     _schreier_translations,
-    _to_int,
-    heis_inv,
-    heis_mul,
+    heis_conjugate,
     planar_point_group,
-    rot_apply,
 )
+
+# -- the Heisenberg group in global coordinates -------------------------------
+
+def _is_integral(x) -> bool:
+    if isinstance(x, int):
+        return True
+    if isinstance(x, Fraction):
+        return x.denominator == 1
+    if isinstance(x, QuadRat):
+        return x.b == 0 and x.a.denominator == 1
+    return False
+
+
+def _to_int(x) -> int:
+    if isinstance(x, QuadRat):
+        return int(x.a)
+    return int(x)
+
+
+def heis_mul(g: HeisPoint, h: HeisPoint) -> HeisPoint:
+    """(x,y,z)*(u,v,w) = (x+u, y+v, z+w+x*v)."""
+    return HeisPoint(g.x + h.x, g.y + h.y, g.z + h.z + g.x * h.y)
+
+
+def heis_inv(g: HeisPoint) -> HeisPoint:
+    return HeisPoint(-g.x, -g.y, g.x * g.y - g.z)
+
+
+def rot_apply(rot, p: HeisPoint) -> HeisPoint:
+    """Apply the isometric automorphism attached to an orthogonal matrix."""
+    det = mat2_det(rot)
+    w = mat2_apply(rot, (p.x, p.y))
+    z = det * (p.z - p.x * p.y * HALF) + w[0] * w[1] * HALF
+    return HeisPoint(w[0], w[1], z)
+
+
+def iso_compose(a: HeisIsometry, b: HeisIsometry) -> HeisIsometry:
+    """a b: p |-> t_a sigma_a(t_b sigma_b(p))."""
+    return HeisIsometry(mat2_mul(a.rot, b.rot),
+                        heis_mul(a.trans, rot_apply(a.rot, b.trans)))
+
+
+def iso_inverse(a: HeisIsometry) -> HeisIsometry:
+    rot_inv = mat2_transpose(a.rot)
+    return HeisIsometry(rot_inv, rot_apply(rot_inv, heis_inv(a.trans)))
+
+
+def iso_conjugate_translation(phi: HeisIsometry, h: HeisPoint) -> HeisPoint:
+    """phi L_h phi^{-1} = L_{trans * sigma(h) * trans^{-1}}."""
+    return heis_conjugate(phi.trans, rot_apply(phi.rot, h))
+
+
+def iso_is_identity(phi: HeisIsometry) -> bool:
+    return mat2_eq(phi.rot, MAT2_ID) and phi.trans == HEIS_ID
+
+
+HEIS_ISO_ID = HeisIsometry(MAT2_ID, HEIS_ID)
+
+
+def _basis(lat):
+    """B = (u v), the planar basis of a Nil lattice as columns."""
+    return ((lat.u[0], lat.v[0]), (lat.u[1], lat.v[1]))
+
+
+@functools.lru_cache(maxsize=256)
+def _basis_inv(lat):
+    """B^-1, once per lattice value."""
+    return mat2_inv(_basis(lat))
+
+
+def planar_coords(lat, w):
+    """Coordinates (k, l) with k u + l v = w, or None if non-integral."""
+    k, l = mat2_apply(_basis_inv(lat), w)
+    if _is_integral(k) and _is_integral(l):
+        return (_to_int(k), _to_int(l))
+    return None
+
+
+def word_z(lat, k: int, l: int):
+    """z coordinate of (u,r)^k (v,s)^l."""
+    return (k * lat.r + l * lat.s
+            + (k * (k - 1) // 2) * lat.u[0] * lat.u[1]
+            + (l * (l - 1) // 2) * lat.v[0] * lat.v[1]
+            + k * l * lat.u[0] * lat.v[1])
+
+
+def lattice_contains(lat, p: HeisPoint) -> bool:
+    coords = planar_coords(lat, p.planar())
+    if coords is None:
+        return False
+    return _is_integral((p.z - word_z(lat, *coords)) / lat.center_step())
+
+
+def frame_point(lat, frame, k, w) -> HeisPoint:
+    """The element with coordinates (K, W) in the lattice frame of lat."""
+    inv_p = Fraction(1, frame.P)
+    px = (lat.u[0] * k[0] + lat.v[0] * k[1]) * inv_p
+    py = (lat.u[1] * k[0] + lat.v[1] * k[1]) * inv_p
+    z = w * lat.lam * Fraction(1, 2 * frame.n * frame.C) + px * py * HALF
+    return HeisPoint(px, py, z)
+
+
+def frame_isometry(lat, frame, x) -> HeisIsometry:
+    """The isometry with frame coordinates x = (M, K, W): rotation part
+    B M B^-1 after the translation (K, W)."""
+    m, k, w = x
+    rot = mat2_mul(mat2_mul(_basis(lat), m), _basis_inv(lat))
+    return HeisIsometry(rot, frame_point(lat, frame, k, w))
+
 
 SIGNED_PERMUTATIONS = frozenset(
     ((a, b), (c, d))
@@ -202,10 +318,10 @@ def lift_group_closes_by_pairs(lat, lifts: dict) -> bool:
     group = {MAT2_ID: HEIS_ISO_ID, **lifts}
     for a in lifts.values():
         for b in lifts.values():
-            prod = a.compose(b)
+            prod = iso_compose(a, b)
             target = group.get(prod.rot)
-            if target is None or not lat.contains(
-                    prod.compose(target.inverse()).trans):
+            if target is None or not lattice_contains(
+                    lat, iso_compose(prod, iso_inverse(target)).trans):
                 return False
     return True
 
@@ -230,20 +346,20 @@ def extends_by_scan(lat, rot, extra_lifts: dict) -> bool:
         for l in range(denom):
             tau = (Fraction(k, denom) * lat.u[0] + Fraction(l, denom) * lat.v[0],
                    Fraction(k, denom) * lat.u[1] + Fraction(l, denom) * lat.v[1])
-            flat = HeisIsometry.translation(
-                HeisPoint(tau[0], tau[1], Fraction(0))).compose(base)
+            flat = iso_compose(HeisIsometry.translation(
+                HeisPoint(tau[0], tau[1], Fraction(0))), base)
             zs = [Fraction(0), step / 2]
             for lift in extra_lifts.values():
                 if mat2_det(lift.rot) == 1:
                     continue
                 resid = _conjugation_residual(flat, lift, extra_lifts)
                 coords = (None if resid is None
-                          else lat.planar_coords(resid.planar()))
+                          else planar_coords(lat, resid.planar()))
                 if coords is not None:
-                    zs.append((lat.word_z(*coords) - resid.z) / 2)
+                    zs.append((word_z(lat, *coords) - resid.z) / 2)
             for z in zs:
                 t = HeisIsometry.translation(HeisPoint(tau[0], tau[1], z))
-                if _normalizes(lat, t.compose(base), extra_lifts):
+                if _normalizes(lat, iso_compose(t, base), extra_lifts):
                     return True
     return False
 
@@ -251,22 +367,22 @@ def extends_by_scan(lat, rot, extra_lifts: dict) -> bool:
 def _conjugation_residual(cand, lift, extra_lifts: dict):
     """Translation part of cand lift cand^-1 match^-1, for the lift match
     with the rotation part of the conjugate; None if there is no such lift."""
-    conj = cand.compose(lift).compose(cand.inverse())
+    conj = iso_compose(iso_compose(cand, lift), iso_inverse(cand))
     match = extra_lifts.get(conj.rot)
     if match is None:
         return None
-    return conj.compose(match.inverse()).trans
+    return iso_compose(conj, iso_inverse(match)).trans
 
 
 def _normalizes(lat, cand, extra_lifts: dict) -> bool:
     """cand conjugates every lattice generator into the lattice and every
     adjoined lift into lattice * lift."""
-    if not all(lat.contains(cand.conjugate_translation(g))
+    if not all(lattice_contains(lat, iso_conjugate_translation(cand, g))
                for g in lat.generators()):
         return False
     for lift in extra_lifts.values():
         resid = _conjugation_residual(cand, lift, extra_lifts)
-        if resid is None or not lat.contains(resid):
+        if resid is None or not lattice_contains(lat, resid):
             return False
     return True
 
@@ -294,17 +410,17 @@ def global_lift(lat, rot) -> HeisIsometry:
     targets = []
     for vec, off in ((lat.u, lat.r), (lat.v, lat.s)):
         img = mat2_apply(rot, vec)
-        coords = lat.planar_coords(img)
+        coords = planar_coords(lat, img)
         if coords is None:
             raise ValueError("rotation does not preserve the projected lattice")
         eta = (img[0] * img[1] - det * vec[0] * vec[1]) * HALF
-        targets.append(det * (lat.word_z(*coords) - eta) - off)
+        targets.append(det * (word_z(lat, *coords) - eta) - off)
     mat = ((lat.u[1], -lat.u[0]), (lat.v[1], -lat.v[0]))
     w1, w2 = mat2_apply(mat2_inv(mat), (targets[0], targets[1]))
     w = HeisPoint(w1, w2, Fraction(0))
     iso = HeisIsometry(rot, rot_apply(rot, w))
     for gen in lat.generators():
-        if not lat.contains(iso.conjugate_translation(gen)):
+        if not lattice_contains(lat, iso_conjugate_translation(iso, gen)):
             raise AssertionError("lift verification failed")
     return iso
 
@@ -322,10 +438,10 @@ def global_coset_constraints(lat, tau, pairs) -> bool:
     for y, phi in pairs:
         q = heis_mul(heis_mul(heis_mul(t0, y.trans), rot_apply(y.rot, t0_inv)),
                      heis_inv(phi.trans))
-        coords = lat.planar_coords(q.planar())
+        coords = planar_coords(lat, q.planar())
         if coords is None:
             return False
-        need = lat.word_z(*coords) - q.z
+        need = word_z(lat, *coords) - q.z
         if mat2_det(y.rot) == -1:
             reversing.append(need)
         elif not _is_integral(need / step):
@@ -334,7 +450,7 @@ def global_coset_constraints(lat, tau, pairs) -> bool:
 
 
 def _identity_minus_lattice_matrix(lat, rot):
-    m = mat2_mul(mat2_mul(lat.basis_inv, rot), lat.basis)
+    m = mat2_mul(mat2_mul(_basis_inv(lat), rot), _basis(lat))
     if not all(_is_integral(x) for row in m for x in row):
         raise ValueError("rotation does not preserve the projected lattice")
     return ((1 - _to_int(m[0][0]), -_to_int(m[0][1])),
@@ -344,13 +460,13 @@ def _identity_minus_lattice_matrix(lat, rot):
 def global_lift_group_closes(lat, lifts: dict, gens) -> bool:
     """L(a) L(g) in lattice * L(ag) for every lift a and generator g."""
     inverses = {MAT2_ID: HEIS_ISO_ID}
-    inverses.update((m, lift.inverse()) for m, lift in lifts.items())
+    inverses.update((m, iso_inverse(lift)) for m, lift in lifts.items())
     for a in lifts.values():
         for g in gens:
-            prod = a.compose(lifts[g])
+            prod = iso_compose(a, lifts[g])
             target = inverses.get(prod.rot)
-            if target is None or not lat.contains(
-                    prod.compose(target).trans):
+            if target is None or not lattice_contains(
+                    lat, iso_compose(prod, target).trans):
                 return False
     return True
 
@@ -361,14 +477,15 @@ def global_normalizing_cosets(lat, pairs):
     passing `global_coset_constraints`."""
     rows, rhs = [], []
     for y, phi in pairs:
-        c = mat2_apply(lat.basis_inv,
+        c = mat2_apply(_basis_inv(lat),
                        vec2_sub(y.trans.planar(), phi.trans.planar()))
         if not all(_is_integral(lat.n * x) for x in c):
             return
         rows += _identity_minus_lattice_matrix(lat, y.rot)
         rhs += [-_to_int(lat.n * x) for x in c]
     for k, l in congruence_solutions(rows, rhs, lat.n):
-        tau = mat2_apply(lat.basis, (Fraction(k, lat.n), Fraction(l, lat.n)))
+        tau = mat2_apply(_basis(lat),
+                         (Fraction(k, lat.n), Fraction(l, lat.n)))
         if global_coset_constraints(lat, tau, pairs):
             yield tau
 
@@ -380,10 +497,10 @@ def global_extends_to_group_normalizer(lat, rot, lifts: dict, gens) -> bool:
         base = global_lift(lat, rot)
     except ValueError:
         return False
-    base_inv = base.inverse()
+    base_inv = iso_inverse(base)
     pairs = []
     for g in gens:
-        y = base.compose(lifts[g]).compose(base_inv)
+        y = iso_compose(iso_compose(base, lifts[g]), base_inv)
         match = lifts.get(y.rot)
         if match is None:
             return False

@@ -117,7 +117,7 @@ def test_criterion_5_hyperbolic_property_suite():
         for _ in range(100):
             g = random_sl2(rng)
             conj = g.compose(m).compose(g.inverse())
-            if hyperbolic.classify_isometry(conj, tol=1e-9).tag != tag:
+            if hyperbolic.classify_isometry(conj).tag != tag:
                 failures += 1
     assert failures == 0
 

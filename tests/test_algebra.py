@@ -17,7 +17,6 @@ from geom3.algebra import (
     format_scalar,
     galois_conjugate,
     power,
-    quad_arith,
     squarefree_decompose,
 )
 from support import (
@@ -55,7 +54,7 @@ def test_power_is_repeated_multiplication():
 
 
 def test_norm_identity():
-    assert quad_arith(QuadRat(1, 1, 2), QuadRat(1, -1, 2), "mul") == -1
+    assert QuadRat(1, 1, 2) * QuadRat(1, -1, 2) == -1
 
 
 def test_inverse_of_three_plus_sqrt2():
@@ -82,14 +81,14 @@ def test_galois_examples():
 
 def test_mixed_discriminant_rejected():
     with pytest.raises(MixedDiscriminantError):
-        quad_arith(QuadRat(0, 1, 2), QuadRat(0, 1, 3), "add")
+        QuadRat(0, 1, 2) + QuadRat(0, 1, 3)
     # rational-valued elements cross fields freely
     assert QuadRat(2, 0, 2) + QuadRat(1, 1, 3) == QuadRat(3, 1, 3)
 
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        quad_arith(QuadRat(1, 0, 2), QuadRat(0, 0, 2), "div")
+        QuadRat(1, 0, 2) / QuadRat(0, 0, 2)
 
 
 def test_squarefree_decompose():

@@ -130,6 +130,14 @@ SEARCHES = [
     # matrix over another field
     "sol centralizer --preset fib --power 52",
     "sol centralizer --matrix 3,1,2,1 --power 3",
+    # a missing --gens is a schema error, not an internal one
+    "nil dichotomy",
+    "nil volume",
+    # trace -3 is hyperbolic, but only trace > 2 is supported; a negative
+    # first entry is written --matrix=..., else argparse takes it for an
+    # option
+    "sol iso --matrix=-2,-1,-1,-1 --power 2",
+    "sol qstructure --matrix=-2,-1,-1,-1",
 ]
 
 # Space-separated commands (no argument contains a space), each run as

@@ -497,8 +497,6 @@ def test_psl2_quotient_isometry():
         assert d.finite_part["structure"] == "unspecified finite group F"
     with pytest.raises(ValueError):
         psl2_quotient_isometry("nil")
-    with pytest.raises(ValueError):
-        psl2_quotient_isometry("sl2r", "divergent")
 
 
 def test_tangent_vector_validation():

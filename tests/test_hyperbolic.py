@@ -182,8 +182,6 @@ def test_quotient_verdicts():
     assert hn_quotient_isometry_verdict(2)["circle_action_possible"] is False
     with pytest.raises(ValueError):
         hn_quotient_isometry_verdict(1)
-    with pytest.raises(ValueError):
-        hn_quotient_isometry_verdict(3, "divergent")
 
 
 def mat_mul2(a, b):

@@ -31,6 +31,7 @@ from geom3.nil import (
     FIXES_LINE,
     FIXES_POINT,
     HALF,
+    HEIS_ID,
     INFINITE_VOLUME,
     REFLECT,
     ROT_PI,
@@ -50,13 +51,9 @@ from geom3.nil import (
     _schreier_translations,
     heis_commutator,
     heis_conjugate,
-    heis_inv,
-    heis_mul,
-    heis_pow,
     lattice_gp,
     lattice_hex,
     lattice_hz,
-    lift_point_symmetry,
     nil_center_intersection,
     nil_lattice_make,
     nil_normalizer,
@@ -64,7 +61,6 @@ from geom3.nil import (
     nil_quotient_isometry,
     nil_volume_verdict,
     planar_point_group,
-    rot_apply,
 )
 from support import (
     SIGNED_PERMUTATIONS,
@@ -73,11 +69,22 @@ from support import (
     deadline,
     dichotomy_by_fixed_sets,
     extends_by_scan,
+    frame_isometry,
+    frame_point,
     global_lift,
     global_quotient_isometry,
+    heis_inv,
+    heis_mul,
+    iso_compose,
+    iso_conjugate_translation,
+    iso_inverse,
+    iso_is_identity,
+    lattice_contains,
     lift_group_closes_by_pairs,
     matrix_order_by_powers,
+    planar_coords,
     point_group_by_box,
+    rot_apply,
 )
 
 
@@ -172,15 +179,6 @@ def test_conjugation_examples():
     assert heis_conjugate(g, t) == heis_mul(heis_mul(g, t), heis_inv(g))
 
 
-def test_pow_closed_form():
-    g = HeisPoint.of(Fraction(1, 2), 3, Fraction(-2, 5))
-    acc = HeisPoint.of(0, 0, 0)
-    for k in range(1, 7):
-        acc = heis_mul(acc, g)
-        assert heis_pow(g, k) == acc
-    assert heis_pow(g, -3) == heis_inv(heis_pow(g, 3))
-
-
 # -- lattices -------------------------------------------------------------------
 
 def test_lattice_make():
@@ -196,15 +194,16 @@ def test_lattice_make():
 
 def test_lattice_membership():
     hz = lattice_hz()
-    assert hz.contains(HeisPoint.of(3, -2, 5))
-    assert not hz.contains(HeisPoint.of(Fraction(1, 2), 0, 0))
+    assert lattice_contains(hz, HeisPoint.of(3, -2, 5))
+    assert not lattice_contains(hz, HeisPoint.of(Fraction(1, 2), 0, 0))
     g2 = lattice_gp(2)
-    assert g2.contains(HeisPoint.of(1, 1, Fraction(5, 2)))
-    assert not g2.contains(HeisPoint.of(1, 1, Fraction(1, 3)))
+    assert lattice_contains(g2, HeisPoint.of(1, 1, Fraction(5, 2)))
+    assert not lattice_contains(g2, HeisPoint.of(1, 1, Fraction(1, 3)))
     lat = nil_lattice_make((1, 0), (0, 1), r=Fraction(1, 3), s=0, n=2)
-    assert lat.contains(HeisPoint.of(1, 0, Fraction(1, 3)))
-    assert lat.contains(HeisPoint.of(1, 0, Fraction(1, 3) + Fraction(1, 2)))
-    assert not lat.contains(HeisPoint.of(1, 0, 0))
+    assert lattice_contains(lat, HeisPoint.of(1, 0, Fraction(1, 3)))
+    assert lattice_contains(
+        lat, HeisPoint.of(1, 0, Fraction(1, 3) + Fraction(1, 2)))
+    assert not lattice_contains(lat, HeisPoint.of(1, 0, 0))
 
 
 def test_center_intersection():
@@ -230,10 +229,11 @@ def test_normalizer_conjugation_closure():
     for lat in (lattice_hz(), lattice_gp(2), lattice_hex(2),
                 nil_lattice_make((1, 0), (0, 1), r=Fraction(1, 3), n=2)):
         nrm = nil_normalizer(lat)
-        gens = nrm.planar_generators() + [HeisPoint.of(0, 0, Fraction(1, 7))]
+        gens = [HeisPoint.of(*nrm.planar_u, 0), HeisPoint.of(*nrm.planar_v, 0),
+                HeisPoint.of(0, 0, Fraction(1, 7))]
         for t in gens:
             for gamma in lat.generators():
-                assert lat.contains(heis_conjugate(t, gamma))
+                assert lattice_contains(lat, heis_conjugate(t, gamma))
 
 
 def test_normalizer_identity_component_is_the_center_direction():
@@ -304,7 +304,7 @@ def test_point_group_is_a_group_preserving_the_lattice():
             assert any(mat2_eq(prod, m) for m in pg.elements)
         for vec in (lat.u, lat.v):
             from geom3.intmat import mat2_apply
-            assert lat.planar_coords(mat2_apply(a, vec)) is not None
+            assert planar_coords(lat, mat2_apply(a, vec)) is not None
 
 
 def test_point_group_rejects_unsupported_field():
@@ -317,14 +317,14 @@ def test_point_group_rejects_unsupported_field():
 def test_lift_point_symmetry_hexagonal():
     lat = lattice_hex(1)
     for rot in (ROT_PI_3, REFLECT):
-        iso = lift_point_symmetry(lat, rot)
+        iso = global_lift(lat, rot)
         for gamma in lat.generators():
-            assert lat.contains(iso.conjugate_translation(gamma))
+            assert lattice_contains(lat, iso_conjugate_translation(iso, gamma))
 
 
 def test_lift_rejects_wrong_rotation():
     with pytest.raises(ValueError):
-        lift_point_symmetry(lattice_hz(), ROT_PI_3)
+        global_lift(lattice_hz(), ROT_PI_3)
 
 
 def test_quotient_isometry_square():
@@ -387,12 +387,12 @@ def test_isometry_composition_model():
         phi = HeisIsometry(rot, rot_apply(rot, g))
         for _ in range(10):
             h = random_point(rng)
-            lhs = phi.conjugate_translation(h)
+            lhs = iso_conjugate_translation(phi, h)
             rhs = rot_apply(rot, heis_mul(heis_mul(g, h), heis_inv(g)))
             assert lhs == rhs
     ident = HeisIsometry(MAT2_ID, HeisPoint.of(0, 0, 0))
     phi = HeisIsometry(ROT_PI_3, HeisPoint.of(1, 2, 3))
-    assert phi.compose(phi.inverse()).is_identity()
+    assert iso_is_identity(iso_compose(phi, iso_inverse(phi)))
 
 
 def test_rotation_automorphism_property():
@@ -452,7 +452,7 @@ def test_dichotomy_fixed_line_example():
 def test_dichotomy_off_origin_rotation():
     t = HeisIsometry.translation(HeisPoint.of(1, 0, 0))
     rot = HeisIsometry.point_symmetry(ROT_PI_2)
-    conj = t.compose(rot).compose(t.inverse())
+    conj = iso_compose(iso_compose(t, rot), iso_inverse(t))
     res = nil_projection_dichotomy([conj])
     assert res.kind == FIXES_POINT
     assert res.point == (Fraction(1), Fraction(0))
@@ -476,8 +476,8 @@ def test_dichotomy_order_12_linear_part_is_non_discrete():
     # parts generate an order-12 rotation, which no infinite discrete
     # planar group holds, and no point is fixed
     t = HeisIsometry.translation(HeisPoint.of(1, 0, 0))
-    rot_far = t.compose(
-        HeisIsometry.point_symmetry(ROT_PI_2)).compose(t.inverse())
+    rot_far = iso_compose(iso_compose(
+        t, HeisIsometry.point_symmetry(ROT_PI_2)), iso_inverse(t))
     gens = [HeisIsometry.point_symmetry(ROT_PI_3), rot_far]
     for bound in (0, 4, 8):
         res = nil_projection_dichotomy(gens, word_bound=bound)
@@ -522,7 +522,7 @@ def test_dichotomy_two_half_turns():
     # half turns about (0,0) and (1/2, 0): infinite dihedral on the x-axis
     t = HeisIsometry.translation(HeisPoint.of(1, 0, 0))
     r0 = HeisIsometry.point_symmetry(ROT_PI)
-    r1 = t.compose(r0).compose(t.inverse())
+    r1 = iso_compose(iso_compose(t, r0), iso_inverse(t))
     res = nil_projection_dichotomy([r0, r1])
     assert res.kind == FIXES_LINE
     assert res.direction[1] == 0
@@ -534,10 +534,10 @@ def test_rotation_order_validation():
     # rotation by pi/6: order 12, exactly representable over Q(sqrt(3))
     order12 = ((half_r3, Fraction(-1, 2)), (Fraction(1, 2), half_r3))
     iso = HeisIsometry.point_symmetry(order12)
-    assert iso.compose(iso).rot == ROT_PI_3
+    assert iso_compose(iso, iso).rot == ROT_PI_3
     # but it stabilizes no planar lattice
     with pytest.raises(ValueError):
-        lift_point_symmetry(lattice_hex(1), order12)
+        global_lift(lattice_hex(1), order12)
     with pytest.raises(ValueError):
         HeisIsometry.point_symmetry(((1, 1), (0, 1)))   # not orthogonal
     scaled = ((Fraction(3, 5), Fraction(-4, 5)),
@@ -616,7 +616,7 @@ def test_infinite_order_product_raises_every_time():
         b = HeisIsometry.point_symmetry(REFLECT)
         for _ in range(3):
             with pytest.raises(ValueError, match="finite order dividing 12"):
-                a.compose(b)
+                iso_compose(a, b)
         gens = [a, HeisIsometry(REFLECT, HeisPoint.of(0, 1, 0)),
                 HeisIsometry.translation(HeisPoint.of(1, 0, 0))]
         for _ in range(2):
@@ -639,9 +639,9 @@ def test_non_orthogonal_rotation_rejected_every_time():
 def test_list_valued_rotation_constructs():
     iso = HeisIsometry([[0, -1], [1, 0]], HeisPoint.of(1, 0, 0))
     assert iso.rot == [[0, -1], [1, 0]]
-    square = iso.compose(iso)
+    square = iso_compose(iso, iso)
     assert mat2_eq(square.rot, ROT_PI)
-    assert mat2_eq(iso.inverse().compose(iso).rot, MAT2_ID)
+    assert mat2_eq(iso_compose(iso_inverse(iso), iso).rot, MAT2_ID)
 
 
 def test_dichotomy_rejects_negative_word_bound():
@@ -758,7 +758,7 @@ def test_adjoined_lifts_still_count_cosets_by_the_loop():
     for n in (1, 2, 3):
         lat = lattice_gp(n)
         pg = planar_point_group(lat.u, lat.v)
-        lifts = [lift_point_symmetry(lat, m) for m in pg.elements
+        lifts = [global_lift(lat, m) for m in pg.elements
                  if not mat2_eq(m, MAT2_ID)]
         d = nil_quotient_isometry(lat, extra=pg)
         assert d.finite_part["translation_cosets"] \
@@ -856,6 +856,11 @@ def hex_offset_lattice(n: int):
     return nil_lattice_make(*HEX, r=Fraction(1, 3), n=n)
 
 
+FRAME_FAMILIES = {**LATTICE_FAMILIES,
+                  "irrational-offset": irrational_offset_lattice,
+                  "hex-offset": hex_offset_lattice}
+
+
 def answer(call):
     """Canonical JSON of a descriptor, or the text of its domain error."""
     try:
@@ -866,11 +871,9 @@ def answer(call):
 
 def assert_frame_matches_the_global_oracles(lat, groups):
     pg = planar_point_group(lat.u, lat.v)
+    frame = _LatticeFrame(lat)
     for r, m in zip(pg.elements, pg.basis_matrices):
-        lift = lift_point_symmetry(lat, r)
-        assert lift == global_lift(lat, r)
-        frame = _LatticeFrame(lat)
-        assert frame.to_global(r, frame.lift(m)) == lift
+        assert frame_isometry(lat, frame, frame.lift(m)) == global_lift(lat, r)
     for group in groups:
         assert answer(lambda: nil_quotient_isometry(lat, extra=group)) \
             == answer(lambda: global_quotient_isometry(lat, group))
@@ -883,8 +886,7 @@ def test_frame_path_matches_the_global_oracles(family, n):
     # the lifts, and the descriptor or error of every subgroup adjoined
     # (also by two of its elements), equal those of the global-coordinate
     # path the frame replaced
-    lat = {**LATTICE_FAMILIES, "irrational-offset": irrational_offset_lattice,
-           "hex-offset": hex_offset_lattice}[family](n)
+    lat = FRAME_FAMILIES[family](n)
     groups = point_subgroups(planar_point_group(lat.u, lat.v))
     assert_frame_matches_the_global_oracles(
         lat, groups + [group[1:3] for group in groups])
@@ -898,6 +900,64 @@ def test_frame_matches_the_global_oracles_on_skewed_bases(
     lat = nil_lattice_make(*change_basis(*lattice, m), r=r, s=s, n=n)
     groups = point_subgroups(planar_point_group(lat.u, lat.v))
     assert_frame_matches_the_global_oracles(lat, rng.sample(groups, 2))
+
+
+def frame_lattice_element(frame, a: int, b: int, c: int):
+    """A lattice element in frame coordinates: K = P (a, b) and W = C
+    base(a, b) + 2 C c (see `_LatticeFrame`)."""
+    return (MAT2_ID, (frame.P * a, frame.P * b),
+            frame.ca * a + frame.cb * b + frame.cn * a * b + 2 * frame.C * c)
+
+
+small_ints = st.integers(-3, 3)
+# mostly 0, so that a nudged lattice element often stays in the lattice
+nudges = st.sampled_from((0, 0, 0, 1, -1, 2))
+
+
+@st.composite
+def near_lattice(draw, frame):
+    """(K, W) of a lattice element moved by C c (in the lattice exactly
+    for even c) and by a few units of the frame."""
+    _, (k1, k2), w = frame_lattice_element(
+        frame, draw(small_ints), draw(small_ints), 0)
+    c, d1, d2, dw = (draw(small_ints), draw(nudges), draw(nudges),
+                     draw(nudges))
+    return (k1 + d1, k2 + d2), w + frame.C * c + dw
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(FRAME_FAMILIES)), st.integers(1, 4), st.data())
+def test_frame_group_law_matches_the_global_oracles(family, n, data):
+    # random lifts times lattice elements, and times elements near the
+    # lattice, mapped to global coordinates: the frame's product, inverse,
+    # difference and membership test agree with the group law and the
+    # lattice membership in global coordinates
+    lat = FRAME_FAMILIES[family](n)
+    frame = _LatticeFrame(lat)
+    matrices = st.sampled_from(lat.point_group.basis_matrices)
+
+    def element(m):
+        left = frame_lattice_element(frame, *data.draw(
+            st.tuples(small_ints, small_ints, small_ints)))
+        right = (MAT2_ID, *data.draw(near_lattice(frame)))
+        return frame.compose(frame.compose(left, frame.lift(m)), right)
+
+    def as_global(x):
+        return frame_isometry(lat, frame, x)
+
+    x, y = element(data.draw(matrices)), element(data.draw(matrices))
+    assert as_global(frame.compose(x, y)) == iso_compose(as_global(x),
+                                                         as_global(y))
+    assert as_global(frame.inverse(x)) == iso_inverse(as_global(x))
+    twin = element(x[0])
+    quotient = iso_compose(as_global(x), iso_inverse(as_global(twin)))
+    k, w = frame.difference(x, twin)
+    assert mat2_eq(quotient.rot, MAT2_ID)
+    assert frame_point(lat, frame, k, w) == quotient.trans
+    assert frame.contains(k, w) == lattice_contains(lat, quotient.trans)
+    k, w = data.draw(near_lattice(frame))
+    assert frame.contains(k, w) == lattice_contains(
+        lat, frame_point(lat, frame, k, w))
 
 
 SIGMA = ((HALF, -HALF * QuadRat(0, 1, 3)), (-HALF * QuadRat(0, 1, 3), -HALF))
@@ -952,16 +1012,6 @@ def test_adjoined_maps_take_milliseconds_at_any_n():
     assert reflect.total_order == 512
     assert reflect.finite_part["translation_cosets"] == 128
     assert reflect.finite_part["point_quotient"] == 2
-
-
-def test_lattice_basis_inverse_is_not_a_field():
-    lat = lattice_hex(3)
-    fresh = lattice_hex(3)
-    assert lat.contains(HeisPoint(*lat.u, lat.r))      # fills the cache
-    assert "basis_inv" in vars(lat) and "basis_inv" not in vars(fresh)
-    assert lat == fresh and hash(lat) == hash(fresh)
-    assert repr(lat) == repr(fresh)
-    assert mat2_mul(lat.basis_inv, lat.basis) == ((1, 0), (0, 1))
 
 
 def test_lattice_point_group_is_not_a_field():
@@ -1112,7 +1162,7 @@ def _assert_central_witness(res, gens):
     group: it commutes with every translation part, multiplied out."""
     w = res.witness
     assert w.x == 0 and w.y == 0 and w.z > 0
-    assert not w.is_identity()
+    assert w != HEIS_ID
     for g in gens:
         assert heis_mul(w, g.trans) == heis_mul(g.trans, w)
         assert heis_conjugate(g.trans, w) == w
@@ -1206,7 +1256,7 @@ def lattice_groups(draw):
     pg = planar_point_group(lat.u, lat.v)
     mats = draw(st.lists(st.sampled_from(pg.elements), max_size=3))
     gens = [HeisIsometry.translation(g) for g in lat.generators()]
-    gens += [lift_point_symmetry(lat, m) for m in mats]
+    gens += [global_lift(lat, m) for m in mats]
     return lat, draw(st.permutations(gens)), mats
 
 
@@ -1285,6 +1335,17 @@ def test_mixed_fields_give_one_verdict_in_every_order():
             res = nil_projection_dichotomy([_shift(*t) for t in order])
             assert res.kind == kind
             assert (res.witness and res.witness.z) == witness
+    # the covolume sqrt(2) sqrt(3) is sqrt(6), read off the integer rows;
+    # sqrt(3) + sqrt(6) has terms in two fields, so no QuadRat holds it
+    for order in itertools.permutations([(sqrt2, 0), (0, SQRT3)]):
+        res = nil_projection_dichotomy([_shift(*t) for t in order])
+        assert res.kind == DISCRETE_PROJECTION
+        assert res.witness == HeisPoint.of(0, 0, QuadRat(0, 1, 6))
+    for order in itertools.permutations([(1 + sqrt2, 0), (0, SQRT3)]):
+        with pytest.raises(ValueError, match=re.escape(
+                "has terms in sqrt(3) + sqrt(6): it lies in no single "
+                "Q(sqrt(d))")):
+            nil_projection_dichotomy([_shift(*t) for t in order])
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -1325,7 +1386,7 @@ def test_verdict_is_invariant_under_nielsen_moves(gens, data):
     if len(gens) > 1:
         i, j = data.draw(st.permutations(range(len(gens))))[:2]
         moved = list(gens)
-        moved[i] = gens[i].compose(gens[j])
+        moved[i] = iso_compose(gens[i], gens[j])
         assert _verdict(moved) == before
 
 
@@ -1333,7 +1394,7 @@ def test_verdict_is_invariant_under_nielsen_moves(gens, data):
 @given(generator_sets, st.data())
 def test_verdict_is_invariant_under_appending_a_product(gens, data):
     word = data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=4))
-    product = functools.reduce(HeisIsometry.compose, word)
+    product = functools.reduce(iso_compose, word)
     assert _verdict(gens + [product]) == _verdict(gens)
 
 
@@ -1342,7 +1403,7 @@ def test_verdict_is_invariant_under_appending_a_product(gens, data):
 def test_verdict_is_invariant_under_conjugation(gens, h):
     # conjugation moves a fixed point, but keeps the kind and the covolume
     kind, witness, _ = _verdict(gens)
-    conj = [h.compose(g).compose(h.inverse()) for g in gens]
+    conj = [iso_compose(iso_compose(h, g), iso_inverse(h)) for g in gens]
     assert _verdict(conj)[:2] == (kind, witness)
 
 
@@ -1386,7 +1447,7 @@ def reflection_sets(draw):
         else:
             g = _about(sigma, c, z)
             if kind == "glide":
-                g = _shift(q * along[0], q * along[1]).compose(g)
+                g = iso_compose(_shift(q * along[0], q * along[1]), g)
             gens.append(g)
     return gens
 
