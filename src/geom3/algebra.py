@@ -433,17 +433,90 @@ def scalar_is_rational(x: Scalar) -> bool:
     return not (isinstance(x, QuadRat) and x.q != 0)
 
 
+def _exact_parts(x) -> tuple[int, int, int]:
+    if isinstance(x, QuadRat):
+        return x.p, x.q, x.r
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator
+    raise ValueError(f"exact entries required, not {x!r}")
+
+
 def clear_denominators(xs) -> tuple[int, list]:
     """(r, nums) for exact scalars xs: r is the least positive integer that
     makes every r x integral (in Z, or in Z[sqrt(d)] for an irrational x),
     and nums holds each r x in order, as an int for a rational x and as
     the pair (p, q) of r x = p + q sqrt(d) for an irrational x, whose field
-    d the caller reads off x.  With no xs, r = 1."""
-    parts = [(x.p, x.q, x.r) if isinstance(x, QuadRat)
-             else (x.numerator, 0, x.denominator) for x in xs]
+    d the caller reads off x.  With no xs, r = 1.  A float is a domain
+    error, since no integer may take one silently."""
+    parts = [_exact_parts(x) for x in xs]
     r = lcm(*(part[2] for part in parts))
     return r, [(p * (r // s), q * (r // s)) if q else p * (r // s)
                for p, q, s in parts]
+
+
+def integer_rows(vectors, lead: int = 0) \
+        -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
+    """(r, radicands, rows) for exact planar vectors: the radicands (1,
+    d_1, ..., d_k) of the fields that occur (lead first, when given), and
+    each vector as an integer row over the common denominator r on the
+    Q-basis {1, sqrt(d_1), ...}: (x, y) -> (x_0, y_0, x_1, y_1, ...) for
+    x = (x_0 + x_1 sqrt(d_1) + ...) / r.  1 and the sqrt(d_i) are linearly
+    independent over Q, so the rows have the Q-rank of the vectors."""
+    flat = [x for v in vectors for x in v]
+    r, nums = clear_denominators(flat)
+    fields = sorted({x.d for x, num in zip(flat, nums)
+                     if isinstance(num, tuple)} - {lead})
+    if lead:
+        fields.insert(0, lead)
+    rows = [[0] * (2 * len(fields) + 2) for _ in vectors]
+    for i, (x, num) in enumerate(zip(flat, nums)):
+        row, k = rows[i // 2], i % 2
+        if isinstance(num, tuple):
+            row[k], row[2 * fields.index(x.d) + 2 + k] = num
+        else:
+            row[k] = num
+    return r, (1, *fields), list(map(tuple, rows))
+
+
+def row_scalar(coeffs, radicands, den: int) -> Scalar:
+    """sum(c_k sqrt(d_k)) / den for the coefficients c_k of one entry of
+    an `integer_rows` row on its radicands."""
+    roots = [(d, c) for d, c in zip(radicands[1:], coeffs[1:]) if c]
+    if len(roots) > 1:
+        one_field(roots[0][0], roots[1][0])
+    rational = Fraction(coeffs[0], den)
+    if not roots:
+        return rational
+    return QuadRat(rational, Fraction(roots[0][1], den), roots[0][0])
+
+
+def cross_parts(radicands: tuple[int, ...], u: tuple[int, ...],
+                v: tuple[int, ...]) -> dict[int, int]:
+    """r^2 cross(u, v) for two `integer_rows` rows over r, as {d: c} for
+    the nonzero terms c sqrt(d).
+
+    The cross product is the sum over k, l of (u_x,k v_y,l - u_y,k v_x,l)
+    sqrt(d_k d_l), with sqrt(d_k d_l) = g sqrt(d_k d_l / g^2) for g =
+    gcd(d_k, d_l).  Square roots of distinct square-free integers are
+    linearly independent over Q, so the vectors are parallel exactly when
+    no term is left; no two fields are multiplied as QuadRat values, which
+    would refuse sqrt(2) sqrt(3)."""
+    coeffs = {}
+    for k, dk in enumerate(radicands):
+        for l, dl in enumerate(radicands):
+            c = u[2 * k] * v[2 * l + 1] - u[2 * k + 1] * v[2 * l]
+            if c:
+                g = gcd(dk, dl)
+                d = dk * dl // (g * g)
+                coeffs[d] = coeffs.get(d, 0) + c * g
+    return {d: c for d, c in coeffs.items() if c}
+
+
+def one_field(a: int, b: int) -> None:
+    """Refuse, as QuadRat arithmetic does, to combine irrational values of
+    Q(sqrt(a)) and Q(sqrt(b)), a != b (0 stands for a rational value)."""
+    if a and b and a != b:
+        raise MixedDiscriminantError(f"cannot mix sqrt({a}) with sqrt({b})")
 
 
 def as_exact(x) -> Scalar:

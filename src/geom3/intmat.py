@@ -9,7 +9,8 @@ Euclidean translation lattices, ranks and coinvariants, and the Z-rank
 and covolume of the Nil dichotomy's translations all go through it.
 
 The helpers the geometry modules share live here too: 2x2/vector
-arithmetic over exact scalars, the n x n matrix product, and the
+arithmetic over exact scalars, 2x2 matrices over Z[sqrt(d)] acting on
+integer rows (the Nil Schreier walk), the n x n matrix product, and the
 breadth-first word ball behind every closure and word search.
 """
 
@@ -63,6 +64,41 @@ def mat2_eq(m: Mat2, n: Mat2) -> bool:
 
 
 MAT2_ID: Mat2 = ((1, 0), (0, 1))
+
+
+# -- 2x2 matrices over Z[sqrt(d)] acting on integer rows ---------------------
+
+def zsqrt_apply(m, w, d: int) -> list:
+    """m w for a 2x2 matrix m over Z[sqrt(d)] and an integer row w.
+
+    m is its two rows on {1, sqrt(d)}: (a_00, a_01, b_00, b_01, a_10,
+    a_11, b_10, b_11) for m_ij = a_ij + b_ij sqrt(d).  w is (x_0, y_0,
+    x_1, y_1, ...) on a Q-basis {1, sqrt(d), ...}, as `algebra.integer_rows`
+    writes it with d first (d = 0 for a rational m).  The rational part of
+    m acts on each block (x_k, y_k), and its sqrt(d) part moves the first
+    two blocks into each other; where it is nonzero, the later blocks of w
+    must be 0."""
+    a0, a1, b0, b1, a2, a3, b2, b3 = m
+    out = []
+    for k in range(0, len(w), 2):
+        x, y = w[k], w[k + 1]
+        out += (a0 * x + a1 * y, a2 * x + a3 * y)
+    if d:
+        x, y, u, v = w[:4]
+        out[0] += d * (b0 * u + b1 * v)
+        out[1] += d * (b2 * u + b3 * v)
+        out[2] += b0 * x + b1 * y
+        out[3] += b2 * x + b3 * y
+    return out
+
+
+def zsqrt_mul(m, n_t, d: int, den: int) -> Optional[tuple[int, ...]]:
+    """m n / den for two such matrices, from the rows of n^T (so m m^T
+    for n_t = m), or None when an entry of m n is not a multiple of den."""
+    prod = zsqrt_apply(n_t, m[:4], d) + zsqrt_apply(n_t, m[4:], d)
+    if any(map(den.__rmod__, prod)):
+        return None
+    return tuple(map(den.__rfloordiv__, prod))
 
 
 def matmul(a, b) -> tuple:

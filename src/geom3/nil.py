@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -44,7 +44,11 @@ from .algebra import (
     Scalar,
     as_exact,
     clear_denominators,
+    cross_parts,
     format_scalar,
+    integer_rows,
+    one_field,
+    row_scalar,
     scalar_is_rational,
 )
 from .descriptors import IsoDescriptor
@@ -66,6 +70,8 @@ from .intmat import (
     vec2_dot,
     vec2_sub,
     word_ball,
+    zsqrt_apply,
+    zsqrt_mul,
 )
 
 HALF = Fraction(1, 2)
@@ -95,8 +101,7 @@ class HeisPoint:
         return (self.x, self.y)
 
     def to_json(self):
-        return [format_scalar(self.x), format_scalar(self.y),
-                format_scalar(self.z)]
+        return list(map(format_scalar, (self.x, self.y, self.z)))
 
 
 HEIS_ID = HeisPoint(Fraction(0), Fraction(0), Fraction(0))
@@ -115,50 +120,47 @@ def heis_conjugate(g: HeisPoint, t: HeisPoint) -> HeisPoint:
 
 # -- the O(2) part ------------------------------------------------------------
 
+@functools.lru_cache(maxsize=256)
 def _orthogonal_order(rot: Mat2) -> int:
-    """Order of an exactly representable orthogonal matrix.
+    """Order of an exactly representable orthogonal matrix (row tuples).
 
     The representable finite rotations over Q and Q(sqrt(3)) have order
     dividing 12; the crystallographic orders {1, 2, 3, 4, 6} are the ones
     that can stabilize a lattice, but words in such rotations about
-    different centers may still pass through order-12 elements.
-
-    The check runs once per matrix value: the rotation parts met in one
-    computation form a small finite group, so products keep hitting the
-    cache.  A matrix that fails raises every time (exceptions are not
-    cached).
+    different centers may still pass through order-12 elements.  Cached
+    by value for `HeisIsometry`, whose generators repeat a few rotations:
+    on ROT_PI_3 a hit takes 2 us and the QuadRat check 27 us, a tenth of a
+    p6 dichotomy call (Xeon, Python 3.11.7).  Failures are not cached.
     """
-    return _cached_order(tuple(map(tuple, rot)))
-
-
-@functools.lru_cache(maxsize=256)
-def _cached_order(rot: Mat2) -> int:
-    """The cache stays although the order is a table lookup: the
-    orthogonality check is the cost.  On ROT_PI_3 a hit takes about 2 us,
-    the check and the lookup about 37 us, and without the cache p6
-    dichotomy calls ran 12-18% slower (Xeon, Python 3.11.7)."""
     if not mat2_eq(mat2_mul(mat2_transpose(rot), rot), MAT2_ID):
         raise ValueError("rotation part must be orthogonal")
     return _matrix_order(rot)
 
 
-# Order k of a rotation by its trace 2 cos(2 pi / k): with entries in a
-# quadratic field, order 5, 10 or 24 would need a sine of degree 4, and
-# order 8 (over Q(sqrt(2))) lies outside the Q and Q(sqrt(3)) supported.
-_ORDER_BY_TRACE = {2: 1, -2: 2, -1: 3, 0: 4, 1: 6,
-                   QuadRat(0, 1, 3): 12, QuadRat(0, -1, 3): 12,
-                   QuadRat(0, 1, 2): 8, QuadRat(0, -1, 2): 8}
+# Order k of a rotation by its trace 2 cos(2 pi / k) = t + u sqrt(d), as
+# (t, u, d), d = 0 if rational: over a quadratic field, order 5, 10 or 24
+# would need a sine of degree 4, and order 8 lies outside Q and Q(sqrt(3)).
+_ORDER_BY_TRACE = {(2, 0, 0): 1, (-2, 0, 0): 2, (-1, 0, 0): 3, (0, 0, 0): 4,
+                   (1, 0, 0): 6, (0, 1, 3): 12, (0, -1, 3): 12,
+                   (0, 1, 2): 8, (0, -1, 2): 8}
+_INFINITE_ORDER = "rotation part must have finite order dividing 12"
 
 
 def _matrix_order(m: Mat2) -> int:
     """Order of an orthogonal 2x2 matrix, or of its integer matrix
     B^-1 m B in a lattice basis B: det -1 is a reflection, and for det 1
     the trace decides."""
-    if mat2_det(m) == -1:
+    t = m[0][0] + m[1][1]
+    return _order(mat2_det(m) == -1, (t.a, t.b, t.d)
+                  if isinstance(t, QuadRat) and t.q else (t, 0, 0))
+
+
+def _order(reflection: bool, trace) -> int:
+    if reflection:
         return 2
-    order = _ORDER_BY_TRACE.get(m[0][0] + m[1][1])
+    order = _ORDER_BY_TRACE.get(trace)
     if order is None:
-        raise ValueError("rotation part must have finite order dividing 12")
+        raise ValueError(_INFINITE_ORDER)
     if 12 % order:
         raise ValueError(f"order {order} is not exactly representable")
     return order
@@ -179,7 +181,7 @@ class HeisIsometry:
     trans: HeisPoint
 
     def __post_init__(self):
-        _orthogonal_order(self.rot)
+        _orthogonal_order(tuple(map(tuple, self.rot)))
 
     @classmethod
     def translation(cls, p: HeisPoint) -> "HeisIsometry":
@@ -226,8 +228,8 @@ class NilLattice:
 
     def to_json_dict(self) -> dict:
         return {
-            "u": [format_scalar(self.u[0]), format_scalar(self.u[1])],
-            "v": [format_scalar(self.v[0]), format_scalar(self.v[1])],
+            "u": list(map(format_scalar, self.u)),
+            "v": list(map(format_scalar, self.v)),
             "r": format_scalar(self.r),
             "s": format_scalar(self.s),
             "n": self.n,
@@ -276,10 +278,8 @@ class NilNormalizer:
 
     def to_json_dict(self) -> dict:
         return {
-            "planar_u": [format_scalar(self.planar_u[0]),
-                         format_scalar(self.planar_u[1])],
-            "planar_v": [format_scalar(self.planar_v[0]),
-                         format_scalar(self.planar_v[1])],
+            "planar_u": list(map(format_scalar, self.planar_u)),
+            "planar_v": list(map(format_scalar, self.planar_v)),
             "z": "R",
             "index": self.index,
         }
@@ -790,12 +790,9 @@ class DichotomyResult:
 
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind}
-        if self.point is not None:
-            out["point"] = [format_scalar(self.point[0]),
-                            format_scalar(self.point[1])]
-        if self.direction is not None:
-            out["direction"] = [format_scalar(self.direction[0]),
-                                format_scalar(self.direction[1])]
+        for key, v in (("point", self.point), ("direction", self.direction)):
+            if v is not None:
+                out[key] = list(map(format_scalar, v))
         if self.witness is not None:
             out["central_witness"] = self.witness.to_json()
         return out
@@ -807,15 +804,10 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
 
     Decided exactly by one Reidemeister-Schreier pass (Magnus, Karrass and
     Solitar, Combinatorial Group Theory, section 2.3) over the projected
-    group P:
-
-    - the linear parts R_i generate a finite group F of at most 24
-      elements; a breadth-first search over F that carries the planar
-      affine part gives one element s_f = (f, w_f) of P over each f in F;
-    - the translation subgroup T has index |F| in P and is generated by
-      the translation parts of s_f g_i s_{f R_i}^-1.
-
-    The verdict follows from |F| and the span of T:
+    group P, `_schreier_translations`: the linear parts generate a finite
+    group F, P has one element s_f = (f, w_f) over each f in F, and the
+    translation subgroup T has index |F| in P.  The verdict follows from
+    |F| and the span of T:
 
     =================  ====================================================
     T                  verdict
@@ -835,62 +827,51 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
     Z-rank >= 3
     =================  ====================================================
 
-    `_integer_rows` writes the generators of T as integer rows.  Whether T
-    spans the plane is read off them (`_cross_parts`), with no product of
-    values from two fields, so the answer does not depend on the order of
-    the generators when sqrt(2) and sqrt(3) mix.  Once T spans the plane,
-    the lattice kernel `intmat.ZSpan` reads its Z-rank off one Smith
-    normal form.  For a lattice, the witness (0, 0, c) is the commutator
-    of lifts of a positively oriented basis b_1, b_2 of T, so c =
-    |cross(b_1, b_2)| > 0 is the covolume of T; it is read as |cross(t_a,
-    t_b)| / [T : Z t_a + Z t_b], the index being the determinant of the
-    kernel coordinates of the first generator t_a and the first t_b not
-    parallel to it.  The cross product comes off the integer rows too, so
-    sqrt(2) sqrt(3) gives the covolume sqrt(6); a covolume with terms in
-    two fields, such as sqrt(3) + sqrt(6), raises ValueError, since no
-    QuadRat holds it.  With Z-rank 3 or more, the input group is not
-    discrete: its translations would project onto a subgroup of that rank
-    of the plane, more than a discrete subgroup of the Heisenberg group
-    (Hirsch length at most 3) can carry.  This covers
-    every set whose linear parts hold a rotation of order 12, which no
-    planar lattice admits.
+    The pass runs in integers and gives T's generators as integer rows on
+    a Q-basis {1, sqrt(d_1), ...}; scalars are rebuilt only for the point,
+    direction or covolume reported.  Whether T spans the plane is read off
+    the rows (`cross_parts`) without multiplying two fields, so the answer
+    does not depend on the order of the generators when sqrt(2) and
+    sqrt(3) mix; `intmat.ZSpan` reads T's Z-rank off one Smith normal
+    form.  For a lattice, the witness (0, 0, c) is the commutator of lifts
+    of a positively oriented basis of T: c > 0 is its covolume, |cross(t_a,
+    t_b)| / [T : Z t_a + Z t_b] for the first generator t_a and the first
+    t_b not parallel to it.  sqrt(2) sqrt(3) gives the covolume sqrt(6);
+    one in two fields, such as sqrt(3) + sqrt(6), raises ValueError.
+    Z-rank 3 or more is more than a discrete subgroup of the Heisenberg
+    group (Hirsch length at most 3) projects to; this covers every set
+    whose linear parts hold a rotation of order 12, which no planar
+    lattice admits.
 
     Linear parts that generate an infinite group raise ValueError, also
-    when every generator fixes one point.
-
-    Out of scope: discreteness along the center.  For example (0, 0,
-    sqrt(3)) adjoined to (1, 0, 0) and (0, 1, 0) gives a group that is not
-    discrete, but its projection is, and the verdict is
-    DiscreteProjection.
-
+    when every generator fixes one point.  Out of scope: discreteness
+    along the center; (0, 0, sqrt(3)) adjoined to (1, 0, 0) and (0, 1, 0)
+    gives a non-discrete group with the verdict DiscreteProjection.
     `word_bound` is kept for compatibility and must be >= 0; no verdict
     depends on it.
     """
     if word_bound < 0:
         raise ValueError("word_bound must be >= 0")
     planar = [g.planar_part() for g in gens]
-    transversal, translations = _schreier_translations(planar)
+    transversal, rows, radicands, D, r = _schreier_translations(planar)
 
-    if not translations:
-        if len(transversal) == 2:
-            sigma = list(transversal)[1]
-            if mat2_det(sigma) == -1:
-                rows = ((1 - sigma[0][0], -sigma[0][1]),
-                        (-sigma[1][0], 1 - sigma[1][1]))
-                a, b = next(r for r in rows if r[0] or r[1])
-                return DichotomyResult(FIXES_LINE, direction=(-b, a))
-        inv = Fraction(1, len(transversal))
-        point = (sum(w[0] for w in transversal.values()) * inv,
-                 sum(w[1] for w in transversal.values()) * inv)
-        return DichotomyResult(FIXES_POINT, point=point)
+    if not rows:
+        f = list(transversal)[-1]
+        if len(transversal) == 2 and f != (-D, 0, 0, 0, 0, -D, 0, 0):
+            fixed = ((D - f[0], -f[1], -f[2], -f[3]),
+                     (-f[4], D - f[5], -f[6], -f[7]))     # I - sigma
+            a, b = _vector(next(v for v in fixed if any(v)), radicands, D)
+            return DichotomyResult(FIXES_LINE, direction=(-b, a))
+        total = [sum(column) for column in zip(*transversal.values())]
+        return DichotomyResult(FIXES_POINT, point=_vector(
+            total, radicands, r * len(transversal)))
 
-    r, radicands, rows = _integer_rows(translations)
     crossing = ((j, parts) for j, row in enumerate(rows)
-                if (parts := _cross_parts(radicands, rows[0], row)))
+                if (parts := cross_parts(radicands, rows[0], row)))
     j, parts = next(crossing, (None, None))
     if j is None:
         return DichotomyResult(FIXES_LINE, direction=_invariant_direction(
-            planar, translations[0]))
+            planar, _vector(rows[0], radicands, r)))
 
     span = ZSpan(dict.fromkeys(rows), len(rows[0]))
     if span.rank > 2:
@@ -902,84 +883,95 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
                                              covolume))
 
 
-def _schreier_translations(planar) -> tuple[dict, list[Vec2]]:
-    """Transversal {f: w_f} and the nonzero generators of the translation
-    subgroup of the planar group.
+def _schreier_translations(planar):
+    """The Reidemeister-Schreier pass in integers: the transversal {f:
+    w_f}, the nonzero Schreier translations, the radicands, and the
+    denominators D of linear parts and r of vectors.
 
-    Breadth-first over the linear parts: the first element met over each
-    linear part f is its transversal element s_f = (f, w_f), and every
-    other edge s_f g_i gives the Schreier generator s_f g_i s_{f R_i}^-1,
-    the translation by w_f + f w_i - w_{f R_i}.  Every new linear part
-    passes the order check, and at most POINT_GROUP_CAP are admitted.
+    Vectors are `integer_rows` over r, the field Q(sqrt(d)) of the linear
+    parts first.  A linear part f is its two rows over D on {1, sqrt(d)},
+    (a_00, a_01, b_00, b_01, a_10, ...) for f_ij = (a_ij + b_ij sqrt(d)) /
+    D.  Breadth-first over F, s_f = (f, w_f) is the first element met over
+    f, and every other edge s_f g_i gives the translation w_f + f w_i -
+    w_{f R_i}.  Each new f passes the orthogonality and order checks, at
+    most POINT_GROUP_CAP of them.  A finite F stays over D: its rotations
+    have entries in Z or 1/2 Z[sqrt(3)], its reflections are one of them
+    times a generator.  Each value stays in one field, as in the QuadRat
+    pass this replaced, and MixedDiscriminantError comes where it came.
     """
-    queue = [(MAT2_ID, (Fraction(0), Fraction(0)))]
+    D, lin_rad, cols = integer_rows([c for rot, _ in planar
+                                     for c in zip(*rot)])
+    if len(lin_rad) > 2:
+        one_field(*lin_rad[1:3])
+    d = lin_rad[1] if len(lin_rad) > 1 else 0
+    r, rad, rows = integer_rows([w for _, w in planar], d)
+    pad = (0, 0) * (2 - len(lin_rad))
+    gens = [(cols[k] + pad + cols[k + 1] + pad, rows[k // 2])
+            for k in range(0, len(cols), 2)]
+    queue = [((D, 0, 0, 0, 0, D, 0, 0), (0,) * (2 * len(rad)))]
     transversal = dict(queue)
     out = []
     for f, w_f in queue:                 # grows while it is walked
-        for rot, w in planar:
-            f_rot = mat2_mul(f, rot)
-            fw = mat2_apply(f, w)
-            image = (w_f[0] + fw[0], w_f[1] + fw[1])
+        for g_t, w in gens:
+            fw = zsqrt_apply(f, w, d)
+            if len(rad) > 2:
+                _mixed_edge(rad, d, f, w, w_f, fw)
+            image = tuple(map(add, w_f, fw))
+            f_rot = zsqrt_mul(f, g_t, d, D)
             w_next = transversal.get(f_rot)
             if w_next is None:
-                _orthogonal_order(f_rot)
+                _linear_order(f_rot, d, D)
                 if len(transversal) == POINT_GROUP_CAP:
                     raise ValueError("linear parts generate too large a group")
                 transversal[f_rot] = image
                 queue.append((f_rot, image))
             else:
-                t = vec2_sub(image, w_next)
-                if t[0] or t[1]:
+                for i in (0, 1) if len(rad) > 2 else ():
+                    one_field(_field(rad, image, i), _field(rad, w_next, i))
+                t = tuple(map(sub, image, w_next))
+                if any(t):
                     out.append(t)
-    return transversal, out
+    return transversal, out, rad, D, D * r
 
 
-def _integer_rows(vectors: list[Vec2]) \
-        -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
-    """The common denominator r, the radicands (1, d_1, ..., d_k) of the
-    fields that occur, and the planar vectors as integer rows over r on the
-    Q-basis {1, sqrt(d_1), ..., sqrt(d_k)}: (x, y) -> (x_0, y_0, x_1, y_1,
-    ...) for x = (x_0 + x_1 sqrt(d_1) + ...) / r.  1 and the sqrt(d_i) are
-    linearly independent over Q, so the rows have the Q-rank of the
-    vectors."""
-    flat = [x for v in vectors for x in v]
-    r, nums = clear_denominators(flat)
-    fields = sorted({x.d for x, num in zip(flat, nums)
-                     if isinstance(num, tuple)})
-    rows = [[0] * (2 * len(fields) + 2) for _ in vectors]
-    for i, (x, num) in enumerate(zip(flat, nums)):
-        row, k = rows[i // 2], i % 2
-        if isinstance(num, tuple):
-            row[k], row[2 * fields.index(x.d) + 2 + k] = num
-        else:
-            row[k] = num
-    return r, (1, *fields), list(map(tuple, rows))
+def _linear_order(f, d: int, D: int) -> int:
+    """`_matrix_order` of a linear part over D, once f f^T = I; None is a
+    product not over D, of infinite order."""
+    if f is None:
+        raise ValueError(_INFINITE_ORDER)
+    if zsqrt_mul(f, f, d, D) != (D, 0, 0, 0, 0, D, 0, 0):
+        raise ValueError("rotation part must be orthogonal")
+    t, u = f[0] + f[5], f[2] + f[7]
+    det = f[0] * f[5] - f[1] * f[4] + d * (f[2] * f[7] - f[3] * f[6])
+    return _order(det == -D * D,
+                  None if t % D or u % D else (t // D, u // D, u and d))
 
 
-def _cross_parts(radicands: tuple[int, ...], u: tuple[int, ...],
-                 v: tuple[int, ...]) -> dict[int, int]:
-    """r^2 cross(u, v) for two vectors given as integer rows of
-    `_integer_rows`, as {d: c} for the nonzero terms c sqrt(d).
+def _field(rad, row, i: int) -> int:
+    """Radicand of the irrational part of entry i of a row, or 0."""
+    return next((d for d, c in zip(rad[1:], row[2 + i::2]) if c), 0)
 
-    The cross product is the sum over k, l of (u_x,k v_y,l - u_y,k v_x,l)
-    sqrt(d_k d_l), with sqrt(d_k d_l) = g sqrt(d_k d_l / g^2) for g =
-    gcd(d_k, d_l).  Square roots of distinct square-free integers are
-    linearly independent over Q, so the vectors are parallel exactly when
-    no term is left: no two fields are multiplied as QuadRat values, which
-    would refuse sqrt(2) sqrt(3)."""
-    coeffs = {}
-    for k, dk in enumerate(radicands):
-        for l, dl in enumerate(radicands):
-            c = u[2 * k] * v[2 * l + 1] - u[2 * k + 1] * v[2 * l]
-            if c:
-                g = gcd(dk, dl)
-                d = dk * dl // (g * g)
-                coeffs[d] = coeffs.get(d, 0) + c * g
-    return {d: c for d, c in coeffs.items() if c}
+
+def _mixed_edge(rad, d: int, f, w, w_f, fw) -> None:
+    """Raise where QuadRat arithmetic mixed two fields in w_f + f w: each
+    f_ij w_j, their sum, then w_f + f w, by the fields alone."""
+    for i in (0, 4):
+        terms = []
+        for j in (0, 1):
+            a, b, e = f[i + j], f[i + 2 + j], _field(rad, w, j)
+            one_field(b and d, e)
+            terms.append(d if b and a * w[2 + j] + b * w[j] else a and e)
+        one_field(*terms)
+    for i in (0, 1):
+        one_field(_field(rad, w_f, i), _field(rad, fw, i))
+
+
+def _vector(row, rad, den: int) -> Vec2:
+    return row_scalar(row[0::2], rad, den), row_scalar(row[1::2], rad, den)
 
 
 def _cross_value(r: int, parts: dict[int, int]) -> Scalar:
-    """The cross product sum(c sqrt(d)) / r^2 of `_cross_parts`; no single
+    """The cross product sum(c sqrt(d)) / r^2 of `cross_parts`; no single
     Q(sqrt(d)) holds two irrational terms, such as sqrt(3) + sqrt(6)."""
     roots = sorted(d for d in parts if d != 1)
     if len(roots) > 1:
@@ -987,10 +979,8 @@ def _cross_value(r: int, parts: dict[int, int]) -> Scalar:
             f"the covolume of the projected translations has terms in "
             f"{' + '.join(f'sqrt({d})' for d in roots)}: it lies in no "
             f"single Q(sqrt(d))")
-    rational = Fraction(parts.get(1, 0), r * r)
-    if not roots:
-        return rational
-    return QuadRat(rational, Fraction(parts[roots[0]], r * r), roots[0])
+    rad = (1, *roots)
+    return row_scalar([parts.get(d, 0) for d in rad], rad, r * r)
 
 
 def _invariant_direction(planar, t0: Vec2) -> Vec2:
@@ -1021,10 +1011,9 @@ def _invariant_direction(planar, t0: Vec2) -> Vec2:
 
 
 def _reflection_axis(rot: Mat2) -> Vec2:
-    plus = ((rot[0][0] + 1, rot[0][1]), (rot[1][0], rot[1][1] + 1))
-    col0 = (plus[0][0], plus[1][0])
-    col1 = (plus[0][1], plus[1][1])
-    return col0 if (col0[0] != 0 or col0[1] != 0) else col1
+    """The first nonzero column of I + rot."""
+    col0 = (rot[0][0] + 1, rot[1][0])
+    return col0 if col0[0] or col0[1] else (rot[0][1], rot[1][1] + 1)
 
 
 INFINITE_VOLUME = "InfiniteVolume"

@@ -60,7 +60,10 @@ One fault is mended in it: `_solve_affine` used to drop a row reading
 Its last step, `covolume_by_minors`, is the covolume test as it was
 before the lattice kernel `intmat.ZSpan` read the Z-rank off integer
 rows: coordinates in a basis taken from the translations, and the gcd of
-the 2x2 minors.
+the 2x2 minors.  Both take the Reidemeister-Schreier translations from
+`schreier_translations_by_scalars`, the pass as it ran before it ran in
+integers: `Fraction` and `QuadRat` products of matrices and vectors, and
+the order of each new linear part by its powers.
 
 `s2r_ball_by_products` is the S^2 x R word ball that `fibered` built
 before the split became a closed form: one `S2RIsometry.compose` and one
@@ -143,7 +146,6 @@ from geom3.nil import (
     PlanarPointGroup,
     _point_group_generators,
     _reflection_axis,
-    _schreier_translations,
     heis_conjugate,
     planar_point_group,
 )
@@ -897,13 +899,49 @@ def dichotomy_by_fixed_sets(gens) -> DichotomyResult:
     if line is not None:
         return DichotomyResult(FIXES_LINE, direction=line)
 
-    _, translations = _schreier_translations(planar)
+    _, translations = schreier_translations_by_scalars(planar)
     covolume = covolume_by_minors(translations)
     if covolume is None:
         return DichotomyResult(NON_DISCRETE_INPUT)
     return DichotomyResult(DISCRETE_PROJECTION,
                            witness=HeisPoint(Fraction(0), Fraction(0),
                                              covolume))
+
+
+def schreier_translations_by_scalars(planar):
+    """Transversal {f: w_f} and the nonzero generators of the translation
+    subgroup of the planar group, by exact scalar arithmetic.
+
+    Breadth-first over the linear parts: the first element met over each
+    linear part f is its transversal element s_f = (f, w_f), and every
+    other edge s_f g_i gives the Schreier generator s_f g_i s_{f R_i}^-1,
+    the translation by w_f + f w_i - w_{f R_i}.  Every new linear part
+    passes the orthogonality and order checks, and at most POINT_GROUP_CAP
+    are admitted.
+    """
+    queue = [(MAT2_ID, (Fraction(0), Fraction(0)))]
+    transversal = dict(queue)
+    out = []
+    for f, w_f in queue:                 # grows while it is walked
+        for rot, w in planar:
+            f_rot = mat2_mul(f, rot)
+            fw = mat2_apply(f, w)
+            image = (w_f[0] + fw[0], w_f[1] + fw[1])
+            w_next = transversal.get(f_rot)
+            if w_next is None:
+                if not mat2_eq(mat2_mul(mat2_transpose(f_rot), f_rot),
+                               MAT2_ID):
+                    raise ValueError("rotation part must be orthogonal")
+                matrix_order_by_powers(f_rot)
+                if len(transversal) == POINT_GROUP_CAP:
+                    raise ValueError("linear parts generate too large a group")
+                transversal[f_rot] = image
+                queue.append((f_rot, image))
+            else:
+                t = vec2_sub(image, w_next)
+                if t[0] or t[1]:
+                    out.append(t)
+    return transversal, out
 
 
 def covolume_by_minors(translations):

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 import sys
 from fractions import Fraction
 
@@ -14,9 +15,12 @@ from geom3.algebra import (
     FACTOR_LIMIT,
     MixedDiscriminantError,
     QuadRat,
+    clear_denominators,
     format_scalar,
     galois_conjugate,
+    integer_rows,
     power,
+    row_scalar,
     squarefree_decompose,
 )
 from support import (
@@ -395,3 +399,30 @@ def test_copy_and_pickle_keep_value_repr_and_hash():
         assert (y.p, y.q, y.r, y.d) == (1, 2, 1, 3)
         with pytest.raises(AttributeError, match="immutable"):
             y.p = 5
+
+
+# -- integer rows on a Q-basis {1, sqrt(d_1), ...} ----------------------------
+
+exact_scalars = st.one_of(rationals, quadrats())
+
+
+@given(st.lists(st.tuples(exact_scalars, exact_scalars), max_size=4),
+       st.sampled_from([0, 2, 3]))
+def test_integer_rows_read_back_entry_by_entry(vectors, lead):
+    r, radicands, rows = integer_rows(vectors, lead)
+    assert radicands[0] == 1 and len(set(radicands)) == len(radicands)
+    if lead:
+        assert radicands[1] == lead
+    assert all(isinstance(c, int) for row in rows for c in row)
+    assert [tuple(row_scalar(row[i::2], radicands, r) for i in (0, 1))
+            for row in rows] == vectors
+
+
+def test_floats_have_no_integer_form():
+    for x in (0.5, float("nan")):
+        with pytest.raises(ValueError, match=f"exact entries required, "
+                                             f"not {x!r}"):
+            clear_denominators([Fraction(1, 2), x])
+    with pytest.raises(MixedDiscriminantError,
+                       match=re.escape("cannot mix sqrt(2) with sqrt(3)")):
+        row_scalar((1, 1, 1), (1, 2, 3), 1)

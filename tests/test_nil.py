@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geom3.algebra import QuadRat
+from geom3 import algebra, intmat, nil
+from geom3.algebra import MixedDiscriminantError, QuadRat
 from geom3.cli import _nil_generators
 from geom3.descriptors import canonical_json
 from geom3.intmat import (
@@ -49,6 +50,7 @@ from geom3.nil import (
     _orthogonal_order,
     _point_group_generators,
     _schreier_translations,
+    _vector,
     heis_commutator,
     heis_conjugate,
     lattice_gp,
@@ -85,6 +87,7 @@ from support import (
     planar_coords,
     point_group_by_box,
     rot_apply,
+    schreier_translations_by_scalars,
 )
 
 
@@ -1222,7 +1225,8 @@ def test_translation_spanning_at_most_a_line_fixes_a_point_or_a_line():
          FIXES_LINE, (0, -1)),
     ]
     for gens, kind, vec in cases:
-        _, ts = _schreier_translations([g.planar_part() for g in gens])
+        _, ts = schreier_translations_by_scalars(
+            [g.planar_part() for g in gens])
         assert all(t[0] * ts[0][1] == t[1] * ts[0][0] for t in ts)
         res = nil_projection_dichotomy(gens)
         assert res.kind == kind
@@ -1307,7 +1311,7 @@ def test_dichotomy_pins_the_covolume_and_the_rank():
     for ts, witness in cases:
         gens = [_shift(*t) for t in ts]
         res = nil_projection_dichotomy(gens)
-        _, translations = _schreier_translations(
+        _, translations = schreier_translations_by_scalars(
             [g.planar_part() for g in gens])
         covolume = covolume_by_minors(translations)
         if witness is None:
@@ -1505,7 +1509,8 @@ def test_witness_is_the_covolume_by_minors(family, data):
     # whenever T spans the plane, not only when no fixed set or invariant
     # line decides first (mirror sets have T = 0)
     gens = data.draw(FAMILIES[family])
-    _, ts = _schreier_translations([g.planar_part() for g in gens])
+    _, ts = schreier_translations_by_scalars(
+        [g.planar_part() for g in gens])
     if not ts or not any(vec2_cross(ts[0], t) for t in ts[1:]):
         return
     res = nil_projection_dichotomy(gens)
@@ -1518,3 +1523,144 @@ def test_witness_is_the_covolume_by_minors(family, data):
         assert res == expected
         assert (canonical_json(res.to_json_dict())
                 == canonical_json(expected.to_json_dict()))
+
+
+# -- the integer Schreier pass against the scalar one in support.py ---------
+
+SQRT2 = QuadRat(0, 1, 2)
+ORDER_12 = tuple(TURNS[k] for k in (1, 5, 7, 11))
+PYTHAGOREAN = tuple(((Fraction(a, c), Fraction(b, c)),
+                     (Fraction(b, c), Fraction(-a, c)))
+                    for a, b, c in ((3, 4, 5), (5, 12, 13)))
+
+
+@st.composite
+def pythagorean_sets(draw):
+    """Reflections with entries 3/5, 4/5 or 5/13, 12/13 beside ROT_PI_3
+    and ROT_PI_2: one such reflection keeps F finite, two make it
+    infinite."""
+    mats = draw(st.lists(st.sampled_from(PYTHAGOREAN + (ROT_PI_3, ROT_PI_2)),
+                         min_size=1, max_size=3))
+    return [_about(m, (draw(small), draw(small)), draw(small)) for m in mats]
+
+
+mixed_scalars = st.builds(lambda q, root: q * root, small,
+                          st.sampled_from((1, SQRT2, SQRT3)))
+
+
+@st.composite
+def mixed_field_sets(draw):
+    """Rational linear parts, translations over Q(sqrt(2)) and Q(sqrt(3)):
+    some walks mix the two fields in one value, some never do."""
+    mats = (MAT2_ID, ROT_PI, ROT_PI_2, REFLECT) + PYTHAGOREAN
+    return [HeisIsometry(draw(st.sampled_from(mats)),
+                         HeisPoint(draw(mixed_scalars), draw(mixed_scalars),
+                                   draw(small)))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+@st.composite
+def order12_sets(draw):
+    """A rotation of order 12 among D12 elements and translations."""
+    gens = draw(generator_sets)
+    gens.insert(draw(st.integers(0, len(gens))),
+                _about(draw(st.sampled_from(ORDER_12)),
+                       (draw(small), draw(small)), draw(small)))
+    return gens
+
+
+@st.composite
+def mixed_discriminant_sets(draw):
+    """A rotation part over Q(sqrt(3)) and a translation over Q(sqrt(2))."""
+    gens = draw(order12_sets())
+    t = (draw(small.filter(bool)) * SQRT2, draw(planar_scalars()))
+    gens.insert(draw(st.integers(0, len(gens))),
+                HeisIsometry(draw(st.sampled_from(D12)),
+                             HeisPoint(*draw(st.permutations(t)), 0)))
+    return gens
+
+
+@st.composite
+def over_cap_sets(draw):
+    """All of D12 and one reflection more: 25 linear parts."""
+    mats = list(D12)
+    mats.insert(draw(st.integers(0, 24)), draw(st.sampled_from(PYTHAGOREAN)))
+    return [HeisIsometry.point_symmetry(m) for m in mats]
+
+
+WALK_FAMILIES = {**FAMILIES, "pythagorean_sets": pythagorean_sets(),
+                 "mixed_field_sets": mixed_field_sets(),
+                 "order12_sets": order12_sets(),
+                 "mixed_discriminant_sets": mixed_discriminant_sets(),
+                 "over_cap_sets": over_cap_sets()}
+
+
+def integer_walk_as_scalars(planar):
+    transversal, rows, radicands, D, r = _schreier_translations(planar)
+    return ({(_vector(f[:4], radicands, D), _vector(f[4:], radicands, D)):
+             _vector(w, radicands, r) for f, w in transversal.items()},
+            [_vector(t, radicands, r) for t in rows])
+
+
+def _walk_outcome(walk, planar):
+    """The transversal and translations in order, or the error raised."""
+    try:
+        transversal, translations = walk(planar)
+    except ValueError as e:
+        return type(e), str(e)
+    return list(transversal.items()), translations
+
+
+@pytest.mark.parametrize("family", sorted(WALK_FAMILIES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_integer_walk_matches_the_scalar_walk(family, data):
+    planar = [g.planar_part() for g in data.draw(WALK_FAMILIES[family])]
+    got = _walk_outcome(integer_walk_as_scalars, planar)
+    assert got == _walk_outcome(schreier_translations_by_scalars, planar)
+    if family == "mixed_discriminant_sets":
+        assert got[0] is MixedDiscriminantError
+    if family == "over_cap_sets":
+        assert got == (ValueError, "linear parts generate too large a group")
+
+
+def test_the_walk_builds_no_quadrat(monkeypatch):
+    planar = [g.planar_part() for g in _nil_generators("rot6;1,0,0;0,1,0")]
+    expected = _schreier_translations(planar)
+
+    def refuse(*args):
+        raise AssertionError("scalar arithmetic in the integer walk")
+
+    monkeypatch.setattr(algebra, "_reduced", refuse)
+    monkeypatch.setattr(QuadRat, "__mul__", refuse)
+    monkeypatch.setattr(intmat, "mat2_mul", refuse)
+    monkeypatch.setattr(nil, "mat2_mul", refuse)
+    assert _schreier_translations(planar) == expected
+    assert len(expected[0]) == 6 and len(expected[1]) == 12
+
+
+@pytest.mark.parametrize("gens, entry", [
+    ([HeisIsometry.translation(HeisPoint(0.5, 0, 0))], "0.5"),
+    ([HeisIsometry.translation(HeisPoint(float("nan"), 0, 0))], "nan"),
+    ([HeisIsometry(((0.0, -1.0), (1.0, 0.0)), HEIS_ID)], "0.0"),
+], ids=["float", "nan", "float-rotation"])
+def test_float_entries_are_a_domain_error(gens, entry):
+    # documented output change: these raised a raw AttributeError
+    with pytest.raises(ValueError, match=re.escape(
+            f"exact entries required, not {entry}")):
+        nil_projection_dichotomy(gens)
+
+
+def test_linear_parts_over_two_fields_are_refused_before_the_walk():
+    # documented output change: the scalar walk raised at its first mixed
+    # product, naming the fields in that product's order, or an order
+    # error met before it; the radicands now come sorted, up front
+    h = QuadRat(0, HALF, 2)
+    gens = [HeisIsometry.point_symmetry(m)
+            for m in (REFLECT, ((h, h), (h, -h)), ROT_PI_3)]
+    with pytest.raises(ValueError) as scalar:
+        schreier_translations_by_scalars([g.planar_part() for g in gens])
+    assert str(scalar.value) == "order 8 is not exactly representable"
+    with pytest.raises(MixedDiscriminantError,
+                       match=re.escape("cannot mix sqrt(2) with sqrt(3)")):
+        nil_projection_dichotomy(gens)
