@@ -520,10 +520,13 @@ def one_field(a: int, b: int) -> None:
 
 
 def as_exact(x) -> Scalar:
-    """Coerce to an exact scalar; rejects floats."""
+    """Coerce to an exact scalar; a float is a domain error."""
     if isinstance(x, QuadRat):
         return x
-    return frac(x)
+    try:
+        return frac(x)
+    except TypeError:
+        raise ValueError(f"exact entries required, not {x!r}") from None
 
 
 def format_scalar(x: Scalar) -> str:

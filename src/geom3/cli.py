@@ -222,8 +222,10 @@ def _cmd_sol(args) -> dict:
     raise SchemaError(f"unknown sol action {args.action!r}")
 
 
-def _mobius(text: str) -> hyperbolic.MobiusMap:
+def _mobius(text: str, option: str = "--matrix") -> hyperbolic.MobiusMap:
     from . import hyperbolic
+    if text is None:
+        raise SchemaError(f"{option} is required")
     vals = text.split(",")
     if len(vals) != 4:
         raise SchemaError("matrix must be 4 comma-separated numbers")
@@ -248,8 +250,8 @@ def _cmd_hyp(args) -> dict:
                                       _complex(args.z))
         return {"image": [out.real, out.imag]}
     if args.action == "commute":
-        commutes, same_fixed = hyperbolic.commute_test(_mobius(args.m1),
-                                                       _mobius(args.m2))
+        commutes, same_fixed = hyperbolic.commute_test(
+            _mobius(args.m1, "--m1"), _mobius(args.m2, "--m2"))
         return {"commute": commutes, "fixed_sets_equal": same_fixed}
     if args.action == "centralizer":
         return hyperbolic.centralizer_type(_mobius(args.matrix))

@@ -181,6 +181,9 @@ class HeisIsometry:
     trans: HeisPoint
 
     def __post_init__(self):
+        for x in (*self.rot[0], *self.rot[1]):   # 1.0 would pass as 1
+            if not isinstance(x, (int, Fraction, QuadRat)):
+                raise ValueError(f"exact entries required, not {x!r}")
         _orthogonal_order(tuple(map(tuple, self.rot)))
 
     @classmethod
@@ -215,10 +218,7 @@ class NilLattice:
                 HeisPoint(Fraction(0), Fraction(0), self.center_step())]
 
     def center_step(self) -> Scalar:
-        lam = self.lam
-        if isinstance(lam, int):
-            lam = Fraction(lam)
-        return lam / self.n
+        return self.lam * Fraction(1, self.n)
 
     @functools.cached_property
     def point_group(self) -> "PlanarPointGroup":
@@ -325,10 +325,6 @@ class PlanarPointGroup:
         return len(self.elements)
 
 
-def _supported_planar_scalar(x: Scalar) -> bool:
-    return scalar_is_rational(x) or (isinstance(x, QuadRat) and x.d == 3)
-
-
 def planar_point_group(u, v) -> PlanarPointGroup:
     """Orthogonal stabilizer of the lattice Z u + Z v, computed exactly.
 
@@ -352,9 +348,9 @@ def planar_point_group(u, v) -> PlanarPointGroup:
     v = (as_exact(v[0]), as_exact(v[1]))
     if vec2_cross(u, v) == 0:
         raise ValueError("u and v are linearly dependent")
-    for x in (*u, *v):
-        if not _supported_planar_scalar(x):
-            raise ValueError("planar scalars must lie in Q or Q(sqrt(3))")
+    if not all(scalar_is_rational(x) or (isinstance(x, QuadRat) and x.d == 3)
+               for x in (*u, *v)):
+        raise ValueError("planar scalars must lie in Q or Q(sqrt(3))")
     ru, rv, p = gauss_reduce(u, v)
     _, nums = clear_denominators((vec2_dot(ru, ru), vec2_dot(ru, rv),
                                   vec2_dot(rv, rv)))
@@ -836,19 +832,21 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
     form.  For a lattice, the witness (0, 0, c) is the commutator of lifts
     of a positively oriented basis of T: c > 0 is its covolume, |cross(t_a,
     t_b)| / [T : Z t_a + Z t_b] for the first generator t_a and the first
-    t_b not parallel to it.  sqrt(2) sqrt(3) gives the covolume sqrt(6);
-    one in two fields, such as sqrt(3) + sqrt(6), raises ValueError.
-    Z-rank 3 or more is more than a discrete subgroup of the Heisenberg
-    group (Hirsch length at most 3) projects to; this covers every set
-    whose linear parts hold a rotation of order 12, which no planar
-    lattice admits.
+    t_b not parallel to it.  Z-rank 3 or more is more than a discrete
+    subgroup of the Heisenberg group (Hirsch length at most 3) projects
+    to; this covers every set whose linear parts hold a rotation of order
+    12, which no planar lattice admits.
 
-    Linear parts that generate an infinite group raise ValueError, also
-    when every generator fixes one point.  Out of scope: discreteness
-    along the center; (0, 0, sqrt(3)) adjoined to (1, 0, 0) and (0, 1, 0)
-    gives a non-discrete group with the verdict DiscreteProjection.
-    `word_bound` is kept for compatibility and must be >= 0; no verdict
-    depends on it.
+    The linear parts must lie over one Q(sqrt(d)), and irrational ones
+    need translations over it too; under rational ones the translations
+    may mix fields.  A reported value over two fields is refused: a point
+    or direction with MixedDiscriminantError, a covolume such as sqrt(3) +
+    sqrt(6) with ValueError (sqrt(2) sqrt(3) gives sqrt(6)).  Linear parts
+    that generate an infinite group raise ValueError, also when every
+    generator fixes one point.  Out of scope: discreteness along the
+    center; (0, 0, sqrt(3)) adjoined to (1, 0, 0) and (0, 1, 0) gives a
+    non-discrete group with the verdict DiscreteProjection.  `word_bound`
+    is kept for compatibility and must be >= 0; no verdict depends on it.
     """
     if word_bound < 0:
         raise ValueError("word_bound must be >= 0")
@@ -896,8 +894,10 @@ def _schreier_translations(planar):
     w_{f R_i}.  Each new f passes the orthogonality and order checks, at
     most POINT_GROUP_CAP of them.  A finite F stays over D: its rotations
     have entries in Z or 1/2 Z[sqrt(3)], its reflections are one of them
-    times a generator.  Each value stays in one field, as in the QuadRat
-    pass this replaced, and MixedDiscriminantError comes where it came.
+    times a generator.  The linear parts must lie over one field; when
+    they are irrational, so must the vectors, since Z[sqrt(d)] holds no
+    sqrt(d) sqrt(e): MixedDiscriminantError before the walk.  Rational
+    linear parts act block by block, so vectors may mix any fields.
     """
     D, lin_rad, cols = integer_rows([c for rot, _ in planar
                                      for c in zip(*rot)])
@@ -905,6 +905,8 @@ def _schreier_translations(planar):
         one_field(*lin_rad[1:3])
     d = lin_rad[1] if len(lin_rad) > 1 else 0
     r, rad, rows = integer_rows([w for _, w in planar], d)
+    if d and len(rad) > 2:
+        one_field(d, rad[2])
     pad = (0, 0) * (2 - len(lin_rad))
     gens = [(cols[k] + pad + cols[k + 1] + pad, rows[k // 2])
             for k in range(0, len(cols), 2)]
@@ -913,10 +915,7 @@ def _schreier_translations(planar):
     out = []
     for f, w_f in queue:                 # grows while it is walked
         for g_t, w in gens:
-            fw = zsqrt_apply(f, w, d)
-            if len(rad) > 2:
-                _mixed_edge(rad, d, f, w, w_f, fw)
-            image = tuple(map(add, w_f, fw))
+            image = tuple(map(add, w_f, zsqrt_apply(f, w, d)))
             f_rot = zsqrt_mul(f, g_t, d, D)
             w_next = transversal.get(f_rot)
             if w_next is None:
@@ -926,8 +925,6 @@ def _schreier_translations(planar):
                 transversal[f_rot] = image
                 queue.append((f_rot, image))
             else:
-                for i in (0, 1) if len(rad) > 2 else ():
-                    one_field(_field(rad, image, i), _field(rad, w_next, i))
                 t = tuple(map(sub, image, w_next))
                 if any(t):
                     out.append(t)
@@ -945,25 +942,6 @@ def _linear_order(f, d: int, D: int) -> int:
     det = f[0] * f[5] - f[1] * f[4] + d * (f[2] * f[7] - f[3] * f[6])
     return _order(det == -D * D,
                   None if t % D or u % D else (t // D, u // D, u and d))
-
-
-def _field(rad, row, i: int) -> int:
-    """Radicand of the irrational part of entry i of a row, or 0."""
-    return next((d for d, c in zip(rad[1:], row[2 + i::2]) if c), 0)
-
-
-def _mixed_edge(rad, d: int, f, w, w_f, fw) -> None:
-    """Raise where QuadRat arithmetic mixed two fields in w_f + f w: each
-    f_ij w_j, their sum, then w_f + f w, by the fields alone."""
-    for i in (0, 4):
-        terms = []
-        for j in (0, 1):
-            a, b, e = f[i + j], f[i + 2 + j], _field(rad, w, j)
-            one_field(b and d, e)
-            terms.append(d if b and a * w[2 + j] + b * w[j] else a and e)
-        one_field(*terms)
-    for i in (0, 1):
-        one_field(_field(rad, w_f, i), _field(rad, fw, i))
 
 
 def _vector(row, rad, den: int) -> Vec2:

@@ -1,11 +1,15 @@
 """CLI behavior: schemas, exit codes, determinism, golden files, selfcheck."""
 
+import argparse
+import contextlib
 import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -339,6 +343,77 @@ def test_json_flag_works_before_and_after_the_subcommand():
         after = run_cli(argv + ["--json"])
         assert before == after != text_mode
         json.loads(before[1])
+
+
+# Option values for the fuzz below: numbers well and badly formed,
+# matrices, vectors, generator lists, presets and names of every
+# subcommand.  Options of type int draw from FUZZ_INTS.
+FUZZ_VALUES = (
+    "0", "1", "2", "-1", "12", "1/2", "-3/4", "1/0", "0.5", "1e308",
+    "1e400", "nan", "inf", "x", "", "0,1", "1,0", "2,1", "1,2,3",
+    "1,0,0,1", "2,1,1,1", "3,1,2,1", "2,0,0,1/2", "1,1,0,1", "0,-1,1,0",
+    "1,0.001,0,1", "rot6;1,0,0", "rot4@1,0,0;0,1,0", "reflect;1/3,0,1",
+    "-1;0,0,1", "I@1", "I@5;I@3", "I@1@1", "HZ", "Gp:3", "Gp:0", "hex:2",
+    "hex:-1", "fib", "klein", "twist", "Z2", "Z3xD4xy", "full", "SL(3,R)",
+    "SO(2,2)", "SO(4)", "s3", "sol", "all")
+FUZZ_INTS = ("0", "1", "2", "3", "5", "-1", "x")
+
+
+def _fuzz_argv(rng, subparsers):
+    """A random argv for one subcommand, drawn from its parser's own
+    positional choices and options, each option given as --opt=value."""
+    name = rng.choice(sorted(subparsers))
+    argv = [name]
+    options = []
+    for action in subparsers[name]._actions:
+        if not action.option_strings:
+            if action.nargs != "?" or rng.random() < 0.8:
+                argv.append(rng.choice(sorted(action.choices) + ["bogus"]))
+        elif action.dest not in ("help", "json"):
+            options.append(action)
+    for action in rng.sample(options, rng.randint(0, min(4, len(options)))):
+        if action.nargs == 0:
+            argv.append(action.option_strings[0])
+        else:
+            pool = FUZZ_INTS if action.type is int else FUZZ_VALUES
+            argv.append(f"{action.option_strings[0]}={rng.choice(pool)}")
+    return argv
+
+
+def _timed_cli(argv):
+    start = time.perf_counter()
+    code, text = run_cli(argv)
+    return code, text, time.perf_counter() - start
+
+
+def test_fuzzed_argv_exit_cleanly_and_agree_across_modes():
+    # selfcheck takes no options and is covered by test_selfcheck_passes
+    parser = cli.build_parser()
+    subparsers = {name: p for name, p in next(
+        a for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)).choices.items()
+        if name != "selfcheck"}
+    rng = random.Random(20261019)
+    failures = []
+    for _ in range(400):
+        argv = _fuzz_argv(rng, subparsers)
+        with contextlib.redirect_stderr(io.StringIO()):
+            runs = [_timed_cli(a) for a in (argv, ["--json"] + argv,
+                                             argv + ["--json"])]
+        (code, _, _), (json_code, before, _), (_, after, _) = runs
+        if code not in (0, 1, 2):
+            failures.append((argv, f"exit {code}"))
+        if json_code != code:
+            failures.append((argv, f"exit {code} as text, {json_code} "
+                                   f"with --json"))
+        if before != after:
+            failures.append((argv, "--json before and after differ"))
+        # argparse prints its usage errors to stderr only
+        if before and before != canonical_json(json.loads(before)) + "\n":
+            failures.append((argv, "--json output is not canonical"))
+        if max(seconds for _, _, seconds in runs) > 2:
+            failures.append((argv, "a call took more than 2 s"))
+    assert not failures, failures[:10]
 
 
 def test_selfcheck_passes():

@@ -133,6 +133,13 @@ SEARCHES = [
     # a missing --gens is a schema error, not an internal one
     "nil dichotomy",
     "nil volume",
+    # so is a missing Mobius map
+    "hyp classify",
+    "hyp apply --z 0,1",
+    "hyp centralizer",
+    "hyp commute",
+    "hyp commute --m1 1,1,0,1",
+    "fiber embed",
     # trace -3 is hyperbolic, but only trace > 2 is supported; a negative
     # first entry is written --matrix=..., else argparse takes it for an
     # option

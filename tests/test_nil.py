@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import operator
 import random
 import re
 from fractions import Fraction
@@ -1352,6 +1353,28 @@ def test_mixed_fields_give_one_verdict_in_every_order():
             nil_projection_dichotomy([_shift(*t) for t in order])
 
 
+def test_translations_over_two_fields_under_rational_linear_parts():
+    # documented output change: the first two raised MixedDiscriminantError
+    # at the first edge where the scalar walk added sqrt(2) to sqrt(3).  A
+    # rational linear part acts on each field's block of an integer row, so
+    # the walk holds both; only a reported value over two fields, and a
+    # translation off the field of irrational linear parts, are refused
+    sqrt2 = QuadRat(0, 1, 2)
+    half_turn = HeisIsometry(ROT_PI, HeisPoint.of(sqrt2, 0, 0))
+    res = nil_projection_dichotomy([half_turn, _shift(SQRT3, 0), _shift(0, 1)])
+    assert res == DichotomyResult(DISCRETE_PROJECTION,
+                                  witness=HeisPoint.of(0, 0, SQRT3))
+    res = nil_projection_dichotomy([half_turn, _shift(SQRT3, 0)])
+    assert res == DichotomyResult(FIXES_LINE, direction=(SQRT3, 0))
+    with pytest.raises(MixedDiscriminantError):     # the centroid
+        nil_projection_dichotomy(
+            [HeisIsometry(ROT_PI_2, HeisPoint.of(sqrt2, SQRT3, 0))])
+    with pytest.raises(MixedDiscriminantError, match=re.escape(
+            "cannot mix sqrt(3) with sqrt(2)")):
+        nil_projection_dichotomy([HeisIsometry.point_symmetry(ROT_PI_3),
+                                  _shift(sqrt2, 0)])
+
+
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
@@ -1595,6 +1618,38 @@ WALK_FAMILIES = {**FAMILIES, "pythagorean_sets": pythagorean_sets(),
                  "over_cap_sets": over_cap_sets()}
 
 
+# phi: sqrt(2) -> 7/5, sqrt(3) -> 26/15, a Q-linear map of the Q-span of
+# 1, sqrt(2), sqrt(3); it commutes with rational linear parts
+PHI = {2: Fraction(7, 5), 3: Fraction(26, 15)}
+
+
+def _phi(x):
+    if not isinstance(x, QuadRat):
+        return x
+    return x.a + (x.b * PHI[x.d] if x.b else 0)
+
+
+def integer_walk_under_phi(planar):
+    """phi of the integer walk, read off its rows, with the translations
+    that phi sends to 0 dropped; the linear parts must be rational, so
+    their rows have no sqrt(d) part for phi to map."""
+    transversal, rows, radicands, D, r = _schreier_translations(planar)
+    roots = [1] + [PHI[d] for d in radicands[1:]]
+
+    def phi_row(row, den=r):
+        return tuple(Fraction(sum(map(operator.mul, row[i::2], roots)), den)
+                     for i in (0, 1))
+
+    return ({(phi_row(f[:4], D), phi_row(f[4:], D)): phi_row(w)
+             for f, w in transversal.items()},
+            [t for t in map(phi_row, rows) if any(t)])
+
+
+def scalar_walk_of_phi(planar):
+    return schreier_translations_by_scalars(
+        [(rot, tuple(map(_phi, w))) for rot, w in planar])
+
+
 def integer_walk_as_scalars(planar):
     transversal, rows, radicands, D, r = _schreier_translations(planar)
     return ({(_vector(f[:4], radicands, D), _vector(f[4:], radicands, D)):
@@ -1616,10 +1671,21 @@ def _walk_outcome(walk, planar):
 @given(data=st.data())
 def test_integer_walk_matches_the_scalar_walk(family, data):
     planar = [g.planar_part() for g in data.draw(WALK_FAMILIES[family])]
+    if family == "mixed_field_sets":
+        # a row may hold sqrt(2) and sqrt(3) in one entry, which no QuadRat
+        # holds: compare phi of the walk with the walk of phi of the input
+        assert (_walk_outcome(integer_walk_under_phi, planar)
+                == _walk_outcome(scalar_walk_of_phi, planar))
+        return
     got = _walk_outcome(integer_walk_as_scalars, planar)
-    assert got == _walk_outcome(schreier_translations_by_scalars, planar)
     if family == "mixed_discriminant_sets":
+        # refused before the walk; the scalar walk may meet another error
+        # first, such as an infinite order
         assert got[0] is MixedDiscriminantError
+        with pytest.raises(ValueError):
+            schreier_translations_by_scalars(planar)
+        return
+    assert got == _walk_outcome(schreier_translations_by_scalars, planar)
     if family == "over_cap_sets":
         assert got == (ValueError, "linear parts generate too large a group")
 
@@ -1642,13 +1708,26 @@ def test_the_walk_builds_no_quadrat(monkeypatch):
 @pytest.mark.parametrize("gens, entry", [
     ([HeisIsometry.translation(HeisPoint(0.5, 0, 0))], "0.5"),
     ([HeisIsometry.translation(HeisPoint(float("nan"), 0, 0))], "nan"),
-    ([HeisIsometry(((0.0, -1.0), (1.0, 0.0)), HEIS_ID)], "0.0"),
-], ids=["float", "nan", "float-rotation"])
+], ids=["float", "nan"])
 def test_float_entries_are_a_domain_error(gens, entry):
     # documented output change: these raised a raw AttributeError
     with pytest.raises(ValueError, match=re.escape(
             f"exact entries required, not {entry}")):
         nil_projection_dichotomy(gens)
+
+
+@pytest.mark.parametrize("make, entry", [
+    (lambda: HeisIsometry(((0.0, -1.0), (1.0, 0.0)), HEIS_ID), "0.0"),
+    (lambda: HeisPoint.of(0.5, 0, 0), "0.5"),
+    (lambda: nil_lattice_make((0.5, 0), (0, 1)), "0.5"),
+    (lambda: planar_point_group((0.5, 0), (0, 1)), "0.5"),
+], ids=["float-rotation", "point", "lattice", "point-group"])
+def test_float_entries_are_refused_at_construction(make, entry):
+    # documented output change: the rotation, equal to ROT_PI_2, was built
+    # and refused only by the walk; the others raised TypeError
+    with pytest.raises(ValueError, match=re.escape(
+            f"exact entries required, not {entry}")):
+        make()
 
 
 def test_linear_parts_over_two_fields_are_refused_before_the_walk():
