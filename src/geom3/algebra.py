@@ -433,11 +433,12 @@ def scalar_is_rational(x: Scalar) -> bool:
     return not (isinstance(x, QuadRat) and x.q != 0)
 
 
-def _exact_parts(x) -> tuple[int, int, int]:
+def _exact_parts(x) -> tuple[int, int, int, int]:
+    """(p, q, r, d) for x = (p + q sqrt(d)) / r; d counts only if q != 0."""
     if isinstance(x, QuadRat):
-        return x.p, x.q, x.r
+        return x.p, x.q, x.r, x.d
     if isinstance(x, (int, Fraction)):
-        return x.numerator, 0, x.denominator
+        return x.numerator, 0, x.denominator, 0
     raise ValueError(f"exact entries required, not {x!r}")
 
 
@@ -451,7 +452,7 @@ def clear_denominators(xs) -> tuple[int, list]:
     parts = [_exact_parts(x) for x in xs]
     r = lcm(*(part[2] for part in parts))
     return r, [(p * (r // s), q * (r // s)) if q else p * (r // s)
-               for p, q, s in parts]
+               for p, q, s, _ in parts]
 
 
 def integer_rows(vectors, lead: int = 0) \
@@ -461,21 +462,24 @@ def integer_rows(vectors, lead: int = 0) \
     each vector as an integer row over the common denominator r on the
     Q-basis {1, sqrt(d_1), ...}: (x, y) -> (x_0, y_0, x_1, y_1, ...) for
     x = (x_0 + x_1 sqrt(d_1) + ...) / r.  1 and the sqrt(d_i) are linearly
-    independent over Q, so the rows have the Q-rank of the vectors."""
-    flat = [x for v in vectors for x in v]
-    r, nums = clear_denominators(flat)
-    fields = sorted({x.d for x, num in zip(flat, nums)
-                     if isinstance(num, tuple)} - {lead})
+    independent over Q, so the rows have the Q-rank of the vectors.  A
+    float is a domain error, as in `clear_denominators`."""
+    parts = [_exact_parts(x) for v in vectors for x in v]
+    r = lcm(*(part[2] for part in parts))
+    fields = sorted({d for _, q, _, d in parts if q} - {lead})
     if lead:
         fields.insert(0, lead)
-    rows = [[0] * (2 * len(fields) + 2) for _ in vectors]
-    for i, (x, num) in enumerate(zip(flat, nums)):
-        row, k = rows[i // 2], i % 2
-        if isinstance(num, tuple):
-            row[k], row[2 * fields.index(x.d) + 2 + k] = num
-        else:
-            row[k] = num
-    return r, (1, *fields), list(map(tuple, rows))
+    slot = {d: 2 * k + 2 for k, d in enumerate(fields)}
+    rows = []
+    for i in range(0, len(parts), 2):
+        row = [0] * (2 * len(fields) + 2)
+        for k in (0, 1):
+            p, q, s, d = parts[i + k]
+            row[k] = p * (r // s)
+            if q:
+                row[slot[d] + k] = q * (r // s)
+        rows.append(tuple(row))
+    return r, (1, *fields), rows
 
 
 def row_scalar(coeffs, radicands, den: int) -> Scalar:

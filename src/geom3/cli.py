@@ -462,11 +462,9 @@ def _add_lattice_opts(p):
     p.add_argument("--n", type=int, default=1)
 
 
-def _add_sol_opts(p, with_preset: bool = True):
-    p.add_argument("--matrix")
-    p.add_argument("--power", type=int, default=1)
-    if with_preset:
-        p.add_argument("--preset")
+def _matrix_help(flag: str) -> str:
+    # argparse takes a value that starts with "-" for an option
+    return f"a,b,c,d by rows; a negative first entry needs {flag}=-1,0,0,-1"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -497,7 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sol = sub_add("sol", help="Sol geometry")
     p_sol.add_argument("action", choices=["iso", "normalizer", "centralizer",
                                           "qstructure", "fixed-line"])
-    _add_sol_opts(p_sol)
+    p_sol.add_argument("--matrix", help=_matrix_help("--matrix"))
+    p_sol.add_argument("--power", type=int, default=1)
+    p_sol.add_argument("--preset")
     p_sol.add_argument("--x", default="0")
     p_sol.add_argument("--y", default="0")
     p_sol.add_argument("--t", default="0")
@@ -505,9 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_hyp = sub_add("hyp", help="hyperbolic plane isometries")
     p_hyp.add_argument("action", choices=["classify", "apply", "commute",
                                           "centralizer", "verdict"])
-    p_hyp.add_argument("--matrix")
-    p_hyp.add_argument("--m1")
-    p_hyp.add_argument("--m2")
+    for flag in ("--matrix", "--m1", "--m2"):
+        p_hyp.add_argument(flag, help=_matrix_help(flag))
     p_hyp.add_argument("--z", default="0,1")
     p_hyp.add_argument("--dim", type=int, default=3)
 
@@ -515,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fib.add_argument("action", choices=["frame", "embed", "norm",
                                           "decompose", "christoffel", "s2r",
                                           "psl2-iso"])
-    p_fib.add_argument("--matrix")
+    p_fib.add_argument("--matrix", help=_matrix_help("--matrix"))
     p_fib.add_argument("--z", default="0,1")
     p_fib.add_argument("--w", default="1,0")
     p_fib.add_argument("--X", default="0,0")
@@ -552,7 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_zim.add_argument("--space-dim", type=int, default=3,
                        help="dimension for the isometry bound (maxdim)")
     _add_lattice_opts(p_zim)
-    _add_sol_opts(p_zim, with_preset=False)   # --preset is shared
+    # and Sol's --matrix and --power; --preset is shared
+    p_zim.add_argument("--matrix")
+    p_zim.add_argument("--power", type=int, default=1)
 
     sub_add("selfcheck", help="run the embedded golden suite")
     return top
@@ -600,18 +601,17 @@ def main(argv=None, out=None) -> int:
         _emit_error(out, "internal", f"{type(exc).__name__}: {exc}",
                     args.json)
         return 3
-    if args.command == "selfcheck":
+    if args.json:
+        out.write(rendered + "\n")
+    elif args.command == "selfcheck":
         for item in payload["items"]:
             mark = "PASS" if item["ok"] else "FAIL"
             suffix = f" ({item['detail']})" if item["detail"] else ""
             out.write(f"{mark} {item['id']}{suffix}\n")
         out.write(f"{payload['passed']}/{payload['total']} passed\n")
-        return 0 if payload["ok"] else 1
-    if args.json:
-        out.write(rendered + "\n")
     else:
         _render_text(payload, out)
-    return 0
+    return 1 if args.command == "selfcheck" and not payload["ok"] else 0
 
 
 def _emit_error(out, kind: str, detail: str, as_json: bool) -> None:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .algebra import power
 from .descriptors import IsoDescriptor
 from .hyperbolic import MobiusMap, expm_sl2
-from .intmat import SearchCapError, matmul, transpose, word_ball
+from .intmat import SearchCapError, mat3_mul, transpose, word_ball
 
 
 def christoffel_h2(p: complex, i: int, j: int, k: int) -> float:
@@ -182,9 +182,9 @@ class S2RIsometry:
         if len(r) != 3 or any(len(row) != 3 for row in r):
             raise ValueError("rotation part must be a 3x3 matrix")
         if _has_float(self.rot):
-            orthogonal = _near_identity(matmul(r, transpose(r)), 1e-12)
+            orthogonal = _near_identity(mat3_mul(r, transpose(r)), 1e-12)
         else:
-            orthogonal = matmul(self.rot, transpose(self.rot)) == S2R_ROT_ID
+            orthogonal = mat3_mul(self.rot, transpose(self.rot)) == S2R_ROT_ID
         if not orthogonal:
             raise ValueError("rotation part must be orthogonal")
 
@@ -202,7 +202,7 @@ class S2RIsometry:
         return [[float(v) for v in row] for row in self.rot]
 
     def compose(self, other: "S2RIsometry") -> "S2RIsometry":
-        return S2RIsometry._make(matmul(self.rot, other.rot),
+        return S2RIsometry._make(mat3_mul(self.rot, other.rot),
                                  self.flip * other.shift + self.shift,
                                  self.flip * other.flip)
 
@@ -253,19 +253,23 @@ def _has_float(rot) -> bool:
 def _rot_key(rot) -> tuple:
     """The rotation's entries rounded to 9 digits: float products that
     agree up to rounding are one element."""
-    return tuple(round(float(v), 9) for row in rot for v in row)
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = rot
+    return (round(float(a0), 9), round(float(a1), 9), round(float(a2), 9),
+            round(float(a3), 9), round(float(a4), 9), round(float(a5), 9),
+            round(float(a6), 9), round(float(a7), 9), round(float(a8), 9))
 
 
 def _exact_key(rot) -> tuple:
     """The rotation's exact entries."""
-    return tuple(v for row in rot for v in row)
+    r0, r1, r2 = rot
+    return (*r0, *r1, *r2)
 
 
 def _rot_pow(rot, n: int) -> tuple:
     """rot**n; rot is orthogonal, so rot**-1 is its transpose."""
     if n < 0:
         rot, n = transpose(rot), -n
-    return power(rot, n, matmul, S2R_ROT_ID)
+    return power(rot, n, mat3_mul, S2R_ROT_ID)
 
 
 def _shift_generator(shifts: list, exact: bool):
@@ -317,8 +321,8 @@ def _twist_and_kernel(rots: list, coeffs: list, m: list):
     twist = S2R_ROT_ID
     for rot, c in zip(rots, coeffs):
         if c:
-            twist = matmul(twist, _rot_pow(rot, c))
-    return twist, [matmul(rot, _rot_pow(twist, -mj))
+            twist = mat3_mul(twist, _rot_pow(rot, c))
+    return twist, [mat3_mul(rot, _rot_pow(twist, -mj))
                    for rot, mj in zip(rots, m)]
 
 
@@ -359,7 +363,7 @@ def _twist_closure(rots: list, twist, key, cap: int) -> list:
     new = gens
     while True:
         try:
-            group = list(word_ball(S2R_ROT_ID, gens, matmul, key, cap=cap))
+            group = list(word_ball(S2R_ROT_ID, gens, mat3_mul, key, cap=cap))
         except SearchCapError:
             raise NonDiscreteShiftError(
                 f"more than {cap} rotation parts act trivially on R: "
@@ -367,7 +371,7 @@ def _twist_closure(rots: list, twist, key, cap: int) -> list:
         if twist is None:
             return group
         inv, keys = transpose(twist), {key(r) for r in group}
-        new = [r for r in (matmul(matmul(twist, g), inv) for g in new)
+        new = [r for r in (mat3_mul(mat3_mul(twist, g), inv) for g in new)
                if key(r) not in keys]
         if not new:
             return group

@@ -10,7 +10,8 @@ and covolume of the Nil dichotomy's translations all go through it.
 
 The helpers the geometry modules share live here too: 2x2/vector
 arithmetic over exact scalars, 2x2 matrices over Z[sqrt(d)] acting on
-integer rows (the Nil Schreier walk), the n x n matrix product, and the
+integer rows (the Nil Schreier walk), the n x n matrix product and its
+unrolled 3x3 case `mat3_mul` (the S^2 x R rotations), and the
 breadth-first word ball behind every closure and word search.
 """
 
@@ -99,6 +100,21 @@ def zsqrt_mul(m, n_t, d: int, den: int) -> Optional[tuple[int, ...]]:
     if any(map(den.__rmod__, prod)):
         return None
     return tuple(map(den.__rfloordiv__, prod))
+
+
+def mat3_mul(a, b) -> tuple:
+    """Product of two 3x3 matrices over any scalars, as row tuples:
+    `matmul` unrolled.  Each entry adds its three terms left to right, as
+    `sum` does for floats before Python 3.12, so float entries agree bit
+    for bit up to the sign of a zero (`sum` starts at the int 0)."""
+    (a0, a1, a2), (a3, a4, a5), (a6, a7, a8) = a
+    (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = b
+    return ((a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7,
+             a0 * b2 + a1 * b5 + a2 * b8),
+            (a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7,
+             a3 * b2 + a4 * b5 + a5 * b8),
+            (a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7,
+             a6 * b2 + a7 * b5 + a8 * b8))
 
 
 def matmul(a, b) -> tuple:

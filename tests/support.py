@@ -41,6 +41,10 @@ reduced Fractions (a, b), with its arithmetic as it was; and
 `squarefree_by_trial_division` is the earlier factoring loop.  They are the
 oracles for the integer-numerator `QuadRat` and for Pollard's rho.
 
+`integer_rows_by_parts` is `algebra.integer_rows` as it was before it
+read each entry once: `clear_denominators` first, then a `list.index`
+per entry for the column of its field.
+
 `elementary_divisors_stack` takes the gcds of all minors of each order, and
 `rational_rank_by_elimination` is a Gaussian elimination over Q: the
 integer-lattice code that `intmat.snf` replaced, kept as its oracles.
@@ -73,6 +77,10 @@ before the split became a closed form: one `S2RIsometry.compose` and one
 from the rotation parts of the shift-free, flip-free words.  At a bound
 that reaches F and the least shift, it agrees with the closed form.
 
+`s2r_decompose_by_matmul` is `fibered.s2r_decompose` as it ran before its
+3x3 rotation products were unrolled: every product the generic n x n
+`intmat.matmul`, and each float key rounded entry by entry.
+
 `sol_centralizer_by_eigenbasis` is `sol.sol_centralizer` as it was before
 three integer checks on A gave its answer: A diagonalized over Q(sqrt(d)),
 a planar vector with both eigencoordinates nonzero searched for, and the
@@ -95,14 +103,17 @@ import math
 import re
 import signal
 from fractions import Fraction
+from unittest import mock
 
 from geom3.algebra import (
     MixedDiscriminantError,
     QuadRat,
     as_exact,
+    clear_denominators,
     frac,
     scalar_is_rational,
 )
+from geom3 import fibered
 from geom3.fibered import (
     BALL_CAP,
     LAMBDA_Z,
@@ -126,6 +137,7 @@ from geom3.intmat import (
     mat2_inv,
     mat2_mul,
     mat2_transpose,
+    matmul,
     vec2_cross,
     vec2_dot,
     vec2_sub,
@@ -868,6 +880,25 @@ def determinant(rows) -> Fraction:
     return det
 
 
+def integer_rows_by_parts(vectors, lead: int = 0):
+    """`algebra.integer_rows` through `clear_denominators`, its fields
+    looked up by `list.index` entry by entry."""
+    flat = [x for v in vectors for x in v]
+    r, nums = clear_denominators(flat)
+    fields = sorted({x.d for x, num in zip(flat, nums)
+                     if isinstance(num, tuple)} - {lead})
+    if lead:
+        fields.insert(0, lead)
+    rows = [[0] * (2 * len(fields) + 2) for _ in vectors]
+    for i, (x, num) in enumerate(zip(flat, nums)):
+        row, k = rows[i // 2], i % 2
+        if isinstance(num, tuple):
+            row[k], row[2 * fields.index(x.d) + 2 + k] = num
+        else:
+            row[k] = num
+    return r, (1, *fields), list(map(tuple, rows))
+
+
 def matmul_rect(a, b) -> tuple:
     """Product of an m x k and a k x n matrix, as row tuples."""
     return tuple(tuple(sum(x * y for x, y in zip(row, col))
@@ -1136,6 +1167,17 @@ def s2r_decompose_by_ball(gens, bound: int) -> S2RDecomposition:
         l_type = LAMBDA_Z
     return S2RDecomposition(l_type, lam, len(f_rotations),
                             tuple(f_rotations.values()), twist)
+
+
+def _rot_key_by_entries(rot) -> tuple:
+    return tuple(round(float(v), 9) for row in rot for v in row)
+
+
+def s2r_decompose_by_matmul(gens) -> S2RDecomposition:
+    """The closed-form split with the generic product and keys."""
+    with mock.patch.object(fibered, "mat3_mul", matmul), \
+            mock.patch.object(fibered, "_rot_key", _rot_key_by_entries):
+        return fibered.s2r_decompose(gens)
 
 
 def sol_centralizer_by_eigenbasis(lat) -> dict:

@@ -26,6 +26,7 @@ from geom3.algebra import (
 from support import (
     FractionPairQuadRat,
     deadline,
+    integer_rows_by_parts,
     squarefree_by_trial_division,
 )
 
@@ -416,6 +417,35 @@ def test_integer_rows_read_back_entry_by_entry(vectors, lead):
     assert all(isinstance(c, int) for row in rows for c in row)
     assert [tuple(row_scalar(row[i::2], radicands, r) for i in (0, 1))
             for row in rows] == vectors
+
+
+# rationals, and values of Q(sqrt 2) and Q(sqrt 3), mixed in one list
+row_entries = st.one_of(st.integers(-9, 9), rationals, quadrats(2),
+                        quadrats(3))
+
+
+@given(st.lists(st.tuples(row_entries, row_entries), max_size=5),
+       st.sampled_from([0, 2, 3, 5]))
+def test_integer_rows_match_the_entry_by_entry_oracle(vectors, lead):
+    got = integer_rows(vectors, lead)
+    assert got == integer_rows_by_parts(vectors, lead)
+    assert all(type(c) is int for row in got[2] for c in row)
+
+
+@given(st.lists(st.tuples(row_entries, row_entries), min_size=1,
+                max_size=3), st.data())
+def test_integer_rows_refuse_a_float_as_the_oracle_does(vectors, data):
+    i = data.draw(st.integers(0, 2 * len(vectors) - 1))
+    x = data.draw(st.sampled_from([0.5, 1.0, float("nan")]))
+    flat = [y for v in vectors for y in v]
+    flat[i] = x
+    vectors = list(zip(flat[::2], flat[1::2]))
+    errors = []
+    for rows in (integer_rows, integer_rows_by_parts):
+        with pytest.raises(ValueError) as exc:
+            rows(vectors)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] == f"exact entries required, not {x!r}"
 
 
 def test_floats_have_no_integer_form():

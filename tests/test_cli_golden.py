@@ -150,7 +150,8 @@ SEARCHES = [
 # Space-separated commands (no argument contains a space), each run as
 # written and with --json.
 COMMANDS = [c.split(" ") for c in README + SEARCHES]
-ARGVS = [["selfcheck"]] + [a + j for a in COMMANDS for j in ([], ["--json"])]
+ARGVS = [["selfcheck"], ["selfcheck", "--json"]] + [
+    a + j for a in COMMANDS for j in ([], ["--json"])]
 
 SUBCOMMANDS = ("nil", "sol", "hyp", "fiber", "euclid", "lookup", "zimmer",
                "selfcheck")

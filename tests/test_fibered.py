@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,11 @@ from geom3.fibered import (
 from geom3.fibered import _rot_pow
 from geom3.hyperbolic import MobiusMap, expm_sl2
 from geom3.intmat import matmul, transpose
-from support import deadline, s2r_decompose_by_ball
+from support import (
+    deadline,
+    s2r_decompose_by_ball,
+    s2r_decompose_by_matmul,
+)
 from test_hyperbolic import random_sl2
 
 RHO_Z = ((-1, 0, 0), (0, -1, 0), (0, 0, 1))
@@ -381,6 +386,94 @@ def test_rot_pow_is_repeated_multiplication():
             assert _rot_pow(rot, -n) == power_inv
             power = matmul(power, rot)
             power_inv = matmul(power_inv, transpose(rot))
+
+
+# -- the unrolled 3x3 product against the generic one ------------------------
+
+# rational rotations about (1, 1, 1): by pi/3, and by the angle of cosine
+# 1/7 (infinite order); and the half-turn about (1, -1, 0), normal to it
+ROT_6_DIAG = ((Fraction(2, 3), Fraction(-1, 3), Fraction(2, 3)),
+              (Fraction(2, 3), Fraction(2, 3), Fraction(-1, 3)),
+              (Fraction(-1, 3), Fraction(2, 3), Fraction(2, 3)))
+ROT_7_DIAG = ((Fraction(3, 7), Fraction(-2, 7), Fraction(6, 7)),
+              (Fraction(6, 7), Fraction(3, 7), Fraction(-2, 7)),
+              (Fraction(-2, 7), Fraction(6, 7), Fraction(3, 7)))
+HALF_TURN_DIAG = ((0, -1, 0), (-1, 0, 0), (0, 0, -1))
+_EXACT_CYCLIC = {1: S2R_ROT_ID, 2: RHO_Z, 3: matmul(ROT_6_DIAG, ROT_6_DIAG),
+                 4: ROT_4, 6: ROT_6_DIAG}
+
+
+def _structures():
+    """(name, gens): <(twist, 3/2), C_m[, a half-turn normal to its
+    axis][, a flip]>, m in {1, 2, 3, 4, 6}.  Exact: C_m about z for m in
+    {1, 2, 4} and about (1, 1, 1) for m in {3, 6}, the twist of infinite
+    order about the same axis, so that it makes F infinite beside a
+    half-turn or a flip.  Float: every axis is z, and the twist is a twist
+    only without a half-turn or a flip, as float F must stay finite."""
+    for m, dihedral, flip, twist in itertools.product(
+            (1, 2, 3, 4, 6), (False, True), (False, True), (False, True)):
+        z_axis = m in (1, 2, 4)
+        exact = [(ROT_345 if z_axis else ROT_7_DIAG) if twist
+                 else S2R_ROT_ID, _EXACT_CYCLIC[m],
+                 RHO_X if z_axis else HALF_TURN_DIAG]
+        floats = [s2r_rotation_z(1.0), s2r_rotation_z(2 * math.pi / m),
+                  tuple(tuple(map(float, row)) for row in RHO_X)]
+        name = f"C{m}" if not dihedral else f"D{m}"
+        name += "-flip" * flip + "-twist" * twist
+        for rots, lam, zero in ((exact, Fraction(3, 2), 0),
+                                (floats, 1.5, 0.0)):
+            if rots is floats and twist and (dihedral or flip):
+                continue
+            gens = [S2RIsometry(rots[0] if twist else S2R_ROT_ID, lam)]
+            if m > 1:
+                gens.append(S2RIsometry(rots[1], zero))
+            if dihedral:
+                gens.append(S2RIsometry(rots[2], zero))
+            if flip:
+                gens.append(S2RIsometry(S2R_ROT_ID, zero, flip=-1))
+            yield name + ("-float" if rots is floats else ""), gens
+
+
+STRUCTURES = list(_structures())
+
+
+def _typed(rot) -> tuple:
+    """Each entry with its type: 1, 1.0 and Fraction(1) are told apart;
+    0.0 and -0.0 are not."""
+    return tuple((type(v), v) for row in rot for v in row)
+
+
+def _split(decompose, gens) -> tuple:
+    """What the split returns, entry types included, or its error."""
+    try:
+        dec = decompose(gens)
+    except NonDiscreteShiftError as exc:
+        return type(exc), str(exc)
+    twist = None if dec.twist is None else _typed(dec.twist)
+    return (dec.l_type, type(dec.lam), dec.lam, dec.f_order_bound,
+            tuple(map(_typed, dec.f_elements)), twist)
+
+
+@pytest.mark.parametrize("gens", [g for _, g in STRUCTURES],
+                         ids=[name for name, _ in STRUCTURES])
+def test_split_matches_the_generic_product(gens):
+    with deadline(5):
+        assert _split(s2r_decompose, gens) \
+            == _split(s2r_decompose_by_matmul, gens)
+
+
+def test_split_makes_no_generic_product(monkeypatch):
+    def refused(a, b):
+        raise AssertionError(f"generic product of {a} and {b}")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("geom3") \
+                and getattr(module, "matmul", None) is matmul:
+            monkeypatch.setattr(module, "matmul", refused)
+    for _, gens in STRUCTURES:
+        for g in gens:
+            S2RIsometry(g.rot, g.shift, g.flip)
+        _split(s2r_decompose, gens)
 
 
 def test_lam_generates_the_translations_of_a_flipped_group():

@@ -33,6 +33,7 @@ from geom3.intmat import (
     mat2_det,
     mat2_inv,
     mat2_mul,
+    mat3_mul,
     matmul,
     smith_normal_form,
     snf,
@@ -58,6 +59,7 @@ from support import (
     matmul_rect,
     rational_rank_by_elimination,
 )
+from test_algebra import discs, quadrats, rationals
 from test_euclid import _combination
 from test_nil import change_basis, planar_lattices, small_unimodular
 
@@ -569,6 +571,51 @@ def test_lattice_point_group_is_the_closure_of_two_generators(lattice, m):
     group = list(word_ball(MAT2_ID, gens, mat2_mul, tuple, cap=24))
     assert len(group) == pg.order
     assert set(group) == set(pg.elements)
+
+
+# sum() adds floats left to right before Python 3.12, with compensation
+# from 3.12 on
+SUM_ADDS_LEFT_TO_RIGHT = sum([1e16, 1.0, -1e16]) == 0.0
+
+
+@st.composite
+def mat3_pairs(draw):
+    """(kind, a, b): two 3x3 matrices over ints, ints and Fractions, those
+    and QuadRats over one field, or ints and floats."""
+    kind = draw(st.sampled_from(["int", "fraction", "quadrat", "float"]))
+    scalars = st.integers(-9, 9)
+    if kind == "fraction":
+        scalars = st.one_of(scalars, rationals)
+    elif kind == "quadrat":
+        scalars = st.one_of(scalars, rationals, quadrats(draw(discs)))
+    elif kind == "float":
+        scalars = st.one_of(scalars, st.floats(-1e6, 1e6))
+    rows = st.tuples(scalars, scalars, scalars)
+    return kind, draw(st.tuples(rows, rows, rows)), \
+        draw(st.tuples(rows, rows, rows))
+
+
+@given(mat3_pairs())
+def test_mat3_mul_is_the_generic_product(pair):
+    kind, a, b = pair
+    got, want = mat3_mul(a, b), matmul(a, b)
+    entries = [(x, y) for rx, ry in zip(got, want) for x, y in zip(rx, ry)]
+    assert all(type(x) is type(y) for x, y in entries)
+    if kind == "float" and not SUM_ADDS_LEFT_TO_RIGHT:
+        assert all(abs(x - y) <= 1e-3 for x, y in entries)
+    else:
+        # bit for bit; only a zero's sign may differ
+        assert got == want
+
+
+def test_mat3_mul_adds_left_to_right():
+    # 1e16 + 1.0 rounds to 1e16, so each order of the three terms of a
+    # row of a times a column of ones gives 0.0 or 1.0
+    ones = ((1.0, 1.0, 1.0),) * 3
+    for row in itertools.permutations((1e16, 1.0, -1e16)):
+        a = (row, row[1:] + row[:1], row[2:] + row[:2])
+        assert mat3_mul(a, ones) == tuple(((x + y) + z,) * 3
+                                          for x, y, z in a)
 
 
 def test_matmul_and_transpose_of_n_by_n_matrices():
