@@ -552,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dimension for the isometry bound (maxdim)")
     _add_lattice_opts(p_zim)
     # and Sol's --matrix and --power; --preset is shared
-    p_zim.add_argument("--matrix")
+    p_zim.add_argument("--matrix", help=_matrix_help("--matrix"))
     p_zim.add_argument("--power", type=int, default=1)
 
     sub_add("selfcheck", help="run the embedded golden suite")

@@ -10,19 +10,24 @@ and covolume of the Nil dichotomy's translations all go through it.
 
 The helpers the geometry modules share live here too: 2x2/vector
 arithmetic over exact scalars, 2x2 matrices over Z[sqrt(d)] acting on
-integer rows (the Nil Schreier walk), the n x n matrix product and its
-unrolled 3x3 case `mat3_mul` (the S^2 x R rotations), and the
-breadth-first word ball behind every closure and word search.
+integer rows (the Nil Schreier walk), a planar basis with its
+denominators cleared (`ZsqrtBasis`: the Gram matrix, its `gauss_reduce`
+and the integer conjugation B M B^-1 of the planar point groups), the
+n x n matrix product and its unrolled 3x3 case `mat3_mul` (the S^2 x R
+rotations), and the breadth-first word ball behind every closure and
+word search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd
+from itertools import chain
+from math import gcd, isqrt
+from operator import add, sub
 from typing import Optional
 
-from .algebra import QuadRat, Scalar, power
+from .algebra import QuadRat, Scalar, _reduced, clear_denominators, power
 
 Mat2 = tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]
 Vec2 = tuple[Scalar, Scalar]
@@ -102,6 +107,144 @@ def zsqrt_mul(m, n_t, d: int, den: int) -> Optional[tuple[int, ...]]:
     return tuple(map(den.__rfloordiv__, prod))
 
 
+# -- planar bases over Z[sqrt(d)] ---------------------------------------------
+
+def _zmul(x, y, d: int) -> tuple[int, int]:
+    """(p, q) of x y for x, y in Z[sqrt(d)] given as pairs (p, q)."""
+    return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _zsign(x, d: int) -> int:
+    """Sign of p + q sqrt(d): p^2 = d q^2 only for 0, d being square-free."""
+    p, q = x
+    return (p > 0) - (p < 0) if p * p > d * q * q else (q > 0) - (q < 0)
+
+
+def gauss_reduce(gram, d: int) -> tuple[tuple, Mat2]:
+    """Lagrange-Gauss reduction of a planar lattice basis, in integers.
+
+    gram is (g11, g12, g22), the Gram matrix of the basis over Z[sqrt(d)],
+    each entry a pair (p, q) for p + q sqrt(d).  Returns (gram', p): p is
+    an integer matrix of determinant +-1 and gram' the Gram matrix of the
+    basis u' = p00 u + p10 v, v' = p01 u + p11 v, with g'11 <= g'22 and
+    |2 g'12| <= g'11 (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 1.3.14).  The nearest integer to g12 / g11 is the floor of
+    (2 g12 + g11) conj(g11) / (2 N(g11)), for the norm N and the conjugate
+    conj of Z[sqrt(d)], with isqrt for the floor of q sqrt(d): no float
+    enters, whatever the size of the entries, and d = 0 (every q = 0) is
+    the rational case.
+    """
+    (g11, g12, g22), (p00, p01, p10, p11) = gram, (1, 0, 0, 1)
+    while True:
+        if _zsign((g22[0] - g11[0], g22[1] - g11[1]), d) < 0:
+            g11, g22 = g22, g11
+            p00, p01, p10, p11 = p01, p00, p11, p10
+        a, b = g11
+        x, y = _zmul((2 * g12[0] + a, 2 * g12[1] + b), (a, -b), d)
+        n = 2 * (a * a - d * b * b)
+        if n < 0:
+            x, y, n = -x, -y, -n
+        root = isqrt(d * y * y)
+        q = (x + (root if y >= 0 else -root - 1)) // n
+        if q == 0:
+            return (g11, g12, g22), ((p00, p01), (p10, p11))
+        g12, old = (g12[0] - q * a, g12[1] - q * b), g12
+        g22 = (g22[0] - q * (old[0] + g12[0]), g22[1] - q * (old[1] + g12[1]))
+        p01 -= q * p00
+        p11 -= q * p10
+
+
+def _field(x, y, x_irrational):
+    """The field that QuadRat arithmetic gives x y, x + y or x - y, from
+    the fields x, y of the operands (None for a Fraction): that of x if x
+    is irrational or y is a Fraction, else that of y."""
+    return x if x_irrational or y is None else y
+
+
+class ZsqrtBasis:
+    """A planar basis over Q or Q(sqrt(d)) with its denominators cleared.
+
+    basis is the 2x2 matrix (u v) of the basis vectors as columns.  Scaled
+    by the least common denominator of its entries it is a matrix B over
+    Z[sqrt(d)] (d = 0 when every entry is rational), kept as `b`, its
+    entries in row order, each a pair (p, q) for p + q sqrt(d); `det` is
+    det(B) as such a pair, (0, 0) when u and v are dependent, and
+    `det_field` the field QuadRat arithmetic gives det(basis) (None when
+    no entry of basis is a QuadRat).
+    """
+
+    def __init__(self, basis: Mat2):
+        flat = (*basis[0], *basis[1])
+        _, nums = clear_denominators(flat)
+        self.b = b00, b01, b10, b11 = [x if isinstance(x, tuple) else (x, 0)
+                                       for x in nums]
+        self.d = d = next((x.d for x in flat
+                           if isinstance(x, QuadRat) and x.q), 0)
+        diagonal = _zmul(b00, b11, d)
+        self.det = tuple(map(sub, diagonal, _zmul(b01, b10, d)))
+        fields = [x.d if isinstance(x, QuadRat) else None for x in flat]
+        self.det_field = _field(_field(fields[0], fields[3], b00[1]),
+                                _field(fields[1], fields[2], b01[1]),
+                                diagonal[1])
+
+    def gram(self) -> tuple:
+        """(g11, g12, g22) of B^T B, the Gram matrix of B's columns."""
+        (b00, b01, b10, b11), d = self.b, self.d
+        return tuple(tuple(map(add, _zmul(x, y, d), _zmul(z, w, d)))
+                     for x, y, z, w in ((b00, b00, b10, b10),
+                                        (b00, b01, b10, b11),
+                                        (b01, b01, b11, b11)))
+
+    def conjugates(self, mats) -> list[Mat2]:
+        """basis m basis^-1 for each integer 2x2 matrix m, in integers.
+
+        basis m basis^-1 = B m adj(B) / det(B).  For det(B) = e + f sqrt(d)
+        of norm N = e^2 - d f^2, 1/det(B) = (e - f sqrt(d)) / N, so with W
+        = adj(B) (e - f sqrt(d)) sign(N) each element is the sum over k, l
+        of m_kl B_k W_l / |N|, for the column B_k of B and the row W_l of
+        W: four integer products per component, and the scalars are built
+        at the end, each distinct one once.
+
+        They are those of mat2_mul(mat2_mul(basis, m), mat2_inv(basis)) in
+        value and type: Fractions when no entry of basis is a QuadRat, else
+        QuadRats, with the field that `_field` follows through that
+        product.  An irrational entry has field d.  A rational one has the
+        field of det(basis), unless the second column of basis m or the
+        entry of adj(basis) it divides is irrational: then it has field d.
+        The two differ only when a rational QuadRat of another field sits
+        in an irrational basis.
+        """
+        (b00, b01, b10, b11), d, (e, f) = self.b, self.d, self.det
+        n = e * e - d * f * f
+        inv = (e, -f) if n > 0 else (-e, f)
+        w = [_zmul(x, inv, d) for x in (b11, (-b01[0], -b01[1]),
+                                        (-b10[0], -b10[1]), b00)]
+        t00, t01, t10, t11 = (
+            [c for i in (0, 2) for j in (0, 1)
+             for c in _zmul(self.b[i + k], w[l + j], d)]
+            for k in (0, 1) for l in (0, 2))
+        n = abs(n)
+        terms = list(zip(t00, t01, t10, t11))
+        field = self.det_field
+        mixed = d and field != d        # else every entry has `field`
+        adj_irrational = (b10[1], b00[1])   # the entries adj(basis)[1][j]
+        fields = (field,) * 4
+        keys = []
+        for (m00, m01), (m10, m11) in mats:
+            o = [m00 * p + m01 * q + m10 * r + m11 * s for p, q, r, s in terms]
+            if mixed:                   # o[j]: the sqrt(d) part of entry j >> 1
+                col = (b00[1] * m01 + b01[1] * m11, b10[1] * m01 + b11[1] * m11)
+                fields = [d if o[j] or col[j >> 2] or adj_irrational[j >> 1 & 1]
+                          else field for j in (1, 3, 5, 7)]
+            f0, f1, f2, f3 = fields
+            keys.append(((o[0], o[1], f0), (o[2], o[3], f1),
+                         (o[4], o[5], f2), (o[6], o[7], f3)))
+        made = {(p, q, f): Fraction(p, n) if f is None else _reduced(p, q, n, f)
+                for p, q, f in set(chain(*keys))}
+        return [((made[k0], made[k1]), (made[k2], made[k3]))
+                for k0, k1, k2, k3 in keys]
+
+
 def mat3_mul(a, b) -> tuple:
     """Product of two 3x3 matrices over any scalars, as row tuples:
     `matmul` unrolled.  Each entry adds its three terms left to right, as
@@ -139,36 +282,6 @@ def vec2_dot(u: Vec2, v: Vec2) -> Scalar:
 
 def vec2_sub(u: Vec2, v: Vec2) -> Vec2:
     return (u[0] - v[0], u[1] - v[1])
-
-
-_HALF = Fraction(1, 2)
-
-
-def gauss_reduce(u: Vec2, v: Vec2) -> tuple[Vec2, Vec2, Mat2]:
-    """Lagrange-Gauss reduction of a basis u, v of a planar lattice, exactly.
-
-    Returns (u', v', p) with u' = p00 u + p10 v and v' = p01 u + p11 v for
-    an integer matrix p of determinant +-1, such that |u'| <= |v'| and
-    |2 u'.v'| <= |u'|^2 (Cohen, A Course in Computational Algebraic Number
-    Theory, Alg. 1.3.14).  Nearest integers are exact floors, so no float
-    enters, whatever the size of the entries.
-    """
-    p = [[1, 0], [0, 1]]
-    nu, nv = vec2_dot(u, u), vec2_dot(v, v)
-    if isinstance(nu, int):
-        nu = Fraction(nu)
-    while True:
-        if nv < nu:
-            u, v, nu, nv = v, u, nv, nu
-            for row in p:
-                row[0], row[1] = row[1], row[0]
-        q = floor(vec2_dot(u, v) / nu + _HALF)
-        if q == 0:
-            return u, v, ((p[0][0], p[0][1]), (p[1][0], p[1][1]))
-        v = (v[0] - q * u[0], v[1] - q * u[1])
-        nv = vec2_dot(v, v)
-        for row in p:
-            row[1] -= q * row[0]
 
 
 # -- breadth-first word balls ------------------------------------------------

@@ -58,16 +58,15 @@ from .intmat import (
     SearchCapError,
     Vec2,
     ZSpan,
+    ZsqrtBasis,
     congruence_solutions,
     gauss_reduce,
     mat2_apply,
     mat2_det,
     mat2_eq,
-    mat2_inv,
     mat2_mul,
     mat2_transpose,
     vec2_cross,
-    vec2_dot,
     vec2_sub,
     word_ball,
     zsqrt_apply,
@@ -328,64 +327,61 @@ class PlanarPointGroup:
 def planar_point_group(u, v) -> PlanarPointGroup:
     """Orthogonal stabilizer of the lattice Z u + Z v, computed exactly.
 
-    Every stabilizing map is pinned down by the images of a Gauss-reduced
-    basis u', v' (see `gauss_reduce`): lattice vectors with the norms and
-    the inner product of u', v'.  In a reduced basis, a u' + b v' with
+    The basis B = (u v) is cleared of denominators once (`ZsqrtBasis`),
+    and all that follows is integer arithmetic over Z[sqrt(3)].  Every
+    stabilizing map is pinned down by the images of a Gauss-reduced basis
+    u', v' (see `gauss_reduce`): lattice vectors with the norms and the
+    inner product of u', v'.  In a reduced basis, a u' + b v' with
     |b| >= 2, or with |b| = 1 and |a| >= 2, is longer than v', so both
     images have coordinates in {-1, 0, 1}^2 except an image m u' of v'
     with m >= 2; that one cannot occur, since the inverse map would send
     u' to v'/m, which is not a lattice vector.  So there are O(1)
-    candidates and no float enters: the Gram forms are compared as
-    integer pairs (rational part, sqrt(3) part) over one denominator.
-    That Gram test alone admits a candidate: for the integer matrix C of
-    the images in reduced coordinates and G the Gram matrix of u', v',
-    C^T G C = G says that t = B' C B'^-1, B' = (u' v'), keeps every inner
-    product, so t is orthogonal.  The elements are ordered by the
-    coordinates of their images of u and v in the basis u, v, and each
-    comes with its integer matrix M in that basis: the element is B M B^-1.
+    candidates, and no float enters.  The Gram test alone admits one: for
+    the integer matrix C of the images in reduced coordinates and G the
+    Gram matrix of u', v', C^T G C = G says that t = B' C B'^-1, B' =
+    (u' v'), keeps every inner product, so t is orthogonal.  The elements
+    are ordered by the coordinates of their images of u and v in the basis
+    u, v, and each comes with its integer matrix M in that basis: the
+    element B M B^-1 is one integer conjugation (`ZsqrtBasis.conjugates`).
     """
     u = (as_exact(u[0]), as_exact(u[1]))
     v = (as_exact(v[0]), as_exact(v[1]))
-    if vec2_cross(u, v) == 0:
-        raise ValueError("u and v are linearly dependent")
     if not all(scalar_is_rational(x) or (isinstance(x, QuadRat) and x.d == 3)
                for x in (*u, *v)):
         raise ValueError("planar scalars must lie in Q or Q(sqrt(3))")
-    ru, rv, p = gauss_reduce(u, v)
-    _, nums = clear_denominators((vec2_dot(ru, ru), vec2_dot(ru, rv),
-                                  vec2_dot(rv, rv)))
-    gram = [n if isinstance(n, tuple) else (n, 0) for n in nums]
-    g11, g12, g22 = gram
+    basis = ZsqrtBasis(((u[0], v[0]), (u[1], v[1])))
+    if basis.det == (0, 0):
+        raise ValueError("u and v are linearly dependent")
+    (g11, g12, g22), p = gauss_reduce(basis.gram(), basis.d)
+    (x11, y11), (x12, y12), (x22, y22) = g11, g12, g22
 
     def form(a, b) -> tuple[int, int]:  # inner product, reduced coordinates
         c11, c12 = a[0] * b[0], a[0] * b[1] + a[1] * b[0]
         c22 = a[1] * b[1]
-        return tuple(c11 * x + c12 * y + c22 * z for x, y, z in zip(*gram))
+        return (c11 * x11 + c12 * x12 + c22 * x22,
+                c11 * y11 + c12 * y12 + c22 * y22)
 
     small = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
-    images_u = [w for w in small if form(w, w) == g11]
-    images_v = [w for w in small if form(w, w) == g22]
-    # reduced coordinates -> coordinates in the basis u, v: conjugate by p
-    det = mat2_det(p)                   # +-1, so p^-1 = det * adj(p)
-    p_inv = ((det * p[1][1], -det * p[0][1]),
-             (-det * p[1][0], det * p[0][0]))
+    norms = [form(w, w) for w in small]
+    images_u = [w for w, g in zip(small, norms) if g == g11]
+    images_v = [w for w, g in zip(small, norms) if g == g22]
+    # M = p C p^-1 in the basis u, v: p^-1 = det * adj(p), det = +-1
+    (a, b), (c, e) = p
+    det = a * e - b * c
+    in_uv = {w: (a * w[0] + b * w[1], c * w[0] + e * w[1]) for w in small}
     coords = []
     for iu in images_u:
         for iv in images_v:
             if form(iu, iv) == g12:
-                c = mat2_mul(mat2_mul(p, ((iu[0], iv[0]), (iu[1], iv[1]))),
-                             p_inv)
-                coords.append((c[0][0], c[1][0], c[0][1], c[1][1]))
+                (x0, x1), (y0, y1) = in_uv[iu], in_uv[iv]
+                coords.append((det * (e * x0 - c * y0), det * (e * x1 - c * y1),
+                               det * (a * y0 - b * x0), det * (a * y1 - b * x1)))
     order = len(coords)
     if order not in _PG_TAGS:
         raise RuntimeError(f"unexpected stabilizer order {order}")
     in_basis = tuple(((ku, kv), (lu, lv)) for ku, lu, kv, lv in sorted(coords))
-    basis = ((u[0], v[0]), (u[1], v[1]))
-    basis_inv = mat2_inv(basis)
-    return PlanarPointGroup(
-        _PG_TAGS[order],
-        tuple(mat2_mul(mat2_mul(basis, m), basis_inv) for m in in_basis),
-        in_basis)
+    return PlanarPointGroup(_PG_TAGS[order],
+                            tuple(basis.conjugates(in_basis)), in_basis)
 
 
 # -- the lattice frame ---------------------------------------------------------

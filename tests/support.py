@@ -33,6 +33,12 @@ on `HeisIsometry` products with `Fraction` and `QuadRat` scalars
 `global_extends_to_group_normalizer`).  The scan and loop oracles above
 build on these.
 
+`point_group_elements_by_products` builds the elements of a planar point
+group from their integer matrices M in the basis B = (u v) as
+`planar_point_group` did before one integer conjugation gave them: B M B^-1
+as two `Fraction` or `QuadRat` 2x2 products per element.  It is the oracle
+for the value, type and `QuadRat.d` of every entry.
+
 `matrix_order_by_powers` is the order of a 2x2 matrix as `nil._matrix_order`
 found it before its table by (det, trace): powers up to the 12th.
 
@@ -313,6 +319,23 @@ def point_group_by_box(u, v) -> tuple:
             if not any(mat2_eq(t, m) for m in found):
                 found.append(t)
     return tuple(found)
+
+
+def point_group_elements_by_products(u, v, basis_matrices) -> tuple:
+    """B M B^-1 for each integer matrix M, B = (u v), by scalar products."""
+    u = (as_exact(u[0]), as_exact(u[1]))
+    v = (as_exact(v[0]), as_exact(v[1]))
+    basis = ((u[0], v[0]), (u[1], v[1]))
+    basis_inv = mat2_inv(basis)
+    return tuple(mat2_mul(mat2_mul(basis, m), basis_inv)
+                 for m in basis_matrices)
+
+
+def entry_records(matrices) -> list:
+    """Each entry of each 2x2 matrix as (value, type, QuadRat.d or None,
+    repr): equal records are the same scalar, down to its label."""
+    return [(x, type(x), getattr(x, "d", None), repr(x))
+            for m in matrices for row in m for x in row]
 
 
 def matrix_order_by_powers(m) -> int:

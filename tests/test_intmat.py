@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geom3.algebra import QuadRat, clear_denominators
@@ -25,6 +25,7 @@ from geom3.intmat import (
     IntMat2,
     SearchCapError,
     ZSpan,
+    ZsqrtBasis,
     congruence_solutions,
     diagonalize_sl2,
     gauss_reduce,
@@ -55,8 +56,10 @@ from support import (
     deadline,
     determinant,
     elementary_divisors_stack,
+    entry_records,
     lattice_points_by_walk,
     matmul_rect,
+    point_group_elements_by_products,
     rational_rank_by_elimination,
 )
 from test_algebra import discs, quadrats, rationals
@@ -445,16 +448,28 @@ def combine(u, v, k, l):
     return (k * u[0] + l * v[0], k * u[1] + l * v[1])
 
 
+def gram_scalar(pair, d: int, r: int):
+    """The scalar (p + q sqrt(d)) / r^2 of an entry (p, q) of an integer
+    Gram matrix over the denominator r of its basis."""
+    p, q = pair
+    return QuadRat(Fraction(p, r * r), Fraction(q, r * r), d) if q \
+        else Fraction(p, r * r)
+
+
 @settings(max_examples=150, deadline=None)
 @given(planar_bases())
 def test_gauss_reduce_gives_a_reduced_basis_of_the_same_lattice(basis):
     u, v = basis
-    ru, rv, p = gauss_reduce(u, v)
+    frame = ZsqrtBasis(((u[0], v[0]), (u[1], v[1])))
+    r, _ = clear_denominators((*u, *v))
+    gram, p = gauss_reduce(frame.gram(), frame.d)
     assert all(isinstance(x, int) for row in p for x in row)
     assert abs(mat2_det(p)) == 1
-    assert ru == combine(u, v, p[0][0], p[1][0])
-    assert rv == combine(u, v, p[0][1], p[1][1])
+    ru = combine(u, v, p[0][0], p[1][0])
+    rv = combine(u, v, p[0][1], p[1][1])
     n1, n2, g = vec2_dot(ru, ru), vec2_dot(rv, rv), vec2_dot(ru, rv)
+    # the integer Gram matrix is that of u', v', scaled by r^2
+    assert [gram_scalar(x, frame.d, r) for x in gram] == [n1, g, n2]
     assert n1 <= n2 and abs(2 * g) <= n1
     # u' is a shortest vector: no small combination of u, v is shorter
     for k in range(-3, 4):
@@ -466,10 +481,46 @@ def test_gauss_reduce_gives_a_reduced_basis_of_the_same_lattice(basis):
 
 def test_gauss_reduce_beyond_float_range():
     big = 10 ** 300
-    ru, rv, p = gauss_reduce((Fraction(1), Fraction(0)),
-                             (Fraction(big), Fraction(1)))
-    assert (ru, rv) == ((1, 0), (0, 1))
+    gram, p = gauss_reduce(((1, 0), (big, 0), (big * big + 1, 0)), 0)
+    assert gram == ((1, 0), (0, 0), (1, 0))
     assert p == ((1, -big), (0, 1))
+
+
+@st.composite
+def labelled_matrices(draw):
+    """Nonsingular 2x2 matrices over Q(sqrt(3)) whose entries are Fractions,
+    QuadRats of Q(sqrt(3)), or rational QuadRats of Q(sqrt(3)), Q(sqrt(5))
+    or Q(sqrt(7)): every way QuadRat arithmetic can label an entry."""
+    entries = []
+    for _ in range(4):
+        x, kind = draw(rationals), draw(st.sampled_from(["q", "s", 3, 5, 7]))
+        entries.append(x if kind == "q" else QuadRat(x, draw(rationals), 3)
+                       if kind == "s" else QuadRat(x, 0, kind))
+    m = (tuple(entries[:2]), tuple(entries[2:]))
+    assume(mat2_det(m) != 0)
+    return m
+
+
+small_entries = st.integers(-3, 3)
+small_matrices = st.tuples(st.tuples(small_entries, small_entries),
+                           st.tuples(small_entries, small_entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_matrices(), st.lists(small_matrices, max_size=6))
+# rational entries that the products give the field 3, not the field 5
+# of det(basis): through the second column of basis m, then through the
+# entry of adj(basis) that it divides; the swap gives irrational entries
+# whose column of basis m and entry of adj(basis) are rational
+@example(((Fraction(0), Fraction(1)), (QuadRat(1, 0, 5), QuadRat(0, 1, 3))),
+         [MAT2_ID, ((0, 1), (1, 0))])
+@example(((QuadRat(0, 1, 3), Fraction(1)), (QuadRat(1, 0, 5), Fraction(0))),
+         [MAT2_ID])
+def test_integer_conjugation_is_the_scalar_product(basis, mats):
+    (u0, v0), (u1, v1) = basis
+    assert entry_records(ZsqrtBasis(basis).conjugates(mats)) == \
+        entry_records(point_group_elements_by_products((u0, u1), (v0, v1),
+                                                       mats))
 
 
 # -- the word-ball kernel against closed forms ------------------------------

@@ -9,11 +9,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geom3 import algebra, intmat, nil
-from geom3.algebra import MixedDiscriminantError, QuadRat
+from geom3.algebra import MixedDiscriminantError, QuadRat, scalar_is_rational
 from geom3.cli import _nil_generators
 from geom3.descriptors import canonical_json
 from geom3.intmat import (
@@ -71,6 +71,7 @@ from support import (
     covolume_by_minors,
     deadline,
     dichotomy_by_fixed_sets,
+    entry_records,
     extends_by_scan,
     frame_isometry,
     frame_point,
@@ -87,6 +88,7 @@ from support import (
     matrix_order_by_powers,
     planar_coords,
     point_group_by_box,
+    point_group_elements_by_products,
     rot_apply,
     schreier_translations_by_scalars,
 )
@@ -314,6 +316,13 @@ def test_point_group_is_a_group_preserving_the_lattice():
 def test_point_group_rejects_unsupported_field():
     with pytest.raises(ValueError):
         planar_point_group((1, 0), (QuadRat(0, 1, 2), 1))
+    # documented output change: the field test comes before the
+    # independence test, so these raised "linearly dependent" and
+    # "cannot mix sqrt(2) with sqrt(5)"
+    sqrt2, sqrt5 = QuadRat(0, 1, 2), QuadRat(0, 1, 5)
+    for u, v in (((sqrt2, 0), (2 * sqrt2, 0)), ((sqrt2, 1), (sqrt5, 1))):
+        with pytest.raises(ValueError, match=re.escape("Q(sqrt(3))")):
+            planar_point_group(u, v)
 
 
 # -- lifts and quotient isometries -----------------------------------------------
@@ -739,6 +748,53 @@ def test_every_basis_of_z2_gives_the_signed_permutations(m):
         pg = planar_point_group(u, v)
     assert pg.tag == "D4" and pg.order == 8
     assert set(pg.elements) == SIGNED_PERMUTATIONS
+
+
+@st.composite
+def labelled_bases(draw):
+    """The bases of `planar_lattices` skewed by `small_unimodular`, or the
+    hexagonal basis skewed by a `z2_bases` matrix, with each rational
+    entry kept, or made a rational QuadRat of Q(sqrt(5)) or Q(sqrt(7)): a
+    value that carries a field it does not need."""
+    if draw(st.booleans()):
+        u, v = change_basis(*draw(planar_lattices()), draw(small_unimodular()))
+    else:
+        u, v = change_basis(*HEX, draw(z2_bases()))
+    entries = []
+    for x in (*u, *v):
+        d = draw(st.sampled_from([0, 5, 7]))
+        if d and scalar_is_rational(x):
+            x = QuadRat(x.a if isinstance(x, QuadRat) else x, 0, d)
+        entries.append(x)
+    return tuple(entries[:2]), tuple(entries[2:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_bases())
+@example(((0, QuadRat(1, 0, 5)), (1, QuadRat(0, 1, 3))))
+@example(((QuadRat(0, 1, 3), QuadRat(1, 0, 5)), (1, 0)))
+def test_point_group_elements_are_those_of_the_scalar_products(basis):
+    u, v = basis
+    pg = planar_point_group(u, v)
+    assert entry_records(pg.elements) == entry_records(
+        point_group_elements_by_products(u, v, pg.basis_matrices))
+
+
+def test_point_group_builds_no_scalar_product(monkeypatch):
+    bases = [((1, 0), (0, 1)), HEX, ((1, 0), (1000, 1))]
+    expected = [planar_point_group(u, v) for u, v in bases]
+
+    def refuse(*args):
+        raise AssertionError("scalar arithmetic in the point group")
+
+    monkeypatch.setattr(nil, "mat2_mul", refuse)
+    for cls in (Fraction, QuadRat):
+        for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+            monkeypatch.setattr(cls, name, refuse)
+    got = [planar_point_group(u, v) for u, v in bases]
+    monkeypatch.undo()
+    assert got == expected
+    assert [pg.tag for pg in got] == ["D4", "D6", "D4"]
 
 
 offsets = st.fractions(min_value=-3, max_value=3, max_denominator=4)
