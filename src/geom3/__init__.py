@@ -9,16 +9,13 @@ __version__ = "0.1.0"
 # that `import geom3.cli` loads no module its subcommand does not run.
 _EXPORTS = {
     "QuadRat": "algebra", "galois_conjugate": "algebra",
-    "IntMat2": "intmat", "SnfResult": "intmat",
-    "smith_normal_form": "intmat", "int_mat_pow": "intmat",
-    "diagonalize_sl2": "intmat",
+    "IntMat2": "intmat", "int_mat_pow": "intmat",
     "IsoDescriptor": "descriptors", "Verdict": "descriptors",
 }
 
 __all__ = [
     "QuadRat", "galois_conjugate",
-    "IntMat2", "SnfResult", "smith_normal_form", "int_mat_pow",
-    "diagonalize_sl2",
+    "IntMat2", "int_mat_pow",
     "IsoDescriptor", "Verdict",
     "__version__",
 ]

@@ -1,21 +1,21 @@
-"""Integer matrices: the Smith normal form, 2x2 matrices, SL2 spectral data.
+"""Integer matrices: the Smith normal form, 2x2 matrices, planar bases.
 
 `snf` is the Smith normal form of any m x n integer matrix, with its
-unimodular transforms.  Sol's cokernel Z^2/(I - A^n)Z^2 goes through the
-2x2 wrapper `smith_normal_form`, and the adjoined Nil cosets through
-`congruence_solutions`.  `ZSpan`, the one lattice kernel, reads rank,
-basis and integer coordinates of the span of integer rows off one `snf`:
-Euclidean translation lattices, ranks and coinvariants, and the Z-rank
+unimodular transforms.  Sol reads its cokernel Z^2/(I - A^n)Z^2 and the
+holonomy's action on it off one `snf`, and the adjoined Nil cosets go
+through `congruence_solutions`.  `ZSpan`, the one lattice kernel, reads
+rank, basis and integer coordinates of the span of integer rows off one
+`snf`: Euclidean translation lattices, ranks and coinvariants, and the Z-rank
 and covolume of the Nil dichotomy's translations all go through it.
 
 The helpers the geometry modules share live here too: 2x2/vector
 arithmetic over exact scalars, 2x2 matrices over Z[sqrt(d)] acting on
 integer rows (the Nil Schreier walk), a planar basis with its
 denominators cleared (`ZsqrtBasis`: the Gram matrix, its `gauss_reduce`
-and the integer conjugation B M B^-1 of the planar point groups), the
-n x n matrix product and its unrolled 3x3 case `mat3_mul` (the S^2 x R
-rotations), and the breadth-first word ball behind every closure and
-word search.
+and the integer conjugation B M B^-1 of the planar point groups and of
+Sol's Galois check), the n x n matrix product and its unrolled 3x3 case
+`mat3_mul` (the S^2 x R rotations), and the breadth-first word ball
+behind every closure and word search.
 """
 
 from __future__ import annotations
@@ -368,29 +368,6 @@ def int_mat_pow(a: IntMat2, n: int) -> IntMat2:
     return power(a, n, IntMat2.__matmul__, IntMat2.identity())
 
 
-@dataclass(frozen=True)
-class SnfResult:
-    """u @ m @ v = diag(d1, d2) with u, v unimodular and d1 | d2, d1,d2 >= 0."""
-
-    d1: int
-    d2: int
-    u: IntMat2
-    v: IntMat2
-
-    def diagonal(self) -> tuple[int, int]:
-        return (self.d1, self.d2)
-
-    def abelian_invariants(self) -> list[int]:
-        """Nontrivial invariant factors of the cokernel Z^2 / m Z^2."""
-        return [d for d in (self.d1, self.d2) if d != 1]
-
-
-def smith_normal_form(m: IntMat2) -> SnfResult:
-    """`snf` of a 2x2 integer matrix, as an SnfResult."""
-    (d1, d2), u, v = snf(m.rows())
-    return SnfResult(d1, d2, IntMat2.from_rows(u), IntMat2.from_rows(v))
-
-
 def snf(rows) -> tuple[tuple[int, ...], tuple, tuple]:
     """Smith normal form of an m x n integer matrix, given by its rows.
 
@@ -525,36 +502,3 @@ def congruence_solutions(rows, rhs, n: int) -> list[tuple[int, int]]:
                    (v[1][0] * j1 + v[1][1] * j2) % n)
                   for j1 in coords[0] for j2 in coords[1])
 
-
-def diagonalize_sl2(a: IntMat2) -> tuple[tuple[QuadRat, QuadRat], Mat2]:
-    """Exact eigenvalues and eigenbasis of a hyperbolic SL2(Z) matrix.
-
-    Requires det a = 1 and tr a > 2.  Returns ((lam, lam_inv), basis) where
-    the columns of basis are eigenvectors, det(basis) = 1 and
-    basis^{-1} @ a @ basis = diag(lam, lam_inv) exactly in Q(sqrt(d)).
-    """
-    if a.det() != 1:
-        raise ValueError("determinant 1 required")
-    t = a.trace()
-    if t < -2:
-        raise ValueError(f"trace {t} < -2: matrix is hyperbolic, but only "
-                         f"trace > 2 is supported")
-    if t <= 2:
-        raise ValueError(f"trace {t} <= 2: matrix is not hyperbolic")
-    root = QuadRat.sqrt(t * t - 4)
-    lam = (root + t) / 2
-    lam_inv = (t - root) / 2
-    cols = []
-    for ev in (lam, lam_inv):
-        if a.b != 0:
-            cols.append((QuadRat(a.b, 0, lam.d), ev - a.a))
-        elif a.c != 0:
-            cols.append((ev - a.d, QuadRat(a.c, 0, lam.d)))
-        else:  # diagonal integer matrix with trace > 2 and det 1: impossible
-            raise ValueError("matrix is already diagonal but not hyperbolic")
-    basis: Mat2 = ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
-    det = mat2_det(basis)
-    # scale the second column so det(basis) = 1
-    basis = ((basis[0][0], basis[0][1] / det),
-             (basis[1][0], basis[1][1] / det))
-    return (lam, lam_inv), basis

@@ -1,9 +1,12 @@
 """Sol geometry: the group R^2 x| R with diag(e^t, e^{-t}) twist.
 
 Lattices come from hyperbolic SL2(Z) matrices A; their quotient isometry
-groups are finite and computed exactly through the cokernel of I - A^n.
-The normalizer and the (trivial) centralizer are integer arithmetic on A
-too; only the rational structure and the exact unit work in Q(sqrt(d)).
+groups are finite and computed exactly through the cokernel of I - A^n,
+read off `intmat.snf`.  The normalizer and the (trivial) centralizer are
+integer arithmetic on A too; only the eigen-data work in Q(sqrt(d)): the
+unit lam = (t + sqrt(t^2 - 4)) / 2 for t = tr A, and the eigenbasis B
+of the rational structure, whose Galois check conjugates A by B and by
+its conjugate in integers over Z[sqrt(d)] (`intmat.ZsqrtBasis`).
 Points support two scalar modes: floats with arbitrary t, and an exact
 mode where e^t is a power of a fixed quadratic unit.
 """
@@ -18,7 +21,7 @@ from typing import Optional
 from . import intmat
 from .algebra import QuadRat, galois_conjugate
 from .descriptors import IsoDescriptor, check_output_size
-from .intmat import IntMat2, Vec2, int_mat_pow, mat2_eq, mat2_inv, mat2_mul
+from .intmat import IntMat2, Mat2, Vec2, ZsqrtBasis, int_mat_pow, mat2_inv
 
 
 @dataclass(frozen=True)
@@ -100,10 +103,25 @@ def sol_fixed_line(g: SolPoint) -> tuple:
 
 @dataclass(frozen=True)
 class SolLattice:
-    """Gamma_{A^n} = Z^2 x|_{A^n} Z for a hyperbolic A in SL2(Z)."""
+    """Gamma_{A^n} = Z^2 x|_{A^n} Z for a hyperbolic A in SL2(Z).
+
+    Checked when built: det A = 1, tr A > 2 and n a positive integer.
+    """
 
     a: IntMat2
     n: int
+
+    def __post_init__(self):
+        det, t = self.a.det(), self.a.trace()
+        if det != 1:
+            raise ValueError(f"determinant {det} != 1")
+        if t < -2:
+            raise ValueError(f"trace {t} < -2: A is hyperbolic, but only "
+                             f"trace > 2 is supported")
+        if t <= 2:
+            raise ValueError(f"trace {t} <= 2: no hyperbolic holonomy")
+        if not isinstance(self.n, int) or self.n < 1:
+            raise ValueError("power must be a positive integer")
 
     def holonomy(self) -> IntMat2:
         return int_mat_pow(self.a, self.n)
@@ -114,15 +132,6 @@ class SolLattice:
 
 
 def sol_lattice_make(a: IntMat2, n: int = 1) -> SolLattice:
-    if a.det() != 1:
-        raise ValueError(f"determinant {a.det()} != 1")
-    if a.trace() < -2:
-        raise ValueError(f"trace {a.trace()} < -2: A is hyperbolic, but only "
-                         f"trace > 2 is supported")
-    if a.trace() <= 2:
-        raise ValueError(f"trace {a.trace()} <= 2: no hyperbolic holonomy")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("power must be a positive integer")
     return SolLattice(a, n)
 
 
@@ -167,14 +176,13 @@ def sol_quotient_isometry(lat: SolLattice) -> IsoDescriptor:
     det_order = abs(2 - hol.trace())
     order = det_order * lat.n
     check_output_size(order)
-    m = IntMat2.identity() - hol
-    snf = intmat.smith_normal_form(m)
-    if snf.d1 * snf.d2 != det_order:
+    (d1, d2), u, _ = intmat.snf((IntMat2.identity() - hol).rows())
+    if d1 * d2 != det_order:
         raise RuntimeError(
-            f"cokernel order {snf.d1 * snf.d2} contradicts determinant "
+            f"cokernel order {d1 * d2} contradicts determinant "
             f"formula {det_order}")
-    invariants = snf.abelian_invariants()
-    action = _cokernel_action(lat.a, snf)
+    invariants = [d for d in (d1, d2) if d != 1]
+    action = _cokernel_action(lat.a, u, (d1, d2))
     structure = _structure_label(invariants, lat.n)
     finite = {
         "abelian_invariants": invariants,
@@ -187,19 +195,14 @@ def sol_quotient_isometry(lat: SolLattice) -> IsoDescriptor:
                          finite_part=finite, total_order=order)
 
 
-def _cokernel_action(a: IntMat2, snf: intmat.SnfResult) -> list:
-    """Action of the holonomy on Z_{d1} x Z_{d2}, rows reduced mod d_i."""
-    u = snf.u
+def _cokernel_action(a: IntMat2, u: Mat2, diagonal: tuple[int, int]) -> list:
+    """Action of the holonomy on Z_{d1} x Z_{d2}: U A U^-1 for the SNF
+    transform U, its rows reduced mod d_i (each d_i >= 1)."""
+    u = IntMat2.from_rows(u)
     det_u = u.det()
     u_inv = IntMat2(u.d * det_u, -u.b * det_u, -u.c * det_u, u.a * det_u)
-    r = u @ a @ u_inv
-    rows = [[r.a, r.b], [r.c, r.d]]
-    out = []
-    for i, d in enumerate((snf.d1, snf.d2)):
-        if d == 1:
-            continue
-        out.append([rows[i][j] % d if d else rows[i][j] for j in range(2)])
-    return out
+    rows = (u @ a @ u_inv).rows()
+    return [[x % d for x in row] for row, d in zip(rows, diagonal) if d != 1]
 
 
 def _structure_label(invariants: list[int], n: int) -> str:
@@ -221,10 +224,9 @@ def sol_centralizer(lat: SolLattice) -> dict:
     The steps: (1, 0) has both eigencoordinates nonzero, since c = 0 with
     det A = 1 would force a = d = +-1 and tr A = +-2; tr A > 2 makes A's
     eigenvalue lam > 1, so lam^k = 1 only for k = 0; then conjugation by
-    the holonomy step kills both planar coordinates.  A hand-built lattice
-    that `sol_lattice_make` would refuse raises its ValueError.
+    the holonomy step kills both planar coordinates.  Every `SolLattice`
+    has passed those checks when it was built.
     """
-    sol_lattice_make(lat.a, lat.n)
     if lat.a.c == 0:
         raise RuntimeError("(1, 0) is an eigenvector of a hyperbolic matrix")
     return {"group": "trivial", "verified": True, "steps": [
@@ -233,20 +235,52 @@ def sol_centralizer(lat: SolLattice) -> dict:
         "conjugation by the holonomy step kills both coordinates"]}
 
 
+def _unit(t: int) -> QuadRat:
+    """The eigenvalue lam = (t + sqrt(t^2 - 4)) / 2 > 1 of trace t > 2."""
+    return (QuadRat.sqrt(t * t - 4) + t) / 2
+
+
+def _eigen_data(a: IntMat2) -> tuple[tuple[QuadRat, QuadRat], Mat2]:
+    """Exact eigenvalues and eigenbasis of a hyperbolic SL2(Z) matrix.
+
+    Requires det a = 1 and tr a > 2.  Returns ((lam, lam_inv), basis) where
+    the columns of basis are eigenvectors, det(basis) = 1 and
+    basis^{-1} @ a @ basis = diag(lam, lam_inv) exactly in Q(sqrt(d)).
+    """
+    if a.det() != 1:
+        raise ValueError("determinant 1 required")
+    t = a.trace()
+    if t < -2:
+        raise ValueError(f"trace {t} < -2: matrix is hyperbolic, but only "
+                         f"trace > 2 is supported")
+    if t <= 2:
+        raise ValueError(f"trace {t} <= 2: matrix is not hyperbolic")
+    lam = _unit(t)
+    lam_inv = t - lam
+    if a.b:
+        cols = [(QuadRat(a.b, 0, lam.d), ev - a.a) for ev in (lam, lam_inv)]
+    else:               # c != 0: else a = d = +-1 and tr a = +-2
+        cols = [(ev - a.d, QuadRat(a.c, 0, lam.d)) for ev in (lam, lam_inv)]
+    (u0, u1), (v0, v1) = cols
+    det = u0 * v1 - v0 * u1     # the second column scaled to det(basis) = 1
+    return (lam, lam_inv), ((u0, v0 / det), (u1, v1 / det))
+
+
 def sol_q_structure(a: IntMat2) -> dict:
     """Rational structure behind the lattice: diagonalize over Q(sqrt(d)).
 
     Returns the square-free field parameter, exact eigenvalues, the change
     of basis B with B a B^{-1} diagonal, and whether the entrywise Galois
-    conjugate of B diagonalizes a onto the conjugate eigenvalues.
+    conjugate of B diagonalizes a onto the conjugate eigenvalues.  Each
+    check is one integer conjugation B a adj(B) / det(B) over Z[sqrt(d)].
     """
-    (lam, lam_inv), basis = intmat.diagonalize_sl2(a)
+    (lam, lam_inv), basis = _eigen_data(a)
     b = mat2_inv(basis)
     b_conj = tuple(tuple(galois_conjugate(x) for x in row) for row in b)
 
     def diagonalizes(p, ev, ev_inv) -> bool:
-        return mat2_eq(mat2_mul(p, mat2_mul(a.rows(), mat2_inv(p))),
-                       ((ev, 0), (0, ev_inv)))
+        return ZsqrtBasis(p).conjugates([a.rows()])[0] == ((ev, 0),
+                                                          (0, ev_inv))
 
     return {
         "d": lam.d,
@@ -264,5 +298,4 @@ def sol_unit(lat: SolLattice) -> QuadRat:
     """The exact e-power base for exact-mode points over this lattice: the
     eigenvalue lam^n > 1 of A^n, lam that of A, so only the square-free
     part of tr(A)^2 - 4 is factored, never that of tr(A^n)^2 - 4."""
-    (lam, _), _ = intmat.diagonalize_sl2(lat.a)
-    return lam ** lat.n
+    return _unit(lat.a.trace()) ** lat.n

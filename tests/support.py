@@ -88,9 +88,18 @@ that reaches F and the least shift, it agrees with the closed form.
 `intmat.matmul`, and each float key rounded entry by entry.
 
 `sol_centralizer_by_eigenbasis` is `sol.sol_centralizer` as it was before
-three integer checks on A gave its answer: A diagonalized over Q(sqrt(d)),
-a planar vector with both eigencoordinates nonzero searched for, and the
+three integer checks on A gave its answer: A diagonalized over Q(sqrt(d))
+(`diagonalize_sl2`, the eigen-data that `intmat` computed for `sol`), a
+planar vector with both eigencoordinates nonzero searched for, and the
 eigenvalue lam^n of the holonomy compared with 1.
+
+`sol_q_structure_by_products` is `sol.sol_q_structure` as it checked both
+diagonalizations before one integer conjugation over Z[sqrt(d)] did:
+B A B^-1 as two `QuadRat` 2x2 products, for B and for its Galois
+conjugate.  `sol_unit_by_eigenbasis` reads the unit off `diagonalize_sl2`.
+`sol_quotient_isometry_by_snf_result` is `sol.sol_quotient_isometry` as
+it read the 2x2 wrapper of `snf`: U as an `IntMat2`, and each row of
+U A U^-1 reduced mod d_i, or kept as it is for d_i = 0.
 
 `mobius_word_by_fractions` multiplies exact Mobius maps as 2x2 matrices
 of Fractions, the way `MobiusMap.compose` did before an exact map became
@@ -117,9 +126,10 @@ from geom3.algebra import (
     as_exact,
     clear_denominators,
     frac,
+    galois_conjugate,
     scalar_is_rational,
 )
-from geom3 import fibered
+from geom3 import fibered, sol
 from geom3.fibered import (
     BALL_CAP,
     LAMBDA_Z,
@@ -134,9 +144,9 @@ from geom3.algebra import format_scalar
 from geom3.descriptors import IsoDescriptor
 from geom3.intmat import (
     MAT2_ID,
+    IntMat2,
     SearchCapError,
     congruence_solutions,
-    diagonalize_sl2,
     mat2_apply,
     mat2_det,
     mat2_eq,
@@ -144,6 +154,7 @@ from geom3.intmat import (
     mat2_mul,
     mat2_transpose,
     matmul,
+    snf,
     vec2_cross,
     vec2_dot,
     vec2_sub,
@@ -1224,6 +1235,98 @@ def sol_centralizer_by_eigenbasis(lat) -> dict:
     steps.append("unit power lam^k fixes a nonzero coordinate only for k = 0")
     steps.append("conjugation by the holonomy step kills both coordinates")
     return {"group": "trivial", "verified": True, "steps": steps}
+
+
+def diagonalize_sl2(a: IntMat2) -> tuple:
+    """Exact eigenvalues and eigenbasis of a hyperbolic SL2(Z) matrix.
+
+    Requires det a = 1 and tr a > 2.  Returns ((lam, lam_inv), basis) where
+    the columns of basis are eigenvectors, det(basis) = 1 and
+    basis^{-1} @ a @ basis = diag(lam, lam_inv) exactly in Q(sqrt(d)).
+    """
+    if a.det() != 1:
+        raise ValueError("determinant 1 required")
+    t = a.trace()
+    if t < -2:
+        raise ValueError(f"trace {t} < -2: matrix is hyperbolic, but only "
+                         f"trace > 2 is supported")
+    if t <= 2:
+        raise ValueError(f"trace {t} <= 2: matrix is not hyperbolic")
+    root = QuadRat.sqrt(t * t - 4)
+    lam = (root + t) / 2
+    lam_inv = (t - root) / 2
+    cols = []
+    for ev in (lam, lam_inv):
+        if a.b != 0:
+            cols.append((QuadRat(a.b, 0, lam.d), ev - a.a))
+        elif a.c != 0:
+            cols.append((ev - a.d, QuadRat(a.c, 0, lam.d)))
+        else:  # diagonal integer matrix with trace > 2 and det 1: impossible
+            raise ValueError("matrix is already diagonal but not hyperbolic")
+    basis = ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
+    det = mat2_det(basis)
+    # scale the second column so det(basis) = 1
+    basis = ((basis[0][0], basis[0][1] / det),
+             (basis[1][0], basis[1][1] / det))
+    return (lam, lam_inv), basis
+
+
+def sol_q_structure_by_products(a: IntMat2) -> dict:
+    """`sol.sol_q_structure` with each diagonalization checked by
+    `QuadRat` 2x2 products."""
+    (lam, lam_inv), basis = diagonalize_sl2(a)
+    b = mat2_inv(basis)
+    b_conj = tuple(tuple(galois_conjugate(x) for x in row) for row in b)
+
+    def diagonalizes(p, ev, ev_inv) -> bool:
+        return mat2_eq(mat2_mul(p, mat2_mul(a.rows(), mat2_inv(p))),
+                       ((ev, 0), (0, ev_inv)))
+
+    return {
+        "d": lam.d,
+        "eigenvalues": (lam, lam_inv),
+        "basis": b,
+        "basis_conjugate": b_conj,
+        "galois_pair_check": (
+            diagonalizes(b, lam, lam_inv)
+            and diagonalizes(b_conj, galois_conjugate(lam),
+                             galois_conjugate(lam_inv))),
+    }
+
+
+def sol_unit_by_eigenbasis(lat) -> QuadRat:
+    (lam, _), _ = diagonalize_sl2(lat.a)
+    return lam ** lat.n
+
+
+def sol_quotient_isometry_by_snf_result(lat) -> IsoDescriptor:
+    """`sol.sol_quotient_isometry` through U as an `IntMat2`."""
+    hol = lat.holonomy()
+    det_order = abs(2 - hol.trace())
+    (d1, d2), u, _ = snf((IntMat2.identity() - hol).rows())
+    if d1 * d2 != det_order:
+        raise RuntimeError("cokernel order contradicts the determinant")
+    u = IntMat2.from_rows(u)
+    det_u = u.det()
+    u_inv = IntMat2(u.d * det_u, -u.b * det_u, -u.c * det_u, u.a * det_u)
+    r = u @ lat.a @ u_inv
+    rows = [[r.a, r.b], [r.c, r.d]]
+    action = []
+    for i, d in enumerate((d1, d2)):
+        if d == 1:
+            continue
+        action.append([rows[i][j] % d if d else rows[i][j] for j in range(2)])
+    invariants = [d for d in (d1, d2) if d != 1]
+    order = det_order * lat.n
+    finite = {
+        "abelian_invariants": invariants,
+        "cyclic_extension": lat.n,
+        "order": order,
+        "action_on_invariants": action,
+        "structure": sol._structure_label(invariants, lat.n),
+    }
+    return IsoDescriptor(geometry="sol", identity_component="trivial",
+                         finite_part=finite, total_order=order)
 
 
 def mobius_word_by_fractions(gens, word) -> tuple:

@@ -16,7 +16,7 @@ import pytest
 
 from geom3 import cli, euclid, fibered, intmat, nil, selfcheck
 from geom3.descriptors import canonical_json
-from geom3.intmat import IntMat2, SnfResult
+from geom3.intmat import MAT2_ID
 from support import deadline
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -443,10 +443,10 @@ def test_selfcheck_detects_corrupted_lookup(monkeypatch):
 
 
 def test_selfcheck_detects_snf_mismatch(monkeypatch):
-    def broken_snf(m):
-        return SnfResult(1, 1, IntMat2.identity(), IntMat2.identity())
+    def broken_snf(rows):
+        return (1, 1), MAT2_ID, MAT2_ID
 
-    monkeypatch.setattr(intmat, "smith_normal_form", broken_snf)
+    monkeypatch.setattr(intmat, "snf", broken_snf)
     report = {r["id"]: r["ok"] for r in selfcheck.run_selfcheck()}
     assert not report["sol/iso-table"]
     assert report["algebra/galois-sqrt2"]

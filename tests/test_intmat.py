@@ -1,4 +1,5 @@
-"""Smith normal form, the lattice kernel and exact SL2 spectral data.
+"""Smith normal form, the lattice kernel and exact SL2 spectral data (read
+off `sol_q_structure`).
 
 The SNF oracles: for a nonsingular 2x2 integer matrix the invariant factors
 are (gcd of entries, |det| / gcd); for any k x n matrix with n <= 3 they are
@@ -27,7 +28,6 @@ from geom3.intmat import (
     ZSpan,
     ZsqrtBasis,
     congruence_solutions,
-    diagonalize_sl2,
     gauss_reduce,
     int_mat_pow,
     mat2_apply,
@@ -36,7 +36,6 @@ from geom3.intmat import (
     mat2_mul,
     mat3_mul,
     matmul,
-    smith_normal_form,
     snf,
     transpose,
     vec2_cross,
@@ -52,6 +51,7 @@ from geom3.nil import (
     _point_group_generators,
     planar_point_group,
 )
+from geom3.sol import sol_q_structure
 from support import (
     deadline,
     determinant,
@@ -98,36 +98,41 @@ def cokernel_order_bruteforce(m: IntMat2) -> int:
     return count
 
 
+def snf_2x2(m: IntMat2) -> tuple:
+    """(d1, d2), u, v of `snf` on a 2x2 matrix, u and v as IntMat2."""
+    d, u, v = snf(m.rows())
+    return d, IntMat2.from_rows(u), IntMat2.from_rows(v)
+
+
 def test_snf_worked_examples():
-    assert smith_normal_form(IntMat2(-4, -3, -3, -1)).diagonal() == (1, 5)
-    assert smith_normal_form(IntMat2(-88, -55, -55, -33)).diagonal() \
-        == (11, 11)
-    assert smith_normal_form(IntMat2.identity()).diagonal() == (1, 1)
+    assert snf(IntMat2(-4, -3, -3, -1).rows())[0] == (1, 5)
+    assert snf(IntMat2(-88, -55, -55, -33).rows())[0] == (11, 11)
+    assert snf(IntMat2.identity().rows())[0] == (1, 1)
 
 
 def test_snf_degenerate():
-    assert smith_normal_form(IntMat2(0, 0, 0, 0)).diagonal() == (0, 0)
-    d1, d2 = smith_normal_form(IntMat2(2, 4, 1, 2)).diagonal()
+    assert snf(IntMat2(0, 0, 0, 0).rows())[0] == (0, 0)
+    d1, d2 = snf(IntMat2(2, 4, 1, 2).rows())[0]
     assert (d1, d2) == (1, 0)
-    assert smith_normal_form(IntMat2(6, 0, 0, 4)).diagonal() == (2, 12)
+    assert snf(IntMat2(6, 0, 0, 4).rows())[0] == (2, 12)
 
 
 @given(matrices)
 @settings(max_examples=250)
 def test_snf_properties(m):
-    res = smith_normal_form(m)
-    assert abs(res.u.det()) == 1
-    assert abs(res.v.det()) == 1
-    prod = res.u @ m @ res.v
-    assert (prod.a, prod.d) == (res.d1, res.d2)
+    (d1, d2), u, v = snf_2x2(m)
+    assert abs(u.det()) == 1
+    assert abs(v.det()) == 1
+    prod = u @ m @ v
+    assert (prod.a, prod.d) == (d1, d2)
     assert prod.b == 0 and prod.c == 0
-    assert res.d1 >= 0 and res.d2 >= 0
-    if res.d1 != 0:
-        assert res.d2 % res.d1 == 0
+    assert d1 >= 0 and d2 >= 0
+    if d1 != 0:
+        assert d2 % d1 == 0
     else:
-        assert res.d2 == 0
-    assert res.d1 * res.d2 == abs(m.det())
-    assert res.diagonal() == snf_diagonal_oracle(m)
+        assert d2 == 0
+    assert d1 * d2 == abs(m.det())
+    assert (d1, d2) == snf_diagonal_oracle(m)
 
 
 def test_cokernel_order_against_bruteforce():
@@ -137,8 +142,8 @@ def test_cokernel_order_against_bruteforce():
         m = IntMat2(*(rng.randint(-12, 12) for _ in range(4)))
         if m.det() == 0:
             continue
-        res = smith_normal_form(m)
-        assert cokernel_order_bruteforce(m) == res.d1 * res.d2
+        d1, d2 = snf(m.rows())[0]
+        assert cokernel_order_bruteforce(m) == d1 * d2
         done += 1
 
 
@@ -401,30 +406,33 @@ def test_fibonacci_pattern():
 
 
 def test_diagonalize_examples():
-    (lam, lam_inv), _ = diagonalize_sl2(IntMat2(2, 1, 1, 1))
+    lam, lam_inv = sol_q_structure(IntMat2(2, 1, 1, 1))["eigenvalues"]
     assert lam == QuadRat(Fraction(3, 2), Fraction(1, 2), 5)
     assert lam_inv == QuadRat(Fraction(3, 2), Fraction(-1, 2), 5)
-    (mu, mu_inv), _ = diagonalize_sl2(IntMat2(3, 1, 2, 1))
+    mu, mu_inv = sol_q_structure(IntMat2(3, 1, 2, 1))["eigenvalues"]
     assert mu == QuadRat(2, 1, 3)
     assert mu * mu_inv == 1
 
 
 def test_diagonalize_rejects_parabolic():
     with pytest.raises(ValueError):
-        diagonalize_sl2(IntMat2(1, 1, 0, 1))
+        sol_q_structure(IntMat2(1, 1, 0, 1))
     with pytest.raises(ValueError):
-        diagonalize_sl2(IntMat2(2, 1, 1, 1) @ IntMat2(0, -1, 1, 0))
+        sol_q_structure(IntMat2(2, 1, 1, 1) @ IntMat2(0, -1, 1, 0))
 
 
 def test_diagonalize_conjugation_identity():
+    # sol_q_structure's basis is B with B A B^-1 diagonal, checked here by
+    # QuadRat 2x2 products
     for mat in (IntMat2(2, 1, 1, 1), IntMat2(3, 1, 2, 1),
                 IntMat2(5, 2, 2, 1), IntMat2(7, 12, 4, 7)):
-        (lam, lam_inv), basis = diagonalize_sl2(mat)
+        q = sol_q_structure(mat)
+        (lam, lam_inv), b = q["eigenvalues"], q["basis"]
         assert lam * lam_inv == 1
-        assert mat2_det(basis) == 1
+        assert mat2_det(b) == 1
         field = tuple(tuple(Fraction(v) for v in row)
                       for row in mat.rows())
-        diag = mat2_mul(mat2_inv(basis), mat2_mul(field, basis))
+        diag = mat2_mul(b, mat2_mul(field, mat2_inv(b)))
         assert diag[0][0] == lam and diag[1][1] == lam_inv
         assert diag[0][1] == 0 and diag[1][0] == 0
 

@@ -1,6 +1,7 @@
 """Sol geometry: group law, lattices, normalizer ladder, finite isometry
 groups, centralizer triviality and the quadratic-field structure."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -22,9 +23,15 @@ from geom3.sol import (
     sol_quotient_isometry,
     sol_unit,
 )
-from geom3 import algebra
+from geom3 import algebra, sol
 from geom3.sol import SolLattice
-from support import deadline, sol_centralizer_by_eigenbasis
+from support import (
+    deadline,
+    sol_centralizer_by_eigenbasis,
+    sol_q_structure_by_products,
+    sol_quotient_isometry_by_snf_result,
+    sol_unit_by_eigenbasis,
+)
 
 A = IntMat2(2, 1, 1, 1)
 
@@ -195,8 +202,8 @@ def test_quotient_isometry_order_formula():
         desc = sol_quotient_isometry(lat)
         hol = lat.holonomy()
         assert desc.finite_part["order"] == abs(2 - hol.trace()) * n
-        snf = intmat.smith_normal_form(IntMat2.identity() - hol)
-        assert desc.finite_part["order"] == snf.d1 * snf.d2 * n
+        d1, d2 = intmat.snf((IntMat2.identity() - hol).rows())[0]
+        assert desc.finite_part["order"] == d1 * d2 * n
         count += 1
 
 
@@ -218,8 +225,8 @@ def test_cokernel_bruteforce_oracle():
         rel = IntMat2.identity() - hol
         if abs(rel.det()) > 800:
             continue
-        snf = intmat.smith_normal_form(rel)
-        assert cokernel_order_bruteforce(rel) == snf.d1 * snf.d2
+        d1, d2 = intmat.snf(rel.rows())[0]
+        assert cokernel_order_bruteforce(rel) == d1 * d2
         samples += 1
 
 
@@ -277,7 +284,7 @@ def test_unit_of_a_power_is_the_power_of_the_unit():
             unit = sol_unit(lat)
             assert unit == lam ** n
             # the eigenvalue of the holonomy itself, through tr(A^n)^2 - 4
-            (mu, _), _ = intmat.diagonalize_sl2(lat.holonomy())
+            mu, _ = sol_q_structure(lat.holonomy())["eigenvalues"]
             assert (unit.a, unit.b, unit.d) == (mu.a, mu.b, mu.d)
 
 
@@ -317,7 +324,8 @@ def test_centralizer_works_on_the_integers(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("Q(sqrt(d)) arithmetic in sol_centralizer")
 
-    monkeypatch.setattr(intmat, "diagonalize_sl2", boom)
+    monkeypatch.setattr(sol, "_eigen_data", boom)
+    monkeypatch.setattr(sol, "_unit", boom)
     monkeypatch.setattr(algebra, "_reduced", boom)
     monkeypatch.setattr(QuadRat, "__init__", boom)
     for m in (A, IntMat2(3, 1, 2, 1)) + tuple(_hyperbolic_matrices(10)):
@@ -325,12 +333,90 @@ def test_centralizer_works_on_the_integers(monkeypatch):
             assert sol_centralizer(sol_lattice_make(m, n))["verified"]
 
 
-@pytest.mark.parametrize("lat", [SolLattice(IntMat2(1, 1, 0, 1), 1),
-                                 SolLattice(IntMat2(2, 1, 1, 0), 1),
-                                 SolLattice(A, 0)])
+def _same(got, expected):
+    """Equal in value, and in type, field and repr entry by entry."""
+    assert got == expected
+    assert repr(got) == repr(expected)
+    if isinstance(got, (tuple, list)):
+        for x, y in zip(got, expected):
+            _same(x, y)
+    elif isinstance(got, dict):
+        for key in got:
+            _same(got[key], expected[key])
+    else:
+        assert type(got) is type(expected)
+        if isinstance(got, QuadRat):
+            assert got.d == expected.d
+
+
+def test_sol_answers_agree_with_the_scalar_route():
+    for m in _hyperbolic_matrices(60) + [A, IntMat2(3, 1, 2, 1),
+                                         IntMat2(1, 1, 100, 101)]:
+        _same(sol_q_structure(m), sol_q_structure_by_products(m))
+        for n in range(1, 6):
+            lat = sol_lattice_make(m, n)
+            _same(sol_unit(lat), sol_unit_by_eigenbasis(lat))
+            got = sol_quotient_isometry(lat)
+            expected = sol_quotient_isometry_by_snf_result(lat)
+            _same(got, expected)
+            _same(got.finite_part, expected.finite_part)
+
+
+def test_q_structure_refuses_as_the_scalar_route():
+    refused = 0
+    for entries in itertools.product(range(-3, 4), repeat=4):
+        m = IntMat2(*entries)
+        if m.det() == 1 and m.trace() > 2:
+            continue
+        with pytest.raises(ValueError) as expected:
+            sol_q_structure_by_products(m)
+        with pytest.raises(ValueError) as got:
+            sol_q_structure(m)
+        assert str(got.value) == str(expected.value)
+        refused += 1
+    assert refused > 2000
+
+
+def test_q_structure_builds_no_scalar_matrix_product(monkeypatch):
+    cases = [A, IntMat2(1, 1, 100, 101), int_mat_pow(A, 20)]
+    expected = [sol_q_structure(m) for m in cases]
+
+    def refuse(*args):
+        raise AssertionError("scalar 2x2 product in sol_q_structure")
+
+    product = intmat.mat2_mul
+    for module in (intmat, sol):
+        for name, value in list(vars(module).items()):
+            if value is product:
+                monkeypatch.setattr(module, name, refuse)
+    got = [sol_q_structure(m) for m in cases]
+    monkeypatch.undo()
+    assert got == expected
+    assert all(q["galois_pair_check"] is True for q in got)
+
+
+@pytest.mark.parametrize("lat", [(IntMat2(1, 1, 0, 1), 1),
+                                 (IntMat2(2, 1, 1, 0), 1),
+                                 (A, 0)])
 def test_centralizer_of_a_hand_built_lattice_checks_it(lat):
+    # a SolLattice is checked when it is built, so no function that takes
+    # one meets an invalid lattice
     with pytest.raises(ValueError):
-        sol_centralizer(lat)
+        SolLattice(*lat)
+
+
+@pytest.mark.parametrize("matrix, n, message", [
+    ((1, 1, 0, 1), 1, "trace 2 <= 2: no hyperbolic holonomy"),
+    ((2, 1, 1, 0), 1, "determinant -1 != 1"),
+    ((-3, 1, -1, 0), 1, "trace -3 < -2: A is hyperbolic, but only trace > 2 "
+                        "is supported"),
+    ((2, 1, 1, 1), 0, "power must be a positive integer"),
+])
+def test_hand_built_lattice_has_the_factory_messages(matrix, n, message):
+    for build in (SolLattice, sol_lattice_make):
+        with pytest.raises(ValueError) as err:
+            build(IntMat2(*matrix), n)
+        assert str(err.value) == message
 
 
 # (abelian_invariants, action_on_invariants) of sol_quotient_isometry,
