@@ -462,22 +462,34 @@ def integer_rows(vectors, lead: int = 0) \
     each vector as an integer row over the common denominator r on the
     Q-basis {1, sqrt(d_1), ...}: (x, y) -> (x_0, y_0, x_1, y_1, ...) for
     x = (x_0 + x_1 sqrt(d_1) + ...) / r.  1 and the sqrt(d_i) are linearly
-    independent over Q, so the rows have the Q-rank of the vectors.  A
-    float is a domain error, as in `clear_denominators`."""
-    parts = [_exact_parts(x) for v in vectors for x in v]
-    r = lcm(*(part[2] for part in parts))
-    fields = sorted({d for _, q, _, d in parts if q} - {lead})
+    independent over Q, so the rows have the Q-rank of the vectors.  Each
+    entry's type is tested once: int, Fraction and QuadRat are read
+    directly, anything else goes through `_exact_parts`, so a float is a
+    domain error, as in `clear_denominators`."""
+    parts = []
+    for v in vectors:
+        for x in v:
+            t = type(x)
+            parts.append((x, 0, 1, 0) if t is int
+                         else (x.p, x.q, x.r, x.d) if t is QuadRat
+                         else (x.numerator, 0, x.denominator, 0)
+                         if t is Fraction else _exact_parts(x))
+    r = lcm(*[part[2] for part in parts])
+    fields = sorted({part[3] for part in parts if part[1]} - {lead})
     if lead:
         fields.insert(0, lead)
+    width = 2 * len(fields) + 2
     slot = {d: 2 * k + 2 for k, d in enumerate(fields)}
     rows = []
-    for i in range(0, len(parts), 2):
-        row = [0] * (2 * len(fields) + 2)
-        for k in (0, 1):
-            p, q, s, d = parts[i + k]
-            row[k] = p * (r // s)
-            if q:
-                row[slot[d] + k] = q * (r // s)
+    pairs = iter(parts)
+    for (p0, q0, s0, d0), (p1, q1, s1, d1) in zip(pairs, pairs):
+        row = [0] * width
+        m0, m1 = r // s0, r // s1
+        row[0], row[1] = p0 * m0, p1 * m1
+        if q0:
+            row[slot[d0]] = q0 * m0
+        if q1:
+            row[slot[d1] + 1] = q1 * m1
         rows.append(tuple(row))
     return r, (1, *fields), rows
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd, isqrt
 from operator import add, sub
@@ -449,18 +450,24 @@ class ZSpan:
     basis.  Since u @ A = diag(d) @ v^-1, an integer vector w lies in the
     span when w @ v = (c_0 d_0, ..., c_{r-1} d_{r-1}, 0, ..., 0) for
     integers c_i, its coordinates in that basis.  Any generating set will
-    do, zero and repeated rows too.
+    do, zero and repeated rows too.  `rank` and `coords` need only d and
+    v, so the basis is built on first read.
     """
 
     def __init__(self, rows, dim: int):
-        rows = list(rows) or [[0] * dim]
+        self._rows = rows = list(rows) or [[0] * dim]
         d, u, v = snf(rows)
         self.rank = rank = sum(1 for x in d if x)
-        self.basis = tuple(tuple(sum(c * row[j] for c, row in zip(ui, rows))
-                                 for j in range(dim))
-                           for ui in u[:rank])
+        self._u, self._dim = u[:rank], dim
         self._divisors = d[:rank]
         self._columns = tuple(zip(*v))
+
+    @cached_property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """The nonzero rows of u @ A."""
+        return tuple(tuple(sum(c * row[j] for c, row in zip(ui, self._rows))
+                           for j in range(self._dim))
+                     for ui in self._u)
 
     def coords(self, w) -> Optional[tuple[int, ...]]:
         """Integer coordinates of the integer vector w in `basis`, or None

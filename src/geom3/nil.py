@@ -798,8 +798,10 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
     Solitar, Combinatorial Group Theory, section 2.3) over the projected
     group P, `_schreier_translations`: the linear parts generate a finite
     group F, P has one element s_f = (f, w_f) over each f in F, and the
-    translation subgroup T has index |F| in P.  The verdict follows from
-    |F| and the span of T:
+    translation subgroup T has index |F| in P.  F is closed once per set
+    of integer linear parts and cached (`_linear_closure`; failures are
+    not cached), so a call walks only its translations.  The verdict
+    follows from |F| and the span of T:
 
     =================  ====================================================
     T                  verdict
@@ -885,15 +887,15 @@ def _schreier_translations(planar):
     Vectors are `integer_rows` over r, the field Q(sqrt(d)) of the linear
     parts first.  A linear part f is its two rows over D on {1, sqrt(d)},
     (a_00, a_01, b_00, b_01, a_10, ...) for f_ij = (a_ij + b_ij sqrt(d)) /
-    D.  Breadth-first over F, s_f = (f, w_f) is the first element met over
-    f, and every other edge s_f g_i gives the translation w_f + f w_i -
-    w_{f R_i}.  Each new f passes the orthogonality and order checks, at
-    most POINT_GROUP_CAP of them.  A finite F stays over D: its rotations
-    have entries in Z or 1/2 Z[sqrt(3)], its reflections are one of them
-    times a generator.  The linear parts must lie over one field; when
-    they are irrational, so must the vectors, since Z[sqrt(d)] holds no
-    sqrt(d) sqrt(e): MixedDiscriminantError before the walk.  Rational
-    linear parts act block by block, so vectors may mix any fields.
+    D.  F and the edges of its breadth-first walk come from
+    `_linear_closure`, built once per set of integer linear parts; a call
+    only walks its translations along them: s_f = (f, w_f) is the first
+    element met over f, and every other edge s_f g_i gives the translation
+    w_f + f w_i - w_{f R_i}.  The linear parts must lie over one field;
+    when they are irrational, so must the vectors, since Z[sqrt(d)] holds
+    no sqrt(d) sqrt(e): MixedDiscriminantError before the closure.
+    Rational linear parts act block by block, so vectors may mix any
+    fields.
     """
     D, lin_rad, cols = integer_rows([c for rot, _ in planar
                                      for c in zip(*rot)])
@@ -903,28 +905,50 @@ def _schreier_translations(planar):
     r, rad, rows = integer_rows([w for _, w in planar], d)
     if d and len(rad) > 2:
         one_field(d, rad[2])
-    pad = (0, 0) * (2 - len(lin_rad))
-    gens = [(cols[k] + pad + cols[k + 1] + pad, rows[k // 2])
-            for k in range(0, len(cols), 2)]
-    queue = [((D, 0, 0, 0, 0, D, 0, 0), (0,) * (2 * len(rad)))]
-    transversal = dict(queue)
+    elements, edges = _linear_closure(tuple(cols), d, D)
+    ws = [(0,) * (2 * len(rad))]
     out = []
-    for f, w_f in queue:                 # grows while it is walked
-        for g_t, w in gens:
-            image = tuple(map(add, w_f, zsqrt_apply(f, w, d)))
+    for k, i, j, first in edges:
+        image = tuple(map(add, ws[k], zsqrt_apply(elements[k], rows[i], d)))
+        if first:
+            ws.append(image)
+        elif any(t := tuple(map(sub, image, ws[j]))):
+            out.append(t)
+    return dict(zip(elements, ws)), out, rad, D, D * r
+
+
+@functools.lru_cache(maxsize=256)
+def _linear_closure(cols: tuple, d: int, D: int) -> tuple[tuple, tuple]:
+    """F, the group that linear parts generate, and the edges of its walk.
+
+    Keyed on integers only: the columns of the linear parts over D on {1,
+    sqrt(d)}, as `integer_rows` gives them, never on their scalars.
+    Returns F's elements breadth-first from I, and the edges (f, i, f g_i,
+    first visit) in the order the walk meets them, f and f g_i as indices
+    into F.  Each new element passes the orthogonality and order checks,
+    at most POINT_GROUP_CAP of them.  A finite F stays over D: its
+    rotations have entries in Z or 1/2 Z[sqrt(3)], its reflections are one
+    of them times a generator.  Failures are not cached, so they raise on
+    every call.
+    """
+    pad = () if d else (0, 0)
+    gens = [cols[k] + pad + cols[k + 1] + pad for k in range(0, len(cols), 2)]
+    elements = [(D, 0, 0, 0, 0, D, 0, 0)]
+    index = {elements[0]: 0}
+    edges = []
+    for k, f in enumerate(elements):     # grows while it is walked
+        for i, g_t in enumerate(gens):
             f_rot = zsqrt_mul(f, g_t, d, D)
-            w_next = transversal.get(f_rot)
-            if w_next is None:
+            j = index.get(f_rot)
+            first = j is None
+            if first:
                 _linear_order(f_rot, d, D)
-                if len(transversal) == POINT_GROUP_CAP:
+                if len(elements) == POINT_GROUP_CAP:
                     raise ValueError("linear parts generate too large a group")
-                transversal[f_rot] = image
-                queue.append((f_rot, image))
-            else:
-                t = tuple(map(sub, image, w_next))
-                if any(t):
-                    out.append(t)
-    return transversal, out, rad, D, D * r
+                j = index[f_rot] = len(elements)
+                elements.append(f_rot)
+            edges.append((k, i, j, first))
+    return tuple(elements), tuple(edges)
 
 
 def _linear_order(f, d: int, D: int) -> int:

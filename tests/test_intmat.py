@@ -335,6 +335,18 @@ def quadratic_vectors(draw):
     return d, vectors
 
 
+def _pair_rows(vectors):
+    """(r, pairs, rows): each entry x as the pair (p, q) of r x = p + q
+    sqrt(d), and each vector as the row p_1..p_n, q_1..q_n."""
+    n = len(vectors[0])
+    den, nums = clear_denominators([x for v in vectors for x in v])
+    pairs = [num if isinstance(num, tuple) else (num, 0) for num in nums]
+    rows = [tuple(p for p, _ in pairs[i:i + n])
+            + tuple(q for _, q in pairs[i:i + n])
+            for i in range(0, len(pairs), n)]
+    return den, pairs, rows
+
+
 @given(quadratic_vectors())
 @settings(max_examples=100, deadline=None)
 def test_quadratic_vectors_as_integer_pairs(case):
@@ -343,13 +355,9 @@ def test_quadratic_vectors_as_integer_pairs(case):
     # vectors, and its coordinates rebuild every vector
     d, vectors = case
     n = len(vectors[0])
-    den, nums = clear_denominators([x for v in vectors for x in v])
-    pairs = [num if isinstance(num, tuple) else (num, 0) for num in nums]
+    den, pairs, rows = _pair_rows(vectors)
     for x, (p, q) in zip((x for v in vectors for x in v), pairs):
         assert x * den == QuadRat(p, q, d)
-    rows = [tuple(p for p, _ in pairs[i:i + n])
-            + tuple(q for _, q in pairs[i:i + n])
-            for i in range(0, len(pairs), n)]
     span = ZSpan(rows, 2 * n)
     assert span.rank == rational_rank_by_elimination(
         [[x.a for x in v] + [x.b for x in v] for v in vectors])
@@ -359,6 +367,32 @@ def test_quadratic_vectors_as_integer_pairs(case):
                 for p, q in zip(back[:n], back[n:])] == v
 
 
+def _rational_rows_of(vectors, dim):
+    _, nums = clear_denominators([x for v in vectors for x in v])
+    return [nums[i:i + dim] for i in range(0, len(nums), dim)], dim
+
+
+span_rows = st.one_of(
+    rational_rows().map(lambda rows: _rational_rows_of(
+        rows, len(rows[0]) if rows else 1)),
+    generating_sets().map(lambda case: _rational_rows_of(case[1], case[0])),
+    quadratic_vectors().map(lambda case: (_pair_rows(case[1])[2],
+                                          2 * len(case[1][0]))))
+
+
+@given(span_rows)
+@settings(max_examples=200, deadline=None)
+def test_the_lazy_basis_is_the_eager_formula(case):
+    # the nonzero rows of u @ A for u @ A @ v = diag(d), read off `snf`
+    rows, dim = case
+    span = ZSpan(rows, dim)
+    assert "basis" not in vars(span)
+    rows = rows or [[0] * dim]
+    d, u, _ = snf(rows)
+    assert span.basis == tuple(
+        tuple(sum(c * row[j] for c, row in zip(ui, rows)) for j in range(dim))
+        for ui in u[:span.rank])
+    assert span.rank == sum(1 for x in d if x)
 
 
 def test_int_mat_pow():

@@ -44,8 +44,10 @@ from geom3.nil import (
     HeisIsometry,
     HeisPoint,
     _extends_to_group_normalizer,
+    _INFINITE_ORDER,
     _LatticeFrame,
     _lift_group_closes,
+    _linear_closure,
     _matrix_order,
     _normalizing_cosets,
     _orthogonal_order,
@@ -1751,14 +1753,81 @@ def test_the_walk_builds_no_quadrat(monkeypatch):
     expected = _schreier_translations(planar)
 
     def refuse(*args):
-        raise AssertionError("scalar arithmetic in the integer walk")
+        raise AssertionError("scalar arithmetic or a closure in a warm walk")
 
     monkeypatch.setattr(algebra, "_reduced", refuse)
     monkeypatch.setattr(QuadRat, "__mul__", refuse)
     monkeypatch.setattr(intmat, "mat2_mul", refuse)
     monkeypatch.setattr(nil, "mat2_mul", refuse)
+    monkeypatch.setattr(nil, "zsqrt_mul", refuse)
+    monkeypatch.setattr(nil, "_linear_order", refuse)
     assert _schreier_translations(planar) == expected
     assert len(expected[0]) == 6 and len(expected[1]) == 12
+
+
+# -- F is closed once per set of integer linear parts ------------------------
+
+def _walk_or_error(planar):
+    """The walk with its transversal in order, or the error raised."""
+    try:
+        transversal, *rest = _schreier_translations(planar)
+    except ValueError as e:
+        return type(e), str(e)
+    return list(transversal.items()), *rest
+
+
+def _refuse(*args):
+    raise AssertionError("a warm walk closed F again")
+
+
+@pytest.mark.parametrize("family", sorted(WALK_FAMILIES))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_a_warm_walk_matches_a_cold_one(family, data):
+    # the first call meets the cache the earlier examples left, so a key
+    # that two sets of linear parts share shows up as a mismatch
+    planar = [g.planar_part() for g in data.draw(WALK_FAMILIES[family])]
+    first = _walk_or_error(planar)
+    _linear_closure.cache_clear()
+    cold = _walk_or_error(planar)
+    assert first == cold
+    cached = _linear_closure.cache_info().currsize
+    assert cached == (len(cold) == 5)   # failures are not cached
+    with pytest.MonkeyPatch.context() as patch:
+        if cached:
+            patch.setattr(nil, "zsqrt_mul", _refuse)
+            patch.setattr(nil, "_linear_order", _refuse)
+        assert _walk_or_error(planar) == cold
+    assert _linear_closure.cache_info().currsize == cached
+
+
+@st.composite
+def infinite_order_sets(draw):
+    """Both Pythagorean reflections among pythagorean_sets: their product
+    is a rotation of infinite order."""
+    gens = draw(pythagorean_sets())
+    for m in PYTHAGOREAN:
+        gens.insert(draw(st.integers(0, len(gens))),
+                    _about(m, (draw(small), draw(small)), draw(small)))
+    return gens
+
+
+@pytest.mark.parametrize("sets", [over_cap_sets(), infinite_order_sets()],
+                         ids=["over-cap", "infinite-order"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_failed_closure_raises_on_every_call(sets, data):
+    gens = data.draw(sets)
+    planar = [g.planar_part() for g in gens]
+    cached = _linear_closure.cache_info().currsize
+    error = _walk_or_error(planar)
+    assert error in ((ValueError, "linear parts generate too large a group"),
+                     (ValueError, _INFINITE_ORDER))
+    for _ in range(2):
+        assert _walk_or_error(planar) == error
+        with pytest.raises(ValueError, match=re.escape(error[1])):
+            nil_projection_dichotomy(gens)
+        assert _linear_closure.cache_info().currsize == cached
 
 
 @pytest.mark.parametrize("gens, entry", [
