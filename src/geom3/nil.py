@@ -42,6 +42,7 @@ from typing import Optional, Sequence
 from .algebra import (
     QuadRat,
     Scalar,
+    _reduced,
     as_exact,
     clear_denominators,
     cross_parts,
@@ -221,8 +222,9 @@ class NilLattice:
 
     @functools.cached_property
     def point_group(self) -> "PlanarPointGroup":
-        """`planar_point_group` of the projected lattice, computed once per
-        lattice (not a field: eq, hash and repr ignore it)."""
+        """`planar_point_group` of the projected lattice, read once per
+        lattice (not a field: eq, hash and repr ignore it); the group
+        itself is computed once per exact basis, and shared."""
         return planar_point_group(self.u, self.v)
 
     def to_json_dict(self) -> dict:
@@ -343,13 +345,40 @@ def planar_point_group(u, v) -> PlanarPointGroup:
     are ordered by the coordinates of their images of u and v in the basis
     u, v, and each comes with its integer matrix M in that basis: the
     element B M B^-1 is one integer conjugation (`ZsqrtBasis.conjugates`).
+
+    Computed once per exact basis: the group depends on u and v only, so
+    every `Gp:N` shares that of Z^2 and every `hex:N` that of the
+    hexagonal lattice.  The cache key holds (label, p, q, r, d) for each
+    entry x = (p + q sqrt(d)) / r, label 1 for a QuadRat (q = 0 too), and
+    never the scalars, whose hash equates a float with an int and costs
+    about 1 us per Fraction.  Each entry's type is tested once, as in
+    `integer_rows`: int, Fraction and QuadRat are read directly, anything
+    else goes through `as_exact`, so a string parses and a float is a
+    domain error.  A hit returns the same frozen group.  Failures are not
+    cached, so they raise on every call.
     """
-    u = (as_exact(u[0]), as_exact(u[1]))
-    v = (as_exact(v[0]), as_exact(v[1]))
+    key = []
+    for x in (u[0], u[1], v[0], v[1]):
+        t = type(x)
+        if t is not int and t is not Fraction and t is not QuadRat:
+            x = as_exact(x)
+            t = QuadRat if isinstance(x, QuadRat) else Fraction
+        key.append((0, x, 0, 1, 0) if t is int
+                   else (1, x.p, x.q, x.r, x.d) if t is QuadRat
+                   else (0, x.numerator, 0, x.denominator, 0))
+    return _point_group_of(tuple(key))
+
+
+@functools.lru_cache(maxsize=256)
+def _point_group_of(key: tuple) -> PlanarPointGroup:
+    """`planar_point_group` of the basis whose entries key lists."""
+    u0, u1, v0, v1 = entries = [
+        _reduced(p, q, r, d) if label else Fraction(p, r)
+        for label, p, q, r, d in key]
     if not all(scalar_is_rational(x) or (isinstance(x, QuadRat) and x.d == 3)
-               for x in (*u, *v)):
+               for x in entries):
         raise ValueError("planar scalars must lie in Q or Q(sqrt(3))")
-    basis = ZsqrtBasis(((u[0], v[0]), (u[1], v[1])))
+    basis = ZsqrtBasis(((u0, v0), (u1, v1)))
     if basis.det == (0, 0):
         raise ValueError("u and v are linearly dependent")
     (g11, g12, g22), p = gauss_reduce(basis.gram(), basis.d)

@@ -109,6 +109,9 @@ one integer matrix over one denominator.
 families of `zimmer` as they were before one real-form table gave every
 answer: a case analysis per family for validation, display, real rank and
 complex type, and one for parsing a factor.
+
+`clear_nil_caches` empties the value caches of `nil`, for the tests that
+patch arithmetic and must see a computation, not a cache hit.
 """
 
 import contextlib
@@ -129,7 +132,7 @@ from geom3.algebra import (
     galois_conjugate,
     scalar_is_rational,
 )
-from geom3 import fibered, sol
+from geom3 import fibered, nil, sol
 from geom3.fibered import (
     BALL_CAP,
     LAMBDA_Z,
@@ -603,6 +606,16 @@ def global_quotient_isometry(lat, extra) -> IsoDescriptor:
     finite["structure"] = f"order {finite_order}"
     return IsoDescriptor(geometry="nil", identity_component="S1",
                          circle_factor="S1", finite_part=finite)
+
+
+def clear_nil_caches():
+    """Empty nil's value caches (`_orthogonal_order`, `_linear_closure` and
+    the point groups of `planar_point_group`), so that the next call
+    computes afresh: a test that patches the arithmetic of a cached
+    function checks nothing on a hit."""
+    for cached in (nil._orthogonal_order, nil._linear_closure,
+                   nil._point_group_of):
+        cached.cache_clear()
 
 
 @contextlib.contextmanager

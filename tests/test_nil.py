@@ -52,6 +52,7 @@ from geom3.nil import (
     _normalizing_cosets,
     _orthogonal_order,
     _point_group_generators,
+    _point_group_of,
     _schreier_translations,
     _vector,
     heis_commutator,
@@ -69,6 +70,7 @@ from geom3.nil import (
 )
 from support import (
     SIGNED_PERMUTATIONS,
+    clear_nil_caches,
     coset_count_by_loop,
     covolume_by_minors,
     deadline,
@@ -789,14 +791,104 @@ def test_point_group_builds_no_scalar_product(monkeypatch):
     def refuse(*args):
         raise AssertionError("scalar arithmetic in the point group")
 
+    clear_nil_caches()          # else every call below is a cache hit
     monkeypatch.setattr(nil, "mat2_mul", refuse)
     for cls in (Fraction, QuadRat):
         for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
             monkeypatch.setattr(cls, name, refuse)
     got = [planar_point_group(u, v) for u, v in bases]
     monkeypatch.undo()
+    assert _point_group_of.cache_info().misses == len(bases)
     assert got == expected
     assert [pg.tag for pg in got] == ["D4", "D6", "D4"]
+
+
+# -- the point group is computed once per exact basis ------------------------
+
+def _group_record(pg):
+    """Everything a caller can read off a point group, labels included."""
+    return entry_records(pg.elements), pg.basis_matrices, pg.tag
+
+
+def _relabelled(basis):
+    """The basis with each rational entry's label swapped: a Fraction made
+    a rational QuadRat of Q(sqrt(7)), a rational QuadRat made a Fraction.
+    Equal in value, so a cache keyed on values would share its entry."""
+    def swap(x):
+        if isinstance(x, QuadRat):
+            return x if x.q else x.a
+        return QuadRat(x, 0, 7)
+    return tuple(tuple(map(swap, w)) for w in basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_bases())
+@example(((0, QuadRat(1, 0, 5)), (1, QuadRat(0, 1, 3))))
+@example(((QuadRat(0, 1, 3), QuadRat(1, 0, 5)), (1, 0)))
+@example(((QuadRat(1, 0, 5), 0), (0, 1)))
+def test_cold_warm_and_fresh_lattice_point_groups_agree(basis):
+    u, v = basis
+    clear_nil_caches()
+    cold = _group_record(planar_point_group(u, v))
+    # the same values with other labels go first: a key on the values
+    # would hand the warm calls below their group
+    planar_point_group(*_relabelled(basis))
+    warm = planar_point_group(u, v)
+    assert _group_record(warm) == cold
+    assert planar_point_group(u, v) is warm
+    assert _group_record(nil_lattice_make(u, v).point_group) == cold
+    # each basis has a rational entry, so its twin has another key
+    assert _point_group_of.cache_info().currsize == 2
+
+
+def test_a_relabelled_basis_keeps_its_own_group():
+    clear_nil_caches()
+    plain = planar_point_group((1, 0), (0, 1))
+    labelled = planar_point_group((QuadRat(1, 0, 5), 0), (0, 1))
+    assert _point_group_of.cache_info().currsize == 2
+    assert labelled.elements == plain.elements
+    assert {type(x) for m in plain.elements for row in m for x in row} \
+        == {Fraction}
+    assert {x.d for m in labelled.elements for row in m for x in row} == {5}
+
+
+@pytest.mark.parametrize("u, v, message", [
+    ((QuadRat(0, 1, 2), 0), (0, 1),
+     "planar scalars must lie in Q or Q(sqrt(3))"),
+    ((1, QuadRat(0, 1, 5)), (QuadRat(0, 1, 3), 1),
+     "planar scalars must lie in Q or Q(sqrt(3))"),
+    ((1, 2), (Fraction(1, 2), 1), "u and v are linearly dependent"),
+    ((QuadRat(0, 1, 3), 1), (3, QuadRat(0, 1, 3)),
+     "u and v are linearly dependent"),
+], ids=["sqrt2", "sqrt5-and-sqrt3", "rational-dependent",
+        "sqrt3-dependent"])
+def test_a_failed_point_group_raises_on_every_call(u, v, message):
+    cached = _point_group_of.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            planar_point_group(u, v)
+        assert _point_group_of.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize("u, v, entry", [
+    ((0.5, 0), (0, 1), "0.5"),
+    ((1.0, 0), (0, 1), "1.0"),         # equal to 1, and hashes like it
+    ((1, 0), (0, float("nan")), "nan"),
+], ids=["half", "one", "nan"])
+def test_a_float_entry_raises_before_any_key(u, v, entry):
+    planar_point_group((1, 0), (0, 1))
+    info = _point_group_of.cache_info()
+    with pytest.raises(ValueError, match=re.escape(
+            f"exact entries required, not {entry}")):
+        planar_point_group(u, v)
+    assert _point_group_of.cache_info() == info
+
+
+def test_a_string_entry_keys_as_its_fraction():
+    pg = planar_point_group((Fraction(1, 2), 0), (0, 1))
+    hits = _point_group_of.cache_info().hits
+    assert planar_point_group(("1/2", 0), ("0", "1")) is pg
+    assert _point_group_of.cache_info().hits == hits + 1
 
 
 offsets = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -1788,7 +1880,7 @@ def test_a_warm_walk_matches_a_cold_one(family, data):
     # that two sets of linear parts share shows up as a mismatch
     planar = [g.planar_part() for g in data.draw(WALK_FAMILIES[family])]
     first = _walk_or_error(planar)
-    _linear_closure.cache_clear()
+    clear_nil_caches()
     cold = _walk_or_error(planar)
     assert first == cold
     cached = _linear_closure.cache_info().currsize
