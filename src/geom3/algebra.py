@@ -496,14 +496,14 @@ def integer_rows(vectors, lead: int = 0) \
 
 def row_scalar(coeffs, radicands, den: int) -> Scalar:
     """sum(c_k sqrt(d_k)) / den for the coefficients c_k of one entry of
-    an `integer_rows` row on its radicands."""
+    an `integer_rows` row on its radicands, den > 0."""
     roots = [(d, c) for d, c in zip(radicands[1:], coeffs[1:]) if c]
     if len(roots) > 1:
         one_field(roots[0][0], roots[1][0])
-    rational = Fraction(coeffs[0], den)
     if not roots:
-        return rational
-    return QuadRat(rational, Fraction(roots[0][1], den), roots[0][0])
+        return Fraction(coeffs[0], den)
+    d, c = roots[0]
+    return _reduced(coeffs[0], c, den, d)
 
 
 def cross_parts(radicands: tuple[int, ...], u: tuple[int, ...],

@@ -3,10 +3,11 @@
 `snf` is the Smith normal form of any m x n integer matrix, with its
 unimodular transforms.  Sol reads its cokernel Z^2/(I - A^n)Z^2 and the
 holonomy's action on it off one `snf`, and the adjoined Nil cosets go
-through `congruence_solutions`.  `ZSpan`, the one lattice kernel, reads
-rank, basis and integer coordinates of the span of integer rows off one
-`snf`: Euclidean translation lattices, ranks and coinvariants, and the Z-rank
-and covolume of the Nil dichotomy's translations all go through it.
+through `congruence_solutions`.  `ZSpan`, the lattice kernel of `euclid`,
+reads rank, basis and integer coordinates of the span of integer rows off
+one `snf`: Euclidean translation lattices, ranks and coinvariants all go
+through it.  The Nil dichotomy, which needs only a rank and a covolume,
+builds its own echelon basis with no transform (`nil._lattice_covolume`).
 
 The helpers the geometry modules share live here too: 2x2/vector
 arithmetic over exact scalars, 2x2 matrices over Z[sqrt(d)] acting on

@@ -58,7 +58,6 @@ from .intmat import (
     Mat2,
     SearchCapError,
     Vec2,
-    ZSpan,
     ZsqrtBasis,
     congruence_solutions,
     gauss_reduce,
@@ -827,10 +826,12 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
     Solitar, Combinatorial Group Theory, section 2.3) over the projected
     group P, `_schreier_translations`: the linear parts generate a finite
     group F, P has one element s_f = (f, w_f) over each f in F, and the
-    translation subgroup T has index |F| in P.  F is closed once per set
-    of integer linear parts and cached (`_linear_closure`; failures are
-    not cached), so a call walks only its translations.  The verdict
-    follows from |F| and the span of T:
+    translation subgroup T has index |F| in P.  The linear parts are
+    converted to integers once per set of exact linear parts
+    (`_linear_rows`) and F is closed once per set of integer ones
+    (`_linear_closure`), both cached with failures not cached, so a call
+    converts and walks only its translations.  The verdict follows from
+    |F| and the span of T:
 
     =================  ====================================================
     T                  verdict
@@ -855,14 +856,14 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
     direction or covolume reported.  Whether T spans the plane is read off
     the rows (`cross_parts`) without multiplying two fields, so the answer
     does not depend on the order of the generators when sqrt(2) and
-    sqrt(3) mix; `intmat.ZSpan` reads T's Z-rank off one Smith normal
+    sqrt(3) mix; `_lattice_covolume` reads T's Z-rank and covolume off an
+    echelon basis of the rows, built by Euclid steps with no Smith normal
     form.  For a lattice, the witness (0, 0, c) is the commutator of lifts
-    of a positively oriented basis of T: c > 0 is its covolume, |cross(t_a,
-    t_b)| / [T : Z t_a + Z t_b] for the first generator t_a and the first
-    t_b not parallel to it.  Z-rank 3 or more is more than a discrete
-    subgroup of the Heisenberg group (Hirsch length at most 3) projects
-    to; this covers every set whose linear parts hold a rotation of order
-    12, which no planar lattice admits.
+    of a positively oriented basis of T: c > 0 is its covolume,
+    |cross(e_1, e_2)| for any basis e_1, e_2 of T.  Z-rank 3 or more is
+    more than a discrete subgroup of the Heisenberg group (Hirsch length
+    at most 3) projects to; this covers every set whose linear parts hold
+    a rotation of order 12, which no planar lattice admits.
 
     The linear parts must lie over one Q(sqrt(d)), and irrational ones
     need translations over it too; under rational ones the translations
@@ -891,18 +892,13 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
         return DichotomyResult(FIXES_POINT, point=_vector(
             total, radicands, r * len(transversal)))
 
-    crossing = ((j, parts) for j, row in enumerate(rows)
-                if (parts := cross_parts(radicands, rows[0], row)))
-    j, parts = next(crossing, (None, None))
-    if j is None:
+    if not any(cross_parts(radicands, rows[0], row) for row in rows):
         return DichotomyResult(FIXES_LINE, direction=_invariant_direction(
             planar, _vector(rows[0], radicands, r)))
 
-    span = ZSpan(dict.fromkeys(rows), len(rows[0]))
-    if span.rank > 2:
+    covolume = _lattice_covolume(rows, radicands, r)
+    if covolume is None:
         return DichotomyResult(NON_DISCRETE_INPUT)
-    (a, b), (c, d) = span.coords(rows[0]), span.coords(rows[j])
-    covolume = abs(_cross_value(r, parts)) / abs(a * d - b * c)
     return DichotomyResult(DISCRETE_PROJECTION,
                            witness=HeisPoint(Fraction(0), Fraction(0),
                                              covolume))
@@ -916,25 +912,23 @@ def _schreier_translations(planar):
     Vectors are `integer_rows` over r, the field Q(sqrt(d)) of the linear
     parts first.  A linear part f is its two rows over D on {1, sqrt(d)},
     (a_00, a_01, b_00, b_01, a_10, ...) for f_ij = (a_ij + b_ij sqrt(d)) /
-    D.  F and the edges of its breadth-first walk come from
-    `_linear_closure`, built once per set of integer linear parts; a call
-    only walks its translations along them: s_f = (f, w_f) is the first
-    element met over f, and every other edge s_f g_i gives the translation
-    w_f + f w_i - w_{f R_i}.  The linear parts must lie over one field;
-    when they are irrational, so must the vectors, since Z[sqrt(d)] holds
-    no sqrt(d) sqrt(e): MixedDiscriminantError before the closure.
-    Rational linear parts act block by block, so vectors may mix any
-    fields.
+    D, converted once per set of exact linear parts (`_linear_rows`).  F
+    and the edges of its breadth-first walk come from `_linear_closure`,
+    built once per set of integer linear parts; a call converts only its
+    translations and walks them along those edges: s_f = (f, w_f) is the
+    first element met over f, and every other edge s_f g_i gives the
+    translation w_f + f w_i - w_{f R_i}.  The linear parts must lie over
+    one field; when they are irrational, so must the vectors, since
+    Z[sqrt(d)] holds no sqrt(d) sqrt(e): MixedDiscriminantError before
+    the closure.  Rational linear parts act block by block, so vectors
+    may mix any fields.
     """
-    D, lin_rad, cols = integer_rows([c for rot, _ in planar
-                                     for c in zip(*rot)])
-    if len(lin_rad) > 2:
-        one_field(*lin_rad[1:3])
-    d = lin_rad[1] if len(lin_rad) > 1 else 0
+    D, d, cols = _linear_rows(tuple(tuple(map(tuple, rot))
+                                    for rot, _ in planar))
     r, rad, rows = integer_rows([w for _, w in planar], d)
     if d and len(rad) > 2:
         one_field(d, rad[2])
-    elements, edges = _linear_closure(tuple(cols), d, D)
+    elements, edges = _linear_closure(cols, d, D)
     ws = [(0,) * (2 * len(rad))]
     out = []
     for k, i, j, first in edges:
@@ -944,6 +938,23 @@ def _schreier_translations(planar):
         elif any(t := tuple(map(sub, image, ws[j]))):
             out.append(t)
     return dict(zip(elements, ws)), out, rad, D, D * r
+
+
+@functools.lru_cache(maxsize=256)
+def _linear_rows(rots: tuple) -> tuple[int, int, tuple]:
+    """(D, d, cols): the columns of the linear parts as `integer_rows`
+    gives them, over D on {1, sqrt(d)}, d = 0 when all are rational.
+
+    Cached on the rotation tuples, as `_orthogonal_order` is:
+    `HeisIsometry` admits exact entries only, and equal exact values, such
+    as 1, Fraction(1) and QuadRat(1, 0, 5), give equal rows.  Linear parts
+    over two fields raise MixedDiscriminantError; failures are not cached,
+    so they raise on every call.
+    """
+    D, rad, cols = integer_rows([c for rot in rots for c in zip(*rot)])
+    if len(rad) > 2:
+        one_field(*rad[1:3])
+    return D, rad[1] if len(rad) > 1 else 0, tuple(cols)
 
 
 @functools.lru_cache(maxsize=256)
@@ -1008,6 +1019,40 @@ def _cross_value(r: int, parts: dict[int, int]) -> Scalar:
             f"single Q(sqrt(d))")
     rad = (1, *roots)
     return row_scalar([parts.get(d, 0) for d in rad], rad, r * r)
+
+
+def _lattice_covolume(rows, radicands, r: int) -> Optional[Scalar]:
+    """Covolume of the Z-span T of `integer_rows` rows over r that span
+    the plane, or None when T has Z-rank 3 or more.
+
+    Euclid steps on whole rows (Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4) build an echelon basis of T, one row for each
+    leading column: where a basis row b leads in the leading column c of
+    a new row w, w becomes the pivot there and b - (b_c // w_c) w goes on,
+    until the remainder leads in a column of its own or is 0.  No
+    transform is kept, repeated rows are skipped, and the pass stops at a
+    third basis row.  Two rows t_a = a e_1 + b e_2 and t_b = c e_1 +
+    d e_2 of T have cross(t_a, t_b) = (ad - bc) cross(e_1, e_2), so the
+    covolume is |cross(e_1, e_2)|, read off `cross_parts` like any cross
+    product of two rows.
+    """
+    basis = {}                          # leading column: row
+    for w in dict.fromkeys(rows):
+        while True:
+            for c, x in enumerate(w):
+                if x:
+                    break
+            else:
+                break                   # w reduced to 0
+            b = basis.get(c)
+            if b is None:
+                basis[c] = w
+                break
+            q = b[c] // w[c]            # one Euclid step on column c
+            basis[c], w = w, [x - q * y for x, y in zip(b, w)]
+        if len(basis) > 2:
+            return None
+    return abs(_cross_value(r, cross_parts(radicands, *basis.values())))
 
 
 def _invariant_direction(planar, t0: Vec2) -> Vec2:

@@ -75,6 +75,13 @@ the 2x2 minors.  Both take the Reidemeister-Schreier translations from
 integers: `Fraction` and `QuadRat` products of matrices and vectors, and
 the order of each new linear part by its powers.
 
+`dichotomy_by_zspan` is `nil.nil_projection_dichotomy` as it read T's
+Z-rank and covolume off `intmat.ZSpan`, a Smith normal form carrying both
+transforms, before an echelon basis built by Euclid steps on whole rows
+did.  Its span step, `covolume_by_zspan`, takes the first row t_j that
+crosses the first row t_0, their coordinates in the basis of the span,
+and divides |cross(t_0, t_j)| by the determinant of those coordinates.
+
 `s2r_ball_by_products` is the S^2 x R word ball that `fibered` built
 before the split became a closed form: one `S2RIsometry.compose` and one
 `S2RIsometry.key` per candidate, at most BALL_CAP elements.
@@ -110,7 +117,8 @@ families of `zimmer` as they were before one real-form table gave every
 answer: a case analysis per family for validation, display, real rank and
 complex type, and one for parsing a factor.
 
-`clear_nil_caches` empties the value caches of `nil`, for the tests that
+`clear_nil_caches` empties the value caches of `nil`, every function
+there with a `cache_clear` (`nil_caches` lists them), for the tests that
 patch arithmetic and must see a computation, not a cache hit.
 """
 
@@ -128,6 +136,7 @@ from geom3.algebra import (
     QuadRat,
     as_exact,
     clear_denominators,
+    cross_parts,
     frac,
     galois_conjugate,
     scalar_is_rational,
@@ -149,6 +158,7 @@ from geom3.intmat import (
     MAT2_ID,
     IntMat2,
     SearchCapError,
+    ZSpan,
     congruence_solutions,
     mat2_apply,
     mat2_det,
@@ -608,13 +618,18 @@ def global_quotient_isometry(lat, extra) -> IsoDescriptor:
                          circle_factor="S1", finite_part=finite)
 
 
+def nil_caches() -> dict:
+    """Every value cache of `nil`, by name: whatever there has a
+    `cache_clear`, so that a new cache needs no entry here."""
+    return {name: obj for name, obj in vars(nil).items()
+            if callable(getattr(obj, "cache_clear", None))}
+
+
 def clear_nil_caches():
-    """Empty nil's value caches (`_orthogonal_order`, `_linear_closure` and
-    the point groups of `planar_point_group`), so that the next call
-    computes afresh: a test that patches the arithmetic of a cached
-    function checks nothing on a hit."""
-    for cached in (nil._orthogonal_order, nil._linear_closure,
-                   nil._point_group_of):
+    """Empty nil's value caches, so that the next call computes afresh: a
+    test that patches the arithmetic of a cached function checks nothing
+    on a hit."""
+    for cached in nil_caches().values():
         cached.cache_clear()
 
 
@@ -1049,6 +1064,45 @@ def covolume_by_minors(translations):
     minors = math.gcd(*(a * d - b * c for i, (a, b) in enumerate(pairs)
                         for c, d in pairs[i + 1:]))
     return abs(area) * Fraction(minors, den * den)
+
+
+def dichotomy_by_zspan(gens) -> DichotomyResult:
+    """`nil_projection_dichotomy` with its span step read off `ZSpan`."""
+    planar = [g.planar_part() for g in gens]
+    transversal, rows, radicands, D, r = nil._schreier_translations(planar)
+    if not rows:
+        f = list(transversal)[-1]
+        if len(transversal) == 2 and f != (-D, 0, 0, 0, 0, -D, 0, 0):
+            fixed = ((D - f[0], -f[1], -f[2], -f[3]),
+                     (-f[4], D - f[5], -f[6], -f[7]))     # I - sigma
+            a, b = nil._vector(next(v for v in fixed if any(v)),
+                               radicands, D)
+            return DichotomyResult(FIXES_LINE, direction=(-b, a))
+        total = [sum(column) for column in zip(*transversal.values())]
+        return DichotomyResult(FIXES_POINT, point=nil._vector(
+            total, radicands, r * len(transversal)))
+    if not any(cross_parts(radicands, rows[0], row) for row in rows):
+        return DichotomyResult(FIXES_LINE, direction=nil._invariant_direction(
+            planar, nil._vector(rows[0], radicands, r)))
+    covolume = covolume_by_zspan(rows, radicands, r)
+    if covolume is None:
+        return DichotomyResult(NON_DISCRETE_INPUT)
+    return DichotomyResult(DISCRETE_PROJECTION,
+                           witness=HeisPoint(Fraction(0), Fraction(0),
+                                             covolume))
+
+
+def covolume_by_zspan(rows, radicands, r):
+    """Covolume of the Z-span of integer rows that span the plane, or None
+    at Z-rank 3 or more: |cross(t_0, t_j)| over the determinant of the
+    `ZSpan` coordinates of t_0 and of the first t_j that crosses it."""
+    j, parts = next((j, parts) for j, row in enumerate(rows)
+                    if (parts := cross_parts(radicands, rows[0], row)))
+    span = ZSpan(dict.fromkeys(rows), len(rows[0]))
+    if span.rank > 2:
+        return None
+    (a, b), (c, d) = span.coords(rows[0]), span.coords(rows[j])
+    return abs(nil._cross_value(r, parts)) / abs(a * d - b * c)
 
 
 def _solve_affine(mat, rhs):

@@ -13,7 +13,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geom3 import algebra, intmat, nil
-from geom3.algebra import MixedDiscriminantError, QuadRat, scalar_is_rational
+from geom3.algebra import (
+    MixedDiscriminantError,
+    QuadRat,
+    cross_parts,
+    scalar_is_rational,
+)
 from geom3.cli import _nil_generators
 from geom3.descriptors import canonical_json
 from geom3.intmat import (
@@ -46,8 +51,10 @@ from geom3.nil import (
     _extends_to_group_normalizer,
     _INFINITE_ORDER,
     _LatticeFrame,
+    _lattice_covolume,
     _lift_group_closes,
     _linear_closure,
+    _linear_rows,
     _matrix_order,
     _normalizing_cosets,
     _orthogonal_order,
@@ -73,8 +80,10 @@ from support import (
     clear_nil_caches,
     coset_count_by_loop,
     covolume_by_minors,
+    covolume_by_zspan,
     deadline,
     dichotomy_by_fixed_sets,
+    dichotomy_by_zspan,
     entry_records,
     extends_by_scan,
     frame_isometry,
@@ -90,6 +99,7 @@ from support import (
     lattice_contains,
     lift_group_closes_by_pairs,
     matrix_order_by_powers,
+    nil_caches,
     planar_coords,
     point_group_by_box,
     point_group_elements_by_products,
@@ -1960,3 +1970,171 @@ def test_linear_parts_over_two_fields_are_refused_before_the_walk():
     with pytest.raises(MixedDiscriminantError,
                        match=re.escape("cannot mix sqrt(2) with sqrt(3)")):
         nil_projection_dichotomy(gens)
+
+
+# -- T's rank and covolume from an echelon basis, with no snf -----------------
+
+def _records(xs) -> list:
+    return [(x, type(x), getattr(x, "d", None), repr(x)) for x in xs]
+
+
+def _dichotomy_outcome(dichotomy, gens):
+    """The verdict with the value, type, field and repr of each scalar it
+    reports, or the domain error raised."""
+    try:
+        res = dichotomy(gens)
+    except ValueError as e:
+        return type(e), str(e)
+    w = res.witness
+    return res, _records([*(res.point or ()), *(res.direction or ()),
+                          *((w.x, w.y, w.z) if w else ())])
+
+
+@pytest.mark.parametrize("family", sorted(WALK_FAMILIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_echelon_route_matches_the_zspan_route(family, data):
+    gens = data.draw(WALK_FAMILIES[family])
+    assert (_dichotomy_outcome(nil_projection_dichotomy, gens)
+            == _dichotomy_outcome(dichotomy_by_zspan, gens))
+
+
+@st.composite
+def integer_row_sets(draw):
+    """(rows, radicands, r) as `integer_rows` gives them: nonzero rows of
+    width 2, 4 or 6, integer combinations of 0-4 random rows, so of rank
+    0-4, often repeated."""
+    radicands = draw(st.sampled_from(((1,), (1, 2), (1, 3), (1, 2, 3),
+                                      (1, 3, 5))))
+    width = 2 * len(radicands)
+    entry = st.integers(-6, 6)
+    base = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                         max_size=4))
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(base),
+                      max_size=len(base))
+    rows = [tuple(sum(c * b[k] for c, b in zip(cs, base))
+                  for k in range(width))
+            for cs in draw(st.lists(coeffs, min_size=1, max_size=8))]
+    return ([row for row in rows if any(row)], radicands,
+            draw(st.integers(1, 12)))
+
+
+def _covolume_outcome(covolume, rows, radicands, r):
+    try:
+        value = covolume(rows, radicands, r)
+    except ValueError as e:
+        return type(e), str(e)
+    return value if value is None else _records([value])
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_row_sets())
+@example(([(2, 0), (0, 3), (1, 1)], (1,), 2))         # t_0, t_1: index 6
+@example(([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], (1, 3), 1))  # rank 3
+@example(([(4, 0, 0, 6), (6, 0, 0, 4), (0, 2, 2, 0)], (1, 3), 5))
+@example(([(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 1)], (1, 2, 3), 1))  # 2 fields
+@example(([(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 1)],
+          (1, 2, 3), 3))                                # rank 3
+def test_the_echelon_covolume_matches_the_zspan_one(case):
+    rows, radicands, r = case
+    if not rows or not any(cross_parts(radicands, rows[0], row)
+                           for row in rows):
+        return          # T lies in a line: the dichotomy spans nothing
+    assert (_covolume_outcome(_lattice_covolume, *case)
+            == _covolume_outcome(covolume_by_zspan, *case))
+
+
+def _refuse_snf(*args):
+    raise AssertionError("a Smith normal form in the dichotomy")
+
+
+@pytest.mark.parametrize("family", sorted(WALK_FAMILIES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_dichotomy_runs_no_snf(family, data):
+    gens = data.draw(WALK_FAMILIES[family])
+    expected = _dichotomy_outcome(nil_projection_dichotomy, gens)
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (intmat, nil):
+            for name, obj in list(vars(module).items()):
+                if obj is intmat.snf:
+                    patch.setattr(module, name, _refuse_snf)
+        assert _dichotomy_outcome(nil_projection_dichotomy, gens) == expected
+
+
+# -- the linear parts are converted once per set ------------------------------
+
+def test_clear_nil_caches_empties_every_cache():
+    assert sorted(nil_caches()) == ["_linear_closure", "_linear_rows",
+                                    "_orthogonal_order", "_point_group_of"]
+    nil_projection_dichotomy(_nil_generators("rot6;1,0,0;0,1,0"))
+    planar_point_group((1, 0), (0, 1))
+    assert all(c.cache_info().currsize for c in nil_caches().values())
+    clear_nil_caches()
+    assert not any(c.cache_info().currsize for c in nil_caches().values())
+
+
+def _relabelled_rotation(g, labels):
+    """g with each rational entry of its rotation relabelled, by the next
+    of `labels`, as a Fraction or as a rational QuadRat of Q(sqrt(5)):
+    equal in value, so it keys the same cache entry."""
+    def relabel(x):
+        if not scalar_is_rational(x):
+            return x
+        x = x.a if isinstance(x, QuadRat) else x
+        return QuadRat(x, 0, 5) if next(labels) else Fraction(x)
+    return HeisIsometry(tuple(tuple(map(relabel, row)) for row in g.rot),
+                        g.trans)
+
+
+def _walk_and_verdict(gens):
+    """The integer walk and the verdict in canonical JSON, or the error."""
+    try:
+        walk = _walk_or_error([g.planar_part() for g in gens])
+        return walk, canonical_json(nil_projection_dichotomy(gens)
+                                    .to_json_dict())
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("family", sorted(WALK_FAMILIES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cold_warm_and_relabelled_linear_parts_agree(family, data):
+    gens = data.draw(WALK_FAMILIES[family])
+    labels = iter(data.draw(st.lists(st.booleans(), min_size=4 * len(gens),
+                                     max_size=4 * len(gens))))
+    relabelled = [_relabelled_rotation(g, labels) for g in gens]
+    clear_nil_caches()
+    cold = _walk_and_verdict(gens)
+    cached = _linear_rows.cache_info().currsize
+    assert cached <= 1
+    for again in (gens, relabelled):
+        hits = _linear_rows.cache_info().hits
+        assert _walk_and_verdict(again) == cold
+        assert _linear_rows.cache_info().currsize == cached
+        assert _linear_rows.cache_info().hits >= hits + cached
+    clear_nil_caches()
+    assert _walk_and_verdict(relabelled) == cold
+
+
+def test_a_failed_conversion_raises_on_every_call():
+    h = QuadRat(0, HALF, 2)
+    gens = [HeisIsometry.point_symmetry(m)
+            for m in (((h, h), (h, -h)), ROT_PI_3)]
+    clear_nil_caches()
+    for _ in range(2):
+        with pytest.raises(MixedDiscriminantError,
+                           match=re.escape("cannot mix sqrt(2) with sqrt(3)")):
+            nil_projection_dichotomy(gens)
+        assert _linear_rows.cache_info().currsize == 0
+
+
+def test_a_float_translation_raises_after_a_warm_hit():
+    nil_projection_dichotomy([HeisIsometry(ROT_PI_2, HeisPoint.of(1, 0, 0))])
+    hits = _linear_rows.cache_info().hits
+    with pytest.raises(ValueError, match=re.escape(
+            "exact entries required, not 0.5")):
+        nil_projection_dichotomy(
+            [HeisIsometry(ROT_PI_2, HeisPoint(0.5, 0, 0))])
+    assert _linear_rows.cache_info().hits == hits + 1
