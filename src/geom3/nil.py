@@ -63,11 +63,8 @@ from .intmat import (
     gauss_reduce,
     mat2_apply,
     mat2_det,
-    mat2_eq,
     mat2_mul,
-    mat2_transpose,
     vec2_cross,
-    vec2_sub,
     word_ball,
     zsqrt_apply,
     zsqrt_mul,
@@ -75,10 +72,11 @@ from .intmat import (
 
 HALF = Fraction(1, 2)
 
-# Cap of the point-group searches: the largest exactly representable point
-# group is D12.  Point groups are keyed by their matrices (tuples of rows;
-# a QuadRat with b = 0 hashes as its rational part, so hashing agrees
-# with ==).
+# Cap of the point-group closures: the largest exactly representable point
+# group is D12.  `_linear_group` keys the elements of a group by their
+# integer rows, and `_adjoined_group` by their matrices (tuples of rows; a
+# QuadRat with b = 0 hashes as its rational part, so hashing agrees with
+# ==).
 POINT_GROUP_CAP = 24
 
 
@@ -119,23 +117,6 @@ def heis_conjugate(g: HeisPoint, t: HeisPoint) -> HeisPoint:
 
 # -- the O(2) part ------------------------------------------------------------
 
-@functools.lru_cache(maxsize=256)
-def _orthogonal_order(rot: Mat2) -> int:
-    """Order of an exactly representable orthogonal matrix (row tuples).
-
-    The representable finite rotations over Q and Q(sqrt(3)) have order
-    dividing 12; the crystallographic orders {1, 2, 3, 4, 6} are the ones
-    that can stabilize a lattice, but words in such rotations about
-    different centers may still pass through order-12 elements.  Cached
-    by value for `HeisIsometry`, whose generators repeat a few rotations:
-    on ROT_PI_3 a hit takes 2 us and the QuadRat check 27 us, a tenth of a
-    p6 dichotomy call (Xeon, Python 3.11.7).  Failures are not cached.
-    """
-    if not mat2_eq(mat2_mul(mat2_transpose(rot), rot), MAT2_ID):
-        raise ValueError("rotation part must be orthogonal")
-    return _matrix_order(rot)
-
-
 # Order k of a rotation by its trace 2 cos(2 pi / k) = t + u sqrt(d), as
 # (t, u, d), d = 0 if rational: over a quadratic field, order 5, 10 or 24
 # would need a sine of degree 4, and order 8 lies outside Q and Q(sqrt(3)).
@@ -146,12 +127,10 @@ _INFINITE_ORDER = "rotation part must have finite order dividing 12"
 
 
 def _matrix_order(m: Mat2) -> int:
-    """Order of an orthogonal 2x2 matrix, or of its integer matrix
-    B^-1 m B in a lattice basis B: det -1 is a reflection, and for det 1
-    the trace decides."""
-    t = m[0][0] + m[1][1]
-    return _order(mat2_det(m) == -1, (t.a, t.b, t.d)
-                  if isinstance(t, QuadRat) and t.q else (t, 0, 0))
+    """Order of the integer matrix B^-1 R B of an orthogonal R in a
+    lattice basis B: det -1 is a reflection, and for det 1 the trace
+    decides."""
+    return _order(mat2_det(m) == -1, (m[0][0] + m[1][1], 0, 0))
 
 
 def _order(reflection: bool, trace) -> int:
@@ -165,6 +144,64 @@ def _order(reflection: bool, trace) -> int:
     return order
 
 
+@functools.lru_cache(maxsize=256)
+def _linear_group(rots: tuple) -> tuple[int, int, tuple, tuple]:
+    """(D, d, F, edges): the group F that exact linear parts generate, over
+    D on {1, sqrt(d)} (d = 0 when all are rational), and the edges of its
+    breadth-first walk; the one exact form of a linear part, which
+    `HeisIsometry` checks as the group of (rot,).
+
+    A matrix f is its two `integer_rows` rows (a_00, a_01, b_00, b_01,
+    a_10, ...) for f_ij = (a_ij + b_ij sqrt(d)) / D.  F's elements come
+    breadth-first from I, and the edges (f, i, f g_i, first visit), f and
+    f g_i indices into F, in the order the walk meets them, so the first
+    len(rots) give each generator g_i.  Linear parts over two fields raise
+    MixedDiscriminantError; each new element passes the orthogonality and
+    order checks (`_linear_order`), at most POINT_GROUP_CAP of them.  A
+    finite F stays over D: its rotations have entries in Z or 1/2
+    Z[sqrt(3)], its reflections are one of them times a generator.
+
+    Cached on the rotation tuples: `HeisIsometry` admits exact entries
+    only, and equal exact values, such as 1, Fraction(1) and QuadRat(1, 0,
+    5), give equal rows.  Failures are not cached.
+    """
+    D, rad, cols = integer_rows([c for rot in rots for c in zip(*rot)])
+    if len(rad) > 2:
+        one_field(*rad[1:3])
+    d = rad[1] if len(rad) > 1 else 0
+    pad = () if d else (0, 0)
+    gens = [cols[k] + pad + cols[k + 1] + pad for k in range(0, len(cols), 2)]
+    elements = [(D, 0, 0, 0, 0, D, 0, 0)]
+    index = {elements[0]: 0}
+    edges = []
+    for k, f in enumerate(elements):     # grows while it is walked
+        for i, g_t in enumerate(gens):
+            f_rot = zsqrt_mul(f, g_t, d, D)
+            j = index.get(f_rot)
+            first = j is None
+            if first:
+                _linear_order(f_rot, d, D)
+                if len(elements) == POINT_GROUP_CAP:
+                    raise ValueError("linear parts generate too large a group")
+                j = index[f_rot] = len(elements)
+                elements.append(f_rot)
+            edges.append((k, i, j, first))
+    return D, d, tuple(elements), tuple(edges)
+
+
+def _linear_order(f, d: int, D: int) -> int:
+    """The order of a linear part over D, by its determinant and trace,
+    once f f^T = I; None is a product not over D, of infinite order."""
+    if f is None:
+        raise ValueError(_INFINITE_ORDER)
+    if zsqrt_mul(f, f, d, D) != (D, 0, 0, 0, 0, D, 0, 0):
+        raise ValueError("rotation part must be orthogonal")
+    t, u = f[0] + f[5], f[2] + f[7]
+    det = f[0] * f[5] - f[1] * f[4] + d * (f[2] * f[7] - f[3] * f[6])
+    return _order(det == -D * D,
+                  None if t % D or u % D else (t // D, u // D, u and d))
+
+
 ROT_PI = ((-1, 0), (0, -1))
 ROT_PI_2 = ((0, -1), (1, 0))
 ROT_PI_3: Mat2 = ((HALF, QuadRat(0, -HALF, 3)),
@@ -174,7 +211,9 @@ REFLECT = ((1, 0), (0, -1))
 
 @dataclass(frozen=True, slots=True)
 class HeisIsometry:
-    """Isometry p |-> trans * sigma_rot(p); rot orthogonal of finite order."""
+    """Isometry p |-> trans * sigma_rot(p); rot orthogonal of finite order,
+    checked in integers by `_linear_group`, whose cache the dichotomy
+    shares."""
 
     rot: Mat2
     trans: HeisPoint
@@ -183,7 +222,7 @@ class HeisIsometry:
         for x in (*self.rot[0], *self.rot[1]):   # 1.0 would pass as 1
             if not isinstance(x, (int, Fraction, QuadRat)):
                 raise ValueError(f"exact entries required, not {x!r}")
-        _orthogonal_order(tuple(map(tuple, self.rot)))
+        _linear_group((tuple(map(tuple, self.rot)),))
 
     @classmethod
     def translation(cls, p: HeisPoint) -> "HeisIsometry":
@@ -568,9 +607,10 @@ def _coset_constraints(frame: _LatticeFrame, k: Vec2, pairs) -> bool:
 
 
 def _point_group_generators(mats: Sequence[Mat2]) -> list[Mat2]:
-    """Generators of a finite group F of orthogonal matrices, or of their
-    integer matrices in a lattice basis: its rotation of largest order,
-    unless that is I, and its first reflection, if any.
+    """Generators of a finite group F of lattice matrices, the integer
+    matrices B^-1 R B of orthogonal R in a lattice basis B: its rotation
+    of largest order (`_matrix_order`), unless that is I, and its first
+    reflection, if any.
 
     Every finite subgroup of O(2) is cyclic or dihedral, so these generate
     F; for F = {I} the list is empty.
@@ -827,11 +867,10 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
     group P, `_schreier_translations`: the linear parts generate a finite
     group F, P has one element s_f = (f, w_f) over each f in F, and the
     translation subgroup T has index |F| in P.  The linear parts are
-    converted to integers once per set of exact linear parts
-    (`_linear_rows`) and F is closed once per set of integer ones
-    (`_linear_closure`), both cached with failures not cached, so a call
-    converts and walks only its translations.  The verdict follows from
-    |F| and the span of T:
+    converted and F is closed by `_linear_group`, one cache on the exact
+    entries, shared with `HeisIsometry`'s check and with failures not
+    cached, so a call converts its translations once and walks only them.
+    The verdict follows from |F| and the span of T:
 
     =================  ====================================================
     T                  verdict
@@ -852,18 +891,20 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
     =================  ====================================================
 
     The pass runs in integers and gives T's generators as integer rows on
-    a Q-basis {1, sqrt(d_1), ...}; scalars are rebuilt only for the point,
-    direction or covolume reported.  Whether T spans the plane is read off
-    the rows (`cross_parts`) without multiplying two fields, so the answer
-    does not depend on the order of the generators when sqrt(2) and
-    sqrt(3) mix; `_lattice_covolume` reads T's Z-rank and covolume off an
-    echelon basis of the rows, built by Euclid steps with no Smith normal
-    form.  For a lattice, the witness (0, 0, c) is the commutator of lifts
-    of a positively oriented basis of T: c > 0 is its covolume,
-    |cross(e_1, e_2)| for any basis e_1, e_2 of T.  Z-rank 3 or more is
-    more than a discrete subgroup of the Heisenberg group (Hirsch length
-    at most 3) projects to; this covers every set whose linear parts hold
-    a rotation of order 12, which no planar lattice admits.
+    a Q-basis {1, sqrt(d_1), ...}; the invariant line is read off the
+    walk's integer generators too, and scalars are rebuilt only for the
+    point, direction or covolume reported.  Whether T spans the plane, or
+    an axis is parallel to T, is read off the rows (`cross_parts`) without
+    multiplying two fields, so the answer does not depend on the order of
+    the generators when sqrt(2) and sqrt(3) mix; `_lattice_covolume`
+    reads T's Z-rank and covolume off an echelon basis of the rows, built
+    by Euclid steps with no Smith normal form.  For a lattice, the witness
+    (0, 0, c) is the commutator of lifts of a positively oriented basis of
+    T: c > 0 is its covolume, |cross(e_1, e_2)| for any basis e_1, e_2 of
+    T.  Z-rank 3 or more is more than a discrete subgroup of the
+    Heisenberg group (Hirsch length at most 3) projects to; this covers
+    every set whose linear parts hold a rotation of order 12, which no
+    planar lattice admits.
 
     The linear parts must lie over one Q(sqrt(d)), and irrational ones
     need translations over it too; under rational ones the translations
@@ -879,7 +920,8 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
     if word_bound < 0:
         raise ValueError("word_bound must be >= 0")
     planar = [g.planar_part() for g in gens]
-    transversal, rows, radicands, D, r = _schreier_translations(planar)
+    transversal, rows, radicands, D, r, generators = \
+        _schreier_translations(planar)
 
     if not rows:
         f = list(transversal)[-1]
@@ -894,7 +936,7 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
 
     if not any(cross_parts(radicands, rows[0], row) for row in rows):
         return DichotomyResult(FIXES_LINE, direction=_invariant_direction(
-            planar, _vector(rows[0], radicands, r)))
+            generators, rows[0], radicands, D, r // D))
 
     covolume = _lattice_covolume(rows, radicands, r)
     if covolume is None:
@@ -906,29 +948,26 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
 
 def _schreier_translations(planar):
     """The Reidemeister-Schreier pass in integers: the transversal {f:
-    w_f}, the nonzero Schreier translations, the radicands, and the
-    denominators D of linear parts and r of vectors.
+    w_f}, the nonzero Schreier translations, the radicands, the
+    denominators D of linear parts and r of those vectors, and the
+    generators as integer pairs (g_i, w_i), w_i over r / D.
 
-    Vectors are `integer_rows` over r, the field Q(sqrt(d)) of the linear
-    parts first.  A linear part f is its two rows over D on {1, sqrt(d)},
-    (a_00, a_01, b_00, b_01, a_10, ...) for f_ij = (a_ij + b_ij sqrt(d)) /
-    D, converted once per set of exact linear parts (`_linear_rows`).  F
-    and the edges of its breadth-first walk come from `_linear_closure`,
-    built once per set of integer linear parts; a call converts only its
-    translations and walks them along those edges: s_f = (f, w_f) is the
-    first element met over f, and every other edge s_f g_i gives the
-    translation w_f + f w_i - w_{f R_i}.  The linear parts must lie over
-    one field; when they are irrational, so must the vectors, since
-    Z[sqrt(d)] holds no sqrt(d) sqrt(e): MixedDiscriminantError before
-    the closure.  Rational linear parts act block by block, so vectors
-    may mix any fields.
+    F and the edges of its walk come from `_linear_group`, once per set of
+    exact linear parts.  A call converts its translations once, to
+    `integer_rows` rows with the field Q(sqrt(d)) of the linear parts
+    first, and walks them along those edges: s_f = (f, w_f) is the first
+    element met over f, and every other edge s_f g_i gives the translation
+    w_f + f w_i - w_{f R_i}.  The linear parts must lie over one field and
+    close to a finite F before the translations are converted.  Irrational
+    linear parts need vectors over their field, since Z[sqrt(d)] holds no
+    sqrt(d) sqrt(e): MixedDiscriminantError after the closure.  Rational
+    linear parts act block by block, so vectors may mix any fields.
     """
-    D, d, cols = _linear_rows(tuple(tuple(map(tuple, rot))
-                                    for rot, _ in planar))
+    D, d, elements, edges = _linear_group(tuple(tuple(map(tuple, rot))
+                                                for rot, _ in planar))
     r, rad, rows = integer_rows([w for _, w in planar], d)
     if d and len(rad) > 2:
         one_field(d, rad[2])
-    elements, edges = _linear_closure(cols, d, D)
     ws = [(0,) * (2 * len(rad))]
     out = []
     for k, i, j, first in edges:
@@ -937,71 +976,8 @@ def _schreier_translations(planar):
             ws.append(image)
         elif any(t := tuple(map(sub, image, ws[j]))):
             out.append(t)
-    return dict(zip(elements, ws)), out, rad, D, D * r
-
-
-@functools.lru_cache(maxsize=256)
-def _linear_rows(rots: tuple) -> tuple[int, int, tuple]:
-    """(D, d, cols): the columns of the linear parts as `integer_rows`
-    gives them, over D on {1, sqrt(d)}, d = 0 when all are rational.
-
-    Cached on the rotation tuples, as `_orthogonal_order` is:
-    `HeisIsometry` admits exact entries only, and equal exact values, such
-    as 1, Fraction(1) and QuadRat(1, 0, 5), give equal rows.  Linear parts
-    over two fields raise MixedDiscriminantError; failures are not cached,
-    so they raise on every call.
-    """
-    D, rad, cols = integer_rows([c for rot in rots for c in zip(*rot)])
-    if len(rad) > 2:
-        one_field(*rad[1:3])
-    return D, rad[1] if len(rad) > 1 else 0, tuple(cols)
-
-
-@functools.lru_cache(maxsize=256)
-def _linear_closure(cols: tuple, d: int, D: int) -> tuple[tuple, tuple]:
-    """F, the group that linear parts generate, and the edges of its walk.
-
-    Keyed on integers only: the columns of the linear parts over D on {1,
-    sqrt(d)}, as `integer_rows` gives them, never on their scalars.
-    Returns F's elements breadth-first from I, and the edges (f, i, f g_i,
-    first visit) in the order the walk meets them, f and f g_i as indices
-    into F.  Each new element passes the orthogonality and order checks,
-    at most POINT_GROUP_CAP of them.  A finite F stays over D: its
-    rotations have entries in Z or 1/2 Z[sqrt(3)], its reflections are one
-    of them times a generator.  Failures are not cached, so they raise on
-    every call.
-    """
-    pad = () if d else (0, 0)
-    gens = [cols[k] + pad + cols[k + 1] + pad for k in range(0, len(cols), 2)]
-    elements = [(D, 0, 0, 0, 0, D, 0, 0)]
-    index = {elements[0]: 0}
-    edges = []
-    for k, f in enumerate(elements):     # grows while it is walked
-        for i, g_t in enumerate(gens):
-            f_rot = zsqrt_mul(f, g_t, d, D)
-            j = index.get(f_rot)
-            first = j is None
-            if first:
-                _linear_order(f_rot, d, D)
-                if len(elements) == POINT_GROUP_CAP:
-                    raise ValueError("linear parts generate too large a group")
-                j = index[f_rot] = len(elements)
-                elements.append(f_rot)
-            edges.append((k, i, j, first))
-    return tuple(elements), tuple(edges)
-
-
-def _linear_order(f, d: int, D: int) -> int:
-    """`_matrix_order` of a linear part over D, once f f^T = I; None is a
-    product not over D, of infinite order."""
-    if f is None:
-        raise ValueError(_INFINITE_ORDER)
-    if zsqrt_mul(f, f, d, D) != (D, 0, 0, 0, 0, D, 0, 0):
-        raise ValueError("rotation part must be orthogonal")
-    t, u = f[0] + f[5], f[2] + f[7]
-    det = f[0] * f[5] - f[1] * f[4] + d * (f[2] * f[7] - f[3] * f[6])
-    return _order(det == -D * D,
-                  None if t % D or u % D else (t // D, u // D, u and d))
+    generators = [(elements[j], w) for (_, _, j, _), w in zip(edges, rows)]
+    return dict(zip(elements, ws)), out, rad, D, D * r, generators
 
 
 def _vector(row, rad, den: int) -> Vec2:
@@ -1055,37 +1031,39 @@ def _lattice_covolume(rows, radicands, r: int) -> Optional[Scalar]:
     return abs(_cross_value(r, cross_parts(radicands, *basis.values())))
 
 
-def _invariant_direction(planar, t0: Vec2) -> Vec2:
+def _invariant_direction(generators, t0, rad, D: int, r: int) -> Vec2:
     """Direction of a line preserved by a planar group whose translations
-    are nonzero and parallel to t0.
+    are nonzero and parallel to the row t0, read off the walk's integer
+    generators (f, w): f over D, w over r, on the radicands rad.
 
     F then lies in {I, -I, sigma, -sigma} for a reflection sigma whose
     axis is parallel or perpendicular to t0.  The vector reported is the
     first one met: the translation part of a generator with linear part
-    I, or the axis of a reflection generator or its perpendicular,
-    whichever is parallel to t0.  With neither, the generators have linear
-    parts I (and no translation) or -I, and w_i - w_j for two -I
-    generators lies in T: the first nonzero one is reported.
+    I, or the axis of a reflection generator (the first nonzero column of
+    D I + sigma) or its perpendicular, whichever is parallel to t0
+    (`cross_parts`).  With neither, the generators have linear parts I
+    (and no translation) or -I, and w_i - w_j for two -I generators lies
+    in T: the first nonzero one is reported.
     """
+    one, minus = (D, 0, 0, 0, 0, D, 0, 0), (-D, 0, 0, 0, 0, -D, 0, 0)
+    width = len(t0)
     minus_ws = []
-    for rot, w in planar:
-        if mat2_eq(rot, MAT2_ID):
-            if w[0] or w[1]:
-                return w
-        elif mat2_det(rot) == -1:
-            axis = _reflection_axis(rot)
-            return axis if vec2_cross(axis, t0) == 0 else (-axis[1], axis[0])
-        else:
+    for f, w in generators:
+        if f == one:
+            if any(w):
+                return _vector(w, rad, r)
+        elif f == minus:
             minus_ws.append(w)
-    diffs = (vec2_sub(a, b) for i, a in enumerate(minus_ws)
+        else:
+            axis = (D + f[0], f[4], f[2], f[6])
+            if not any(axis):
+                axis = (f[1], D + f[5], f[3], f[7])
+            axis = axis[:width] + (0,) * (width - 4)
+            a, b = _vector(axis, rad, D)
+            return (-b, a) if cross_parts(rad, axis, t0) else (a, b)
+    diffs = (tuple(map(sub, a, b)) for i, a in enumerate(minus_ws)
              for b in minus_ws[i + 1:])
-    return next(d for d in diffs if d[0] or d[1])
-
-
-def _reflection_axis(rot: Mat2) -> Vec2:
-    """The first nonzero column of I + rot."""
-    col0 = (rot[0][0] + 1, rot[1][0])
-    return col0 if col0[0] or col0[1] else (rot[0][1], rot[1][1] + 1)
+    return _vector(next(t for t in diffs if any(t)), rad, r)
 
 
 INFINITE_VOLUME = "InfiniteVolume"

@@ -75,6 +75,13 @@ the 2x2 minors.  Both take the Reidemeister-Schreier translations from
 integers: `Fraction` and `QuadRat` products of matrices and vectors, and
 the order of each new linear part by its powers.
 
+`invariant_direction_by_scalars` is the direction of an invariant line
+as `nil_projection_dichotomy` found it, when T is nonzero and in one
+line, before it read the walk's integer generators: `Fraction` and
+`QuadRat` crosses of the caller's generators with the first translation
+t0 of T, and the vector reported in the caller's scalar types.  Where
+t0 or a cross mixes two fields, it meets MixedDiscriminantError.
+
 `dichotomy_by_zspan` is `nil.nil_projection_dichotomy` as it read T's
 Z-rank and covolume off `intmat.ZSpan`, a Smith normal form carrying both
 transforms, before an echelon basis built by Euclid steps on whole rows
@@ -187,7 +194,6 @@ from geom3.nil import (
     HeisPoint,
     PlanarPointGroup,
     _point_group_generators,
-    _reflection_axis,
     heis_conjugate,
     planar_point_group,
 )
@@ -1069,7 +1075,8 @@ def covolume_by_minors(translations):
 def dichotomy_by_zspan(gens) -> DichotomyResult:
     """`nil_projection_dichotomy` with its span step read off `ZSpan`."""
     planar = [g.planar_part() for g in gens]
-    transversal, rows, radicands, D, r = nil._schreier_translations(planar)
+    transversal, rows, radicands, D, r, generators = \
+        nil._schreier_translations(planar)
     if not rows:
         f = list(transversal)[-1]
         if len(transversal) == 2 and f != (-D, 0, 0, 0, 0, -D, 0, 0):
@@ -1083,13 +1090,40 @@ def dichotomy_by_zspan(gens) -> DichotomyResult:
             total, radicands, r * len(transversal)))
     if not any(cross_parts(radicands, rows[0], row) for row in rows):
         return DichotomyResult(FIXES_LINE, direction=nil._invariant_direction(
-            planar, nil._vector(rows[0], radicands, r)))
+            generators, rows[0], radicands, D, r // D))
     covolume = covolume_by_zspan(rows, radicands, r)
     if covolume is None:
         return DichotomyResult(NON_DISCRETE_INPUT)
     return DichotomyResult(DISCRETE_PROJECTION,
                            witness=HeisPoint(Fraction(0), Fraction(0),
                                              covolume))
+
+
+def invariant_direction_by_scalars(planar, t0):
+    """Direction of a line preserved by a planar group whose translations
+    are nonzero and parallel to t0, in scalar arithmetic: the translation
+    part of the first generator with linear part I, or the axis of the
+    first reflection generator or its perpendicular, whichever is parallel
+    to t0; else the first nonzero w_i - w_j for two -I generators."""
+    minus_ws = []
+    for rot, w in planar:
+        if mat2_eq(rot, MAT2_ID):
+            if w[0] or w[1]:
+                return w
+        elif mat2_det(rot) == -1:
+            axis = _reflection_axis(rot)
+            return axis if vec2_cross(axis, t0) == 0 else (-axis[1], axis[0])
+        else:
+            minus_ws.append(w)
+    diffs = (vec2_sub(a, b) for i, a in enumerate(minus_ws)
+             for b in minus_ws[i + 1:])
+    return next(d for d in diffs if d[0] or d[1])
+
+
+def _reflection_axis(rot):
+    """The first nonzero column of I + rot."""
+    col0 = (rot[0][0] + 1, rot[1][0])
+    return col0 if col0[0] or col0[1] else (rot[0][1], rot[1][1] + 1)
 
 
 def covolume_by_zspan(rows, radicands, r):

@@ -47,7 +47,8 @@ from geom3.nil import (
     REFLECT,
     ROT_PI_2,
     ROT_PI_3,
-    _orthogonal_order,
+    HeisIsometry,
+    _linear_group,
     _point_group_generators,
     planar_point_group,
 )
@@ -59,6 +60,7 @@ from support import (
     entry_records,
     lattice_points_by_walk,
     matmul_rect,
+    matrix_order_by_powers,
     point_group_elements_by_products,
     rational_rank_by_elimination,
 )
@@ -650,7 +652,8 @@ def _sixth_turns(k):
                                     (3, _sixth_turns(2)), (4, ROT_PI_2),
                                     (6, ROT_PI_3)])
 def test_dihedral_closures_have_order_2n(n, rot):
-    assert _orthogonal_order(rot) == n
+    HeisIsometry.point_symmetry(rot)
+    assert len(_linear_group((rot,))[2]) == matrix_order_by_powers(rot) == n
     group = list(word_ball(MAT2_ID, [rot, REFLECT], mat2_mul, tuple, cap=24))
     assert len(group) == len(set(group)) == 2 * n
 

@@ -53,11 +53,9 @@ from geom3.nil import (
     _LatticeFrame,
     _lattice_covolume,
     _lift_group_closes,
-    _linear_closure,
-    _linear_rows,
+    _linear_group,
     _matrix_order,
     _normalizing_cosets,
-    _orthogonal_order,
     _point_group_generators,
     _point_group_of,
     _schreier_translations,
@@ -92,6 +90,7 @@ from support import (
     global_quotient_isometry,
     heis_inv,
     heis_mul,
+    invariant_direction_by_scalars,
     iso_compose,
     iso_conjugate_translation,
     iso_inverse,
@@ -1227,13 +1226,29 @@ def order_table_cases() -> set:
     return cases
 
 
+def _library_orders(m) -> list:
+    """The library's routes to the order of m, each a call: an integer
+    matrix goes through `_matrix_order`, and an orthogonal one through
+    the check of `HeisIsometry.point_symmetry`, its order |<m>| read off
+    the group that `_linear_group` closes.  Every case is one or both."""
+    routes = []
+    if all(type(x) is int for row in m for x in row):
+        routes.append(lambda: _matrix_order(m))
+    if mat2_eq(mat2_mul(mat2_transpose(m), m), MAT2_ID):
+        def closure_order():
+            HeisIsometry.point_symmetry(m)
+            return len(_linear_group((tuple(map(tuple, m)),))[2])
+        routes.append(closure_order)
+    assert routes
+    return routes
+
+
 def test_order_table_agrees_with_the_powers():
     cases = order_table_cases()
     assert {matrix_order_by_powers(m) for m in cases} == {1, 2, 3, 4, 6, 12}
     for m in cases:
-        assert _matrix_order(m) == matrix_order_by_powers(m)
-        if mat2_eq(mat2_mul(mat2_transpose(m), m), MAT2_ID):
-            assert _orthogonal_order(m) == matrix_order_by_powers(m)
+        for order in _library_orders(m):
+            assert order() == matrix_order_by_powers(m)
 
 
 @pytest.mark.parametrize("m", [
@@ -1245,12 +1260,9 @@ def test_order_table_agrees_with_the_powers():
 def test_order_table_raises_as_the_powers_do(m):
     with pytest.raises(ValueError) as powers:
         matrix_order_by_powers(m)
-    orders = [_matrix_order]
-    if mat2_eq(mat2_mul(mat2_transpose(m), m), MAT2_ID):
-        orders.append(_orthogonal_order)
-    for order in orders:
+    for order in _library_orders(m):
         with pytest.raises(ValueError) as table:
-            order(m)
+            order()
         assert type(table.value) is type(powers.value)
         assert str(table.value) == str(powers.value)
 
@@ -1793,7 +1805,7 @@ def integer_walk_under_phi(planar):
     """phi of the integer walk, read off its rows, with the translations
     that phi sends to 0 dropped; the linear parts must be rational, so
     their rows have no sqrt(d) part for phi to map."""
-    transversal, rows, radicands, D, r = _schreier_translations(planar)
+    transversal, rows, radicands, D, r, _ = _schreier_translations(planar)
     roots = [1] + [PHI[d] for d in radicands[1:]]
 
     def phi_row(row, den=r):
@@ -1811,7 +1823,7 @@ def scalar_walk_of_phi(planar):
 
 
 def integer_walk_as_scalars(planar):
-    transversal, rows, radicands, D, r = _schreier_translations(planar)
+    transversal, rows, radicands, D, r, _ = _schreier_translations(planar)
     return ({(_vector(f[:4], radicands, D), _vector(f[4:], radicands, D)):
              _vector(w, radicands, r) for f, w in transversal.items()},
             [_vector(t, radicands, r) for t in rows])
@@ -1882,6 +1894,15 @@ def _refuse(*args):
     raise AssertionError("a warm walk closed F again")
 
 
+def _closes_by_scalars(planar) -> bool:
+    """Whether the scalar walk closes F from the linear parts alone."""
+    try:
+        schreier_translations_by_scalars([(rot, (0, 0)) for rot, _ in planar])
+    except ValueError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("family", sorted(WALK_FAMILIES))
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
@@ -1893,14 +1914,18 @@ def test_a_warm_walk_matches_a_cold_one(family, data):
     clear_nil_caches()
     cold = _walk_or_error(planar)
     assert first == cold
-    cached = _linear_closure.cache_info().currsize
-    assert cached == (len(cold) == 5)   # failures are not cached
+    cached = _linear_group.cache_info().currsize
+    # a closure that fails is not cached; one that closes is, also when
+    # the translations then fail to convert
+    assert cached == _closes_by_scalars(planar)
+    if len(cold) == 6:
+        assert cached
     with pytest.MonkeyPatch.context() as patch:
         if cached:
             patch.setattr(nil, "zsqrt_mul", _refuse)
             patch.setattr(nil, "_linear_order", _refuse)
         assert _walk_or_error(planar) == cold
-    assert _linear_closure.cache_info().currsize == cached
+    assert _linear_group.cache_info().currsize == cached
 
 
 @st.composite
@@ -1921,7 +1946,7 @@ def infinite_order_sets(draw):
 def test_a_failed_closure_raises_on_every_call(sets, data):
     gens = data.draw(sets)
     planar = [g.planar_part() for g in gens]
-    cached = _linear_closure.cache_info().currsize
+    cached = _linear_group.cache_info().currsize
     error = _walk_or_error(planar)
     assert error in ((ValueError, "linear parts generate too large a group"),
                      (ValueError, _INFINITE_ORDER))
@@ -1929,7 +1954,7 @@ def test_a_failed_closure_raises_on_every_call(sets, data):
         assert _walk_or_error(planar) == error
         with pytest.raises(ValueError, match=re.escape(error[1])):
             nil_projection_dichotomy(gens)
-        assert _linear_closure.cache_info().currsize == cached
+        assert _linear_group.cache_info().currsize == cached
 
 
 @pytest.mark.parametrize("gens, entry", [
@@ -2065,8 +2090,7 @@ def test_the_dichotomy_runs_no_snf(family, data):
 # -- the linear parts are converted once per set ------------------------------
 
 def test_clear_nil_caches_empties_every_cache():
-    assert sorted(nil_caches()) == ["_linear_closure", "_linear_rows",
-                                    "_orthogonal_order", "_point_group_of"]
+    assert sorted(nil_caches()) == ["_linear_group", "_point_group_of"]
     nil_projection_dichotomy(_nil_generators("rot6;1,0,0;0,1,0"))
     planar_point_group((1, 0), (0, 1))
     assert all(c.cache_info().currsize for c in nil_caches().values())
@@ -2107,13 +2131,13 @@ def test_cold_warm_and_relabelled_linear_parts_agree(family, data):
     relabelled = [_relabelled_rotation(g, labels) for g in gens]
     clear_nil_caches()
     cold = _walk_and_verdict(gens)
-    cached = _linear_rows.cache_info().currsize
+    cached = _linear_group.cache_info().currsize
     assert cached <= 1
     for again in (gens, relabelled):
-        hits = _linear_rows.cache_info().hits
+        hits = _linear_group.cache_info().hits
         assert _walk_and_verdict(again) == cold
-        assert _linear_rows.cache_info().currsize == cached
-        assert _linear_rows.cache_info().hits >= hits + cached
+        assert _linear_group.cache_info().currsize == cached
+        assert _linear_group.cache_info().hits >= hits + cached
     clear_nil_caches()
     assert _walk_and_verdict(relabelled) == cold
 
@@ -2127,14 +2151,115 @@ def test_a_failed_conversion_raises_on_every_call():
         with pytest.raises(MixedDiscriminantError,
                            match=re.escape("cannot mix sqrt(2) with sqrt(3)")):
             nil_projection_dichotomy(gens)
-        assert _linear_rows.cache_info().currsize == 0
+        assert _linear_group.cache_info().currsize == 0
 
 
 def test_a_float_translation_raises_after_a_warm_hit():
     nil_projection_dichotomy([HeisIsometry(ROT_PI_2, HeisPoint.of(1, 0, 0))])
-    hits = _linear_rows.cache_info().hits
+    hits = _linear_group.cache_info().hits
     with pytest.raises(ValueError, match=re.escape(
             "exact entries required, not 0.5")):
         nil_projection_dichotomy(
             [HeisIsometry(ROT_PI_2, HeisPoint(0.5, 0, 0))])
-    assert _linear_rows.cache_info().hits == hits + 1
+    # one hit for the check of the new HeisIsometry, one for the walk
+    assert _linear_group.cache_info().hits == hits + 2
+
+
+def test_a_relabelled_rotation_shares_the_cache_entry_of_its_twin():
+    clear_nil_caches()
+    HeisIsometry.point_symmetry(PYTHAGOREAN[0])
+    hits = _linear_group.cache_info().hits
+    HeisIsometry.point_symmetry(tuple(tuple(QuadRat(x, 0, 5) for x in row)
+                                      for row in PYTHAGOREAN[0]))
+    assert _linear_group.cache_info()[:2] == (hits + 1, 1)  # hits, misses
+
+
+# -- the invariant line on the walk's integer generators ---------------------
+
+HEX_REFLECT = ((HALF, QuadRat(0, HALF, 3)), (QuadRat(0, HALF, 3), -HALF))
+
+
+def _line_direction(gens):
+    res = nil_projection_dichotomy(gens)
+    assert res.kind == FIXES_LINE
+    return res.direction
+
+
+def test_a_line_direction_is_rebuilt_from_integer_rows():
+    # documented output change: the direction came back in the caller's
+    # types, (2, 0) as ints, and (QuadRat(2, 0, 5), 0) for the same
+    # reflection with QuadRat(1, 0, 5) entries
+    shift = HeisIsometry.translation(HeisPoint.of(1, 0, 0))
+    labelled = tuple(tuple(QuadRat(x, 0, 5) for x in row) for row in REFLECT)
+    for rot in (REFLECT, labelled):
+        direction = _line_direction([HeisIsometry.point_symmetry(rot), shift])
+        assert _records(direction) == _records((Fraction(2), Fraction(0)))
+
+
+def test_a_line_across_two_fields_is_answered():
+    # documented output change: converting t0 = ((8 sqrt(2) + 4 sqrt(3)) /
+    # 5) (1, 1/2) to scalars for the parallel test raised
+    # MixedDiscriminantError; the test now runs on integer rows
+    sigma = PYTHAGOREAN[0]
+    gens = [HeisIsometry(sigma, HeisPoint(SQRT2, SQRT3, 0))]
+    planar = [g.planar_part() for g in gens]
+    _, rows, radicands, D, r, _ = _schreier_translations(planar)
+    with pytest.raises(MixedDiscriminantError):
+        invariant_direction_by_scalars(planar, _vector(rows[0], radicands, r))
+    direction = _line_direction(gens)
+    assert direction == (Fraction(8, 5), Fraction(4, 5))
+    assert mat2_apply(sigma, direction) == direction
+    along = (8, 4) + (0,) * (len(rows[0]) - 2)          # 5 * direction
+    assert rows and not any(cross_parts(radicands, along, t) for t in rows)
+
+
+def test_an_infinite_closure_is_refused_before_the_translations():
+    # documented output change: the translations were converted first, and
+    # sqrt(2) beside the sqrt(3) of the hexagonal reflection raised
+    # MixedDiscriminantError
+    gens = [HeisIsometry.point_symmetry(HEX_REFLECT),
+            HeisIsometry.point_symmetry(PYTHAGOREAN[0]),
+            HeisIsometry.translation(HeisPoint(SQRT2, 0, 0))]
+    with pytest.raises(ValueError) as error:
+        nil_projection_dichotomy(gens)
+    assert type(error.value) is ValueError
+    assert str(error.value) == _INFINITE_ORDER
+
+
+@pytest.mark.parametrize("family", sorted(WALK_FAMILIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_integer_direction_matches_the_scalar_one(family, data):
+    gens = data.draw(WALK_FAMILIES[family])
+    planar = [g.planar_part() for g in gens]
+    try:
+        _, rows, radicands, D, r, _ = _schreier_translations(planar)
+    except ValueError:
+        return
+    if not rows or any(cross_parts(radicands, rows[0], t) for t in rows):
+        return          # T is 0 or spans the plane: no line from T
+    try:
+        expected = invariant_direction_by_scalars(
+            planar, _vector(rows[0], radicands, r))
+    except MixedDiscriminantError:
+        return          # the oracle multiplies two fields
+    assert _line_direction(gens) == expected
+
+
+def _refuse_scalars(*args):
+    raise AssertionError("scalar arithmetic on the line path")
+
+
+@pytest.mark.parametrize("gens", [
+    [HeisIsometry(HEX_REFLECT, HeisPoint(SQRT3, 1, 0))],
+    [HeisIsometry.point_symmetry(HEX_REFLECT),
+     HeisIsometry.translation(HeisPoint(-1, SQRT3, 0))],
+    [HeisIsometry(ROT_PI, HeisPoint(SQRT3, 1, 0)),
+     HeisIsometry(ROT_PI, HeisPoint(0, HALF, 0))],
+], ids=["reflection-along", "reflection-across", "two-minus-I"])
+def test_the_line_path_uses_no_scalar_arithmetic(gens, monkeypatch):
+    expected = _line_direction(gens)
+    monkeypatch.setattr(QuadRat, "__mul__", _refuse_scalars)
+    for name in ("mat2_mul", "mat2_det", "vec2_cross"):
+        monkeypatch.setattr(nil, name, _refuse_scalars)
+    assert _line_direction(gens) == expected
