@@ -29,7 +29,8 @@ from math import gcd, isqrt
 from operator import add, sub
 from typing import Optional
 
-from .algebra import QuadRat, Scalar, _reduced, clear_denominators, power
+from .algebra import (QuadRat, Scalar, _reduced, clear_denominators,
+                      one_field, power)
 
 Mat2 = tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]
 Vec2 = tuple[Scalar, Scalar]
@@ -156,23 +157,16 @@ def gauss_reduce(gram, d: int) -> tuple[tuple, Mat2]:
         p11 -= q * p10
 
 
-def _field(x, y, x_irrational):
-    """The field that QuadRat arithmetic gives x y, x + y or x - y, from
-    the fields x, y of the operands (None for a Fraction): that of x if x
-    is irrational or y is a Fraction, else that of y."""
-    return x if x_irrational or y is None else y
-
-
 class ZsqrtBasis:
     """A planar basis over Q or Q(sqrt(d)) with its denominators cleared.
 
-    basis is the 2x2 matrix (u v) of the basis vectors as columns.  Scaled
-    by the least common denominator of its entries it is a matrix B over
+    basis is the 2x2 matrix (u v) of the basis vectors as columns, its
+    irrational entries all in one field Q(sqrt(d)): two fields raise
+    MixedDiscriminantError, as their scalar product does.  Scaled by the
+    least common denominator of its entries it is a matrix B over
     Z[sqrt(d)] (d = 0 when every entry is rational), kept as `b`, its
     entries in row order, each a pair (p, q) for p + q sqrt(d); `det` is
-    det(B) as such a pair, (0, 0) when u and v are dependent, and
-    `det_field` the field QuadRat arithmetic gives det(basis) (None when
-    no entry of basis is a QuadRat).
+    det(B) as such a pair, (0, 0) when u and v are dependent.
     """
 
     def __init__(self, basis: Mat2):
@@ -180,14 +174,11 @@ class ZsqrtBasis:
         _, nums = clear_denominators(flat)
         self.b = b00, b01, b10, b11 = [x if isinstance(x, tuple) else (x, 0)
                                        for x in nums]
-        self.d = d = next((x.d for x in flat
-                           if isinstance(x, QuadRat) and x.q), 0)
-        diagonal = _zmul(b00, b11, d)
-        self.det = tuple(map(sub, diagonal, _zmul(b01, b10, d)))
-        fields = [x.d if isinstance(x, QuadRat) else None for x in flat]
-        self.det_field = _field(_field(fields[0], fields[3], b00[1]),
-                                _field(fields[1], fields[2], b01[1]),
-                                diagonal[1])
+        roots = [x.d for x in flat if isinstance(x, QuadRat) and x.q]
+        self.d = d = roots[0] if roots else 0
+        for root in roots:
+            one_field(d, root)
+        self.det = tuple(map(sub, _zmul(b00, b11, d), _zmul(b01, b10, d)))
 
     def gram(self) -> tuple:
         """(g11, g12, g22) of B^T B, the Gram matrix of B's columns."""
@@ -207,14 +198,9 @@ class ZsqrtBasis:
         W: four integer products per component, and the scalars are built
         at the end, each distinct one once.
 
-        They are those of mat2_mul(mat2_mul(basis, m), mat2_inv(basis)) in
-        value and type: Fractions when no entry of basis is a QuadRat, else
-        QuadRats, with the field that `_field` follows through that
-        product.  An irrational entry has field d.  A rational one has the
-        field of det(basis), unless the second column of basis m or the
-        entry of adj(basis) it divides is irrational: then it has field d.
-        The two differ only when a rational QuadRat of another field sits
-        in an irrational basis.
+        They are the values of mat2_mul(mat2_mul(basis, m), mat2_inv(basis)),
+        in one form: a rational entry is a Fraction, an irrational one a
+        QuadRat of Q(sqrt(d)).
         """
         (b00, b01, b10, b11), d, (e, f) = self.b, self.d, self.det
         n = e * e - d * f * f
@@ -227,22 +213,13 @@ class ZsqrtBasis:
             for k in (0, 1) for l in (0, 2))
         n = abs(n)
         terms = list(zip(t00, t01, t10, t11))
-        field = self.det_field
-        mixed = d and field != d        # else every entry has `field`
-        adj_irrational = (b10[1], b00[1])   # the entries adj(basis)[1][j]
-        fields = (field,) * 4
         keys = []
         for (m00, m01), (m10, m11) in mats:
             o = [m00 * p + m01 * q + m10 * r + m11 * s for p, q, r, s in terms]
-            if mixed:                   # o[j]: the sqrt(d) part of entry j >> 1
-                col = (b00[1] * m01 + b01[1] * m11, b10[1] * m01 + b11[1] * m11)
-                fields = [d if o[j] or col[j >> 2] or adj_irrational[j >> 1 & 1]
-                          else field for j in (1, 3, 5, 7)]
-            f0, f1, f2, f3 = fields
-            keys.append(((o[0], o[1], f0), (o[2], o[3], f1),
-                         (o[4], o[5], f2), (o[6], o[7], f3)))
-        made = {(p, q, f): Fraction(p, n) if f is None else _reduced(p, q, n, f)
-                for p, q, f in set(chain(*keys))}
+            keys.append(((o[0], o[1]), (o[2], o[3]),
+                         (o[4], o[5]), (o[6], o[7])))
+        made = {(p, q): _reduced(p, q, n, d) if q else Fraction(p, n)
+                for p, q in set(chain(*keys))}
         return [((made[k0], made[k1]), (made[k2], made[k3]))
                 for k0, k1, k2, k3 in keys]
 

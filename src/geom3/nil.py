@@ -382,18 +382,20 @@ def planar_point_group(u, v) -> PlanarPointGroup:
     (u' v'), keeps every inner product, so t is orthogonal.  The elements
     are ordered by the coordinates of their images of u and v in the basis
     u, v, and each comes with its integer matrix M in that basis: the
-    element B M B^-1 is one integer conjugation (`ZsqrtBasis.conjugates`).
+    element B M B^-1 is one integer conjugation (`ZsqrtBasis.conjugates`),
+    its rational entries Fractions and the others QuadRats of Q(sqrt(3)).
 
     Computed once per exact basis: the group depends on u and v only, so
     every `Gp:N` shares that of Z^2 and every `hex:N` that of the
-    hexagonal lattice.  The cache key holds (label, p, q, r, d) for each
-    entry x = (p + q sqrt(d)) / r, label 1 for a QuadRat (q = 0 too), and
-    never the scalars, whose hash equates a float with an int and costs
-    about 1 us per Fraction.  Each entry's type is tested once, as in
-    `integer_rows`: int, Fraction and QuadRat are read directly, anything
-    else goes through `as_exact`, so a string parses and a float is a
-    domain error.  A hit returns the same frozen group.  Failures are not
-    cached, so they raise on every call.
+    hexagonal lattice.  The cache key holds (p, q, r, d) for each entry
+    x = (p + q sqrt(d)) / r, d = 0 when x is rational, so a rational
+    QuadRat keys as its Fraction does.  It never holds the scalars, whose
+    hash equates a float with an int and costs about 1 us per Fraction.
+    Each entry's type is tested once, as in `integer_rows`: int, Fraction
+    and QuadRat are read directly, anything else goes through `as_exact`,
+    so a string parses and a float is a domain error.  A hit returns the
+    same frozen group.  Failures are not cached, so they raise on every
+    call.
     """
     key = []
     for x in (u[0], u[1], v[0], v[1]):
@@ -401,9 +403,9 @@ def planar_point_group(u, v) -> PlanarPointGroup:
         if t is not int and t is not Fraction and t is not QuadRat:
             x = as_exact(x)
             t = QuadRat if isinstance(x, QuadRat) else Fraction
-        key.append((0, x, 0, 1, 0) if t is int
-                   else (1, x.p, x.q, x.r, x.d) if t is QuadRat
-                   else (0, x.numerator, 0, x.denominator, 0))
+        key.append((x, 0, 1, 0) if t is int
+                   else (x.p, x.q, x.r, x.d if x.q else 0) if t is QuadRat
+                   else (x.numerator, 0, x.denominator, 0))
     return _point_group_of(tuple(key))
 
 
@@ -411,8 +413,7 @@ def planar_point_group(u, v) -> PlanarPointGroup:
 def _point_group_of(key: tuple) -> PlanarPointGroup:
     """`planar_point_group` of the basis whose entries key lists."""
     u0, u1, v0, v1 = entries = [
-        _reduced(p, q, r, d) if label else Fraction(p, r)
-        for label, p, q, r, d in key]
+        _reduced(p, q, r, d) if q else Fraction(p, r) for p, q, r, d in key]
     if not all(scalar_is_rational(x) or (isinstance(x, QuadRat) and x.d == 3)
                for x in entries):
         raise ValueError("planar scalars must lie in Q or Q(sqrt(3))")

@@ -258,9 +258,9 @@ def _eigen_data(a: IntMat2) -> tuple[tuple[QuadRat, QuadRat], Mat2]:
     lam = _unit(t)
     lam_inv = t - lam
     if a.b:
-        cols = [(QuadRat(a.b, 0, lam.d), ev - a.a) for ev in (lam, lam_inv)]
+        cols = [(a.b, ev - a.a) for ev in (lam, lam_inv)]
     else:               # c != 0: else a = d = +-1 and tr a = +-2
-        cols = [(ev - a.d, QuadRat(a.c, 0, lam.d)) for ev in (lam, lam_inv)]
+        cols = [(ev - a.d, a.c) for ev in (lam, lam_inv)]
     (u0, u1), (v0, v1) = cols
     det = u0 * v1 - v0 * u1     # the second column scaled to det(basis) = 1
     return (lam, lam_inv), ((u0, v0 / det), (u1, v1 / det))

@@ -363,9 +363,25 @@ def point_group_elements_by_products(u, v, basis_matrices) -> tuple:
 
 def entry_records(matrices) -> list:
     """Each entry of each 2x2 matrix as (value, type, QuadRat.d or None,
-    repr): equal records are the same scalar, down to its label."""
+    repr): equal records are the same scalar, down to its form."""
     return [(x, type(x), getattr(x, "d", None), repr(x))
             for m in matrices for row in m for x in row]
+
+
+def rationals_as_fractions(matrices) -> tuple:
+    """Each 2x2 matrix with its rational QuadRat entries made Fractions:
+    the one form the integer kernels give a rational scalar."""
+    return tuple(tuple(tuple(x.as_fraction()
+                             if isinstance(x, QuadRat) and not x.q else x
+                             for x in row) for row in m) for m in matrices)
+
+
+def off_form_entries(matrices) -> list:
+    """The entries of 2x2 matrices that break the one form of an exact
+    scalar: a Fraction when rational, a QuadRat with q != 0 when not."""
+    return [x for m in matrices for row in m for x in row
+            if type(x) is not Fraction
+            and not (type(x) is QuadRat and x.q)]
 
 
 def matrix_order_by_powers(m) -> int:

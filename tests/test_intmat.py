@@ -13,6 +13,7 @@ is checked against Gaussian elimination over Q and a brute-force walk.
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -20,7 +21,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from geom3.algebra import QuadRat, clear_denominators
+from geom3.algebra import (
+    MixedDiscriminantError,
+    QuadRat,
+    clear_denominators,
+)
 from geom3.euclid import _integer_span
 from geom3.intmat import (
     IntMat2,
@@ -61,8 +66,10 @@ from support import (
     lattice_points_by_walk,
     matmul_rect,
     matrix_order_by_powers,
+    off_form_entries,
     point_group_elements_by_products,
     rational_rank_by_elimination,
+    rationals_as_fractions,
 )
 from test_algebra import discs, quadrats, rationals
 from test_euclid import _combination
@@ -534,7 +541,8 @@ def test_gauss_reduce_beyond_float_range():
 def labelled_matrices(draw):
     """Nonsingular 2x2 matrices over Q(sqrt(3)) whose entries are Fractions,
     QuadRats of Q(sqrt(3)), or rational QuadRats of Q(sqrt(3)), Q(sqrt(5))
-    or Q(sqrt(7)): every way QuadRat arithmetic can label an entry."""
+    or Q(sqrt(7)): bases whose rational entries come in every form a
+    caller can write."""
     entries = []
     for _ in range(4):
         x, kind = draw(rationals), draw(st.sampled_from(["q", "s", 3, 5, 7]))
@@ -552,10 +560,12 @@ small_matrices = st.tuples(st.tuples(small_entries, small_entries),
 
 @settings(max_examples=300, deadline=None)
 @given(labelled_matrices(), st.lists(small_matrices, max_size=6))
-# rational entries that the products give the field 3, not the field 5
-# of det(basis): through the second column of basis m, then through the
+# a rational QuadRat of Q(sqrt(5)) in a basis over Q(sqrt(3)): the scalar
+# products give some rational entries the field 3, not the field 5 of
+# det(basis), through the second column of basis m, then through the
 # entry of adj(basis) that it divides; the swap gives irrational entries
-# whose column of basis m and entry of adj(basis) are rational
+# whose column of basis m and entry of adj(basis) are rational.  Every
+# rational entry is a Fraction on both sides.
 @example(((Fraction(0), Fraction(1)), (QuadRat(1, 0, 5), QuadRat(0, 1, 3))),
          [MAT2_ID, ((0, 1), (1, 0))])
 @example(((QuadRat(0, 1, 3), Fraction(1)), (QuadRat(1, 0, 5), Fraction(0))),
@@ -563,8 +573,26 @@ small_matrices = st.tuples(st.tuples(small_entries, small_entries),
 def test_integer_conjugation_is_the_scalar_product(basis, mats):
     (u0, v0), (u1, v1) = basis
     assert entry_records(ZsqrtBasis(basis).conjugates(mats)) == \
-        entry_records(point_group_elements_by_products((u0, u1), (v0, v1),
-                                                       mats))
+        entry_records(rationals_as_fractions(
+            point_group_elements_by_products((u0, u1), (v0, v1), mats)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_matrices(), st.lists(small_matrices, max_size=6))
+def test_a_conjugate_entry_is_a_fraction_or_irrational(basis, mats):
+    assert off_form_entries(ZsqrtBasis(basis).conjugates(mats)) == []
+
+
+def test_a_basis_over_two_fields_is_refused():
+    # a wrong answer before: sqrt(3) was read as sqrt(2), and the
+    # conjugates came back over Q(sqrt(2))
+    basis = ((QuadRat(0, 1, 2), 1), (0, QuadRat(0, 1, 3)))
+    swap = ((0, 1), (1, 0))
+    message = re.escape("cannot mix sqrt(2) with sqrt(3)")
+    with pytest.raises(MixedDiscriminantError, match=message):
+        mat2_mul(mat2_mul(basis, swap), mat2_inv(basis))
+    with pytest.raises(MixedDiscriminantError, match=message):
+        ZsqrtBasis(basis).conjugates([swap])
 
 
 # -- the word-ball kernel against closed forms ------------------------------

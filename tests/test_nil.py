@@ -99,9 +99,11 @@ from support import (
     lift_group_closes_by_pairs,
     matrix_order_by_powers,
     nil_caches,
+    off_form_entries,
     planar_coords,
     point_group_by_box,
     point_group_elements_by_products,
+    rationals_as_fractions,
     rot_apply,
     schreier_translations_by_scalars,
 )
@@ -767,8 +769,8 @@ def test_every_basis_of_z2_gives_the_signed_permutations(m):
 def labelled_bases(draw):
     """The bases of `planar_lattices` skewed by `small_unimodular`, or the
     hexagonal basis skewed by a `z2_bases` matrix, with each rational
-    entry kept, or made a rational QuadRat of Q(sqrt(5)) or Q(sqrt(7)): a
-    value that carries a field it does not need."""
+    entry kept, or made a rational QuadRat of Q(sqrt(5)) or Q(sqrt(7)):
+    bases whose rational entries come in every form a caller can write."""
     if draw(st.booleans()):
         u, v = change_basis(*draw(planar_lattices()), draw(small_unimodular()))
     else:
@@ -789,8 +791,22 @@ def labelled_bases(draw):
 def test_point_group_elements_are_those_of_the_scalar_products(basis):
     u, v = basis
     pg = planar_point_group(u, v)
-    assert entry_records(pg.elements) == entry_records(
-        point_group_elements_by_products(u, v, pg.basis_matrices))
+    assert entry_records(pg.elements) == entry_records(rationals_as_fractions(
+        point_group_elements_by_products(u, v, pg.basis_matrices)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_bases())
+def test_a_point_group_entry_is_a_fraction_or_irrational(basis):
+    assert off_form_entries(planar_point_group(*basis).elements) == []
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_a_hexagonal_point_group_entry_is_a_fraction_or_irrational(p):
+    clear_nil_caches()
+    pg = lattice_hex(p).point_group
+    assert pg.tag == "D6"
+    assert off_form_entries(pg.elements) == []
 
 
 def test_point_group_builds_no_scalar_product(monkeypatch):
@@ -815,14 +831,15 @@ def test_point_group_builds_no_scalar_product(monkeypatch):
 # -- the point group is computed once per exact basis ------------------------
 
 def _group_record(pg):
-    """Everything a caller can read off a point group, labels included."""
+    """Everything a caller can read off a point group, each entry's type
+    and repr included."""
     return entry_records(pg.elements), pg.basis_matrices, pg.tag
 
 
 def _relabelled(basis):
     """The basis with each rational entry's label swapped: a Fraction made
     a rational QuadRat of Q(sqrt(7)), a rational QuadRat made a Fraction.
-    Equal in value, so a cache keyed on values would share its entry."""
+    Equal in value, so it keys the same cache entry."""
     def swap(x):
         if isinstance(x, QuadRat):
             return x if x.q else x.a
@@ -839,26 +856,26 @@ def test_cold_warm_and_fresh_lattice_point_groups_agree(basis):
     u, v = basis
     clear_nil_caches()
     cold = _group_record(planar_point_group(u, v))
-    # the same values with other labels go first: a key on the values
-    # would hand the warm calls below their group
+    # the same values with other labels go first: they hit the cold
+    # call's entry, as the warm calls below do
     planar_point_group(*_relabelled(basis))
     warm = planar_point_group(u, v)
     assert _group_record(warm) == cold
     assert planar_point_group(u, v) is warm
     assert _group_record(nil_lattice_make(u, v).point_group) == cold
-    # each basis has a rational entry, so its twin has another key
-    assert _point_group_of.cache_info().currsize == 2
+    # a rational entry keys as its Fraction, so the twin shares the key
+    assert _point_group_of.cache_info().currsize == 1
 
 
-def test_a_relabelled_basis_keeps_its_own_group():
+def test_a_relabelled_basis_shares_the_cache_entry_of_its_twin():
     clear_nil_caches()
     plain = planar_point_group((1, 0), (0, 1))
+    hits = _point_group_of.cache_info().hits
     labelled = planar_point_group((QuadRat(1, 0, 5), 0), (0, 1))
-    assert _point_group_of.cache_info().currsize == 2
-    assert labelled.elements == plain.elements
+    assert _point_group_of.cache_info()[:2] == (hits + 1, 1)  # hits, misses
+    assert labelled is plain
     assert {type(x) for m in plain.elements for row in m for x in row} \
         == {Fraction}
-    assert {x.d for m in labelled.elements for row in m for x in row} == {5}
 
 
 @pytest.mark.parametrize("u, v, message", [
