@@ -433,65 +433,54 @@ def scalar_is_rational(x: Scalar) -> bool:
     return not (isinstance(x, QuadRat) and x.q != 0)
 
 
-def _exact_parts(x) -> tuple[int, int, int, int]:
-    """(p, q, r, d) for x = (p + q sqrt(d)) / r; d counts only if q != 0."""
-    if isinstance(x, QuadRat):
-        return x.p, x.q, x.r, x.d
-    if isinstance(x, (int, Fraction)):
-        return x.numerator, 0, x.denominator, 0
-    raise ValueError(f"exact entries required, not {x!r}")
-
-
-def clear_denominators(xs) -> tuple[int, list]:
-    """(r, nums) for exact scalars xs: r is the least positive integer that
-    makes every r x integral (in Z, or in Z[sqrt(d)] for an irrational x),
-    and nums holds each r x in order, as an int for a rational x and as
-    the pair (p, q) of r x = p + q sqrt(d) for an irrational x, whose field
-    d the caller reads off x.  With no xs, r = 1.  A float is a domain
-    error, since no integer may take one silently."""
-    parts = [_exact_parts(x) for x in xs]
-    r = lcm(*(part[2] for part in parts))
-    return r, [(p * (r // s), q * (r // s)) if q else p * (r // s)
-               for p, q, s, _ in parts]
-
-
 def integer_rows(vectors, lead: int = 0) \
         -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
-    """(r, radicands, rows) for exact planar vectors: the radicands (1,
-    d_1, ..., d_k) of the fields that occur (lead first, when given), and
-    each vector as an integer row over the common denominator r on the
-    Q-basis {1, sqrt(d_1), ...}: (x, y) -> (x_0, y_0, x_1, y_1, ...) for
-    x = (x_0 + x_1 sqrt(d_1) + ...) / r.  1 and the sqrt(d_i) are linearly
-    independent over Q, so the rows have the Q-rank of the vectors.  Each
-    entry's type is tested once: int, Fraction and QuadRat are read
-    directly, anything else goes through `_exact_parts`, so a float is a
-    domain error, as in `clear_denominators`."""
+    """(r, radicands, rows) for exact vectors of one width w: the
+    radicands (1, d_1, ..., d_k) of the fields that occur (lead first,
+    when given), and each vector as an integer row over the least common
+    denominator r on the Q-basis {1, sqrt(d_1), ...}, block j holding the
+    sqrt(d_j) coefficients of all w coordinates: (x, y) -> (x_0, y_0, x_1,
+    y_1, ...) for x = (x_0 + x_1 sqrt(d_1) + ...) / r.  1 and the
+    sqrt(d_i) are linearly independent over Q, so the rows have the
+    Q-rank of the vectors.  The one conversion from exact scalars to
+    integers: each entry's type is tested once, int, Fraction and QuadRat
+    are read directly, anything else goes through `as_exact`, so a string
+    parses and a float is a domain error.  With no vectors, r = 1."""
     parts = []
+    roots = set()
+    width = 0
     for v in vectors:
+        width = len(v)
         for x in v:
             t = type(x)
-            parts.append((x, 0, 1, 0) if t is int
-                         else (x.p, x.q, x.r, x.d) if t is QuadRat
-                         else (x.numerator, 0, x.denominator, 0)
-                         if t is Fraction else _exact_parts(x))
+            if t is QuadRat:
+                parts.append((x.p, x.q, x.r, x.d))
+                if x.q:
+                    roots.add(x.d)
+                continue
+            if t is not int and t is not Fraction:
+                x = as_exact(x)
+            parts.append((x.numerator, 0, x.denominator, 0))
     r = lcm(*[part[2] for part in parts])
-    fields = sorted({part[3] for part in parts if part[1]} - {lead})
+    roots.discard(lead)
+    fields = sorted(roots)
     if lead:
         fields.insert(0, lead)
-    width = 2 * len(fields) + 2
-    slot = {d: 2 * k + 2 for k, d in enumerate(fields)}
+    slot = {d: k * width for k, d in enumerate(fields, 1)}
+    size = width * (len(fields) + 1)
     rows = []
-    pairs = iter(parts)
-    for (p0, q0, s0, d0), (p1, q1, s1, d1) in zip(pairs, pairs):
-        row = [0] * width
-        m0, m1 = r // s0, r // s1
-        row[0], row[1] = p0 * m0, p1 * m1
-        if q0:
-            row[slot[d0]] = q0 * m0
-        if q1:
-            row[slot[d1] + 1] = q1 * m1
-        rows.append(tuple(row))
-    return r, (1, *fields), rows
+    j = width
+    for p, q, s, d in parts:
+        if j == width:
+            row = [0] * size
+            rows.append(row)
+            j = 0
+        m = r // s
+        row[j] = p * m
+        if q:
+            row[slot[d] + j] = q * m
+        j += 1
+    return r, (1, *fields), list(map(tuple, rows))
 
 
 def row_scalar(coeffs, radicands, den: int) -> Scalar:

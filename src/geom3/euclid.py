@@ -2,11 +2,12 @@
 
 Crystallographic groups are given by exact rational orthogonal point
 generators together with translation vectors that generate the lattice
-(a basis or any other generating set).  The vectors are written as
-integer rows over their common denominator, and the lattice kernel
-`intmat.ZSpan` reads rank, basis and integer coordinates off one Smith
-normal form; ranks and coinvariants go through it too.  Only split (i.e.
-symmorphic) extensions are supported for the Betti computation.
+(a basis or any other generating set).  `algebra.integer_rows` writes
+the vectors as integer rows over their common denominator, and the
+lattice kernel `intmat.ZSpan` takes those rows as they are and reads
+rank, basis and integer coordinates off one Smith normal form; ranks and
+coinvariants go through it too.  Only split (i.e. symmorphic) extensions
+are supported for the Betti computation.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
-from .algebra import clear_denominators, frac
+from .algebra import frac, integer_rows
 from .descriptors import IsoDescriptor
 from .intmat import (
     SearchCapError,
@@ -67,9 +68,8 @@ def _identity(n: int) -> Matrix:
 def _integer_span(vectors, dim: int) -> tuple[int, ZSpan]:
     """(D, the Z-span of D * vectors) for D the least common denominator of
     the rational vectors."""
-    den, nums = clear_denominators([x for vec in vectors for x in vec])
-    return den, ZSpan([nums[i:i + dim] for i in range(0, len(nums), dim)],
-                      dim)
+    den, _, rows = integer_rows(vectors)
+    return den, ZSpan(rows, dim)
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,10 @@ class CrystalGroup:
         if len(v) != self.dim:
             raise ValueError("vector must match the dimension")
         den, span = self._lattice
-        r, nums = clear_denominators([_rational(x) for x in v])
+        r, _, (row,) = integer_rows((tuple(map(_rational, v)),))
         if den % r:
             return None
-        return span.coords([x * (den // r) for x in nums])
+        return span.coords([x * (den // r) for x in row])
 
 
 def crystal_group_make(point_gens, trans_basis, vector_system=None,

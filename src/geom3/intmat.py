@@ -8,13 +8,15 @@ reads rank, basis and integer coordinates of the span of integer rows off
 one `snf`: Euclidean translation lattices, ranks and coinvariants all go
 through it.  The Nil dichotomy, which needs only a rank and a covolume,
 builds its own echelon basis with no transform (`nil._lattice_covolume`).
+Exact scalars reach these kernels through one conversion to integers,
+`algebra.integer_rows`.
 
 The helpers the geometry modules share live here too: 2x2/vector
 arithmetic over exact scalars, 2x2 matrices over Z[sqrt(d)] acting on
-integer rows (the Nil Schreier walk), a planar basis with its
-denominators cleared (`ZsqrtBasis`: the Gram matrix, its `gauss_reduce`
-and the integer conjugation B M B^-1 of the planar point groups and of
-Sol's Galois check), the n x n matrix product and its unrolled 3x3 case
+integer rows (the Nil Schreier walk), a planar basis given by the integer
+rows of its vectors (`ZsqrtBasis`: the Gram matrix, its `gauss_reduce` and
+the integer conjugation B M B^-1 of the planar point groups and of Sol's
+Galois check), the n x n matrix product and its unrolled 3x3 case
 `mat3_mul` (the S^2 x R rotations), and the breadth-first word ball
 behind every closure and word search.
 """
@@ -29,8 +31,7 @@ from math import gcd, isqrt
 from operator import add, sub
 from typing import Optional
 
-from .algebra import (QuadRat, Scalar, _reduced, clear_denominators,
-                      one_field, power)
+from .algebra import Scalar, _reduced, one_field, power
 
 Mat2 = tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]
 Vec2 = tuple[Scalar, Scalar]
@@ -158,26 +159,25 @@ def gauss_reduce(gram, d: int) -> tuple[tuple, Mat2]:
 
 
 class ZsqrtBasis:
-    """A planar basis over Q or Q(sqrt(d)) with its denominators cleared.
+    """A planar basis over Z or Z[sqrt(d)], from the `algebra.integer_rows`
+    rows (radicands, rows) of its vectors u, v.
 
-    basis is the 2x2 matrix (u v) of the basis vectors as columns, its
-    irrational entries all in one field Q(sqrt(d)): two fields raise
-    MixedDiscriminantError, as their scalar product does.  Scaled by the
-    least common denominator of its entries it is a matrix B over
-    Z[sqrt(d)] (d = 0 when every entry is rational), kept as `b`, its
-    entries in row order, each a pair (p, q) for p + q sqrt(d); `det` is
-    det(B) as such a pair, (0, 0) when u and v are dependent.
+    The rows are the columns of a matrix B over Z[sqrt(d)] (d = 0 when
+    every entry is rational), kept as `b`, its entries in row order, each
+    a pair (p, q) for p + q sqrt(d); `det` is det(B) as such a pair, (0,
+    0) when u and v are dependent.  B is the basis (u v) scaled by its
+    common denominator, which no result below depends on: the Gram matrix
+    only scales, and B M B^-1 does not change.  Two fields raise
+    MixedDiscriminantError, as their scalar product does.
     """
 
-    def __init__(self, basis: Mat2):
-        flat = (*basis[0], *basis[1])
-        _, nums = clear_denominators(flat)
-        self.b = b00, b01, b10, b11 = [x if isinstance(x, tuple) else (x, 0)
-                                       for x in nums]
-        roots = [x.d for x in flat if isinstance(x, QuadRat) and x.q]
-        self.d = d = roots[0] if roots else 0
-        for root in roots:
-            one_field(d, root)
+    def __init__(self, radicands, rows):
+        if len(radicands) > 2:
+            one_field(*radicands[1:3])
+        self.d = d = radicands[1] if len(radicands) > 1 else 0
+        (u0, u1, p0, p1), (v0, v1, q0, q1) = ((*row, 0, 0)[:4]
+                                              for row in rows)
+        self.b = b00, b01, b10, b11 = (u0, p0), (v0, q0), (u1, p1), (v1, q1)
         self.det = tuple(map(sub, _zmul(b00, b11, d), _zmul(b01, b10, d)))
 
     def gram(self) -> tuple:

@@ -44,7 +44,6 @@ from .algebra import (
     Scalar,
     _reduced,
     as_exact,
-    clear_denominators,
     cross_parts,
     format_scalar,
     integer_rows,
@@ -367,15 +366,15 @@ class PlanarPointGroup:
 def planar_point_group(u, v) -> PlanarPointGroup:
     """Orthogonal stabilizer of the lattice Z u + Z v, computed exactly.
 
-    The basis B = (u v) is cleared of denominators once (`ZsqrtBasis`),
-    and all that follows is integer arithmetic over Z[sqrt(3)].  Every
-    stabilizing map is pinned down by the images of a Gauss-reduced basis
-    u', v' (see `gauss_reduce`): lattice vectors with the norms and the
-    inner product of u', v'.  In a reduced basis, a u' + b v' with
-    |b| >= 2, or with |b| = 1 and |a| >= 2, is longer than v', so both
-    images have coordinates in {-1, 0, 1}^2 except an image m u' of v'
-    with m >= 2; that one cannot occur, since the inverse map would send
-    u' to v'/m, which is not a lattice vector.  So there are O(1)
+    The basis B = (u v) is written once as integer rows (`integer_rows`,
+    then `ZsqrtBasis`), and all that follows is integer arithmetic over
+    Z[sqrt(3)].  Every stabilizing map is pinned down by the images of a
+    Gauss-reduced basis u', v' (see `gauss_reduce`): lattice vectors with
+    the norms and the inner product of u', v'.  In a reduced basis, a u' +
+    b v' with |b| >= 2, or with |b| = 1 and |a| >= 2, is longer than v',
+    so both images have coordinates in {-1, 0, 1}^2 except an image m u'
+    of v' with m >= 2; that one cannot occur, since the inverse map would
+    send u' to v'/m, which is not a lattice vector.  So there are O(1)
     candidates, and no float enters.  The Gram test alone admits one: for
     the integer matrix C of the images in reduced coordinates and G the
     Gram matrix of u', v', C^T G C = G says that t = B' C B'^-1, B' =
@@ -385,39 +384,28 @@ def planar_point_group(u, v) -> PlanarPointGroup:
     element B M B^-1 is one integer conjugation (`ZsqrtBasis.conjugates`),
     its rational entries Fractions and the others QuadRats of Q(sqrt(3)).
 
-    Computed once per exact basis: the group depends on u and v only, so
-    every `Gp:N` shares that of Z^2 and every `hex:N` that of the
-    hexagonal lattice.  The cache key holds (p, q, r, d) for each entry
-    x = (p + q sqrt(d)) / r, d = 0 when x is rational, so a rational
-    QuadRat keys as its Fraction does.  It never holds the scalars, whose
-    hash equates a float with an int and costs about 1 us per Fraction.
-    Each entry's type is tested once, as in `integer_rows`: int, Fraction
-    and QuadRat are read directly, anything else goes through `as_exact`,
-    so a string parses and a float is a domain error.  A hit returns the
-    same frozen group.  Failures are not cached, so they raise on every
-    call.
+    Computed once per basis up to scale: the group does not change when u
+    and v are scaled together, so every `Gp:N` shares that of Z^2 and
+    every `hex:N` that of the hexagonal lattice.  The cache key is the
+    `integer_rows` radicands and rows of u and v without their common
+    denominator, on which neither the elements nor `basis_matrices`
+    depend: (1/2, 0), (0, 1/2) shares the entry of Z^2, and one value
+    keys alike as an int, a Fraction, a rational QuadRat or a string; a
+    float is a domain error.  It never holds the scalars, whose hash
+    equates a float with an int and costs about 1 us per Fraction.  A hit
+    returns the same frozen group.  Failures are not cached, so they raise
+    on every call.
     """
-    key = []
-    for x in (u[0], u[1], v[0], v[1]):
-        t = type(x)
-        if t is not int and t is not Fraction and t is not QuadRat:
-            x = as_exact(x)
-            t = QuadRat if isinstance(x, QuadRat) else Fraction
-        key.append((x, 0, 1, 0) if t is int
-                   else (x.p, x.q, x.r, x.d if x.q else 0) if t is QuadRat
-                   else (x.numerator, 0, x.denominator, 0))
-    return _point_group_of(tuple(key))
+    _, radicands, rows = integer_rows((u, v))
+    return _point_group_of(radicands, tuple(rows))
 
 
 @functools.lru_cache(maxsize=256)
-def _point_group_of(key: tuple) -> PlanarPointGroup:
-    """`planar_point_group` of the basis whose entries key lists."""
-    u0, u1, v0, v1 = entries = [
-        _reduced(p, q, r, d) if q else Fraction(p, r) for p, q, r, d in key]
-    if not all(scalar_is_rational(x) or (isinstance(x, QuadRat) and x.d == 3)
-               for x in entries):
+def _point_group_of(radicands: tuple, rows: tuple) -> PlanarPointGroup:
+    """`planar_point_group` of the basis with these `integer_rows`."""
+    if radicands not in ((1,), (1, 3)):
         raise ValueError("planar scalars must lie in Q or Q(sqrt(3))")
-    basis = ZsqrtBasis(((u0, v0), (u1, v1)))
+    basis = ZsqrtBasis(radicands, rows)
     if basis.det == (0, 0):
         raise ValueError("u and v are linearly dependent")
     (g11, g12, g22), p = gauss_reduce(basis.gram(), basis.d)
@@ -465,6 +453,17 @@ def _quotient(x, m: int) -> Optional[int]:
     return x.p // m
 
 
+def _integral_entries(row, radicands) -> list:
+    """The entries of an `integer_rows` row over the denominator 1, each
+    an int or an element of Z[sqrt(d)] for the one field it lies in."""
+    w = len(row) // len(radicands)
+    out = list(row[:w])
+    for k in range(w, len(row)):
+        if row[k]:
+            out[k % w] = _reduced(out[k % w], row[k], 1, radicands[k // w])
+    return out
+
+
 class _LatticeFrame:
     """The lattice frame of one lattice (see the module docstring), scaled
     to integers.
@@ -472,8 +471,9 @@ class _LatticeFrame:
     With w = B j, the basis form n w1 w2 / lam is a j1^2 + c j1 j2 + b j2^2
     for a = n u1 u2 / lam, b = n v1 v2 / lam, c = n (u1 v2 + u2 v1) / lam.
     Let D be the least positive integer with D alpha, D beta integral and
-    G the least with G a, G b, G c integral.  A Heisenberg element is the
-    pair (K, W) = (P k, C zeta) for the scales P = 2 n D and C = P^2 G, so
+    G the least with G a, G b, G c integral, both read off `integer_rows`.
+    A Heisenberg element is the pair (K, W) = (P k, C zeta) for the scales
+    P = 2 n D and C = P^2 G, so
 
         (K, W) (K', W') = (K + K', W + W' + h cross(K, K')),  h = G n,
 
@@ -494,17 +494,16 @@ class _LatticeFrame:
         a, b = scale * u1 * u2, scale * v1 * v2
         c = scale * (u1 * v2 + u2 * v1)
         alpha, beta = 2 * scale * lat.r - a, 2 * scale * lat.s - b
-        d, system = clear_denominators((alpha, beta))
-        g, center = clear_denominators((a, b, c))
+        d, rad, (system,) = integer_rows(((alpha, beta),))
+        g, rad_c, (center,) = integer_rows(((a, b, c),))
         self.n, self.dn = n, d * n
         self.P = 2 * n * d
         self.C = self.P * self.P * g
         self.h = g * n
         # D alpha, D beta (the lift's system) and G a, G b, G c (its
         # center), as elements of Z or Z[sqrt(d)]
-        self.ra, self.rb, self.qa, self.qb, self.qc = (
-            QuadRat(*num, x.d) if isinstance(num, tuple) else num
-            for num, x in zip(system + center, (alpha, beta, a, b, c)))
+        self.ra, self.rb = _integral_entries(system, rad)
+        self.qa, self.qb, self.qc = _integral_entries(center, rad_c)
         # C alpha, C beta, C n: the central coordinates of lattice words
         self.ca = 2 * n * self.P * g * self.ra
         self.cb = 2 * n * self.P * g * self.rb

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import intmat
-from .algebra import QuadRat, galois_conjugate
+from .algebra import QuadRat, integer_rows, row_scalar
 from .descriptors import IsoDescriptor, check_output_size
 from .intmat import IntMat2, Mat2, Vec2, ZsqrtBasis, int_mat_pow, mat2_inv
 
@@ -271,26 +271,31 @@ def sol_q_structure(a: IntMat2) -> dict:
 
     Returns the square-free field parameter, exact eigenvalues, the change
     of basis B with B a B^{-1} diagonal, and whether the entrywise Galois
-    conjugate of B diagonalizes a onto the conjugate eigenvalues.  Each
-    check is one integer conjugation B a adj(B) / det(B) over Z[sqrt(d)].
+    conjugate of B diagonalizes a onto the conjugate eigenvalues (lam_inv,
+    lam).  B = adj(E) = E^-1 for the eigenbasis E, det(E) = 1; B and its
+    conjugate are read off the `integer_rows` of B's columns, the
+    conjugate's with the sqrt(d) block negated, and each check is one
+    integer conjugation B a adj(B) / det(B) over Z[sqrt(d)].
     """
-    (lam, lam_inv), basis = _eigen_data(a)
-    b = mat2_inv(basis)
-    b_conj = tuple(tuple(galois_conjugate(x) for x in row) for row in b)
+    (lam, lam_inv), ((e00, e01), (e10, e11)) = _eigen_data(a)
+    r, rad, rows = integer_rows(((e11, -e10), (-e01, e00)))
+    rows_conj = [row[:2] + tuple(-x for x in row[2:]) for row in rows]
 
-    def diagonalizes(p, ev, ev_inv) -> bool:
-        return ZsqrtBasis(p).conjugates([a.rows()])[0] == ((ev, 0),
-                                                          (0, ev_inv))
+    def matrix(cols) -> Mat2:
+        return tuple(tuple(row_scalar(col[i::2], rad, r) for col in cols)
+                     for i in (0, 1))
+
+    def diagonalizes(cols, ev, ev_inv) -> bool:
+        return ZsqrtBasis(rad, cols).conjugates([a.rows()])[0] == (
+            (ev, 0), (0, ev_inv))
 
     return {
         "d": lam.d,
         "eigenvalues": (lam, lam_inv),
-        "basis": b,
-        "basis_conjugate": b_conj,
-        "galois_pair_check": (
-            diagonalizes(b, lam, lam_inv)
-            and diagonalizes(b_conj, galois_conjugate(lam),
-                             galois_conjugate(lam_inv))),
+        "basis": matrix(rows),
+        "basis_conjugate": matrix(rows_conj),
+        "galois_pair_check": (diagonalizes(rows, lam, lam_inv)
+                              and diagonalizes(rows_conj, lam_inv, lam)),
     }
 
 

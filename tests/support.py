@@ -49,7 +49,12 @@ oracles for the integer-numerator `QuadRat` and for Pollard's rho.
 
 `integer_rows_by_parts` is `algebra.integer_rows` as it was before it
 read each entry once: `clear_denominators` first, then a `list.index`
-per entry for the column of its field.
+per entry for the column of its field, for vectors of any one width.
+`clear_denominators` is the conversion that `ZsqrtBasis`, the Nil
+lattice frame and `euclid` used before `integer_rows` became the one
+conversion to integers; it refuses a string, which `integer_rows` parses.
+`zsqrt_basis` builds an `intmat.ZsqrtBasis` from a 2x2 matrix, through
+the `integer_rows` of its columns.
 
 `elementary_divisors_stack` takes the gcds of all minors of each order, and
 `rational_rank_by_elimination` is a Gaussian elimination over Q: the
@@ -142,8 +147,8 @@ from geom3.algebra import (
     MixedDiscriminantError,
     QuadRat,
     as_exact,
-    clear_denominators,
     cross_parts,
+    integer_rows,
     frac,
     galois_conjugate,
     scalar_is_rational,
@@ -166,6 +171,7 @@ from geom3.intmat import (
     IntMat2,
     SearchCapError,
     ZSpan,
+    ZsqrtBasis,
     congruence_solutions,
     mat2_apply,
     mat2_det,
@@ -964,23 +970,51 @@ def determinant(rows) -> Fraction:
     return det
 
 
+def clear_denominators(xs) -> tuple[int, list]:
+    """(r, nums) for exact scalars xs: r is the least positive integer that
+    makes every r x integral (in Z, or in Z[sqrt(d)] for an irrational x),
+    and nums holds each r x in order, as an int for a rational x and as
+    the pair (p, q) of r x = p + q sqrt(d) for an irrational x, whose field
+    d the caller reads off x.  With no xs, r = 1.  A float is a domain
+    error, since no integer may take one silently."""
+    parts = []
+    for x in xs:
+        if isinstance(x, QuadRat):
+            parts.append((x.p, x.q, x.r))
+        elif isinstance(x, (int, Fraction)):
+            parts.append((x.numerator, 0, x.denominator))
+        else:
+            raise ValueError(f"exact entries required, not {x!r}")
+    r = math.lcm(*(s for _, _, s in parts))
+    return r, [(p * (r // s), q * (r // s)) if q else p * (r // s)
+               for p, q, s in parts]
+
+
 def integer_rows_by_parts(vectors, lead: int = 0):
     """`algebra.integer_rows` through `clear_denominators`, its fields
     looked up by `list.index` entry by entry."""
     flat = [x for v in vectors for x in v]
+    w = len(vectors[0]) if vectors else 1
     r, nums = clear_denominators(flat)
     fields = sorted({x.d for x, num in zip(flat, nums)
                      if isinstance(num, tuple)} - {lead})
     if lead:
         fields.insert(0, lead)
-    rows = [[0] * (2 * len(fields) + 2) for _ in vectors]
+    rows = [[0] * (w * len(fields) + w) for _ in vectors]
     for i, (x, num) in enumerate(zip(flat, nums)):
-        row, k = rows[i // 2], i % 2
+        row, k = rows[i // w], i % w
         if isinstance(num, tuple):
-            row[k], row[2 * fields.index(x.d) + 2 + k] = num
+            row[k], row[w * fields.index(x.d) + w + k] = num
         else:
             row[k] = num
     return r, (1, *fields), list(map(tuple, rows))
+
+
+def zsqrt_basis(basis) -> ZsqrtBasis:
+    """`intmat.ZsqrtBasis` of the 2x2 matrix basis = (u v), from the
+    `integer_rows` of its columns u and v."""
+    _, radicands, rows = integer_rows(tuple(zip(*basis)))
+    return ZsqrtBasis(radicands, rows)
 
 
 def matmul_rect(a, b) -> tuple:

@@ -8,14 +8,13 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geom3.algebra import (
     FACTOR_LIMIT,
     MixedDiscriminantError,
     QuadRat,
-    clear_denominators,
     format_scalar,
     galois_conjugate,
     integer_rows,
@@ -25,6 +24,7 @@ from geom3.algebra import (
 )
 from support import (
     FractionPairQuadRat,
+    clear_denominators,
     deadline,
     integer_rows_by_parts,
     squarefree_by_trial_division,
@@ -424,12 +424,21 @@ row_entries = st.one_of(st.integers(-9, 9), rationals, quadrats(2),
                         quadrats(3))
 
 
-@given(st.lists(st.tuples(row_entries, row_entries), max_size=5),
-       st.sampled_from([0, 2, 3, 5]))
+# vectors of one width: 1, 2 (the planar rows) or 3 (Euclid's shape)
+row_families = st.one_of(
+    *(st.lists(st.tuples(*[row_entries] * w), max_size=5) for w in (1, 2, 3)))
+
+
+@given(row_families, st.sampled_from([0, 2, 3, 5]))
+@example([(QuadRat(Fraction(1, 2), 1, 2), 1, QuadRat(0, Fraction(1, 3), 3)),
+          (0, QuadRat(Fraction(1, 2), 1, 2), 0)], 0)
 def test_integer_rows_match_the_entry_by_entry_oracle(vectors, lead):
     got = integer_rows(vectors, lead)
     assert got == integer_rows_by_parts(vectors, lead)
     assert all(type(c) is int for row in got[2] for c in row)
+    if vectors:
+        assert all(len(row) == len(vectors[0]) * len(got[1])
+                   for row in got[2])
 
 
 @given(st.lists(st.tuples(row_entries, row_entries), min_size=1,
@@ -450,9 +459,21 @@ def test_integer_rows_refuse_a_float_as_the_oracle_does(vectors, data):
 
 def test_floats_have_no_integer_form():
     for x in (0.5, float("nan")):
-        with pytest.raises(ValueError, match=f"exact entries required, "
-                                             f"not {x!r}"):
-            clear_denominators([Fraction(1, 2), x])
+        for convert in (lambda: integer_rows([(Fraction(1, 2), x)]),
+                        lambda: clear_denominators([Fraction(1, 2), x])):
+            with pytest.raises(ValueError, match=f"exact entries required, "
+                                                 f"not {x!r}"):
+                convert()
     with pytest.raises(MixedDiscriminantError,
                        match=re.escape("cannot mix sqrt(2) with sqrt(3)")):
         row_scalar((1, 1, 1), (1, 2, 3), 1)
+
+
+def test_integer_rows_parse_a_string_as_its_fraction():
+    # strings go through as_exact, as HeisPoint.of and nil_lattice_make
+    # read them; the oracle's clear_denominators refused them
+    assert integer_rows([("1/2", "3"), (0, "-1/3")]) \
+        == integer_rows([(Fraction(1, 2), 3), (0, Fraction(-1, 3))]) \
+        == (6, (1,), [(3, 18), (0, -2)])
+    with pytest.raises(ValueError, match="exact entries required"):
+        clear_denominators(["1/2"])

@@ -21,17 +21,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from geom3.algebra import (
-    MixedDiscriminantError,
-    QuadRat,
-    clear_denominators,
-)
+from geom3.algebra import MixedDiscriminantError, QuadRat
 from geom3.euclid import _integer_span
 from geom3.intmat import (
     IntMat2,
     SearchCapError,
     ZSpan,
-    ZsqrtBasis,
     congruence_solutions,
     gauss_reduce,
     int_mat_pow,
@@ -59,6 +54,7 @@ from geom3.nil import (
 )
 from geom3.sol import sol_q_structure
 from support import (
+    clear_denominators,
     deadline,
     determinant,
     elementary_divisors_stack,
@@ -70,6 +66,7 @@ from support import (
     point_group_elements_by_products,
     rational_rank_by_elimination,
     rationals_as_fractions,
+    zsqrt_basis,
 )
 from test_algebra import discs, quadrats, rationals
 from test_euclid import _combination
@@ -511,7 +508,7 @@ def gram_scalar(pair, d: int, r: int):
 @given(planar_bases())
 def test_gauss_reduce_gives_a_reduced_basis_of_the_same_lattice(basis):
     u, v = basis
-    frame = ZsqrtBasis(((u[0], v[0]), (u[1], v[1])))
+    frame = zsqrt_basis(((u[0], v[0]), (u[1], v[1])))
     r, _ = clear_denominators((*u, *v))
     gram, p = gauss_reduce(frame.gram(), frame.d)
     assert all(isinstance(x, int) for row in p for x in row)
@@ -572,7 +569,7 @@ small_matrices = st.tuples(st.tuples(small_entries, small_entries),
          [MAT2_ID])
 def test_integer_conjugation_is_the_scalar_product(basis, mats):
     (u0, v0), (u1, v1) = basis
-    assert entry_records(ZsqrtBasis(basis).conjugates(mats)) == \
+    assert entry_records(zsqrt_basis(basis).conjugates(mats)) == \
         entry_records(rationals_as_fractions(
             point_group_elements_by_products((u0, u1), (v0, v1), mats)))
 
@@ -580,7 +577,7 @@ def test_integer_conjugation_is_the_scalar_product(basis, mats):
 @settings(max_examples=100, deadline=None)
 @given(labelled_matrices(), st.lists(small_matrices, max_size=6))
 def test_a_conjugate_entry_is_a_fraction_or_irrational(basis, mats):
-    assert off_form_entries(ZsqrtBasis(basis).conjugates(mats)) == []
+    assert off_form_entries(zsqrt_basis(basis).conjugates(mats)) == []
 
 
 def test_a_basis_over_two_fields_is_refused():
@@ -592,7 +589,7 @@ def test_a_basis_over_two_fields_is_refused():
     with pytest.raises(MixedDiscriminantError, match=message):
         mat2_mul(mat2_mul(basis, swap), mat2_inv(basis))
     with pytest.raises(MixedDiscriminantError, match=message):
-        ZsqrtBasis(basis).conjugates([swap])
+        zsqrt_basis(basis).conjugates([swap])
 
 
 # -- the word-ball kernel against closed forms ------------------------------

@@ -868,14 +868,18 @@ def test_cold_warm_and_fresh_lattice_point_groups_agree(basis):
 
 
 def test_a_relabelled_basis_shares_the_cache_entry_of_its_twin():
-    clear_nil_caches()
-    plain = planar_point_group((1, 0), (0, 1))
-    hits = _point_group_of.cache_info().hits
-    labelled = planar_point_group((QuadRat(1, 0, 5), 0), (0, 1))
-    assert _point_group_of.cache_info()[:2] == (hits + 1, 1)  # hits, misses
-    assert labelled is plain
-    assert {type(x) for m in plain.elements for row in m for x in row} \
-        == {Fraction}
+    # the scaled twin too: the key drops the common denominator, on which
+    # neither the elements nor the basis matrices depend
+    for twin in (((QuadRat(1, 0, 5), 0), (0, 1)),
+                 ((Fraction(1, 2), 0), (0, Fraction(1, 2)))):
+        clear_nil_caches()
+        plain = planar_point_group((1, 0), (0, 1))
+        hits = _point_group_of.cache_info().hits
+        labelled = planar_point_group(*twin)
+        assert _point_group_of.cache_info()[:2] == (hits + 1, 1)
+        assert labelled is plain
+        assert {type(x) for m in plain.elements for row in m for x in row} \
+            == {Fraction}
 
 
 @pytest.mark.parametrize("u, v, message", [
@@ -1138,6 +1142,23 @@ def test_frame_group_law_matches_the_global_oracles(family, n, data):
     k, w = data.draw(near_lattice(frame))
     assert frame.contains(k, w) == lattice_contains(
         lat, frame_point(lat, frame, k, w))
+
+
+def test_the_lattice_frame_factors_no_discriminant(monkeypatch):
+    # D alpha = 2 sqrt(2) is built from its integer pair off integer_rows,
+    # not by the public QuadRat constructor, which factors its radicand
+    lat = nil_lattice_make((1, 0), (0, 1), r=QuadRat(0, 1, 2))
+    expected = (QuadRat(0, 2, 2), 0, 0, 0, 1)
+
+    def refuse(n):
+        raise AssertionError("squarefree_decompose in the lattice frame")
+
+    monkeypatch.setattr(algebra, "squarefree_decompose", refuse)
+    frame = _LatticeFrame(lat)
+    got = (frame.ra, frame.rb, frame.qa, frame.qb, frame.qc)
+    monkeypatch.undo()
+    assert got == expected
+    assert [type(x) for x in got] == [QuadRat, int, int, int, int]
 
 
 SIGMA = ((HALF, -HALF * QuadRat(0, 1, 3)), (-HALF * QuadRat(0, 1, 3), -HALF))

@@ -27,6 +27,8 @@ from geom3 import algebra, sol
 from geom3.sol import SolLattice
 from support import (
     deadline,
+    off_form_entries,
+    rationals_as_fractions,
     sol_centralizer_by_eigenbasis,
     sol_q_structure_by_products,
     sol_quotient_isometry_by_snf_result,
@@ -349,10 +351,16 @@ def _same(got, expected):
             assert got.d == expected.d
 
 
+def _one_form(q: dict) -> dict:
+    """q with the rational entries of its bases made Fractions."""
+    basis, conj = rationals_as_fractions((q["basis"], q["basis_conjugate"]))
+    return {**q, "basis": basis, "basis_conjugate": conj}
+
+
 def test_sol_answers_agree_with_the_scalar_route():
     for m in _hyperbolic_matrices(60) + [A, IntMat2(3, 1, 2, 1),
                                          IntMat2(1, 1, 100, 101)]:
-        _same(sol_q_structure(m), sol_q_structure_by_products(m))
+        _same(sol_q_structure(m), _one_form(sol_q_structure_by_products(m)))
         for n in range(1, 6):
             lat = sol_lattice_make(m, n)
             _same(sol_unit(lat), sol_unit_by_eigenbasis(lat))
@@ -360,6 +368,18 @@ def test_sol_answers_agree_with_the_scalar_route():
             expected = sol_quotient_isometry_by_snf_result(lat)
             _same(got, expected)
             _same(got.finite_part, expected.finite_part)
+
+
+def test_an_eigenbasis_entry_is_a_fraction_or_irrational():
+    # every hyperbolic A with entries in [-7, 7]: a rational entry of B
+    # or of its conjugate is a Fraction, never a labelled QuadRat
+    cases = [IntMat2(*e) for e in itertools.product(range(-7, 8), repeat=4)
+             if e[0] * e[3] - e[1] * e[2] == 1 and e[0] + e[3] > 2]
+    assert len(cases) == 180
+    for m in cases:
+        q = sol_q_structure(m)
+        assert off_form_entries((q["basis"], q["basis_conjugate"])) == []
+        assert q["galois_pair_check"] is True
 
 
 def test_q_structure_refuses_as_the_scalar_route():
