@@ -336,7 +336,7 @@ def _cmd_fiber(args) -> dict:
             gens = maker(fibered)
         dec = fibered.s2r_decompose(gens)
         out = dec.to_json_dict()
-        if dec.l_type != fibered.TRIVIAL_L:
+        if dec.lam is not None:
             out["identity_component"] = \
                 fibered.s2r_quotient_identity_component(dec)
         return out

@@ -22,14 +22,7 @@ from typing import Optional
 
 from .algebra import frac, integer_rows
 from .descriptors import IsoDescriptor
-from .intmat import (
-    SearchCapError,
-    ZSpan,
-    matmul,
-    snf,
-    transpose,
-    word_ball,
-)
+from .intmat import SearchCapError, ZSpan, closure, matmul, snf, transpose
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -256,14 +249,13 @@ CLOSURE_CAP = 96
 
 
 def _integer_group_closure(mats: list) -> list:
-    """Group generated by nonempty integer matrices, sorted."""
+    """Group generated by nonempty integer matrices, as row tuples."""
     n = len(mats[0])
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     try:
-        group = sorted(word_ball(ident, mats, matmul, tuple, cap=CLOSURE_CAP))
+        return closure(ident, mats, matmul, cap=CLOSURE_CAP)[0]
     except SearchCapError:
         raise ValueError("point group closure too large") from None
-    return [list(map(list, m)) for m in group]
 
 
 # -- spherical and S^2 x R lookup data ----------------------------------------

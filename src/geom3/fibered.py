@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .algebra import power
 from .descriptors import IsoDescriptor
 from .hyperbolic import MobiusMap, expm_sl2
-from .intmat import SearchCapError, mat3_mul, transpose, word_ball
+from .intmat import SearchCapError, closure, mat3_mul, transpose
 
 
 def christoffel_h2(p: complex, i: int, j: int, k: int) -> float:
@@ -357,13 +357,13 @@ def _screen_kernel(rots: list, coeffs: list, m: list) -> None:
 def _twist_closure(rots: list, twist, key, cap: int) -> list:
     """The least group that contains rots and is closed under conjugation
     by twist (None: no conjugation), its elements told apart by key:
-    `word_ball` closes the generators, then their conjugates join them,
-    until a step adds nothing."""
+    `intmat.closure` closes the generators, then their conjugates join
+    them, until a step adds nothing."""
     gens = list({key(r): r for r in rots}.values())
     new = gens
     while True:
         try:
-            group = list(word_ball(S2R_ROT_ID, gens, mat3_mul, key, cap=cap))
+            group = closure(S2R_ROT_ID, gens, mat3_mul, key, cap=cap)[0]
         except SearchCapError:
             raise NonDiscreteShiftError(
                 f"more than {cap} rotation parts act trivially on R: "

@@ -17,8 +17,12 @@ integer rows (the Nil Schreier walk), a planar basis given by the integer
 rows of its vectors (`ZsqrtBasis`: the Gram matrix, its `gauss_reduce` and
 the integer conjugation B M B^-1 of the planar point groups and of Sol's
 Galois check), the n x n matrix product and its unrolled 3x3 case
-`mat3_mul` (the S^2 x R rotations), and the breadth-first word ball
-behind every closure and word search.
+`mat3_mul` (the S^2 x R rotations), and `closure`, the breadth-first walk
+that builds every finite group geom3 closes: the Nil linear parts
+(`nil._linear_group`, whose edges the Schreier walk reads), the adjoined
+Nil point groups (`nil._adjoined_group`), the kernel F of an S^2 x R group
+(`fibered._twist_closure`) and the Euclidean point groups
+(`euclid._integer_group_closure`).
 """
 
 from __future__ import annotations
@@ -263,39 +267,37 @@ def vec2_sub(u: Vec2, v: Vec2) -> Vec2:
     return (u[0] - v[0], u[1] - v[1])
 
 
-# -- breadth-first word balls ------------------------------------------------
+# -- breadth-first closures ---------------------------------------------------
 
 class SearchCapError(ValueError):
-    """A word ball grew past its cap."""
+    """A closure grew past its cap."""
 
 
-def word_ball(identity, moves, compose, key, bound=None, *, cap: int):
-    """Elements reachable from identity by words in moves, shortest first.
+def closure(identity, gens, mul, key=tuple, *, cap: int):
+    """(elements, edges): the finite group that gens generate under mul.
 
-    Yields identity, then each element compose(w, m) whose key(...) is new,
-    layer by layer in order of word length.  Stops after `bound` layers
-    (None: when a layer adds nothing).  Raises SearchCapError when more
-    than `cap` elements have been seen; the check follows each yield, so a
-    caller that stops at the element it looks for never meets it.
+    The elements come breadth-first from identity, and the edges (k, i, j,
+    first) are the products elements[k] gens[i] = elements[j] in the order
+    the walk meets them, first marking the edge that adds elements[j]; so
+    the first len(gens) edges give each generator, and the first edges are
+    a spanning tree of the walk (Magnus, Karrass and Solitar, 2.3).  Each
+    product is keyed and its key hashed once.  Raises SearchCapError when a
+    (cap + 1)-th element would join.
     """
-    seen = set()
-    size = 0                  # len(seen): a key is new if adding grows it
-    candidates, depth = (identity,), 0
-    while True:
-        frontier = []
-        for el in candidates:
-            seen.add(key(el))
-            if len(seen) == size:
-                continue
-            size += 1
-            yield el
-            if size > cap:
-                raise SearchCapError(f"word ball exceeds {cap} elements")
-            frontier.append(el)
-        if not frontier or depth == bound:
-            return
-        depth += 1
-        candidates = (compose(el, mv) for el in frontier for mv in moves)
+    elements = [identity]
+    index = {key(identity): 0}
+    edges = []
+    for k, f in enumerate(elements):     # grows while it is walked
+        for i, g in enumerate(gens):
+            h = mul(f, g)
+            size = len(elements)
+            j = index.setdefault(key(h), size)
+            if j == size:
+                if size == cap:
+                    raise SearchCapError(f"closure exceeds {cap} elements")
+                elements.append(h)
+            edges.append((k, i, j, j == size))
+    return elements, edges
 
 
 # -- integer matrices ---------------------------------------------------------

@@ -58,13 +58,13 @@ from .intmat import (
     SearchCapError,
     Vec2,
     ZsqrtBasis,
+    closure,
     congruence_solutions,
     gauss_reduce,
     mat2_apply,
     mat2_det,
     mat2_mul,
     vec2_cross,
-    word_ball,
     zsqrt_apply,
     zsqrt_mul,
 )
@@ -151,14 +151,14 @@ def _linear_group(rots: tuple) -> tuple[int, int, tuple, tuple]:
     `HeisIsometry` checks as the group of (rot,).
 
     A matrix f is its two `integer_rows` rows (a_00, a_01, b_00, b_01,
-    a_10, ...) for f_ij = (a_ij + b_ij sqrt(d)) / D.  F's elements come
-    breadth-first from I, and the edges (f, i, f g_i, first visit), f and
-    f g_i indices into F, in the order the walk meets them, so the first
-    len(rots) give each generator g_i.  Linear parts over two fields raise
-    MixedDiscriminantError; each new element passes the orthogonality and
-    order checks (`_linear_order`), at most POINT_GROUP_CAP of them.  A
-    finite F stays over D: its rotations have entries in Z or 1/2
-    Z[sqrt(3)], its reflections are one of them times a generator.
+    a_10, ...) for f_ij = (a_ij + b_ij sqrt(d)) / D.  `intmat.closure`
+    gives F breadth-first from I and the edges (f, i, f g_i, first visit),
+    so the first len(rots) give each generator g_i.  Linear parts over two
+    fields raise MixedDiscriminantError; each product passes the
+    orthogonality and order checks (`_linear_order`), and F has at most
+    POINT_GROUP_CAP elements.  A finite F stays over D: its rotations have
+    entries in Z or 1/2 Z[sqrt(3)], its reflections are one of them times
+    a generator.
 
     Cached on the rotation tuples: `HeisIsometry` admits exact entries
     only, and equal exact values, such as 1, Fraction(1) and QuadRat(1, 0,
@@ -170,21 +170,17 @@ def _linear_group(rots: tuple) -> tuple[int, int, tuple, tuple]:
     d = rad[1] if len(rad) > 1 else 0
     pad = () if d else (0, 0)
     gens = [cols[k] + pad + cols[k + 1] + pad for k in range(0, len(cols), 2)]
-    elements = [(D, 0, 0, 0, 0, D, 0, 0)]
-    index = {elements[0]: 0}
-    edges = []
-    for k, f in enumerate(elements):     # grows while it is walked
-        for i, g_t in enumerate(gens):
-            f_rot = zsqrt_mul(f, g_t, d, D)
-            j = index.get(f_rot)
-            first = j is None
-            if first:
-                _linear_order(f_rot, d, D)
-                if len(elements) == POINT_GROUP_CAP:
-                    raise ValueError("linear parts generate too large a group")
-                j = index[f_rot] = len(elements)
-                elements.append(f_rot)
-            edges.append((k, i, j, first))
+
+    def mul(f, g_t):
+        f_rot = zsqrt_mul(f, g_t, d, D)
+        _linear_order(f_rot, d, D)
+        return f_rot
+
+    try:
+        elements, edges = closure((D, 0, 0, 0, 0, D, 0, 0), gens, mul,
+                                  cap=POINT_GROUP_CAP)
+    except SearchCapError:
+        raise ValueError("linear parts generate too large a group") from None
     return D, d, tuple(elements), tuple(edges)
 
 
@@ -482,7 +478,9 @@ class _LatticeFrame:
     p |-> t sigma_R(p) is the triple (M, K, W) of M = B^-1 R B and t.
     Lifts, and every product and residual below, have integral
     coordinates: ints for rational alpha, beta, a, b, c (every `Gp:N` and
-    `hex:N`), elements of Z[sqrt(d)] otherwise, by the same code.
+    `hex:N`), elements of Z[sqrt(d)] otherwise, by the same code.  A
+    lift would add across two fields, so the frame refuses them when it is
+    built: MixedDiscriminantError names the least two.
     """
 
     __slots__ = ("n", "dn", "P", "C", "h", "ra", "rb", "qa", "qb",
@@ -496,6 +494,9 @@ class _LatticeFrame:
         alpha, beta = 2 * scale * lat.r - a, 2 * scale * lat.s - b
         d, rad, (system,) = integer_rows(((alpha, beta),))
         g, rad_c, (center,) = integer_rows(((a, b, c),))
+        fields = sorted({*rad[1:], *rad_c[1:]})
+        if len(fields) > 1:
+            one_field(*fields[:2])
         self.n, self.dn = n, d * n
         self.P = 2 * n * d
         self.C = self.P * self.P * g
@@ -705,7 +706,7 @@ def _adjoined_group(pg: PlanarPointGroup, extra) -> list[Mat2]:
 
     When every adjoined matrix lies in pg, its lattice matrix is read off
     pg.  Otherwise the group is not in pg: it is "too large" when the
-    word ball over the matrices themselves passes POINT_GROUP_CAP, and
+    closure of the matrices themselves passes POINT_GROUP_CAP, and
     it does not normalize the lattice otherwise.
     """
     mats = tuple(extra.elements if isinstance(extra, PlanarPointGroup)
@@ -716,16 +717,13 @@ def _adjoined_group(pg: PlanarPointGroup, extra) -> list[Mat2]:
                   for rows in (tuple(map(tuple, m)) for m in mats))
     if None in moves:
         try:
-            for _ in word_ball(MAT2_ID, mats, mat2_mul, tuple,
-                               cap=POINT_GROUP_CAP):
-                pass
+            closure(MAT2_ID, mats, mat2_mul, cap=POINT_GROUP_CAP)
         except SearchCapError:
             raise ValueError(
                 "adjoined set generates too large a group") from None
         raise ValueError("adjoined point group does not normalize "
                          "the lattice")
-    return list(word_ball(MAT2_ID, moves, mat2_mul, tuple,
-                          cap=POINT_GROUP_CAP))
+    return closure(MAT2_ID, moves, mat2_mul, cap=POINT_GROUP_CAP)[0]
 
 
 def nil_quotient_isometry(lat: NilLattice,
@@ -767,7 +765,7 @@ def nil_quotient_isometry(lat: NilLattice,
     admissible, extending = lat.n ** 2, pg.order
     if gens:
         frame = _LatticeFrame(lat)
-        # the word ball yields the identity first
+        # the closure yields the identity first
         lifts = {m: frame.lift(m) for m in group[1:]}
         if not _lift_group_closes(frame, lifts, gens):
             u, v = (", ".join(map(format_scalar, w)) for w in (lat.u, lat.v))

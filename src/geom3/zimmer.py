@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .descriptors import (
@@ -21,7 +22,7 @@ from .descriptors import (
 )
 
 if TYPE_CHECKING:
-    from .algebra import QuadRat
+    from .algebra import Scalar
 
 # Each family's complexified algebra ("sl", "so", "sp" or an exceptional
 # type), kind of real form, least size m and error for a smaller m.  A
@@ -288,9 +289,7 @@ def max_isometry_dim(n: int) -> int:
 
 def _twist_form() -> tuple:
     from .algebra import QuadRat
-    root2 = QuadRat(0, 1, 2)
-    z = QuadRat(0, 0, 2)
-    one = QuadRat(1, 0, 2)
+    root2, z, one = QuadRat(0, 1, 2), Fraction(0), Fraction(1)
     return ((one, z, z, z), (z, one, z, z),
             (z, z, -root2, z), (z, z, z, -root2))
 
@@ -314,13 +313,14 @@ def galois_twist_pair(g) -> dict:
             "conjugate_preserves_twisted_form": bool(second)}
 
 
-def _as_q2(v) -> QuadRat:
-    from .algebra import QuadRat
-    if isinstance(v, QuadRat):
-        if v.b != 0 and v.d != 2:
-            raise ValueError("entries must lie in Q(sqrt(2))")
-        return QuadRat(v.a, v.b, 2)
-    return QuadRat(v, 0, 2)
+def _as_q2(v) -> Scalar:
+    """v in its one exact form, refused unless it lies in Q(sqrt(2))."""
+    from .algebra import QuadRat, frac
+    if not isinstance(v, QuadRat):
+        return frac(v)
+    if v.q and v.d != 2:
+        raise ValueError("entries must lie in Q(sqrt(2))")
+    return v if v.q else v.a
 
 
 def galois_twist_example() -> tuple:
@@ -333,8 +333,7 @@ def galois_twist_example() -> tuple:
     a = QuadRat(3, 2, 2)
     c = QuadRat(2, 2, 2)
     root2 = QuadRat(0, 1, 2)
-    z = QuadRat(0, 0, 2)
-    one = QuadRat(1, 0, 2)
+    z, one = Fraction(0), Fraction(1)
     return ((a, z, root2 * c, z),
             (z, one, z, z),
             (c, z, a, z),

@@ -94,6 +94,12 @@ did.  Its span step, `covolume_by_zspan`, takes the first row t_j that
 crosses the first row t_0, their coordinates in the basis of the span,
 and divides |cross(t_0, t_j)| by the determinant of those coordinates.
 
+`word_ball` is the bounded breadth-first word ball that `intmat` carried
+from the word-search era until `intmat.closure` built every finite group:
+elements layer by layer up to a bound, the cap checked after each yield.
+It is the closure oracle of the tests, independent of the kernel they
+check, and the ball of `s2r_ball_by_products`.
+
 `s2r_ball_by_products` is the S^2 x R word ball that `fibered` built
 before the split became a closed form: one `S2RIsometry.compose` and one
 `S2RIsometry.key` per candidate, at most BALL_CAP elements.
@@ -184,7 +190,6 @@ from geom3.intmat import (
     vec2_cross,
     vec2_dot,
     vec2_sub,
-    word_ball,
 )
 from geom3.nil import (
     DISCRETE_PROJECTION,
@@ -1297,6 +1302,35 @@ def _invariant_line(planar):
         if solset is not None:
             return d
     return None
+
+
+def word_ball(identity, moves, compose, key, bound=None, *, cap: int):
+    """Elements reachable from identity by words in moves, shortest first.
+
+    Yields identity, then each element compose(w, m) whose key(...) is new,
+    layer by layer in order of word length.  Stops after `bound` layers
+    (None: when a layer adds nothing).  Raises SearchCapError when more
+    than `cap` elements have been seen; the check follows each yield, so a
+    caller that stops at the element it looks for never meets it.
+    """
+    seen = set()
+    size = 0                  # len(seen): a key is new if adding grows it
+    candidates, depth = (identity,), 0
+    while True:
+        frontier = []
+        for el in candidates:
+            seen.add(key(el))
+            if len(seen) == size:
+                continue
+            size += 1
+            yield el
+            if size > cap:
+                raise SearchCapError(f"word ball exceeds {cap} elements")
+            frontier.append(el)
+        if not frontier or depth == bound:
+            return
+        depth += 1
+        candidates = (compose(el, mv) for el in frontier for mv in moves)
 
 
 def s2r_ball_by_products(gens, bound: int) -> list:

@@ -91,6 +91,10 @@ SEARCHES = [
     "fiber s2r --gens 3/5,-4/5,0,4/5,3/5,0,0,0,1@1",
     "fiber s2r --gens 3/5,-4/5,0,4/5,3/5,0,0,0,1@0;I@1",
     "fiber s2r --gens I@1;I@1/2@-1",
+    # a reflection of R alone: L = Z_2, lambda None, and no identity
+    # component is asked for (it once exited 1, "compact quotient required")
+    "fiber s2r --gens I@1/2@-1",
+    "fiber s2r --gens I@0@-1",
     "fiber s2r --gens I@1@1",
     "fiber s2r --preset klein --gens I@1",
     # exact entries are tested and compared exactly: the first rotation is

@@ -16,17 +16,21 @@ import random
 import re
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from geom3 import euclid, fibered, nil
 from geom3.algebra import MixedDiscriminantError, QuadRat
+from geom3.cli import _S2R_PRESETS
 from geom3.euclid import _integer_span
 from geom3.intmat import (
     IntMat2,
     SearchCapError,
     ZSpan,
+    closure,
     congruence_solutions,
     gauss_reduce,
     int_mat_pow,
@@ -40,7 +44,6 @@ from geom3.intmat import (
     transpose,
     vec2_cross,
     vec2_dot,
-    word_ball,
 )
 from geom3.nil import (
     MAT2_ID,
@@ -66,6 +69,7 @@ from support import (
     point_group_elements_by_products,
     rational_rank_by_elimination,
     rationals_as_fractions,
+    word_ball,
     zsqrt_basis,
 )
 from test_algebra import discs, quadrats, rationals
@@ -667,6 +671,101 @@ def test_word_ball_hashes_each_candidate_key_once():
     # then 4 moves from each element of the first 3 layers
     assert len(calls) == 1 + 4 * (2 * 3 ** 2 - 1)
     assert CountingKey.hashes == len(calls)
+
+
+# -- the closure kernel against closed forms ---------------------------------
+
+def cyclic_mul(n):
+    return lambda a, b: (a + b) % n
+
+
+def dihedral_mul(n):
+    """(k, e) is x -> (-1)^e x + k on Z/n."""
+    return lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % n, x[1] ^ y[1])
+
+
+def group_cases(n):
+    """(identity, gens, mul, key, order) of Z/n and of the dihedral group
+    of order 2n."""
+    return [(0, [1], cyclic_mul(n), int, n),
+            ((0, 0), [(1, 0), (0, 1)], dihedral_mul(n), tuple, 2 * n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7, 12])
+def test_closure_orders_and_edges_match_closed_forms(n):
+    for identity, gens, mul, key, order in group_cases(n):
+        elements, edges = closure(identity, gens, mul, key, cap=order)
+        assert len(elements) == len({key(x) for x in elements}) == order
+        assert elements[0] == identity
+        assert len(edges) == len(elements) * len(gens)
+        # the edges come in the order the walk meets them
+        assert [(k, i) for k, i, _, _ in edges] == list(
+            itertools.product(range(order), range(len(gens))))
+        firsts = {}
+        for k, i, j, first in edges:
+            assert key(elements[j]) == key(mul(elements[k], gens[i]))
+            if first:
+                assert j not in firsts and k < j
+                firsts[j] = k
+        assert sorted(firsts) == list(range(1, order))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6])
+def test_closure_cap_is_the_largest_group_it_builds(n):
+    for identity, gens, mul, key, order in group_cases(n):
+        assert len(closure(identity, gens, mul, key, cap=order)[0]) == order
+        if order > 1:
+            with pytest.raises(SearchCapError, match=f"{order - 1} elements"):
+                closure(identity, gens, mul, key, cap=order - 1)
+    assert issubclass(SearchCapError, ValueError)
+
+
+def test_closure_matches_the_word_ball_oracle():
+    for n in (3, 4, 6):
+        for identity, gens, mul, key, order in group_cases(n):
+            ball = list(word_ball(identity, gens, mul, key, cap=order))
+            assert closure(identity, gens, mul, key, cap=order)[0] == ball
+
+
+def test_closure_hashes_each_product_key_once():
+    CountingKey.hashes = 0
+    calls = []
+
+    def key(x):
+        calls.append(x)
+        return CountingKey(x)
+
+    elements, edges = closure((0, 0), [(1, 0), (0, 1)], dihedral_mul(6),
+                              key, cap=12)
+    assert len(elements) == 12
+    # the identity, then one key per product: 2 generators per element
+    assert len(calls) == 1 + len(edges) == 1 + 12 * 2
+    assert CountingKey.hashes == len(calls)
+
+
+def test_every_finite_group_is_built_by_the_closure_kernel():
+    calls = {}
+
+    def counting(module):
+        def wrapper(*args, **kwargs):
+            calls[module.__name__] = calls.get(module.__name__, 0) + 1
+            return closure(*args, **kwargs)
+        return mock.patch.object(module, "closure", wrapper)
+
+    sites = [
+        (nil, lambda: _linear_group.__wrapped__((ROT_PI_2, REFLECT))),
+        (nil, lambda: nil.nil_quotient_isometry(
+            nil.lattice_hz(), extra=nil.lattice_hz().point_group)),
+        (fibered, lambda: fibered.s2r_decompose(
+            _S2R_PRESETS["klein"](fibered))),
+        (euclid, lambda: euclid.euclid_quotient_isometry(
+            euclid.preset_crystal("Z2xD4"))),
+    ]
+    for module, call in sites:
+        calls.clear()
+        with counting(module):
+            call()
+        assert calls.get(module.__name__, 0) >= 1, call
 
 
 def _sixth_turns(k):

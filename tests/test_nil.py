@@ -30,7 +30,6 @@ from geom3.intmat import (
     mat2_mul,
     mat2_transpose,
     vec2_cross,
-    word_ball,
 )
 from geom3.nil import (
     DISCRETE_PROJECTION,
@@ -106,6 +105,7 @@ from support import (
     rationals_as_fractions,
     rot_apply,
     schreier_translations_by_scalars,
+    word_ball,
 )
 
 
@@ -1583,6 +1583,40 @@ def test_translations_over_two_fields_under_rational_linear_parts():
             "cannot mix sqrt(3) with sqrt(2)")):
         nil_projection_dichotomy([HeisIsometry.point_symmetry(ROT_PI_3),
                                   _shift(sqrt2, 0)])
+
+
+def test_offsets_over_two_fields_raise_once_for_adjoined_maps():
+    # documented change: the lattice frame refuses offsets over two fields
+    # when it is built, naming the fields in ascending order; the lift used
+    # to raise, naming them in the order of r and s.  No map adjoined
+    # needs no frame, and the lattice answers
+    r, s = QuadRat(0, 1, 2), QuadRat(0, 1, 3)
+    assert nil_quotient_isometry(nil_lattice_make(
+        (1, 0), (0, 1), r=r, s=s, n=2)).finite_part["order"] == 32
+    # bases with c = n (u1 v2 + u2 v1) / lam nonzero and zero, offsets over
+    # Q(sqrt(2)), Q(sqrt(3)), Q(sqrt(5)), and every non-identity point
+    # symmetry adjoined: each call raises, with one message for both
+    # orders of r and s
+    bases = [((1, 0), (0, 1)), ((2, 0), (0, 1)), ((1, 1), (-1, 1)),
+             ((1, 0), (1, 2)), ((3, 0), (1, 1))]
+    offsets = {d: [QuadRat(0, 1, d), QuadRat(Fraction(1, 2), -2, d)]
+               for d in (2, 3, 5)}
+    calls = 0
+    for u, v in bases:
+        pg = planar_point_group(u, v)
+        others = [m for m in pg.elements if m != MAT2_ID]
+        for (d, e), n in itertools.product(
+                itertools.combinations(offsets, 2), (1, 2)):
+            message = re.escape(f"cannot mix sqrt({d}) with sqrt({e})")
+            for x, y in itertools.product(offsets[d], offsets[e]):
+                for r, s in ((x, y), (y, x)):
+                    lat = nil_lattice_make(u, v, r=r, s=s, n=n)
+                    for m in others:
+                        with pytest.raises(MixedDiscriminantError,
+                                           match=message):
+                            nil_quotient_isometry(lat, extra=[m])
+                        calls += 1
+    assert calls == 1104
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)

@@ -1,6 +1,7 @@
 """Rank table, isotypic tests, verdict rules, and the dispatch layer."""
 
 import itertools
+import re
 
 import pytest
 
@@ -28,7 +29,11 @@ from geom3.zimmer import (
     real_rank,
     zimmer_verdict,
 )
-from support import zimmer_factor_by_cases, zimmer_parse_by_cases
+from support import (
+    off_form_entries,
+    zimmer_factor_by_cases,
+    zimmer_parse_by_cases,
+)
 
 
 def test_real_rank_table():
@@ -232,6 +237,23 @@ def test_galois_twist_involution_and_product():
     res_prod = galois_twist_pair(prod)
     assert res_prod["preserves_form"]
     assert res_prod["conjugate_preserves_twisted_form"]
+
+
+def test_galois_twist_entries_have_one_exact_form():
+    # a rational entry is a Fraction, an irrational one a QuadRat of
+    # Q(sqrt(2)), whatever form the caller wrote it in; the entries were
+    # all labelled QuadRats over sqrt(2)
+    inputs = [galois_twist_example(),
+              tuple(tuple(QuadRat(int(i == j), 0, 5) for j in range(4))
+                    for i in range(4)),
+              tuple(tuple(int(i == j) for j in range(4)) for i in range(4))]
+    for g in inputs:
+        res = galois_twist_pair(g)
+        assert off_form_entries([res["matrix"], res["conjugate"]]) == []
+    assert res["preserves_form"]
+    with pytest.raises(ValueError, match=re.escape("Q(sqrt(2))")):
+        galois_twist_pair(tuple(tuple(QuadRat(0, 1, 3) for _ in range(4))
+                                for _ in range(4)))
 
 
 def test_dispatch_summary():
