@@ -22,7 +22,7 @@ from typing import Optional
 
 from .algebra import frac, integer_rows
 from .descriptors import IsoDescriptor
-from .intmat import SearchCapError, ZSpan, closure, matmul, snf, transpose
+from .intmat import ZSpan, matmul, snf, transpose
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -216,18 +216,18 @@ def euclid_quotient_isometry(g: CrystalGroup) -> IsoDescriptor:
     exactly for the planar lattice and lattice-with-full-point-group cases
     and reported as not computed otherwise."""
     betti, torus = betti_identity_component(g)
-    if g.dim == 2 and not g.point_gens:
-        pg = _planar_point_group(g)
-        finite = {"order": pg.order, "structure": pg.tag,
-                  "point_group": pg.tag}
-        return IsoDescriptor(geometry="euclid", identity_component=torus,
-                             finite_part=finite)
     if g.dim == 2:
         pg = _planar_point_group(g)
-        in_basis = point_gens_in_lattice_basis(g)
-        closure = _integer_group_closure(in_basis)
-        if len(closure) == pg.order and betti == 0:
-            rows = _minus_identity(closure)
+        if not g.point_gens:
+            finite = {"order": pg.order, "structure": pg.tag,
+                      "point_group": pg.tag}
+            return IsoDescriptor(geometry="euclid",
+                                 identity_component=torus,
+                                 finite_part=finite)
+        # the group of the point generators, in the lattice basis
+        group = pg.subgroup(g.point_gens)
+        if len(group) == pg.order and betti == 0:
+            rows = _minus_identity(group)
             order = math.prod(max(d, 1) for d in snf(rows)[0])
             finite = {"order": order,
                       "structure": {1: "trivial", 2: "Z2"}.get(
@@ -242,20 +242,6 @@ def euclid_quotient_isometry(g: CrystalGroup) -> IsoDescriptor:
                          finite_part=finite,
                          notes=("finite part computed only for the planar "
                                 "worked cases",))
-
-
-# A safety bound: the point group of a lattice has at most 48 elements.
-CLOSURE_CAP = 96
-
-
-def _integer_group_closure(mats: list) -> list:
-    """Group generated by nonempty integer matrices, as row tuples."""
-    n = len(mats[0])
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    try:
-        return closure(ident, mats, matmul, cap=CLOSURE_CAP)[0]
-    except SearchCapError:
-        raise ValueError("point group closure too large") from None
 
 
 # -- spherical and S^2 x R lookup data ----------------------------------------

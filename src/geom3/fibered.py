@@ -477,8 +477,9 @@ def s2r_quotient_identity_component(dec: S2RDecomposition) -> str:
     The circle from the R factor always survives; what is left of SO(3) is
     the centralizer of the holonomy data (the twist and the finite part).
     """
-    if dec.l_type == TRIVIAL_L or dec.lam is None or float(dec.lam) <= 0:
-        raise ValueError("compact quotient required (nontrivial L)")
+    if dec.lam is None:
+        raise ValueError("compact quotient required "
+                         "(lambda is None: p(Gamma) is finite)")
     holonomy = []
     mats = list(dec.f_elements)
     if dec.twist is not None:

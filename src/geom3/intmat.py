@@ -19,10 +19,10 @@ the integer conjugation B M B^-1 of the planar point groups and of Sol's
 Galois check), the n x n matrix product and its unrolled 3x3 case
 `mat3_mul` (the S^2 x R rotations), and `closure`, the breadth-first walk
 that builds every finite group geom3 closes: the Nil linear parts
-(`nil._linear_group`, whose edges the Schreier walk reads), the adjoined
-Nil point groups (`nil._adjoined_group`), the kernel F of an S^2 x R group
-(`fibered._twist_closure`) and the Euclidean point groups
-(`euclid._integer_group_closure`).
+(`nil._linear_group`, whose edges the Schreier walk reads), the subgroups
+of a planar point group (`nil.PlanarPointGroup.subgroup`: the adjoined Nil
+point groups and Euclid's planar point generators) and the kernel F of an
+S^2 x R group (`fibered._twist_closure`).
 """
 
 from __future__ import annotations

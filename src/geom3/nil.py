@@ -73,9 +73,9 @@ HALF = Fraction(1, 2)
 
 # Cap of the point-group closures: the largest exactly representable point
 # group is D12.  `_linear_group` keys the elements of a group by their
-# integer rows, and `_adjoined_group` by their matrices (tuples of rows; a
-# QuadRat with b = 0 hashes as its rational part, so hashing agrees with
-# ==).
+# integer rows, and `PlanarPointGroup.subgroup` by their matrices (tuples
+# of rows; a QuadRat with b = 0 hashes as its rational part, so hashing
+# agrees with ==).
 POINT_GROUP_CAP = 24
 
 
@@ -154,11 +154,12 @@ def _linear_group(rots: tuple) -> tuple[int, int, tuple, tuple]:
     a_10, ...) for f_ij = (a_ij + b_ij sqrt(d)) / D.  `intmat.closure`
     gives F breadth-first from I and the edges (f, i, f g_i, first visit),
     so the first len(rots) give each generator g_i.  Linear parts over two
-    fields raise MixedDiscriminantError; each product passes the
-    orthogonality and order checks (`_linear_order`), and F has at most
-    POINT_GROUP_CAP elements.  A finite F stays over D: its rotations have
-    entries in Z or 1/2 Z[sqrt(3)], its reflections are one of them times
-    a generator.
+    fields raise MixedDiscriminantError; each generator, in order, passes
+    the orthogonality check and then the order check (`_linear_order`),
+    each product the order check alone (products of orthogonal matrices
+    are orthogonal), and F has at most POINT_GROUP_CAP elements.  A finite
+    F stays over D: its rotations have entries in Z or 1/2 Z[sqrt(3)],
+    its reflections are one of them times a generator.
 
     Cached on the rotation tuples: `HeisIsometry` admits exact entries
     only, and equal exact values, such as 1, Fraction(1) and QuadRat(1, 0,
@@ -170,6 +171,11 @@ def _linear_group(rots: tuple) -> tuple[int, int, tuple, tuple]:
     d = rad[1] if len(rad) > 1 else 0
     pad = () if d else (0, 0)
     gens = [cols[k] + pad + cols[k + 1] + pad for k in range(0, len(cols), 2)]
+    ident = (D, 0, 0, 0, 0, D, 0, 0)
+    for g_t in gens:   # g stored as g^T: both checks answer as for g
+        if zsqrt_mul(g_t, g_t, d, D) != ident:
+            raise ValueError("rotation part must be orthogonal")
+        _linear_order(g_t, d, D)
 
     def mul(f, g_t):
         f_rot = zsqrt_mul(f, g_t, d, D)
@@ -177,20 +183,17 @@ def _linear_group(rots: tuple) -> tuple[int, int, tuple, tuple]:
         return f_rot
 
     try:
-        elements, edges = closure((D, 0, 0, 0, 0, D, 0, 0), gens, mul,
-                                  cap=POINT_GROUP_CAP)
+        elements, edges = closure(ident, gens, mul, cap=POINT_GROUP_CAP)
     except SearchCapError:
         raise ValueError("linear parts generate too large a group") from None
     return D, d, tuple(elements), tuple(edges)
 
 
 def _linear_order(f, d: int, D: int) -> int:
-    """The order of a linear part over D, by its determinant and trace,
-    once f f^T = I; None is a product not over D, of infinite order."""
+    """The order of an orthogonal linear part over D, by its determinant
+    and trace; None is a product not over D, of infinite order."""
     if f is None:
         raise ValueError(_INFINITE_ORDER)
-    if zsqrt_mul(f, f, d, D) != (D, 0, 0, 0, 0, D, 0, 0):
-        raise ValueError("rotation part must be orthogonal")
     t, u = f[0] + f[5], f[2] + f[7]
     det = f[0] * f[5] - f[1] * f[4] + d * (f[2] * f[7] - f[3] * f[6])
     return _order(det == -D * D,
@@ -357,6 +360,31 @@ class PlanarPointGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    def subgroup(self, mats) -> list[Mat2]:
+        """The group that the orthogonal matrices mats (or the elements of
+        a PlanarPointGroup) generate, as lattice matrices, identity first.
+
+        When every matrix lies in this group, its lattice matrix is read
+        off `basis_matrices`.  Otherwise the group is not in this one: it
+        is "too large" when the closure of the matrices themselves passes
+        POINT_GROUP_CAP, and it does not normalize the lattice otherwise.
+        """
+        mats = tuple(mats.elements if isinstance(mats, PlanarPointGroup)
+                     else mats)
+        # found by ==, not by hash: hashing Fraction entries costs more here
+        in_basis = list(zip(self.elements, self.basis_matrices))
+        moves = tuple(next((b for r, b in in_basis if r == rows), None)
+                      for rows in (tuple(map(tuple, m)) for m in mats))
+        if None in moves:
+            try:
+                closure(MAT2_ID, mats, mat2_mul, cap=POINT_GROUP_CAP)
+            except SearchCapError:
+                raise ValueError(
+                    "adjoined set generates too large a group") from None
+            raise ValueError("adjoined point group does not normalize "
+                             "the lattice")
+        return closure(MAT2_ID, moves, mat2_mul, cap=POINT_GROUP_CAP)[0]
 
 
 def planar_point_group(u, v) -> PlanarPointGroup:
@@ -700,32 +728,6 @@ def _extends_to_group_normalizer(frame: _LatticeFrame, m: Mat2,
     return any(True for _ in _normalizing_cosets(frame, pairs))
 
 
-def _adjoined_group(pg: PlanarPointGroup, extra) -> list[Mat2]:
-    """The group the adjoined matrices generate, as lattice matrices of
-    the point group pg of the lattice, identity first.
-
-    When every adjoined matrix lies in pg, its lattice matrix is read off
-    pg.  Otherwise the group is not in pg: it is "too large" when the
-    closure of the matrices themselves passes POINT_GROUP_CAP, and
-    it does not normalize the lattice otherwise.
-    """
-    mats = tuple(extra.elements if isinstance(extra, PlanarPointGroup)
-                 else extra)
-    # found by ==, not by hash: hashing Fraction entries costs more here
-    in_basis = list(zip(pg.elements, pg.basis_matrices))
-    moves = tuple(next((b for r, b in in_basis if r == rows), None)
-                  for rows in (tuple(map(tuple, m)) for m in mats))
-    if None in moves:
-        try:
-            closure(MAT2_ID, mats, mat2_mul, cap=POINT_GROUP_CAP)
-        except SearchCapError:
-            raise ValueError(
-                "adjoined set generates too large a group") from None
-        raise ValueError("adjoined point group does not normalize "
-                         "the lattice")
-    return closure(MAT2_ID, moves, mat2_mul, cap=POINT_GROUP_CAP)[0]
-
-
 def nil_quotient_isometry(lat: NilLattice,
                           extra=None) -> IsoDescriptor:
     """Isometry group of the quotient by the lattice (plus adjoined maps).
@@ -757,7 +759,7 @@ def nil_quotient_isometry(lat: NilLattice,
       (`_extends_to_group_normalizer`).
     """
     pg = lat.point_group
-    group = [MAT2_ID] if extra is None else _adjoined_group(pg, extra)
+    group = [MAT2_ID] if extra is None else pg.subgroup(extra)
     gens = _point_group_generators(group)
 
     # with no map adjoined there is no condition: all n^2 translation

@@ -100,6 +100,13 @@ elements layer by layer up to a bound, the cap checked after each yield.
 It is the closure oracle of the tests, independent of the kernel they
 check, and the ball of `s2r_ball_by_products`.
 
+`euclid_quotient_isometry_by_word_ball` is
+`euclid.euclid_quotient_isometry` on a planar group with point generators
+as it ran before the lattice's point group read them: the generators
+written in the lattice basis (`point_gens_in_lattice_basis`), closed by
+`word_ball`, and the order counted off the Smith diagonal of the stacked
+M - I.
+
 `s2r_ball_by_products` is the S^2 x R word ball that `fibered` built
 before the split became a closed form: one `S2RIsometry.compose` and one
 `S2RIsometry.key` per candidate, at most BALL_CAP elements.
@@ -159,7 +166,7 @@ from geom3.algebra import (
     galois_conjugate,
     scalar_is_rational,
 )
-from geom3 import fibered, nil, sol
+from geom3 import euclid, fibered, nil, sol
 from geom3.fibered import (
     BALL_CAP,
     LAMBDA_Z,
@@ -1331,6 +1338,32 @@ def word_ball(identity, moves, compose, key, bound=None, *, cap: int):
             return
         depth += 1
         candidates = (compose(el, mv) for el in frontier for mv in moves)
+
+
+def euclid_quotient_isometry_by_word_ball(g) -> IsoDescriptor:
+    """The planar descriptor of a crystal group g with point generators,
+    from its generators in the lattice basis closed by `word_ball`."""
+    betti, torus = euclid.betti_identity_component(g)
+    pg = planar_point_group(*g._lattice_basis)
+    mats = [tuple(map(tuple, m))
+            for m in euclid.point_gens_in_lattice_basis(g)]
+    group = list(word_ball(((1, 0), (0, 1)), mats, matmul, tuple, cap=96))
+    if len(group) == pg.order and betti == 0:
+        rows = [[x - (i == j) for j, x in enumerate(row)]
+                for m in group for i, row in enumerate(m)]
+        order = math.prod(max(d, 1) for d in snf(rows)[0])
+        finite = {"order": order,
+                  "structure": {1: "trivial", 2: "Z2"}.get(
+                      order, f"order {order}"),
+                  "translation_solutions": order,
+                  "point_quotient": 1}
+        return IsoDescriptor(geometry="euclid", identity_component="trivial",
+                             finite_part=finite, total_order=order)
+    return IsoDescriptor(geometry="euclid", identity_component=torus,
+                         finite_part={"order": None, "structure":
+                                      "finite, order not computed"},
+                         notes=("finite part computed only for the planar "
+                                "worked cases",))
 
 
 def s2r_ball_by_products(gens, bound: int) -> list:

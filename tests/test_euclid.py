@@ -3,6 +3,7 @@ translation lattice under changes of generating set, the planar worked
 isometry groups, and the lookup tables.  The lattice kernel itself
 (`intmat.ZSpan`) is tested against its oracles in test_intmat.py."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -23,6 +24,8 @@ from geom3.euclid import (
     spherical_components_lookup,
     translation_rank,
 )
+from geom3.nil import planar_point_group
+from support import euclid_quotient_isometry_by_word_ball
 
 HALF = Fraction(1, 2)
 
@@ -281,3 +284,23 @@ def test_vectors_must_match_the_dimension():
     for v in ((1,), (1, 0, 5)):
         with pytest.raises(ValueError, match="must match the dimension"):
             g.lattice_coords(v)
+
+
+# bases of D4 (four of them), D2 and C2 lattices
+SWEEP_BASES = [[(1, 0), (0, 1)], [(2, 1), (1, 1)], [(3, 1), (1, 2)],
+               [(1, 0), (HALF, HALF)], [(1, 0), (0, 2)],
+               [(1, 0), (Fraction(1, 3), 1)]]
+
+
+def test_planar_finite_part_matches_the_word_ball_oracle():
+    # every one-, two- and three-element generating set in each point group
+    seen = 0
+    for basis in SWEEP_BASES:
+        elements = planar_point_group(*basis).elements
+        for k in (1, 2, 3):
+            for gens in itertools.combinations(elements, k):
+                g = crystal_group_make(gens, basis)
+                assert euclid_quotient_isometry(g) \
+                    == euclid_quotient_isometry_by_word_ball(g), (basis, gens)
+                seen += 1
+    assert seen == 4 * (8 + 28 + 56) + (4 + 6 + 4) + (2 + 1) == 385

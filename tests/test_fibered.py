@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from geom3.fibered import (
 from geom3.fibered import _rot_pow
 from geom3.hyperbolic import MobiusMap, expm_sl2
 from geom3.intmat import matmul, transpose
+from geom3.zimmer import quotient_isometry_summary
 from support import (
     deadline,
     s2r_decompose_by_ball,
@@ -530,6 +532,21 @@ def test_s2r_trivial_l():
     assert dec.l_type == TRIVIAL_L
     with pytest.raises(ValueError):
         s2r_quotient_identity_component(dec)
+
+
+@pytest.mark.parametrize("gens", [
+    [S2RIsometry(S2R_ROT_ID, Fraction(1, 2), flip=-1)],
+    [S2RIsometry(RHO_Z, 0)],
+], ids=["flip-only", "trivial-l"])
+def test_identity_component_refuses_exactly_lambda_none(gens):
+    dec = s2r_decompose(gens)
+    assert dec.lam is None
+    message = re.escape("compact quotient required "
+                        "(lambda is None: p(Gamma) is finite)")
+    with pytest.raises(ValueError, match=message):
+        s2r_quotient_identity_component(dec)
+    with pytest.raises(ValueError, match=message):
+        quotient_isometry_summary("s2xr", dec)
 
 
 def test_s2r_recompose_generators():

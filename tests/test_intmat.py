@@ -758,7 +758,7 @@ def test_every_finite_group_is_built_by_the_closure_kernel():
             nil.lattice_hz(), extra=nil.lattice_hz().point_group)),
         (fibered, lambda: fibered.s2r_decompose(
             _S2R_PRESETS["klein"](fibered))),
-        (euclid, lambda: euclid.euclid_quotient_isometry(
+        (nil, lambda: euclid.euclid_quotient_isometry(
             euclid.preset_crystal("Z2xD4"))),
     ]
     for module, call in sites:

@@ -1951,6 +1951,32 @@ def test_the_walk_builds_no_quadrat(monkeypatch):
     assert len(expected[0]) == 6 and len(expected[1]) == 12
 
 
+def test_orthogonality_is_checked_once_per_generator(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return intmat.zsqrt_mul(*args)
+
+    monkeypatch.setattr(nil, "zsqrt_mul", counting)
+    _, _, elements, edges = _linear_group.__wrapped__((ROT_PI_3, REFLECT))
+    assert len(elements) == 12 and len(edges) == 12 * 2
+    # one f f^T per generator, then one product per edge
+    assert len(calls) == 2 + len(edges) == 26
+
+
+@pytest.mark.parametrize("rots, message", [
+    ((ROT_PI_2, ((1, 1), (0, 1))), "rotation part must be orthogonal"),
+    ((((1, 1), (0, 1)), TURN_34), "rotation part must be orthogonal"),
+    ((TURN_34, ((1, 1), (0, 1))), _INFINITE_ORDER),
+    ((REFLECT, ROT_PI_3, TURN_34), _INFINITE_ORDER),
+], ids=["shear-second", "shear-first", "infinite-first", "infinite-last"])
+def test_generators_fail_at_their_first_check_in_order(rots, message):
+    with pytest.raises(ValueError) as e:
+        _linear_group.__wrapped__(rots)
+    assert str(e.value) == message
+
+
 # -- F is closed once per set of integer linear parts ------------------------
 
 def _walk_or_error(planar):
