@@ -206,10 +206,9 @@ class QuadRat:
             return Fraction(0)
         # sqrt(p/q) = sqrt(p*q)/q
         s, d = squarefree_decompose(n.numerator * n.denominator)
-        coeff = Fraction(s, n.denominator)
         if d == 1:
-            return coeff
-        return QuadRat(0, coeff, d)
+            return Fraction(s, n.denominator)
+        return _reduced(0, s, n.denominator, d)     # d is square-free
 
     def _coerce(self, other) -> "tuple[int, int, int, int] | None":
         """(p, q, r, d) of `other`, with d the field of a result combining

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -29,6 +30,10 @@ class SchemaError(ValueError):
 
 
 def _frac(text: str) -> Fraction:
+    # an exponent of five or more digits: Fraction would build an integer of
+    # that many digits (1e999999999 has a billion)
+    if re.search(r"e[-+]?0*[1-9]\d{4}", text.replace("_", ""), re.I):
+        raise SchemaError(f"exponent out of range: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -229,15 +234,7 @@ def _mobius(text: str, option: str = "--matrix") -> hyperbolic.MobiusMap:
     vals = text.split(",")
     if len(vals) != 4:
         raise SchemaError("matrix must be 4 comma-separated numbers")
-    exact = all("/" in v or _is_int_literal(v) for v in vals)
-    if exact:
-        return hyperbolic.MobiusMap(*(_frac(v) for v in vals))
-    return hyperbolic.MobiusMap(*(_float(v) for v in vals))
-
-
-def _is_int_literal(v: str) -> bool:
-    v = v.strip()
-    return v.lstrip("+-").isdigit()
+    return hyperbolic.MobiusMap(*(_frac(v) for v in vals))
 
 
 def _cmd_hyp(args) -> dict:
@@ -396,7 +393,10 @@ def _zimmer_quotient(args):
         if not args.component:
             raise SchemaError(f"{geometry} needs --component "
                               "(identity component tag)")
-        return zimmer.quotient_isometry_summary(geometry, args.component)
+        try:
+            return zimmer.quotient_isometry_summary(geometry, args.component)
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from exc
     if geometry in ("h3", "h2xr", "sl2r"):
         return zimmer.quotient_isometry_summary(geometry)
     raise SchemaError(f"unknown geometry {geometry!r}")

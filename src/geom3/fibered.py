@@ -101,15 +101,6 @@ def unit_tangent_embed(m: MobiusMap) -> tuple[complex, complex]:
     return ((a * 1j + b) / den, 1.0 / (den * den))
 
 
-def tangent_action(m: MobiusMap, zw: tuple[complex, complex]) \
-        -> tuple[complex, complex]:
-    """Induced action on T H^2: (z, w) -> ((az+b)/(cz+d), w/(cz+d)^2)."""
-    z, w = complex(zw[0]), complex(zw[1])
-    a, b, c, d = (complex(float(v)) for v in m.entries())
-    den = c * z + d
-    return ((a * z + b) / den, w / (den * den))
-
-
 SL2_BASIS = (
     ((1.0, 0.0), (0.0, -1.0)),
     ((0.0, 1.0), (-1.0, 0.0)),

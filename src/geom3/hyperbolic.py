@@ -1,13 +1,12 @@
 """Mobius actions on the upper half-plane and the trace trichotomy.
 
 Matrices are normalized to det 1 and canonicalized up to sign, i.e. they
-represent classes in PSL2.  A map with exact rational entries (and a
-square determinant) is held as one primitive integer matrix over one
-denominator, (A B; C D)/q with AD - BC = q^2, so its products, inverses,
-identity test and trace sign are integer arithmetic; its Fraction entries
-are built only when read.  Classification and the commutation test are
-exact for exact maps, and use a tolerance (default 1e-9, override with the
-GEOM3_TOL environment variable) otherwise.
+represent classes in PSL2.  A map with rational entries is held as its
+primitive integer matrix (A B; C D), of any determinant AD - BC > 0, so
+its products, inverses, identity test, class and commutation test are
+integer arithmetic; its entries are built only when read.  Only a map with
+float entries reads a tolerance (default 1e-9, override with the GEOM3_TOL
+environment variable); the CLI reads every matrix exactly.
 """
 
 from __future__ import annotations
@@ -77,69 +76,46 @@ class BoundaryPoint:
 FixedPoint = Union[BoundaryPoint, complex]
 
 
-def _is_exact(*vals) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in vals)
-
-
 class MobiusMap:
     """(a b; c d) acting on the upper half-plane, det normalized to 1.
 
-    An exact map is the integer matrix (A, B, C, D) over one denominator
-    q > 0, a = A/q and so on, with
-    - AD - BC = q^2 (det 1);
-    - gcd(A, B, C, D, q) = 1, so q is the lcm of the entries' denominators
-      and each map has one representation;
-    - the canonical PSL2 sign: positive trace, or at trace 0 a positive
-      first nonzero entry.
-    `compose`, `inverse`, `is_identity` and `trace` work on these integers;
-    `a`, `b`, `c`, `d` and `entries()` build the reduced Fractions when
-    first read.  A float map keeps its float entries, with the same sign.
+    An exact map is its one primitive integer matrix (A, B, C, D) of
+    determinant Delta = AD - BC > 0 and the canonical PSL2 sign (positive
+    trace, or at trace 0 a positive first nonzero entry): a = A / sqrt(Delta)
+    and so on.  `a`, `b`, `c`, `d` and `entries()` are built when first
+    read: reduced Fractions when Delta is a square, floats computed from the
+    integers otherwise.  A float map keeps its float entries, with the same
+    sign.
     """
 
-    __slots__ = ("_ints", "_q", "_entries", "exact")
+    __slots__ = ("_ints", "_entries", "exact")
 
     def __init__(self, a, b, c, d):
-        if _is_exact(a, b, c, d):
+        if all(isinstance(v, (int, Fraction)) for v in (a, b, c, d)):
             fracs = [Fraction(v) for v in (a, b, c, d)]
             den = math.lcm(*(f.denominator for f in fracs))
             A, B, C, D = (f.numerator * (den // f.denominator) for f in fracs)
-            det = A * D - B * C
-            if det <= 0:
+            if A * D - B * C <= 0:
                 raise ValueError("positive determinant required")
-            q = math.isqrt(det)
-            if q * q == det:
-                # (A B; C D)/den has det (q/den)^2, so over q it has det 1
-                _set_exact(self, A, B, C, D, q)
-                return
-            # no exact det-1 representative: the det is not a square
-            a, b, c, d = fracs
-        a, b, c, d = float(a), float(b), float(c), float(d)
-        if not all(map(math.isfinite, (a, b, c, d))):
-            raise ValueError("finite entries required")
-        det = a * d - b * c
-        if not sys.float_info.min <= abs(det) < math.inf:
-            # a*d or b*c under- or overflowed (det 0, subnormal, inf or
-            # NaN): retry with the entries scaled by a power of two, which
-            # is exact; the normalization to det 1 below divides it out
-            _, exp = math.frexp(max(map(abs, (a, b, c, d))))
-            a, b, c, d = (math.ldexp(x, -exp) for x in (a, b, c, d))
-            det = a * d - b * c
-        if not det > 0:
-            raise ValueError("positive determinant required")
-        scale = 1.0 / math.sqrt(det)
-        self._ints = self._q = None
-        self._entries = _canonical_sign(a * scale, b * scale, c * scale,
-                                        d * scale)
-        self.exact = False
+            _set_exact(self, A, B, C, D)
+        else:
+            _set_float(self, float(a), float(b), float(c), float(d))
 
     @classmethod
     def identity(cls) -> "MobiusMap":
-        return _set_exact(object.__new__(cls), 1, 0, 0, 1, 1)
+        return _set_exact(object.__new__(cls), 1, 0, 0, 1)
 
     def entries(self):
         if self._entries is None:
-            q = self._q
-            self._entries = tuple(Fraction(x, q) for x in self._ints)
+            ints = self._ints
+            det = ints[0] * ints[3] - ints[1] * ints[2]
+            q = math.isqrt(det)
+            if q * q == det:
+                self._entries = tuple(Fraction(x, q) for x in ints)
+            else:
+                self._entries = tuple(
+                    _sqrt_ratio(x * x, det) * (-1 if x < 0 else 1)
+                    for x in ints)
         return self._entries
 
     a = property(lambda self: self.entries()[0])
@@ -148,19 +124,16 @@ class MobiusMap:
     d = property(lambda self: self.entries()[3])
 
     def trace(self):
-        if self.exact:
-            return Fraction(self._ints[0] + self._ints[3], self._q)
-        return self._entries[0] + self._entries[3]
+        a, _, _, d = self.entries()
+        return a + d
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
         if self.exact and other.exact:
-            # dets q^2 and q'^2: the integer product has det (q q')^2
             A, B, C, D = self._ints
             E, F, G, H = other._ints
             return _set_exact(object.__new__(MobiusMap),
                               A * E + B * G, A * F + B * H,
-                              C * E + D * G, C * F + D * H,
-                              self._q * other._q)
+                              C * E + D * G, C * F + D * H)
         # a float factor: __init__'s 1/sqrt(det) rescale of the
         # (Fraction times float) entries sets the float bits
         a, b, c, d = self.entries()
@@ -171,15 +144,14 @@ class MobiusMap:
     def inverse(self) -> "MobiusMap":
         if self.exact:
             A, B, C, D = self._ints
-            return _set_exact(object.__new__(MobiusMap), D, -B, -C, A,
-                              self._q)
+            return _set_exact(object.__new__(MobiusMap), D, -B, -C, A)
         a, b, c, d = self._entries
         return MobiusMap(d, -b, -c, a)
 
     def is_identity(self) -> bool:
         if self.exact:
             A, B, C, D = self._ints
-            return A == D == self._q and B == C == 0
+            return B == C == 0 and A == D
         a, b, c, d = self._entries
         tol = float_tolerance()
         return (abs(a - 1) <= tol and abs(d - 1) <= tol
@@ -205,16 +177,42 @@ def _canonical_sign(a, b, c, d):
     return a, b, c, d
 
 
-def _set_exact(m: MobiusMap, A, B, C, D, q) -> MobiusMap:
-    """Make m the exact map (A B; C D)/q, given AD - BC = q^2 and q > 0."""
-    g = math.gcd(A, B, C, D, q)
+def _set_exact(m: MobiusMap, A, B, C, D) -> MobiusMap:
+    """Make m the exact map of the integer matrix (A B; C D), AD - BC > 0."""
+    g = math.gcd(A, B, C, D)
     if g != 1:
-        A, B, C, D, q = A // g, B // g, C // g, D // g, q // g
+        A, B, C, D = A // g, B // g, C // g, D // g
     m._ints = _canonical_sign(A, B, C, D)
-    m._q = q
     m._entries = None
     m.exact = True
     return m
+
+
+def _set_float(m: MobiusMap, a: float, b: float, c: float, d: float):
+    """Make m the float map (a b; c d) / sqrt(det)."""
+    if not all(map(math.isfinite, (a, b, c, d))):
+        raise ValueError("finite entries required")
+    det = a * d - b * c
+    if not sys.float_info.min <= abs(det) < math.inf:
+        # a*d or b*c under- or overflowed (det 0, subnormal, inf or NaN):
+        # retry with the entries scaled by a power of two, which is exact;
+        # the normalization to det 1 below divides it out
+        _, exp = math.frexp(max(map(abs, (a, b, c, d))))
+        a, b, c, d = (math.ldexp(x, -exp) for x in (a, b, c, d))
+        det = a * d - b * c
+    if not det > 0:
+        raise ValueError("positive determinant required")
+    scale = 1.0 / math.sqrt(det)
+    m._ints = None
+    m._entries = _canonical_sign(a * scale, b * scale, c * scale, d * scale)
+    m.exact = False
+
+
+def _sqrt_ratio(x: int, y: int) -> float:
+    """sqrt(x / y) for integers x >= 0 and y > 0, to within an ulp: the
+    integer square root of x / y scaled to at least 128 bits."""
+    e = max(0, 130 - x.bit_length() + y.bit_length()) // 2
+    return math.isqrt((x << 2 * e) // y) / (1 << e)
 
 
 def mobius_apply(m: MobiusMap, z: complex) -> complex:
@@ -244,43 +242,51 @@ class IsometryClass:
 
 
 def classify_isometry(m: MobiusMap) -> IsometryClass:
-    """Trace trichotomy with fixed points from c z^2 + (d - a) z - b = 0."""
+    """Trace trichotomy with fixed points from c z^2 + (d - a) z - b = 0.
+
+    An exact map is classified by the sign of (A + D)^2 - 4 Delta, and its
+    fixed points are computed from its integers; a float map compares its
+    trace with 2 to within the tolerance.
+    """
     if m.is_identity():
         raise IdentityClassError("the identity carries no class")
-    tol = float_tolerance()
     if m.exact:
-        # the sign of tr^2 - 4, times q^2
-        A, _, _, D = m._ints
-        disc = (A + D) ** 2 - 4 * m._q ** 2
+        A, b, c, D = m._ints
+        p = A - D
+        disc = p * p + 4 * b * c        # (A + D)^2 - 4 Delta
         kind = (HYPERBOLIC if disc > 0 else
                 PARABOLIC if disc == 0 else ELLIPTIC)
+        # half the distance of the fixed points, or the elliptic one's height
+        half = _sqrt_ratio(abs(disc), 4 * c * c) if c else 0.0
     else:
-        gap = abs(m.trace()) - 2.0
+        tol = float_tolerance()
+        a, b, c, d = m._entries
+        p = a - d
+        gap = abs(a + d) - 2.0
         kind = (HYPERBOLIC if gap > tol else
                 PARABOLIC if gap >= -tol else ELLIPTIC)
-    a, b, c, d = (float(v) for v in m.entries())
-    if abs(c) <= 1e-15:
-        if kind == ELLIPTIC:
-            raise RuntimeError("elliptic maps always have c != 0")
-        if abs(a - d) <= tol or kind == PARABOLIC:
+        if abs(c) <= 1e-15:
+            if kind == ELLIPTIC:
+                raise RuntimeError("elliptic maps always have c != 0")
+            c = 0
+            if abs(p) <= tol:
+                kind = PARABOLIC
+        half = math.sqrt(abs((a + d) ** 2 - 4.0)) / (2 * abs(c)) if c else 0.0
+    if not c:
+        if kind == PARABOLIC:
             return IsometryClass(PARABOLIC, (BoundaryPoint.inf(),))
-        return IsometryClass(
-            HYPERBOLIC,
-            _sorted_boundary((BoundaryPoint.inf(),
-                              BoundaryPoint(b / (d - a)))))
-    disc_f = (a + d) ** 2 - 4.0
-    if kind == HYPERBOLIC:
-        root = math.sqrt(max(disc_f, 0.0))
-        z1 = (a - d - root) / (2 * c)
-        z2 = (a - d + root) / (2 * c)
-        return IsometryClass(
-            HYPERBOLIC, _sorted_boundary((BoundaryPoint(z1),
-                                          BoundaryPoint(z2))))
+        return IsometryClass(HYPERBOLIC, _sorted_boundary(
+            (BoundaryPoint.inf(), BoundaryPoint(b / -p))))
+    mid = p / (2 * c)
     if kind == PARABOLIC:
-        return IsometryClass(PARABOLIC, (BoundaryPoint((a - d) / (2 * c)),))
-    root = math.sqrt(max(4.0 - (a + d) ** 2, 0.0))
-    z = complex((a - d) / (2 * c), root / (2 * abs(c)))
-    return IsometryClass(ELLIPTIC, (z,))
+        return IsometryClass(PARABOLIC, (BoundaryPoint(mid),))
+    if kind == ELLIPTIC:
+        return IsometryClass(ELLIPTIC, (complex(mid, half),))
+    # the root away from zero; the other from their product -b/c, which
+    # does not cancel
+    far = mid + math.copysign(half, mid)
+    return IsometryClass(HYPERBOLIC, _sorted_boundary(
+        (BoundaryPoint(far), BoundaryPoint(-b / c / far))))
 
 
 def _sorted_boundary(points):
@@ -314,24 +320,24 @@ def fixed_sets_equal(c1: IsometryClass, c2: IsometryClass) -> bool:
 def commute_test(m1: MobiusMap, m2: MobiusMap) -> tuple[bool, bool]:
     """(commute, fixed_sets_equal), each computed independently.
 
-    For two exact maps both answers are exact: the commutator is the
-    identity, and the traceless parts (a - d, b, c) are proportional, as
-    the fixed points are the roots of c z^2 + (d - a) z - b.  Otherwise
-    the maps commute when m1 m2 and m2 m1 lie within tol |m1| |m2|
-    (Frobenius norms) of each other in PSL2, a bound that scales with the
-    maps as the rounding error of their products does, and the fixed sets
-    are compared by `fixed_sets_equal`.
+    For two exact maps both answers are exact: m1 m2 and m2 m1 have the
+    same integer matrix, and the traceless parts (a - d, b, c) are
+    proportional, as the fixed points are the roots of c z^2 + (d - a) z
+    - b.  Otherwise the maps commute when m1 m2 and m2 m1 lie within
+    tol |m1| |m2| (Frobenius norms) of each other in PSL2, a bound that
+    scales with the maps as the rounding error of their products does,
+    and the fixed sets are compared by `fixed_sets_equal`.
     """
     if m1.is_identity() or m2.is_identity():
         raise IdentityClassError("commutation test needs non-identity maps")
-    tol = float_tolerance()
     if m1.exact and m2.exact:
-        comm = m1.compose(m2).compose(m1.inverse()).compose(m2.inverse())
+        commutes = m1.compose(m2)._ints == m2.compose(m1)._ints
         (A, B, C, D), (E, F, G, H) = m1._ints, m2._ints
         # (A - D, B, C) x (E - H, F, G) = 0
         proportional = ((A - D) * F == B * (E - H)
                         and (A - D) * G == C * (E - H) and B * G == C * F)
-        return comm.is_identity(), proportional
+        return commutes, proportional
+    tol = float_tolerance()
     size = math.prod(math.hypot(*map(float, m.entries())) for m in (m1, m2))
     commutes = (m1.compose(m2).projective_distance(m2.compose(m1))
                 <= tol * size)

@@ -69,14 +69,6 @@ def mat2_inv(m: Mat2) -> Mat2:
             (-m[1][0] / det, m[0][0] / det))
 
 
-def mat2_transpose(m: Mat2) -> Mat2:
-    return ((m[0][0], m[1][0]), (m[0][1], m[1][1]))
-
-
-def mat2_eq(m: Mat2, n: Mat2) -> bool:
-    return all(m[i][j] == n[i][j] for i in range(2) for j in range(2))
-
-
 MAT2_ID: Mat2 = ((1, 0), (0, 1))
 
 
@@ -257,14 +249,6 @@ def transpose(a) -> tuple:
 def vec2_cross(u: Vec2, v: Vec2) -> Scalar:
     """Scalar cross product u1*v2 - u2*v1 (signed area)."""
     return u[0] * v[1] - u[1] * v[0]
-
-
-def vec2_dot(u: Vec2, v: Vec2) -> Scalar:
-    return u[0] * v[0] + u[1] * v[1]
-
-
-def vec2_sub(u: Vec2, v: Vec2) -> Vec2:
-    return (u[0] - v[0], u[1] - v[1])
 
 
 # -- breadth-first closures ---------------------------------------------------

@@ -297,10 +297,3 @@ def sol_q_structure(a: IntMat2) -> dict:
         "galois_pair_check": (diagonalizes(rows, lam, lam_inv)
                               and diagonalizes(rows_conj, lam_inv, lam)),
     }
-
-
-def sol_unit(lat: SolLattice) -> QuadRat:
-    """The exact e-power base for exact-mode points over this lattice: the
-    eigenvalue lam^n > 1 of A^n, lam that of A, so only the square-free
-    part of tr(A)^2 - 4 is factored, never that of tr(A^n)^2 - 4."""
-    return _unit(lat.a.trace()) ** lat.n

@@ -344,6 +344,24 @@ def galois_twist_example() -> tuple:
 
 GEOMETRIES = ("nil", "sol", "h3", "euclid", "s3", "s2xr", "h2xr", "sl2r")
 
+# The identity components a tag may name: the rows of
+# data/spherical_components.json for s3, and what
+# fibered.s2r_quotient_identity_component returns for s2xr.  Kept here so
+# that a verdict on a tag loads neither euclid nor fibered.
+IDENTITY_COMPONENTS = {
+    "s3": ("O(2)", "O(2)xO(2)", "O(4)", "S1", "S1 x_Z2 S1", "S1xS1",
+           "SO(3)", "SO(4)", "trivial"),
+    "s2xr": ("S1", "S1xS1", "SO3xS1"),
+}
+
+
+def _known_component(geometry: str, tag: str) -> str:
+    if tag not in IDENTITY_COMPONENTS[geometry]:
+        raise ValueError(f"unknown {geometry} identity component {tag!r}; "
+                         "expected one of "
+                         + ", ".join(map(repr, IDENTITY_COMPONENTS[geometry])))
+    return tag
+
 
 def quotient_isometry_summary(geometry: str, descriptor=None,
                               extra=None) -> IsoDescriptor:
@@ -372,12 +390,13 @@ def quotient_isometry_summary(geometry: str, descriptor=None,
             else descriptor.get("identity_component")
         if tag is None:
             raise ValueError("supply a lookup row or identity component tag")
-        return IsoDescriptor(geometry="s3", identity_component=tag,
+        return IsoDescriptor(geometry="s3",
+                             identity_component=_known_component("s3", tag),
                              finite_part={"structure":
                                           "closed subgroup of O(4)"})
     if geometry == "s2xr":
         if isinstance(descriptor, str):
-            tag = descriptor
+            tag = _known_component("s2xr", descriptor)
         else:
             from . import fibered
             tag = fibered.s2r_quotient_identity_component(descriptor)

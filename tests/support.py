@@ -142,6 +142,12 @@ families of `zimmer` as they were before one real-form table gave every
 answer: a case analysis per family for validation, display, real rank and
 complex type, and one for parsing a factor.
 
+`mat2_eq`, `mat2_transpose`, `vec2_dot` and `vec2_sub` are the 2x2
+helpers that `intmat` kept for the tests alone.  `sol_unit` is the unit
+lam^n of a Sol lattice, read off tr(A) so that tr(A^n)^2 - 4 is never
+factored, and `tangent_action` the action of a Mobius map on T H^2:
+`sol` and `fibered` kept them for the tests alone.
+
 `clear_nil_caches` empties the value caches of `nil`, every function
 there with a `cache_clear` (`nil_caches` lists them), for the tests that
 patch arithmetic and must see a computation, not a cache hit.
@@ -188,15 +194,11 @@ from geom3.intmat import (
     congruence_solutions,
     mat2_apply,
     mat2_det,
-    mat2_eq,
     mat2_inv,
     mat2_mul,
-    mat2_transpose,
     matmul,
     snf,
     vec2_cross,
-    vec2_dot,
-    vec2_sub,
 )
 from geom3.nil import (
     DISCRETE_PROJECTION,
@@ -215,6 +217,39 @@ from geom3.nil import (
     heis_conjugate,
     planar_point_group,
 )
+
+# -- helpers the library does not use ------------------------------------------
+
+def mat2_transpose(m):
+    return ((m[0][0], m[1][0]), (m[0][1], m[1][1]))
+
+
+def mat2_eq(m, n) -> bool:
+    return all(m[i][j] == n[i][j] for i in range(2) for j in range(2))
+
+
+def vec2_dot(u, v):
+    return u[0] * v[0] + u[1] * v[1]
+
+
+def vec2_sub(u, v):
+    return (u[0] - v[0], u[1] - v[1])
+
+
+def sol_unit(lat) -> QuadRat:
+    """The exact e-power base for exact-mode points over this lattice: the
+    eigenvalue lam^n > 1 of A^n, lam that of A, so only the square-free
+    part of tr(A)^2 - 4 is factored, never that of tr(A^n)^2 - 4."""
+    return sol._unit(lat.a.trace()) ** lat.n
+
+
+def tangent_action(m, zw: tuple[complex, complex]) -> tuple[complex, complex]:
+    """Induced action on T H^2: (z, w) -> ((az+b)/(cz+d), w/(cz+d)^2)."""
+    z, w = complex(zw[0]), complex(zw[1])
+    a, b, c, d = (complex(float(v)) for v in m.entries())
+    den = c * z + d
+    return ((a * z + b) / den, w / (den * den))
+
 
 # -- the Heisenberg group in global coordinates -------------------------------
 

@@ -477,3 +477,19 @@ def test_integer_rows_parse_a_string_as_its_fraction():
         == (6, (1,), [(3, 18), (0, -2)])
     with pytest.raises(ValueError, match="exact entries required"):
         clear_denominators(["1/2"])
+
+
+@given(st.fractions(min_value=0, max_value=10 ** 6, max_denominator=10 ** 4))
+@example(Fraction(8, 9))
+@example(Fraction(12, 7))
+def test_sqrt_is_the_checked_constructor_on_its_square_free_part(n):
+    root = QuadRat.sqrt(n)
+    assert root * root == n and root >= 0
+    if isinstance(root, QuadRat):
+        # built without factoring d again; the same form as the checked
+        # constructor gives
+        same = QuadRat(0, root.b, root.d)
+        assert (root.p, root.q, root.r, root.d) \
+            == (same.p, same.q, same.r, same.d)
+    else:
+        assert type(root) is Fraction

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from geom3 import cli, euclid, fibered, intmat, nil, selfcheck
+from geom3 import cli, euclid, fibered, hyperbolic, intmat, nil, selfcheck
 from geom3.descriptors import canonical_json
 from geom3.intmat import MAT2_ID
 from support import deadline
@@ -138,11 +138,18 @@ def test_zimmer_cli():
     ["hyp", "commute", "--m1", "2,0,0,0.5", "--m2", "1,1,0,1"],
 ])
 def test_bad_tolerance_is_a_domain_error(monkeypatch, argv):
+    # the CLI reads every matrix exactly, so no call reads GEOM3_TOL; the
+    # same maps in floats do, and a bad value is a domain error there
+    expected = run_json(argv + ["--json"])
     monkeypatch.setenv("GEOM3_TOL", "nan")
-    code, payload = run_json(argv + ["--json"])
-    assert code == 1
-    assert payload["error"]["kind"] == "ValueError"
-    assert "GEOM3_TOL" in payload["error"]["detail"]
+    assert run_json(argv + ["--json"]) == expected and expected[0] == 0
+    maps = [hyperbolic.MobiusMap(*map(float, a.split(",")))
+            for a in argv[3::2]]
+    with pytest.raises(ValueError, match="GEOM3_TOL"):
+        if len(maps) == 1:
+            hyperbolic.classify_isometry(*maps)
+        else:
+            hyperbolic.commute_test(*maps)
 
 
 def test_hyp_and_fiber_cli():
@@ -516,7 +523,7 @@ def test_qstructure_of_a_large_trace_is_factored_quickly():
     ["hyp", "classify", "--matrix", "nan,0,0,1"],
     ["hyp", "classify", "--matrix", "1,0,0,-Infinity"],
     ["hyp", "apply", "--matrix", "1,0,0,1", "--z", "0,nan"],
-    ["hyp", "commute", "--m1", "1e400,0,0,1", "--m2", "1,0,0,1"],
+    ["hyp", "apply", "--matrix", "1,0,0,1", "--z", "1e400,1"],
     ["sol", "fixed-line", "--t", "nan"],
     ["sol", "fixed-line", "--x", "1/0", "--t", "1"],
     ["fiber", "norm", "--z", "0,inf"],
@@ -527,6 +534,24 @@ def test_non_finite_numbers_are_schema_errors(argv):
     assert payload["error"]["kind"] == "schema"
     code, text = run_cli(argv)
     assert code == 2 and text.startswith("error[schema]")
+
+
+def test_matrix_literals_are_read_exactly():
+    # decimals and exponents are exact rationals, however large
+    for spelling, exact in [("1,0.00000000001,0,1", "1,1/100000000000,0,1"),
+                            ("1e400,0,0,1", "10" + "0" * 399 + ",0,0,1"),
+                            ("2.5,0,0,4e-1", "5/2,0,0,2/5")]:
+        assert run_cli(["hyp", "classify", "--matrix", spelling]) \
+            == run_cli(["hyp", "classify", "--matrix", exact])
+    # an exponent of five or more digits is refused before Fraction builds
+    # an integer of that many digits
+    code, payload = run_json(["hyp", "classify", "--matrix", "1e99999,0,0,1",
+                              "--json"])
+    assert code == 2 and payload["error"] == {
+        "kind": "schema", "detail": "exponent out of range: '1e99999'"}
+    code, _ = run_cli(["nil", "point-group", "--u", "1E1_000_000_000,0",
+                       "--v", "0,1"])
+    assert code == 2
 
 
 def test_non_finite_results_are_structured_errors():

@@ -122,6 +122,11 @@ SEARCHES = [
     # "x" joins two factors without spaces too
     "zimmer verdict --geometry s3 --component SO(4) "
     "--factors SO(2,2)xSO(4) --uniform",
+    # an identity component outside the table is a schema error that names
+    # the known tags; it once answered FactorsThroughFinite
+    "zimmer verdict --geometry s3 --component banana --factors SO(2,2) "
+    "--uniform",
+    "zimmer summary --geometry s2xr --component banana",
     # exact maps commute only if the commutator is exactly the identity;
     # this one is within 1e-6 of it, which once answered commute: true
     "hyp commute --m1 1,1/1000,0,1 --m2 1,0,1/1000,1",
@@ -130,6 +135,20 @@ SEARCHES = [
     # commute: true next to fixed_sets_equal: false
     "hyp commute --m1 1,0.001,0,1 --m2 1,0,0.001,1",
     "hyp commute --m1 1,1/1000,0,1 --m2 1,0,0.001,1",
+    # every matrix is exact, whatever its det and however its entries are
+    # written.  A det-1 map with a - d = 2e-12, and one of a det that is not
+    # a square, were once parabolic: their fixed points are 0 or -1e11 and
+    # infinity.  A decimal is the rational it spells: 1e-11 was once read
+    # as a float and classified as the identity (exit 1), and a pair of
+    # diagonal and triangular maps with entries 1e150 and 1e-150 once
+    # commuted in floats
+    "hyp classify --matrix 1000000000001/1000000000000,0,0,"
+    "1000000000000/1000000000001",
+    "hyp classify --matrix 100000000001/100000000000,1,0,1",
+    "hyp classify --matrix 1,0.00000000001,0,1",
+    "hyp commute --m1 1,0.00000000001,0,1 --m2 1,0,0.00000000001,1",
+    "hyp commute --m1 1,1/100000000000,0,1 --m2 1,0,1/100000000000,1",
+    "hyp commute --m1 1e150,0,0,1e-150 --m2 1e-150,1,0,1e150",
     # the trivial Sol centralizer, for a large power of fib and for a
     # matrix over another field
     "sol centralizer --preset fib --power 52",
@@ -196,6 +215,25 @@ def test_cli_output_is_unchanged(argv):
 @pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
 def test_cli_help_is_unchanged(argv):
     assert run_help(argv) == _recorded(HELP_FILE)[tuple(argv)]
+
+
+def test_hyp_cases_take_no_float_path(monkeypatch):
+    # the CLI reads every Mobius map exactly: with no float map to be had,
+    # each hyp case prints what it printed
+    from geom3 import hyperbolic
+
+    def refuse(*args):
+        raise AssertionError("float Mobius map")
+
+    monkeypatch.setattr(hyperbolic, "_set_float", refuse)
+    argvs = [argv for argv in ARGVS if argv[0] == "hyp"]
+    assert len(argvs) > 30
+    for argv in argvs:
+        assert run(argv) == _recorded(CASES_FILE)[tuple(argv)]
+    decimal, rational = (
+        run(["hyp", "commute", "--m1", f"1,{x},0,1", "--m2", f"1,0,{x},1"])
+        for x in ("0.00000000001", "1/100000000000"))
+    assert decimal["out"] == rational["out"]
 
 
 def _record(path, runner, argvs):

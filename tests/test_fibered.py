@@ -30,7 +30,6 @@ from geom3.fibered import (
     s2r_rotation_z,
     sasaki_inner,
     sasaki_norm,
-    tangent_action,
     unit_tangent_embed,
 )
 from geom3.fibered import _rot_pow
@@ -41,6 +40,7 @@ from support import (
     deadline,
     s2r_decompose_by_ball,
     s2r_decompose_by_matmul,
+    tangent_action,
 )
 from test_hyperbolic import random_sl2
 

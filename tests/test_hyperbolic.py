@@ -22,6 +22,7 @@ from geom3.hyperbolic import (
     classify_isometry,
     commute_test,
     expm_sl2,
+    fixed_sets_equal,
     hn_quotient_isometry_verdict,
     mobius_apply,
 )
@@ -278,8 +279,8 @@ _NONZERO = _RATIONALS.filter(bool)
 
 @st.composite
 def _maps(draw):
-    """Exact maps (det 1, trace 0, or rescaled from a square det) and float
-    ones (float entries, or an exact matrix whose det is not a square)."""
+    """Exact maps (det 1, trace 0, rescaled from a square det, or of a det
+    that is not a square) and float ones."""
     a, b, c = draw(_NONZERO), draw(_RATIONALS), draw(_RATIONALS)
     kind = draw(st.sampled_from(
         ["det1", "trace0", "square", "float", "non-square"]))
@@ -302,9 +303,11 @@ def _maps(draw):
 @example(MobiusMap(0, 1, -1, 0), MobiusMap(0, 1, -1, 0))
 def test_compose_matches_the_constructor_on_the_raw_product(f, g):
     # compose skips __init__ when both factors are exact; the result must
-    # be the map __init__ makes of the raw product, down to entry types
-    raw = (f.a * g.a + f.b * g.c, f.a * g.b + f.b * g.d,
-           f.c * g.a + f.d * g.c, f.c * g.b + f.d * g.d)
+    # be the map __init__ makes of the raw product of the integer matrices
+    # (of the entries, for a float factor), down to entry types
+    (a, b, c, d), (e, f_, g_, h) = ((f._ints, g._ints) if f.exact and g.exact
+                                    else (f.entries(), g.entries()))
+    raw = (a * e + b * g_, a * f_ + b * h, c * e + d * g_, c * f_ + d * h)
     want, got = MobiusMap(*raw), f.compose(g)
     assert repr(got) == repr(want)
     assert got.exact == want.exact
@@ -361,11 +364,13 @@ def test_exact_words_match_fraction_products(gens, word):
 def test_integer_form_invariants(gens, word):
     m = _word(gens, [i % len(gens) for i in word])
     for x in (m, m.inverse(), *gens):
-        (A, B, C, D), q = x._ints, x._q
-        assert all(type(v) is int for v in (A, B, C, D, q))
-        assert q > 0 and math.gcd(A, B, C, D, q) == 1
-        assert A * D - B * C == q * q
-        # q is the common denominator of the entries
+        A, B, C, D = x._ints
+        assert all(type(v) is int for v in (A, B, C, D))
+        assert math.gcd(A, B, C, D) == 1
+        # these maps have a square det q^2, and q is the common denominator
+        # of the entries
+        q = math.isqrt(A * D - B * C)
+        assert q > 0 and A * D - B * C == q * q
         assert q == math.lcm(*(f.denominator for f in x.entries()))
         first = next(v for v in (A, B, C, D) if v)
         assert A + D > 0 or (A + D == 0 and first > 0)
@@ -388,6 +393,78 @@ def test_exact_maps_commute_iff_they_share_fixed_sets(g, m, other, j, k,
     assert commutes == same_fixed
     if kind == "same":
         assert commutes
+
+
+# integer matrices of positive det, a square or not
+_INT_MATRICES = st.tuples(*[st.integers(-40, 40)] * 4).filter(
+    lambda m: m[0] * m[3] - m[1] * m[2] > 0)
+
+
+@given(_INT_MATRICES)
+# a hyperbolic map close to parabolic: (A + D)^2 - 4 det = 1
+@example((100, 1, 0, 99))
+def test_exact_and_float_classification_agree_away_from_trace_two(ints):
+    A, B, C, D = ints
+    assume(abs(abs(A + D) / math.sqrt(A * D - B * C) - 2) > 1e-6)
+    exact = classify_isometry(MobiusMap(*ints))
+    approx = classify_isometry(MobiusMap(*map(float, ints)))
+    assert exact.tag == approx.tag
+    assert fixed_sets_equal(exact, approx)
+
+
+@given(_INT_MATRICES, st.sampled_from(
+    [1, 2, 3, 4, 5, 9, 12, Fraction(1, 2), Fraction(4, 9), Fraction(3, 7)]))
+def test_multiples_of_a_matrix_give_identical_answers(ints, k):
+    # k (A, B, C, D) is the same map, with det k^2 Delta, for any k > 0
+    m, scaled = MobiusMap(*ints), MobiusMap(*(k * x for x in ints))
+    assert scaled._ints == m._ints and repr(scaled) == repr(m)
+    assert scaled.is_identity() == m.is_identity()
+    if not m.is_identity():
+        assert repr(classify_isometry(scaled)) == repr(classify_isometry(m))
+        assert centralizer_type(scaled) == centralizer_type(m)
+        other = MobiusMap(1, 1, 0, 1)
+        assert commute_test(scaled, other) == commute_test(m, other)
+
+
+@given(_INT_MATRICES, _INT_MATRICES)
+def test_the_class_is_invariant_under_exact_conjugation(ints, g_ints):
+    m, g = MobiusMap(*ints), MobiusMap(*g_ints)
+    assume(not m.is_identity())
+    conj = g.compose(m).compose(g.inverse())
+    assert conj.exact and not conj.is_identity()
+    assert classify_isometry(conj).tag == classify_isometry(m).tag
+
+
+def test_exact_classification_has_no_tolerance():
+    # a - d = 2e-12 within GEOM3_TOL once made this det-1 map parabolic
+    m = MobiusMap(Fraction(10 ** 12 + 1, 10 ** 12), 0, 0,
+                  Fraction(10 ** 12, 10 ** 12 + 1))
+    cls = classify_isometry(m)
+    assert cls.tag == HYPERBOLIC
+    assert [p.infinite or p.x for p in cls.fixed_set] == [0.0, True]
+    # det 10^22 + 10^11 is not a square; it once took the float path
+    m = MobiusMap(Fraction(10 ** 11 + 1, 10 ** 11), 1, 0, 1)
+    assert m.exact and m.b == pytest.approx(1 - 5e-12, rel=1e-15)
+    cls = classify_isometry(m)
+    assert cls.tag == HYPERBOLIC
+    assert cls.fixed_set[0].x == -1e11 and cls.fixed_set[1].infinite
+    assert classify_isometry(MobiusMap(1, Fraction(1, 10 ** 11), 0, 1)).tag \
+        == PARABOLIC
+
+
+def test_non_square_maps_are_exact():
+    m = MobiusMap(2, 1, 1, 1)
+    r2 = MobiusMap(2, 0, 0, 1)
+    assert r2.exact and r2._ints == (2, 0, 0, 1)
+    assert r2.entries() == (math.sqrt(2), 0.0, 0.0, math.sqrt(0.5))
+    assert r2.compose(r2)._ints == (4, 0, 0, 1)
+    assert r2.compose(r2).compose(r2.inverse())._ints == r2._ints
+    assert r2.compose(r2.inverse()).is_identity()
+    assert commute_test(r2, MobiusMap(3, 0, 0, 1)) == (True, True)
+    assert commute_test(r2, m) == (False, False)
+    # entries whose det overflows a float are computed from the integers
+    big = MobiusMap(2 * 10 ** 400, 0, 0, 1)
+    assert big.a == pytest.approx(math.sqrt(2) * 1e200)
 
 
 @pytest.mark.parametrize("m1, m2, want", [

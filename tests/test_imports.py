@@ -35,8 +35,10 @@ def run_fresh(script: str, *argv: str):
     return json.loads(proc.stdout)
 
 
-NOT_FOR_HYP = (GEOMETRIES - {"geom3.hyperbolic"}) | {"geom3.zimmer",
-                                                     "geom3.selfcheck"}
+# an exact Mobius map converts its entries to integers itself, with no
+# algebra or intmat
+NOT_FOR_HYP = (GEOMETRIES - {"geom3.hyperbolic"}) | {
+    "geom3.zimmer", "geom3.selfcheck", "geom3.algebra", "geom3.intmat"}
 # only the Galois-twist demo computes over Q(sqrt 2)
 NOT_FOR_ZIMMER = GEOMETRIES | {"geom3.selfcheck", "geom3.algebra",
                                "geom3.intmat"}
@@ -45,6 +47,8 @@ NOT_FOR_ZIMMER = GEOMETRIES | {"geom3.selfcheck", "geom3.algebra",
 CASES = {
     "hyp verdict --dim 3": ("geom3.hyperbolic", NOT_FOR_HYP),
     "hyp classify --matrix 2,0,0,1/2": ("geom3.hyperbolic", NOT_FOR_HYP),
+    "hyp commute --m1 2,0,0,0.5 --m2 1,1,0,1": ("geom3.hyperbolic",
+                                                NOT_FOR_HYP),
     "sol iso --matrix 2,1,1,1 --power 5": ("geom3.sol",
                                            {"geom3.nil", "geom3.euclid"}),
     "lookup --family all": ("geom3.euclid", {"geom3.nil"}),

@@ -43,7 +43,6 @@ from geom3.intmat import (
     snf,
     transpose,
     vec2_cross,
-    vec2_dot,
 )
 from geom3.nil import (
     MAT2_ID,
@@ -69,6 +68,7 @@ from support import (
     point_group_elements_by_products,
     rational_rank_by_elimination,
     rationals_as_fractions,
+    vec2_dot,
     word_ball,
     zsqrt_basis,
 )

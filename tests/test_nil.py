@@ -25,10 +25,8 @@ from geom3.intmat import (
     MAT2_ID,
     mat2_apply,
     mat2_det,
-    mat2_eq,
     mat2_inv,
     mat2_mul,
-    mat2_transpose,
     vec2_cross,
 )
 from geom3.nil import (
@@ -96,6 +94,8 @@ from support import (
     iso_is_identity,
     lattice_contains,
     lift_group_closes_by_pairs,
+    mat2_eq,
+    mat2_transpose,
     matrix_order_by_powers,
     nil_caches,
     off_form_entries,
@@ -105,6 +105,7 @@ from support import (
     rationals_as_fractions,
     rot_apply,
     schreier_translations_by_scalars,
+    vec2_dot,
     word_ball,
 )
 
@@ -270,7 +271,7 @@ def test_normalizer_identity_component_is_the_center_direction():
 
 def brute_force_point_group_order(u, v) -> int:
     """Independent enumeration over images of the two shortest classes."""
-    from geom3.intmat import vec2_dot, mat2_apply, mat2_inv
+    from geom3.intmat import mat2_apply, mat2_inv
 
     basis_inv = mat2_inv(((u[0], v[0]), (u[1], v[1])))
     cands = []

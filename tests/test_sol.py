@@ -21,7 +21,6 @@ from geom3.sol import (
     sol_normalizer_lattice,
     sol_q_structure,
     sol_quotient_isometry,
-    sol_unit,
 )
 from geom3 import algebra, sol
 from geom3.sol import SolLattice
@@ -32,6 +31,7 @@ from support import (
     sol_centralizer_by_eigenbasis,
     sol_q_structure_by_products,
     sol_quotient_isometry_by_snf_result,
+    sol_unit,
     sol_unit_by_eigenbasis,
 )
 
@@ -413,6 +413,29 @@ def test_q_structure_builds_no_scalar_matrix_product(monkeypatch):
     monkeypatch.undo()
     assert got == expected
     assert all(q["galois_pair_check"] is True for q in got)
+
+
+def test_q_structure_factors_the_discriminant_once(monkeypatch):
+    cases = [A, IntMat2(3, 1, 2, 1), IntMat2(1, 1, 100, 101),
+             int_mat_pow(A, 20)]
+    expected = [sol_q_structure(m) for m in cases]
+    calls = []
+    factor = algebra.squarefree_decompose
+
+    def counting(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(algebra, "squarefree_decompose", counting)
+    for m in cases:
+        calls.clear()
+        got = sol_q_structure(m)
+        assert got == expected[cases.index(m)]
+        assert str(got["eigenvalues"]) == str(expected[cases.index(m)]
+                                               ["eigenvalues"])
+        # QuadRat.sqrt passes on the square-free part it found, and its
+        # result is not factored again
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("lat", [(IntMat2(1, 1, 0, 1), 1),

@@ -14,7 +14,9 @@ from geom3.descriptors import (
 from geom3.intmat import IntMat2
 from geom3.nil import lattice_hz
 from geom3.sol import sol_lattice_make
+from geom3 import euclid, fibered
 from geom3.zimmer import (
+    IDENTITY_COMPONENTS,
     LatticeSpec,
     SimpleFactor,
     aspherical_check,
@@ -271,6 +273,24 @@ def test_dispatch_summary():
         assert quotient_isometry_summary(geom).identity_component == "S1"
     with pytest.raises(ValueError):
         quotient_isometry_summary("minkowski")
+
+
+def test_component_tags_are_the_table_and_fibered_tags():
+    rows = euclid.spherical_components_lookup("all")
+    assert set(IDENTITY_COMPONENTS["s3"]) == {
+        row["identity_component"] for row in rows} - {None}
+    assert set(IDENTITY_COMPONENTS["s2xr"]) == {
+        fibered.SO3_X_S1, fibered.S1_X_S1, fibered.S1_ONLY}
+    for geometry, tags in IDENTITY_COMPONENTS.items():
+        for tag in tags:
+            assert quotient_isometry_summary(geometry, tag) \
+                .identity_component == tag
+        # an unknown tag once answered FactorsThroughFinite (iso-lacks-so3)
+        with pytest.raises(ValueError, match=f"unknown {geometry} identity "
+                                             "component 'banana'; expected"):
+            quotient_isometry_summary(geometry, "banana")
+    with pytest.raises(ValueError, match="'banana'"):
+        quotient_isometry_summary("s3", {"identity_component": "banana"})
 
 
 def test_spec_rendering():
