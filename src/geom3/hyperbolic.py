@@ -1,19 +1,16 @@
 """Mobius actions on the upper half-plane and the trace trichotomy.
 
 Matrices are normalized to det 1 and canonicalized up to sign, i.e. they
-represent classes in PSL2.  A map with rational entries is held as its
-primitive integer matrix (A B; C D), of any determinant AD - BC > 0, so
-its products, inverses, identity test, class and commutation test are
-integer arithmetic; its entries are built only when read.  Only a map with
-float entries reads a tolerance (default 1e-9, override with the GEOM3_TOL
-environment variable); the CLI reads every matrix exactly.
+represent classes in PSL2.  Every map is exact: a float entry is read as
+the binary rational it is, and a map is held as its primitive integer
+matrix (A B; C D), of any determinant AD - BC > 0, so its products,
+inverses, identity test, class and commutation test are integer
+arithmetic, with no tolerance; its entries are built only when read.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -26,22 +23,12 @@ REAL_LINE = "RealLine"
 CIRCLE = "Circle"
 
 
-def float_tolerance() -> float:
-    """GEOM3_TOL if set (a finite float >= 0), else 1e-9."""
-    value = os.environ.get("GEOM3_TOL")
-    if not value:
-        return 1e-9
-    try:
-        tol = float(value)
-        if math.isfinite(tol) and tol >= 0:
-            return tol
-    except ValueError:
-        pass
-    raise ValueError(f"GEOM3_TOL must be a finite float >= 0, not {value!r}")
-
-
 class IdentityClassError(ValueError):
     """The identity has no isometry class and no centralizer type."""
+
+
+class FloatRangeError(ValueError):
+    """An entry or a fixed point of a map lies beyond the float range."""
 
 
 class BoundaryImageError(ValueError):
@@ -59,16 +46,6 @@ class BoundaryPoint:
     def inf(cls) -> "BoundaryPoint":
         return cls(0.0, True)
 
-    def chordal_distance(self, other: "BoundaryPoint") -> float:
-        if self.infinite and other.infinite:
-            return 0.0
-        if self.infinite:
-            return 1.0 / math.sqrt(1.0 + other.x * other.x)
-        if other.infinite:
-            return 1.0 / math.sqrt(1.0 + self.x * self.x)
-        return abs(self.x - other.x) / math.sqrt(
-            (1.0 + self.x * self.x) * (1.0 + other.x * other.x))
-
     def to_json(self):
         return {"boundary": "inf" if self.infinite else self.x}
 
@@ -79,43 +56,52 @@ FixedPoint = Union[BoundaryPoint, complex]
 class MobiusMap:
     """(a b; c d) acting on the upper half-plane, det normalized to 1.
 
-    An exact map is its one primitive integer matrix (A, B, C, D) of
-    determinant Delta = AD - BC > 0 and the canonical PSL2 sign (positive
-    trace, or at trace 0 a positive first nonzero entry): a = A / sqrt(Delta)
-    and so on.  `a`, `b`, `c`, `d` and `entries()` are built when first
-    read: reduced Fractions when Delta is a square, floats computed from the
-    integers otherwise.  A float map keeps its float entries, with the same
-    sign.
+    An int or a Fraction entry is read as it is, any other entry as the
+    exact binary rational of its float.  The map is its one primitive
+    integer matrix (A, B, C, D) of determinant Delta = AD - BC > 0 and the
+    canonical PSL2 sign (positive trace, or at trace 0 a positive first
+    nonzero entry): a = A / sqrt(Delta) and so on.  `a`, `b`, `c`, `d` and
+    `entries()` are built when first read: reduced Fractions when Delta is
+    a square, floats computed from the integers otherwise; an entry beyond
+    the float range raises FloatRangeError.
     """
 
-    __slots__ = ("_ints", "_entries", "exact")
+    __slots__ = ("_ints", "_entries")
 
     def __init__(self, a, b, c, d):
-        if all(isinstance(v, (int, Fraction)) for v in (a, b, c, d)):
-            fracs = [Fraction(v) for v in (a, b, c, d)]
-            den = math.lcm(*(f.denominator for f in fracs))
-            A, B, C, D = (f.numerator * (den // f.denominator) for f in fracs)
-            if A * D - B * C <= 0:
-                raise ValueError("positive determinant required")
-            _set_exact(self, A, B, C, D)
-        else:
-            _set_float(self, float(a), float(b), float(c), float(d))
+        fracs = []
+        for v in (a, b, c, d):
+            if not isinstance(v, (int, Fraction)):
+                v = float(v)
+                if not math.isfinite(v):
+                    raise ValueError("finite entries required")
+            fracs.append(Fraction(v))
+        den = math.lcm(*(f.denominator for f in fracs))
+        A, B, C, D = (f.numerator * (den // f.denominator) for f in fracs)
+        if A * D - B * C <= 0:
+            raise ValueError("positive determinant required")
+        _set_ints(self, A, B, C, D)
 
     @classmethod
     def identity(cls) -> "MobiusMap":
-        return _set_exact(object.__new__(cls), 1, 0, 0, 1)
+        return _set_ints(object.__new__(cls), 1, 0, 0, 1)
 
     def entries(self):
         if self._entries is None:
             ints = self._ints
             det = ints[0] * ints[3] - ints[1] * ints[2]
             q = math.isqrt(det)
-            if q * q == det:
-                self._entries = tuple(Fraction(x, q) for x in ints)
-            else:
-                self._entries = tuple(
-                    _sqrt_ratio(x * x, det) * (-1 if x < 0 else 1)
-                    for x in ints)
+            try:
+                if q * q == det:
+                    max(map(abs, ints)) / q     # OverflowError past the range
+                    self._entries = tuple(Fraction(x, q) for x in ints)
+                else:
+                    self._entries = tuple(
+                        _sqrt_ratio(x * x, det) * (-1 if x < 0 else 1)
+                        for x in ints)
+            except OverflowError:
+                raise FloatRangeError(
+                    "an entry lies beyond the float range") from None
         return self._entries
 
     a = property(lambda self: self.entries()[0])
@@ -128,84 +114,36 @@ class MobiusMap:
         return a + d
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
-        if self.exact and other.exact:
-            A, B, C, D = self._ints
-            E, F, G, H = other._ints
-            return _set_exact(object.__new__(MobiusMap),
-                              A * E + B * G, A * F + B * H,
-                              C * E + D * G, C * F + D * H)
-        # a float factor: __init__'s 1/sqrt(det) rescale of the
-        # (Fraction times float) entries sets the float bits
-        a, b, c, d = self.entries()
-        e, f, g, h = other.entries()
-        return MobiusMap(a * e + b * g, a * f + b * h,
-                         c * e + d * g, c * f + d * h)
+        A, B, C, D = self._ints
+        E, F, G, H = other._ints
+        return _set_ints(object.__new__(MobiusMap),
+                         A * E + B * G, A * F + B * H,
+                         C * E + D * G, C * F + D * H)
 
     def inverse(self) -> "MobiusMap":
-        if self.exact:
-            A, B, C, D = self._ints
-            return _set_exact(object.__new__(MobiusMap), D, -B, -C, A)
-        a, b, c, d = self._entries
-        return MobiusMap(d, -b, -c, a)
+        A, B, C, D = self._ints
+        return _set_ints(object.__new__(MobiusMap), D, -B, -C, A)
 
     def is_identity(self) -> bool:
-        if self.exact:
-            A, B, C, D = self._ints
-            return B == C == 0 and A == D
-        a, b, c, d = self._entries
-        tol = float_tolerance()
-        return (abs(a - 1) <= tol and abs(d - 1) <= tol
-                and abs(b) <= tol and abs(c) <= tol)
-
-    def projective_distance(self, other: "MobiusMap") -> float:
-        """Frobenius distance to +-other, the PSL2 identification
-        (`math.dist` scales, so no square overflows)."""
-        p = [float(x) for x in self.entries()]
-        q = [float(x) for x in other.entries()]
-        return min(math.dist(p, q), math.dist(p, [-x for x in q]))
+        A, B, C, D = self._ints
+        return B == C == 0 and A == D
 
     def __repr__(self):
         return f"MobiusMap({self.a}, {self.b}, {self.c}, {self.d})"
 
 
-def _canonical_sign(a, b, c, d):
-    """The representative of +-(a b; c d) with positive trace, or at trace 0
-    with a positive first nonzero entry."""
-    tr = a + d
-    if tr < 0 or (tr == 0 and (a or b or c or d) < 0):
-        return -a, -b, -c, -d
-    return a, b, c, d
-
-
-def _set_exact(m: MobiusMap, A, B, C, D) -> MobiusMap:
-    """Make m the exact map of the integer matrix (A B; C D), AD - BC > 0."""
+def _set_ints(m: MobiusMap, A, B, C, D) -> MobiusMap:
+    """Make m the map of the integer matrix (A B; C D), AD - BC > 0: divided
+    by the gcd of its entries, signed to a positive trace, or at trace 0 to
+    a positive first nonzero entry."""
     g = math.gcd(A, B, C, D)
+    if A + D < 0 or (A + D == 0 and (A or B or C or D) < 0):
+        g = -g
     if g != 1:
         A, B, C, D = A // g, B // g, C // g, D // g
-    m._ints = _canonical_sign(A, B, C, D)
+    m._ints = (A, B, C, D)
     m._entries = None
-    m.exact = True
     return m
-
-
-def _set_float(m: MobiusMap, a: float, b: float, c: float, d: float):
-    """Make m the float map (a b; c d) / sqrt(det)."""
-    if not all(map(math.isfinite, (a, b, c, d))):
-        raise ValueError("finite entries required")
-    det = a * d - b * c
-    if not sys.float_info.min <= abs(det) < math.inf:
-        # a*d or b*c under- or overflowed (det 0, subnormal, inf or NaN):
-        # retry with the entries scaled by a power of two, which is exact;
-        # the normalization to det 1 below divides it out
-        _, exp = math.frexp(max(map(abs, (a, b, c, d))))
-        a, b, c, d = (math.ldexp(x, -exp) for x in (a, b, c, d))
-        det = a * d - b * c
-    if not det > 0:
-        raise ValueError("positive determinant required")
-    scale = 1.0 / math.sqrt(det)
-    m._ints = None
-    m._entries = _canonical_sign(a * scale, b * scale, c * scale, d * scale)
-    m.exact = False
 
 
 def _sqrt_ratio(x: int, y: int) -> float:
@@ -244,105 +182,60 @@ class IsometryClass:
 def classify_isometry(m: MobiusMap) -> IsometryClass:
     """Trace trichotomy with fixed points from c z^2 + (d - a) z - b = 0.
 
-    An exact map is classified by the sign of (A + D)^2 - 4 Delta, and its
-    fixed points are computed from its integers; a float map compares its
-    trace with 2 to within the tolerance.
+    The class is the sign of (A + D)^2 - 4 Delta, and the fixed points are
+    computed from the integers, rounded to floats (never -0.0); a fixed
+    point beyond the float range raises FloatRangeError.
     """
     if m.is_identity():
         raise IdentityClassError("the identity carries no class")
-    if m.exact:
-        A, b, c, D = m._ints
-        p = A - D
-        disc = p * p + 4 * b * c        # (A + D)^2 - 4 Delta
-        kind = (HYPERBOLIC if disc > 0 else
-                PARABOLIC if disc == 0 else ELLIPTIC)
-        # half the distance of the fixed points, or the elliptic one's height
-        half = _sqrt_ratio(abs(disc), 4 * c * c) if c else 0.0
-    else:
-        tol = float_tolerance()
-        a, b, c, d = m._entries
-        p = a - d
-        gap = abs(a + d) - 2.0
-        kind = (HYPERBOLIC if gap > tol else
-                PARABOLIC if gap >= -tol else ELLIPTIC)
-        if abs(c) <= 1e-15:
-            if kind == ELLIPTIC:
-                raise RuntimeError("elliptic maps always have c != 0")
-            c = 0
-            if abs(p) <= tol:
-                kind = PARABOLIC
-        half = math.sqrt(abs((a + d) ** 2 - 4.0)) / (2 * abs(c)) if c else 0.0
-    if not c:
+    A, b, c, D = m._ints
+    p = A - D
+    disc = p * p + 4 * b * c        # (A + D)^2 - 4 Delta
+    kind = HYPERBOLIC if disc > 0 else PARABOLIC if disc == 0 else ELLIPTIC
+    try:
+        if not c:
+            if kind == PARABOLIC:
+                return IsometryClass(PARABOLIC, (BoundaryPoint.inf(),))
+            return IsometryClass(HYPERBOLIC, (
+                BoundaryPoint(_div(-b, p)), BoundaryPoint.inf()))
+        mid = _div(p, 2 * c)
         if kind == PARABOLIC:
-            return IsometryClass(PARABOLIC, (BoundaryPoint.inf(),))
-        return IsometryClass(HYPERBOLIC, _sorted_boundary(
-            (BoundaryPoint.inf(), BoundaryPoint(b / -p))))
-    mid = p / (2 * c)
-    if kind == PARABOLIC:
-        return IsometryClass(PARABOLIC, (BoundaryPoint(mid),))
-    if kind == ELLIPTIC:
-        return IsometryClass(ELLIPTIC, (complex(mid, half),))
-    # the root away from zero; the other from their product -b/c, which
-    # does not cancel
-    far = mid + math.copysign(half, mid)
-    return IsometryClass(HYPERBOLIC, _sorted_boundary(
-        (BoundaryPoint(far), BoundaryPoint(-b / c / far))))
+            return IsometryClass(PARABOLIC, (BoundaryPoint(mid),))
+        # half the distance of the fixed points, or the elliptic one's height
+        half = _sqrt_ratio(abs(disc), 4 * c * c)
+        if kind == ELLIPTIC:
+            return IsometryClass(ELLIPTIC, (complex(mid, half),))
+        # the root away from zero; the other, exactly -b / (c far), from
+        # their product, which does not cancel
+        far = mid + math.copysign(half, mid)
+        num, den = far.as_integer_ratio()
+        near = _div(-b * den, c * num)
+    except OverflowError:
+        raise FloatRangeError(
+            "a fixed point lies beyond the float range") from None
+    return IsometryClass(HYPERBOLIC, (
+        BoundaryPoint(min(far, near)), BoundaryPoint(max(far, near))))
 
 
-def _sorted_boundary(points):
-    def key(p):
-        return (1, 0.0) if p.infinite else (0, p.x)
-    return tuple(sorted(points, key=key))
-
-
-def fixed_sets_equal(c1: IsometryClass, c2: IsometryClass) -> bool:
-    tol = 1e-6          # chordal distance; relative for an interior point
-    if len(c1.fixed_set) != len(c2.fixed_set):
-        return False
-    interior1 = [p for p in c1.fixed_set if not isinstance(p, BoundaryPoint)]
-    interior2 = [p for p in c2.fixed_set if not isinstance(p, BoundaryPoint)]
-    if len(interior1) != len(interior2):
-        return False
-    if interior1:
-        z1, z2 = interior1[0], interior2[0]
-        return abs(z1 - z2) <= tol * (1.0 + abs(z1))
-    b1 = [p for p in c1.fixed_set if isinstance(p, BoundaryPoint)]
-    b2 = [p for p in c2.fixed_set if isinstance(p, BoundaryPoint)]
-    if len(b1) == 1:
-        return b1[0].chordal_distance(b2[0]) <= tol
-    direct = (b1[0].chordal_distance(b2[0]) <= tol
-              and b1[1].chordal_distance(b2[1]) <= tol)
-    crossed = (b1[0].chordal_distance(b2[1]) <= tol
-               and b1[1].chordal_distance(b2[0]) <= tol)
-    return direct or crossed
+def _div(x: int, y: int) -> float:
+    """x / y correctly rounded, 0.0 rather than -0.0."""
+    return x / y + 0.0
 
 
 def commute_test(m1: MobiusMap, m2: MobiusMap) -> tuple[bool, bool]:
-    """(commute, fixed_sets_equal), each computed independently.
-
-    For two exact maps both answers are exact: m1 m2 and m2 m1 have the
-    same integer matrix, and the traceless parts (a - d, b, c) are
-    proportional, as the fixed points are the roots of c z^2 + (d - a) z
-    - b.  Otherwise the maps commute when m1 m2 and m2 m1 lie within
-    tol |m1| |m2| (Frobenius norms) of each other in PSL2, a bound that
-    scales with the maps as the rounding error of their products does,
-    and the fixed sets are compared by `fixed_sets_equal`.
+    """(m1 and m2 commute, their fixed sets are equal), each computed
+    independently and exactly: m1 m2 and m2 m1 have the same integer
+    matrix, and the traceless parts (a - d, b, c) are proportional, as the
+    fixed points are the roots of c z^2 + (d - a) z - b.
     """
     if m1.is_identity() or m2.is_identity():
         raise IdentityClassError("commutation test needs non-identity maps")
-    if m1.exact and m2.exact:
-        commutes = m1.compose(m2)._ints == m2.compose(m1)._ints
-        (A, B, C, D), (E, F, G, H) = m1._ints, m2._ints
-        # (A - D, B, C) x (E - H, F, G) = 0
-        proportional = ((A - D) * F == B * (E - H)
-                        and (A - D) * G == C * (E - H) and B * G == C * F)
-        return commutes, proportional
-    tol = float_tolerance()
-    size = math.prod(math.hypot(*map(float, m.entries())) for m in (m1, m2))
-    commutes = (m1.compose(m2).projective_distance(m2.compose(m1))
-                <= tol * size)
-    sets_equal = fixed_sets_equal(classify_isometry(m1), classify_isometry(m2))
-    return commutes, sets_equal
+    commutes = m1.compose(m2)._ints == m2.compose(m1)._ints
+    (A, B, C, D), (E, F, G, H) = m1._ints, m2._ints
+    # (A - D, B, C) x (E - H, F, G) = 0
+    proportional = ((A - D) * F == B * (E - H)
+                    and (A - D) * G == C * (E - H) and B * G == C * F)
+    return commutes, proportional
 
 
 def centralizer_type(m: MobiusMap) -> dict:

@@ -138,18 +138,22 @@ def test_zimmer_cli():
     ["hyp", "commute", "--m1", "2,0,0,0.5", "--m2", "1,1,0,1"],
 ])
 def test_bad_tolerance_is_a_domain_error(monkeypatch, argv):
-    # the CLI reads every matrix exactly, so no call reads GEOM3_TOL; the
-    # same maps in floats do, and a bad value is a domain error there
-    expected = run_json(argv + ["--json"])
-    monkeypatch.setenv("GEOM3_TOL", "nan")
-    assert run_json(argv + ["--json"]) == expected and expected[0] == 0
+    # GEOM3_TOL was once the tolerance of float maps, and a value that was
+    # not a finite float >= 0 a domain error; now no value of it changes
+    # an answer, at the CLI or of the same maps in floats
     maps = [hyperbolic.MobiusMap(*map(float, a.split(",")))
             for a in argv[3::2]]
-    with pytest.raises(ValueError, match="GEOM3_TOL"):
-        if len(maps) == 1:
-            hyperbolic.classify_isometry(*maps)
-        else:
-            hyperbolic.commute_test(*maps)
+
+    def answers():
+        library = (repr(hyperbolic.classify_isometry(*maps)) if len(maps) == 1
+                   else hyperbolic.commute_test(*maps))
+        return run_json(argv + ["--json"]), library
+
+    expected = answers()
+    assert expected[0][0] == 0
+    for value in ("0.5", "nan", "inf", "-1", "abc"):
+        monkeypatch.setenv("GEOM3_TOL", value)
+        assert answers() == expected
 
 
 def test_hyp_and_fiber_cli():

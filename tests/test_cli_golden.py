@@ -130,9 +130,8 @@ SEARCHES = [
     # exact maps commute only if the commutator is exactly the identity;
     # this one is within 1e-6 of it, which once answered commute: true
     "hyp commute --m1 1,1/1000,0,1 --m2 1,0,1/1000,1",
-    # a float or mixed pair commutes only if m1 m2 and m2 m1 agree to
-    # within tol |m1| |m2|; these are 1.4e-6 apart, and once answered
-    # commute: true next to fixed_sets_equal: false
+    # so does a decimal or mixed pair; these are 1.4e-6 apart, and once
+    # answered commute: true next to fixed_sets_equal: false
     "hyp commute --m1 1,0.001,0,1 --m2 1,0,0.001,1",
     "hyp commute --m1 1,1/1000,0,1 --m2 1,0,0.001,1",
     # every matrix is exact, whatever its det and however its entries are
@@ -149,6 +148,12 @@ SEARCHES = [
     "hyp commute --m1 1,0.00000000001,0,1 --m2 1,0,0.00000000001,1",
     "hyp commute --m1 1,1/100000000000,0,1 --m2 1,0,1/100000000000,1",
     "hyp commute --m1 1e150,0,0,1e-150 --m2 1e-150,1,0,1e150",
+    # a fixed point or an entry beyond the float range is a domain error
+    # that says so; these once raised a bare OverflowError
+    "hyp classify --matrix 1,1,1,1e400",
+    "hyp classify --matrix 2,1e400,0,1",
+    "hyp classify --matrix 0,-1e400,1e-400,0",
+    "fiber embed --matrix 1e700,0,0,1",
     # the trivial Sol centralizer, for a large power of fib and for a
     # matrix over another field
     "sol centralizer --preset fib --power 52",
@@ -218,18 +223,15 @@ def test_cli_help_is_unchanged(argv):
 
 
 def test_hyp_cases_take_no_float_path(monkeypatch):
-    # the CLI reads every Mobius map exactly: with no float map to be had,
-    # each hyp case prints what it printed
-    from geom3 import hyperbolic
-
-    def refuse(*args):
-        raise AssertionError("float Mobius map")
-
-    monkeypatch.setattr(hyperbolic, "_set_float", refuse)
+    # every Mobius map is exact, so GEOM3_TOL, once the tolerance of float
+    # maps, is read by none: under any value each hyp case prints what it
+    # printed
     argvs = [argv for argv in ARGVS if argv[0] == "hyp"]
     assert len(argvs) > 30
-    for argv in argvs:
-        assert run(argv) == _recorded(CASES_FILE)[tuple(argv)]
+    for value in ("0.5", "nan", "inf", "-1", "abc"):
+        monkeypatch.setenv("GEOM3_TOL", value)
+        for argv in argvs:
+            assert run(argv) == _recorded(CASES_FILE)[tuple(argv)]
     decimal, rational = (
         run(["hyp", "commute", "--m1", f"1,{x},0,1", "--m2", f"1,0,{x},1"])
         for x in ("0.00000000001", "1/100000000000"))

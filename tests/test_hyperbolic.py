@@ -16,13 +16,13 @@ from geom3.hyperbolic import (
     PARABOLIC,
     REAL_LINE,
     BoundaryPoint,
+    FloatRangeError,
     IdentityClassError,
     MobiusMap,
     centralizer_type,
     classify_isometry,
     commute_test,
     expm_sl2,
-    fixed_sets_equal,
     hn_quotient_isometry_verdict,
     mobius_apply,
 )
@@ -222,27 +222,32 @@ def test_commutator_stable_neighborhood(eps):
         assert abs(k[0][0] - 1) < eps and abs(k[1][1] - 1) < eps
 
 
+def _float_answers():
+    """Classes and commutation tests of float maps that GEOM3_TOL, once
+    read as a tolerance, changed."""
+    near_parabolic = MobiusMap(1.1, 1, 0, 1 / 1.1)
+    maps = (near_parabolic, MobiusMap(2.0, 1, 1, 1), rotation(0.4))
+    return ([repr(classify_isometry(m)) for m in maps],
+            commute_test(near_parabolic, MobiusMap(1.0, 3.0, 0.0, 1.0)),
+            commute_test(rotation(0.4), rotation(1.1)))
+
+
 def test_tolerance_env(monkeypatch):
-    from geom3 import hyperbolic as hyp
+    # GEOM3_TOL=0.5 once made the near-parabolic trace 2.009 parabolic
+    want = _float_answers()
+    assert want[0][0].startswith(f"IsometryClass(tag='{HYPERBOLIC}'")
     monkeypatch.setenv("GEOM3_TOL", "0.5")
-    assert hyp.float_tolerance() == 0.5
-    # a slightly non-parabolic trace now classifies as parabolic
-    m = MobiusMap(1.1, 1, 0, 1 / 1.1)
-    assert classify_isometry(m).tag == PARABOLIC
-    monkeypatch.delenv("GEOM3_TOL")
-    assert classify_isometry(m).tag == HYPERBOLIC
+    assert _float_answers() == want
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
 def test_tolerance_env_must_be_a_finite_non_negative_float(monkeypatch,
                                                            value):
-    from geom3 import hyperbolic as hyp
+    # no value of GEOM3_TOL is read: under nan, trace 3 was once Elliptic,
+    # and later every value here was a ValueError
+    want = _float_answers()
     monkeypatch.setenv("GEOM3_TOL", value)
-    with pytest.raises(ValueError, match="GEOM3_TOL"):
-        hyp.float_tolerance()
-    # trace 3 once classified as Elliptic under GEOM3_TOL=nan
-    with pytest.raises(ValueError, match="GEOM3_TOL"):
-        classify_isometry(MobiusMap(2.0, 1, 1, 1))
+    assert _float_answers() == want
 
 
 @pytest.mark.parametrize("entries", [
@@ -259,8 +264,8 @@ def test_non_finite_entries_and_determinants_are_rejected(entries):
     (1, 0, 0, 1), (2, 1, 1, 2), (0, -1, 1, 0), (1, 3, 0, 1), (3, 5, 1, 2),
 ])
 def test_power_of_two_multiples_normalize_to_the_same_map(entries, k):
-    # at these scales a*d under- or overflows (subnormal, 0 or inf); the
-    # rescaled retry gives the unscaled result bit for bit
+    # at these scales a float a*d would under- or overflow (subnormal, 0 or
+    # inf); the exact entries give the unscaled result bit for bit
     base = MobiusMap(*map(float, entries))
     scaled = MobiusMap(*(math.ldexp(x, k) for x in entries))
     assert scaled.entries() == base.entries()
@@ -279,8 +284,8 @@ _NONZERO = _RATIONALS.filter(bool)
 
 @st.composite
 def _maps(draw):
-    """Exact maps (det 1, trace 0, rescaled from a square det, or of a det
-    that is not a square) and float ones."""
+    """Maps of det 1, trace 0, rescaled from a square det, or of a det that
+    is not a square, and maps of float entries."""
     a, b, c = draw(_NONZERO), draw(_RATIONALS), draw(_RATIONALS)
     kind = draw(st.sampled_from(
         ["det1", "trace0", "square", "float", "non-square"]))
@@ -302,15 +307,14 @@ def _maps(draw):
 @example(MobiusMap(2, 1, 1, 1), MobiusMap(0, 1, -1, 0))
 @example(MobiusMap(0, 1, -1, 0), MobiusMap(0, 1, -1, 0))
 def test_compose_matches_the_constructor_on_the_raw_product(f, g):
-    # compose skips __init__ when both factors are exact; the result must
-    # be the map __init__ makes of the raw product of the integer matrices
-    # (of the entries, for a float factor), down to entry types
-    (a, b, c, d), (e, f_, g_, h) = ((f._ints, g._ints) if f.exact and g.exact
-                                    else (f.entries(), g.entries()))
+    # compose skips __init__; the result must be the map __init__ makes of
+    # the raw product of the integer matrices, down to entry types
+    (a, b, c, d), (e, f_, g_, h) = f._ints, g._ints
     raw = (a * e + b * g_, a * f_ + b * h, c * e + d * g_, c * f_ + d * h)
     want, got = MobiusMap(*raw), f.compose(g)
     assert repr(got) == repr(want)
-    assert got.exact == want.exact
+    assert got._ints == want._ints
+    assert all(type(x) is int for x in got._ints)
     assert list(map(type, got.entries())) == list(map(type, want.entries()))
 
 
@@ -350,11 +354,13 @@ def test_exact_words_match_fraction_products(gens, word):
     got = _word(gens, word)
     want = mobius_word_by_fractions([g.entries() for g in gens], word)
     assert repr(got) == "MobiusMap({}, {}, {}, {})".format(*want)
-    assert got.exact and all(type(x) is Fraction for x in got.entries())
+    assert all(type(x) is int for x in got._ints)
+    assert all(type(x) is Fraction for x in got.entries())
     for m in (got, *gens):
         a, b, c, d = m.entries()
         inv, want_inv = m.inverse(), MobiusMap(d, -b, -c, a)
-        assert repr(inv) == repr(want_inv) and inv.exact
+        assert repr(inv) == repr(want_inv) and inv._ints == want_inv._ints
+        assert all(type(x) is int for x in inv._ints)
 
 
 @given(st.lists(_exact_maps(), min_size=1, max_size=3),
@@ -404,12 +410,12 @@ _INT_MATRICES = st.tuples(*[st.integers(-40, 40)] * 4).filter(
 # a hyperbolic map close to parabolic: (A + D)^2 - 4 det = 1
 @example((100, 1, 0, 99))
 def test_exact_and_float_classification_agree_away_from_trace_two(ints):
-    A, B, C, D = ints
-    assume(abs(abs(A + D) / math.sqrt(A * D - B * C) - 2) > 1e-6)
+    # a float entry is the integer it spells, so the answers are identical,
+    # at trace two too
+    assume(not MobiusMap(*ints).is_identity())
     exact = classify_isometry(MobiusMap(*ints))
     approx = classify_isometry(MobiusMap(*map(float, ints)))
-    assert exact.tag == approx.tag
-    assert fixed_sets_equal(exact, approx)
+    assert repr(exact) == repr(approx)
 
 
 @given(_INT_MATRICES, st.sampled_from(
@@ -431,12 +437,14 @@ def test_the_class_is_invariant_under_exact_conjugation(ints, g_ints):
     m, g = MobiusMap(*ints), MobiusMap(*g_ints)
     assume(not m.is_identity())
     conj = g.compose(m).compose(g.inverse())
-    assert conj.exact and not conj.is_identity()
+    assert all(type(x) is int for x in conj._ints)
+    assert not conj.is_identity()
     assert classify_isometry(conj).tag == classify_isometry(m).tag
 
 
 def test_exact_classification_has_no_tolerance():
-    # a - d = 2e-12 within GEOM3_TOL once made this det-1 map parabolic
+    # a - d = 2e-12 within a float tolerance once made this det-1 map
+    # parabolic
     m = MobiusMap(Fraction(10 ** 12 + 1, 10 ** 12), 0, 0,
                   Fraction(10 ** 12, 10 ** 12 + 1))
     cls = classify_isometry(m)
@@ -444,7 +452,8 @@ def test_exact_classification_has_no_tolerance():
     assert [p.infinite or p.x for p in cls.fixed_set] == [0.0, True]
     # det 10^22 + 10^11 is not a square; it once took the float path
     m = MobiusMap(Fraction(10 ** 11 + 1, 10 ** 11), 1, 0, 1)
-    assert m.exact and m.b == pytest.approx(1 - 5e-12, rel=1e-15)
+    assert m._ints == (10 ** 11 + 1, 10 ** 11, 0, 10 ** 11)
+    assert m.b == pytest.approx(1 - 5e-12, rel=1e-15)
     cls = classify_isometry(m)
     assert cls.tag == HYPERBOLIC
     assert cls.fixed_set[0].x == -1e11 and cls.fixed_set[1].infinite
@@ -455,7 +464,7 @@ def test_exact_classification_has_no_tolerance():
 def test_non_square_maps_are_exact():
     m = MobiusMap(2, 1, 1, 1)
     r2 = MobiusMap(2, 0, 0, 1)
-    assert r2.exact and r2._ints == (2, 0, 0, 1)
+    assert r2._ints == (2, 0, 0, 1)
     assert r2.entries() == (math.sqrt(2), 0.0, 0.0, math.sqrt(0.5))
     assert r2.compose(r2)._ints == (4, 0, 0, 1)
     assert r2.compose(r2).compose(r2.inverse())._ints == r2._ints
@@ -493,19 +502,93 @@ def test_exact_commute_has_no_tolerance():
 
 
 def test_float_commute_is_relative_to_the_maps():
-    # m1 m2 and m2 m1 are 1.4e-6 apart, far above tol |m1| |m2| = 2e-9;
-    # the commutator's distance to the identity once passed sqrt(tol)
+    # m1 m2 and m2 m1 are 1.4e-6 apart; the commutator's distance to the
+    # identity once passed the square root of a float tolerance
     near = (MobiusMap(1, 0.001, 0, 1), MobiusMap(1, 0, 0.001, 1))
     assert commute_test(*near) == (False, False)
     assert commute_test(MobiusMap(1, Fraction(1, 1000), 0, 1),
                         near[1]) == (False, False)
     assert commute_test(MobiusMap(2, 0, 0, 0.5),
                         MobiusMap(3, 0, 0, 0.3333333333)) == (True, True)
-    # large entries: no square of a product overflows, and no commutator
-    # of entries near 1e200 is formed
+    # large and tiny entries
     big = MobiusMap(1e-200, 0, 0, 1e200)
     assert commute_test(MobiusMap(0.5, 0, 0, 2), big) == (True, True)
     assert commute_test(big, MobiusMap(1, 1, 0, 1)) == (False, False)
+
+
+def test_float_input_the_float_branch_got_wrong():
+    # the only fixed point these share is infinity; m1 m2 and m2 m1 differ
+    # by about 1e150, which a float test bounded by the products' size
+    # called commuting
+    assert commute_test(MobiusMap(1e150, 0, 0, 1e-150),
+                        MobiusMap(1e-150, 1, 0, 1e150)) == (False, False)
+    # a rotation of trace 0 with c = 1e-16 once raised RuntimeError
+    cls = classify_isometry(MobiusMap(0.0, -1e16, 1e-16, 0.0))
+    assert cls.tag == ELLIPTIC and cls.fixed_set == (1e16j,)
+    # once Hyperbolic fixing -0.0 and infinity: the second fixed point is
+    # about 1e600
+    with pytest.raises(FloatRangeError, match="fixed point"):
+        classify_isometry(MobiusMap(1e300, 0, 1e-300, 1e-300))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(_FINITE, _FINITE, _FINITE, _FINITE)
+@example(1e150, 0.0, 0.0, 1e-150)
+@example(5e-324, 0.0, 0.0, 1.7e308)
+def test_float_entries_are_read_as_their_binary_rationals(a, b, c, d):
+    fracs = tuple(map(Fraction, (a, b, c, d)))
+    assume(fracs[0] * fracs[3] - fracs[1] * fracs[2] > 0)
+    assert MobiusMap(a, b, c, d)._ints == MobiusMap(*fracs)._ints
+
+
+_HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("entries, what", [
+    ((1, 1, 1, _HUGE), "fixed point"),                 # -1e400 and 1
+    ((2, _HUGE, 0, 1), "fixed point"),                 # -1e400 and inf
+    ((0, -_HUGE, Fraction(1, _HUGE), 0), "fixed point"),    # i 1e400
+    ((1e300, 0, 1e-300, 1e-300), "fixed point"),       # 0 and 1e600
+    # 0 and 3e308, half of which is in the float range
+    ((3 * 10 ** 308 + 1, 0, 1, 1), "fixed point"),
+    ((10 ** 700, 0, 0, 1), "entry"),                   # det a square
+    ((10 ** 701, 0, 0, 1), "entry"),                   # and not
+])
+def test_numbers_beyond_the_float_range_are_a_domain_error(entries, what):
+    m = MobiusMap(*entries)
+    with pytest.raises(FloatRangeError, match=what):
+        if what == "entry":
+            m.entries()
+        else:
+            classify_isometry(m)
+
+
+@pytest.mark.parametrize("scale, want", [
+    (10 ** 200, [1e200, 2e200]), (Fraction(1, 10 ** 200), [1e-200, 2e-200])],
+    ids=["huge", "tiny"])
+def test_the_near_root_is_exact_where_the_product_of_roots_is_not_a_float(
+        scale, want):
+    # fixed points r and 2r: c z^2 - 3r z + 2r^2 = 0; the product 2r^2 is
+    # beyond the float range, which once raised or gave the root 0.0
+    cls = classify_isometry(MobiusMap(3 * scale, -2 * scale * scale, 1, 0))
+    assert cls.tag == HYPERBOLIC
+    assert [p.x for p in cls.fixed_set] == want
+
+
+@pytest.mark.parametrize("ints", [
+    (1, 0, 0, 2), (2, 0, 0, 1),             # c = 0: 0 and infinity
+    (1, 0, -1, 2), (1, 0, 1, 2),            # hyperbolic: 0 and 1, -1 and 0
+    (0, 1, -1, 0), (0, -1, 1, 0),           # elliptic at i
+    (1, 0, -1, 1), (1, 0, 1, 1),            # parabolic at 0
+])
+def test_no_fixed_point_is_negative_zero(ints):
+    cls = classify_isometry(MobiusMap(*ints))
+    coords = [x for p in cls.fixed_set for x in (
+        (p.real, p.imag) if isinstance(p, complex) else (p.x,))]
+    assert 0.0 in coords
+    assert "-0.0" not in str(cls.to_json_dict())
 
 
 def test_exact_words_build_no_fraction_until_the_entries_are_read(

@@ -120,3 +120,11 @@ def test_package_reexports_resolve_on_use():
     assert got["submodule"] == "geom3.nil"
     assert got["unknown_raises"]
     assert got["not_in_dir"] == []
+
+
+def test_no_module_reads_the_environment():
+    # an answer depends on the arguments alone: no knob in the environment
+    for path in sorted((SRC / "geom3").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for name in ("os.environ", "getenv"):
+            assert name not in text, f"{path.name} reads {name}"
