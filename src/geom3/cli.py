@@ -257,19 +257,14 @@ def _cmd_hyp(args) -> dict:
     raise SchemaError(f"unknown hyp action {args.action!r}")
 
 
-# preset name -> generators, built from the fibered module
+# preset name -> its --gens text, so that presets are read as exactly as
+# --gens; the twist turns about z by the angle of cosine 3/5, of infinite order
 _S2R_PRESETS = {
-    "twist": lambda f: [f.S2RIsometry(f.s2r_rotation_z(1.0), 1.0)],
-    "product": lambda f: [f.S2RIsometry(f.S2R_ROT_ID, 1.0)],
-    "rho": lambda f: [f.S2RIsometry(f.S2R_ROT_ID, 1.0),
-                      f.S2RIsometry(((-1, 0, 0), (0, -1, 0), (0, 0, 1)), 0.0)],
-    "flip": lambda f: [f.S2RIsometry(f.S2R_ROT_ID, 1.0),
-                       f.S2RIsometry(f.S2R_ROT_ID, 0.0, flip=-1)],
-    "klein": lambda f: [f.S2RIsometry(f.S2R_ROT_ID, 1.0),
-                        f.S2RIsometry(((-1, 0, 0), (0, -1, 0), (0, 0, 1)),
-                                      0.0),
-                        f.S2RIsometry(((1, 0, 0), (0, -1, 0), (0, 0, -1)),
-                                      0.0)],
+    "twist": "3/5,-4/5,0,4/5,3/5,0,0,0,1@1",
+    "product": "I@1",
+    "rho": "I@1;-1,0,0,0,-1,0,0,0,1@0",
+    "flip": "I@1;I@0@-1",
+    "klein": "I@1;-1,0,0,0,-1,0,0,0,1@0;1,0,0,0,-1,0,0,0,-1@0",
 }
 
 
@@ -322,16 +317,14 @@ def _cmd_fiber(args) -> dict:
                                        args.k)
         return {"value": value}
     if args.action == "s2r":
-        if args.gens is not None:
-            if args.preset is not None:
-                raise SchemaError("give --preset or --gens, not both")
-            gens = _s2r_generators(args.gens)
-        else:
-            maker = _S2R_PRESETS.get(args.preset or "twist")
-            if maker is None:
+        text = args.gens
+        if text is None:
+            text = _S2R_PRESETS.get(args.preset or "twist")
+            if text is None:
                 raise SchemaError(f"unknown s2r preset {args.preset!r}")
-            gens = maker(fibered)
-        dec = fibered.s2r_decompose(gens)
+        elif args.preset is not None:
+            raise SchemaError("give --preset or --gens, not both")
+        dec = fibered.s2r_decompose(_s2r_generators(text))
         out = dec.to_json_dict()
         if dec.lam is not None:
             out["identity_component"] = \

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .algebra import power
 from .descriptors import IsoDescriptor
-from .hyperbolic import MobiusMap, expm_sl2
+from .hyperbolic import FloatRangeError, MobiusMap, _upper_point, expm_sl2
 from .intmat import SearchCapError, closure, mat3_mul, transpose
 
 
@@ -95,10 +95,15 @@ def hv_decompose(t: TangentVector) -> tuple[TangentVector, TangentVector]:
 
 
 def unit_tangent_embed(m: MobiusMap) -> tuple[complex, complex]:
-    """Orbit map of the base point (i, 1) of the unit tangent bundle."""
-    a, b, c, d = (complex(float(v)) for v in m.entries())
-    den = c * 1j + d
-    return ((a * 1j + b) / den, 1.0 / (den * den))
+    """Orbit map of the base point (i, 1) of the unit tangent bundle: z =
+    (AC + BD + Delta i) / n and w = Delta (D - C i)^2 / n^2 from the integer
+    matrix, n = C^2 + D^2, each coordinate rounded once; |w| = Im z."""
+    A, B, C, D = m._ints
+    delta, n = A * D - B * C, C * C + D * D
+    z = _upper_point(Fraction(A * C + B * D, n), Fraction(delta, n),
+                     "an entry")
+    return z, complex(delta * (D * D - C * C) / (n * n) + 0.0,
+                      -2 * delta * C * D / (n * n) + 0.0)
 
 
 SL2_BASIS = (
@@ -153,11 +158,6 @@ def _near_identity(m, atol: float) -> bool:
                for i in range(3) for j in range(3))
 
 
-def _unit(v) -> list[float]:
-    n = math.hypot(*v)
-    return [x / n for x in v]
-
-
 @dataclass(frozen=True)
 class S2RIsometry:
     """Element (rot, shift, flip) of O(3) x (R x| Z_2)."""
@@ -169,13 +169,13 @@ class S2RIsometry:
     def __post_init__(self):
         if self.flip not in (1, -1):
             raise ValueError("flip must be +1 or -1")
-        r = self.matrix()
+        r = self.rot
         if len(r) != 3 or any(len(row) != 3 for row in r):
             raise ValueError("rotation part must be a 3x3 matrix")
-        if _has_float(self.rot):
+        if _has_float(r):
             orthogonal = _near_identity(mat3_mul(r, transpose(r)), 1e-12)
         else:
-            orthogonal = mat3_mul(self.rot, transpose(self.rot)) == S2R_ROT_ID
+            orthogonal = mat3_mul(r, transpose(r)) == S2R_ROT_ID
         if not orthogonal:
             raise ValueError("rotation part must be orthogonal")
 
@@ -189,9 +189,6 @@ class S2RIsometry:
         object.__setattr__(self, "flip", flip)
         return self
 
-    def matrix(self) -> list[list[float]]:
-        return [[float(v) for v in row] for row in self.rot]
-
     def compose(self, other: "S2RIsometry") -> "S2RIsometry":
         return S2RIsometry._make(mat3_mul(self.rot, other.rot),
                                  self.flip * other.shift + self.shift,
@@ -200,9 +197,6 @@ class S2RIsometry:
     def inverse(self) -> "S2RIsometry":
         return S2RIsometry._make(transpose(self.rot),
                                  -self.flip * self.shift, self.flip)
-
-    def key(self):
-        return _rot_key(self.rot), round(float(self.shift), 9), self.flip
 
 
 S2R_ROT_ID = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -232,8 +226,14 @@ class S2RDecomposition:
     twist: Optional[tuple]
 
     def to_json_dict(self) -> dict:
-        return {"l_type": self.l_type,
-                "lambda": float(self.lam) if self.lam is not None else None,
+        """FloatRangeError when lam overflows a float or rounds to 0."""
+        try:
+            lam = self.lam if self.lam is None else float(self.lam)
+        except OverflowError:
+            lam = 0.0
+        if lam == 0:
+            raise FloatRangeError("lambda lies beyond the float range")
+        return {"l_type": self.l_type, "lambda": lam,
                 "f_order_bound": self.f_order_bound}
 
 
@@ -439,56 +439,45 @@ S1_X_S1 = "S1xS1"
 S1_ONLY = "S1"
 
 
-def _axis_of(r) -> Optional[list[float]]:
-    """Rotation axis of r in SO(3), or None for +-identity."""
-    if _near_identity(r, 1e-9):
-        return None
-    anti = [r[2][1] - r[1][2], r[0][2] - r[2][0], r[1][0] - r[0][1]]
-    if math.hypot(*anti) > 1e-9:
-        return _unit(anti)
-    # angle pi: columns of r + I span the axis; take the first longest
-    cols = [[r[i][j] + (i == j) for i in range(3)] for j in range(3)]
-    return _unit(max(cols, key=lambda c: math.hypot(*c)))
-
-
 def _det3(r) -> float:
     return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
             - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
             + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
 
 
-def _cross(a, b) -> list[float]:
-    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0]]
-
-
 def s2r_quotient_identity_component(dec: S2RDecomposition) -> str:
     """Identity component of the quotient isometry group.
 
     The circle from the R factor always survives; what is left of SO(3) is
-    the centralizer of the holonomy data (the twist and the finite part).
-    """
+    the centralizer of the holonomy data (the twist and the finite part, r
+    as -r when det r < 0, since -I is central): all of it when every r is
+    I, else a circle when the others share the first one's axis, as two
+    rotations do when they commute and are not two different half-turns.
+    Products are compared under the split's key."""
     if dec.lam is None:
         raise ValueError("compact quotient required "
                          "(lambda is None: p(Gamma) is finite)")
-    holonomy = []
     mats = list(dec.f_elements)
     if dec.twist is not None:
         mats.append(dec.twist)
+    key = _rot_key if any(map(_has_float, mats)) else _exact_key
+    one = key(S2R_ROT_ID)
+    holonomy = []
     for rot in mats:
-        r = [[float(v) for v in row] for row in rot]
-        if _det3(r) < 0:
-            r = [[-v for v in row] for row in r]   # -I is central
-        if _near_identity(r, 1e-9):
-            continue
-        holonomy.append(r)
+        if _det3(rot) < 0:
+            rot = tuple(tuple(-v for v in row) for row in rot)
+        if key(rot) != one:
+            holonomy.append(rot)
     if not holonomy:
         return SO3_X_S1
-    axes = [_axis_of(r) for r in holonomy]
-    first = axes[0]
-    if all(math.hypot(*_cross(first, ax)) < 1e-9 for ax in axes[1:]):
-        return S1_X_S1
-    return S1_ONLY
+    r0 = holonomy[0]
+    half_turn = key(mat3_mul(r0, r0)) == one
+    for s in holonomy[1:]:
+        if key(mat3_mul(r0, s)) != key(mat3_mul(s, r0)) or (
+                half_turn and key(mat3_mul(s, s)) == one
+                and key(s) != key(r0)):
+            return S1_ONLY
+    return S1_X_S1
 
 
 def psl2_quotient_isometry(geometry: str = "sl2r") -> IsoDescriptor:

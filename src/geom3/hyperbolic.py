@@ -28,11 +28,8 @@ class IdentityClassError(ValueError):
 
 
 class FloatRangeError(ValueError):
-    """An entry or a fixed point of a map lies beyond the float range."""
-
-
-class BoundaryImageError(ValueError):
-    """The requested point maps to the boundary circle."""
+    """A number to be reported lies beyond the float range: an entry, a
+    fixed point or an image of a map, or an S^2 x R period lambda."""
 
 
 @dataclass(frozen=True)
@@ -154,14 +151,29 @@ def _sqrt_ratio(x: int, y: int) -> float:
 
 
 def mobius_apply(m: MobiusMap, z: complex) -> complex:
-    """(a z + b) / (c z + d); preserves the upper half-plane."""
+    """(A z + B) / (C z + D) from the integer matrix and the exact value of
+    z, each coordinate rounded once; preserves the upper half-plane."""
     z = complex(z)
-    if z.imag <= 0:
+    if not (math.isfinite(z.real) and 0 < z.imag < math.inf):
         raise ValueError("point must lie in the upper half-plane")
-    den = complex(m.c) * z + complex(m.d)
-    if abs(den) < 1e-300:
-        raise BoundaryImageError("point maps to the boundary at infinity")
-    return (complex(m.a) * z + complex(m.b)) / den
+    A, B, C, D = m._ints
+    x, y = Fraction(z.real), Fraction(z.imag)
+    den = C * x + D
+    norm = den * den + C * C * y * y
+    return _upper_point(((A * x + B) * den + A * C * y * y) / norm,
+                       (A * D - B * C) * y / norm, "the image")
+
+
+def _upper_point(x: Fraction, y: Fraction, what: str) -> complex:
+    """x + iy for y > 0, x never -0.0; FloatRangeError names `what` when a
+    coordinate lies beyond the float range or y rounds to 0."""
+    try:
+        point = complex(float(x) + 0.0, float(y))
+    except OverflowError:
+        point = 0j
+    if not point.imag:
+        raise FloatRangeError(f"{what} lies beyond the float range")
+    return point
 
 
 @dataclass(frozen=True)

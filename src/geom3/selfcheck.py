@@ -291,8 +291,13 @@ def check_frame_display():
                for v, r in zip(frame, refs))
 
 
+# the rotation about z with cosine 3/5 and sine 4/5, of infinite order
+_ROT_345 = ((Fraction(3, 5), Fraction(-4, 5), 0),
+            (Fraction(4, 5), Fraction(3, 5), 0), (0, 0, 1))
+
+
 def check_s2r_irrational_example():
-    gen = fibered.S2RIsometry(fibered.s2r_rotation_z(1.0), 1.0)
+    gen = fibered.S2RIsometry(_ROT_345, 1)
     dec = fibered.s2r_decompose([gen])
     return (dec.l_type == fibered.LAMBDA_Z and dec.f_order_bound == 1
             and _close(float(dec.lam), 1.0))
@@ -300,14 +305,13 @@ def check_s2r_irrational_example():
 
 def check_s2r_components():
     product = fibered.s2r_decompose(
-        [fibered.S2RIsometry(fibered.S2R_ROT_ID, 1.0)])
-    twist = fibered.s2r_decompose(
-        [fibered.S2RIsometry(fibered.s2r_rotation_z(1.0), 1.0)])
+        [fibered.S2RIsometry(fibered.S2R_ROT_ID, 1)])
+    twist = fibered.s2r_decompose([fibered.S2RIsometry(_ROT_345, 1)])
     rho = ((-1, 0, 0), (0, -1, 0), (0, 0, 1))
     rx = ((1, 0, 0), (0, -1, 0), (0, 0, -1))
     klein = fibered.s2r_decompose(
-        [fibered.S2RIsometry(fibered.S2R_ROT_ID, 1.0),
-         fibered.S2RIsometry(rho, 0.0), fibered.S2RIsometry(rx, 0.0)])
+        [fibered.S2RIsometry(fibered.S2R_ROT_ID, 1),
+         fibered.S2RIsometry(rho, 0), fibered.S2RIsometry(rx, 0)])
     return (fibered.s2r_quotient_identity_component(product)
             == fibered.SO3_X_S1
             and fibered.s2r_quotient_identity_component(twist)

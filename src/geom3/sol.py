@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import intmat
@@ -89,14 +88,14 @@ def sol_inv(g: SolPoint) -> SolPoint:
 def sol_fixed_line(g: SolPoint) -> tuple:
     """Axis {(p, q, s)} translated by g; requires t != 0.
 
-    p = x / (1 - e^t), q = y / (1 - e^{-t}).
+    p = x / (1 - e^t), q = y / (1 - e^{-t}); in float mode 1 - e^{+-t} is
+    -expm1(+-t), which does not cancel for small t.
     """
     if g.level == 0:
         raise ValueError("t = 0: no transverse fixed line")
-    one = Fraction(1) if g.is_exact else 1.0
-    p = g.x / (one - g.scale())
-    q = g.y / (one - g.scale_inv())
-    return (p, q)
+    if g.is_exact:
+        return g.x / (1 - g.scale()), g.y / (1 - g.scale_inv())
+    return g.x / -math.expm1(g.level), g.y / -math.expm1(-g.level)
 
 
 # -- lattices ------------------------------------------------------------------

@@ -109,11 +109,17 @@ M - I.
 
 `s2r_ball_by_products` is the S^2 x R word ball that `fibered` built
 before the split became a closed form: one `S2RIsometry.compose` and one
-`S2RIsometry.key` per candidate, at most BALL_CAP elements.
+key per candidate (the rotation and the shift rounded to 9 digits, and
+the flip), at most BALL_CAP elements.
 `s2r_decompose_by_ball` reads the split off that ball as
 `fibered.s2r_decompose` did: L from the least positive shift of a word, F
 from the rotation parts of the shift-free, flip-free words.  At a bound
 that reaches F and the least shift, it agrees with the closed form.
+
+`s2r_identity_component_by_axes` is
+`fibered.s2r_quotient_identity_component` as it decided before it compared
+products under the split's own key: every rotation of the holonomy in
+floats, and the unit axes of those not within 1e-9 of I compared to 1e-9.
 
 `s2r_decompose_by_matmul` is `fibered.s2r_decompose` as it ran before its
 3x3 rotation products were unrolled: every product the generic n x n
@@ -1401,12 +1407,18 @@ def euclid_quotient_isometry_by_word_ball(g) -> IsoDescriptor:
                                 "worked cases",))
 
 
+def _s2r_key(el) -> tuple:
+    """An element's key as the word ball told elements apart: the rotation
+    rounded to 9 digits, the shift rounded to 9 digits, and the flip."""
+    return fibered._rot_key(el.rot), round(float(el.shift), 9), el.flip
+
+
 def s2r_ball_by_products(gens, bound: int) -> list:
     """The S^2 x R word ball to the bound, one product per candidate."""
     moves = [h for g in gens for h in (g, g.inverse())]
     try:
         return list(word_ball(S2RIsometry(S2R_ROT_ID, 0), moves,
-                              S2RIsometry.compose, S2RIsometry.key, bound,
+                              S2RIsometry.compose, _s2r_key, bound,
                               cap=BALL_CAP))
     except SearchCapError:
         raise NonDiscreteShiftError("word ball keeps growing; projected "
@@ -1441,7 +1453,7 @@ def s2r_decompose_by_ball(gens, bound: int) -> S2RDecomposition:
     f_rotations = {}
     for el in ball:
         if abs(float(el.shift)) <= 1e-12 and el.flip == 1:
-            f_rotations.setdefault(el.key()[0], el.rot)
+            f_rotations.setdefault(fibered._rot_key(el.rot), el.rot)
     twist = None
     if lam is not None:
         twist = next((el.rot for el in ball if el.flip == 1
@@ -1454,6 +1466,51 @@ def s2r_decompose_by_ball(gens, bound: int) -> S2RDecomposition:
         l_type = LAMBDA_Z
     return S2RDecomposition(l_type, lam, len(f_rotations),
                             tuple(f_rotations.values()), twist)
+
+
+def s2r_identity_component_by_axes(dec: S2RDecomposition) -> str:
+    """The identity component of an S^2 x R quotient's isometries from the
+    rotation axes: each rotation of the holonomy (the finite part and the
+    twist, each r with det r < 0 taken as -r) in floats, those within 1e-9
+    of I dropped, and the unit axes of the others compared to 1e-9."""
+    if dec.lam is None:
+        raise ValueError("compact quotient required "
+                         "(lambda is None: p(Gamma) is finite)")
+    mats = list(dec.f_elements)
+    if dec.twist is not None:
+        mats.append(dec.twist)
+    axes = []
+    for rot in mats:
+        r = [[float(v) for v in row] for row in rot]
+        if fibered._det3(r) < 0:
+            r = [[-v for v in row] for row in r]
+        if not fibered._near_identity(r, 1e-9):
+            axes.append(_rotation_axis(r))
+    if not axes:
+        return fibered.SO3_X_S1
+    if all(math.hypot(*_cross3(axes[0], ax)) < 1e-9 for ax in axes[1:]):
+        return fibered.S1_X_S1
+    return fibered.S1_ONLY
+
+
+def _unit3(v) -> list:
+    n = math.hypot(*v)
+    return [x / n for x in v]
+
+
+def _rotation_axis(r) -> list:
+    """The unit axis of a rotation r other than I, in floats."""
+    anti = [r[2][1] - r[1][2], r[0][2] - r[2][0], r[1][0] - r[0][1]]
+    if math.hypot(*anti) > 1e-9:
+        return _unit3(anti)
+    # angle pi: columns of r + I span the axis; take the first longest
+    cols = [[r[i][j] + (i == j) for i in range(3)] for j in range(3)]
+    return _unit3(max(cols, key=lambda c: math.hypot(*c)))
+
+
+def _cross3(a, b) -> list:
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0]]
 
 
 def _rot_key_by_entries(rot) -> tuple:

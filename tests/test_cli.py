@@ -366,7 +366,8 @@ FUZZ_VALUES = (
     "1,0.001,0,1", "rot6;1,0,0", "rot4@1,0,0;0,1,0", "reflect;1/3,0,1",
     "-1;0,0,1", "I@1", "I@5;I@3", "I@1@1", "HZ", "Gp:3", "Gp:0", "hex:2",
     "hex:-1", "fib", "klein", "twist", "Z2", "Z3xD4xy", "full", "SL(3,R)",
-    "SO(2,2)", "SO(4)", "s3", "sol", "all")
+    "SO(2,2)", "SO(4)", "s3", "sol", "all", "1e-300", "1e300", "1e-400",
+    "0,1e-300", "I@1e-400", "1e300,0,0,1e-300")
 FUZZ_INTS = ("0", "1", "2", "3", "5", "-1", "x")
 
 
@@ -563,9 +564,9 @@ def test_non_finite_results_are_structured_errors():
     argv = ["hyp", "apply", "--matrix", "1e300,0,0,1e-300", "--z", "1e300,1"]
     code, payload = run_json(argv + ["--json"])
     assert code == 1
-    assert payload["error"]["kind"] == "ValueError"
+    assert payload["error"]["kind"] == "FloatRangeError"
     code, text = run_cli(argv)
-    assert code == 1 and text.startswith("error[ValueError]")
+    assert code == 1 and text.startswith("error[FloatRangeError]")
     with pytest.raises(ValueError):
         canonical_json({"x": float("nan")})
     assert canonical_json({"boundary": "inf"}) \

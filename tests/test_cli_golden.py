@@ -21,7 +21,7 @@ from unittest import mock
 
 import pytest
 
-from geom3 import cli
+from geom3 import cli, fibered, selfcheck
 
 CASES_FILE = pathlib.Path(__file__).parent / "golden" / "cli" / "cases.json"
 HELP_FILE = CASES_FILE.with_name("help.json")
@@ -95,6 +95,10 @@ SEARCHES = [
     # component is asked for (it once exited 1, "compact quotient required")
     "fiber s2r --gens I@1/2@-1",
     "fiber s2r --gens I@0@-1",
+    # a lambda beyond the float range is a domain error: 1e-400 once
+    # printed 0.0, and 1e400 raised a bare OverflowError
+    "fiber s2r --gens I@1e-400",
+    "fiber s2r --gens I@1e400",
     "fiber s2r --gens I@1@1",
     "fiber s2r --preset klein --gens I@1",
     # exact entries are tested and compared exactly: the first rotation is
@@ -154,6 +158,18 @@ SEARCHES = [
     "hyp classify --matrix 2,1e400,0,1",
     "hyp classify --matrix 0,-1e400,1e-400,0",
     "fiber embed --matrix 1e700,0,0,1",
+    # so is an image beyond it, or one that rounds to the boundary: each is
+    # computed from the integer matrix and rounded once.  These once printed
+    # 0.0 for i 1e-600 and for i 1e-400, or raised a bare ValueError (inf)
+    # and ZeroDivisionError
+    "hyp apply --matrix 1e-300,0,0,1e300 --z 0,1",
+    "hyp apply --matrix 1e300,0,0,1e-300 --z 0,1",
+    "fiber embed --matrix 1e200,0,0,1e-200",
+    "fiber embed --matrix 1e-200,0,0,1e200",
+    # 1 - e^t by expm1: at t = 1e-10, p was once 827 off -9999999999.5,
+    # and at t = 1e-300 a ZeroDivisionError
+    "sol fixed-line --x 1 --y 1 --t 1e-10",
+    "sol fixed-line --x 1 --y 1 --t 1e-300",
     # the trivial Sol centralizer, for a large power of fib and for a
     # matrix over another field
     "sol centralizer --preset fib --power 52",
@@ -236,6 +252,22 @@ def test_hyp_cases_take_no_float_path(monkeypatch):
         run(["hyp", "commute", "--m1", f"1,{x},0,1", "--m2", f"1,0,{x},1"])
         for x in ("0.00000000001", "1/100000000000"))
     assert decimal["out"] == rational["out"]
+
+
+def test_s2r_cases_take_no_float_path(monkeypatch):
+    # every S^2 x R group the CLI and selfcheck build is exact, so neither
+    # the float orthogonality test nor the 9-digit float key runs
+    def refused(*args):
+        raise AssertionError("float path taken")
+
+    monkeypatch.setattr(fibered, "_rot_key", refused)
+    monkeypatch.setattr(fibered, "_near_identity", refused)
+    argvs = [argv for argv in ARGVS if argv[:2] == ["fiber", "s2r"]]
+    assert len(argvs) > 30
+    for argv in argvs:
+        assert run(argv) == _recorded(CASES_FILE)[tuple(argv)]
+    assert selfcheck.check_s2r_irrational_example()
+    assert selfcheck.check_s2r_components()
 
 
 def _record(path, runner, argvs):

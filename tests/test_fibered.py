@@ -32,14 +32,16 @@ from geom3.fibered import (
     sasaki_norm,
     unit_tangent_embed,
 )
-from geom3.fibered import _rot_pow
-from geom3.hyperbolic import MobiusMap, expm_sl2
+from geom3 import fibered
+from geom3.fibered import S2RDecomposition, _rot_key, _rot_pow
+from geom3.hyperbolic import FloatRangeError, MobiusMap, expm_sl2, mobius_apply
 from geom3.intmat import matmul, transpose
 from geom3.zimmer import quotient_isometry_summary
 from support import (
     deadline,
     s2r_decompose_by_ball,
     s2r_decompose_by_matmul,
+    s2r_identity_component_by_axes,
     tangent_action,
 )
 from test_hyperbolic import random_sl2
@@ -107,6 +109,32 @@ def test_embed_examples():
     z2, w2 = unit_tangent_embed(expm_sl2(SL2_BASIS[1], t))
     assert abs(z2 - 1j) < 1e-10
     assert abs(w2 - complex(math.cos(2 * t), math.sin(2 * t))) < 1e-10
+
+
+def test_embed_rounds_the_exact_orbit_point_once():
+    # z is the image of i, and w = 1 / (c i + d)^2, from the integers
+    rng = random.Random(11)
+    for _ in range(50):
+        m = random_sl2(rng)
+        z, w = unit_tangent_embed(m)
+        assert z == mobius_apply(m, 1j)
+        A, B, C, D = (Fraction(v) for v in m._ints)
+        den = (C * C + D * D) ** 2
+        delta = A * D - B * C
+        assert w == complex(float(delta * (D * D - C * C) / den),
+                            float(-2 * delta * C * D / den))
+    # far out, both coordinates of w stay floats
+    z, w = unit_tangent_embed(MobiusMap(10**150, 0, 0, Fraction(1, 10**150)))
+    assert (z, w) == (1e300j, 1e300 + 0j)
+
+
+@pytest.mark.parametrize("m", [(10**200, 0, 0, Fraction(1, 10**200)),
+                               (Fraction(1, 10**200), 0, 0, 10**200),
+                               (10**700, 0, 0, 1)],
+                         ids=["z-1e400", "z-1e-400", "z-1e700"])
+def test_embed_beyond_the_float_range_is_a_domain_error(m):
+    with pytest.raises(FloatRangeError, match="an entry"):
+        unit_tangent_embed(MobiusMap(*m))
 
 
 def test_embed_is_equivariant_and_unit():
@@ -502,7 +530,7 @@ def test_exact_point_groups_up_to_the_largest_rational_one():
             S2RIsometry(((-1, 0, 0), (0, 1, 0), (0, 0, 1)), 0)]
     dec = s2r_decompose(gens)
     assert (dec.l_type, dec.lam, dec.f_order_bound) == (LAMBDA_Z, 1, 48)
-    assert len({S2RIsometry(r, 0).key() for r in dec.f_elements}) == 48
+    assert len({_rot_key(r) for r in dec.f_elements}) == 48
 
 
 def test_s2r_decompose_irrational_twist():
@@ -562,7 +590,7 @@ def test_s2r_recompose_generators():
             S2RIsometry(twist.rot, twist.shift).inverse() if k == 1
             else _pow(twist, k).inverse())
         assert abs(float(resid.shift)) < 1e-9
-        assert any(resid.key()[0] == f.key()[0] for f in f_elems)
+        assert any(_rot_key(resid.rot) == _rot_key(f.rot) for f in f_elems)
 
 
 def _pow(iso, k):
@@ -598,6 +626,69 @@ def test_s2r_identity_components():
     minus = s2r_decompose([S2RIsometry(((-1, 0, 0), (0, -1, 0), (0, 0, -1)),
                                        1.0)])
     assert s2r_quotient_identity_component(minus) == SO3_X_S1
+
+
+def _quaternion_rotation(a, b, c, d) -> tuple:
+    """The rotation of the quaternion a + bi + cj + dk, exactly."""
+    n = a * a + b * b + c * c + d * d
+    return tuple(tuple(Fraction(v, n) for v in row) for row in (
+        (a * a + b * b - c * c - d * d, 2 * (b * c - a * d),
+         2 * (b * d + a * c)),
+        (2 * (b * c + a * d), a * a - b * b + c * c - d * d,
+         2 * (c * d - a * b)),
+        (2 * (b * d - a * c), 2 * (c * d + a * b),
+         a * a - b * b - c * c + d * d)))
+
+
+MINUS_I = ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
+
+
+def test_identity_component_matches_the_axis_oracle(monkeypatch):
+    """The product rule gives what the float axes gave, on every structure
+    and family above, with -I adjoined, and conjugated by a rational and by
+    a float rotation; on exact input it rounds nothing to 9 digits."""
+    def refused(rot):
+        raise AssertionError(f"exact rotation {rot} rounded")
+
+    rational = S2RIsometry(_quaternion_rotation(2, 1, -1, 3), 0)
+    skew = S2RIsometry(tuple(map(tuple, _rodrigues((1, 2, 3), 0.7))), 0)
+    groups = [gens for _, gens in STRUCTURES]
+    groups += [_cyclic_or_dihedral(*family) for family in FAMILIES]
+    seen = {}
+    for gens in groups:
+        zero = gens[0].shift * 0
+        for group in (gens, gens + [S2RIsometry(MINUS_I, zero)]):
+            try:
+                s2r_decompose(group)
+            except NonDiscreteShiftError:
+                continue
+            for conj in (group, _conjugate(group, rational),
+                         _conjugate(group, skew)):
+                dec = s2r_decompose(conj)
+                if dec.lam is None:
+                    continue
+                want = s2r_identity_component_by_axes(dec)
+                with monkeypatch.context() as patch:
+                    if not any(map(fibered._has_float,
+                                   dec.f_elements + (dec.twist,))):
+                        patch.setattr(fibered, "_rot_key", refused)
+                    assert s2r_quotient_identity_component(dec) == want
+                seen[want] = seen.get(want, 0) + 1
+    assert sorted(seen) == [S1_ONLY, S1_X_S1, SO3_X_S1]
+    assert sum(seen.values()) > 1000
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 10**400), Fraction(10**400),
+                                 10**400],
+                         ids=["tiny", "huge", "huge-int"])
+def test_lambda_beyond_the_float_range_is_a_domain_error(lam):
+    dec = S2RDecomposition(LAMBDA_Z, lam, 1, (S2R_ROT_ID,), S2R_ROT_ID)
+    with pytest.raises(FloatRangeError, match="lambda"):
+        dec.to_json_dict()
+    # a subnormal lambda is a float
+    dec = S2RDecomposition(LAMBDA_Z, Fraction(1, 10**320), 1, (S2R_ROT_ID,),
+                           S2R_ROT_ID)
+    assert dec.to_json_dict()["lambda"] == 1e-320
 
 
 def test_psl2_quotient_isometry():

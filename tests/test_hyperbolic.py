@@ -71,6 +71,42 @@ def test_apply_is_a_homomorphism():
 def test_apply_rejects_lower_half_plane():
     with pytest.raises(ValueError):
         mobius_apply(MobiusMap.identity(), -1j)
+    for z in (complex(0, math.inf), complex(math.nan, 1),
+              complex(0, math.nan)):
+        with pytest.raises(ValueError, match="upper half-plane"):
+            mobius_apply(MobiusMap.identity(), z)
+
+
+@pytest.mark.parametrize("m, z, image", [
+    # the image is computed from the integers and rounded once
+    ((1, 1, 1, 2), 0.5 + 0.5j, complex(8 / 13, 1 / 13)),
+    ((2, 1, 1, 1), 0.3 + 0.7j, None),
+    # a subnormal imaginary part is a float, not the boundary
+    ((Fraction(1, 10**160), 0, 0, 10**160), 1j, 1e-320j),
+    ((10**150, 0, 0, Fraction(1, 10**150)), 1 + 1j, 1e300 + 1e300j),
+])
+def test_apply_rounds_the_exact_image_once(m, z, image):
+    A, B, C, D = (Fraction(v) for v in m)
+    x, y = Fraction(z.real), Fraction(z.imag)
+    num, den = (A * x + B, A * y), (C * x + D, C * y)
+    norm = den[0] ** 2 + den[1] ** 2
+    exact = (float((num[0] * den[0] + num[1] * den[1]) / norm),
+             float((num[1] * den[0] - num[0] * den[1]) / norm))
+    got = mobius_apply(MobiusMap(*m), z)
+    assert (got.real, got.imag) == exact
+    if image is not None:
+        assert got == complex(image)
+
+
+@pytest.mark.parametrize("m, z", [
+    ((Fraction(1, 10**300), 0, 0, 10**300), 1j),        # i 1e-600
+    ((10**300, 0, 0, Fraction(1, 10**300)), 1j),        # i 1e600
+    ((10**300, 0, 0, Fraction(1, 10**300)), 1e300 + 1j),
+    ((1, 0, 1, 1), complex(-1, 1e-320)),                # near the pole
+])
+def test_images_beyond_the_float_range_are_a_domain_error(m, z):
+    with pytest.raises(FloatRangeError, match="the image"):
+        mobius_apply(MobiusMap(*m), z)
 
 
 def test_classify_examples():

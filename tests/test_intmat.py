@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from geom3 import euclid, fibered, nil
 from geom3.algebra import MixedDiscriminantError, QuadRat
-from geom3.cli import _S2R_PRESETS
+from geom3.cli import _S2R_PRESETS, _s2r_generators
 from geom3.euclid import _integer_span
 from geom3.intmat import (
     IntMat2,
@@ -757,7 +757,7 @@ def test_every_finite_group_is_built_by_the_closure_kernel():
         (nil, lambda: nil.nil_quotient_isometry(
             nil.lattice_hz(), extra=nil.lattice_hz().point_group)),
         (fibered, lambda: fibered.s2r_decompose(
-            _S2R_PRESETS["klein"](fibered))),
+            _s2r_generators(_S2R_PRESETS["klein"]))),
         (nil, lambda: euclid.euclid_quotient_isometry(
             euclid.preset_crystal("Z2xD4"))),
     ]

@@ -106,6 +106,15 @@ def test_fixed_line_values():
         sol_fixed_line(SolPoint(1.0, 1.0, 0.0))
 
 
+@pytest.mark.parametrize("t", [1e-10, -1e-10, 1e-17, 1e-300])
+def test_fixed_line_does_not_cancel_for_small_t(t):
+    # p = 1 / (1 - e^t) = -1/t + 1/2 - t/12 + ...: 1 - exp(t) lost eight
+    # digits at t = 1e-10 and was 0 at t = 1e-17
+    p, q = sol_fixed_line(SolPoint(1.0, 1.0, t))
+    assert p == pytest.approx(-1 / t + 0.5, rel=1e-15)
+    assert q == pytest.approx(1 / t + 0.5, rel=1e-15)
+
+
 def test_fixed_line_translation_property():
     rng = random.Random(9)
     for _ in range(100):
