@@ -1,8 +1,10 @@
 """Command line front end with deterministic JSON/text output.
 
-Exit codes: 0 on success, 1 on a domain error (reported as a structured
-error object), 2 on an argument schema error, 3 on an internal error (a
-bug: any other exception, reported the same way with its type).
+Exit codes: 0 on success, 1 on a domain error (a `ValueError`, reported
+as a structured error object), 2 on an argument schema error, 3 on an
+internal error (a bug: any other exception, an `ArithmeticError` such as
+ZeroDivisionError or OverflowError too, or a NaN or infinity that reaches
+the JSON encoder; reported the same way with its type).
 
 Each handler imports the geometry it runs, so a call loads only the
 modules of its own subcommand: start-up is most of a call's time.
@@ -581,15 +583,16 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload = _HANDLERS[args.command](args)
-        check_output_size(payload)
-        rendered = canonical_json(payload)   # ValueError on NaN or inf
-    except SchemaError as exc:
-        _emit_error(out, "schema", str(exc), args.json)
-        return 2
-    except (ValueError, ArithmeticError) as exc:
-        _emit_error(out, type(exc).__name__, str(exc), args.json)
-        return 1
+        try:
+            payload = _HANDLERS[args.command](args)
+            check_output_size(payload)
+        except SchemaError as exc:
+            _emit_error(out, "schema", str(exc), args.json)
+            return 2
+        except ValueError as exc:
+            _emit_error(out, type(exc).__name__, str(exc), args.json)
+            return 1
+        rendered = canonical_json(payload)   # a NaN or inf is a bug
     except Exception as exc:
         _emit_error(out, "internal", f"{type(exc).__name__}: {exc}",
                     args.json)

@@ -8,6 +8,24 @@ from fractions import Fraction
 from typing import Optional
 
 
+class FloatRangeError(ValueError):
+    """A number to be reported as a float lies beyond the float range: it
+    overflows, or it is nonzero and rounds to 0."""
+
+
+def to_float(num, den: int = 1, what: str = "a value") -> float:
+    """The exact number num / den (an int or a Fraction over a nonzero int)
+    rounded once, never -0.0; FloatRangeError names `what` when it
+    overflows a float, or when it is nonzero and rounds to 0."""
+    try:
+        value = float(num / den)
+    except OverflowError:
+        value = 0.0
+    if num and not value:
+        raise FloatRangeError(f"{what} lies beyond the float range")
+    return value + 0.0
+
+
 @dataclass(frozen=True)
 class IsoDescriptor:
     """Isometry group of a finite-volume quotient, as an extension.

@@ -5,9 +5,10 @@ generators together with translation vectors that generate the lattice
 (a basis or any other generating set).  `algebra.integer_rows` writes
 the vectors as integer rows over their common denominator, and the
 lattice kernel `intmat.ZSpan` takes those rows as they are and reads
-rank, basis and integer coordinates off one Smith normal form; ranks and
-coinvariants go through it too.  Only split (i.e. symmorphic) extensions
-are supported for the Betti computation.
+rank, echelon basis and integer coordinates off Euclid steps on the rows;
+ranks and coinvariants go through it too, and only the planar finite
+order reads a Smith normal form, for its elementary divisors.  Only split
+(i.e. symmorphic) extensions are supported for the Betti computation.
 """
 
 from __future__ import annotations
@@ -58,11 +59,11 @@ def _identity(n: int) -> Matrix:
                  for i in range(n))
 
 
-def _integer_span(vectors, dim: int) -> tuple[int, ZSpan]:
+def _integer_span(vectors) -> tuple[int, ZSpan]:
     """(D, the Z-span of D * vectors) for D the least common denominator of
     the rational vectors."""
     den, _, rows = integer_rows(vectors)
-    return den, ZSpan(rows, dim)
+    return den, ZSpan(rows)
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ class CrystalGroup:
     def _lattice(self) -> tuple[int, ZSpan]:
         """The translation lattice as (D, the Z-span of D * trans_basis),
         built once per group (not a field: eq, hash and repr ignore it)."""
-        return _integer_span(self.trans_basis, self.dim)
+        return _integer_span(self.trans_basis)
 
     @functools.cached_property
     def _lattice_basis(self) -> tuple[Vector, ...]:
@@ -187,14 +188,13 @@ def betti_identity_component(g: CrystalGroup) -> tuple[int, str]:
     abelianization (see coinvariant_rank for the integral cross-check).
     """
     _check_split(g)
-    betti = g.dim - _integer_span(_minus_identity(g.point_gens),
-                                  g.dim)[1].rank
+    betti = g.dim - _integer_span(_minus_identity(g.point_gens))[1].rank
     torus = {0: "trivial", 1: "S1", 2: "T2", 3: "T3"}[betti]
     return betti, torus
 
 
 def coinvariant_rank(g: CrystalGroup) -> int:
-    """Free rank of Z^d / <(sigma - 1) v>: d minus the nonzero Smith divisors.
+    """Free rank of Z^d / <(sigma - 1) v>: d minus the rank of the relations.
 
     The relation matrix is assembled in lattice coordinates, where the
     point action is integral; this is the abelianization-rank oracle for
@@ -202,7 +202,7 @@ def coinvariant_rank(g: CrystalGroup) -> int:
     """
     _check_split(g)
     rows = _minus_identity(point_gens_in_lattice_basis(g))
-    return g.dim - ZSpan(rows, g.dim).rank
+    return g.dim - ZSpan(rows).rank
 
 
 def _planar_point_group(g: CrystalGroup):

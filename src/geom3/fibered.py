@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import power
-from .descriptors import IsoDescriptor
-from .hyperbolic import FloatRangeError, MobiusMap, _upper_point, expm_sl2
+from .descriptors import IsoDescriptor, to_float
+from .hyperbolic import MobiusMap, _sqrt_ratio, _upper_point, expm_sl2
 from .intmat import SearchCapError, closure, mat3_mul, transpose
 
 
@@ -23,7 +23,7 @@ def christoffel_h2(p: complex, i: int, j: int, k: int) -> float:
     """Christoffel symbol Gamma^k_{ij} of ds^2 = (dx^2 + dy^2)/y^2 at p.
 
     The nonzero symbols are Gamma^1_{12} = Gamma^1_{21} = Gamma^2_{22}
-    = -1/y and Gamma^2_{11} = 1/y.
+    = -1/y and Gamma^2_{11} = 1/y; FloatRangeError when 1/y overflows.
     """
     p = complex(p)
     if p.imag <= 0:
@@ -31,13 +31,10 @@ def christoffel_h2(p: complex, i: int, j: int, k: int) -> float:
     for idx in (i, j, k):
         if idx not in (1, 2):
             raise ValueError("indices range over {1, 2}")
-    y = p.imag
-    if k == 1 and {i, j} == {1, 2}:
-        return -1.0 / y
-    if k == 2 and i == 2 and j == 2:
-        return -1.0 / y
-    if k == 2 and i == 1 and j == 1:
-        return 1.0 / y
+    if k == 2 and i == j == 1:
+        return to_float(1 / _exact(p)[1])
+    if k == 2 and i == j == 2 or k == 1 and i != j:
+        return to_float(-1 / _exact(p)[1])
     return 0.0
 
 
@@ -62,48 +59,68 @@ class TangentVector:
                 "X": pair(self.vec_X), "Z": pair(self.vec_Z)}
 
 
-def _correction(t: TangentVector) -> complex:
-    """The connection term X^j v^i Gamma^k_{ij} d_k as a complex number."""
-    y = complex(t.base_z).imag
-    v, x = complex(t.base_w), complex(t.vec_X)
-    c1 = -(v.real * x.imag + v.imag * x.real) / y
-    c2 = (v.real * x.real - v.imag * x.imag) / y
-    return complex(c1, c2)
+def _exact(c) -> tuple[Fraction, Fraction]:
+    """The real and imaginary parts of the number c, as exact Fractions."""
+    c = complex(c)
+    return Fraction(c.real), Fraction(c.imag)
+
+
+def _correction(t: TangentVector) -> tuple[Fraction, Fraction]:
+    """The connection term X^j v^i Gamma^k_{ij} d_k, exactly."""
+    y = _exact(t.base_z)[1]
+    (v1, v2), (x1, x2) = _exact(t.base_w), _exact(t.vec_X)
+    return -(v1 * x2 + v2 * x1) / y, (v1 * x1 - v2 * x2) / y
+
+
+def _inner(t1: TangentVector, t2: TangentVector) -> Fraction:
+    """The Sasaki inner product, exactly: (X1 . X2 + a1 . a2) / y^2 for
+    a = Z + the connection term and the height y of the base point."""
+    if abs(complex(t1.base_z) - complex(t2.base_z)) > 1e-12:
+        raise ValueError("vectors must share the base point")
+    y = _exact(t1.base_z)[1]
+    (x1, x2), (u1, u2) = _exact(t1.vec_X), _exact(t2.vec_X)
+    (a1, a2), (b1, b2) = ([z + c for z, c in zip(_exact(t.vec_Z),
+                                                 _correction(t))]
+                          for t in (t1, t2))
+    return (x1 * u1 + x2 * u2 + a1 * b1 + a2 * b2) / (y * y)
 
 
 def sasaki_inner(t1: TangentVector, t2: TangentVector) -> float:
-    """Sasaki inner product of two vectors at the same base point."""
-    if abs(complex(t1.base_z) - complex(t2.base_z)) > 1e-12:
-        raise ValueError("vectors must share the base point")
-    y = complex(t1.base_z).imag
-    a1 = complex(t1.vec_Z) + _correction(t1)
-    a2 = complex(t2.vec_Z) + _correction(t2)
-    x1, x2 = complex(t1.vec_X), complex(t2.vec_X)
-    return ((x1 * x2.conjugate()).real + (a1 * a2.conjugate()).real) / (y * y)
+    """Sasaki inner product of two vectors at the same base point, rounded
+    once; FloatRangeError when it lies beyond the float range."""
+    return to_float(_inner(t1, t2))
 
 
 def sasaki_norm(t: TangentVector) -> float:
-    return math.sqrt(max(sasaki_inner(t, t), 0.0))
+    """The Sasaki norm, computed exactly and rounded once;
+    FloatRangeError when it lies beyond the float range."""
+    inner = _inner(t, t)
+    return to_float(*_sqrt_ratio(inner.numerator, inner.denominator))
 
 
 def hv_decompose(t: TangentVector) -> tuple[TangentVector, TangentVector]:
-    """(horizontal, vertical): (X, -corr) + (0, Z + corr) = (X, Z)."""
-    corr = _correction(t)
-    horizontal = TangentVector(t.base_z, t.base_w, t.vec_X, -corr)
-    vertical = TangentVector(t.base_z, t.base_w, 0j, complex(t.vec_Z) + corr)
+    """(horizontal, vertical): (X, -corr) + (0, Z + corr) = (X, Z) for the
+    connection term corr, each coordinate computed exactly and rounded
+    once; FloatRangeError when one lies beyond the float range."""
+    (c1, c2), (z1, z2) = _correction(t), _exact(t.vec_Z)
+    horizontal = TangentVector(t.base_z, t.base_w, t.vec_X,
+                               complex(to_float(-c1), -to_float(c2)))
+    vertical = TangentVector(t.base_z, t.base_w, 0j,
+                             complex(to_float(z1 + c1), to_float(z2 + c2)))
     return horizontal, vertical
 
 
 def unit_tangent_embed(m: MobiusMap) -> tuple[complex, complex]:
     """Orbit map of the base point (i, 1) of the unit tangent bundle: z =
     (AC + BD + Delta i) / n and w = Delta (D - C i)^2 / n^2 from the integer
-    matrix, n = C^2 + D^2, each coordinate rounded once; |w| = Im z."""
+    matrix, n = C^2 + D^2, each coordinate rounded once (`to_float`);
+    |w| = Im z."""
     A, B, C, D = m._ints
     delta, n = A * D - B * C, C * C + D * D
     z = _upper_point(Fraction(A * C + B * D, n), Fraction(delta, n),
                      "an entry")
-    return z, complex(delta * (D * D - C * C) / (n * n) + 0.0,
-                      -2 * delta * C * D / (n * n) + 0.0)
+    return z, complex(to_float(delta * (D * D - C * C), n * n, "an entry"),
+                      to_float(-2 * delta * C * D, n * n, "an entry"))
 
 
 SL2_BASIS = (
@@ -227,12 +244,8 @@ class S2RDecomposition:
 
     def to_json_dict(self) -> dict:
         """FloatRangeError when lam overflows a float or rounds to 0."""
-        try:
-            lam = self.lam if self.lam is None else float(self.lam)
-        except OverflowError:
-            lam = 0.0
-        if lam == 0:
-            raise FloatRangeError("lambda lies beyond the float range")
+        lam = (self.lam if self.lam is None
+               else to_float(self.lam, what="lambda"))
         return {"l_type": self.l_type, "lambda": lam,
                 "f_order_bound": self.f_order_bound}
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .descriptors import FloatRangeError, to_float
+
 ELLIPTIC = "Elliptic"
 PARABOLIC = "Parabolic"
 HYPERBOLIC = "Hyperbolic"
@@ -25,11 +27,6 @@ CIRCLE = "Circle"
 
 class IdentityClassError(ValueError):
     """The identity has no isometry class and no centralizer type."""
-
-
-class FloatRangeError(ValueError):
-    """A number to be reported lies beyond the float range: an entry, a
-    fixed point or an image of a map, or an S^2 x R period lambda."""
 
 
 @dataclass(frozen=True)
@@ -93,9 +90,10 @@ class MobiusMap:
                     max(map(abs, ints)) / q     # OverflowError past the range
                     self._entries = tuple(Fraction(x, q) for x in ints)
                 else:
+                    roots = (_sqrt_ratio(x * x, det) for x in ints)
                     self._entries = tuple(
-                        _sqrt_ratio(x * x, det) * (-1 if x < 0 else 1)
-                        for x in ints)
+                        r / s * (-1 if x < 0 else 1)
+                        for x, (r, s) in zip(ints, roots))
             except OverflowError:
                 raise FloatRangeError(
                     "an entry lies beyond the float range") from None
@@ -143,11 +141,12 @@ def _set_ints(m: MobiusMap, A, B, C, D) -> MobiusMap:
     return m
 
 
-def _sqrt_ratio(x: int, y: int) -> float:
-    """sqrt(x / y) for integers x >= 0 and y > 0, to within an ulp: the
-    integer square root of x / y scaled to at least 128 bits."""
+def _sqrt_ratio(x: int, y: int) -> tuple[int, int]:
+    """sqrt(x / y) for integers x >= 0 and y > 0, to within an ulp of its
+    float, as (root, 2^e): the integer square root of x / y scaled by 4^e
+    to at least 128 bits."""
     e = max(0, 130 - x.bit_length() + y.bit_length()) // 2
-    return math.isqrt((x << 2 * e) // y) / (1 << e)
+    return math.isqrt((x << 2 * e) // y), 1 << e
 
 
 def mobius_apply(m: MobiusMap, z: complex) -> complex:
@@ -165,15 +164,10 @@ def mobius_apply(m: MobiusMap, z: complex) -> complex:
 
 
 def _upper_point(x: Fraction, y: Fraction, what: str) -> complex:
-    """x + iy for y > 0, x never -0.0; FloatRangeError names `what` when a
-    coordinate lies beyond the float range or y rounds to 0."""
-    try:
-        point = complex(float(x) + 0.0, float(y))
-    except OverflowError:
-        point = 0j
-    if not point.imag:
-        raise FloatRangeError(f"{what} lies beyond the float range")
-    return point
+    """x + iy for y > 0, each coordinate rounded once (`to_float`, so x is
+    never -0.0 and FloatRangeError names `what` when one lies beyond the
+    float range)."""
+    return complex(to_float(x, what=what), to_float(y, what=what))
 
 
 @dataclass(frozen=True)
@@ -191,12 +185,16 @@ class IsometryClass:
         return {"class": self.tag, "fixed_set": pts}
 
 
+_FIXED = "a fixed point"
+
+
 def classify_isometry(m: MobiusMap) -> IsometryClass:
     """Trace trichotomy with fixed points from c z^2 + (d - a) z - b = 0.
 
     The class is the sign of (A + D)^2 - 4 Delta, and the fixed points are
     computed from the integers, rounded to floats (never -0.0); a fixed
-    point beyond the float range raises FloatRangeError.
+    point beyond the float range, one that overflows or a nonzero one that
+    rounds to 0, raises FloatRangeError.
     """
     if m.is_identity():
         raise IdentityClassError("the identity carries no class")
@@ -204,34 +202,35 @@ def classify_isometry(m: MobiusMap) -> IsometryClass:
     p = A - D
     disc = p * p + 4 * b * c        # (A + D)^2 - 4 Delta
     kind = HYPERBOLIC if disc > 0 else PARABOLIC if disc == 0 else ELLIPTIC
-    try:
-        if not c:
-            if kind == PARABOLIC:
-                return IsometryClass(PARABOLIC, (BoundaryPoint.inf(),))
-            return IsometryClass(HYPERBOLIC, (
-                BoundaryPoint(_div(-b, p)), BoundaryPoint.inf()))
-        mid = _div(p, 2 * c)
+    if not c:
         if kind == PARABOLIC:
-            return IsometryClass(PARABOLIC, (BoundaryPoint(mid),))
-        # half the distance of the fixed points, or the elliptic one's height
-        half = _sqrt_ratio(abs(disc), 4 * c * c)
-        if kind == ELLIPTIC:
-            return IsometryClass(ELLIPTIC, (complex(mid, half),))
-        # the root away from zero; the other, exactly -b / (c far), from
-        # their product, which does not cancel
-        far = mid + math.copysign(half, mid)
+            return IsometryClass(PARABOLIC, (BoundaryPoint.inf(),))
+        return IsometryClass(HYPERBOLIC, (
+            BoundaryPoint(to_float(-b, p, _FIXED)), BoundaryPoint.inf()))
+    if kind == PARABOLIC:
+        return IsometryClass(PARABOLIC, (
+            BoundaryPoint(to_float(p, 2 * c, _FIXED)),))
+    # half the distance of the fixed points, or the elliptic one's height
+    root, scale = _sqrt_ratio(abs(disc), 4 * c * c)
+    if kind == ELLIPTIC:
+        return IsometryClass(ELLIPTIC, (complex(
+            to_float(p, 2 * c, _FIXED), to_float(root, scale, _FIXED)),))
+    # the root away from zero, from the midpoint and half the distance
+    # rounded: neither is reported, so either may round to 0, and a
+    # midpoint that does leaves far = +-half, rounded by the rule; the
+    # other root, exactly -b / (c far), from their product, which does not
+    # cancel
+    try:
+        mid = p / (2 * c) + 0.0
+        far = mid + math.copysign(
+            root / scale if mid else to_float(root, scale, _FIXED), mid)
         num, den = far.as_integer_ratio()
-        near = _div(-b * den, c * num)
-    except OverflowError:
+    except OverflowError:       # far overflows, or a part of it does
         raise FloatRangeError(
-            "a fixed point lies beyond the float range") from None
+            f"{_FIXED} lies beyond the float range") from None
+    near = to_float(-b * den, c * num, _FIXED)
     return IsometryClass(HYPERBOLIC, (
         BoundaryPoint(min(far, near)), BoundaryPoint(max(far, near))))
-
-
-def _div(x: int, y: int) -> float:
-    """x / y correctly rounded, 0.0 rather than -0.0."""
-    return x / y + 0.0
 
 
 def commute_test(m1: MobiusMap, m2: MobiusMap) -> tuple[bool, bool]:

@@ -1,15 +1,17 @@
-"""Integer matrices: the Smith normal form, 2x2 matrices, planar bases.
+"""Integer matrices: lattices, the Smith normal form, 2x2 matrices, planar
+bases.
 
-`snf` is the Smith normal form of any m x n integer matrix, with its
-unimodular transforms.  Sol reads its cokernel Z^2/(I - A^n)Z^2 and the
-holonomy's action on it off one `snf`, and the adjoined Nil cosets go
-through `congruence_solutions`.  `ZSpan`, the lattice kernel of `euclid`,
-reads rank, basis and integer coordinates of the span of integer rows off
-one `snf`: Euclidean translation lattices, ranks and coinvariants all go
-through it.  The Nil dichotomy, which needs only a rank and a covolume,
-builds its own echelon basis with no transform (`nil._lattice_covolume`).
-Exact scalars reach these kernels through one conversion to integers,
-`algebra.integer_rows`.
+`ZSpan` is the one lattice kernel: the rank, an echelon basis and the
+integer coordinates of the Z-span of integer rows, built by Euclid steps
+with no transform.  The Nil dichotomy reads the rank and covolume of the
+projected translations off it, and Euclid's translation lattices, ranks
+and coinvariants go through it.  `snf` is the Smith normal form of any
+m x n integer matrix, with its unimodular transforms, where a transform
+or the elementary divisors are the answer: Sol reads its cokernel
+Z^2/(I - A^n)Z^2 and the holonomy's action on it off one `snf`, Euclid
+its planar finite order, and the adjoined Nil cosets go through
+`congruence_solutions`.  Exact scalars reach these kernels through one
+conversion to integers, `algebra.integer_rows`.
 
 The helpers the geometry modules share live here too: 2x2/vector
 arithmetic over exact scalars, 2x2 matrices over Z[sqrt(d)] acting on
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from math import gcd, isqrt
 from operator import add, sub
@@ -407,39 +408,49 @@ def snf(rows) -> tuple[tuple[int, ...], tuple, tuple]:
 
 
 class ZSpan:
-    """The Z-span of integer row vectors of width dim, read off one `snf`.
+    """The Z-span of integer rows, as an echelon basis built with no
+    transform.
 
-    With u @ A @ v = diag(d) for the rows A, the rank is the number of
-    nonzero d_i (they come first), and the nonzero rows of u @ A are a
-    basis.  Since u @ A = diag(d) @ v^-1, an integer vector w lies in the
-    span when w @ v = (c_0 d_0, ..., c_{r-1} d_{r-1}, 0, ..., 0) for
-    integers c_i, its coordinates in that basis.  Any generating set will
-    do, zero and repeated rows too.  `rank` and `coords` need only d and
-    v, so the basis is built on first read.
+    Euclid steps on whole rows (Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4) keep one basis row for each leading column: where
+    a basis row b leads in the leading column c of a new row w, w becomes
+    the basis row there and b - (b_c // w_c) w goes on, until the
+    remainder leads in a column of its own or is 0.  Repeated rows are
+    skipped; any generating set will do, zero rows and no rows too.
+    `basis` holds the rows in order of their leading columns, so `rank`
+    is their number and `coords` solves for one coordinate per column.
     """
 
-    def __init__(self, rows, dim: int):
-        self._rows = rows = list(rows) or [[0] * dim]
-        d, u, v = snf(rows)
-        self.rank = rank = sum(1 for x in d if x)
-        self._u, self._dim = u[:rank], dim
-        self._divisors = d[:rank]
-        self._columns = tuple(zip(*v))
-
-    @cached_property
-    def basis(self) -> tuple[tuple[int, ...], ...]:
-        """The nonzero rows of u @ A."""
-        return tuple(tuple(sum(c * row[j] for c, row in zip(ui, self._rows))
-                           for j in range(self._dim))
-                     for ui in self._u)
+    def __init__(self, rows):
+        pivots = {}                     # leading column: row
+        for w in dict.fromkeys(map(tuple, rows)):
+            while True:
+                for c, x in enumerate(w):
+                    if x:
+                        break
+                else:
+                    break               # w reduced to 0
+                b = pivots.get(c)
+                if b is None:
+                    pivots[c] = w
+                    break
+                q = b[c] // w[c]        # one Euclid step on column c
+                pivots[c], w = w, [x - q * y for x, y in zip(b, w)]
+        self._leads = sorted(pivots)
+        self.basis = tuple(tuple(pivots[c]) for c in self._leads)
+        self.rank = len(self.basis)
 
     def coords(self, w) -> Optional[tuple[int, ...]]:
         """Integer coordinates of the integer vector w in `basis`, or None
-        off the span."""
-        s = [sum(a * b for a, b in zip(w, col)) for col in self._columns]
-        if any(s[self.rank:]) or any(x % d for x, d in zip(s, self._divisors)):
-            return None
-        return tuple(x // d for x, d in zip(s, self._divisors))
+        off the span: column by column, the basis row leading there is
+        the only one left to clear it, and a remainder it leaves there is
+        left at the end."""
+        out = []
+        for c, b in zip(self._leads, self.basis):
+            q = w[c] // b[c]
+            w = [x - q * y for x, y in zip(w, b)]
+            out.append(q)
+        return None if any(w) else tuple(out)
 
 
 def congruence_solutions(rows, rhs, n: int) -> list[tuple[int, int]]:

@@ -57,6 +57,7 @@ from .intmat import (
     Mat2,
     SearchCapError,
     Vec2,
+    ZSpan,
     ZsqrtBasis,
     closure,
     congruence_solutions,
@@ -897,14 +898,14 @@ def nil_projection_dichotomy(gens: Sequence[HeisIsometry],
     an axis is parallel to T, is read off the rows (`cross_parts`) without
     multiplying two fields, so the answer does not depend on the order of
     the generators when sqrt(2) and sqrt(3) mix; `_lattice_covolume`
-    reads T's Z-rank and covolume off an echelon basis of the rows, built
-    by Euclid steps with no Smith normal form.  For a lattice, the witness
-    (0, 0, c) is the commutator of lifts of a positively oriented basis of
-    T: c > 0 is its covolume, |cross(e_1, e_2)| for any basis e_1, e_2 of
-    T.  Z-rank 3 or more is more than a discrete subgroup of the
-    Heisenberg group (Hirsch length at most 3) projects to; this covers
-    every set whose linear parts hold a rotation of order 12, which no
-    planar lattice admits.
+    reads T's Z-rank and covolume off the echelon basis of the rows that
+    the lattice kernel `intmat.ZSpan` builds, with no Smith normal form.
+    For a lattice, the witness (0, 0, c) is the commutator of lifts of a
+    positively oriented basis of T: c > 0 is its covolume, |cross(e_1,
+    e_2)| for any basis e_1, e_2 of T.  Z-rank 3 or more is more than a
+    discrete subgroup of the Heisenberg group (Hirsch length at most 3)
+    projects to; this covers every set whose linear parts hold a rotation
+    of order 12, which no planar lattice admits.
 
     The linear parts must lie over one Q(sqrt(d)), and irrational ones
     need translations over it too; under rational ones the translations
@@ -1001,34 +1002,15 @@ def _lattice_covolume(rows, radicands, r: int) -> Optional[Scalar]:
     """Covolume of the Z-span T of `integer_rows` rows over r that span
     the plane, or None when T has Z-rank 3 or more.
 
-    Euclid steps on whole rows (Cohen, A Course in Computational Algebraic
-    Number Theory, 2.4) build an echelon basis of T, one row for each
-    leading column: where a basis row b leads in the leading column c of
-    a new row w, w becomes the pivot there and b - (b_c // w_c) w goes on,
-    until the remainder leads in a column of its own or is 0.  No
-    transform is kept, repeated rows are skipped, and the pass stops at a
-    third basis row.  Two rows t_a = a e_1 + b e_2 and t_b = c e_1 +
-    d e_2 of T have cross(t_a, t_b) = (ad - bc) cross(e_1, e_2), so the
-    covolume is |cross(e_1, e_2)|, read off `cross_parts` like any cross
-    product of two rows.
+    Two rows t_a = a e_1 + b e_2 and t_b = c e_1 + d e_2 of T have
+    cross(t_a, t_b) = (ad - bc) cross(e_1, e_2), so the covolume is
+    |cross(e_1, e_2)| for the echelon basis e_1, e_2 of `ZSpan`, read off
+    `cross_parts` like any cross product of two rows.
     """
-    basis = {}                          # leading column: row
-    for w in dict.fromkeys(rows):
-        while True:
-            for c, x in enumerate(w):
-                if x:
-                    break
-            else:
-                break                   # w reduced to 0
-            b = basis.get(c)
-            if b is None:
-                basis[c] = w
-                break
-            q = b[c] // w[c]            # one Euclid step on column c
-            basis[c], w = w, [x - q * y for x, y in zip(b, w)]
-        if len(basis) > 2:
-            return None
-    return abs(_cross_value(r, cross_parts(radicands, *basis.values())))
+    span = ZSpan(rows)
+    if span.rank > 2:
+        return None
+    return abs(_cross_value(r, cross_parts(radicands, *span.basis)))
 
 
 def _invariant_direction(generators, t0, rad, D: int, r: int) -> Vec2:

@@ -15,11 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from . import intmat
 from .algebra import QuadRat, integer_rows, row_scalar
-from .descriptors import IsoDescriptor, check_output_size
+from .descriptors import (
+    OUTPUT_DIGIT_LIMIT,
+    IsoDescriptor,
+    check_output_size,
+    to_float,
+)
 from .intmat import IntMat2, Mat2, Vec2, ZsqrtBasis, int_mat_pow, mat2_inv
 
 
@@ -88,14 +94,34 @@ def sol_inv(g: SolPoint) -> SolPoint:
 def sol_fixed_line(g: SolPoint) -> tuple:
     """Axis {(p, q, s)} translated by g; requires t != 0.
 
-    p = x / (1 - e^t), q = y / (1 - e^{-t}); in float mode 1 - e^{+-t} is
-    -expm1(+-t), which does not cancel for small t.
+    p = x / (1 - e^t), q = y / (1 - e^{-t}); in float mode each is
+    `_over_one_minus_exp`, rounded once.
     """
     if g.level == 0:
         raise ValueError("t = 0: no transverse fixed line")
     if g.is_exact:
         return g.x / (1 - g.scale()), g.y / (1 - g.scale_inv())
-    return g.x / -math.expm1(g.level), g.y / -math.expm1(-g.level)
+    return (_over_one_minus_exp(g.x, g.level),
+            _over_one_minus_exp(g.y, -g.level))
+
+
+def _over_one_minus_exp(x: float, t: float) -> float:
+    """x / (1 - e^t) for t != 0, from the floats x and expm1(t) or exp(-t/4)
+    exactly and rounded once (`to_float`).
+
+    1 - e^t is -expm1(t), which does not cancel for small t.  Past the
+    range of expm1 (t > 709.78), x / (1 - e^t) is -x e^-t to within a
+    factor 1 + e^-t, taken as the fourth power of e^(-t/4) (t/4 is exact).
+    That factor is 0.0 only below 2^-1074, where x e^-t is below 2^-3000;
+    2^-1074 stands in for it, which keeps a nonzero x nonzero and still
+    rounds to 0.
+    """
+    try:
+        value = Fraction(x) / Fraction(-math.expm1(t))
+    except OverflowError:
+        factor = Fraction(math.exp(-t / 4) or math.ulp(0.0))
+        value = -Fraction(x) * factor ** 4
+    return to_float(value, what="a coordinate of the fixed line")
 
 
 # -- lattices ------------------------------------------------------------------
@@ -152,8 +178,30 @@ class SolNormalizer:
         }
 
 
+# the bits of 10^OUTPUT_DIGIT_LIMIT, the least integer past the output limit
+_LIMIT_BITS = (10 ** OUTPUT_DIGIT_LIMIT).bit_length()
+
+
+def _refuse_a_huge_power(lat: SolLattice) -> None:
+    """ValueError, before A^n is computed, when a lower bound from n and
+    t = tr A already puts |2 - tr A^n| past the output limit.
+
+    lam > t - 1 >= 2^k for k = bitlen(t - 1) - 1, since t > 2, so
+    |2 - tr A^n| = lam^n + lam^-n - 2 > 2^(kn) - 2 >= 2^(kn - 1): at
+    least kn bits.  That integer is the normalizer's index and divides
+    the isometry group's order.  A power the bound leaves open is checked
+    exactly by `check_output_size` once A^n is known.
+    """
+    bits = lat.n * ((lat.a.trace() - 1).bit_length() - 1)
+    if bits > _LIMIT_BITS:
+        raise ValueError(
+            f"exact answer has at least {bits} bits, more than the "
+            f"{OUTPUT_DIGIT_LIMIT}-digit output limit for one integer")
+
+
 def sol_normalizer_lattice(lat: SolLattice) -> SolNormalizer:
     """Translations normalizing the lattice; always finite index over Z^2."""
+    _refuse_a_huge_power(lat)
     hol = lat.holonomy()
     m = IntMat2.identity() - hol
     det = m.det()                    # = 2 - tr(A^n), nonzero for trace > 2
@@ -168,9 +216,11 @@ def sol_quotient_isometry(lat: SolLattice) -> IsoDescriptor:
     The cokernel structure comes from the Smith normal form of I - A^n;
     its order is cross-checked against det(I - A^n) = 2 - tr(A^n).  An
     order past the output limit is refused before the Smith normal form,
-    whose Euclid steps grow quadratically in n; every invariant divides
-    it, so none is past the limit either.
+    whose Euclid steps grow quadratically in n, and before A^n when a
+    bound from n and tr A decides it; every invariant divides the order,
+    so none is past the limit either.
     """
+    _refuse_a_huge_power(lat)
     hol = lat.holonomy()
     det_order = abs(2 - hol.trace())
     order = det_order * lat.n

@@ -87,12 +87,15 @@ line, before it read the walk's integer generators: `Fraction` and
 t0 of T, and the vector reported in the caller's scalar types.  Where
 t0 or a cross mixes two fields, it meets MixedDiscriminantError.
 
-`dichotomy_by_zspan` is `nil.nil_projection_dichotomy` as it read T's
-Z-rank and covolume off `intmat.ZSpan`, a Smith normal form carrying both
-transforms, before an echelon basis built by Euclid steps on whole rows
-did.  Its span step, `covolume_by_zspan`, takes the first row t_j that
-crosses the first row t_0, their coordinates in the basis of the span,
-and divides |cross(t_0, t_j)| by the determinant of those coordinates.
+`ZSpanBySnf` is `intmat.ZSpan` as it was before the lattice kernel became
+an echelon basis built by Euclid steps on whole rows: rank, basis and
+integer coordinates of the span of integer rows read off one `snf`, which
+carries both transforms.  It is the oracle the echelon basis is checked
+against.  `dichotomy_by_zspan` is `nil.nil_projection_dichotomy` as it
+read T's Z-rank and covolume off that Smith-form span.  Its span step,
+`covolume_by_zspan`, takes the first row t_j that crosses the first row
+t_0, their coordinates in the basis of the span, and divides |cross(t_0,
+t_j)| by the determinant of those coordinates.
 
 `word_ball` is the bounded breadth-first word ball that `intmat` carried
 from the word-search era until `intmat.closure` built every finite group:
@@ -195,7 +198,6 @@ from geom3.intmat import (
     MAT2_ID,
     IntMat2,
     SearchCapError,
-    ZSpan,
     ZsqrtBasis,
     congruence_solutions,
     mat2_apply,
@@ -1175,8 +1177,39 @@ def covolume_by_minors(translations):
     return abs(area) * Fraction(minors, den * den)
 
 
+class ZSpanBySnf:
+    """The Z-span of integer row vectors of width dim, read off one `snf`.
+
+    With u @ A @ v = diag(d) for the rows A, the rank is the number of
+    nonzero d_i (they come first), and the nonzero rows of u @ A are a
+    basis.  Since u @ A = diag(d) @ v^-1, an integer vector w lies in the
+    span when w @ v = (c_0 d_0, ..., c_{r-1} d_{r-1}, 0, ..., 0) for
+    integers c_i, its coordinates in that basis.  Any generating set will
+    do, zero and repeated rows too.
+    """
+
+    def __init__(self, rows, dim: int):
+        rows = list(rows) or [[0] * dim]
+        d, u, v = snf(rows)
+        self.rank = rank = sum(1 for x in d if x)
+        self.basis = tuple(
+            tuple(sum(c * row[j] for c, row in zip(ui, rows))
+                  for j in range(dim)) for ui in u[:rank])
+        self._divisors = d[:rank]
+        self._columns = tuple(zip(*v))
+
+    def coords(self, w):
+        """Integer coordinates of the integer vector w in `basis`, or None
+        off the span."""
+        s = [sum(a * b for a, b in zip(w, col)) for col in self._columns]
+        if any(s[self.rank:]) or any(x % d for x, d in zip(s, self._divisors)):
+            return None
+        return tuple(x // d for x, d in zip(s, self._divisors))
+
+
 def dichotomy_by_zspan(gens) -> DichotomyResult:
-    """`nil_projection_dichotomy` with its span step read off `ZSpan`."""
+    """`nil_projection_dichotomy` with its span step read off the
+    Smith-form span `ZSpanBySnf`."""
     planar = [g.planar_part() for g in gens]
     transversal, rows, radicands, D, r, generators = \
         nil._schreier_translations(planar)
@@ -1232,10 +1265,10 @@ def _reflection_axis(rot):
 def covolume_by_zspan(rows, radicands, r):
     """Covolume of the Z-span of integer rows that span the plane, or None
     at Z-rank 3 or more: |cross(t_0, t_j)| over the determinant of the
-    `ZSpan` coordinates of t_0 and of the first t_j that crosses it."""
+    `ZSpanBySnf` coordinates of t_0 and of the first t_j that crosses it."""
     j, parts = next((j, parts) for j, row in enumerate(rows)
                     if (parts := cross_parts(radicands, rows[0], row)))
-    span = ZSpan(dict.fromkeys(rows), len(rows[0]))
+    span = ZSpanBySnf(dict.fromkeys(rows), len(rows[0]))
     if span.rank > 2:
         return None
     (a, b), (c, d) = span.coords(rows[0]), span.coords(rows[j])

@@ -296,7 +296,9 @@ def test_huge_exact_output_is_a_domain_error_naming_the_limit():
 
 @pytest.mark.parametrize("exc", [AssertionError("lift verification failed"),
                                  RuntimeError("unexpected stabilizer order"),
-                                 KeyError("x"), TypeError("bad operand")])
+                                 KeyError("x"), TypeError("bad operand"),
+                                 ZeroDivisionError("division by zero"),
+                                 OverflowError("math range error")])
 def test_internal_error_exit_code(monkeypatch, exc):
     def broken(args):
         raise exc
@@ -309,6 +311,34 @@ def test_internal_error_exit_code(monkeypatch, exc):
     code, text = run_cli(argv)
     assert code == 3
     assert text == f"error[internal]: {type(exc).__name__}: {exc}\n"
+
+
+def test_a_nan_or_inf_that_reaches_the_encoder_is_an_internal_error(
+        monkeypatch):
+    # every float an answer reports is checked where it is computed, so a
+    # NaN or an infinity in the payload is a bug
+    for value in (float("nan"), float("inf")):
+        monkeypatch.setitem(cli._HANDLERS, "nil", lambda args: {"x": value})
+        code, payload = run_json(["nil", "iso", "--preset", "HZ", "--json"])
+        assert code == 3 and payload["error"]["kind"] == "internal"
+        assert payload["error"]["detail"].startswith("ValueError: Out of "
+                                                     "range float values")
+
+
+@pytest.mark.parametrize("argv", [
+    "sol normalizer --matrix 2,1,1,1 --power 2000000",
+    "sol iso --matrix 2,1,1,1 --power 20000000",
+    "zimmer summary --geometry sol --matrix 2,1,1,1 --power 2000000",
+])
+def test_a_huge_sol_power_is_refused_before_its_holonomy(argv):
+    # these took 54 s, 98 s and 2.2 s to compute A^n and only then refuse
+    # it; a lower bound on |2 - tr A^n| from n and tr A refuses them first
+    start = time.perf_counter()
+    with deadline(10):
+        code, payload = run_json(argv.split(" ") + ["--json"])
+    assert time.perf_counter() - start < 2
+    assert code == 1 and payload["error"]["kind"] == "ValueError"
+    assert "4300-digit output limit" in payload["error"]["detail"]
 
 
 @pytest.mark.parametrize("matrix, detail", [

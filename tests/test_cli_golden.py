@@ -157,6 +157,14 @@ SEARCHES = [
     "hyp classify --matrix 1,1,1,1e400",
     "hyp classify --matrix 2,1e400,0,1",
     "hyp classify --matrix 0,-1e400,1e-400,0",
+    # and so is a nonzero fixed point that rounds to 0: the first, fixing
+    # 1e-400 and 2e-400, once divided by zero, and the second, fixing
+    # -1e-400, once printed 0.0
+    "hyp classify --matrix 0,-2e-800,1,-3e-400",
+    "hyp classify --matrix 2,1e-400,0,1",
+    # but the midpoint of two fixed points is not reported: one of 1e-400
+    # (the decimal is read exactly) leaves the fixed points -1 and 1
+    "hyp classify --matrix 3." + "0" * 399 + "2,1,1,3",
     "fiber embed --matrix 1e700,0,0,1",
     # so is an image beyond it, or one that rounds to the boundary: each is
     # computed from the integer matrix and rounded once.  These once printed
@@ -166,10 +174,28 @@ SEARCHES = [
     "hyp apply --matrix 1e300,0,0,1e-300 --z 0,1",
     "fiber embed --matrix 1e200,0,0,1e-200",
     "fiber embed --matrix 1e-200,0,0,1e200",
+    # a real coordinate, like the height, is answered when it fits in a
+    # float: these once printed 0.0 for 1e-400
+    "hyp apply --matrix 1,1e-400,0,1 --z 0,1",
+    "fiber embed --matrix 1,1e-400,0,1",
     # 1 - e^t by expm1: at t = 1e-10, p was once 827 off -9999999999.5,
     # and at t = 1e-300 a ZeroDivisionError
     "sol fixed-line --x 1 --y 1 --t 1e-10",
     "sol fixed-line --x 1 --y 1 --t 1e-300",
+    # every coordinate that fits in a float is answered, and one that does
+    # not is a domain error: p = -1e320 once reached the JSON encoder as
+    # -inf, e^800 raised a bare OverflowError though p is 0 and q 1, and p
+    # = -1e-604 printed -0.0
+    "sol fixed-line --x 1 --y 1 --t 1e-320",
+    "sol fixed-line --x 0 --y 1 --t 800",
+    "sol fixed-line --x 1e-300 --y 1 --t 700",
+    # so on the unit tangent bundle: a norm of 1e200 once squared to inf,
+    # one of 1e400 divided by a height squared to 0, and a connection term
+    # and a Christoffel symbol of -1e320 reached the encoder as -inf
+    "fiber norm --z 0,1e-100 --X 1,0",
+    "fiber norm --z 0,1e-200 --X 1,0",
+    "fiber decompose --z 0,1e-320 --w 1,0 --X 1,0",
+    "fiber christoffel --p 0,1e-320 --i 2 --j 2 --k 2",
     # the trivial Sol centralizer, for a large power of fib and for a
     # matrix over another field
     "sol centralizer --preset fib --power 52",
@@ -191,9 +217,24 @@ SEARCHES = [
     "sol qstructure --matrix=-2,-1,-1,-1",
 ]
 
+# One ordinary input for each action that no case above answers.
+ACTIONS = [
+    "nil normalizer --preset Gp:3",
+    "nil center --preset hex:2",
+    "euclid rank --preset slab",
+    "euclid volume --preset screw",
+    "fiber norm --z 0,1 --w 1,0 --X 0,0 --Z 0,2",
+    "fiber decompose --z 0,1 --w 1,0 --X 0,2 --Z 2,0",
+    "fiber christoffel --p 0,2 --i 1 --j 1 --k 2",
+    "fiber psl2-iso --geometry h2xr",
+    "fiber embed --matrix 2,1,1,1",
+    "hyp apply --matrix 2,1,1,1 --z 0.3,0.7",
+    "hyp centralizer --matrix 1,1,0,1",
+]
+
 # Space-separated commands (no argument contains a space), each run as
 # written and with --json.
-COMMANDS = [c.split(" ") for c in README + SEARCHES]
+COMMANDS = [c.split(" ") for c in README + SEARCHES + ACTIONS]
 ARGVS = [["selfcheck"], ["selfcheck", "--json"]] + [
     a + j for a in COMMANDS for j in ([], ["--json"])]
 

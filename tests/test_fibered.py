@@ -5,9 +5,12 @@ import math
 import random
 import re
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from geom3.fibered import (
     LAMBDA_Z,
@@ -97,6 +100,88 @@ def test_hv_decompose_general_points():
         assert abs(h.vec_Z + v.vec_Z - t.vec_Z) < 1e-12
         assert abs(sasaki_inner(h, v)) < 1e-10
         assert v.vec_X == 0
+
+
+def test_a_norm_whose_square_overflows_is_answered():
+    # the norm of X = 1 at height 1e-100, w = 1, is about 1e200; its
+    # square, 1e400, once reached the JSON encoder as inf
+    t = TangentVector(1e-100j, 1, 1, 0)
+    assert sasaki_norm(t) == pytest.approx(1e200, rel=1e-15)
+
+
+_BEYOND_RANGE = {
+    "norm-1e400": lambda: sasaki_norm(TangentVector(1e-200j, 1, 1, 0)),
+    "norm-5e-624": lambda: sasaki_norm(TangentVector(1e300j, 0, 0, 5e-324)),
+    "inner-1e-400": lambda: sasaki_inner(TangentVector(1j, 0, 0, 1e-200),
+                                         TangentVector(1j, 0, 0, 1e-200)),
+    "connection-1e320": lambda: hv_decompose(
+        TangentVector(1e-320j, 1, 1, 0)),
+    "connection-1e-400": lambda: hv_decompose(
+        TangentVector(1j, 1e-200, 1e-200, 0)),
+    "christoffel-1e320": lambda: christoffel_h2(1e-320j, 2, 2, 2),
+}
+
+
+@pytest.mark.parametrize("case", _BEYOND_RANGE)
+def test_values_beyond_the_float_range_are_a_domain_error(case):
+    # the connection term and the Christoffel symbol once reached the JSON
+    # encoder as -inf, and a norm of 1e400 divided by a height squared to 0
+    with pytest.raises(FloatRangeError, match="beyond the float range"):
+        _BEYOND_RANGE[case]()
+
+
+_COORD = st.floats(-4, 4, allow_subnormal=False)
+
+
+def _rounded(x):
+    """The exact x rounded once, or FloatRangeError when x != 0 rounds
+    to 0."""
+    value = float(x)
+    return FloatRangeError if x and not value else value
+
+
+def _answer(call):
+    """What call() answers, or FloatRangeError when it raises that."""
+    try:
+        return call()
+    except FloatRangeError:
+        return FloatRangeError
+
+
+@given(st.floats(0.01, 4), _COORD, _COORD, _COORD, _COORD, _COORD, _COORD)
+@example(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.4340348882484964e-196)
+def test_the_metric_is_its_exact_value_rounded_once(y, w1, w2, x1, x2,
+                                                     z1, z2):
+    # each reported coordinate is the exact value of the formula at the
+    # float inputs, rounded once, or FloatRangeError when a nonzero one
+    # rounds to 0 (Z = 3.4e-196 i has an inner product of 1.2e-391); the
+    # float formula agrees to 1e-12
+    base, w, x, z = complex(0.5, y), complex(w1, w2), complex(x1, x2), \
+        complex(z1, z2)
+    t = TangentVector(base, w, x, z)
+    fy, fw1, fw2, fx1, fx2, fz1, fz2 = map(Fraction, (y, w1, w2, x1, x2,
+                                                      z1, z2))
+    c1 = -(fw1 * fx2 + fw2 * fx1) / fy
+    c2 = (fw1 * fx1 - fw2 * fx2) / fy
+    coords = [_rounded(c) for c in (-c1, -c2, fz1 + c1, fz2 + c2)]
+    parts = _answer(lambda: [p.vec_Z for p in hv_decompose(t)])
+    if FloatRangeError in coords:
+        assert parts is FloatRangeError
+    else:
+        assert parts == [complex(*coords[:2]), complex(*coords[2:])]
+        corr = complex(-(w1 * x2 + w2 * x1) / y, (w1 * x1 - w2 * x2) / y)
+        assert abs(parts[1] - (z + corr)) <= 1e-12 * (1 + abs(z + corr))
+    inner = (fx1 ** 2 + fx2 ** 2 + (fz1 + c1) ** 2 + (fz2 + c2) ** 2) \
+        / fy ** 2
+    assert _answer(lambda: sasaki_inner(t, t)) == _rounded(inner)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        root = _rounded((Decimal(inner.numerator) / inner.denominator).sqrt())
+    norm = _answer(lambda: sasaki_norm(t))
+    if root is FloatRangeError:
+        assert norm is FloatRangeError
+    else:
+        assert abs(norm - root) <= 2 * math.ulp(norm)
 
 
 def test_embed_examples():

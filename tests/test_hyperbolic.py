@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from geom3 import descriptors
 from geom3.hyperbolic import (
     CIRCLE,
     ELLIPTIC,
@@ -599,6 +600,40 @@ def test_numbers_beyond_the_float_range_are_a_domain_error(entries, what):
             m.entries()
         else:
             classify_isometry(m)
+
+
+_TINY = Fraction(1, _HUGE)
+
+
+@pytest.mark.parametrize("entries", [
+    (2, _TINY, 0, 1),                                   # -1e-400 and inf
+    (0, -2 * _TINY ** 2, 1, -3 * _TINY),                # 1e-400, 2e-400
+    (1 + _TINY, -_TINY ** 2, 1, 1 - _TINY),             # 1e-400, parabolic
+    (0, -_TINY, _HUGE, 0),                              # i 1e-400
+], ids=["hyperbolic-c0", "hyperbolic", "parabolic", "elliptic"])
+def test_a_nonzero_fixed_point_that_rounds_to_zero_is_a_domain_error(
+        entries):
+    # the second once divided by zero, and the others printed 0.0 (the
+    # elliptic one the boundary point 0 + 0i)
+    with pytest.raises(FloatRangeError, match="fixed point"):
+        classify_isometry(MobiusMap(*entries))
+
+
+@pytest.mark.parametrize("entries, want", [
+    ((3 + 2 * _TINY, 1, 1, 3), [-1.0, 1.0]),                # mid 1e-400
+    ((2 * _HUGE ** 2, 1 - _HUGE ** 2, _HUGE ** 2, 0), [1.0, 1.0]),
+], ids=["midpoint", "half-distance"])   # 1e-400 from 1
+def test_a_tiny_intermediate_is_not_a_fixed_point(entries, want):
+    # the midpoint and half the distance of the two fixed points are not
+    # reported: one that rounds to 0 is no domain error
+    cls = classify_isometry(MobiusMap(*entries))
+    assert cls.tag == HYPERBOLIC
+    assert [p.x for p in cls.fixed_set] == want
+
+
+def test_float_range_error_is_one_class():
+    assert FloatRangeError is descriptors.FloatRangeError
+    assert issubclass(FloatRangeError, ValueError)
 
 
 @pytest.mark.parametrize("scale, want", [

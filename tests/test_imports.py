@@ -51,6 +51,11 @@ CASES = {
                                                 NOT_FOR_HYP),
     "sol iso --matrix 2,1,1,1 --power 5": ("geom3.sol",
                                            {"geom3.nil", "geom3.euclid"}),
+    # a fixed line beyond the float range raises the FloatRangeError of
+    # descriptors, which every call loads
+    "sol fixed-line --x 1 --y 1 --t 1": ("geom3.sol", {"geom3.hyperbolic",
+                                                       "geom3.nil",
+                                                       "geom3.euclid"}),
     "lookup --family all": ("geom3.euclid", {"geom3.nil"}),
     "euclid betti --preset Z3xD4xy": ("geom3.euclid", {"geom3.nil"}),
     "zimmer maxdim --space-dim 3": ("geom3.zimmer", NOT_FOR_ZIMMER),

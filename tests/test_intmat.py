@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from geom3 import euclid, fibered, nil
+from geom3 import euclid, fibered, intmat, nil
 from geom3.algebra import MixedDiscriminantError, QuadRat
 from geom3.cli import _S2R_PRESETS, _s2r_generators
 from geom3.euclid import _integer_span
@@ -56,6 +56,7 @@ from geom3.nil import (
 )
 from geom3.sol import sol_q_structure
 from support import (
+    ZSpanBySnf,
     clear_denominators,
     deadline,
     determinant,
@@ -278,9 +279,7 @@ def rational_rows(draw):
 @given(rational_rows())
 @settings(max_examples=300, deadline=None)
 def test_rank_agrees_with_gaussian_elimination(rows):
-    dim = len(rows[0]) if rows else 1
-    assert _integer_span(rows, dim)[1].rank \
-        == rational_rank_by_elimination(rows)
+    assert _integer_span(rows)[1].rank == rational_rank_by_elimination(rows)
 
 
 @st.composite
@@ -299,7 +298,7 @@ def generating_sets(draw):
 @settings(max_examples=100, deadline=None)
 def test_lattice_membership_agrees_with_the_walk(case):
     dim, vectors = case
-    den, span = _integer_span(vectors, dim)
+    den, span = _integer_span(vectors)
     walk_den, points = lattice_points_by_walk(vectors, dim, bound=2)
     assert walk_den == den
     for big in itertools.product(range(-2, 3), repeat=dim):
@@ -313,7 +312,7 @@ def test_lattice_membership_agrees_with_the_walk(case):
 @settings(max_examples=100, deadline=None)
 def test_lattice_basis_and_vectors_generate_each_other(case):
     dim, vectors = case
-    den, span = _integer_span(vectors, dim)
+    den, span = _integer_span(vectors)
     assert len(span.basis) == span.rank
     scaled = [tuple(int(x * den) for x in v) for v in vectors]
     for v in scaled:   # the basis generates every vector ...
@@ -368,7 +367,7 @@ def test_quadratic_vectors_as_integer_pairs(case):
     den, pairs, rows = _pair_rows(vectors)
     for x, (p, q) in zip((x for v in vectors for x in v), pairs):
         assert x * den == QuadRat(p, q, d)
-    span = ZSpan(rows, 2 * n)
+    span = ZSpan(rows)
     assert span.rank == rational_rank_by_elimination(
         [[x.a for x in v] + [x.b for x in v] for v in vectors])
     for v, row in zip(vectors, rows):
@@ -393,16 +392,69 @@ span_rows = st.one_of(
 @given(span_rows)
 @settings(max_examples=200, deadline=None)
 def test_the_lazy_basis_is_the_eager_formula(case):
-    # the nonzero rows of u @ A for u @ A @ v = diag(d), read off `snf`
+    # the echelon basis and the Smith-form basis (the nonzero rows of u @ A
+    # for u @ A @ v = diag(d)) span one lattice: equal ranks, and each
+    # basis rebuilds the other's rows from its coordinates
     rows, dim = case
-    span = ZSpan(rows, dim)
-    assert "basis" not in vars(span)
-    rows = rows or [[0] * dim]
-    d, u, _ = snf(rows)
-    assert span.basis == tuple(
-        tuple(sum(c * row[j] for c, row in zip(ui, rows)) for j in range(dim))
-        for ui in u[:span.rank])
-    assert span.rank == sum(1 for x in d if x)
+    span, oracle = ZSpan(rows), ZSpanBySnf(rows, dim)
+    assert span.rank == oracle.rank
+    for mine, other in ((span, oracle), (oracle, span)):
+        for row in mine.basis:
+            assert _combination(other.coords(row), other.basis, dim) == row
+
+
+@given(span_rows)
+@settings(max_examples=200, deadline=None)
+def test_the_echelon_basis_leads_in_increasing_columns(case):
+    # the leading columns (each basis row's first nonzero entry) strictly
+    # increase, the rank is the rank over Q, and the coordinates of every
+    # row rebuild it
+    rows, dim = case
+    span = ZSpan(rows)
+    leads = [next(c for c, x in enumerate(row) if x) for row in span.basis]
+    assert leads == sorted(set(leads))
+    assert span.rank == len(span.basis) == rational_rank_by_elimination(
+        [list(row) for row in rows] or [[0] * dim])
+    for row in rows:
+        assert _combination(span.coords(row), span.basis, dim) == tuple(row)
+
+
+@given(span_rows)
+@settings(max_examples=50, deadline=None)
+def test_the_span_builds_no_snf(case):
+    # the lattice kernel and every Euclid lattice question read no Smith
+    # normal form: snf refuses, wherever it is looked up, and the answers
+    # stand (the planar finite order of `euclid iso` reads snf on purpose)
+    rows, dim = case
+    presets = ("Z2", "Z2xD4", "Z3", "Z3xD4xy", "screw", "slab", "centered")
+    expected = ZSpanBySnf(rows, dim).rank
+    answers = [_euclid_lattice_answers(euclid.preset_crystal(name))
+               for name in presets]
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (intmat, euclid):
+            for name, obj in list(vars(module).items()):
+                if obj is snf:
+                    patch.setattr(module, name, _refuse_snf)
+        span = ZSpan(rows)
+        assert span.rank == expected
+        for row in rows:
+            assert span.coords(row) is not None
+        assert [_euclid_lattice_answers(euclid.preset_crystal(name))
+                for name in presets] == answers
+
+
+def _refuse_snf(*args):
+    raise AssertionError("a Smith normal form in the lattice kernel")
+
+
+def _euclid_lattice_answers(g):
+    answers = [euclid.translation_rank(g)]
+    if g.dim == 3:
+        answers.append(euclid.euclid_volume_verdict(g))
+    if euclid.translation_rank(g) == g.dim:
+        answers += [euclid.betti_identity_component(g),
+                    euclid.coinvariant_rank(g)]
+    return answers
 
 
 def test_int_mat_pow():

@@ -4,11 +4,16 @@ groups, centralizer triviality and the quadratic-field structure."""
 import itertools
 import math
 import random
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from geom3 import intmat
+from geom3.descriptors import OUTPUT_DIGIT_LIMIT, FloatRangeError
 from geom3.algebra import QuadRat, galois_conjugate
 from geom3.intmat import IntMat2, int_mat_pow, mat2_apply, mat2_inv
 from geom3.sol import (
@@ -113,6 +118,60 @@ def test_fixed_line_does_not_cancel_for_small_t(t):
     p, q = sol_fixed_line(SolPoint(1.0, 1.0, t))
     assert p == pytest.approx(-1 / t + 0.5, rel=1e-15)
     assert q == pytest.approx(1 / t + 0.5, rel=1e-15)
+
+
+@pytest.mark.parametrize("x, y, t", [
+    (1.0, 1.0, 1e-320),         # p = -1e320 once reached the encoder as -inf
+    (1e-300, 1.0, 700.0),       # p = -1e-604 once rounded to -0.0
+    (1.0, 1.0, 1e300),          # p = -e^-1e300
+    (1.0, 1e300, -1e-10),       # q = -1e310
+])
+def test_fixed_line_beyond_the_float_range_is_a_domain_error(x, y, t):
+    with pytest.raises(FloatRangeError, match="fixed line"):
+        sol_fixed_line(SolPoint(x, y, t))
+
+
+def _over_one_minus_exp_reference(x: float, t: float) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 60, 10 ** 6, -10 ** 6
+        return Decimal(x) / (1 - Decimal(t).exp())
+
+
+_NORMAL, _LARGEST = Decimal(2) ** -1022, Decimal(sys.float_info.max)
+_OVERFLOW, _UNDERFLOW = Decimal(2) ** 1024, Decimal(2) ** -1075
+
+
+@given(st.floats(-1e308, 1e308), st.floats(-1500, 1500).filter(
+    lambda t: abs(t) >= 1e-3))
+@example(1e300, 800.0)
+@example(-1e300, -800.0)
+@example(0.0, 800.0)
+@example(1.0, 709.7)
+@example(1.0, 709.8)
+@example(1e-300, 700.0)
+def test_fixed_line_coordinates_are_their_exact_values_rounded(x, t):
+    # p = x / (1 - e^t), and q is the same with -t: past the range of expm1
+    # (e^800 overflows a float) it is still the exact value to within a few
+    # ulps, or a domain error when that value is beyond the float range;
+    # the subnormal range, rounded with fewer bits, is left out
+    want = abs(_over_one_minus_exp_reference(x, t))
+    if not x or _NORMAL <= want <= _LARGEST:
+        got = sol._over_one_minus_exp(x, t)
+        assert got == pytest.approx(
+            float(_over_one_minus_exp_reference(x, t)), rel=1e-14, abs=0)
+        assert math.copysign(1, got) == 1 or x
+    elif want >= _OVERFLOW or want < _UNDERFLOW:
+        with pytest.raises(FloatRangeError):
+            sol._over_one_minus_exp(x, t)
+
+
+def test_fixed_line_past_the_range_of_expm1():
+    # e^800 once raised a bare OverflowError, though p = 0 and q = 1
+    assert sol_fixed_line(SolPoint(0.0, 1.0, 800.0)) == (0.0, 1.0)
+    p, q = sol_fixed_line(SolPoint(1e300, 1.0, 800.0))
+    assert q == 1.0
+    assert p == pytest.approx(-1e300 * math.exp(-400) * math.exp(-400),
+                              rel=1e-14)
 
 
 def test_fixed_line_translation_property():
@@ -505,3 +564,22 @@ def test_cokernel_action_is_pinned(matrix, n):
         sol_lattice_make(IntMat2(*matrix), n)).finite_part
     assert (finite["abelian_invariants"], finite["action_on_invariants"]) \
         == COKERNEL_ACTIONS[matrix, n]
+
+
+@pytest.mark.parametrize("rows", [(2, 1, 1, 1), (3, 1, 2, 1), (10, 1, 9, 1),
+                                  (1, 1, 1000000093, 1000000094)])
+def test_the_power_bound_refuses_only_answers_past_the_limit(rows):
+    # the least power the bound from n and tr A refuses has |2 - tr A^n|
+    # past the output limit already, and the power below it is left to the
+    # exact check
+    a = IntMat2(*rows)
+    n = sol._LIMIT_BITS // ((a.trace() - 1).bit_length() - 1) + 1
+    assert abs(2 - int_mat_pow(a, n).trace()) >= 10 ** OUTPUT_DIGIT_LIMIT
+    for f in (sol_quotient_isometry, sol_normalizer_lattice):
+        with pytest.raises(ValueError, match=r"at least \d+ bits, more "
+                           r"than the 4300-digit output limit"):
+            f(SolLattice(a, n))
+        try:
+            f(SolLattice(a, n - 1)).to_json_dict()
+        except ValueError as e:
+            assert "at least" not in str(e)
