@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -26,8 +25,52 @@ def to_float(num, den: int = 1, what: str = "a value") -> float:
     return value + 0.0
 
 
-@dataclass(frozen=True)
-class IsoDescriptor:
+class _Frozen:
+    """Base of the immutable value classes.
+
+    A subclass stores its constructor's arguments in its own __init__,
+    through `_setattr` or slot setters, and names them, in order, in
+    `_fields`.  The base refuses assignment and deletion, shows
+    `Name(field=value!r, ...)`, compares (only with the same class) and
+    hashes as the tuple of the fields, and copies and pickles by calling
+    the constructor on them.  The classes that products and searches
+    build write __eq__ and __hash__ out in place of the loop over
+    `_fields`.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+_setattr = object.__setattr__
+
+
+class IsoDescriptor(_Frozen):
     """Isometry group of a finite-volume quotient, as an extension.
 
     identity_component is a tag from a fixed vocabulary ("S1", "T2", "T3",
@@ -37,12 +80,20 @@ class IsoDescriptor:
     finite_part collects the data of F (order, structure label, generators).
     """
 
-    geometry: str
-    identity_component: str
-    finite_part: Optional[dict] = None
-    circle_factor: Optional[object] = None
-    total_order: Optional[int] = None
-    notes: tuple[str, ...] = ()
+    _fields = ("geometry", "identity_component", "finite_part",
+               "circle_factor", "total_order", "notes")
+
+    def __init__(self, geometry: str, identity_component: str,
+                 finite_part: Optional[dict] = None,
+                 circle_factor: Optional[object] = None,
+                 total_order: Optional[int] = None,
+                 notes: tuple[str, ...] = ()):
+        _setattr(self, "geometry", geometry)
+        _setattr(self, "identity_component", identity_component)
+        _setattr(self, "finite_part", finite_part)
+        _setattr(self, "circle_factor", circle_factor)
+        _setattr(self, "total_order", total_order)
+        _setattr(self, "notes", notes)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -63,21 +114,21 @@ FACTORS_THROUGH_FINITE = "FactorsThroughFinite"
 POSSIBLE_INFINITE_ACTION = "PossibleInfiniteIsometricAction"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Frozen):
     """Decision for a higher-rank lattice action, with rule citations."""
 
-    tag: str
-    reasons: tuple[dict, ...] = field(default_factory=tuple)
+    _fields = ("tag", "reasons")
 
-    def __post_init__(self):
-        if self.tag not in (FACTORS_THROUGH_FINITE, POSSIBLE_INFINITE_ACTION):
-            raise ValueError(f"unknown verdict tag {self.tag!r}")
-        if not self.reasons:
+    def __init__(self, tag: str, reasons: tuple[dict, ...] = ()):
+        if tag not in (FACTORS_THROUGH_FINITE, POSSIBLE_INFINITE_ACTION):
+            raise ValueError(f"unknown verdict tag {tag!r}")
+        if not reasons:
             raise ValueError("a verdict must cite at least one rule")
-        for r in self.reasons:
+        for r in reasons:
             if not r.get("rule") or not r.get("citation"):
                 raise ValueError("each reason needs a rule id and a citation")
+        _setattr(self, "tag", tag)
+        _setattr(self, "reasons", reasons)
 
     def to_json_dict(self) -> dict:
         return {"tag": self.tag, "reasons": list(self.reasons)}

@@ -16,13 +16,12 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
 from .algebra import frac, integer_rows
-from .descriptors import IsoDescriptor
+from .descriptors import IsoDescriptor, _Frozen, _setattr
 from .intmat import ZSpan, matmul, snf, transpose
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -66,14 +65,18 @@ def _integer_span(vectors) -> tuple[int, ZSpan]:
     return den, ZSpan(rows)
 
 
-@dataclass(frozen=True)
-class CrystalGroup:
+class CrystalGroup(_Frozen):
     """Discrete subgroup of E(d) given by point generators and translations."""
 
-    dim: int
-    point_gens: tuple[Matrix, ...]
-    trans_basis: tuple[Vector, ...]
-    vector_system: Optional[tuple[Vector, ...]] = None
+    _fields = ("dim", "point_gens", "trans_basis", "vector_system")
+
+    def __init__(self, dim: int, point_gens: tuple[Matrix, ...],
+                 trans_basis: tuple[Vector, ...],
+                 vector_system: Optional[tuple[Vector, ...]] = None):
+        _setattr(self, "dim", dim)
+        _setattr(self, "point_gens", point_gens)
+        _setattr(self, "trans_basis", trans_basis)
+        _setattr(self, "vector_system", vector_system)
 
     @functools.cached_property
     def _lattice(self) -> tuple[int, ZSpan]:

@@ -9,12 +9,11 @@ H^2 x C = T H^2; (X, Z) is the derivative of a curve (z(t), w(t)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import power
-from .descriptors import IsoDescriptor, to_float
+from .descriptors import IsoDescriptor, _Frozen, _setattr, to_float
 from .hyperbolic import MobiusMap, _sqrt_ratio, _upper_point, expm_sl2
 from .intmat import SearchCapError, closure, mat3_mul, transpose
 
@@ -38,18 +37,19 @@ def christoffel_h2(p: complex, i: int, j: int, k: int) -> float:
     return 0.0
 
 
-@dataclass(frozen=True)
-class TangentVector:
+class TangentVector(_Frozen):
     """Vector (X, Z) tangent to T H^2 at the point (base_z, base_w)."""
 
-    base_z: complex
-    base_w: complex
-    vec_X: complex
-    vec_Z: complex
+    _fields = ("base_z", "base_w", "vec_X", "vec_Z")
 
-    def __post_init__(self):
-        if complex(self.base_z).imag <= 0:
+    def __init__(self, base_z: complex, base_w: complex, vec_X: complex,
+                 vec_Z: complex):
+        if complex(base_z).imag <= 0:
             raise ValueError("base point must lie in the upper half-plane")
+        _setattr(self, "base_z", base_z)
+        _setattr(self, "base_w", base_w)
+        _setattr(self, "vec_X", vec_X)
+        _setattr(self, "vec_Z", vec_Z)
 
     def to_json_dict(self) -> dict:
         def pair(c):
@@ -175,36 +175,46 @@ def _near_identity(m, atol: float) -> bool:
                for i in range(3) for j in range(3))
 
 
-@dataclass(frozen=True)
-class S2RIsometry:
-    """Element (rot, shift, flip) of O(3) x (R x| Z_2)."""
+class S2RIsometry(_Frozen):
+    """Element (rot, shift, flip) of O(3) x (R x| Z_2); rot is 3x3
+    orthogonal, rows of floats or Fractions, and shift a float or a
+    Fraction."""
 
-    rot: tuple            # 3x3 orthogonal, rows of floats or Fractions
-    shift: object         # float or Fraction
-    flip: int = 1
+    __slots__ = _fields = ("rot", "shift", "flip")
 
-    def __post_init__(self):
-        if self.flip not in (1, -1):
+    def __init__(self, rot: tuple, shift, flip: int = 1):
+        if flip not in (1, -1):
             raise ValueError("flip must be +1 or -1")
-        r = self.rot
-        if len(r) != 3 or any(len(row) != 3 for row in r):
+        if len(rot) != 3 or any(len(row) != 3 for row in rot):
             raise ValueError("rotation part must be a 3x3 matrix")
-        if _has_float(r):
-            orthogonal = _near_identity(mat3_mul(r, transpose(r)), 1e-12)
+        if _has_float(rot):
+            orthogonal = _near_identity(mat3_mul(rot, transpose(rot)), 1e-12)
         else:
-            orthogonal = mat3_mul(r, transpose(r)) == S2R_ROT_ID
+            orthogonal = mat3_mul(rot, transpose(rot)) == S2R_ROT_ID
         if not orthogonal:
             raise ValueError("rotation part must be orthogonal")
+        _set_rot(self, rot)
+        _set_shift(self, shift)
+        _set_flip(self, flip)
 
     @classmethod
     def _make(cls, rot: tuple, shift, flip: int) -> "S2RIsometry":
         """Trusted constructor for products and inverses of checked
         elements, which are orthogonal 3x3 matrices with flip +-1."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "rot", rot)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "flip", flip)
+        self = _new(cls)
+        _set_rot(self, rot)
+        _set_shift(self, shift)
+        _set_flip(self, flip)
         return self
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.rot, self.shift, self.flip)
+                    == (other.rot, other.shift, other.flip))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rot, self.shift, self.flip))
 
     def compose(self, other: "S2RIsometry") -> "S2RIsometry":
         return S2RIsometry._make(mat3_mul(self.rot, other.rot),
@@ -215,6 +225,10 @@ class S2RIsometry:
         return S2RIsometry._make(transpose(self.rot),
                                  -self.flip * self.shift, self.flip)
 
+
+_set_rot, _set_shift, _set_flip = (S2RIsometry.__dict__[name].__set__
+                                   for name in S2RIsometry.__slots__)
+_new = object.__new__
 
 S2R_ROT_ID = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -229,18 +243,21 @@ LAMBDA_Z = "LambdaZ"
 LAMBDA_Z_SEMIDIRECT = "LambdaZSemidirectZ2"
 
 
-@dataclass(frozen=True)
-class S2RDecomposition:
+class S2RDecomposition(_Frozen):
     """1 -> F -> Gamma -> L.  L is trivial, lam Z, or with a flip lam Z
     x| Z_2 (Z_2 alone when lam is None); f_elements lists F, the rotation
     parts of the elements that act trivially on R, and f_order_bound is
     |F|; twist is the rotation part of one element of shift lam."""
 
-    l_type: str
-    lam: object
-    f_order_bound: int
-    f_elements: tuple
-    twist: Optional[tuple]
+    _fields = ("l_type", "lam", "f_order_bound", "f_elements", "twist")
+
+    def __init__(self, l_type: str, lam: object, f_order_bound: int,
+                 f_elements: tuple, twist: Optional[tuple]):
+        _setattr(self, "l_type", l_type)
+        _setattr(self, "lam", lam)
+        _setattr(self, "f_order_bound", f_order_bound)
+        _setattr(self, "f_elements", f_elements)
+        _setattr(self, "twist", twist)
 
     def to_json_dict(self) -> dict:
         """FloatRangeError when lam overflows a float or rounds to 0."""
@@ -345,7 +362,11 @@ def _screen_kernel(rots: list, coeffs: list, m: list) -> None:
     digits per step, so k_j over a large shift ratio is costly to compute
     exactly; in floats it costs the same at any ratio.  The float error of
     the powers grows about linearly with the exponents, far below the
-    tolerance 1e-9 (1 + sum |c_j| + max |m_j|), so a rejection is sure."""
+    tolerance 1e-9 (1 + sum |c_j| + max |m_j|), so a rejection is sure.
+    When every rotation part is I, every k_j is I, whose trace passes,
+    and the tolerance, which may lie beyond the float range, is not built."""
+    if all(r == S2R_ROT_ID for r in rots):
+        return
     as_float = [tuple(tuple(float(v) for v in row) for row in r)
                 for r in rots]
     tol = 1e-9 * (1 + sum(map(abs, coeffs)) + max(map(abs, m)))

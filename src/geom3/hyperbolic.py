@@ -11,11 +11,10 @@ arithmetic, with no tolerance; its entries are built only when read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .descriptors import FloatRangeError, to_float
+from .descriptors import FloatRangeError, _Frozen, _setattr, to_float
 
 ELLIPTIC = "Elliptic"
 PARABOLIC = "Parabolic"
@@ -29,12 +28,22 @@ class IdentityClassError(ValueError):
     """The identity has no isometry class and no centralizer type."""
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(_Frozen):
     """Point of the boundary RP^1: a real number or infinity."""
 
-    x: float = 0.0
-    infinite: bool = False
+    __slots__ = _fields = ("x", "infinite")
+
+    def __init__(self, x: float = 0.0, infinite: bool = False):
+        _set_x(self, x)
+        _set_infinite(self, infinite)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x, self.infinite) == (other.x, other.infinite)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x, self.infinite))
 
     @classmethod
     def inf(cls) -> "BoundaryPoint":
@@ -43,6 +52,9 @@ class BoundaryPoint:
     def to_json(self):
         return {"boundary": "inf" if self.infinite else self.x}
 
+
+_set_x, _set_infinite = (BoundaryPoint.__dict__[name].__set__
+                         for name in BoundaryPoint.__slots__)
 
 FixedPoint = Union[BoundaryPoint, complex]
 
@@ -170,10 +182,12 @@ def _upper_point(x: Fraction, y: Fraction, what: str) -> complex:
     return complex(to_float(x, what=what), to_float(y, what=what))
 
 
-@dataclass(frozen=True)
-class IsometryClass:
-    tag: str
-    fixed_set: tuple[FixedPoint, ...]
+class IsometryClass(_Frozen):
+    _fields = ("tag", "fixed_set")
+
+    def __init__(self, tag: str, fixed_set: tuple[FixedPoint, ...]):
+        _setattr(self, "tag", tag)
+        _setattr(self, "fixed_set", fixed_set)
 
     def to_json_dict(self) -> dict:
         pts = []

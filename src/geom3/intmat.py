@@ -29,7 +29,6 @@ S^2 x R group (`fibered._twist_closure`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt
@@ -37,6 +36,7 @@ from operator import add, sub
 from typing import Optional
 
 from .algebra import Scalar, _reduced, one_field, power
+from .descriptors import _Frozen
 
 Mat2 = tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]
 Vec2 = tuple[Scalar, Scalar]
@@ -287,19 +287,28 @@ def closure(identity, gens, mul, key=tuple, *, cap: int):
 
 # -- integer matrices ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntMat2:
+class IntMat2(_Frozen):
     """A 2x2 integer matrix."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        for entry in (self.a, self.b, self.c, self.d):
+    def __init__(self, a: int, b: int, c: int, d: int):
+        for entry in (a, b, c, d):
             if not isinstance(entry, int):
                 raise TypeError("integer entries required")
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        _set_d(self, d)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.a, self.b, self.c, self.d)
+                    == (other.a, other.b, other.c, other.d))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
 
     @classmethod
     def from_rows(cls, rows) -> "IntMat2":
@@ -325,6 +334,10 @@ class IntMat2:
     def __sub__(self, other: "IntMat2") -> "IntMat2":
         return IntMat2(self.a - other.a, self.b - other.b,
                        self.c - other.c, self.d - other.d)
+
+
+_set_a, _set_b, _set_c, _set_d = (IntMat2.__dict__[name].__set__
+                                  for name in IntMat2.__slots__)
 
 
 def int_mat_pow(a: IntMat2, n: int) -> IntMat2:

@@ -34,7 +34,6 @@ irrational); global coordinates serve the oracles of tests/support.py.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, sub
 from typing import Optional, Sequence
@@ -51,7 +50,7 @@ from .algebra import (
     row_scalar,
     scalar_is_rational,
 )
-from .descriptors import IsoDescriptor
+from .descriptors import IsoDescriptor, _Frozen, _setattr
 from .intmat import (
     MAT2_ID,
     Mat2,
@@ -82,13 +81,23 @@ POINT_GROUP_CAP = 24
 
 # -- points -------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class HeisPoint:
+class HeisPoint(_Frozen):
     """Group element with global coordinates (x, y, z), all exact."""
 
-    x: Scalar
-    y: Scalar
-    z: Scalar
+    __slots__ = _fields = ("x", "y", "z")
+
+    def __init__(self, x: Scalar, y: Scalar, z: Scalar):
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_z(self, z)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x, self.y, self.z) == (other.x, other.y, other.z)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x, self.y, self.z))
 
     @classmethod
     def of(cls, x, y, z) -> "HeisPoint":
@@ -100,6 +109,9 @@ class HeisPoint:
     def to_json(self):
         return list(map(format_scalar, (self.x, self.y, self.z)))
 
+
+_set_x, _set_y, _set_z = (HeisPoint.__dict__[name].__set__
+                          for name in HeisPoint.__slots__)
 
 HEIS_ID = HeisPoint(Fraction(0), Fraction(0), Fraction(0))
 
@@ -208,20 +220,28 @@ ROT_PI_3: Mat2 = ((HALF, QuadRat(0, -HALF, 3)),
 REFLECT = ((1, 0), (0, -1))
 
 
-@dataclass(frozen=True, slots=True)
-class HeisIsometry:
+class HeisIsometry(_Frozen):
     """Isometry p |-> trans * sigma_rot(p); rot orthogonal of finite order,
     checked in integers by `_linear_group`, whose cache the dichotomy
     shares."""
 
-    rot: Mat2
-    trans: HeisPoint
+    __slots__ = _fields = ("rot", "trans")
 
-    def __post_init__(self):
-        for x in (*self.rot[0], *self.rot[1]):   # 1.0 would pass as 1
+    def __init__(self, rot: Mat2, trans: HeisPoint):
+        for x in (*rot[0], *rot[1]):   # 1.0 would pass as 1
             if not isinstance(x, (int, Fraction, QuadRat)):
                 raise ValueError(f"exact entries required, not {x!r}")
-        _linear_group((tuple(map(tuple, self.rot)),))
+        _linear_group((tuple(map(tuple, rot)),))
+        _set_rot(self, rot)
+        _set_trans(self, trans)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rot, self.trans) == (other.rot, other.trans)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rot, self.trans))
 
     @classmethod
     def translation(cls, p: HeisPoint) -> "HeisIsometry":
@@ -236,18 +256,25 @@ class HeisIsometry:
         return self.rot, self.trans.planar()
 
 
+_set_rot, _set_trans = (HeisIsometry.__dict__[name].__set__
+                        for name in HeisIsometry.__slots__)
+
+
 # -- lattices -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NilLattice:
+class NilLattice(_Frozen):
     """Lattice generated by (u, r), (v, s) and the central (0, 0, lam/n)."""
 
-    u: Vec2
-    v: Vec2
-    r: Scalar
-    s: Scalar
-    n: int
-    lam: Scalar
+    _fields = ("u", "v", "r", "s", "n", "lam")
+
+    def __init__(self, u: Vec2, v: Vec2, r: Scalar, s: Scalar, n: int,
+                 lam: Scalar):
+        _setattr(self, "u", u)
+        _setattr(self, "v", v)
+        _setattr(self, "r", r)
+        _setattr(self, "s", s)
+        _setattr(self, "n", n)
+        _setattr(self, "lam", lam)
 
     def generators(self) -> list[HeisPoint]:
         return [HeisPoint(self.u[0], self.u[1], self.r),
@@ -305,14 +332,18 @@ def nil_center_intersection(lat: NilLattice) -> Scalar:
     return abs(lat.center_step())
 
 
-@dataclass(frozen=True)
-class NilNormalizer:
-    """Normalizer in the group: planar lattice refined by n, full line in z."""
+class NilNormalizer(_Frozen):
+    """Normalizer in the group: planar lattice refined by n, full line in z;
+    index is the index of the projected lattice refinement."""
 
-    lattice: NilLattice
-    planar_u: Vec2
-    planar_v: Vec2
-    index: int                      # index of the projected lattice refinement
+    _fields = ("lattice", "planar_u", "planar_v", "index")
+
+    def __init__(self, lattice: NilLattice, planar_u: Vec2, planar_v: Vec2,
+                 index: int):
+        _setattr(self, "lattice", lattice)
+        _setattr(self, "planar_u", planar_u)
+        _setattr(self, "planar_v", planar_v)
+        _setattr(self, "index", index)
 
     def to_json_dict(self) -> dict:
         return {
@@ -344,19 +375,24 @@ def nil_normalizer(lat: NilLattice) -> NilNormalizer:
 _PG_TAGS = {2: "C2", 4: "D2", 8: "D4", 12: "D6"}
 
 
-@dataclass(frozen=True)
-class PlanarPointGroup:
+class PlanarPointGroup(_Frozen):
     """Full orthogonal stabilizer of a planar lattice.
 
     basis_matrices holds, for each element R, the integer matrix B^-1 R B
     in the basis B = (u v) the group was computed from (not compared, not
-    shown).
+    shown: not in `_fields`, so copy and pickle pass it on themselves).
     """
 
-    tag: str
-    elements: tuple[Mat2, ...]
-    basis_matrices: tuple[Mat2, ...] = field(default=(), repr=False,
-                                             compare=False)
+    _fields = ("tag", "elements")
+
+    def __init__(self, tag: str, elements: tuple[Mat2, ...],
+                 basis_matrices: tuple[Mat2, ...] = ()):
+        _setattr(self, "tag", tag)
+        _setattr(self, "elements", elements)
+        _setattr(self, "basis_matrices", basis_matrices)
+
+    def __reduce__(self):
+        return PlanarPointGroup, (self.tag, self.elements, self.basis_matrices)
 
     @property
     def order(self) -> int:
@@ -842,12 +878,16 @@ FIXES_LINE = "AbelianFixesLine"
 NON_DISCRETE_INPUT = "NonDiscreteInput"
 
 
-@dataclass(frozen=True)
-class DichotomyResult:
-    kind: str
-    point: Optional[Vec2] = None
-    direction: Optional[Vec2] = None
-    witness: Optional[HeisPoint] = None
+class DichotomyResult(_Frozen):
+    _fields = ("kind", "point", "direction", "witness")
+
+    def __init__(self, kind: str, point: Optional[Vec2] = None,
+                 direction: Optional[Vec2] = None,
+                 witness: Optional[HeisPoint] = None):
+        _setattr(self, "kind", kind)
+        _setattr(self, "point", point)
+        _setattr(self, "direction", direction)
+        _setattr(self, "witness", witness)
 
     def to_json_dict(self) -> dict:
         out: dict = {"kind": self.kind}

@@ -14,7 +14,6 @@ mode where e^t is a power of a fixed quadratic unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -23,14 +22,15 @@ from .algebra import QuadRat, integer_rows, row_scalar
 from .descriptors import (
     OUTPUT_DIGIT_LIMIT,
     IsoDescriptor,
+    _Frozen,
+    _setattr,
     check_output_size,
     to_float,
 )
 from .intmat import IntMat2, Mat2, Vec2, ZsqrtBasis, int_mat_pow, mat2_inv
 
 
-@dataclass(frozen=True)
-class SolPoint:
+class SolPoint(_Frozen):
     """Point (x, y, t) of the matrix with rows (e^t,0,x),(0,e^-t,y),(0,0,1).
 
     Float mode stores t directly.  Exact mode tracks t = k * log(unit) via
@@ -38,10 +38,14 @@ class SolPoint:
     so e^t = unit**k stays exact.
     """
 
-    x: object
-    y: object
-    level: object                    # float t, or integer k in exact mode
-    unit: Optional[QuadRat] = None
+    _fields = ("x", "y", "level", "unit")
+
+    def __init__(self, x, y, level, unit: Optional[QuadRat] = None):
+        # level is the float t, or the integer k in exact mode
+        _setattr(self, "x", x)
+        _setattr(self, "y", y)
+        _setattr(self, "level", level)
+        _setattr(self, "unit", unit)
 
     @classmethod
     def exact(cls, x, y, k: int, unit: QuadRat) -> "SolPoint":
@@ -126,18 +130,16 @@ def _over_one_minus_exp(x: float, t: float) -> float:
 
 # -- lattices ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SolLattice:
+class SolLattice(_Frozen):
     """Gamma_{A^n} = Z^2 x|_{A^n} Z for a hyperbolic A in SL2(Z).
 
     Checked when built: det A = 1, tr A > 2 and n a positive integer.
     """
 
-    a: IntMat2
-    n: int
+    _fields = ("a", "n")
 
-    def __post_init__(self):
-        det, t = self.a.det(), self.a.trace()
+    def __init__(self, a: IntMat2, n: int):
+        det, t = a.det(), a.trace()
         if det != 1:
             raise ValueError(f"determinant {det} != 1")
         if t < -2:
@@ -145,8 +147,10 @@ class SolLattice:
                              f"trace > 2 is supported")
         if t <= 2:
             raise ValueError(f"trace {t} <= 2: no hyperbolic holonomy")
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(n, int) or n < 1:
             raise ValueError("power must be a positive integer")
+        _setattr(self, "a", a)
+        _setattr(self, "n", n)
 
     def holonomy(self) -> IntMat2:
         return int_mat_pow(self.a, self.n)
@@ -160,13 +164,18 @@ def sol_lattice_make(a: IntMat2, n: int = 1) -> SolLattice:
     return SolLattice(a, n)
 
 
-@dataclass(frozen=True)
-class SolNormalizer:
-    """N = Z x|_A Lambda_n with Lambda_n = (I - A^n)^{-1} Z^2."""
+class SolNormalizer(_Frozen):
+    """N = Z x|_A Lambda_n with Lambda_n = (I - A^n)^{-1} Z^2: basis is a
+    rational basis of Lambda_n, and index is [Lambda_n : Z^2] =
+    |det(I - A^n)|."""
 
-    lattice: SolLattice
-    basis: tuple[Vec2, Vec2]        # rational basis of Lambda_n
-    index: int                      # [Lambda_n : Z^2] = |det(I - A^n)|
+    _fields = ("lattice", "basis", "index")
+
+    def __init__(self, lattice: SolLattice, basis: tuple[Vec2, Vec2],
+                 index: int):
+        _setattr(self, "lattice", lattice)
+        _setattr(self, "basis", basis)
+        _setattr(self, "index", index)
 
     def to_json_dict(self) -> dict:
         check_output_size(self.basis)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -19,6 +18,8 @@ from .descriptors import (
     POSSIBLE_INFINITE_ACTION,
     IsoDescriptor,
     Verdict,
+    _Frozen,
+    _setattr,
 )
 
 if TYPE_CHECKING:
@@ -47,27 +48,27 @@ _REAL_FORMS = {
 }
 
 
-@dataclass(frozen=True)
-class SimpleFactor:
+class SimpleFactor(_Frozen):
     """One simple factor of a semisimple group, e.g. SL(3,R) or SO(2,2)."""
 
-    family: str
-    params: tuple[int, ...] = ()
+    _fields = ("family", "params")
 
-    def __post_init__(self):
-        form = _REAL_FORMS.get(self.family)
+    def __init__(self, family: str, params: tuple[int, ...] = ()):
+        _setattr(self, "family", family)
+        _setattr(self, "params", params)
+        form = _REAL_FORMS.get(family)
         if form is None:
-            raise ValueError(f"unknown family {self.family!r}")
-        p = self.params
+            raise ValueError(f"unknown family {family!r}")
+        p = params
         if form.message is None:
             if p:
-                raise ValueError(f"{self.family} takes no parameters")
+                raise ValueError(f"{family} takes no parameters")
             return
         if any(type(x) is not int for x in p):   # bool is not an int here
-            raise ValueError(f"{self.family} parameters must be integers")
+            raise ValueError(f"{family} parameters must be integers")
         if form.kind == _PQ:
             if len(p) != 2 or p[0] < p[1] or p[1] < 0:
-                raise ValueError(f"{self.family} needs p >= q >= 0")
+                raise ValueError(f"{family} needs p >= q >= 0")
         elif len(p) != 1:
             raise ValueError(form.message)
         if sum(p) < form.least:
@@ -140,14 +141,14 @@ def is_isotypic(factors: Sequence[SimpleFactor]) -> bool:
     return len(types) == 1
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    factors: tuple[SimpleFactor, ...]
-    uniform: bool
+class LatticeSpec(_Frozen):
+    _fields = ("factors", "uniform")
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors: tuple[SimpleFactor, ...], uniform: bool):
+        if not factors:
             raise ValueError("nonempty factor list required")
+        _setattr(self, "factors", factors)
+        _setattr(self, "uniform", uniform)
 
     def rank(self) -> int:
         return sum(real_rank(f) for f in self.factors)

@@ -1,6 +1,7 @@
 """Field arithmetic in Q(sqrt(d)): worked values and field axioms."""
 
 import copy
+import inspect
 import math
 import pickle
 import re
@@ -388,18 +389,119 @@ def _round_trips(x):
     return [copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
 
 
+def _value_classes() -> list:
+    """One instance of each frozen value class of the geometry modules."""
+    from geom3 import descriptors, euclid, fibered, hyperbolic, intmat, nil
+    from geom3 import sol, zimmer
+    a = intmat.IntMat2(2, 1, 1, 1)
+    lat = nil.lattice_hex(2)
+    group = euclid.preset_crystal("Z2xD4")
+    euclid.translation_rank(group)          # fills the cached lattice
+    rot = ((0, -1, 0), (1, 0, 0), (0, 0, 1))
+    factor = zimmer.SimpleFactor("SL(n,R)", (3,))
+    return [
+        descriptors.IsoDescriptor("nil", "S1", {"order": 8}, "S1", 16,
+                                  ("a note",)),
+        descriptors.Verdict(descriptors.FACTORS_THROUGH_FINITE,
+                            ({"rule": "R1", "citation": "a theorem"},)),
+        group,
+        fibered.TangentVector(2j, 1 + 0j, 1, 0.5j),
+        fibered.S2RIsometry(rot, Fraction(1, 2), -1),
+        fibered.s2r_decompose([fibered.S2RIsometry(rot, 1)]),
+        hyperbolic.BoundaryPoint(0.5),
+        hyperbolic.classify_isometry(hyperbolic.MobiusMap(2, 0, 0, 1)),
+        a,
+        nil.HeisPoint(QuadRat(1, -2, 3), Fraction(1, 3), 0),
+        nil.HeisIsometry(nil.ROT_PI_3,
+                         nil.HeisPoint(QuadRat(1, -2, 3), Fraction(1, 3),
+                                       QuadRat(0, Fraction(5, 7), 3))),
+        lat,
+        nil.nil_normalizer(lat),
+        lat.point_group,
+        nil.DichotomyResult(nil.FIXES_POINT, point=(Fraction(1, 2), 0)),
+        sol.SolPoint.exact(Fraction(1, 2), 0, 3, QuadRat(2, 1, 3)),
+        sol.SolLattice(a, 2),
+        sol.sol_normalizer_lattice(sol.SolLattice(a, 2)),
+        factor,
+        zimmer.LatticeSpec((factor,), True),
+    ]
+
+
+def _hash_or_type_error(x):
+    try:
+        return hash(x)
+    except TypeError:                 # a dict among the fields
+        return TypeError
+
+
 def test_copy_and_pickle_keep_value_repr_and_hash():
-    from geom3.nil import ROT_PI_3, HeisIsometry, HeisPoint, lattice_hex
-    iso = HeisIsometry(ROT_PI_3, HeisPoint(QuadRat(1, -2, 3), Fraction(1, 3),
-                                           QuadRat(0, Fraction(5, 7), 3)))
     for x in (QuadRat(Fraction(-3, 4), Fraction(5, 6), 3), QuadRat(2, 0, 7),
-              iso, lattice_hex(2)):
+              *_value_classes()):
         for y in _round_trips(x):
-            assert y == x and repr(y) == repr(x) and hash(y) == hash(x)
+            assert type(y) is type(x) and y == x and repr(y) == repr(x)
+            assert _hash_or_type_error(y) == _hash_or_type_error(x)
     for y in _round_trips(QuadRat(1, 2, 3)):
         assert (y.p, y.q, y.r, y.d) == (1, 2, 1, 3)
         with pytest.raises(AttributeError, match="immutable"):
             y.p = 5
+
+
+def test_value_classes_keep_the_frozen_record_contract():
+    # the constructor's arguments, in order, are the fields: repr shows
+    # them as Name(field=value!r, ...), the hash is that of their tuple and
+    # no instance equals that tuple (PlanarPointGroup's basis_matrices is
+    # neither shown nor compared); copies keep every field, frozen
+    from geom3 import nil
+    values = _value_classes()
+    assert len({type(x) for x in values}) == len(values) == 20
+    for x in values:
+        names = list(inspect.signature(type(x)).parameters)
+        shown = [n for n in names if n != "basis_matrices"]
+        fields = tuple(getattr(x, n) for n in shown)
+        assert repr(x) == f"{type(x).__name__}(" + ", ".join(
+            f"{n}={v!r}" for n, v in zip(shown, fields)) + ")"
+        assert _hash_or_type_error(x) == _hash_or_type_error(fields)
+        assert x != fields and fields != x and not x == fields
+        assert x.__eq__(fields) is NotImplemented
+        for y in [x, *_round_trips(x)]:
+            assert all(getattr(y, n) == getattr(x, n) for n in names)
+            for n in names + ["other"]:
+                with pytest.raises(AttributeError):
+                    setattr(y, n, None)
+                with pytest.raises(AttributeError):
+                    delattr(y, n)
+    assert repr(values[0]) == (
+        "IsoDescriptor(geometry='nil', identity_component='S1', "
+        "finite_part={'order': 8}, circle_factor='S1', total_order=16, "
+        "notes=('a note',))")
+    c2 = (((1, 0), (0, 1)), ((-1, 0), (0, -1)))
+    group = nil.PlanarPointGroup("C2", c2, basis_matrices=c2)
+    assert repr(group) == (
+        "PlanarPointGroup(tag='C2', elements=(((1, 0), (0, 1)), "
+        "((-1, 0), (0, -1))))")
+    assert group == nil.PlanarPointGroup("C2", c2)
+    assert hash(group) == hash(nil.PlanarPointGroup("C2", c2))
+    assert repr(values[14]) == (
+        "DichotomyResult(kind='AbelianFixesPoint', "
+        "point=(Fraction(1, 2), 0), direction=None, witness=None)")
+    # the hot classes write == out: each field takes part
+    from geom3.fibered import S2R_ROT_ID, S2RIsometry
+    from geom3.hyperbolic import BoundaryPoint
+    from geom3.intmat import IntMat2
+    p, q = nil.HeisPoint(1, 2, 3), nil.HeisPoint(1, 2, 4)
+    flip_z = ((1, 0, 0), (0, 1, 0), (0, 0, -1))
+    for cls, args in [
+            (nil.HeisPoint, [(1, 2, 3), (0, 2, 3), (1, 0, 3), (1, 2, 0)]),
+            (nil.HeisIsometry, [(nil.ROT_PI, p), (nil.REFLECT, p),
+                                (nil.ROT_PI, q)]),
+            (IntMat2, [(2, 1, 1, 1), (3, 1, 1, 1), (2, 0, 1, 1),
+                       (2, 1, 0, 1), (2, 1, 1, 0)]),
+            (S2RIsometry, [(S2R_ROT_ID, 1, 1), (flip_z, 1, 1),
+                           (S2R_ROT_ID, 2, 1), (S2R_ROT_ID, 1, -1)]),
+            (BoundaryPoint, [(0.5, False), (1.5, False), (0.5, True)])]:
+        for i, a in enumerate(args):
+            for j, b in enumerate(args):
+                assert (cls(*a) == cls(*b)) == (i == j)
 
 
 # -- integer rows on a Q-basis {1, sqrt(d_1), ...} ----------------------------

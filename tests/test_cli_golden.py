@@ -99,6 +99,12 @@ SEARCHES = [
     # printed 0.0, and 1e400 raised a bare OverflowError
     "fiber s2r --gens I@1e-400",
     "fiber s2r --gens I@1e400",
+    # rotation parts all I with a shift beyond the float range: every
+    # element over the shift 0 is I, so no float tolerance is built (one
+    # from 7^400 once raised a bare OverflowError); 1/7^400 is a lambda
+    # that rounds to 0
+    f"fiber s2r --gens I@{7 ** 400};I@1",
+    f"fiber s2r --gens I@1/{7 ** 400};I@1",
     "fiber s2r --gens I@1@1",
     "fiber s2r --preset klein --gens I@1",
     # exact entries are tested and compared exactly: the first rotation is

@@ -1,4 +1,5 @@
-"""Start-up: a CLI call imports only the geometry its subcommand runs.
+"""Start-up: a CLI call imports only the geometry its subcommand runs,
+and no call imports `dataclasses` or the `inspect` it pulls in.
 
 Each case runs in a fresh interpreter, since this process has every
 module loaded already.
@@ -21,7 +22,8 @@ import io, json, sys
 from geom3 import cli
 code = cli.main(sys.argv[1:], out=io.StringIO())
 print(json.dumps([code, sorted(m for m in sys.modules
-                               if m.split(".")[0] == "geom3")]))
+                               if m.split(".")[0] == "geom3"),
+                  sorted({"dataclasses", "inspect"} & set(sys.modules))]))
 """
 
 
@@ -78,10 +80,19 @@ CASES = {
 @pytest.mark.parametrize("command", CASES)
 def test_a_call_imports_only_its_geometry(command):
     loads, skips = CASES[command]
-    code, modules = run_fresh(CALL, *command.split(" "))
+    code, modules, heavy = run_fresh(CALL, *command.split(" "))
     assert code == 0
     assert loads in modules
     assert not skips & set(modules)
+    assert heavy == []
+
+
+def test_selfcheck_imports_no_dataclasses():
+    # selfcheck builds every value class of the geometry modules
+    code, modules, heavy = run_fresh(CALL, "selfcheck")
+    assert code == 0
+    assert {"geom3.nil", "geom3.sol", "geom3.fibered"} <= set(modules)
+    assert heavy == []
 
 
 def test_adjoining_the_point_group_loads_no_further_module():
