@@ -7,12 +7,15 @@ ZeroDivisionError or OverflowError too, or a NaN or infinity that reaches
 the JSON encoder; reported the same way with its type).
 
 Each handler imports the geometry it runs, so a call loads only the
-modules of its own subcommand: start-up is most of a call's time.
+modules of its own subcommand: start-up is most of a call's time.  The
+console entry `run` also spares the call the interpreter's final garbage
+collections.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import re
@@ -20,7 +23,8 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .descriptors import canonical_json, check_output_size
+from .descriptors import (canonical_json, check_output_size,
+                          lookup_table_version, spherical_components_lookup)
 
 if TYPE_CHECKING:
     from . import euclid, hyperbolic, nil, sol
@@ -31,6 +35,19 @@ class SchemaError(ValueError):
     """Malformed command line value (exit code 2)."""
 
 
+def _check_digit_limit(text: str, what: str) -> None:
+    """Raise SchemaError if a run of digits in text is longer than the
+    interpreter converts to an int (sys.get_int_max_str_digits(), from
+    Python 3.10.7): the message names the limit and shows only the head of
+    the literal, which has thousands of digits."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and any(len(digits.replace("_", "")) > limit
+                     for digits in re.findall(r"[\d_]+", text)):
+        raise SchemaError(
+            f"{what} has more than the {limit}-digit input limit for one "
+            f"integer: {text[:20]!r}... ({len(text)} characters)")
+
+
 def _frac(text: str) -> Fraction:
     # an exponent of five or more digits: Fraction would build an integer of
     # that many digits (1e999999999 has a billion)
@@ -39,6 +56,7 @@ def _frac(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
+        _check_digit_limit(text, "number")
         raise SchemaError(f"not a rational number: {text!r}") from exc
 
 
@@ -46,6 +64,7 @@ def _float(text: str) -> float:
     try:
         value = float(Fraction(text)) if "/" in text else float(text)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        _check_digit_limit(text, "number")
         raise SchemaError(f"not a number: {text!r}") from exc
     if not math.isfinite(value):
         raise SchemaError(f"not a finite number: {text!r}")
@@ -61,6 +80,7 @@ def _int_matrix(text: str) -> IntMat2:
     try:
         vals = [int(p) for p in parts]
     except ValueError as exc:
+        _check_digit_limit(text, "matrix entry")
         raise SchemaError(f"non-integer matrix entry in {text!r}") from exc
     return IntMat2(*vals)
 
@@ -100,6 +120,7 @@ def _preset_int(name: str) -> int:
     try:
         value = int(name.split(":", 1)[1])
     except ValueError as exc:
+        _check_digit_limit(name, "preset parameter")
         raise SchemaError(f"bad preset parameter in {name!r}") from exc
     if value < 1:
         raise SchemaError("preset parameter must be >= 1")
@@ -365,10 +386,9 @@ def _cmd_euclid(args) -> dict:
 
 
 def _cmd_lookup(args) -> dict:
-    from . import euclid
-    rows = euclid.spherical_components_lookup(args.family)
+    rows = spherical_components_lookup(args.family)
     return {"family": args.family, "rows": rows,
-            "version": euclid.lookup_table_version()}
+            "version": lookup_table_version()}
 
 
 def _zimmer_quotient(args):
@@ -610,6 +630,19 @@ def main(argv=None, out=None) -> int:
     return 1 if args.command == "selfcheck" and not payload["ok"] else 0
 
 
+def run() -> int:
+    """The console entry of `geom3` and `python -m geom3`: main() on the
+    command line, then gc.freeze().  Frozen objects are left out of every
+    collection, so the collections at interpreter shutdown no longer walk
+    each object the call imported and built; the process's exit returns
+    their memory all the same.  The exit code, atexit handlers and the
+    flush of stdout are unchanged.  main() does not freeze: tests and
+    other in-process callers keep a normal collector."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 def _emit_error(out, kind: str, detail: str, as_json: bool) -> None:
     if as_json:
         out.write(canonical_json({"error": {"kind": kind,
@@ -619,4 +652,4 @@ def _emit_error(out, kind: str, detail: str, as_json: bool) -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

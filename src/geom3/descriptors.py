@@ -1,4 +1,5 @@
-"""Output value types shared by the geometry modules and the CLI."""
+"""Output value types shared by the geometry modules and the CLI, and the
+static spherical and S^2 x R lookup tables."""
 
 from __future__ import annotations
 
@@ -165,3 +166,27 @@ def canonical_json(obj) -> str:
     NaN and infinity have no JSON form and raise ValueError; a point at
     infinity is written as the string "inf"."""
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+# -- spherical and S^2 x R lookup data ----------------------------------------
+
+def _load_table() -> dict:
+    from importlib import resources
+    text = resources.files("geom3").joinpath(
+        "data/spherical_components.json").read_text()
+    return json.loads(text)
+
+
+def spherical_components_lookup(query: str) -> list[dict]:
+    """Static classification rows; query a family tag or "all"."""
+    table = _load_table()
+    families = table["families"]
+    if query == "all":
+        return [row for rows in families.values() for row in rows]
+    if query not in families:
+        raise ValueError(f"unknown lookup family {query!r}")
+    return list(families[query])
+
+
+def lookup_table_version() -> int:
+    return _load_table()["version"]

@@ -1,4 +1,4 @@
-"""Euclidean crystallographic input and the spherical lookup tables.
+"""Euclidean crystallographic input.
 
 Crystallographic groups are given by exact rational orthogonal point
 generators together with translation vectors that generate the lattice
@@ -14,10 +14,8 @@ order reads a Smith normal form, for its elementary divisors.  Only split
 from __future__ import annotations
 
 import functools
-import json
 import math
 from fractions import Fraction
-from importlib import resources
 from typing import Optional
 
 from .algebra import frac, integer_rows
@@ -245,29 +243,6 @@ def euclid_quotient_isometry(g: CrystalGroup) -> IsoDescriptor:
                          finite_part=finite,
                          notes=("finite part computed only for the planar "
                                 "worked cases",))
-
-
-# -- spherical and S^2 x R lookup data ----------------------------------------
-
-def _load_table() -> dict:
-    text = resources.files("geom3").joinpath(
-        "data/spherical_components.json").read_text()
-    return json.loads(text)
-
-
-def spherical_components_lookup(query: str) -> list[dict]:
-    """Static classification rows; query a family tag or "all"."""
-    table = _load_table()
-    families = table["families"]
-    if query == "all":
-        return [row for rows in families.values() for row in rows]
-    if query not in families:
-        raise ValueError(f"unknown lookup family {query!r}")
-    return list(families[query])
-
-
-def lookup_table_version() -> int:
-    return _load_table()["version"]
 
 
 # -- presets -------------------------------------------------------------------

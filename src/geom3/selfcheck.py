@@ -12,7 +12,8 @@ from fractions import Fraction
 
 from . import euclid, fibered, hyperbolic, nil, sol, zimmer
 from .algebra import QuadRat, galois_conjugate
-from .descriptors import FACTORS_THROUGH_FINITE, POSSIBLE_INFINITE_ACTION
+from .descriptors import (FACTORS_THROUGH_FINITE, POSSIBLE_INFINITE_ACTION,
+                          spherical_components_lookup)
 from .intmat import IntMat2, int_mat_pow, snf
 
 _A = IntMat2(2, 1, 1, 1)
@@ -349,21 +350,21 @@ def check_euclid_rank_bullets():
 
 
 def check_spherical_orbifold_rows():
-    rows = euclid.spherical_components_lookup(
+    rows = spherical_components_lookup(
         "spherical-orbifold-orientation-preserving")
     return sorted(r["identity_component"] for r in rows) == \
         ["S1", "S1xS1", "trivial"]
 
 
 def check_spherical_manifold_rows():
-    rows = euclid.spherical_components_lookup("spherical-manifold")
+    rows = spherical_components_lookup("spherical-manifold")
     tags = {r["identity_component"] for r in rows}
     return {"SO(4)", "SO(3)", "O(2)", "O(4)", "O(2)xO(2)",
             "S1 x_Z2 S1"} <= tags
 
 
 def check_s2xr_free_actions():
-    rows = euclid.spherical_components_lookup("s2xr-free-finite-actions")
+    rows = spherical_components_lookup("s2xr-free-finite-actions")
     return sorted(r["data"]["group"] for r in rows) == \
         ["D_n", "Z/p", "Z/pxZ/2"]
 

@@ -2,11 +2,13 @@
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +16,8 @@ from fractions import Fraction
 
 import pytest
 
-from geom3 import cli, euclid, fibered, hyperbolic, intmat, nil, selfcheck
+from geom3 import (cli, descriptors, fibered, hyperbolic, intmat, nil,
+                   selfcheck)
 from geom3.descriptors import canonical_json
 from geom3.intmat import MAT2_ID
 from support import deadline
@@ -294,6 +297,30 @@ def test_huge_exact_output_is_a_domain_error_naming_the_limit():
         assert code == 0 and len(str(payload["finite"]["order"])) > 4000
 
 
+LONG = "1" * 5000       # past the interpreter's 4300-digit int() limit
+
+
+@pytest.mark.parametrize("argv, what, head, chars", [
+    (["sol", "iso", "--matrix", f"{LONG},1,1,1"], "matrix entry", LONG[:20],
+     5006),
+    (["nil", "point-group", "--u", f"0.{LONG},0", "--v", "0,1"], "number",
+     "0." + LONG[:18], 5002),
+    (["nil", "iso", "--preset", f"Gp:{LONG}"], "preset parameter",
+     "Gp:" + LONG[:17], 5003),
+])
+def test_an_over_long_literal_names_the_input_limit(argv, what, head, chars):
+    # the message names the limit and shows only the head of the literal
+    code, text = run_cli(argv)
+    assert code == 2
+    assert text == (f"error[schema]: {what} has more than the 4300-digit "
+                    f"input limit for one integer: '{head}'... "
+                    f"({chars} characters)\n")
+    code, payload = run_json(argv + ["--json"])
+    assert code == 2 and payload["error"]["kind"] == "schema"
+    # a literal at the limit is read
+    assert cli._frac(LONG[:4300]) == int(LONG[:4300])
+
+
 @pytest.mark.parametrize("exc", [AssertionError("lift verification failed"),
                                  RuntimeError("unexpected stabilizer order"),
                                  KeyError("x"), TypeError("bad operand"),
@@ -475,7 +502,7 @@ def test_selfcheck_detects_corrupted_lookup(monkeypatch):
         "s2xr-free-finite-actions": [],
         "s2xr-manifolds": [],
     }}
-    monkeypatch.setattr(euclid, "_load_table", lambda: broken)
+    monkeypatch.setattr(descriptors, "_load_table", lambda: broken)
     report = {r["id"]: r["ok"] for r in selfcheck.run_selfcheck()}
     assert not report["lookup/spherical-orbifold"]
     assert not report["lookup/spherical-manifold"]
@@ -508,6 +535,52 @@ def test_module_entry_point():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["version"] == 1
+
+
+# What `python -m geom3` runs (runpy with the module as __main__), in a
+# fresh interpreter whose atexit hook reports the collector's freeze count
+ENTRY = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"frozen={gc.get_freeze_count()}"))
+runpy.run_module("geom3", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("argv, code", [
+    (["hyp", "verdict", "--dim", "3"], 0),
+    (["selfcheck"], 0),
+    (["lookup", "--family", "not-a-family"], 1),
+    (["hyp", "classify", "--matrix", "1,2,3"], 2),
+])
+def test_console_entry_keeps_exit_code_and_output(argv, code, json_flag):
+    argv = argv + json_flag
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", ENTRY, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    want_code, want = run_cli(argv)
+    # in process, main() leaves the collector as it was
+    assert gc.get_freeze_count() == 0
+    assert proc.returncode == want_code == code
+    assert proc.stdout == want
+    if argv == ["selfcheck"]:
+        assert want.endswith("\n51/51 passed\n")
+    # the entry froze the collector before the interpreter shut down
+    frozen = re.search(r"frozen=(\d+)$", proc.stderr)
+    assert frozen and int(frozen.group(1)) > 0, proc.stderr
+
+
+def test_installed_script_runs_the_module_entry():
+    package = pathlib.Path(cli.__file__).parent
+    pyproject = (package.parents[1] / "pyproject.toml").read_text()
+    entry = re.search(r'^geom3 = "geom3\.cli:(\w+)"$', pyproject, re.M)
+    assert entry, "no geom3 script in pyproject.toml"
+    name = entry.group(1)
+    main_py = (package / "__main__.py").read_text()
+    assert f"from .cli import {name}\n" in main_py
+    assert f"sys.exit({name}())" in main_py
 
 
 def test_zimmer_action_defaults_to_verdict():

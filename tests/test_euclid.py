@@ -9,7 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from geom3.descriptors import canonical_json
+from geom3.descriptors import (
+    canonical_json,
+    lookup_table_version,
+    spherical_components_lookup,
+)
 from geom3.euclid import (
     FINITE_VOLUME_COMPACT,
     INFINITE_VOLUME,
@@ -19,9 +23,7 @@ from geom3.euclid import (
     crystal_group_make,
     euclid_quotient_isometry,
     euclid_volume_verdict,
-    lookup_table_version,
     preset_crystal,
-    spherical_components_lookup,
     translation_rank,
 )
 from geom3.nil import planar_point_group

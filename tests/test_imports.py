@@ -58,7 +58,10 @@ CASES = {
     "sol fixed-line --x 1 --y 1 --t 1": ("geom3.sol", {"geom3.hyperbolic",
                                                        "geom3.nil",
                                                        "geom3.euclid"}),
-    "lookup --family all": ("geom3.euclid", {"geom3.nil"}),
+    # the tables are read by descriptors, which every call loads
+    "lookup --family all": ("geom3.descriptors",
+                            GEOMETRIES | {"geom3.intmat", "geom3.algebra",
+                                          "geom3.zimmer", "geom3.selfcheck"}),
     "euclid betti --preset Z3xD4xy": ("geom3.euclid", {"geom3.nil"}),
     "zimmer maxdim --space-dim 3": ("geom3.zimmer", NOT_FOR_ZIMMER),
     "zimmer verdict --geometry s3 --component SO(4) --factors SO(2,2) "

@@ -10,11 +10,12 @@ from geom3.descriptors import (
     FACTORS_THROUGH_FINITE,
     POSSIBLE_INFINITE_ACTION,
     Verdict,
+    spherical_components_lookup,
 )
 from geom3.intmat import IntMat2
 from geom3.nil import lattice_hz
 from geom3.sol import sol_lattice_make
-from geom3 import euclid, fibered
+from geom3 import fibered
 from geom3.zimmer import (
     IDENTITY_COMPONENTS,
     LatticeSpec,
@@ -276,7 +277,7 @@ def test_dispatch_summary():
 
 
 def test_component_tags_are_the_table_and_fibered_tags():
-    rows = euclid.spherical_components_lookup("all")
+    rows = spherical_components_lookup("all")
     assert set(IDENTITY_COMPONENTS["s3"]) == {
         row["identity_component"] for row in rows} - {None}
     assert set(IDENTITY_COMPONENTS["s2xr"]) == {
