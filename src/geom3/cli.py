@@ -48,6 +48,20 @@ def _check_digit_limit(text: str, what: str) -> None:
             f"integer: {text[:20]!r}... ({len(text)} characters)")
 
 
+def _int(text: str) -> int:
+    """The type of the int options: argparse's own "invalid int value"
+    message, except for a literal past the digit limit, which
+    `_check_digit_limit` names without echoing its thousands of digits."""
+    try:
+        _check_digit_limit(text, "value")
+        return int(text)
+    except SchemaError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+
+
 def _frac(text: str) -> Fraction:
     # an exponent of five or more digits: Fraction would build an integer of
     # that many digits (1e999999999 has a billion)
@@ -474,7 +488,7 @@ def _add_lattice_opts(p):
     p.add_argument("--v")
     p.add_argument("--r", default="0")
     p.add_argument("--s", default="0")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_int, default=1)
 
 
 def _matrix_help(flag: str) -> str:
@@ -511,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sol.add_argument("action", choices=["iso", "normalizer", "centralizer",
                                           "qstructure", "fixed-line"])
     p_sol.add_argument("--matrix", help=_matrix_help("--matrix"))
-    p_sol.add_argument("--power", type=int, default=1)
+    p_sol.add_argument("--power", type=_int, default=1)
     p_sol.add_argument("--preset")
     p_sol.add_argument("--x", default="0")
     p_sol.add_argument("--y", default="0")
@@ -523,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--matrix", "--m1", "--m2"):
         p_hyp.add_argument(flag, help=_matrix_help(flag))
     p_hyp.add_argument("--z", default="0,1")
-    p_hyp.add_argument("--dim", type=int, default=3)
+    p_hyp.add_argument("--dim", type=_int, default=3)
 
     p_fib = sub_add("fiber", help="fibered geometries")
     p_fib.add_argument("action", choices=["frame", "embed", "norm",
@@ -535,9 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fib.add_argument("--X", default="0,0")
     p_fib.add_argument("--Z", default="0,0")
     p_fib.add_argument("--p", default="0,1")
-    p_fib.add_argument("--i", type=int, default=1)
-    p_fib.add_argument("--j", type=int, default=1)
-    p_fib.add_argument("--k", type=int, default=1)
+    p_fib.add_argument("--i", type=_int, default=1)
+    p_fib.add_argument("--j", type=_int, default=1)
+    p_fib.add_argument("--k", type=_int, default=1)
     p_fib.add_argument("--preset")
     p_fib.add_argument("--gens")
     p_fib.add_argument("--geometry", default="sl2r")
@@ -559,16 +573,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_zim.add_argument("--nonuniform", action="store_true")
     p_zim.add_argument("--component")
     p_zim.add_argument("--adjoin")
-    p_zim.add_argument("--sl-degree", type=int, default=3,
+    p_zim.add_argument("--sl-degree", type=_int, default=3,
                        help="degree r of the integral lattice (aspherical)")
-    p_zim.add_argument("--manifold-dim", type=int, default=2,
+    p_zim.add_argument("--manifold-dim", type=_int, default=2,
                        help="dimension n of the aspherical manifold")
-    p_zim.add_argument("--space-dim", type=int, default=3,
+    p_zim.add_argument("--space-dim", type=_int, default=3,
                        help="dimension for the isometry bound (maxdim)")
     _add_lattice_opts(p_zim)
     # and Sol's --matrix and --power; --preset is shared
     p_zim.add_argument("--matrix", help=_matrix_help("--matrix"))
-    p_zim.add_argument("--power", type=int, default=1)
+    p_zim.add_argument("--power", type=_int, default=1)
 
     sub_add("selfcheck", help="run the embedded golden suite")
     return top

@@ -75,7 +75,7 @@ def _correction(t: TangentVector) -> tuple[Fraction, Fraction]:
 def _inner(t1: TangentVector, t2: TangentVector) -> Fraction:
     """The Sasaki inner product, exactly: (X1 . X2 + a1 . a2) / y^2 for
     a = Z + the connection term and the height y of the base point."""
-    if abs(complex(t1.base_z) - complex(t2.base_z)) > 1e-12:
+    if _exact(t1.base_z) != _exact(t2.base_z):
         raise ValueError("vectors must share the base point")
     y = _exact(t1.base_z)[1]
     (x1, x2), (u1, u2) = _exact(t1.vec_X), _exact(t2.vec_X)
@@ -160,25 +160,24 @@ class NonDiscreteShiftError(ValueError):
     many of its elements act trivially on the R factor."""
 
 
-# F is a finite subgroup of O(3).  With exact entries (rational, or in one
-# Q(sqrt d)) it has at most 120 elements, so more prove it infinite.  Float
-# rotation parts can have any finite order; more than BALL_CAP elements are
-# taken as a sign of an infinite group.
+# A finite subgroup of O(3) with rational entries has at most 48 elements,
+# so more than 120 prove F infinite.  Float rotation parts can have any
+# finite order; more than BALL_CAP elements are taken as a sign of it.
 _EXACT_CAP = 120
 BALL_CAP = 4000
 
 
 def _near_identity(m, atol: float) -> bool:
-    """numpy.allclose(m, I, atol=atol) for a 3x3 float matrix:
+    """numpy.allclose(m, I, atol=atol) for a 3x3 matrix in floats:
     |m_ij - I_ij| <= atol + 1e-5 |I_ij| everywhere; NaN and inf fail."""
-    return all(abs(m[i][j] - (i == j)) <= atol + 1e-5 * (i == j)
+    return all(abs(float(m[i][j]) - (i == j)) <= atol + 1e-5 * (i == j)
                for i in range(3) for j in range(3))
 
 
 class S2RIsometry(_Frozen):
     """Element (rot, shift, flip) of O(3) x (R x| Z_2); rot is 3x3
-    orthogonal, rows of floats or Fractions, and shift a float or a
-    Fraction."""
+    orthogonal, exact when its entries are ints and Fractions and taken as
+    floats otherwise; shift a float, an int or a Fraction."""
 
     __slots__ = _fields = ("rot", "shift", "flip")
 
@@ -187,10 +186,10 @@ class S2RIsometry(_Frozen):
             raise ValueError("flip must be +1 or -1")
         if len(rot) != 3 or any(len(row) != 3 for row in rot):
             raise ValueError("rotation part must be a 3x3 matrix")
-        if _has_float(rot):
-            orthogonal = _near_identity(mat3_mul(rot, transpose(rot)), 1e-12)
-        else:
+        if _rational(rot):
             orthogonal = mat3_mul(rot, transpose(rot)) == S2R_ROT_ID
+        else:
+            orthogonal = _near_identity(mat3_mul(rot, transpose(rot)), 1e-12)
         if not orthogonal:
             raise ValueError("rotation part must be orthogonal")
         _set_rot(self, rot)
@@ -206,15 +205,6 @@ class S2RIsometry(_Frozen):
         _set_shift(self, shift)
         _set_flip(self, flip)
         return self
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.rot, self.shift, self.flip)
-                    == (other.rot, other.shift, other.flip))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rot, self.shift, self.flip))
 
     def compose(self, other: "S2RIsometry") -> "S2RIsometry":
         return S2RIsometry._make(mat3_mul(self.rot, other.rot),
@@ -267,8 +257,9 @@ class S2RDecomposition(_Frozen):
                 "f_order_bound": self.f_order_bound}
 
 
-def _has_float(rot) -> bool:
-    return any(isinstance(v, float) for row in rot for v in row)
+def _rational(rot) -> bool:
+    """Whether every entry is an int or a Fraction: an exact rotation."""
+    return all(isinstance(v, (int, Fraction)) for row in rot for v in row)
 
 
 def _rot_key(rot) -> tuple:
@@ -293,28 +284,34 @@ def _rot_pow(rot, n: int) -> tuple:
     return power(rot, n, mat3_mul, S2R_ROT_ID)
 
 
-def _shift_generator(shifts: list, exact: bool):
-    """(lam, c): lam > 0 generates the subgroup of R that the shifts
-    generate, and lam = sum c_j shifts[j] for integers c_j; (None, None)
-    when every shift is 0.
+def _trace_den(rot) -> int:
+    """delta(rot) for an exact rot: the denominator of tr rot, and so of 2
+    cos theta = det(rot) tr(rot) - 1 for the rotation det(rot) rot."""
+    return (rot[0][0] + rot[1][1] + rot[2][2]).denominator
 
-    Euclid's algorithm, started at the smallest shift, which stays as it
-    is when it divides the others.  Exact shifts are Fractions.  A float
-    shift of at most 1e-12 counts as 0, a ratio r within 1e-9 (1 + r) of
-    an integer as a multiple, and a remainder below 1e-9 max |s| proves
-    the shifts dense in R (NonDiscreteShiftError).
+
+def _shift_generator(elements: list, exact: bool, reduce):
+    """(twist, lam, kernel): (twist, lam), lam > 0, generates the shifts
+    of the group G of O(3) x R that elements (rot, shift) generate, and G
+    with the elements of shift 0 that kernel lists by their rotation
+    parts; twist and lam are None when every shift is 0.
+
+    Euclid's algorithm on the elements themselves, from the smallest shift
+    (a negative shift enters as its inverse): each Nielsen move a <- a b^-q
+    keeps the group, reduce(a_rot, b_rot, q) is its rotation part, and an
+    element whose shift reaches 0 joins the kernel.  Exact shifts are
+    Fractions.  A float shift of at most 1e-12 counts as 0, a ratio r
+    within 1e-9 (1 + r) of an integer as a multiple, and a remainder below
+    1e-9 max |s| proves the shifts dense in R (NonDiscreteShiftError).
     """
-    support = sorted((j for j, s in enumerate(shifts)
-                      if abs(s) > (0 if exact else 1e-12)),
-                     key=lambda j: abs(shifts[j]))
+    zero = 0 if exact else 1e-12
+    kernel = [rot for rot, s in elements if abs(s) <= zero]
+    support = sorted(((rot, s) if s > 0 else (transpose(rot), -s)
+                      for rot, s in elements if abs(s) > zero),
+                     key=lambda el: el[1])
     if not support:
-        return None, None
-    floor = 0 if exact else 1e-9 * abs(shifts[support[-1]])
-
-    def unit(j):
-        c = [0] * len(shifts)
-        c[j] = 1 if shifts[j] > 0 else -1
-        return c
+        return None, None, kernel
+    floor = 0 if exact else 1e-9 * support[-1][1]
 
     def divides(b, a):
         if exact:
@@ -322,61 +319,64 @@ def _shift_generator(shifts: list, exact: bool):
         ratio = a / b
         return abs(ratio - round(ratio)) <= 1e-9 * (1 + ratio)
 
-    lam, c = abs(shifts[support[0]]), unit(support[0])
-    for j in support[1:]:
-        a, ca = abs(shifts[j]), unit(j)
+    t_rot, lam = support[0]
+    for rot, a in support[1:]:
         while not divides(lam, a):
             q = int(a // lam)
-            a, ca, lam, c = lam, c, a - q * lam, [x - q * y
-                                                  for x, y in zip(ca, c)]
+            rot, t_rot = t_rot, reduce(rot, t_rot, q)
+            a, lam = lam, a - q * lam
             if lam < floor:
                 raise NonDiscreteShiftError(
-                    f"shift {shifts[j]} has no common period with the "
-                    f"others: Euclid's remainder fell to {lam}")
-    return lam, c
+                    "the shifts have no common period: Euclid's remainder "
+                    f"fell to {lam}")
+        kernel.append(reduce(rot, t_rot, round(a / lam)))
+    return t_rot, lam, kernel
 
 
-def _twist_and_kernel(rots: list, coeffs: list, m: list):
-    """R_t = prod R_j^c_j, the rotation part of t = prod h_j^c_j, and the
-    rotation parts R_j R_t^-m_j of the k_j = h_j t^-m_j."""
-    twist = S2R_ROT_ID
-    for rot, c in zip(rots, coeffs):
-        if c:
-            twist = mat3_mul(twist, _rot_pow(rot, c))
-    return twist, [mat3_mul(rot, _rot_pow(twist, -mj))
-                   for rot, mj in zip(rots, m)]
+def _exact_reduction(rots: list):
+    """reduce(x, b, q) = x b^-q for `_shift_generator` on Gamma+, whose
+    generators have the exact rotation parts rots; NonDiscreteShiftError
+    where Gamma+ is not discrete.  Write R' = det(R) R (-I is central) and
+    delta(R) for the denominator of 2 cos theta = tr R' - 1 (`_trace_den`).
+    - Niven: R has finite order exactly when delta(R) = 1 (2 cos theta is
+      then an algebraic integer), and its order then divides 12 (2 cos
+      theta in {0, +-1, +-2}): b^-q is b^(-q mod 12).
+    - Axis: let g in Gamma+ have delta(g) > 1, so R'_g has infinite order
+      about an axis a.  If K is finite, the commutators [h, g^N] of shift 0
+      take finitely many values, so h commutes with some g^D, D != 0, and
+      R'_h fixes a, as R'_g^D is no half-turn.  So a generator with delta
+      > 1 commutes with all others, which then commute, or Gamma+ is not
+      discrete.  If none has, neither has any element of a discrete
+      Gamma+: all would commute with it, and commuting rotations of finite
+      order generate a finite group.
+    - Height: in that commuting case a discrete Gamma+ is K x| <t>, each h
+      = k t^m, m = s_h / lam, with R'_k of finite order about a.  delta(h)
+      is the Mahler measure of e^(i theta_h), the leading coefficient of v
+      z^2 - u z + v for 2 cos theta_h = u / v, so the Weil height gives
+      delta(h) = delta(t)^|m|.  A step x <- x b^-q, q = floor(s_x / s_b),
+      then has delta(b)^q <= delta(x): Gamma+ is not discrete when q
+      (bitlen delta(b) - 1) >= bitlen delta(x), and otherwise b^q has
+      fewer than 2 bitlen delta(x) bits of height.
+    """
+    wild = next((r for r in rots if _trace_den(r) > 1), None)
+    if wild is not None and any(mat3_mul(r, wild) != mat3_mul(wild, r)
+                                for r in rots):
+        raise NonDiscreteShiftError(
+            "a rotation part of non-integer trace does not commute with "
+            "every other one: infinitely many elements act trivially on R")
 
-
-# 2 cos(2 pi j / n) for every order n of an element of O(3) with exact
-# entries: its eigenvalue sum 2 cos lies in Q or one Q(sqrt d), so phi(n)
-# <= 4 and n divides 8, 10 or 12
-_FINITE_TWO_COS = tuple(2 * math.cos(2 * math.pi * j / n)
-                        for n in (8, 10, 12) for j in range(n))
-
-
-def _screen_kernel(rots: list, coeffs: list, m: list) -> None:
-    """NonDiscreteShiftError when, computed in floats, some k_j has a trace
-    that no element of finite order has: det (1 + 2 cos(2 pi j / n)).
-
-    Exact powers of a twist of infinite order grow by a fixed number of
-    digits per step, so k_j over a large shift ratio is costly to compute
-    exactly; in floats it costs the same at any ratio.  The float error of
-    the powers grows about linearly with the exponents, far below the
-    tolerance 1e-9 (1 + sum |c_j| + max |m_j|), so a rejection is sure.
-    When every rotation part is I, every k_j is I, whose trace passes,
-    and the tolerance, which may lie beyond the float range, is not built."""
-    if all(r == S2R_ROT_ID for r in rots):
-        return
-    as_float = [tuple(tuple(float(v) for v in row) for row in r)
-                for r in rots]
-    tol = 1e-9 * (1 + sum(map(abs, coeffs)) + max(map(abs, m)))
-    for k in _twist_and_kernel(as_float, coeffs, m)[1]:
-        trace = k[0][0] + k[1][1] + k[2][2]
-        if all(abs(sign * trace - 1 - c) > tol for sign in (1, -1)
-               for c in _FINITE_TWO_COS):
+    def reduce(x, b, q):
+        den = _trace_den(b)
+        if den == 1:
+            q %= 12
+        elif wild is None or \
+                q * (den.bit_length() - 1) >= _trace_den(x).bit_length():
             raise NonDiscreteShiftError(
-                f"an element over the shift 0 has trace {trace:.9g}, which "
-                "no rotation part of finite order has")
+                "a power of an element of non-integer trace outgrows the "
+                "trace denominators of a discrete group: infinitely many "
+                "elements act trivially on R")
+        return mat3_mul(x, _rot_pow(b, -q))
+    return reduce
 
 
 def _twist_closure(rots: list, twist, key, cap: int) -> list:
@@ -415,18 +415,18 @@ def s2r_decompose(gens: Sequence[S2RIsometry],
       2 with transversal {1, r}, r the first flipping generator; its
       Schreier generators h_j are g and r g r^-1 for g flip-free, g r^-1
       and r g for g flipping.  Without a flip, the h_j are the generators;
-    - L = lam Z (with a flip, lam Z x| Z_2), lam the gcd of the shifts s_j
-      of the h_j, by Euclid's algorithm with integer coefficients c_j
-      (`_shift_generator`), so t = prod h_j^c_j has shift lam;
-    - k_j = h_j t^-m_j, m_j = s_j / lam, has shift 0, and K is generated
-      by the t^n k_j t^-n: F is the least group that contains the
-      rotation parts of the k_j and is closed under conjugation by the
-      rotation part R_t of t, the twist (`_twist_closure`).
+    - L = lam Z (with a flip, lam Z x| Z_2): Euclid's algorithm on the h_j
+      themselves (`_shift_generator`) ends in t of shift lam and elements
+      k_i of shift 0 with Gamma+ = <t, k_i>;
+    - K is generated by the t^n k_i t^-n, so F is the least group that
+      contains the rotation parts of the k_i and is normalized by the
+      twist R_t, the rotation part of t (`_twist_closure`).
 
-    NonDiscreteShiftError reports shifts that are dense in R, or an F of
-    more than 120 elements (exact entries, where no finite subgroup of O(3)
-    is larger) or of more than BALL_CAP (float entries).  Exact rotations
-    are compared exactly, float ones rounded to 9 digits.
+    Exact rotations are compared exactly and take no float and no large
+    power (`_exact_reduction`); float ones are compared rounded to 9
+    digits.  NonDiscreteShiftError reports a k_i of non-integer trace (of
+    infinite order), the rules of `_exact_reduction`, shifts that are
+    dense in R, or an F of more than 120 elements (exact) or BALL_CAP.
 
     lam is None when Gamma+ shifts nothing; otherwise an int when every
     shift is an int, a Fraction when every shift is exact, a float
@@ -445,20 +445,20 @@ def s2r_decompose(gens: Sequence[S2RIsometry],
                 for h in ((g, r.compose(g).compose(r_inv)) if g.flip == 1
                           else (g.compose(r_inv), r.compose(g)))]
     exact = all(isinstance(g.shift, (int, Fraction)) for g in gens)
-    shifts = [Fraction(h.shift) if exact else float(h.shift) for h in plus]
-    lam, coeffs = _shift_generator(shifts, exact)
-    rots = [h.rot for h in plus]
-    floats = any(_has_float(g.rot) for g in gens)
-    twist = None
-    if lam is not None:
-        m = [round(s / lam) for s in shifts]
-        if not floats:
-            _screen_kernel(rots, coeffs, m)
-        twist, rots = _twist_and_kernel(rots, coeffs, m)
-        if all(isinstance(g.shift, int) for g in gens):
-            lam = int(lam)
-    f = (_twist_closure(rots, twist, _rot_key, BALL_CAP) if floats
-         else _twist_closure(rots, twist, _exact_key, _EXACT_CAP))
+    floats = not all(_rational(g.rot) for g in gens)
+    twist, lam, kernel = _shift_generator(
+        [(h.rot, Fraction(h.shift) if exact else float(h.shift))
+         for h in plus], exact,
+        (lambda x, b, q: mat3_mul(x, _rot_pow(b, -q))) if floats
+        else _exact_reduction([h.rot for h in plus]))
+    if not floats and any(_trace_den(k) > 1 for k in kernel):
+        raise NonDiscreteShiftError(
+            "an element over the shift 0 has a non-integer trace, which no "
+            "rotation part of finite order has")
+    if lam is not None and all(isinstance(g.shift, int) for g in gens):
+        lam = int(lam)
+    f = (_twist_closure(kernel, twist, _rot_key, BALL_CAP) if floats
+         else _twist_closure(kernel, twist, _exact_key, _EXACT_CAP))
     if r is not None:
         l_type = LAMBDA_Z_SEMIDIRECT
     elif lam is None:
@@ -494,7 +494,7 @@ def s2r_quotient_identity_component(dec: S2RDecomposition) -> str:
     mats = list(dec.f_elements)
     if dec.twist is not None:
         mats.append(dec.twist)
-    key = _rot_key if any(map(_has_float, mats)) else _exact_key
+    key = _exact_key if all(map(_rational, mats)) else _rot_key
     one = key(S2R_ROT_ID)
     holonomy = []
     for rot in mats:

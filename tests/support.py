@@ -128,6 +128,14 @@ floats, and the unit axes of those not within 1e-9 of I compared to 1e-9.
 3x3 rotation products were unrolled: every product the generic n x n
 `intmat.matmul`, and each float key rounded entry by entry.
 
+`s2r_decompose_by_screen` is `fibered.s2r_decompose` on exact
+generators as it decided before Euclid ran on the generators themselves:
+lam and Bezout coefficients c_j from the shifts alone, the twist R_t =
+prod R_j^c_j and each k_j = R_j R_t^-m_j, m_j = s_j / lam, as exact powers,
+after a float screen that refuses a k_j whose trace no rotation of finite
+order has; then F closed to at most 120 elements.  Its powers can have as
+many digits as the shift ratios, so it is an oracle for small groups.
+
 `sol_centralizer_by_eigenbasis` is `sol.sol_centralizer` as it was before
 three integer checks on A gave its answer: A diagonalized over Q(sqrt(d))
 (`diagonalize_sl2`, the eigen-data that `intmat` computed for `sol`), a
@@ -1555,6 +1563,96 @@ def s2r_decompose_by_matmul(gens) -> S2RDecomposition:
     with mock.patch.object(fibered, "mat3_mul", matmul), \
             mock.patch.object(fibered, "_rot_key", _rot_key_by_entries):
         return fibered.s2r_decompose(gens)
+
+
+def _s2r_shift_coefficients(shifts: list):
+    """(lam, c): lam > 0 generates the group the exact shifts generate,
+    and lam = sum c_j shifts[j] for integers c_j; (None, None) when every
+    shift is 0.  Euclid's algorithm on a coefficient vector, started at
+    the smallest shift."""
+    support = sorted((j for j, s in enumerate(shifts) if s),
+                     key=lambda j: abs(shifts[j]))
+    if not support:
+        return None, None
+
+    def unit(j):
+        c = [0] * len(shifts)
+        c[j] = 1 if shifts[j] > 0 else -1
+        return c
+
+    lam, c = abs(shifts[support[0]]), unit(support[0])
+    for j in support[1:]:
+        a, ca = abs(shifts[j]), unit(j)
+        while a % lam:
+            q = a // lam
+            a, ca, lam, c = lam, c, a - q * lam, [x - q * y
+                                                  for x, y in zip(ca, c)]
+    return lam, c
+
+
+def _s2r_twist_and_kernel(rots: list, coeffs: list, m: list):
+    """R_t = prod R_j^c_j, the rotation part of t = prod h_j^c_j, and the
+    rotation parts R_j R_t^-m_j of the k_j = h_j t^-m_j."""
+    twist = S2R_ROT_ID
+    for rot, c in zip(rots, coeffs):
+        if c:
+            twist = fibered.mat3_mul(twist, fibered._rot_pow(rot, c))
+    return twist, [fibered.mat3_mul(rot, fibered._rot_pow(twist, -mj))
+                   for rot, mj in zip(rots, m)]
+
+
+# 2 cos(2 pi j / n) for every order n of an element of O(3) whose trace
+# lies in Q or one Q(sqrt d): phi(n) <= 4, so n divides 8, 10 or 12
+_FINITE_TWO_COS = tuple(2 * math.cos(2 * math.pi * j / n)
+                        for n in (8, 10, 12) for j in range(n))
+
+
+def _s2r_screen_kernel(rots: list, coeffs: list, m: list) -> None:
+    """NonDiscreteShiftError when, computed in floats, some k_j has a trace
+    that no element of finite order has, within the tolerance 1e-9 (1 +
+    sum |c_j| + max |m_j|)."""
+    if all(r == S2R_ROT_ID for r in rots):
+        return
+    as_float = [tuple(tuple(float(v) for v in row) for row in r)
+                for r in rots]
+    tol = 1e-9 * (1 + sum(map(abs, coeffs)) + max(map(abs, m)))
+    for k in _s2r_twist_and_kernel(as_float, coeffs, m)[1]:
+        trace = k[0][0] + k[1][1] + k[2][2]
+        if all(abs(sign * trace - 1 - c) > tol for sign in (1, -1)
+               for c in _FINITE_TWO_COS):
+            raise NonDiscreteShiftError(
+                f"an element over the shift 0 has trace {trace:.9g}, which "
+                "no rotation part of finite order has")
+
+
+def s2r_decompose_by_screen(gens) -> S2RDecomposition:
+    """The S^2 x R split of exact generators by Bezout powers."""
+    r = next((g for g in gens if g.flip == -1), None)
+    plus = list(gens)
+    if r is not None:
+        r_inv = r.inverse()
+        plus = [h for g in gens
+                for h in ((g, r.compose(g).compose(r_inv)) if g.flip == 1
+                          else (g.compose(r_inv), r.compose(g)))]
+    shifts = [Fraction(h.shift) for h in plus]
+    lam, coeffs = _s2r_shift_coefficients(shifts)
+    rots = [h.rot for h in plus]
+    twist = None
+    if lam is not None:
+        m = [round(s / lam) for s in shifts]
+        _s2r_screen_kernel(rots, coeffs, m)
+        twist, rots = _s2r_twist_and_kernel(rots, coeffs, m)
+        if all(isinstance(g.shift, int) for g in gens):
+            lam = int(lam)
+    f = fibered._twist_closure(rots, twist, fibered._exact_key,
+                               fibered._EXACT_CAP)
+    if r is not None:
+        l_type = LAMBDA_Z_SEMIDIRECT
+    elif lam is None:
+        l_type = TRIVIAL_L
+    else:
+        l_type = LAMBDA_Z
+    return S2RDecomposition(l_type, lam, len(f), tuple(f), twist)
 
 
 def sol_centralizer_by_eigenbasis(lat) -> dict:

@@ -321,6 +321,26 @@ def test_an_over_long_literal_names_the_input_limit(argv, what, head, chars):
     assert cli._frac(LONG[:4300]) == int(LONG[:4300])
 
 
+@pytest.mark.parametrize("argv", [
+    ["sol", "iso", "--matrix", "2,1,1,1", "--power"],
+    ["zimmer", "maxdim", "--space-dim"],
+    ["fiber", "christoffel", "--i"],
+])
+def test_an_over_long_int_option_names_the_input_limit(argv):
+    # argparse reads an int option through cli._int, which names the limit
+    # where int() would have echoed all 5000 digits; a malformed int keeps
+    # argparse's own message
+    for value, tail in ((LONG, "value has more than the 4300-digit input "
+                               f"limit for one integer: '{LONG[:20]}'... "
+                               "(5000 characters)\n"),
+                        ("x", "invalid int value: 'x'\n")):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run_cli(argv + [value]) == (2, "")
+        assert err.getvalue().endswith(f"{argv[-1]}: {tail}")
+        assert LONG[:100] not in err.getvalue()
+
+
 @pytest.mark.parametrize("exc", [AssertionError("lift verification failed"),
                                  RuntimeError("unexpected stabilizer order"),
                                  KeyError("x"), TypeError("bad operand"),
@@ -444,7 +464,7 @@ def _fuzz_argv(rng, subparsers):
         if action.nargs == 0:
             argv.append(action.option_strings[0])
         else:
-            pool = FUZZ_INTS if action.type is int else FUZZ_VALUES
+            pool = FUZZ_INTS if action.type is cli._int else FUZZ_VALUES
             argv.append(f"{action.option_strings[0]}={rng.choice(pool)}")
     return argv
 
@@ -610,6 +630,52 @@ def test_stress_sizes_answer_quickly():
         code, payload = run_json(["nil", "point-group", "--u", "1,0",
                                   "--v", "24,1", "--json"])
         assert code == 0 and payload == {"tag": "D4", "order": 8}
+
+
+def _s2r_gens_text(rot, shift) -> str:
+    return ",".join(str(v) for row in rot for v in row) + f"@{shift}"
+
+
+def _s2r_ladder():
+    """(--gens, exit code, output) rungs of the S^2 x R size ladder, each
+    integer within the 4300-digit input limit.  W turns about z by the
+    angle of cosine 3/5, and the twist near I by that of cosine (m^2 -
+    n^2) / (m^2 + n^2), m = 7^k, n = 5^k; entries of about 1.7 k digits."""
+    w = ((Fraction(3, 5), Fraction(-4, 5), 0),
+         (Fraction(4, 5), Fraction(3, 5), 0), (0, 0, 1))
+    discrete = {"l_type": "LambdaZ", "lambda": 1.0,
+                "identity_component": "S1xS1"}
+    infinite = {"error": {"kind": "NonDiscreteShiftError"}}
+    for k in (2 ** j for j in range(12)):
+        m, n = 7 ** k, 5 ** k
+        c = Fraction(m * m - n * n, m * m + n * n)
+        s = Fraction(2 * m * n, m * m + n * n)
+        yield (_s2r_gens_text(((c, -s, 0), (s, c, 0), (0, 0, 1)), 1)
+               + ";I@3/2", 1, infinite)
+    for k in (2 ** j for j in range(13)):
+        yield f"0,-1,0,1,0,0,0,0,1@2;I@{2 * 7 ** k + 1}", 0, \
+            dict(discrete, f_order_bound=4)
+        yield f"3/5,-4/5,0,4/5,3/5,0,0,0,1@2;I@{2 * 7 ** k + 1}", 1, infinite
+    for n in (2 ** j for j in range(13)):
+        yield (_s2r_gens_text(fibered._rot_pow(w, n), n) + ";"
+               + _s2r_gens_text(fibered._rot_pow(w, n + 301), n + 301), 0,
+               dict(discrete, f_order_bound=1))
+
+
+def test_s2r_size_ladder_answers_within_the_fuzz_budget():
+    # rungs double in size up to the input limit: each call ends in the
+    # fuzzer's 2 s with its answer, where Bezout's powers and a float
+    # screen once ran for minutes or exited 3
+    for gens, want_code, want in _s2r_ladder():
+        start = time.perf_counter()
+        with deadline(10):
+            code, payload = run_json(["fiber", "s2r", f"--gens={gens}",
+                                      "--json"])
+        assert time.perf_counter() - start < 2, gens[:60]
+        assert code == want_code, (gens[:60], payload)
+        if code:
+            del payload["error"]["detail"]
+        assert payload == want, gens[:60]
 
 
 def test_qstructure_of_a_large_trace_is_factored_quickly():

@@ -99,17 +99,23 @@ SEARCHES = [
     # printed 0.0, and 1e400 raised a bare OverflowError
     "fiber s2r --gens I@1e-400",
     "fiber s2r --gens I@1e400",
-    # rotation parts all I with a shift beyond the float range: every
-    # element over the shift 0 is I, so no float tolerance is built (one
-    # from 7^400 once raised a bare OverflowError); 1/7^400 is a lambda
-    # that rounds to 0
+    # rotation parts all I with a shift beyond the float range (a float
+    # tolerance from 7^400 once raised a bare OverflowError); 1/7^400 is a
+    # lambda that rounds to 0
     f"fiber s2r --gens I@{7 ** 400};I@1",
     f"fiber s2r --gens I@1/{7 ** 400};I@1",
+    # the shift ratio 7^400 beside a rotation: of order 4, its power is
+    # taken mod 12 (a float tolerance once raised a bare OverflowError);
+    # of cosine 3/5, its power is refused by the trace-denominator height
+    # (Bezout's power once ran for minutes)
+    f"fiber s2r --gens 0,-1,0,1,0,0,0,0,1@2;I@{2 * 7 ** 400 + 1}",
+    f"fiber s2r --gens 3/5,-4/5,0,4/5,3/5,0,0,0,1@2;I@{2 * 7 ** 400 + 1}",
     "fiber s2r --gens I@1@1",
     "fiber s2r --preset klein --gens I@1",
     # exact entries are tested and compared exactly: the first rotation is
     # off orthogonal by 2e-14, and the second, a rotation of infinite order
-    # within 1e-20 of I, once passed as I and made F trivial
+    # within 1e-20 of I, once passed as I and made F trivial (its trace
+    # has the denominator 10^20 + 1)
     "fiber s2r --gens 3/5,-4/5,0,4/5,3/5,0,0,0,100000000000001/"
     "100000000000000@1",
     "fiber s2r --gens 99999999999999999999/100000000000000000001,"
@@ -303,12 +309,17 @@ def test_hyp_cases_take_no_float_path(monkeypatch):
 
 def test_s2r_cases_take_no_float_path(monkeypatch):
     # every S^2 x R group the CLI and selfcheck build is exact, so neither
-    # the float orthogonality test nor the 9-digit float key runs
+    # the float orthogonality test nor the 9-digit float key runs, and
+    # fibered converts nothing to a float (the module global shadows the
+    # builtin); every preset is among the cases
     def refused(*args):
         raise AssertionError("float path taken")
 
     monkeypatch.setattr(fibered, "_rot_key", refused)
     monkeypatch.setattr(fibered, "_near_identity", refused)
+    monkeypatch.setattr(fibered, "float", refused, raising=False)
+    assert {f"--preset {name}" for name in cli._S2R_PRESETS} \
+        <= {" ".join(argv[2:]) for argv in ARGVS}
     argvs = [argv for argv in ARGVS if argv[:2] == ["fiber", "s2r"]]
     assert len(argvs) > 30
     for argv in argvs:

@@ -9,7 +9,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geom3.fibered import (
@@ -36,6 +36,7 @@ from geom3.fibered import (
     unit_tangent_embed,
 )
 from geom3 import fibered
+from geom3.algebra import QuadRat
 from geom3.fibered import S2RDecomposition, _rot_key, _rot_pow
 from geom3.hyperbolic import FloatRangeError, MobiusMap, expm_sl2, mobius_apply
 from geom3.intmat import matmul, transpose
@@ -43,6 +44,7 @@ from geom3.zimmer import quotient_isometry_summary
 from support import (
     deadline,
     s2r_decompose_by_ball,
+    s2r_decompose_by_screen,
     s2r_decompose_by_matmul,
     s2r_identity_component_by_axes,
     tangent_action,
@@ -436,8 +438,9 @@ def test_an_irrational_rotation_over_shift_zero_is_not_discrete():
     for bound in (1, 2, 8, 12):
         with pytest.raises(NonDiscreteShiftError, match="4000"):
             s2r_decompose(gens, bound)
-    # with exact entries the rotation of infinite order shows in its trace
-    with pytest.raises(NonDiscreteShiftError, match="trace 2.2"):
+    # with exact entries the rotation of infinite order shows in its trace,
+    # 11/5, which is no integer
+    with pytest.raises(NonDiscreteShiftError, match="non-integer trace"):
         s2r_decompose([S2RIsometry(ROT_345, 0), S2RIsometry(S2R_ROT_ID, 1)])
     with pytest.raises(NonDiscreteShiftError):
         s2r_decompose([S2RIsometry(s2r_rotation_z(1.0), 0.0)])
@@ -454,7 +457,8 @@ def test_an_irrational_rotation_over_shift_zero_is_not_discrete():
 def test_large_shift_ratios_end_quickly():
     # t^-m_j is a power of a twist of infinite order: exactly, its entries
     # grow by a digit per step, and the powers of one k_j with 23000-digit
-    # entries once ran for minutes; the float trace settles it at once
+    # entries once ran for minutes; the trace-denominator height refuses
+    # the power at once
     for gens in ([S2RIsometry(ROT_345, 1), S2RIsometry(S2R_ROT_ID, 10**4)],
                  [S2RIsometry(ROT_345, 1), S2RIsometry(S2R_ROT_ID, 10**6)],
                  [S2RIsometry(ROT_345, 2), S2RIsometry(S2R_ROT_ID, 2000001)],
@@ -462,7 +466,7 @@ def test_large_shift_ratios_end_quickly():
         with deadline(5), pytest.raises(NonDiscreteShiftError,
                                         match="trace"):
             s2r_decompose(gens)
-    # the screen rejects nothing of finite order: F over a large ratio
+    # a power of finite order is taken mod 12: F over a large ratio
     dec = s2r_decompose([S2RIsometry(ROT_4, 1),
                          S2RIsometry(RHO_X, 10**6)])
     assert (dec.lam, dec.f_order_bound) == (1, 4)
@@ -482,12 +486,25 @@ def test_exact_entries_are_tested_for_orthogonality_exactly():
 def test_exact_rotations_are_told_apart_exactly():
     # a rotation of infinite order within 1e-20 of I, over the shift 0
     # beside a translation: rounded to 9 digits it was I, its float trace
-    # is 3.0, and F came out trivial
+    # is 3.0, and F came out trivial; its exact trace has the denominator
+    # 10^20 + 1
     m = 10**10
     c, s = Fraction(m * m - 1, m * m + 1), Fraction(2 * m, m * m + 1)
     near_id = ((c, -s, 0), (s, c, 0), (0, 0, 1))
-    with deadline(5), pytest.raises(NonDiscreteShiftError, match="120"):
+    with deadline(5), pytest.raises(NonDiscreteShiftError,
+                                    match="non-integer trace"):
         s2r_decompose([S2RIsometry(near_id, 0), S2RIsometry(S2R_ROT_ID, 1)])
+
+
+def test_entries_beyond_the_rationals_are_taken_as_floats():
+    # the rotation by pi/6 about z over Q(sqrt 3): the trace rules hold for
+    # rational entries only, so it is tested and keyed as a float rotation
+    # is; F is its cyclic group of order 12
+    c, s = QuadRat(0, Fraction(1, 2), 3), Fraction(1, 2)
+    rot = ((c, -s, 0), (s, c, 0), (0, 0, 1))
+    dec = s2r_decompose([S2RIsometry(rot, 1), S2RIsometry(rot, 0)])
+    assert (dec.l_type, dec.lam, dec.f_order_bound) == (LAMBDA_Z, 1, 12)
+    assert s2r_quotient_identity_component(dec) == S1_X_S1
 
 
 def test_rot_pow_is_repeated_multiplication():
@@ -754,13 +771,96 @@ def test_identity_component_matches_the_axis_oracle(monkeypatch):
                     continue
                 want = s2r_identity_component_by_axes(dec)
                 with monkeypatch.context() as patch:
-                    if not any(map(fibered._has_float,
-                                   dec.f_elements + (dec.twist,))):
+                    if all(map(fibered._rational,
+                               dec.f_elements + (dec.twist,))):
                         patch.setattr(fibered, "_rot_key", refused)
                     assert s2r_quotient_identity_component(dec) == want
                 seen[want] = seen.get(want, 0) + 1
     assert sorted(seen) == [S1_ONLY, S1_X_S1, SO3_X_S1]
     assert sum(seen.values()) > 1000
+
+
+# -- the exact decision against the Bezout powers ----------------------------
+
+# rotations of the integer quaternions with entries in [-3, 3] (entries
+# below 10^4, of finite and of infinite order, about skew axes), and of
+# some of finite order: about z by pi and pi/2, and about skew axes by pi,
+# pi/2, 2 pi/3 and pi/3
+_FINITE_QUATERNIONS = ((0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 2, 2),
+                       (3, 1, 2, 2), (1, 1, 1, 1), (3, 1, 1, 1))
+_quaternions = st.one_of(
+    st.sampled_from(_FINITE_QUATERNIONS),
+    st.tuples(*[st.integers(-3, 3)] * 4).filter(any))
+_small_gens = st.lists(st.builds(
+    lambda q, det, shift, flip: S2RIsometry(
+        tuple(tuple(det * v for v in row) for row in _quaternion_rotation(*q)),
+        shift, flip),
+    _quaternions, st.sampled_from((1, -1)),
+    st.sampled_from((0, 1, 2, 3, Fraction(1, 2), 5, -2)),
+    st.sampled_from((1, 1, 1, -1))), min_size=1, max_size=3)
+
+
+def _decision(decompose, gens) -> tuple:
+    """The split's numbers and the set of F, or the error kind."""
+    try:
+        dec = decompose(gens)
+    except NonDiscreteShiftError:
+        return ("NonDiscreteShiftError",)
+    return (_invariants(dec), frozenset(map(fibered._exact_key,
+                                            dec.f_elements)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_gens)
+@example([S2RIsometry(ROT_345, 2), S2RIsometry(S2R_ROT_ID, 5)])
+@example([S2RIsometry(ROT_4, 2), S2RIsometry(S2R_ROT_ID, 5)])
+@example([S2RIsometry(ROT_345, 1), S2RIsometry(RHO_Z, 0),
+          S2RIsometry(S2R_ROT_ID, 0, -1)])
+def test_exact_decision_matches_the_bezout_powers(gens):
+    with deadline(10):
+        assert _decision(s2r_decompose, gens) \
+            == _decision(s2r_decompose_by_screen, gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_gens)
+def test_exact_decision_is_invariant_under_a_skew_rotation(gens):
+    by = S2RIsometry(_quaternion_rotation(2, 1, -1, 3), 0)
+    want, got = (_decision(s2r_decompose, group)[0]
+                 for group in (gens, _conjugate(gens, by)))
+    assert got == want
+
+
+def test_the_height_bound_leaves_discrete_powers_alone():
+    # <(W^n, n), (W^(n + 301), n + 301)> is the infinite cyclic group of
+    # (W, 1) for W of cosine 3/5 about z: Bezout's powers of W have tens of
+    # thousands of digits, and the Nielsen moves stay below W^(n + 301)
+    for n in (3000, 1, 2, 300):
+        gens = [S2RIsometry(_rot_pow(ROT_345, n), n),
+                S2RIsometry(_rot_pow(ROT_345, n + 301), n + 301)]
+        with deadline(5):
+            dec = s2r_decompose(gens)
+        assert (dec.l_type, dec.lam, dec.f_order_bound) == (LAMBDA_Z, 1, 1)
+        assert dec.twist in (ROT_345, transpose(ROT_345))
+    # with a rotation of order 4 about z beside: t = (W ROT_4^-1, 1), and
+    # (ROT_4 W^500) t^-500 = ROT_4^501 makes F the C4 of ROT_4
+    gens = [S2RIsometry(matmul(ROT_4, _rot_pow(ROT_345, 500)), 500),
+            S2RIsometry(_rot_pow(ROT_345, 501), 501)]
+    dec = s2r_decompose(gens)
+    assert (dec.lam, dec.f_order_bound) == (1, 4)
+
+
+def test_no_power_of_finite_order_is_taken_beyond_12():
+    # powers of a rotation of finite order go mod 12: a shift ratio larger
+    # by 12 * 10^1000 costs what the small one costs, and answers the same
+    # (the twist is a half-turn about y, which inverts F = C4)
+    small = [S2RIsometry(ROT_4, 2), S2RIsometry(RHO_X, 21)]
+    huge = [S2RIsometry(ROT_4, 2), S2RIsometry(RHO_X, 21 + 24 * 10**1000)]
+    want = _decision(s2r_decompose_by_screen, small)
+    assert want[0][2:4] == (1, 4)
+    assert _decision(s2r_decompose, small) == want
+    with deadline(5):
+        assert _decision(s2r_decompose, huge) == want
 
 
 @pytest.mark.parametrize("lam", [Fraction(1, 10**400), Fraction(10**400),
@@ -791,6 +891,17 @@ def test_tangent_vector_validation():
     blob = TangentVector(1j, 1, 2j, 2).to_json_dict()
     assert blob == {"z": [0.0, 1.0], "w": [1.0, 0.0],
                     "X": [0.0, 2.0], "Z": [2.0, 0.0]}
+
+
+def test_base_points_are_compared_exactly():
+    # 1e-13 + 1j is another point than 1j, however close: no tolerance
+    # makes them one
+    at_i = TangentVector(1j, 1 + 0j, 1 + 0j, 0j)
+    near = TangentVector(1e-13 + 1j, 1 + 0j, 1 + 0j, 0j)
+    for t1, t2 in ((at_i, near), (near, at_i)):
+        with pytest.raises(ValueError, match="share the base point"):
+            sasaki_inner(t1, t2)
+    assert sasaki_inner(at_i, at_i) == sasaki_inner(near, near) == 2.0
 
 
 def _rodrigues(axis, angle):
