@@ -15,6 +15,8 @@ from itertools import count
 from math import gcd, isqrt, lcm, sqrt
 from typing import Union
 
+from .descriptors import brief
+
 
 class MixedDiscriminantError(ValueError):
     """Arithmetic between two genuinely irrational values of different fields."""
@@ -114,7 +116,7 @@ def _factorize(n: int) -> dict[int, int]:
         return factors
     if n >= FACTOR_LIMIT:
         raise ValueError(
-            f"cannot factor: the part {n} without prime factors below "
+            f"cannot factor: the part {brief(n)} without prime factors below "
             f"{_TRIAL_BOUND} is not below the factoring limit {FACTOR_LIMIT}")
     pending = [n]                     # no prime factor below p remains
     while pending:
@@ -533,18 +535,19 @@ def as_exact(x) -> Scalar:
         raise ValueError(f"exact entries required, not {x!r}") from None
 
 
-def format_scalar(x: Scalar) -> str:
-    """Canonical rendering "a + b√d" with reduced fractions."""
+def format_scalar(x: Scalar, num=str) -> str:
+    """Canonical rendering "a + b√d" with reduced fractions, each rational
+    part written by num (`descriptors.brief` in an error message)."""
     if not isinstance(x, QuadRat) or x.q == 0:
         q = x.a if isinstance(x, QuadRat) else frac(x)
-        return str(q)
+        return num(q)
     a, b = x.a, x.b
-    root = f"√{x.d}"
+    root = f"√{num(x.d)}"
     if abs(b) == 1:
         bpart = root
     else:
-        bpart = f"{abs(b)}{root}"
+        bpart = f"{num(abs(b))}{root}"
     sign = "-" if b < 0 else "+"
     if a == 0:
         return f"-{bpart}" if b < 0 else bpart
-    return f"{a} {sign} {bpart}"
+    return f"{num(a)} {sign} {bpart}"

@@ -160,6 +160,25 @@ def check_output_size(obj) -> None:
             f"{OUTPUT_DIGIT_LIMIT}-digit output limit for one integer")
 
 
+def brief(x) -> str:
+    """An int or a Fraction as an error message names it: as str() writes
+    it when no integer in it has more than 40 digits, and otherwise each
+    longer one by its first 20 digits and its size, "12345678901234567890...
+    (3001 digits)", so that a message stays short and no integer past the
+    4300-digit conversion limit is converted."""
+    if isinstance(x, Fraction) and x.denominator != 1:
+        return f"{brief(x.numerator)}/{brief(x.denominator)}"
+    size = abs(int(x))
+    if size < 10 ** 40:
+        return str(x)
+    # 1233 / 4096 < log10(2): a lower bound on the digits, raised to the count
+    digits = ((size.bit_length() - 1) * 1233 >> 12) + 1
+    while 10 ** digits <= size:
+        digits += 1
+    head = size // 10 ** (digits - 20)
+    return f"{'-' if x < 0 else ''}{head}... ({digits} digits)"
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON rendering used for golden files and CLI output.
 

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .algebra import power
 from .descriptors import IsoDescriptor, _Frozen, _setattr, to_float
-from .hyperbolic import MobiusMap, _sqrt_ratio, _upper_point, expm_sl2
+from .hyperbolic import MobiusMap, _sqrt_ratio, _upper_point
 from .intmat import SearchCapError, closure, mat3_mul, transpose
 
 
@@ -123,34 +123,19 @@ def unit_tangent_embed(m: MobiusMap) -> tuple[complex, complex]:
                       to_float(-2 * delta * C * D, n * n, "an entry"))
 
 
-SL2_BASIS = (
-    ((1.0, 0.0), (0.0, -1.0)),
-    ((0.0, 1.0), (-1.0, 0.0)),
-    ((0.0, 1.0), (1.0, 0.0)),
-)
-
-_FRAME_DISPLAY = ((2j, 2 + 0j), (0j, 2j), (2 + 0j, -2j))
+SL2_BASIS = (((1, 0), (0, -1)), ((0, 1), (-1, 0)), ((0, 1), (1, 0)))
 
 
 def frame_at_identity() -> list[TangentVector]:
-    """Derivatives of t -> phi(exp(t X_j)) at t = 0, by central differences.
+    """Derivatives of t -> phi(exp(t X_j)) at t = 0, in closed form: for X
+    = (p q; r -p), z' = (q + r) + 2p i and w' = 2p - 2r i at (i, 1).
 
-    The three results must agree with (2i, 2), (0, 2i), (2, -2i) within
-    1e-5; their halves form a Sasaki-orthonormal frame at (i, 1).
+    They are (2i, 2), (0, 2i), (2, -2i); their halves form a
+    Sasaki-orthonormal frame at (i, 1).
     """
-    step = 1e-6
-    out = []
-    for j, x in enumerate(SL2_BASIS):
-        zp, wp = unit_tangent_embed(expm_sl2(x, step))
-        zm, wm = unit_tangent_embed(expm_sl2(x, -step))
-        dz = (zp - zm) / (2 * step)
-        dw = (wp - wm) / (2 * step)
-        ref_z, ref_w = _FRAME_DISPLAY[j]
-        if abs(dz - ref_z) > 1e-5 or abs(dw - ref_w) > 1e-5:
-            raise AssertionError(
-                f"numerical frame vector {j + 1} drifted from the closed form")
-        out.append(TangentVector(1j, 1 + 0j, dz, dw))
-    return out
+    return [TangentVector(1j, 1 + 0j, complex(q + r, 2 * p),
+                          complex(2 * p, -2 * r))
+            for (p, q), (r, _) in SL2_BASIS]
 
 
 # -- S^2 x R ------------------------------------------------------------------
@@ -160,10 +145,12 @@ class NonDiscreteShiftError(ValueError):
     many of its elements act trivially on the R factor."""
 
 
-# A finite subgroup of O(3) with rational entries has at most 48 elements,
-# so more than 120 prove F infinite.  Float rotation parts can have any
-# finite order; more than BALL_CAP elements are taken as a sign of it.
-_EXACT_CAP = 120
+# Once every element of an exact F has an integer trace, its orders divide
+# 12, and a finitely generated linear group of bounded exponent is finite
+# (Burnside): F is a finite subgroup of GL(3, Q), of at most 48 elements
+# (the signed permutations).  Float rotation parts can have any finite
+# order; more than BALL_CAP elements are taken as a sign of it.
+_EXACT_CAP = 48
 BALL_CAP = 4000
 
 
@@ -277,6 +264,17 @@ def _exact_key(rot) -> tuple:
     return (*r0, *r1, *r2)
 
 
+def _finite_key(rot) -> tuple:
+    """`_exact_key` of an element of an exact F, which lies over the shift
+    0; NonDiscreteShiftError when its trace is no integer, since it then
+    has infinite order (Niven)."""
+    if _trace_den(rot) > 1:
+        raise NonDiscreteShiftError(
+            "an element over the shift 0 has a non-integer trace, which no "
+            "rotation part of finite order has")
+    return _exact_key(rot)
+
+
 def _rot_pow(rot, n: int) -> tuple:
     """rot**n; rot is orthogonal, so rot**-1 is its transpose."""
     if n < 0:
@@ -381,9 +379,9 @@ def _exact_reduction(rots: list):
 
 def _twist_closure(rots: list, twist, key, cap: int) -> list:
     """The least group that contains rots and is closed under conjugation
-    by twist (None: no conjugation), its elements told apart by key:
-    `intmat.closure` closes the generators, then their conjugates join
-    them, until a step adds nothing."""
+    by twist (None: no conjugation), its elements told apart by key, which
+    may refuse one: `intmat.closure` closes the generators, then their
+    conjugates join them, until a step adds nothing."""
     gens = list({key(r): r for r in rots}.values())
     new = gens
     while True:
@@ -423,10 +421,11 @@ def s2r_decompose(gens: Sequence[S2RIsometry],
       twist R_t, the rotation part of t (`_twist_closure`).
 
     Exact rotations are compared exactly and take no float and no large
-    power (`_exact_reduction`); float ones are compared rounded to 9
-    digits.  NonDiscreteShiftError reports a k_i of non-integer trace (of
-    infinite order), the rules of `_exact_reduction`, shifts that are
-    dense in R, or an F of more than 120 elements (exact) or BALL_CAP.
+    power (`_exact_reduction`); the closure stops at the first element of F
+    whose trace is no integer (`_finite_key`).  Float ones are compared
+    rounded to 9 digits.  NonDiscreteShiftError reports such an element (of
+    infinite order), the rules of `_exact_reduction`, shifts that are dense
+    in R, or an F of more than 48 exact or BALL_CAP float elements.
 
     lam is None when Gamma+ shifts nothing; otherwise an int when every
     shift is an int, a Fraction when every shift is exact, a float
@@ -451,14 +450,10 @@ def s2r_decompose(gens: Sequence[S2RIsometry],
          for h in plus], exact,
         (lambda x, b, q: mat3_mul(x, _rot_pow(b, -q))) if floats
         else _exact_reduction([h.rot for h in plus]))
-    if not floats and any(_trace_den(k) > 1 for k in kernel):
-        raise NonDiscreteShiftError(
-            "an element over the shift 0 has a non-integer trace, which no "
-            "rotation part of finite order has")
     if lam is not None and all(isinstance(g.shift, int) for g in gens):
         lam = int(lam)
     f = (_twist_closure(kernel, twist, _rot_key, BALL_CAP) if floats
-         else _twist_closure(kernel, twist, _exact_key, _EXACT_CAP))
+         else _twist_closure(kernel, twist, _finite_key, _EXACT_CAP))
     if r is not None:
         l_type = LAMBDA_Z_SEMIDIRECT
     elif lam is None:

@@ -50,7 +50,7 @@ from .algebra import (
     row_scalar,
     scalar_is_rational,
 )
-from .descriptors import IsoDescriptor, _Frozen, _setattr
+from .descriptors import IsoDescriptor, _Frozen, _setattr, brief
 from .intmat import (
     MAT2_ID,
     Mat2,
@@ -807,11 +807,12 @@ def nil_quotient_isometry(lat: NilLattice,
         # the closure yields the identity first
         lifts = {m: frame.lift(m) for m in group[1:]}
         if not _lift_group_closes(frame, lifts, gens):
-            u, v = (", ".join(map(format_scalar, w)) for w in (lat.u, lat.v))
+            fmt = functools.partial(format_scalar, num=brief)
+            u, v = (", ".join(map(fmt, w)) for w in (lat.u, lat.v))
             raise ValueError(
                 f"adjoined point group does not close over the lattice "
-                f"u = ({u}), v = ({v}), r = {format_scalar(lat.r)}, "
-                f"s = {format_scalar(lat.s)}, n = {lat.n}: a product of "
+                f"u = ({u}), v = ({v}), r = {fmt(lat.r)}, "
+                f"s = {fmt(lat.s)}, n = {brief(lat.n)}: a product of "
                 f"two lifted point symmetries is not a lattice element "
                 f"times a lift")
         own = [(lifts[g], lifts[g]) for g in gens]

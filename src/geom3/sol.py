@@ -24,6 +24,7 @@ from .descriptors import (
     IsoDescriptor,
     _Frozen,
     _setattr,
+    brief,
     check_output_size,
     to_float,
 )
@@ -204,7 +205,7 @@ def _refuse_a_huge_power(lat: SolLattice) -> None:
     bits = lat.n * ((lat.a.trace() - 1).bit_length() - 1)
     if bits > _LIMIT_BITS:
         raise ValueError(
-            f"exact answer has at least {bits} bits, more than the "
+            f"exact answer has at least {brief(bits)} bits, more than the "
             f"{OUTPUT_DIGIT_LIMIT}-digit output limit for one integer")
 
 

@@ -133,8 +133,10 @@ generators as it decided before Euclid ran on the generators themselves:
 lam and Bezout coefficients c_j from the shifts alone, the twist R_t =
 prod R_j^c_j and each k_j = R_j R_t^-m_j, m_j = s_j / lam, as exact powers,
 after a float screen that refuses a k_j whose trace no rotation of finite
-order has; then F closed to at most 120 elements.  Its powers can have as
-many digits as the shift ratios, so it is an oracle for small groups.
+order has; then F closed under the exact key to at most 120 elements, a
+fill that refuses no element for its trace (`s2r_twist_closure_by_fill`).
+Its powers can have as many digits as the shift ratios, so it is an
+oracle for small groups.
 
 `sol_centralizer_by_eigenbasis` is `sol.sol_centralizer` as it was before
 three integer checks on A gave its answer: A diagonalized over Q(sqrt(d))
@@ -207,13 +209,16 @@ from geom3.intmat import (
     IntMat2,
     SearchCapError,
     ZsqrtBasis,
+    closure,
     congruence_solutions,
     mat2_apply,
     mat2_det,
     mat2_inv,
     mat2_mul,
+    mat3_mul,
     matmul,
     snf,
+    transpose,
     vec2_cross,
 )
 from geom3.nil import (
@@ -1625,6 +1630,36 @@ def _s2r_screen_kernel(rots: list, coeffs: list, m: list) -> None:
                 "no rotation part of finite order has")
 
 
+# a finite subgroup of O(3) with rational entries has at most 48 elements,
+# so more than 120 prove F infinite
+_S2R_FILL_CAP = 120
+
+
+def s2r_twist_closure_by_fill(rots: list, twist) -> list:
+    """The least group that contains the exact rots and is closed under
+    conjugation by twist (None: no conjugation), told apart by their exact
+    entries; NonDiscreteShiftError past _S2R_FILL_CAP elements."""
+    key = fibered._exact_key
+    gens = list({key(r): r for r in rots}.values())
+    new = gens
+    while True:
+        try:
+            group = closure(S2R_ROT_ID, gens, mat3_mul, key,
+                            cap=_S2R_FILL_CAP)[0]
+        except SearchCapError:
+            raise NonDiscreteShiftError(
+                f"more than {_S2R_FILL_CAP} rotation parts act trivially on "
+                "R: they form an infinite group") from None
+        if twist is None:
+            return group
+        inv, keys = transpose(twist), {key(r) for r in group}
+        new = [r for r in (mat3_mul(mat3_mul(twist, g), inv) for g in new)
+               if key(r) not in keys]
+        if not new:
+            return group
+        gens += new
+
+
 def s2r_decompose_by_screen(gens) -> S2RDecomposition:
     """The S^2 x R split of exact generators by Bezout powers."""
     r = next((g for g in gens if g.flip == -1), None)
@@ -1644,8 +1679,7 @@ def s2r_decompose_by_screen(gens) -> S2RDecomposition:
         twist, rots = _s2r_twist_and_kernel(rots, coeffs, m)
         if all(isinstance(g.shift, int) for g in gens):
             lam = int(lam)
-    f = fibered._twist_closure(rots, twist, fibered._exact_key,
-                               fibered._EXACT_CAP)
+    f = s2r_twist_closure_by_fill(rots, twist)
     if r is not None:
         l_type = LAMBDA_Z_SEMIDIRECT
     elif lam is None:

@@ -84,7 +84,7 @@ def test_criterion_3_euclid_planar_and_oracle_grid():
 
 def test_criterion_4_frame_checks():
     start = time.perf_counter()
-    frame = fibered.frame_at_identity()          # asserts 1e-5 internally
+    frame = fibered.frame_at_identity()          # the closed form
     refs = ((2j, 2), (0, 2j), (2, -2j))
     for v, (rx, rz) in zip(frame, refs):
         assert abs(v.vec_X - rx) <= 1e-5 and abs(v.vec_Z - rz) <= 1e-5

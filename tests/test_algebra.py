@@ -3,7 +3,9 @@
 import copy
 import inspect
 import math
+import contextlib
 import pickle
+import random
 import re
 import sys
 from fractions import Fraction
@@ -23,6 +25,7 @@ from geom3.algebra import (
     row_scalar,
     squarefree_decompose,
 )
+from geom3.descriptors import brief
 from support import (
     FractionPairQuadRat,
     clear_denominators,
@@ -30,6 +33,17 @@ from support import (
     integer_rows_by_parts,
     squarefree_by_trial_division,
 )
+
+@contextlib.contextmanager
+def localcontext_digits(digits: int):
+    """Let str() convert ints of up to `digits` digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(max(limit, digits))
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
 
 rationals = st.fractions(max_denominator=20,
                          min_value=Fraction(-20), max_value=Fraction(20))
@@ -383,6 +397,31 @@ def test_squarefree_beyond_the_factoring_limit_is_refused():
         squarefree_decompose(1009 * (10 ** 30 + 57))
     # small prime factors are divided out first, whatever the size
     assert squarefree_decompose(2 ** 201 * 3 ** 100) == (2 ** 100 * 3 ** 50, 2)
+    # a huge part is named by its first digits and its size: its 8111
+    # digits once filled the message, and could not be converted past the
+    # 4300-digit limit
+    with pytest.raises(ValueError, match=r"the part 32073683525514621385"
+                       r"\.\.\. \(8111 digits\) without") as exc:
+        squarefree_decompose(1009 ** 2700)
+    assert len(str(exc.value)) < 200
+
+
+def test_brief_is_str_up_to_40_digits_and_then_the_size():
+    rng = random.Random(44)
+    sizes = [1, 2, 39, 40, 41, 42, 100, 1233, 4299, 4300, 4301, 9000]
+    for digits in sizes:
+        for n in (10 ** (digits - 1), 10 ** digits - 1,
+                  rng.randrange(10 ** (digits - 1), 10 ** digits)):
+            with localcontext_digits(digits + 1):
+                text = str(n)
+            want = text if digits <= 40 else \
+                f"{text[:20]}... ({digits} digits)"
+            assert brief(n) == want
+            assert brief(-n) == "-" + want
+            assert brief(Fraction(n)) == want
+            assert brief(Fraction(1, n)) == ("1" if n == 1 else "1/" + want)
+    assert brief(Fraction(-3, 10 ** 50)) == \
+        "-3/10000000000000000000... (51 digits)"
 
 
 def _round_trips(x):

@@ -678,6 +678,59 @@ def test_s2r_size_ladder_answers_within_the_fuzz_budget():
         assert payload == want, gens[:60]
 
 
+# The other subcommands' size ladders: N runs through the numbers of k
+# sevens, k = 1, 2, 4, ..., 4096, within the 4300-digit input limit, as an
+# entry, a shift, a preset parameter or a power
+_SIZE_LADDER = [
+    "nil iso --u 1/{N},0 --v 0,{N}",
+    "nil iso --u 1/{N},0 --v 0,{N} --adjoin full",
+    "nil iso --u 1,0 --v 0,1 --r 1/{N} --s {N} --adjoin full",
+    "nil iso --preset Gp:{N}",
+    "nil iso --preset Gp:{N} --adjoin full",
+    "nil iso --preset hex:{N}",
+    "nil iso --preset hex:{N} --adjoin full",
+    "nil dichotomy --gens rot4;{N},0,0",
+    "nil dichotomy --gens rot6;1/{N},0,0",
+    "nil dichotomy --gens {N},0,0;0,1/{N},{N}",
+    "nil point-group --u {N},0 --v 0,{N}",
+    "nil point-group --u 1,0 --v 1/2,{N}",
+    "sol iso --matrix {N},1,-1,0",
+    "sol iso --matrix 2,1,1,1 --power {N}",
+    "sol normalizer --matrix {N},1,-1,0",
+    "sol normalizer --matrix 2,1,1,1 --power {N}",
+    "sol qstructure --matrix {N},1,-1,0",
+    "hyp classify --matrix {N},1,-1,0",
+    "hyp classify --matrix 1/{N},0,0,{N}",
+    "hyp apply --matrix {N},1,-1,0 --z 0,1",
+    "fiber embed --matrix {N},1,-1,0",
+    "fiber embed --matrix 1/{N},0,0,{N}",
+    "zimmer verdict --geometry sol --matrix {N},1,-1,0 --factors SL(3,R) "
+    "--nonuniform",
+    "zimmer verdict --geometry sol --matrix 2,1,1,1 --power {N} "
+    "--factors SL(3,R) --nonuniform",
+    "zimmer verdict --geometry nil --preset Gp:{N} --factors SL(3,R) "
+    "--nonuniform",
+    "zimmer verdict --geometry nil --preset hex:{N} --adjoin full "
+    "--factors SL(3,R) --nonuniform",
+]
+
+
+@pytest.mark.parametrize("command", _SIZE_LADDER)
+def test_size_ladder_answers_within_the_fuzz_budget(command):
+    # each rung ends in the fuzzer's 2 s with exit 0, 1 or 2, and an error
+    # names a huge number by its size: a domain error once echoed every
+    # digit, or could not print them past the 4300-digit conversion limit
+    for k in (2 ** j for j in range(13)):
+        argv = command.format(N="7" * k).split(" ") + ["--json"]
+        start = time.perf_counter()
+        with deadline(10):
+            code, payload = run_json(argv)
+        assert time.perf_counter() - start < 2, (command, k)
+        assert code in (0, 1, 2), (command, k, payload)
+        if code:
+            assert len(payload["error"]["detail"]) <= 300, (command, k)
+
+
 def test_qstructure_of_a_large_trace_is_factored_quickly():
     # t^2 - 4 = 1000000093 * 1000000097: trial division up to its square
     # root did not finish; Pollard's rho splits it in milliseconds

@@ -91,6 +91,10 @@ SEARCHES = [
     "fiber s2r --gens 3/5,-4/5,0,4/5,3/5,0,0,0,1@1",
     "fiber s2r --gens 3/5,-4/5,0,4/5,3/5,0,0,0,1@0;I@1",
     "fiber s2r --gens I@1;I@1/2@-1",
+    # rotations of order 4 and 2 whose product has trace -1/9, of infinite
+    # order: the closure of F stops there (it once filled 120 elements)
+    "fiber s2r --gens 0,-1,0,1,0,0,0,0,1@0;"
+    "-7/9,4/9,4/9,4/9,-1/9,8/9,4/9,8/9,-1/9@0;I@1",
     # a reflection of R alone: L = Z_2, lambda None, and no identity
     # component is asked for (it once exited 1, "compact quotient required")
     "fiber s2r --gens I@1/2@-1",

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -240,12 +241,23 @@ def test_frame_matches_display_and_is_orthonormal():
     frame = frame_at_identity()
     refs = ((2j, 2), (0, 2j), (2, -2j))
     for v, (rx, rz) in zip(frame, refs):
-        assert abs(v.vec_X - rx) < 1e-5
-        assert abs(v.vec_Z - rz) < 1e-5
+        assert (v.vec_X, v.vec_Z) == (rx, rz)
+        assert "-0.0" not in repr(v.to_json_dict())
     halves = [TangentVector(1j, 1, v.vec_X / 2, v.vec_Z / 2) for v in frame]
     for i, j in itertools.combinations_with_replacement(range(3), 2):
         inner = sasaki_inner(halves[i], halves[j])
         assert abs(inner - (1.0 if i == j else 0.0)) < 1e-8
+
+
+def test_frame_matches_central_differences_of_the_orbit_map():
+    # the closed form against the numeric derivative of phi(exp(t X)) at
+    # the steps +-1e-6
+    step = 1e-6
+    for x, v in zip(SL2_BASIS, frame_at_identity()):
+        (zp, wp), (zm, wm) = (unit_tangent_embed(expm_sl2(x, t))
+                              for t in (step, -step))
+        assert abs((zp - zm) / (2 * step) - v.vec_X) < 1e-5
+        assert abs((wp - wm) / (2 * step) - v.vec_Z) < 1e-5
 
 
 def test_s2r_compose_inverse():
@@ -277,6 +289,13 @@ GOLDEN = (math.sqrt(5) - 1) / 2
 ROT_345 = ((Fraction(3, 5), Fraction(-4, 5), 0),
            (Fraction(4, 5), Fraction(3, 5), 0), (0, 0, 1))
 ROT_4 = ((0, -1, 0), (1, 0, 0), (0, 0, 1))
+
+
+def _half_turn(axis) -> tuple:
+    """The half-turn about the integer axis, 2 a a^T / |a|^2 - I, exactly."""
+    n = sum(v * v for v in axis)
+    return tuple(tuple(Fraction(2 * axis[i] * axis[j], n) - (i == j)
+                       for j in range(3)) for i in range(3))
 
 
 def _cyclic_or_dihedral(order, dihedral, flip, shifts):
@@ -445,13 +464,14 @@ def test_an_irrational_rotation_over_shift_zero_is_not_discrete():
     with pytest.raises(NonDiscreteShiftError):
         s2r_decompose([S2RIsometry(s2r_rotation_z(1.0), 0.0)])
     # two exact rotations of order 4 and 2 whose product has trace -1/9:
-    # more than 120 elements prove the group infinite
-    axis = (1, 2, 2)
-    half_turn = tuple(tuple(Fraction(2 * axis[i] * axis[j], 9) - (i == j)
-                            for j in range(3)) for i in range(3))
+    # the closure of F stops at that product, of infinite order (it once
+    # filled 120 elements first)
+    gens = [S2RIsometry(ROT_4, 0), S2RIsometry(_half_turn((1, 2, 2)), 0),
+            S2RIsometry(S2R_ROT_ID, 1)]
+    with pytest.raises(NonDiscreteShiftError, match="non-integer trace"):
+        s2r_decompose(gens)
     with pytest.raises(NonDiscreteShiftError, match="120"):
-        s2r_decompose([S2RIsometry(ROT_4, 0), S2RIsometry(half_turn, 0),
-                       S2RIsometry(S2R_ROT_ID, 1)])
+        s2r_decompose_by_screen(gens)
 
 
 def test_large_shift_ratios_end_quickly():
@@ -829,6 +849,46 @@ def test_exact_decision_is_invariant_under_a_skew_rotation(gens):
     want, got = (_decision(s2r_decompose, group)[0]
                  for group in (gens, _conjugate(gens, by)))
     assert got == want
+
+
+# the finite-order rotations with rational entries that a random group
+# draws from: the 48 signed permutations, and the half-turns about the
+# integer axes with entries in [-2, 2]
+_SIGNED_PERMUTATIONS = [
+    tuple(tuple(sign[i] * (j == perm[i]) for j in range(3)) for i in range(3))
+    for perm in itertools.permutations(range(3))
+    for sign in itertools.product((1, -1), repeat=3)]
+_FINITE_ROTATIONS = _SIGNED_PERMUTATIONS + [
+    _half_turn(axis) for axis in itertools.product(range(-2, 3), repeat=3)
+    if any(axis)]
+
+
+def test_groups_of_finite_order_rotations_end_at_once():
+    # two or three rotations of finite order at consecutive Fibonacci
+    # shifts, the most steps of Euclid's algorithm: a product of infinite
+    # order once made the closure of F fill 120 elements, up to 86 ms.
+    # The Bezout powers answer in 20 ms or so wherever F is finite, and can
+    # run for seconds where it is not, so they are asked under a deadline
+    rng = random.Random(4401)
+    fib = [1, 2]
+    while len(fib) < 40:
+        fib.append(fib[-1] + fib[-2])
+    compared = 0
+    for _ in range(100):
+        i = rng.randrange(len(fib) - 3)
+        gens = [S2RIsometry(rng.choice(_FINITE_ROTATIONS), shift)
+                for shift in fib[i:i + rng.choice((2, 3))]]
+        start = time.process_time()      # CPU time: a busy host adds none
+        got = _decision(s2r_decompose, gens)
+        assert time.process_time() - start < 0.05, gens
+        try:
+            with deadline(0.2):
+                want = _decision(s2r_decompose_by_screen, gens)
+        except TimeoutError:
+            continue
+        assert got == want, gens
+        compared += 1
+    assert compared >= 80, compared
 
 
 def test_the_height_bound_leaves_discrete_powers_alone():
