@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .descriptors import (canonical_json, check_output_size,
+from .descriptors import (brief_text, canonical_json, check_output_size,
                           lookup_table_version, spherical_components_lookup)
 
 if TYPE_CHECKING:
@@ -45,7 +45,7 @@ def _check_digit_limit(text: str, what: str) -> None:
                      for digits in re.findall(r"[\d_]+", text)):
         raise SchemaError(
             f"{what} has more than the {limit}-digit input limit for one "
-            f"integer: {text[:20]!r}... ({len(text)} characters)")
+            f"integer: {brief_text(text)}")
 
 
 def _int(text: str) -> int:
@@ -59,19 +59,20 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
+            f"invalid int value: {brief_text(text)}") from None
 
 
 def _frac(text: str) -> Fraction:
     # an exponent of five or more digits: Fraction would build an integer of
     # that many digits (1e999999999 has a billion)
     if re.search(r"e[-+]?0*[1-9]\d{4}", text.replace("_", ""), re.I):
-        raise SchemaError(f"exponent out of range: {text!r}")
+        raise SchemaError(f"exponent out of range: {brief_text(text)}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         _check_digit_limit(text, "number")
-        raise SchemaError(f"not a rational number: {text!r}") from exc
+        raise SchemaError(
+            f"not a rational number: {brief_text(text)}") from exc
 
 
 def _float(text: str) -> float:
@@ -79,9 +80,9 @@ def _float(text: str) -> float:
         value = float(Fraction(text)) if "/" in text else float(text)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         _check_digit_limit(text, "number")
-        raise SchemaError(f"not a number: {text!r}") from exc
+        raise SchemaError(f"not a number: {brief_text(text)}") from exc
     if not math.isfinite(value):
-        raise SchemaError(f"not a finite number: {text!r}")
+        raise SchemaError(f"not a finite number: {brief_text(text)}")
     return value
 
 
@@ -95,7 +96,8 @@ def _int_matrix(text: str) -> IntMat2:
         vals = [int(p) for p in parts]
     except ValueError as exc:
         _check_digit_limit(text, "matrix entry")
-        raise SchemaError(f"non-integer matrix entry in {text!r}") from exc
+        raise SchemaError(
+            f"non-integer matrix entry in {brief_text(text)}") from exc
     return IntMat2(*vals)
 
 
@@ -123,7 +125,7 @@ def _nil_lattice(args) -> nil.NilLattice:
             return nil.lattice_gp(_preset_int(name))
         if name.startswith("hex:"):
             return nil.lattice_hex(_preset_int(name))
-        raise SchemaError(f"unknown nil preset {name!r}")
+        raise SchemaError(f"unknown nil preset {brief_text(name)}")
     if not (args.u and args.v):
         raise SchemaError("give --preset or both --u and --v")
     return nil.nil_lattice_make(_vec2(args.u), _vec2(args.v),
@@ -135,7 +137,8 @@ def _preset_int(name: str) -> int:
         value = int(name.split(":", 1)[1])
     except ValueError as exc:
         _check_digit_limit(name, "preset parameter")
-        raise SchemaError(f"bad preset parameter in {name!r}") from exc
+        raise SchemaError(
+            f"bad preset parameter in {brief_text(name)}") from exc
     if value < 1:
         raise SchemaError("preset parameter must be >= 1")
     return value
@@ -162,7 +165,8 @@ def _nil_generators(text: str) -> list:
         if "@" in token:
             head, tail = token.split("@", 1)
             if head not in _GEN_ROTATIONS:
-                raise SchemaError(f"unknown rotation token {head!r}")
+                raise SchemaError(
+                    f"unknown rotation token {brief_text(head)}")
             rot = getattr(nil, _GEN_ROTATIONS[head])
             parts = tail.split(",")
             if len(parts) != 3:
@@ -175,7 +179,8 @@ def _nil_generators(text: str) -> list:
         else:
             parts = token.split(",")
             if len(parts) != 3:
-                raise SchemaError(f"bad generator token {token!r}")
+                raise SchemaError(
+                    f"bad generator token {brief_text(token)}")
             gens.append(nil.HeisIsometry.translation(
                 nil.HeisPoint.of(*(_frac(p) for p in parts))))
     if not gens:
@@ -316,7 +321,7 @@ def _s2r_generators(text: str) -> list:
             continue
         parts = token.split("@")
         if len(parts) not in (2, 3) or parts[2:] not in ([], ["-1"]):
-            raise SchemaError(f"bad generator token {token!r}")
+            raise SchemaError(f"bad generator token {brief_text(token)}")
         if parts[0] == "I":
             rot = fibered.S2R_ROT_ID
         else:
@@ -358,7 +363,8 @@ def _cmd_fiber(args) -> dict:
         if text is None:
             text = _S2R_PRESETS.get(args.preset or "twist")
             if text is None:
-                raise SchemaError(f"unknown s2r preset {args.preset!r}")
+                raise SchemaError(
+                    f"unknown s2r preset {brief_text(args.preset)}")
         elif args.preset is not None:
             raise SchemaError("give --preset or --gens, not both")
         dec = fibered.s2r_decompose(_s2r_generators(text))
@@ -428,7 +434,7 @@ def _zimmer_quotient(args):
             raise SchemaError(str(exc)) from exc
     if geometry in ("h3", "h2xr", "sl2r"):
         return zimmer.quotient_isometry_summary(geometry)
-    raise SchemaError(f"unknown geometry {geometry!r}")
+    raise SchemaError(f"unknown geometry {brief_text(geometry)}")
 
 
 def _cmd_zimmer(args) -> dict:

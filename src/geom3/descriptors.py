@@ -179,6 +179,15 @@ def brief(x) -> str:
     return f"{'-' if x < 0 else ''}{head}... ({digits} digits)"
 
 
+def brief_text(text) -> str:
+    """repr(text) as an error message echoes an input, except that a
+    string of more than 40 characters is its first 20 and its length,
+    "'77777777777777777777'... (2050 characters)"."""
+    if isinstance(text, str) and len(text) > 40:
+        return f"{text[:20]!r}... ({len(text)} characters)"
+    return repr(text)
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON rendering used for golden files and CLI output.
 
@@ -203,7 +212,7 @@ def spherical_components_lookup(query: str) -> list[dict]:
     if query == "all":
         return [row for rows in families.values() for row in rows]
     if query not in families:
-        raise ValueError(f"unknown lookup family {query!r}")
+        raise ValueError(f"unknown lookup family {brief_text(query)}")
     return list(families[query])
 
 

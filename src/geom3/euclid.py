@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import frac, integer_rows
-from .descriptors import IsoDescriptor, _Frozen, _setattr
+from .descriptors import IsoDescriptor, _Frozen, _setattr, brief_text
 from .intmat import ZSpan, matmul, snf, transpose
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -267,5 +267,5 @@ def preset_crystal(name: str) -> CrystalGroup:
             [], [(1, 0), (half, half)], dim=2),
     }
     if name not in presets:
-        raise ValueError(f"unknown crystal preset {name!r}")
+        raise ValueError(f"unknown crystal preset {brief_text(name)}")
     return presets[name]()

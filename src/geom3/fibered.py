@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import power
-from .descriptors import IsoDescriptor, _Frozen, _setattr, to_float
+from .descriptors import (IsoDescriptor, _Frozen, _setattr, brief_text,
+                          to_float)
 from .hyperbolic import MobiusMap, _sqrt_ratio, _upper_point
 from .intmat import SearchCapError, closure, mat3_mul, transpose
 
@@ -513,7 +514,7 @@ def psl2_quotient_isometry(geometry: str = "sl2r") -> IsoDescriptor:
     """Circle-extension shape for quotients fibering over the hyperbolic
     plane; the finite quotient can be any finite group."""
     if geometry not in ("psl2", "sl2r", "h2xr"):
-        raise ValueError(f"unknown fibered geometry {geometry!r}")
+        raise ValueError(f"unknown fibered geometry {brief_text(geometry)}")
     finite = {"structure": "unspecified finite group F",
               "order": None,
               "realizable": "every finite group occurs for some lattice"}

@@ -16,9 +16,10 @@ conversion to integers, `algebra.integer_rows`.
 The helpers the geometry modules share live here too: 2x2/vector
 arithmetic over exact scalars, 2x2 matrices over Z[sqrt(d)] acting on
 integer rows (the Nil Schreier walk), a planar basis given by the integer
-rows of its vectors (`ZsqrtBasis`: the Gram matrix, its `gauss_reduce` and
-the integer conjugation B M B^-1 of the planar point groups and of Sol's
-Galois check), the n x n matrix product and its unrolled 3x3 case
+rows of its vectors (`ZsqrtBasis`: the Gram matrix, its `gauss_reduce`,
+the isometries of the reduced basis that make the elements of a planar
+point group, and the integer conjugation B M B^-1 of Sol's Galois
+check), the n x n matrix product and its unrolled 3x3 case
 `mat3_mul` (the S^2 x R rotations), and `closure`, the breadth-first walk
 that builds every finite group geom3 closes: the Nil linear parts
 (`nil._linear_group`, whose edges the Schreier walk reads), the subgroups
@@ -128,8 +129,9 @@ def gauss_reduce(gram, d: int) -> tuple[tuple, Mat2]:
     each entry a pair (p, q) for p + q sqrt(d).  Returns (gram', p): p is
     an integer matrix of determinant +-1 and gram' the Gram matrix of the
     basis u' = p00 u + p10 v, v' = p01 u + p11 v, with g'11 <= g'22 and
-    |2 g'12| <= g'11 (Cohen, A Course in Computational Algebraic Number
-    Theory, Alg. 1.3.14).  The nearest integer to g12 / g11 is the floor of
+    -g'11 <= 2 g'12 < g'11 (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 1.3.14; a half rounds up, so 2 g'12 = g'11 never
+    remains).  The nearest integer to g12 / g11 is the floor of
     (2 g12 + g11) conj(g11) / (2 N(g11)), for the norm N and the conjugate
     conj of Z[sqrt(d)], with isqrt for the floor of q sqrt(d): no float
     enters, whatever the size of the entries, and d = 0 (every q = 0) is
@@ -165,7 +167,8 @@ class ZsqrtBasis:
     0) when u and v are dependent.  B is the basis (u v) scaled by its
     common denominator, which no result below depends on: the Gram matrix
     only scales, and B M B^-1 does not change.  Two fields raise
-    MixedDiscriminantError, as their scalar product does.
+    MixedDiscriminantError, as their scalar product does.  `isometries`
+    builds the planar point groups, `conjugates` Sol's Galois check.
     """
 
     def __init__(self, radicands, rows):
@@ -180,10 +183,9 @@ class ZsqrtBasis:
     def gram(self) -> tuple:
         """(g11, g12, g22) of B^T B, the Gram matrix of B's columns."""
         (b00, b01, b10, b11), d = self.b, self.d
-        return tuple(tuple(map(add, _zmul(x, y, d), _zmul(z, w, d)))
-                     for x, y, z, w in ((b00, b00, b10, b10),
-                                        (b00, b01, b10, b11),
-                                        (b01, b01, b11, b11)))
+        return (tuple(map(add, _zmul(b00, b00, d), _zmul(b10, b10, d))),
+                tuple(map(add, _zmul(b00, b01, d), _zmul(b10, b11, d))),
+                tuple(map(add, _zmul(b01, b01, d), _zmul(b11, b11, d))))
 
     def conjugates(self, mats) -> list[Mat2]:
         """basis m basis^-1 for each integer 2x2 matrix m, in integers.
@@ -219,6 +221,52 @@ class ZsqrtBasis:
                 for p, q in set(chain(*keys))}
         return [((made[k0], made[k1]), (made[k2], made[k3]))
                 for k0, k1, k2, k3 in keys]
+
+    def isometries(self, p, g11, g12, mats) -> list[Mat2]:
+        """B' C B'^-1, in the form `conjugates` gives, for each C of mats, a
+        group of integer matrices keeping the Gram matrix g11, g12 of the
+        reduced basis B' = (u' v') = B p (see `gauss_reduce`).
+
+        As complex numbers C sends u' to w = c0 u' + c1 v', (c0, c1) its
+        first column.  A rotation multiplies by w conj(u') / g11 = (c0 g11
+        + c1 (g12 + i det B')) / g11; a reflection is z |-> (a + ib)
+        conj(z), a + ib = (c0 u'^2 + c1 v'u') / g11, with u'^2 = 2 u'_x u'
+        - g11 and v'u' = 2 u'_x v' - (g12 + i det B').  A quotient by g11
+        is a product with its conjugate over its norm.
+        """
+        ((b0, r0), (b1, r1), (b2, r2), (b3, r3)), d = self.b, self.d
+        (p00, p01), (p10, p11) = p
+        e = p00 * p11 - p01 * p10           # det B' = e det B
+        det = (e * self.det[0], e * self.det[1])
+        twice = (2 * (p00 * b0 + p10 * b1), 2 * (p00 * r0 + p10 * r1))
+        (x0, x1), xy, (v0, v1), (w0, w1) = [_zmul(twice, w, d) for w in (
+            (p00 * b0 + p10 * b1, p00 * r0 + p10 * r1),      # 2 u'_x u'_x
+            (p00 * b2 + p10 * b3, p00 * r2 + p10 * r3),      # 2 u'_x u'_y
+            (p01 * b0 + p11 * b1, p01 * r0 + p11 * r1),      # 2 u'_x v'_x
+            (p01 * b2 + p11 * b3, p01 * r2 + p11 * r3))]     # 2 u'_x v'_y
+        # Re and Im of the u' and v' terms: a rotation's, a reflection's
+        parts = [g11, (0, 0), g12, det, (x0 - g11[0], x1 - g11[1]), xy,
+                 (v0 - g12[0], v1 - g12[1]), (w0 - det[0], w1 - det[1])]
+        n, b = g11
+        if b:
+            inv = (n, -b) if n * n > d * b * b else (-n, b)
+            n = abs(n * n - d * b * b)
+            parts = [_zmul(x, inv, d) for x in parts]
+        turn, flip, keys = parts[:4], parts[4:], []
+        for (c0, e01), (c1, e11) in mats:
+            rot = c0 * e11 > e01 * c1
+            (x0, x1), (y0, y1), (s0, s1), (t0, t1) = turn if rot else flip
+            keys.append(((c0 * x0 + c1 * s0, c0 * x1 + c1 * s1),
+                         (c0 * y0 + c1 * t0, c0 * y1 + c1 * t1), rot))
+        # -I is in mats, so the negated pairs are among these keys
+        made = {}
+        for x, y, _ in keys:
+            made[x] = made[y] = None
+        for x, y in made:
+            made[x, y] = _reduced(x, y, n, d) if y else Fraction(x, n)
+        return [((made[x], made[-y[0], -y[1]]), (made[y], made[x])) if rot
+                else ((made[x], made[y]), (made[y], made[-x[0], -x[1]]))
+                for x, y, rot in keys]
 
 
 def mat3_mul(a, b) -> tuple:

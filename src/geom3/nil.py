@@ -375,6 +375,27 @@ def nil_normalizer(lat: NilLattice) -> NilNormalizer:
 _PG_TAGS = {2: "C2", 4: "D2", 8: "D4", 12: "D6"}
 
 
+def _stabilizer(*gens) -> tuple[tuple[Mat2, Mat2], ...]:
+    """The pairs (C, -C) of the group that -I and gens generate."""
+    neg = ((-1, 0), (0, -1))
+    group = closure(MAT2_ID, (neg,) + gens, mat2_mul, cap=POINT_GROUP_CAP)[0]
+    return tuple((m, mat2_mul(neg, m)) for m in group if m > mat2_mul(neg, m))
+
+
+# The stabilizer of a Gauss-reduced basis u', v' in its own coordinates
+# (columns: the images of u' and v'), keyed by g12 = 0, g11 = g22 and 2 g12
+# = -g11 (`gauss_reduce` leaves -g11 <= 2 g12 < g11).
+_SWAP = ((0, 1), (1, 0))
+_STABILIZERS = {
+    (True, True, False): _stabilizer(_SWAP, ((1, 0), (0, -1))),     # D4
+    (True, False, False): _stabilizer(((1, 0), (0, -1))),           # D2
+    (False, True, True): _stabilizer(_SWAP, ((1, -1), (1, 0))),     # D6
+    (False, True, False): _stabilizer(_SWAP),                       # D2
+    (False, False, True): _stabilizer(((1, -1), (0, -1))),          # D2
+    (False, False, False): _stabilizer(),                           # C2
+}
+
+
 class PlanarPointGroup(_Frozen):
     """Full orthogonal stabilizer of a planar lattice.
 
@@ -406,7 +427,10 @@ class PlanarPointGroup(_Frozen):
         off `basis_matrices`.  Otherwise the group is not in this one: it
         is "too large" when the closure of the matrices themselves passes
         POINT_GROUP_CAP, and it does not normalize the lattice otherwise.
+        The whole group is its own lattice matrices, identity first.
         """
+        if mats is self:
+            return [MAT2_ID] + [m for m in self.basis_matrices if m != MAT2_ID]
         mats = tuple(mats.elements if isinstance(mats, PlanarPointGroup)
                      else mats)
         # found by ==, not by hash: hashing Fraction entries costs more here
@@ -429,21 +453,16 @@ def planar_point_group(u, v) -> PlanarPointGroup:
 
     The basis B = (u v) is written once as integer rows (`integer_rows`,
     then `ZsqrtBasis`), and all that follows is integer arithmetic over
-    Z[sqrt(3)].  Every stabilizing map is pinned down by the images of a
-    Gauss-reduced basis u', v' (see `gauss_reduce`): lattice vectors with
-    the norms and the inner product of u', v'.  In a reduced basis, a u' +
-    b v' with |b| >= 2, or with |b| = 1 and |a| >= 2, is longer than v',
-    so both images have coordinates in {-1, 0, 1}^2 except an image m u'
-    of v' with m >= 2; that one cannot occur, since the inverse map would
-    send u' to v'/m, which is not a lattice vector.  So there are O(1)
-    candidates, and no float enters.  The Gram test alone admits one: for
-    the integer matrix C of the images in reduced coordinates and G the
-    Gram matrix of u', v', C^T G C = G says that t = B' C B'^-1, B' =
-    (u' v'), keeps every inner product, so t is orthogonal.  The elements
-    are ordered by the coordinates of their images of u and v in the basis
-    u, v, and each comes with its integer matrix M in that basis: the
-    element B M B^-1 is one integer conjugation (`ZsqrtBasis.conjugates`),
-    its rational entries Fractions and the others QuadRats of Q(sqrt(3)).
+    Z[sqrt(3)], so no float enters.  A Gauss-reduced basis u', v' (see
+    `gauss_reduce`), with -g11 <= 2 g12 < g11 <= g22, has one of six
+    stabilizers, read off three exact equalities (`_STABILIZERS`): D4 for
+    g12 = 0 = g11 - g22, D2 for g12 = 0, D6 for -2 g12 = g11 = g22, D2
+    for g11 = g22 or -2 g12 = g11, and C2 otherwise.  The elements are
+    ordered by the coordinates of their images of u and v in the basis u,
+    v, and each comes with its integer matrix M = p C p^-1 in that basis,
+    for C in reduced coordinates and u', v' = (u v) p; the element itself
+    is read off the reduced basis (`ZsqrtBasis.isometries`), its rational
+    entries Fractions and the others QuadRats of Q(sqrt(3)).
 
     Computed once per basis up to scale: the group does not change when u
     and v are scaled together, so every `Gp:N` shares that of Z^2 and
@@ -463,42 +482,32 @@ def planar_point_group(u, v) -> PlanarPointGroup:
 
 @functools.lru_cache(maxsize=256)
 def _point_group_of(radicands: tuple, rows: tuple) -> PlanarPointGroup:
-    """`planar_point_group` of the basis with these `integer_rows`."""
+    """`planar_point_group` of the basis with these `integer_rows`: the
+    table row of its reduced Gram matrix, and M = p C p^-1 once for each
+    pair +-C, -M being the matrix of -C."""
     if radicands not in ((1,), (1, 3)):
         raise ValueError("planar scalars must lie in Q or Q(sqrt(3))")
     basis = ZsqrtBasis(radicands, rows)
     if basis.det == (0, 0):
         raise ValueError("u and v are linearly dependent")
     (g11, g12, g22), p = gauss_reduce(basis.gram(), basis.d)
-    (x11, y11), (x12, y12), (x22, y22) = g11, g12, g22
-
-    def form(a, b) -> tuple[int, int]:  # inner product, reduced coordinates
-        c11, c12 = a[0] * b[0], a[0] * b[1] + a[1] * b[0]
-        c22 = a[1] * b[1]
-        return (c11 * x11 + c12 * x12 + c22 * x22,
-                c11 * y11 + c12 * y12 + c22 * y22)
-
-    small = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
-    norms = [form(w, w) for w in small]
-    images_u = [w for w, g in zip(small, norms) if g == g11]
-    images_v = [w for w, g in zip(small, norms) if g == g22]
     # M = p C p^-1 in the basis u, v: p^-1 = det * adj(p), det = +-1
     (a, b), (c, e) = p
     det = a * e - b * c
-    in_uv = {w: (a * w[0] + b * w[1], c * w[0] + e * w[1]) for w in small}
-    coords = []
-    for iu in images_u:
-        for iv in images_v:
-            if form(iu, iv) == g12:
-                (x0, x1), (y0, y1) = in_uv[iu], in_uv[iv]
-                coords.append((det * (e * x0 - c * y0), det * (e * x1 - c * y1),
-                               det * (a * y0 - b * x0), det * (a * y1 - b * x1)))
-    order = len(coords)
-    if order not in _PG_TAGS:
-        raise RuntimeError(f"unexpected stabilizer order {order}")
-    in_basis = tuple(((ku, kv), (lu, lv)) for ku, lu, kv, lv in sorted(coords))
-    return PlanarPointGroup(_PG_TAGS[order],
-                            tuple(basis.conjugates(in_basis)), in_basis)
+    q00, q01, q10, q11 = det * e, -det * b, -det * c, det * a
+    found = []
+    row = g12 == (0, 0), g11 == g22, (-2 * g12[0], -2 * g12[1]) == g11
+    for mat, neg in _STABILIZERS[row]:
+        (c00, c01), (c10, c11) = mat
+        x0, x1 = a * c00 + b * c10, c * c00 + e * c10
+        y0, y1 = a * c01 + b * c11, c * c01 + e * c11
+        m00, m10 = x0 * q00 + y0 * q10, x1 * q00 + y1 * q10
+        m01, m11 = x0 * q01 + y0 * q11, x1 * q01 + y1 * q11
+        found += ((m00, m10, m01, m11), mat), ((-m00, -m10, -m01, -m11), neg)
+    found.sort()
+    in_basis = tuple([((ku, kv), (lu, lv)) for (ku, lu, kv, lv), _ in found])
+    return PlanarPointGroup(_PG_TAGS[len(found)], tuple(basis.isometries(
+        p, g11, g12, [mat for _, mat in found])), in_basis)
 
 
 # -- the lattice frame ---------------------------------------------------------

@@ -79,10 +79,15 @@ def check_nil_normalizers():
 
 
 def check_point_groups():
-    sq = nil.planar_point_group((1, 0), (0, 1)).tag == "D4"
-    hexa = nil.planar_point_group(
-        (Fraction(1, 2), QuadRat(0, Fraction(1, 2), 3)), (1, 0)).tag == "D6"
-    return sq and hexa
+    # a basis for each row of nil's stabilizer table, and a skewed Z^2
+    half, root = Fraction(1, 2), QuadRat(0, Fraction(1, 2), 3)
+    cases = [(((1, 0), (0, 1)), "D4"), (((1, 0), (0, 2)), "D2"),
+             (((half, root), (1, 0)), "D6"), (((3, 2), (3, -2)), "D2"),
+             (((2, 1), (2, -1)), "D2"), (((2, 0), (1, 5)), "D2"),
+             (((1, 0), (Fraction(1, 3), Fraction(7, 5))), "C2"),
+             (((7, 5), (4, 3)), "D4")]
+    return all(nil.planar_point_group(*basis).tag == tag
+               for basis, tag in cases)
 
 
 def check_nil_iso_hz():

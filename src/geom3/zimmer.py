@@ -20,6 +20,7 @@ from .descriptors import (
     Verdict,
     _Frozen,
     _setattr,
+    brief_text,
 )
 
 if TYPE_CHECKING:
@@ -172,7 +173,7 @@ def parse_factor(text: str) -> SimpleFactor:
     """Parse "SL(3,R)", "SO(2,2)", "Sp(4,R)", "SO(4)", "G2" and friends."""
     m = _FACTOR_RE.match(text)
     if not m:
-        raise ValueError(f"cannot parse factor {text!r}")
+        raise ValueError(f"cannot parse factor {brief_text(text)}")
     if m.group(4) or m.group(5):
         return SimpleFactor(m.group(4) or f"SO({m.group(5)})")
     head, first, second = m.group(1), int(m.group(2)), m.group(3)
@@ -190,7 +191,7 @@ def parse_factor(text: str) -> SimpleFactor:
     if q == 0 and f"{head}({p})" in _REAL_FORMS:     # SO(3,0) is SO(3)
         return SimpleFactor(f"{head}({p})")
     if (head, _PQ) not in _BY_HEAD:
-        raise ValueError(f"cannot parse factor {text!r}")
+        raise ValueError(f"cannot parse factor {brief_text(text)}")
     return SimpleFactor(_BY_HEAD[head, _PQ], (p, q))
 
 
@@ -358,7 +359,8 @@ IDENTITY_COMPONENTS = {
 
 def _known_component(geometry: str, tag: str) -> str:
     if tag not in IDENTITY_COMPONENTS[geometry]:
-        raise ValueError(f"unknown {geometry} identity component {tag!r}; "
+        raise ValueError(f"unknown {geometry} identity component "
+                         f"{brief_text(tag)}; "
                          "expected one of "
                          + ", ".join(map(repr, IDENTITY_COMPONENTS[geometry])))
     return tag
@@ -408,4 +410,4 @@ def quotient_isometry_summary(geometry: str, descriptor=None,
     if geometry in ("h2xr", "sl2r"):
         from . import fibered
         return fibered.psl2_quotient_isometry(geometry)
-    raise ValueError(f"unknown geometry tag {geometry!r}")
+    raise ValueError(f"unknown geometry tag {brief_text(geometry)}")

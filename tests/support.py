@@ -38,6 +38,12 @@ group from their integer matrices M in the basis B = (u v) as
 `planar_point_group` did before one integer conjugation gave them: B M B^-1
 as two `Fraction` or `QuadRat` 2x2 products per element.  It is the oracle
 for the value, type and `QuadRat.d` of every entry.
+`planar_point_group_by_candidates` is `planar_point_group` as it ran
+before a table on the reduced Gram matrix gave the stabilizer: a search
+of the images of the Gauss-reduced basis among the nine combinations with
+coefficients in {-1, 0, 1}, matched by their norms and inner product, and
+each element one integer conjugation `ZsqrtBasis.conjugates`.  It is the
+oracle for the tag, order, lattice matrices and entries of the table.
 
 `matrix_order_by_powers` is the order of a 2x2 matrix as `nil._matrix_order`
 found it before its table by (det, trace): powers up to the 12th.
@@ -211,6 +217,7 @@ from geom3.intmat import (
     ZsqrtBasis,
     closure,
     congruence_solutions,
+    gauss_reduce,
     mat2_apply,
     mat2_det,
     mat2_inv,
@@ -433,6 +440,53 @@ def point_group_elements_by_products(u, v, basis_matrices) -> tuple:
     basis_inv = mat2_inv(basis)
     return tuple(mat2_mul(mat2_mul(basis, m), basis_inv)
                  for m in basis_matrices)
+
+
+def planar_point_group_by_candidates(u, v) -> PlanarPointGroup:
+    """`nil.planar_point_group` by a candidate search on the Gauss-reduced
+    basis u', v', each element one integer conjugation B M B^-1.
+
+    In a reduced basis, a u' + b v' with |b| >= 2, or with |b| = 1 and |a|
+    >= 2, is longer than v', so the images of u' and v' have coordinates
+    in {-1, 0, 1}^2; the Gram test C^T G C = G admits a pair.  The
+    elements are sorted by their integer matrices M = p C p^-1 in the
+    basis u, v."""
+    _, radicands, rows = integer_rows((u, v))
+    if radicands not in ((1,), (1, 3)):
+        raise ValueError("planar scalars must lie in Q or Q(sqrt(3))")
+    basis = ZsqrtBasis(radicands, rows)
+    if basis.det == (0, 0):
+        raise ValueError("u and v are linearly dependent")
+    (g11, g12, g22), p = gauss_reduce(basis.gram(), basis.d)
+    (x11, y11), (x12, y12), (x22, y22) = g11, g12, g22
+
+    def form(a, b) -> tuple[int, int]:  # inner product, reduced coordinates
+        c11, c12 = a[0] * b[0], a[0] * b[1] + a[1] * b[0]
+        c22 = a[1] * b[1]
+        return (c11 * x11 + c12 * x12 + c22 * x22,
+                c11 * y11 + c12 * y12 + c22 * y22)
+
+    small = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    norms = [form(w, w) for w in small]
+    images_u = [w for w, g in zip(small, norms) if g == g11]
+    images_v = [w for w, g in zip(small, norms) if g == g22]
+    # M = p C p^-1 in the basis u, v: p^-1 = det * adj(p), det = +-1
+    (a, b), (c, e) = p
+    det = a * e - b * c
+    in_uv = {w: (a * w[0] + b * w[1], c * w[0] + e * w[1]) for w in small}
+    coords = []
+    for iu in images_u:
+        for iv in images_v:
+            if form(iu, iv) == g12:
+                (x0, x1), (y0, y1) = in_uv[iu], in_uv[iv]
+                coords.append((det * (e * x0 - c * y0), det * (e * x1 - c * y1),
+                               det * (a * y0 - b * x0), det * (a * y1 - b * x1)))
+    order = len(coords)
+    if order not in (2, 4, 8, 12):
+        raise RuntimeError(f"unexpected stabilizer order {order}")
+    in_basis = tuple(((ku, kv), (lu, lv)) for ku, lu, kv, lv in sorted(coords))
+    return PlanarPointGroup({2: "C2", 4: "D2", 8: "D4", 12: "D6"}[order],
+                            tuple(basis.conjugates(in_basis)), in_basis)
 
 
 def entry_records(matrices) -> list:

@@ -25,7 +25,7 @@ from geom3.algebra import (
     row_scalar,
     squarefree_decompose,
 )
-from geom3.descriptors import brief
+from geom3.descriptors import brief, brief_text
 from support import (
     FractionPairQuadRat,
     clear_denominators,
@@ -404,6 +404,13 @@ def test_squarefree_beyond_the_factoring_limit_is_refused():
                        r"\.\.\. \(8111 digits\) without") as exc:
         squarefree_decompose(1009 ** 2700)
     assert len(str(exc.value)) < 200
+
+
+def test_brief_text_is_repr_up_to_40_characters_and_then_the_head():
+    assert brief_text("x" * 40) == repr("x" * 40)
+    assert brief_text("x" * 41) == f"'{'x' * 20}'... (41 characters)"
+    assert brief_text("it's") == repr("it's")
+    assert brief_text(None) == "None"         # not a string: its repr
 
 
 def test_brief_is_str_up_to_40_digits_and_then_the_size():

@@ -341,6 +341,44 @@ def test_an_over_long_int_option_names_the_input_limit(argv):
         assert LONG[:100] not in err.getvalue()
 
 
+SEVENS = "7" * 2048      # under the digit limit, so only the echo is long
+NAME = "x" * 3000
+HEAD = f"'{'x' * 20}'... (3000 characters)"
+
+
+@pytest.mark.parametrize("argv, kind, detail", [
+    (["fiber", "embed", "--matrix", f"{SEVENS},1,{SEVENS}-1,1"], "schema",
+     f"not a rational number: '{SEVENS[:20]}'... (2050 characters)"),
+    (["nil", "dichotomy", "--gens", "x" * 5000], "schema",
+     f"bad generator token '{'x' * 20}'... (5000 characters)"),
+    (["fiber", "s2r", "--gens", "I@1@" + "9" * 4996], "schema",
+     f"bad generator token 'I@1@{'9' * 16}'... (5000 characters)"),
+    # the library's own messages, as the CLI shows them
+    (["euclid", "iso", "--preset", NAME], "schema",
+     f"unknown crystal preset {HEAD}"),
+    (["lookup", "--family", NAME], "ValueError",
+     f"unknown lookup family {HEAD}"),
+    (["fiber", "psl2-iso", "--geometry", NAME], "ValueError",
+     f"unknown fibered geometry {HEAD}"),
+    (["zimmer", "verdict", "--geometry", NAME, "--factors", "SO(2,2)",
+      "--uniform"], "schema", f"unknown geometry {HEAD}"),
+])
+def test_a_malformed_long_literal_is_echoed_by_its_head(argv, kind, detail):
+    code, payload = run_json(argv + ["--json"])
+    assert code == 2 if kind == "schema" else code == 1
+    assert payload["error"] == {"kind": kind, "detail": detail}
+    assert len(detail) <= 300
+
+
+def test_a_literal_of_40_characters_is_echoed_whole():
+    for n, shown in ((40, repr("x" * 40)),
+                     (41, f"'{'x' * 20}'... (41 characters)")):
+        code, payload = run_json(["nil", "dichotomy", "--gens", "x" * n,
+                                  "--json"])
+        assert code == 2
+        assert payload["error"]["detail"] == f"bad generator token {shown}"
+
+
 @pytest.mark.parametrize("exc", [AssertionError("lift verification failed"),
                                  RuntimeError("unexpected stabilizer order"),
                                  KeyError("x"), TypeError("bad operand"),
@@ -694,6 +732,7 @@ _SIZE_LADDER = [
     "nil dichotomy --gens {N},0,0;0,1/{N},{N}",
     "nil point-group --u {N},0 --v 0,{N}",
     "nil point-group --u 1,0 --v 1/2,{N}",
+    "nil point-group --u 1,{N} --v 0,1",          # Z^2, skewed by N
     "sol iso --matrix {N},1,-1,0",
     "sol iso --matrix 2,1,1,1 --power {N}",
     "sol normalizer --matrix {N},1,-1,0",
@@ -702,8 +741,11 @@ _SIZE_LADDER = [
     "hyp classify --matrix {N},1,-1,0",
     "hyp classify --matrix 1/{N},0,0,{N}",
     "hyp apply --matrix {N},1,-1,0 --z 0,1",
+    "hyp apply --matrix 2,0,0,1/2 --z {N},1",
+    "hyp commute --m1 {N},1,-1,0 --m2 1,{N},0,1",
     "fiber embed --matrix {N},1,-1,0",
     "fiber embed --matrix 1/{N},0,0,{N}",
+    "fiber norm --z 1,{N}",
     "zimmer verdict --geometry sol --matrix {N},1,-1,0 --factors SL(3,R) "
     "--nonuniform",
     "zimmer verdict --geometry sol --matrix 2,1,1,1 --power {N} "

@@ -562,6 +562,8 @@ def gram_scalar(pair, d: int, r: int):
 
 @settings(max_examples=150, deadline=None)
 @given(planar_bases())
+@example(((1, 0), (Fraction(1, 2), 1)))      # 2 g12 = g11: rounds to -g11
+@example(((1, 0), (Fraction(-1, 2), 1)))
 def test_gauss_reduce_gives_a_reduced_basis_of_the_same_lattice(basis):
     u, v = basis
     frame = zsqrt_basis(((u[0], v[0]), (u[1], v[1])))
@@ -574,7 +576,7 @@ def test_gauss_reduce_gives_a_reduced_basis_of_the_same_lattice(basis):
     n1, n2, g = vec2_dot(ru, ru), vec2_dot(rv, rv), vec2_dot(ru, rv)
     # the integer Gram matrix is that of u', v', scaled by r^2
     assert [gram_scalar(x, frame.d, r) for x in gram] == [n1, g, n2]
-    assert n1 <= n2 and abs(2 * g) <= n1
+    assert n1 <= n2 and -n1 <= 2 * g < n1
     # u' is a shortest vector: no small combination of u, v is shorter
     for k in range(-3, 4):
         for l in range(-3, 4):
@@ -806,8 +808,10 @@ def test_every_finite_group_is_built_by_the_closure_kernel():
 
     sites = [
         (nil, lambda: _linear_group.__wrapped__((ROT_PI_2, REFLECT))),
+        # a proper generating set: the whole point group is read off its
+        # lattice matrices, with no closure
         (nil, lambda: nil.nil_quotient_isometry(
-            nil.lattice_hz(), extra=nil.lattice_hz().point_group)),
+            nil.lattice_hz(), extra=(ROT_PI_2,))),
         (fibered, lambda: fibered.s2r_decompose(
             _s2r_generators(_S2R_PRESETS["klein"]))),
         (nil, lambda: euclid.euclid_quotient_isometry(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from geom3 import algebra, intmat, nil
+from geom3 import algebra, intmat, nil, selfcheck
 from geom3.algebra import (
     MixedDiscriminantError,
     QuadRat,
@@ -23,6 +23,8 @@ from geom3.cli import _nil_generators
 from geom3.descriptors import canonical_json
 from geom3.intmat import (
     MAT2_ID,
+    closure,
+    gauss_reduce,
     mat2_apply,
     mat2_det,
     mat2_inv,
@@ -42,6 +44,7 @@ from geom3.nil import (
     ROT_PI_2,
     ROT_PI_3,
     NON_DISCRETE_INPUT,
+    POINT_GROUP_CAP,
     DichotomyResult,
     HeisIsometry,
     HeisPoint,
@@ -100,6 +103,7 @@ from support import (
     nil_caches,
     off_form_entries,
     planar_coords,
+    planar_point_group_by_candidates,
     point_group_by_box,
     point_group_elements_by_products,
     rationals_as_fractions,
@@ -107,6 +111,7 @@ from support import (
     schreier_translations_by_scalars,
     vec2_dot,
     word_ball,
+    zsqrt_basis,
 )
 
 
@@ -1346,6 +1351,89 @@ def test_point_group_elements_are_orthogonal_and_closed(basis):
     group = set(pg.elements)
     assert len(group) == pg.order
     assert {mat2_mul(a, c) for a in group for c in group} == group
+
+
+def _columns(m):
+    return (m[0][0], m[1][0]), (m[0][1], m[1][1])
+
+
+_R3 = QuadRat(0, HALF, 3)                 # sqrt(3)/2
+# bases for each row of nil._STABILIZERS, with g12 of each sign (the
+# reduction leaves 2 g12 = -g11, never g11), in both orientations (u, v)
+# and (v, u)
+TABLE_ROWS = [
+    ((1, 0), (0, 1)),                                  # D4
+    ((1, 0), (0, 2)),                                  # D2, g12 = 0
+    ((1, 0), (HALF, _R3)), ((1, 0), (-HALF, _R3)),     # D6
+    ((3, 2), (3, -2)), ((2, 3), (2, -3)),              # D2, g11 = g22
+    ((2, 0), (1, 5)), ((2, 0), (-1, 5)),               # D2, 2|g12| = g11
+    ((1, 0), (Fraction(1, 3), Fraction(7, 5))),        # C2
+    ((1, 0), (Fraction(-1, 3), Fraction(7, 5))),
+]
+
+
+def _with_table_rows(test):
+    for u, v in TABLE_ROWS:
+        test = example((u, v))(example((v, u))(test))
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(exact_bases(), labelled_bases(), z2_bases().map(_columns)))
+@_with_table_rows
+def test_point_group_table_matches_the_candidate_search(basis):
+    clear_nil_caches()
+    pg = planar_point_group(*basis)
+    oracle = planar_point_group_by_candidates(*basis)
+    assert (pg.tag, pg.order) == (oracle.tag, oracle.order)
+    assert pg.basis_matrices == oracle.basis_matrices
+    assert entry_records(pg.elements) == entry_records(oracle.elements)
+    # adjoining the whole group reads it off, as its closure would
+    assert pg.subgroup(pg) == closure(MAT2_ID, pg.basis_matrices, mat2_mul,
+                                      cap=POINT_GROUP_CAP)[0]
+
+
+def test_adjoining_the_whole_group_runs_no_closure(monkeypatch):
+    pg = planar_point_group(*HEX)
+    expected = closure(MAT2_ID, pg.basis_matrices, mat2_mul,
+                       cap=POINT_GROUP_CAP)[0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("closure of the whole group")
+
+    monkeypatch.setattr(nil, "closure", refuse)
+    assert pg.subgroup(pg) == expected
+
+
+def _table_row(gram) -> tuple:
+    """The key of nil._STABILIZERS for a reduced Gram matrix."""
+    g11, g12, g22 = gram
+    return g12 == (0, 0), g11 == g22, (-2 * g12[0], -2 * g12[1]) == g11
+
+
+def test_every_table_row_is_met():
+    tags = [planar_point_group(u, v).tag for u, v in TABLE_ROWS]
+    assert tags == ["D4", "D2", "D6", "D6", "D2", "D2", "D2", "D2", "C2",
+                    "C2"]
+    rows = set()
+    for u, v in TABLE_ROWS:
+        basis = zsqrt_basis(((u[0], v[0]), (u[1], v[1])))
+        rows.add(_table_row(gauss_reduce(basis.gram(), basis.d)[0]))
+    assert rows == set(nil._STABILIZERS)
+
+
+def test_selfcheck_meets_every_table_row(monkeypatch):
+    rows = []
+
+    def spy(gram, d):
+        out = gauss_reduce(gram, d)
+        rows.append(_table_row(out[0]))
+        return out
+
+    clear_nil_caches()          # else the point groups are cache hits
+    monkeypatch.setattr(nil, "gauss_reduce", spy)
+    assert selfcheck.check_point_groups()
+    assert set(rows) == set(nil._STABILIZERS)
 
 
 # -- the exact dichotomy ------------------------------------------------------------
