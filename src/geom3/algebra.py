@@ -15,7 +15,7 @@ from itertools import count
 from math import gcd, isqrt, lcm, sqrt
 from typing import Union
 
-from .descriptors import brief
+from .descriptors import brief, brief_text
 
 
 class MixedDiscriminantError(ValueError):
@@ -23,14 +23,19 @@ class MixedDiscriminantError(ValueError):
 
 
 def frac(x) -> Fraction:
-    """Coerce an int, string ("p/q") or Fraction to a Fraction."""
+    """Coerce an int, string ("p/q") or Fraction to a Fraction; a message
+    echoes a long string by its head (`descriptors.brief_text`)."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+        try:
+            return Fraction(x)
+        except ValueError as exc:
+            raise ValueError(str(exc).replace(repr(x), brief_text(x))) \
+                from None
+    raise TypeError(f"cannot interpret {brief_text(x)} as an exact rational")
 
 
 def power(x, n: int, mul, one):
@@ -532,7 +537,8 @@ def as_exact(x) -> Scalar:
     try:
         return frac(x)
     except TypeError:
-        raise ValueError(f"exact entries required, not {x!r}") from None
+        raise ValueError(
+            f"exact entries required, not {brief_text(x)}") from None
 
 
 def format_scalar(x: Scalar, num=str) -> str:

@@ -220,11 +220,9 @@ def _cmd_nil(args) -> dict:
     if args.action == "dichotomy":
         res = nil.nil_projection_dichotomy(_nil_generators(args.gens))
         return res.to_json_dict()
-    if args.action == "volume":
-        res = nil.nil_projection_dichotomy(_nil_generators(args.gens))
-        return {"dichotomy": res.to_json_dict(),
-                "volume": nil.nil_volume_verdict(res)}
-    raise SchemaError(f"unknown nil action {args.action!r}")
+    res = nil.nil_projection_dichotomy(_nil_generators(args.gens))
+    return {"dichotomy": res.to_json_dict(),
+            "volume": nil.nil_volume_verdict(res)}
 
 
 def _sol_lattice(args) -> sol.SolLattice:
@@ -262,11 +260,9 @@ def _cmd_sol(args) -> dict:
                 "eigenvalues": [format_scalar(q["eigenvalues"][0]),
                                 format_scalar(q["eigenvalues"][1])],
                 "galois_pair_check": q["galois_pair_check"]}
-    if args.action == "fixed-line":
-        g = sol.SolPoint(_float(args.x), _float(args.y), _float(args.t))
-        p, q = sol.sol_fixed_line(g)
-        return {"p": float(p), "q": float(q)}
-    raise SchemaError(f"unknown sol action {args.action!r}")
+    g = sol.SolPoint(_float(args.x), _float(args.y), _float(args.t))
+    p, q = sol.sol_fixed_line(g)
+    return {"p": float(p), "q": float(q)}
 
 
 def _mobius(text: str, option: str = "--matrix") -> hyperbolic.MobiusMap:
@@ -294,9 +290,7 @@ def _cmd_hyp(args) -> dict:
         return {"commute": commutes, "fixed_sets_equal": same_fixed}
     if args.action == "centralizer":
         return hyperbolic.centralizer_type(_mobius(args.matrix))
-    if args.action == "verdict":
-        return hyperbolic.hn_quotient_isometry_verdict(args.dim)
-    raise SchemaError(f"unknown hyp action {args.action!r}")
+    return hyperbolic.hn_quotient_isometry_verdict(args.dim)
 
 
 # preset name -> its --gens text, so that presets are read as exactly as
@@ -373,9 +367,7 @@ def _cmd_fiber(args) -> dict:
             out["identity_component"] = \
                 fibered.s2r_quotient_identity_component(dec)
         return out
-    if args.action == "psl2-iso":
-        return fibered.psl2_quotient_isometry(args.geometry).to_json_dict()
-    raise SchemaError(f"unknown fiber action {args.action!r}")
+    return fibered.psl2_quotient_isometry(args.geometry).to_json_dict()
 
 
 def _crystal(args) -> euclid.CrystalGroup:
@@ -400,9 +392,7 @@ def _cmd_euclid(args) -> dict:
         betti, torus = euclid.betti_identity_component(g)
         return {"betti": betti, "identity_component": torus,
                 "abelianization_rank": euclid.coinvariant_rank(g)}
-    if args.action == "iso":
-        return euclid.euclid_quotient_isometry(g).to_json_dict()
-    raise SchemaError(f"unknown euclid action {args.action!r}")
+    return euclid.euclid_quotient_isometry(g).to_json_dict()
 
 
 def _cmd_lookup(args) -> dict:
@@ -463,19 +453,16 @@ def _cmd_zimmer(args) -> dict:
     if args.action == "maxdim":
         return {"n": args.space_dim,
                 "bound": zimmer.max_isometry_dim(args.space_dim)}
-    if args.action == "galois-demo":
-        res = zimmer.galois_twist_pair(zimmer.galois_twist_example())
-        from .algebra import format_scalar
-        return {
-            "matrix": [[format_scalar(v) for v in row]
-                       for row in res["matrix"]],
-            "conjugate": [[format_scalar(v) for v in row]
-                          for row in res["conjugate"]],
-            "preserves_form": res["preserves_form"],
-            "conjugate_preserves_twisted_form":
-                res["conjugate_preserves_twisted_form"],
-        }
-    raise SchemaError(f"unknown zimmer action {args.action!r}")
+    res = zimmer.galois_twist_pair(zimmer.galois_twist_example())
+    from .algebra import format_scalar
+    return {
+        "matrix": [[format_scalar(v) for v in row] for row in res["matrix"]],
+        "conjugate": [[format_scalar(v) for v in row]
+                      for row in res["conjugate"]],
+        "preserves_form": res["preserves_form"],
+        "conjugate_preserves_twisted_form":
+            res["conjugate_preserves_twisted_form"],
+    }
 
 
 def _cmd_selfcheck(args) -> dict:

@@ -17,9 +17,9 @@ The helpers the geometry modules share live here too: 2x2/vector
 arithmetic over exact scalars, 2x2 matrices over Z[sqrt(d)] acting on
 integer rows (the Nil Schreier walk), a planar basis given by the integer
 rows of its vectors (`ZsqrtBasis`: the Gram matrix, its `gauss_reduce`,
-the isometries of the reduced basis that make the elements of a planar
-point group, and the integer conjugation B M B^-1 of Sol's Galois
-check), the n x n matrix product and its unrolled 3x3 case
+and the isometries of the reduced basis that make the elements of a
+planar point group), the product `_zmul` in Z[sqrt(d)] that Sol's
+Galois check runs on, the n x n matrix product and its unrolled 3x3 case
 `mat3_mul` (the S^2 x R rotations), and `closure`, the breadth-first walk
 that builds every finite group geom3 closes: the Nil linear parts
 (`nil._linear_group`, whose edges the Schreier walk reads), the subgroups
@@ -31,7 +31,6 @@ S^2 x R group (`fibered._twist_closure`).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, isqrt
 from operator import add, sub
 from typing import Optional
@@ -168,7 +167,7 @@ class ZsqrtBasis:
     common denominator, which no result below depends on: the Gram matrix
     only scales, and B M B^-1 does not change.  Two fields raise
     MixedDiscriminantError, as their scalar product does.  `isometries`
-    builds the planar point groups, `conjugates` Sol's Galois check.
+    builds the planar point groups.
     """
 
     def __init__(self, radicands, rows):
@@ -187,45 +186,12 @@ class ZsqrtBasis:
                 tuple(map(add, _zmul(b00, b01, d), _zmul(b10, b11, d))),
                 tuple(map(add, _zmul(b01, b01, d), _zmul(b11, b11, d))))
 
-    def conjugates(self, mats) -> list[Mat2]:
-        """basis m basis^-1 for each integer 2x2 matrix m, in integers.
-
-        basis m basis^-1 = B m adj(B) / det(B).  For det(B) = e + f sqrt(d)
-        of norm N = e^2 - d f^2, 1/det(B) = (e - f sqrt(d)) / N, so with W
-        = adj(B) (e - f sqrt(d)) sign(N) each element is the sum over k, l
-        of m_kl B_k W_l / |N|, for the column B_k of B and the row W_l of
-        W: four integer products per component, and the scalars are built
-        at the end, each distinct one once.
-
-        They are the values of mat2_mul(mat2_mul(basis, m), mat2_inv(basis)),
-        in one form: a rational entry is a Fraction, an irrational one a
-        QuadRat of Q(sqrt(d)).
-        """
-        (b00, b01, b10, b11), d, (e, f) = self.b, self.d, self.det
-        n = e * e - d * f * f
-        inv = (e, -f) if n > 0 else (-e, f)
-        w = [_zmul(x, inv, d) for x in (b11, (-b01[0], -b01[1]),
-                                        (-b10[0], -b10[1]), b00)]
-        t00, t01, t10, t11 = (
-            [c for i in (0, 2) for j in (0, 1)
-             for c in _zmul(self.b[i + k], w[l + j], d)]
-            for k in (0, 1) for l in (0, 2))
-        n = abs(n)
-        terms = list(zip(t00, t01, t10, t11))
-        keys = []
-        for (m00, m01), (m10, m11) in mats:
-            o = [m00 * p + m01 * q + m10 * r + m11 * s for p, q, r, s in terms]
-            keys.append(((o[0], o[1]), (o[2], o[3]),
-                         (o[4], o[5]), (o[6], o[7])))
-        made = {(p, q): _reduced(p, q, n, d) if q else Fraction(p, n)
-                for p, q in set(chain(*keys))}
-        return [((made[k0], made[k1]), (made[k2], made[k3]))
-                for k0, k1, k2, k3 in keys]
-
     def isometries(self, p, g11, g12, mats) -> list[Mat2]:
-        """B' C B'^-1, in the form `conjugates` gives, for each C of mats, a
-        group of integer matrices keeping the Gram matrix g11, g12 of the
-        reduced basis B' = (u' v') = B p (see `gauss_reduce`).
+        """B' C B'^-1 for each C of mats, a group of integer matrices
+        keeping the Gram matrix g11, g12 of the reduced basis B' = (u' v')
+        = B p (see `gauss_reduce`): a rational entry is a Fraction, an
+        irrational one a QuadRat of Q(sqrt(d)), each distinct one built
+        once.
 
         As complex numbers C sends u' to w = c0 u' + c1 v', (c0, c1) its
         first column.  A rotation multiplies by w conj(u') / g11 = (c0 g11

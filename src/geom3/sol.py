@@ -3,10 +3,11 @@
 Lattices come from hyperbolic SL2(Z) matrices A; their quotient isometry
 groups are finite and computed exactly through the cokernel of I - A^n,
 read off `intmat.snf`.  The normalizer and the (trivial) centralizer are
-integer arithmetic on A too; only the eigen-data work in Q(sqrt(d)): the
-unit lam = (t + sqrt(t^2 - 4)) / 2 for t = tr A, and the eigenbasis B
-of the rational structure, whose Galois check conjugates A by B and by
-its conjugate in integers over Z[sqrt(d)] (`intmat.ZsqrtBasis`).
+integer arithmetic on A too, and so is the rational structure: d comes
+from the primitive discriminant of A alone, the eigenvalues and the
+eigenbasis B are integer formulas in its entries, and the Galois check
+is a pair of integer eigen-equations over Z[sqrt(d)] for each row of B
+and of its conjugate; only the answer is built as Q(sqrt(d)) scalars.
 Points support two scalar modes: floats with arbitrary t, and an exact
 mode where e^t is a power of a fixed quadratic unit.
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import intmat
-from .algebra import QuadRat, integer_rows, row_scalar
+from .algebra import QuadRat, _reduced, squarefree_decompose
 from .descriptors import (
     OUTPUT_DIGIT_LIMIT,
     IsoDescriptor,
@@ -28,7 +29,7 @@ from .descriptors import (
     check_output_size,
     to_float,
 )
-from .intmat import IntMat2, Mat2, Vec2, ZsqrtBasis, int_mat_pow, mat2_inv
+from .intmat import IntMat2, Mat2, Vec2, _zmul, int_mat_pow, mat2_inv
 
 
 class SolPoint(_Frozen):
@@ -294,17 +295,40 @@ def sol_centralizer(lat: SolLattice) -> dict:
         "conjugation by the holonomy step kills both coordinates"]}
 
 
-def _unit(t: int) -> QuadRat:
-    """The eigenvalue lam = (t + sqrt(t^2 - 4)) / 2 > 1 of trace t > 2."""
-    return (QuadRat.sqrt(t * t - 4) + t) / 2
+def _left_eigen(a: IntMat2, row, ev, d: int) -> bool:
+    """Whether 2 row a = ev row, for a row (x, y) and ev = 2 lam over
+    Z[sqrt(d)], each entry a pair (p, q) for p + q sqrt(d)."""
+    x, y = row
+    return ((2 * (a.a * x[0] + a.c * y[0]), 2 * (a.a * x[1] + a.c * y[1]))
+            == _zmul(ev, x, d)
+            and (2 * (a.b * x[0] + a.d * y[0]), 2 * (a.b * x[1] + a.d * y[1]))
+            == _zmul(ev, y, d))
 
 
-def _eigen_data(a: IntMat2) -> tuple[tuple[QuadRat, QuadRat], Mat2]:
-    """Exact eigenvalues and eigenbasis of a hyperbolic SL2(Z) matrix.
+def sol_q_structure(a: IntMat2) -> dict:
+    """Rational structure behind the lattice: diagonalize over Q(sqrt(d)).
 
-    Requires det a = 1 and tr a > 2.  Returns ((lam, lam_inv), basis) where
-    the columns of basis are eigenvectors, det(basis) = 1 and
-    basis^{-1} @ a @ basis = diag(lam, lam_inv) exactly in Q(sqrt(d)).
+    Returns the square-free field parameter, exact eigenvalues, the change
+    of basis B with B a B^{-1} diagonal, and whether the entrywise Galois
+    conjugate of B diagonalizes a onto the conjugate eigenvalues (lam_inv,
+    lam).  All of it is integer formulas on a = ((a, b), (c, e)), t = a + e.
+
+    t^2 - 4 = (a - e)^2 + 4bc = g^2 disc(f) for g = gcd(b, c, a - e) and
+    the primitive binary quadratic form f = (c, e - a, -b) / g (Buchmann
+    and Vollmer, Binary Quadratic Forms, 2007), so only disc(f) is
+    factored, (s, d) its square-free decomposition; a power A^n has the
+    disc(f) of A.  With S = g s, lam = (t + S sqrt(d)) / 2 and lam_inv =
+    (t - S sqrt(d)) / 2.  b = 0 with det 1 would force a = e = +-1, so b
+    != 0, and B has the rows
+
+        ((dS - (e - a) sqrt(d)) / (2b dS), sqrt(d) / (dS)),
+        ((a - e - S sqrt(d)) / 2, b),
+
+    the left eigenvectors of a, det B = 1.  The Galois check takes B over
+    the one denominator 2|b|dS as integer pairs over Z[sqrt(d)]: det B is
+    not 0, and 2 (row_i B) a = (t +- S sqrt(d)) (row_i B) for both rows,
+    which is B a B^-1 = diag(lam, lam_inv); then the same with sqrt(d)
+    negated and the eigenvalues swapped.
     """
     if a.det() != 1:
         raise ValueError("determinant 1 required")
@@ -314,45 +338,31 @@ def _eigen_data(a: IntMat2) -> tuple[tuple[QuadRat, QuadRat], Mat2]:
                          f"trace > 2 is supported")
     if t <= 2:
         raise ValueError(f"trace {t} <= 2: matrix is not hyperbolic")
-    lam = _unit(t)
-    lam_inv = t - lam
-    if a.b:
-        cols = [(a.b, ev - a.a) for ev in (lam, lam_inv)]
-    else:               # c != 0: else a = d = +-1 and tr a = +-2
-        cols = [(ev - a.d, a.c) for ev in (lam, lam_inv)]
-    (u0, u1), (v0, v1) = cols
-    det = u0 * v1 - v0 * u1     # the second column scaled to det(basis) = 1
-    return (lam, lam_inv), ((u0, v0 / det), (u1, v1 / det))
+    b, m = a.b, a.a - a.d
+    g = math.gcd(b, a.c, m)
+    s, d = squarefree_decompose((t * t - 4) // (g * g))
+    s *= g
+    ds, sign = d * s, 1 if b > 0 else -1
+    h = ds * abs(b)                 # B's denominator is 2h
+    rows = (((sign * ds, sign * m), (0, 2 * abs(b))),
+            ((h * m, -h * s), (2 * h * b, 0)))
+    conj = tuple(tuple((p, -q) for p, q in row) for row in rows)
 
+    def diagonalizes(rows, root) -> bool:
+        (u, v), (w, z) = rows
+        return (_zmul(u, z, d) != _zmul(v, w, d)
+                and _left_eigen(a, rows[0], (t, root), d)
+                and _left_eigen(a, rows[1], (t, -root), d))
 
-def sol_q_structure(a: IntMat2) -> dict:
-    """Rational structure behind the lattice: diagonalize over Q(sqrt(d)).
-
-    Returns the square-free field parameter, exact eigenvalues, the change
-    of basis B with B a B^{-1} diagonal, and whether the entrywise Galois
-    conjugate of B diagonalizes a onto the conjugate eigenvalues (lam_inv,
-    lam).  B = adj(E) = E^-1 for the eigenbasis E, det(E) = 1; B and its
-    conjugate are read off the `integer_rows` of B's columns, the
-    conjugate's with the sqrt(d) block negated, and each check is one
-    integer conjugation B a adj(B) / det(B) over Z[sqrt(d)].
-    """
-    (lam, lam_inv), ((e00, e01), (e10, e11)) = _eigen_data(a)
-    r, rad, rows = integer_rows(((e11, -e10), (-e01, e00)))
-    rows_conj = [row[:2] + tuple(-x for x in row[2:]) for row in rows]
-
-    def matrix(cols) -> Mat2:
-        return tuple(tuple(row_scalar(col[i::2], rad, r) for col in cols)
-                     for i in (0, 1))
-
-    def diagonalizes(cols, ev, ev_inv) -> bool:
-        return ZsqrtBasis(rad, cols).conjugates([a.rows()])[0] == (
-            (ev, 0), (0, ev_inv))
+    def matrix(rows) -> Mat2:
+        return tuple(tuple(_reduced(p, q, 2 * h, d) if q
+                           else Fraction(p, 2 * h) for p, q in row)
+                     for row in rows)
 
     return {
-        "d": lam.d,
-        "eigenvalues": (lam, lam_inv),
+        "d": d,
+        "eigenvalues": (_reduced(t, s, 2, d), _reduced(t, -s, 2, d)),
         "basis": matrix(rows),
-        "basis_conjugate": matrix(rows_conj),
-        "galois_pair_check": (diagonalizes(rows, lam, lam_inv)
-                              and diagonalizes(rows_conj, lam_inv, lam)),
+        "basis_conjugate": matrix(conj),
+        "galois_pair_check": diagonalizes(rows, s) and diagonalizes(conj, -s),
     }

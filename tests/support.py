@@ -42,7 +42,7 @@ for the value, type and `QuadRat.d` of every entry.
 before a table on the reduced Gram matrix gave the stabilizer: a search
 of the images of the Gauss-reduced basis among the nine combinations with
 coefficients in {-1, 0, 1}, matched by their norms and inner product, and
-each element one integer conjugation `ZsqrtBasis.conjugates`.  It is the
+each element one integer conjugation `zsqrt_conjugates`.  It is the
 oracle for the tag, order, lattice matrices and entries of the table.
 
 `matrix_order_by_powers` is the order of a 2x2 matrix as `nil._matrix_order`
@@ -60,7 +60,9 @@ per entry for the column of its field, for vectors of any one width.
 lattice frame and `euclid` used before `integer_rows` became the one
 conversion to integers; it refuses a string, which `integer_rows` parses.
 `zsqrt_basis` builds an `intmat.ZsqrtBasis` from a 2x2 matrix, through
-the `integer_rows` of its columns.
+the `integer_rows` of its columns, and `zsqrt_conjugates` is the integer
+conjugation B M B^-1 over that basis that `intmat` kept for Sol's Galois
+check until integer eigen-equations replaced it.
 
 `elementary_divisors_stack` takes the gcds of all minors of each order, and
 `rational_rank_by_elimination` is a Gaussian elimination over Q: the
@@ -151,7 +153,8 @@ planar vector with both eigencoordinates nonzero searched for, and the
 eigenvalue lam^n of the holonomy compared with 1.
 
 `sol_q_structure_by_products` is `sol.sol_q_structure` as it checked both
-diagonalizations before one integer conjugation over Z[sqrt(d)] did:
+diagonalizations before integer formulas did: the eigenbasis from the
+square-free part of all of tr(A)^2 - 4 and `QuadRat` arithmetic, and
 B A B^-1 as two `QuadRat` 2x2 products, for B and for its Galois
 conjugate.  `sol_unit_by_eigenbasis` reads the unit off `diagonalize_sl2`.
 `sol_quotient_isometry_by_snf_result` is `sol.sol_quotient_isometry` as
@@ -190,6 +193,7 @@ from unittest import mock
 from geom3.algebra import (
     MixedDiscriminantError,
     QuadRat,
+    _reduced,
     as_exact,
     cross_parts,
     integer_rows,
@@ -215,6 +219,7 @@ from geom3.intmat import (
     IntMat2,
     SearchCapError,
     ZsqrtBasis,
+    _zmul,
     closure,
     congruence_solutions,
     gauss_reduce,
@@ -268,7 +273,8 @@ def sol_unit(lat) -> QuadRat:
     """The exact e-power base for exact-mode points over this lattice: the
     eigenvalue lam^n > 1 of A^n, lam that of A, so only the square-free
     part of tr(A)^2 - 4 is factored, never that of tr(A^n)^2 - 4."""
-    return sol._unit(lat.a.trace()) ** lat.n
+    t = lat.a.trace()
+    return ((QuadRat.sqrt(t * t - 4) + t) / 2) ** lat.n
 
 
 def tangent_action(m, zw: tuple[complex, complex]) -> tuple[complex, complex]:
@@ -486,7 +492,8 @@ def planar_point_group_by_candidates(u, v) -> PlanarPointGroup:
         raise RuntimeError(f"unexpected stabilizer order {order}")
     in_basis = tuple(((ku, kv), (lu, lv)) for ku, lu, kv, lv in sorted(coords))
     return PlanarPointGroup({2: "C2", 4: "D2", 8: "D4", 12: "D6"}[order],
-                            tuple(basis.conjugates(in_basis)), in_basis)
+                            tuple(zsqrt_conjugates(basis, in_basis)),
+                            in_basis)
 
 
 def entry_records(matrices) -> list:
@@ -1137,6 +1144,45 @@ def zsqrt_basis(basis) -> ZsqrtBasis:
     `integer_rows` of its columns u and v."""
     _, radicands, rows = integer_rows(tuple(zip(*basis)))
     return ZsqrtBasis(radicands, rows)
+
+
+def zsqrt_conjugates(basis: ZsqrtBasis, mats) -> list:
+    """basis m basis^-1 for each integer 2x2 matrix m and an
+    `intmat.ZsqrtBasis` basis, in integers: `ZsqrtBasis.conjugates` as it
+    was when it made Sol's Galois check and the elements of a planar point
+    group.
+
+    basis m basis^-1 = B m adj(B) / det(B).  For det(B) = e + f sqrt(d)
+    of norm N = e^2 - d f^2, 1/det(B) = (e - f sqrt(d)) / N, so with W
+    = adj(B) (e - f sqrt(d)) sign(N) each element is the sum over k, l
+    of m_kl B_k W_l / |N|, for the column B_k of B and the row W_l of
+    W: four integer products per component, and the scalars are built
+    at the end, each distinct one once.
+
+    They are the values of mat2_mul(mat2_mul(basis, m), mat2_inv(basis)),
+    in one form: a rational entry is a Fraction, an irrational one a
+    QuadRat of Q(sqrt(d)).
+    """
+    (b00, b01, b10, b11), d, (e, f) = basis.b, basis.d, basis.det
+    n = e * e - d * f * f
+    inv = (e, -f) if n > 0 else (-e, f)
+    w = [_zmul(x, inv, d) for x in (b11, (-b01[0], -b01[1]),
+                                    (-b10[0], -b10[1]), b00)]
+    t00, t01, t10, t11 = (
+        [c for i in (0, 2) for j in (0, 1)
+         for c in _zmul(basis.b[i + k], w[l + j], d)]
+        for k in (0, 1) for l in (0, 2))
+    n = abs(n)
+    terms = list(zip(t00, t01, t10, t11))
+    keys = []
+    for (m00, m01), (m10, m11) in mats:
+        o = [m00 * p + m01 * q + m10 * r + m11 * s for p, q, r, s in terms]
+        keys.append(((o[0], o[1]), (o[2], o[3]),
+                     (o[4], o[5]), (o[6], o[7])))
+    made = {(p, q): _reduced(p, q, n, d) if q else Fraction(p, n)
+            for p, q in set(itertools.chain(*keys))}
+    return [((made[k0], made[k1]), (made[k2], made[k3]))
+            for k0, k1, k2, k3 in keys]
 
 
 def matmul_rect(a, b) -> tuple:

@@ -25,6 +25,7 @@ from geom3.algebra import (
     row_scalar,
     squarefree_decompose,
 )
+from geom3 import algebra, nil
 from geom3.descriptors import brief, brief_text
 from support import (
     FractionPairQuadRat,
@@ -411,6 +412,32 @@ def test_brief_text_is_repr_up_to_40_characters_and_then_the_head():
     assert brief_text("x" * 41) == f"'{'x' * 20}'... (41 characters)"
     assert brief_text("it's") == repr("it's")
     assert brief_text(None) == "None"         # not a string: its repr
+
+
+@pytest.mark.parametrize("call", [
+    lambda: algebra.frac("y" * 3000),
+    lambda: algebra.as_exact("y" * 3000),
+    lambda: nil.planar_point_group(("x" * 3000, 0), (0, 1)),
+])
+def test_a_long_string_in_a_library_call_is_echoed_by_its_head(call):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert len(str(exc.value)) <= 300
+    assert str(exc.value).endswith("... (3000 characters)")
+
+
+def test_a_short_literal_keeps_its_messages():
+    with pytest.raises(ValueError, match=r"^Invalid literal for Fraction: "
+                       r"'abc'$"):
+        algebra.frac("abc")
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        algebra.frac("7" * 5000)
+    with pytest.raises(TypeError, match="^cannot interpret 1.5 as an exact "
+                       "rational$"):
+        algebra.frac(1.5)
+    with pytest.raises(ValueError, match="^exact entries required, not "
+                       "1.5$"):
+        algebra.as_exact(1.5)
 
 
 def test_brief_is_str_up_to_40_digits_and_then_the_size():

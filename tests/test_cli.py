@@ -787,6 +787,31 @@ def test_qstructure_of_a_large_trace_is_factored_quickly():
         "galois_pair_check": True}
 
 
+@pytest.mark.parametrize("sub", ["nil", "sol", "hyp", "fiber", "euclid",
+                                 "zimmer"])
+def test_an_unknown_action_is_refused_by_the_parser(sub, capsys):
+    # each subparser's choices refuse any other action, so no handler
+    # meets one
+    code, text = run_cli([sub, "bogus"])
+    assert code == 2 and text == ""
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_qstructure_of_fib_powers_factors_only_the_discriminant():
+    # the entries of fib^(2^j), j = 0 ... 12: tr^2 - 4 = 5 F^2 for the
+    # off-diagonal entry F, so only 5 is factored however large F is
+    for j in range(13):
+        m = intmat.int_mat_pow(intmat.IntMat2(2, 1, 1, 1), 2 ** j)
+        matrix = ",".join(map(str, (m.a, m.b, m.c, m.d)))
+        start = time.perf_counter()
+        with deadline(10):
+            code, payload = run_json(["sol", "qstructure", "--matrix", matrix,
+                                      "--json"])
+        assert time.perf_counter() - start < 2, j
+        assert code == 0, (j, payload)
+        assert payload["d"] == 5 and payload["galois_pair_check"] is True
+
+
 @pytest.mark.parametrize("argv", [
     ["hyp", "classify", "--matrix", "inf,0,0,1"],
     ["hyp", "classify", "--matrix", "nan,0,0,1"],

@@ -72,6 +72,7 @@ from support import (
     vec2_dot,
     word_ball,
     zsqrt_basis,
+    zsqrt_conjugates,
 )
 from test_algebra import discs, quadrats, rationals
 from test_euclid import _combination
@@ -627,7 +628,7 @@ small_matrices = st.tuples(st.tuples(small_entries, small_entries),
          [MAT2_ID])
 def test_integer_conjugation_is_the_scalar_product(basis, mats):
     (u0, v0), (u1, v1) = basis
-    assert entry_records(zsqrt_basis(basis).conjugates(mats)) == \
+    assert entry_records(zsqrt_conjugates(zsqrt_basis(basis), mats)) == \
         entry_records(rationals_as_fractions(
             point_group_elements_by_products((u0, u1), (v0, v1), mats)))
 
@@ -635,7 +636,8 @@ def test_integer_conjugation_is_the_scalar_product(basis, mats):
 @settings(max_examples=100, deadline=None)
 @given(labelled_matrices(), st.lists(small_matrices, max_size=6))
 def test_a_conjugate_entry_is_a_fraction_or_irrational(basis, mats):
-    assert off_form_entries(zsqrt_basis(basis).conjugates(mats)) == []
+    conjugates = zsqrt_conjugates(zsqrt_basis(basis), mats)
+    assert off_form_entries(conjugates) == []
 
 
 def test_a_basis_over_two_fields_is_refused():
@@ -647,7 +649,7 @@ def test_a_basis_over_two_fields_is_refused():
     with pytest.raises(MixedDiscriminantError, match=message):
         mat2_mul(mat2_mul(basis, swap), mat2_inv(basis))
     with pytest.raises(MixedDiscriminantError, match=message):
-        zsqrt_basis(basis).conjugates([swap])
+        zsqrt_conjugates(zsqrt_basis(basis), [swap])
 
 
 # -- the word-ball kernel against closed forms ------------------------------

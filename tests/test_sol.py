@@ -9,7 +9,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geom3 import intmat
@@ -394,8 +394,8 @@ def test_centralizer_works_on_the_integers(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("Q(sqrt(d)) arithmetic in sol_centralizer")
 
-    monkeypatch.setattr(sol, "_eigen_data", boom)
-    monkeypatch.setattr(sol, "_unit", boom)
+    monkeypatch.setattr(sol, "sol_q_structure", boom)
+    monkeypatch.setattr(sol, "_reduced", boom)
     monkeypatch.setattr(algebra, "_reduced", boom)
     monkeypatch.setattr(QuadRat, "__init__", boom)
     for m in (A, IntMat2(3, 1, 2, 1)) + tuple(_hyperbolic_matrices(10)):
@@ -465,6 +465,67 @@ def test_q_structure_refuses_as_the_scalar_route():
     assert refused > 2000
 
 
+# every hyperbolic M with entries in [-20, 20], found from (a, b, c)
+_SMALL_HYPERBOLIC = [IntMat2(a, b, c, (1 + b * c) // a)
+                     for a, b, c in itertools.product(range(-20, 21),
+                                                      repeat=3)
+                     if a and (1 + b * c) % a == 0
+                     and abs((1 + b * c) // a) <= 20
+                     and a + (1 + b * c) // a > 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SMALL_HYPERBOLIC), st.integers(1, 12))
+def test_q_structure_of_a_power_is_the_scalar_route(m, n):
+    # the oracle factors all of tr(M^n)^2 - 4 and refuses a cofactor past
+    # the factoring limit; the closed form factors disc(f_M) alone
+    power = int_mat_pow(m, n)
+    try:
+        expected = sol_q_structure_by_products(power)
+    except ValueError as exc:
+        assume("cannot factor" not in str(exc))
+        raise
+    _same(sol_q_structure(power), _one_form(expected))
+
+
+@pytest.mark.parametrize("base, n, disc, d", [
+    ((2, 1, 1, 1), 41, 5, 5),
+    ((3, 1, 2, 1), 50, 12, 3),
+    ((1, 1, 100, 101), 30, 10400, 26),
+])
+def test_q_structure_answers_powers_past_the_factoring_limit(base, n, disc,
+                                                             d):
+    m = IntMat2(*base)
+    power = int_mat_pow(m, n)
+    t = power.trace()
+    # the primitive discriminant of A^n is that of A, and its square-free
+    # part is d; all of t^2 - 4 is past what the oracle can factor
+    g = math.gcd(power.b, power.c, power.a - power.d)
+    assert (t * t - 4) // (g * g) == disc == m.trace() ** 2 - 4
+    assert algebra.squarefree_decompose(disc)[1] == d
+    with pytest.raises(ValueError, match="cannot factor"):
+        sol_q_structure_by_products(power)
+    q = sol_q_structure(power)
+    assert q["d"] == d and q["galois_pair_check"] is True
+    lam = sol_unit(sol_lattice_make(m, n))
+    assert q["eigenvalues"] == (lam, lam.conjugate())
+    b = q["basis"]
+    assert b[0][0] * b[1][1] - b[0][1] * b[1][0] == 1
+
+
+def test_the_galois_check_can_fail(monkeypatch):
+    # a wrong eigenvalue fails the integer eigen-equations: the factoring
+    # of disc = s^2 d is patched to give s + 1 for s
+    factor = algebra.squarefree_decompose
+
+    def off_by_one(n):
+        s, d = factor(n)
+        return s + 1, d
+
+    monkeypatch.setattr(sol, "squarefree_decompose", off_by_one)
+    assert sol_q_structure(A)["galois_pair_check"] is False
+
+
 def test_q_structure_builds_no_scalar_matrix_product(monkeypatch):
     cases = [A, IntMat2(1, 1, 100, 101), int_mat_pow(A, 20)]
     expected = [sol_q_structure(m) for m in cases]
@@ -484,9 +545,11 @@ def test_q_structure_builds_no_scalar_matrix_product(monkeypatch):
 
 
 def test_q_structure_factors_the_discriminant_once(monkeypatch):
-    cases = [A, IntMat2(3, 1, 2, 1), IntMat2(1, 1, 100, 101),
-             int_mat_pow(A, 20)]
-    expected = [sol_q_structure(m) for m in cases]
+    # (A, the primitive discriminant (tr^2 - 4) / gcd(b, c, a - e)^2)
+    cases = [(A, 5), (IntMat2(3, 1, 2, 1), 12),
+             (IntMat2(1, 1, 100, 101), 10400), (int_mat_pow(A, 20), 5),
+             (int_mat_pow(IntMat2(3, 1, 2, 1), 7), 12)]
+    expected = [sol_q_structure(m) for m, _ in cases]
     calls = []
     factor = algebra.squarefree_decompose
 
@@ -494,16 +557,16 @@ def test_q_structure_factors_the_discriminant_once(monkeypatch):
         calls.append(n)
         return factor(n)
 
-    monkeypatch.setattr(algebra, "squarefree_decompose", counting)
-    for m in cases:
+    for module in (algebra, sol):
+        monkeypatch.setattr(module, "squarefree_decompose", counting)
+    for (m, disc), want in zip(cases, expected):
         calls.clear()
         got = sol_q_structure(m)
-        assert got == expected[cases.index(m)]
-        assert str(got["eigenvalues"]) == str(expected[cases.index(m)]
-                                               ["eigenvalues"])
-        # QuadRat.sqrt passes on the square-free part it found, and its
-        # result is not factored again
-        assert len(calls) == 1
+        assert got == want
+        assert str(got["eigenvalues"]) == str(want["eigenvalues"])
+        # only the primitive discriminant is factored, and no entry built
+        # from its square-free part is factored again
+        assert calls == [disc]
 
 
 @pytest.mark.parametrize("lat", [(IntMat2(1, 1, 0, 1), 1),
