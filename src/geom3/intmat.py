@@ -308,7 +308,7 @@ class IntMat2(_Frozen):
 
     def __init__(self, a: int, b: int, c: int, d: int):
         for entry in (a, b, c, d):
-            if not isinstance(entry, int):
+            if not isinstance(entry, int) or isinstance(entry, bool):
                 raise TypeError("integer entries required")
         _set_a(self, a)
         _set_b(self, b)

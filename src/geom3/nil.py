@@ -309,7 +309,7 @@ def nil_lattice_make(u, v, r=0, s=0, n: int = 1) -> NilLattice:
     lam = vec2_cross(u, v)
     if lam == 0:
         raise ValueError("u and v are linearly dependent")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("n must be a positive integer")
     return NilLattice(u, v, as_exact(r), as_exact(s), n, lam)
 
@@ -555,6 +555,11 @@ class _LatticeFrame:
     `hex:N`), elements of Z[sqrt(d)] otherwise, by the same code.  A
     lift would add across two fields, so the frame refuses them when it is
     built: MixedDiscriminantError names the least two.
+
+    Frames are equal, and hash alike, when their integers are: n, D n, h
+    and the entries D alpha, D beta, G a, G b, G c, from which P, C and
+    the central coordinates follow.  Each is an int or an element of
+    Z[sqrt(d)], so no Fraction or float enters the hash.
     """
 
     __slots__ = ("n", "dn", "P", "C", "h", "ra", "rb", "qa", "qb",
@@ -583,6 +588,18 @@ class _LatticeFrame:
         self.ca = 2 * n * self.P * g * self.ra
         self.cb = 2 * n * self.P * g * self.rb
         self.cn = self.C * n
+
+    def _key(self) -> tuple:
+        return (self.n, self.dn, self.h, self.ra, self.rb, self.qa, self.qb,
+                self.qc)
+
+    def __eq__(self, other):
+        if other.__class__ is not _LatticeFrame:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def residual(self, k, w):
         """C base(K / P) - W, or None when K is not in P Z^2."""
@@ -774,6 +791,33 @@ def _extends_to_group_normalizer(frame: _LatticeFrame, m: Mat2,
     return any(True for _ in _normalizing_cosets(frame, pairs))
 
 
+@functools.lru_cache(maxsize=256)
+def _adjoined_counts(frame: _LatticeFrame, group: tuple,
+                     basis_matrices: Optional[tuple]):
+    """(admissible, extending) of `nil_quotient_isometry` for the group F
+    of lattice matrices, identity first, adjoined to the frame's lattice;
+    None when the lifts of F do not close over it.  basis_matrices is the
+    lattice's point group, or None when F is all of it.
+
+    This reads only the frame's integers and F, so it is cached on them
+    (`_LatticeFrame` hashes by value): a lattice and its dilate
+    (t u, t v, t^2 r, t^2 s, n), t rational, share one entry.  Failures
+    are not cached.
+    """
+    gens = _point_group_generators(group)
+    lifts = {m: frame.lift(m) for m in group[1:]}
+    if not _lift_group_closes(frame, lifts, gens):
+        return None
+    own = [(lifts[g], lifts[g]) for g in gens]
+    admissible = sum(1 for _ in _normalizing_cosets(frame, own))
+    if basis_matrices is None:
+        return admissible, len(group)
+    in_group = set(group)
+    return admissible, sum(
+        m in in_group or _extends_to_group_normalizer(frame, m, lifts, gens)
+        for m in basis_matrices)
+
+
 def nil_quotient_isometry(lat: NilLattice,
                           extra=None) -> IsoDescriptor:
     """Isometry group of the quotient by the lattice (plus adjoined maps).
@@ -803,19 +847,23 @@ def nil_quotient_isometry(lat: NilLattice,
     - extending point symmetries m: whether the pairs
       (base L(g) base^-1, L(m g m^-1)), base the lift of m, have a solution
       (`_extends_to_group_normalizer`).
+
+    The two counts are computed once per frame and F (`_adjoined_counts`);
+    the frame itself is built on every call, so a lattice over two fields
+    is refused every time, and the "does not close" error names the
+    lattice of the call.
     """
     pg = lat.point_group
     group = [MAT2_ID] if extra is None else pg.subgroup(extra)
-    gens = _point_group_generators(group)
 
     # with no map adjoined there is no condition: all n^2 translation
     # cosets are admissible and every point symmetry extends
     admissible, extending = lat.n ** 2, pg.order
-    if gens:
-        frame = _LatticeFrame(lat)
-        # the closure yields the identity first
-        lifts = {m: frame.lift(m) for m in group[1:]}
-        if not _lift_group_closes(frame, lifts, gens):
+    if len(group) > 1:
+        counts = _adjoined_counts(
+            _LatticeFrame(lat), tuple(group),
+            None if len(group) == pg.order else pg.basis_matrices)
+        if counts is None:
             fmt = functools.partial(format_scalar, num=brief)
             u, v = (", ".join(map(fmt, w)) for w in (lat.u, lat.v))
             raise ValueError(
@@ -824,22 +872,15 @@ def nil_quotient_isometry(lat: NilLattice,
                 f"s = {fmt(lat.s)}, n = {brief(lat.n)}: a product of "
                 f"two lifted point symmetries is not a lattice element "
                 f"times a lift")
-        own = [(lifts[g], lifts[g]) for g in gens]
-        admissible = sum(1 for _ in _normalizing_cosets(frame, own))
-        if len(group) < pg.order:
-            in_group = set(group)
-            extending = sum(
-                m in in_group
-                or _extends_to_group_normalizer(frame, m, lifts, gens)
-                for m in pg.basis_matrices)
+        admissible, extending = counts
     has_reflection = any(mat2_det(m) == -1 for m in group)
 
     point_quotient = extending // len(group)
     finite_order = admissible * point_quotient
 
-    law_pinned = (scalar_is_rational(lat.r / lat.lam)
-                  and scalar_is_rational(lat.s / lat.lam))
     if extra is None:
+        law_pinned = (scalar_is_rational(lat.r / lat.lam)
+                      and scalar_is_rational(lat.s / lat.lam))
         structure = (f"(Z_{lat.n} x Z_{lat.n}) |x {pg.tag}"
                      if lat.n > 1 else pg.tag)
         finite = {

@@ -149,7 +149,7 @@ class SolLattice(_Frozen):
                              f"trace > 2 is supported")
         if t <= 2:
             raise ValueError(f"trace {t} <= 2: no hyperbolic holonomy")
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError("power must be a positive integer")
         _setattr(self, "a", a)
         _setattr(self, "n", n)

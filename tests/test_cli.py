@@ -886,6 +886,16 @@ def test_nil_iso_hex_adjoin_full_does_not_close(n):
     assert f"n = {n}:" in detail
 
 
+def test_nil_iso_hex_adjoin_full_fails_alike_when_warm():
+    # the second call hits the cached verdict and raises the same text
+    argv = ["nil", "iso", "--preset", "hex:1", "--adjoin", "full"]
+    first = run_cli(argv)
+    assert first[0] == 1
+    assert first[1].startswith("error[ValueError]: adjoined point group "
+                               "does not close over the lattice ")
+    assert run_cli(argv) == first
+
+
 @pytest.mark.parametrize("argv", [
     ["nil", "iso", "--preset", "Gp:4", "--adjoin", "full"],
     ["zimmer", "summary", "--geometry", "nil", "--preset", "Gp:4",

@@ -458,6 +458,13 @@ def _euclid_lattice_answers(g):
     return answers
 
 
+@pytest.mark.parametrize("entries", [(2, 1, 1, True), (False, 1, 1, 2)])
+def test_int_mat2_takes_integer_entries_only(entries):
+    # bool is a subclass of int, but True would print as "true"
+    with pytest.raises(TypeError, match="^integer entries required$"):
+        IntMat2(*entries)
+
+
 def test_int_mat_pow():
     a = IntMat2(2, 1, 1, 1)
     assert int_mat_pow(a, 5) == IntMat2(89, 55, 55, 34)

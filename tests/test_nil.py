@@ -51,6 +51,7 @@ from geom3.nil import (
     _extends_to_group_normalizer,
     _INFINITE_ORDER,
     _LatticeFrame,
+    _adjoined_counts,
     _lattice_covolume,
     _lift_group_closes,
     _linear_group,
@@ -217,6 +218,12 @@ def test_lattice_make():
         nil_lattice_make((1, 0), (2, 0))
     with pytest.raises(ValueError):
         nil_lattice_make((1, 0), (0, 1), n=0)
+
+
+def test_a_bool_is_not_a_lattice_refinement():
+    # bool is a subclass of int, but True would print as "true"
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
+        lattice_gp(True)
 
 
 def test_lattice_membership():
@@ -638,6 +645,20 @@ def test_adjoined_errors_and_their_order(lat, extra, message):
         nil_quotient_isometry(lat, extra=extra)
     with pytest.raises(ValueError, match=message):
         global_quotient_isometry(lat, extra)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_lift_group_that_does_not_close_raises_alike_when_warm(n):
+    # the cache holds the verdict, not the error: the warm call raises
+    # the same text
+    clear_nil_caches()
+    texts = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            nil_quotient_isometry(lattice_hex(n), extra=[ROT_PI_3])
+        texts.append(str(err.value))
+    assert texts[0] == texts[1]
+    assert _adjoined_counts.cache_info()[:2] == (1, 1)      # hits, misses
 
 
 def test_infinite_order_product_raises_every_time():
@@ -1090,6 +1111,53 @@ def test_frame_matches_the_global_oracles_on_skewed_bases(
     lat = nil_lattice_make(*change_basis(*lattice, m), r=r, s=s, n=n)
     groups = point_subgroups(planar_point_group(lat.u, lat.v))
     assert_frame_matches_the_global_oracles(lat, rng.sample(groups, 2))
+
+
+def _adjoined_answer(lat, extra):
+    """Canonical JSON of the adjoined quotient, or its error kind and text."""
+    try:
+        return canonical_json(nil_quotient_isometry(lat, extra=extra)
+                              .to_json_dict())
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _dilated(lat, t):
+    """The lattice (t u, t v, t^2 r, t^2 s, n): it has the frame of lat."""
+    return nil_lattice_make(tuple(t * x for x in lat.u),
+                            tuple(t * x for x in lat.v),
+                            r=t * t * lat.r, s=t * t * lat.s, n=lat.n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(planar_lattices(), small_unimodular(), offsets, offsets,
+       st.integers(1, 4), offsets.filter(bool))
+def test_cold_warm_and_dilated_adjoined_quotients_agree(lattice, m, r, s, n,
+                                                        t):
+    lat = nil_lattice_make(*change_basis(*lattice, m), r=r, s=s, n=n)
+    twin = _dilated(lat, t)
+    assert _LatticeFrame(twin) == _LatticeFrame(lat)
+    pg = lat.point_group
+    extras = [(pg, twin.point_group)] + [
+        ([g], [g]) for g in pg.elements if not mat2_eq(g, MAT2_ID)]
+    for extra, twin_extra in extras:
+        clear_nil_caches()
+        cold = _adjoined_answer(lat, extra)
+        assert _adjoined_answer(lat, extra) == cold
+        info = _adjoined_counts.cache_info()
+        assert info.currsize == 1
+        warm_twin = _adjoined_answer(twin, twin_extra)
+        assert _adjoined_counts.cache_info()[:2] == (info.hits + 1,
+                                                     info.misses)
+        assert _adjoined_counts.cache_info().currsize == 1
+        clear_nil_caches()
+        assert _adjoined_answer(lat, extra) == cold
+        clear_nil_caches()
+        assert _adjoined_answer(twin, twin_extra) == warm_twin
+        if isinstance(cold, tuple):     # the error names the twin's lattice
+            assert warm_twin[0] == cold[0]
+        else:                           # a descriptor names no lattice
+            assert warm_twin == cold
 
 
 def frame_lattice_element(frame, a: int, b: int, c: int):
@@ -2277,9 +2345,14 @@ def test_the_dichotomy_runs_no_snf(family, data):
 # -- the linear parts are converted once per set ------------------------------
 
 def test_clear_nil_caches_empties_every_cache():
-    assert sorted(nil_caches()) == ["_linear_group", "_point_group_of"]
+    assert sorted(nil_caches()) == ["_adjoined_counts", "_linear_group",
+                                    "_point_group_of"]
+    # bounded, so that a long-lived process cannot grow one without end
+    assert all(isinstance(c.cache_info().maxsize, int)
+               for c in nil_caches().values())
     nil_projection_dichotomy(_nil_generators("rot6;1,0,0;0,1,0"))
     planar_point_group((1, 0), (0, 1))
+    nil_quotient_isometry(lattice_gp(2), extra=[ROT_PI_2])
     assert all(c.cache_info().currsize for c in nil_caches().values())
     clear_nil_caches()
     assert not any(c.cache_info().currsize for c in nil_caches().values())

@@ -585,6 +585,8 @@ def test_centralizer_of_a_hand_built_lattice_checks_it(lat):
     ((-3, 1, -1, 0), 1, "trace -3 < -2: A is hyperbolic, but only trace > 2 "
                         "is supported"),
     ((2, 1, 1, 1), 0, "power must be a positive integer"),
+    # bool is a subclass of int, but True would print as "true"
+    ((2, 1, 1, 1), True, "power must be a positive integer"),
 ])
 def test_hand_built_lattice_has_the_factory_messages(matrix, n, message):
     for build in (SolLattice, sol_lattice_make):
