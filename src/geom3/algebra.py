@@ -4,7 +4,8 @@ Every geometry module computes over these scalars.  A scalar is an ``int``,
 a ``fractions.Fraction`` or a :class:`QuadRat`; the three types mix freely
 in arithmetic as long as at most one square-free discriminant is involved.
 `power` is the one repeated-squaring loop, for any associative product:
-powers of `QuadRat`, of integer matrices and of rotations go through it.
+powers of `QuadRat` and of rotations go through it.  An integer matrix
+power does not: `intmat.int_mat_pow` is a closed form.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ def frac(x) -> Fraction:
 def power(x, n: int, mul, one):
     """x**n for n >= 0 by repeated squaring, with mul the product and one
     its identity.  It multiplies once per set bit of n and squares once per
-    bit below the highest, so n = 2**k takes k + 1 products."""
+    bit below the highest, so n = 2**k takes k + 1 products.  Integer 2x2
+    matrices take the closed form `intmat.int_mat_pow` instead."""
     out = one
     while n:
         if n & 1:

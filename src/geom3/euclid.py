@@ -7,14 +7,20 @@ the vectors as integer rows over their common denominator, and the
 lattice kernel `intmat.ZSpan` takes those rows as they are and reads
 rank, echelon basis and integer coordinates off Euclid steps on the rows;
 ranks and coinvariants go through it too, and only the planar finite
-order reads a Smith normal form, for its elementary divisors.  Only split
-(i.e. symmorphic) extensions are supported for the Betti computation.
+order reads a Smith normal form, for its elementary divisors.  The
+lattice is kept as those integer rows and no Fraction basis is built: a
+point generator acts on the rows as an integer matrix over its own
+denominator, and the planar point group is read off the rows by
+`nil.point_group_of_rows`.  With no point generators the Betti torus is
+the whole space.  Only split (i.e. symmorphic) extensions are supported
+for the Betti computation.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Optional
 
@@ -44,11 +50,6 @@ def _to_matrix(rows, dim: int) -> Matrix:
     if len(out) != dim or any(len(r) != dim for r in out):
         raise ValueError(f"{dim}x{dim} matrix expected")
     return out
-
-
-def _mat_apply(a: Matrix, v: Vector) -> Vector:
-    n = len(a)
-    return tuple(sum(a[i][k] * v[k] for k in range(n)) for i in range(n))
 
 
 def _identity(n: int) -> Matrix:
@@ -82,12 +83,6 @@ class CrystalGroup(_Frozen):
         built once per group (not a field: eq, hash and repr ignore it)."""
         return _integer_span(self.trans_basis)
 
-    @functools.cached_property
-    def _lattice_basis(self) -> tuple[Vector, ...]:
-        den, span = self._lattice
-        return tuple(tuple(Fraction(x, den) for x in row)
-                     for row in span.basis)
-
     def lattice_coords(self, v: Vector) -> Optional[tuple[int, ...]]:
         """Integer coordinates of v in the lattice basis, or None."""
         if len(v) != self.dim:
@@ -114,7 +109,7 @@ def crystal_group_make(point_gens, trans_basis, vector_system=None,
     if dim not in (2, 3):
         raise ValueError("dimension must be 2 or 3")
     gens = tuple(_to_matrix(g, dim) for g in point_gens)
-    ident = _identity(dim)
+    ident = _identity(dim) if gens else None
     for g in gens:
         if matmul(transpose(g), g) != ident:
             raise ValueError("point generators must be orthogonal")
@@ -168,12 +163,21 @@ def _minus_identity(mats) -> list:
 
 def point_gens_in_lattice_basis(g: CrystalGroup) -> list[list[list[int]]]:
     """Each point generator as an integer matrix in the lattice basis;
-    ValueError if one does not preserve the lattice."""
+    ValueError if one does not preserve the lattice.
+
+    The basis is the span's integer rows b over D, and a generator the
+    integer matrix G over its denominator e, so the image of b / D is
+    G b / (e D): a lattice vector exactly when e divides G b, and then
+    its coordinates are those of G b / e in the span."""
+    span = g._lattice[1]
     out = []
     for gen in g.point_gens:
+        e, _, rows = integer_rows(gen)
         # columns are the coordinates of the images of the basis vectors
-        cols = [g.lattice_coords(_mat_apply(gen, vec))
-                for vec in g._lattice_basis]
+        images = [[sum(map(operator.mul, row, b)) for row in rows]
+                  for b in span.basis]
+        cols = [None if any(x % e for x in w) else
+                span.coords([x // e for x in w]) for w in images]
         if None in cols:
             raise ValueError("point generators must preserve the "
                              "translation lattice")
@@ -189,7 +193,9 @@ def betti_identity_component(g: CrystalGroup) -> tuple[int, str]:
     abelianization (see coinvariant_rank for the integral cross-check).
     """
     _check_split(g)
-    betti = g.dim - _integer_span(_minus_identity(g.point_gens))[1].rank
+    betti = g.dim
+    if g.point_gens:
+        betti -= _integer_span(_minus_identity(g.point_gens))[1].rank
     torus = {0: "trivial", 1: "S1", 2: "T2", 3: "T3"}[betti]
     return betti, torus
 
@@ -207,9 +213,10 @@ def coinvariant_rank(g: CrystalGroup) -> int:
 
 
 def _planar_point_group(g: CrystalGroup):
-    """Point group of the rank-2 translation lattice, from its basis."""
-    from .nil import planar_point_group   # no other euclid code needs nil
-    return planar_point_group(*g._lattice_basis)
+    """Point group of the rank-2 translation lattice, from the integer rows
+    of its basis."""
+    from .nil import point_group_of_rows  # no other euclid code needs nil
+    return point_group_of_rows((1,), g._lattice[1].basis)
 
 
 def euclid_quotient_isometry(g: CrystalGroup) -> IsoDescriptor:

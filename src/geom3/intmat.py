@@ -11,7 +11,8 @@ or the elementary divisors are the answer: Sol reads its cokernel
 Z^2/(I - A^n)Z^2 and the holonomy's action on it off one `snf`, Euclid
 its planar finite order, and the adjoined Nil cosets go through
 `congruence_solutions`.  Exact scalars reach these kernels through one
-conversion to integers, `algebra.integer_rows`.
+conversion to integers, `algebra.integer_rows`.  `int_mat_pow` is a
+closed form in the trace and determinant, with no matrix product.
 
 The helpers the geometry modules share live here too: 2x2/vector
 arithmetic over exact scalars, 2x2 matrices over Z[sqrt(d)] acting on
@@ -19,13 +20,14 @@ integer rows (the Nil Schreier walk), a planar basis given by the integer
 rows of its vectors (`ZsqrtBasis`: the Gram matrix, its `gauss_reduce`,
 and the isometries of the reduced basis that make the elements of a
 planar point group), the product `_zmul` in Z[sqrt(d)] that Sol's
-Galois check runs on, the n x n matrix product and its unrolled 3x3 case
-`mat3_mul` (the S^2 x R rotations), and `closure`, the breadth-first walk
-that builds every finite group geom3 closes: the Nil linear parts
-(`nil._linear_group`, whose edges the Schreier walk reads), the subgroups
-of a planar point group (`nil.PlanarPointGroup.subgroup`: the adjoined Nil
-point groups and Euclid's planar point generators) and the kernel F of an
-S^2 x R group (`fibered._twist_closure`).
+Galois check and the Nil lattice frame run on, the n x n matrix product
+and its unrolled 3x3 case `mat3_mul` (the S^2 x R rotations), and
+`closure`, the breadth-first walk that builds every finite group geom3
+closes: the Nil linear parts (`nil._linear_group`, whose edges the
+Schreier walk reads), the subgroups of a planar point group
+(`nil.PlanarPointGroup.subgroup`: the adjoined Nil point groups and
+Euclid's planar point generators) and the kernel F of an S^2 x R group
+(`fibered._twist_closure`).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from math import gcd, isqrt
 from operator import add, sub
 from typing import Optional
 
-from .algebra import Scalar, _reduced, one_field, power
+from .algebra import Scalar, _reduced, one_field
 from .descriptors import _Frozen
 
 Mat2 = tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]
@@ -355,10 +357,24 @@ _set_a, _set_b, _set_c, _set_d = (IntMat2.__dict__[name].__set__
 
 
 def int_mat_pow(a: IntMat2, n: int) -> IntMat2:
-    """Exact n-th power, n >= 0 (n = 0 gives the identity)."""
+    """Exact n-th power, n >= 0 (n = 0 gives the identity), in closed form.
+
+    By Cayley-Hamilton, A^n = s_n A + (s_(n+1) - t s_n) I for t = tr A
+    and the Lucas sequence s_0 = 0, s_1 = 1, s_(k+1) = t s_k - det(A)
+    s_(k-1), which holds for every A, singular too.  The pair (s_k,
+    s_(k+1)) is doubled once per bit of n: s_2k = s_k (2 s_(k+1) - t s_k)
+    and s_(2k+1) = s_(k+1)^2 - det(A) s_k^2.  No matrix product runs.
+    """
     if n < 0:
         raise ValueError("non-negative exponent required")
-    return power(a, n, IntMat2.__matmul__, IntMat2.identity())
+    t, det = a.trace(), a.det()
+    s, s1 = 0, 1
+    for bit in bin(n)[2:]:
+        s, s1 = s * (2 * s1 - t * s), s1 * s1 - det * s * s
+        if bit == "1":
+            s, s1 = s1, t * s1 - det * s
+    c = s1 - t * s
+    return IntMat2(s * a.a + c, s * a.b, s * a.c, s * a.d + c)
 
 
 def snf(rows) -> tuple[tuple[int, ...], tuple, tuple]:
@@ -371,18 +387,34 @@ def snf(rows) -> tuple[tuple[int, ...], tuple, tuple]:
     then an entry further on that the pivot does not divide has its column
     added to the pivot's, and the pivot is settled again (Cohen, A Course
     in Computational Algebraic Number Theory, 2.4).  u follows from that
-    order, and sol reads it: the order is part of the output.
+    order, and sol reads it: the order is part of the output.  Each Euclid
+    down a column runs on its two pivots as plain integers, and the 2x2
+    transform its steps compose acts once on the two rows of the matrix
+    and of u.
     """
     a = [list(row) for row in rows]
     m, n = len(a), len(a[0]) if a else 0
     u = [[int(i == j) for j in range(m)] for i in range(m)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
 
-    def row_op(i, j, q):  # row_i -= q * row_j, tracked in u
+    def euclid_rows(t, i):
+        # while y: row_i -= (y // x) row_t (when x), then swap rows t and
+        # i (when y), on the pivots x = a[t][t], y = a[i][t] alone; the
+        # 2x2 transform of those steps acts once on the rows of a and u
+        x, y = a[t][t], a[i][t]
+        p, q, r, s = 1, 0, 0, 1
+        while y:
+            if x:
+                k = y // x
+                y -= k * x
+                r, s = r - k * p, s - k * q
+            if y:
+                x, y, p, q, r, s = y, x, r, s, p, q
         for w in (a, u):
-            wi, wj = w[i], w[j]
-            for k in range(len(wi)):
-                wi[k] -= q * wj[k]
+            wt, wi = w[t], w[i]
+            for k in range(len(wt)):
+                b, c = wt[k], wi[k]
+                wt[k], wi[k] = p * b + q * c, r * b + s * c
 
     def col_op(i, j, q):  # col_i -= q * col_j, tracked in v
         for w in (a, v):
@@ -401,11 +433,8 @@ def snf(rows) -> tuple[tuple[int, ...], tuple, tuple]:
     for t in range(min(m, n)):
         while True:
             for i in range(t + 1, m):     # Euclid down column t
-                while a[i][t]:
-                    if a[t][t]:
-                        row_op(i, t, a[i][t] // a[t][t])
-                    if a[i][t]:
-                        swap_rows(t, i)
+                if a[i][t]:
+                    euclid_rows(t, i)
             p = a[t][t]
             j = next((j for j in range(t + 1, n) if a[t][j]), None)
             if j is not None:             # then along row t

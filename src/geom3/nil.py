@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, sub
 from typing import Optional, Sequence
 
@@ -58,6 +59,7 @@ from .intmat import (
     Vec2,
     ZSpan,
     ZsqrtBasis,
+    _zmul,
     closure,
     congruence_solutions,
     gauss_reduce,
@@ -449,42 +451,37 @@ class PlanarPointGroup(_Frozen):
 
 
 def planar_point_group(u, v) -> PlanarPointGroup:
-    """Orthogonal stabilizer of the lattice Z u + Z v, computed exactly.
-
-    The basis B = (u v) is written once as integer rows (`integer_rows`,
-    then `ZsqrtBasis`), and all that follows is integer arithmetic over
-    Z[sqrt(3)], so no float enters.  A Gauss-reduced basis u', v' (see
-    `gauss_reduce`), with -g11 <= 2 g12 < g11 <= g22, has one of six
-    stabilizers, read off three exact equalities (`_STABILIZERS`): D4 for
-    g12 = 0 = g11 - g22, D2 for g12 = 0, D6 for -2 g12 = g11 = g22, D2
-    for g11 = g22 or -2 g12 = g11, and C2 otherwise.  The elements are
-    ordered by the coordinates of their images of u and v in the basis u,
-    v, and each comes with its integer matrix M = p C p^-1 in that basis,
-    for C in reduced coordinates and u', v' = (u v) p; the element itself
-    is read off the reduced basis (`ZsqrtBasis.isometries`), its rational
-    entries Fractions and the others QuadRats of Q(sqrt(3)).
-
-    Computed once per basis up to scale: the group does not change when u
-    and v are scaled together, so every `Gp:N` shares that of Z^2 and
-    every `hex:N` that of the hexagonal lattice.  The cache key is the
-    `integer_rows` radicands and rows of u and v without their common
-    denominator, on which neither the elements nor `basis_matrices`
-    depend: (1/2, 0), (0, 1/2) shares the entry of Z^2, and one value
-    keys alike as an int, a Fraction, a rational QuadRat or a string; a
-    float is a domain error.  It never holds the scalars, whose hash
-    equates a float with an int and costs about 1 us per Fraction.  A hit
-    returns the same frozen group.  Failures are not cached, so they raise
-    on every call.
-    """
+    """Orthogonal stabilizer of the lattice Z u + Z v, computed exactly:
+    `point_group_of_rows` on the `integer_rows` of u and v, so no float
+    enters (a float entry is a domain error)."""
     _, radicands, rows = integer_rows((u, v))
-    return _point_group_of(radicands, tuple(rows))
+    return point_group_of_rows(radicands, tuple(rows))
 
 
 @functools.lru_cache(maxsize=256)
-def _point_group_of(radicands: tuple, rows: tuple) -> PlanarPointGroup:
-    """`planar_point_group` of the basis with these `integer_rows`: the
-    table row of its reduced Gram matrix, and M = p C p^-1 once for each
-    pair +-C, -M being the matrix of -C."""
+def point_group_of_rows(radicands: tuple, rows: tuple) -> PlanarPointGroup:
+    """`planar_point_group` of the basis B = (u v) whose `integer_rows`,
+    over any common denominator, are radicands and rows.
+
+    All is integer arithmetic over Z[sqrt(3)] (`ZsqrtBasis`).  A
+    Gauss-reduced basis u', v' (see `gauss_reduce`), with -g11 <= 2 g12 <
+    g11 <= g22, has one of six stabilizers, read off three exact equalities
+    (`_STABILIZERS`): D4 for g12 = 0 = g11 - g22, D2 for g12 = 0, D6 for
+    -2 g12 = g11 = g22, D2 for g11 = g22 or -2 g12 = g11, and C2 otherwise.
+    The elements are ordered by the coordinates of their images of u and v
+    in the basis u, v, and each comes with its integer matrix M = p C p^-1
+    in that basis (once for each pair +-C, -M being the matrix of -C), for
+    C in reduced coordinates and u', v' = (u v) p; the element itself is
+    read off the reduced basis (`ZsqrtBasis.isometries`), its rational
+    entries Fractions and the others QuadRats of Q(sqrt(3)).
+
+    Scaling u and v together changes neither, so every `Gp:N` shares the
+    group of Z^2, every `hex:N` that of the hexagonal lattice, and `euclid`
+    passes its lattice's integer rows as they are.  The key holds no
+    scalars (their hash equates a float with an int): (1/2, 0), (0, 1/2)
+    shares the entry of Z^2, and a value keys alike as an int, a Fraction,
+    a rational QuadRat or a string.  Failures are not cached.
+    """
     if radicands not in ((1,), (1, 3)):
         raise ValueError("planar scalars must lie in Q or Q(sqrt(3))")
     basis = ZsqrtBasis(radicands, rows)
@@ -523,27 +520,18 @@ def _quotient(x, m: int) -> Optional[int]:
     return x.p // m
 
 
-def _integral_entries(row, radicands) -> list:
-    """The entries of an `integer_rows` row over the denominator 1, each
-    an int or an element of Z[sqrt(d)] for the one field it lies in."""
-    w = len(row) // len(radicands)
-    out = list(row[:w])
-    for k in range(w, len(row)):
-        if row[k]:
-            out[k % w] = _reduced(out[k % w], row[k], 1, radicands[k // w])
-    return out
-
-
 class _LatticeFrame:
     """The lattice frame of one lattice (see the module docstring), scaled
     to integers.
 
     With w = B j, the basis form n w1 w2 / lam is a j1^2 + c j1 j2 + b j2^2
     for a = n u1 u2 / lam, b = n v1 v2 / lam, c = n (u1 v2 + u2 v1) / lam.
-    Let D be the least positive integer with D alpha, D beta integral and
-    G the least with G a, G b, G c integral, both read off `integer_rows`.
-    A Heisenberg element is the pair (K, W) = (P k, C zeta) for the scales
-    P = 2 n D and C = P^2 G, so
+    One `integer_rows` writes u, v, (r, s) over e as U, V, (r', s') in
+    Z[sqrt(d)]; L = lam e^2 = U1 V2 - U2 V1, and alpha = n (2 e r' - U1 U2)
+    / L, beta, a = n U1 U2 / L, b and c are integer numerators over N(L).
+    D is the least positive integer with D alpha, D beta integral and G
+    the least with G a, G b, G c integral.  A Heisenberg element is the
+    pair (K, W) = (P k, C zeta) for the scales P = 2 n D and C = P^2 G, so
 
         (K, W) (K', W') = (K + K', W + W' + h cross(K, K')),  h = G n,
 
@@ -552,9 +540,10 @@ class _LatticeFrame:
     p |-> t sigma_R(p) is the triple (M, K, W) of M = B^-1 R B and t.
     Lifts, and every product and residual below, have integral
     coordinates: ints for rational alpha, beta, a, b, c (every `Gp:N` and
-    `hex:N`), elements of Z[sqrt(d)] otherwise, by the same code.  A
-    lift would add across two fields, so the frame refuses them when it is
-    built: MixedDiscriminantError names the least two.
+    `hex:N`), elements of Z[sqrt(d)] otherwise, by the same code.  For
+    entries over two fields the five values are QuadRat products, which
+    refuse two fields where they meet them; MixedDiscriminantError then
+    names the least two left among the values, which a lift would add.
 
     Frames are equal, and hash alike, when their integers are: n, D n, h
     and the entries D alpha, D beta, G a, G b, G c, from which P, C and
@@ -563,43 +552,53 @@ class _LatticeFrame:
     """
 
     __slots__ = ("n", "dn", "P", "C", "h", "ra", "rb", "qa", "qb",
-                 "qc", "ca", "cb", "cn")
+                 "qc", "ca", "cb", "cn", "_key")
 
     def __init__(self, lat: NilLattice):
-        (u1, u2), (v1, v2), n = lat.u, lat.v, lat.n
-        scale = Fraction(n) / lat.lam
-        a, b = scale * u1 * u2, scale * v1 * v2
-        c = scale * (u1 * v2 + u2 * v1)
-        alpha, beta = 2 * scale * lat.r - a, 2 * scale * lat.s - b
-        d, rad, (system,) = integer_rows(((alpha, beta),))
-        g, rad_c, (center,) = integer_rows(((a, b, c),))
-        fields = sorted({*rad[1:], *rad_c[1:]})
-        if len(fields) > 1:
-            one_field(*fields[:2])
-        self.n, self.dn = n, d * n
-        self.P = 2 * n * d
-        self.C = self.P * self.P * g
-        self.h = g * n
-        # D alpha, D beta (the lift's system) and G a, G b, G c (its
-        # center), as elements of Z or Z[sqrt(d)]
-        self.ra, self.rb = _integral_entries(system, rad)
-        self.qa, self.qb, self.qc = _integral_entries(center, rad_c)
+        n = lat.n
+        e, rad, rows = integer_rows((lat.u, lat.v, (lat.r, lat.s)))
+        d = rad[-1]                     # 1 when every entry is rational
+        if len(rad) > 2:                # two fields: the QuadRat products
+            (u1, u2), (v1, v2), scale = lat.u, lat.v, Fraction(n) / lat.lam
+            a, b = scale * u1 * u2, scale * v1 * v2
+            c = scale * (u1 * v2 + u2 * v1)
+            norm, rad, (row,) = integer_rows(((
+                2 * scale * lat.r - a, 2 * scale * lat.s - b, a, b, c),))
+            one_field(*(*rad, 0, 0)[1:3])
+            d, nums = rad[-1], list(zip(row, row[5:] or (0,) * 5))
+        else:
+            (u1, u2), (v1, v2), (r, s) = (((w[0], w[2]), (w[1], w[3])) for w
+                                          in ((*row, 0, 0) for row in rows))
+            uu, vv, uv, vu = (_zmul(x, y, d) for x, y in (
+                (u1, u2), (v1, v2), (u1, v2), (u2, v1)))
+            l0, l1 = uv[0] - vu[0], uv[1] - vu[1]          # L
+            norm = l0 * l0 - d * l1 * l1
+            nums = [_zmul(x, (n * l0, -n * l1), d) for x in (
+                (2 * e * r[0] - uu[0], 2 * e * r[1] - uu[1]),
+                (2 * e * s[0] - vv[0], 2 * e * s[1] - vv[1]),
+                uu, vv, (uv[0] + vu[0], uv[1] + vu[1]))]
+        dens = [norm // gcd(p, q, norm) for p, q in nums]
+        D, G = lcm(*dens[:2]), lcm(*dens[2:])
+        # D alpha, D beta (the lift's system), G a, G b, G c (its center)
+        self.ra, self.rb, self.qa, self.qb, self.qc = [
+            _reduced(p * m // norm, q * m // norm, 1, d) if q else
+            p * m // norm for (p, q), m in zip(nums, (D, D, G, G, G))]
+        self.n, self.dn, self.h = n, D * n, G * n
+        self.P = P = 2 * n * D
+        self.C = P * P * G
         # C alpha, C beta, C n: the central coordinates of lattice words
-        self.ca = 2 * n * self.P * g * self.ra
-        self.cb = 2 * n * self.P * g * self.rb
+        self.ca, self.cb = 2 * n * P * G * self.ra, 2 * n * P * G * self.rb
         self.cn = self.C * n
-
-    def _key(self) -> tuple:
-        return (self.n, self.dn, self.h, self.ra, self.rb, self.qa, self.qb,
-                self.qc)
+        self._key = (n, self.dn, self.h, self.ra, self.rb, self.qa, self.qb,
+                     self.qc)
 
     def __eq__(self, other):
         if other.__class__ is not _LatticeFrame:
             return NotImplemented
-        return self._key() == other._key()
+        return self._key == other._key
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key)
 
     def residual(self, k, w):
         """C base(K / P) - W, or None when K is not in P Z^2."""
@@ -849,9 +848,10 @@ def nil_quotient_isometry(lat: NilLattice,
       (`_extends_to_group_normalizer`).
 
     The two counts are computed once per frame and F (`_adjoined_counts`);
-    the frame itself is built on every call, so a lattice over two fields
-    is refused every time, and the "does not close" error names the
-    lattice of the call.
+    the frame (one `integer_rows` of u, v, (r, s)) is built on every call,
+    so a lattice over two fields is refused every time, and the "does not
+    close" error names the lattice of the call.  The plain law is pinned
+    by r / lam and s / lam, divided only when r, s or lam is irrational.
     """
     pg = lat.point_group
     group = [MAT2_ID] if extra is None else pg.subgroup(extra)
@@ -879,8 +879,8 @@ def nil_quotient_isometry(lat: NilLattice,
     finite_order = admissible * point_quotient
 
     if extra is None:
-        law_pinned = (scalar_is_rational(lat.r / lat.lam)
-                      and scalar_is_rational(lat.s / lat.lam))
+        law_pinned = all(map(scalar_is_rational, (lat.r, lat.s, lat.lam))) \
+            or all(scalar_is_rational(x / lat.lam) for x in (lat.r, lat.s))
         structure = (f"(Z_{lat.n} x Z_{lat.n}) |x {pg.tag}"
                      if lat.n > 1 else pg.tag)
         finite = {

@@ -98,9 +98,16 @@ def check_nil_iso_hz():
 
 
 def check_nil_iso_hz_d4():
+    # n > 1 too, where the cosets are solutions of a congruence mod n
     pg = nil.planar_point_group((1, 0), (0, 1))
     d = nil.nil_quotient_isometry(nil.lattice_hz(), extra=pg)
-    return d.total_order == 2 and d.finite_part["structure"] == "Z2"
+    d4 = nil.nil_quotient_isometry(nil.lattice_gp(4), extra=pg)
+    turn = nil.nil_quotient_isometry(nil.lattice_gp(2), extra=[nil.ROT_PI])
+    return (d.total_order == 2 and d.finite_part["structure"] == "Z2"
+            and d4.finite_part["translation_cosets"] == 2
+            and d4.total_order == 4
+            and turn.finite_part["translation_cosets"] == 4
+            and turn.finite_part["order"] == 16)
 
 
 def check_nil_iso_gp():

@@ -29,7 +29,8 @@ from .descriptors import (
     check_output_size,
     to_float,
 )
-from .intmat import IntMat2, Mat2, Vec2, _zmul, int_mat_pow, mat2_inv
+from .intmat import (IntMat2, Mat2, Vec2, _zmul, int_mat_pow, mat2_det,
+                     mat2_inv)
 
 
 class SolPoint(_Frozen):
@@ -214,9 +215,9 @@ def sol_normalizer_lattice(lat: SolLattice) -> SolNormalizer:
     """Translations normalizing the lattice; always finite index over Z^2."""
     _refuse_a_huge_power(lat)
     hol = lat.holonomy()
-    m = IntMat2.identity() - hol
-    det = m.det()                    # = 2 - tr(A^n), nonzero for trace > 2
-    inv = mat2_inv(m.rows())
+    m = ((1 - hol.a, -hol.b), (-hol.c, 1 - hol.d))         # I - A^n
+    det = mat2_det(m)                # = 2 - tr(A^n), nonzero for trace > 2
+    inv = mat2_inv(m)
     basis = ((inv[0][0], inv[1][0]), (inv[0][1], inv[1][1]))
     return SolNormalizer(lat, basis, abs(det))
 
@@ -236,7 +237,7 @@ def sol_quotient_isometry(lat: SolLattice) -> IsoDescriptor:
     det_order = abs(2 - hol.trace())
     order = det_order * lat.n
     check_output_size(order)
-    (d1, d2), u, _ = intmat.snf((IntMat2.identity() - hol).rows())
+    (d1, d2), u, _ = intmat.snf(((1 - hol.a, -hol.b), (-hol.c, 1 - hol.d)))
     if d1 * d2 != det_order:
         raise RuntimeError(
             f"cokernel order {d1 * d2} contradicts determinant "
@@ -257,11 +258,13 @@ def sol_quotient_isometry(lat: SolLattice) -> IsoDescriptor:
 
 def _cokernel_action(a: IntMat2, u: Mat2, diagonal: tuple[int, int]) -> list:
     """Action of the holonomy on Z_{d1} x Z_{d2}: U A U^-1 for the SNF
-    transform U, its rows reduced mod d_i (each d_i >= 1)."""
-    u = IntMat2.from_rows(u)
-    det_u = u.det()
-    u_inv = IntMat2(u.d * det_u, -u.b * det_u, -u.c * det_u, u.a * det_u)
-    rows = (u @ a @ u_inv).rows()
+    transform U, its rows reduced mod d_i (each d_i >= 1), in integers:
+    U^-1 = det(U) adj(U), det(U) = +-1."""
+    (p, q), (r, s) = u
+    det = p * s - q * r
+    rows = [(det * (x * s - y * r), det * (y * p - x * q)) for x, y in (
+        (p * a.a + q * a.c, p * a.b + q * a.d),
+        (r * a.a + s * a.c, r * a.b + s * a.d))]       # the rows of U A
     return [[x % d for x in row] for row, d in zip(rows, diagonal) if d != 1]
 
 

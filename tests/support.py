@@ -67,6 +67,16 @@ check until integer eigen-equations replaced it.
 `elementary_divisors_stack` takes the gcds of all minors of each order, and
 `rational_rank_by_elimination` is a Gaussian elimination over Q: the
 integer-lattice code that `intmat.snf` replaced, kept as its oracles.
+`snf_by_row_steps` is `intmat.snf` as it ran before each column Euclid
+ran on its two pivots alone: every step a row operation on the whole
+rows of the matrix and of u; the (d, u, v) of the two must be equal.
+`int_mat_pow_by_squaring` is `intmat.int_mat_pow` as it was before the
+closed form: `algebra.power` over `IntMat2` products.
+`lattice_frame_by_fractions` builds the integers of `nil._LatticeFrame`
+(its key, P, C and the central coordinates) as the frame did before one
+`integer_rows` of u, v and (r, s) gave them: alpha, beta and the basis
+form as `Fraction` and `QuadRat` products, and D and G off two
+`integer_rows` of those values.
 
 `lattice_points_by_walk` decides membership in the Z-span of rational
 vectors by brute force, with no linear algebra: a breadth-first walk by
@@ -114,9 +124,9 @@ check, and the ball of `s2r_ball_by_products`.
 `euclid_quotient_isometry_by_word_ball` is
 `euclid.euclid_quotient_isometry` on a planar group with point generators
 as it ran before the lattice's point group read them: the generators
-written in the lattice basis (`point_gens_in_lattice_basis`), closed by
-`word_ball`, and the order counted off the Smith diagonal of the stacked
-M - I.
+written in the lattice basis by the `lattice_coords` of their images of
+the basis as Fraction vectors, closed by `word_ball`, and the order
+counted off the Smith diagonal of the stacked M - I.
 
 `s2r_ball_by_products` is the S^2 x R word ball that `fibered` built
 before the split became a closed form: one `S2RIsometry.compose` and one
@@ -199,6 +209,7 @@ from geom3.algebra import (
     integer_rows,
     frac,
     galois_conjugate,
+    power,
     scalar_is_rational,
 )
 from geom3 import euclid, fibered, nil, sol
@@ -985,6 +996,112 @@ class FractionPairQuadRat:
         return f"{self.a} {'-' if self.b < 0 else '+'} {bpart}"
 
 
+def snf_by_row_steps(rows) -> tuple[tuple[int, ...], tuple, tuple]:
+    """`intmat.snf` as it ran before each column Euclid was composed on
+    its two pivots: every step a row operation on the whole rows of the
+    matrix and of u."""
+    a = [list(row) for row in rows]
+    m, n = len(a), len(a[0]) if a else 0
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_op(i, j, q):  # row_i -= q * row_j, tracked in u
+        for w in (a, u):
+            wi, wj = w[i], w[j]
+            for k in range(len(wi)):
+                wi[k] -= q * wj[k]
+
+    def col_op(i, j, q):  # col_i -= q * col_j, tracked in v
+        for w in (a, v):
+            for row in w:
+                row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        for w in (a, u):
+            w[i], w[j] = w[j], w[i]
+
+    def swap_cols(i, j):
+        for w in (a, v):
+            for row in w:
+                row[i], row[j] = row[j], row[i]
+
+    for t in range(min(m, n)):
+        while True:
+            for i in range(t + 1, m):     # Euclid down column t
+                while a[i][t]:
+                    if a[t][t]:
+                        row_op(i, t, a[i][t] // a[t][t])
+                    if a[i][t]:
+                        swap_rows(t, i)
+            p = a[t][t]
+            j = next((j for j in range(t + 1, n) if a[t][j]), None)
+            if j is not None:             # then along row t
+                if p:
+                    col_op(j, t, a[t][j] // p)
+                if a[t][j]:
+                    swap_cols(t, j)
+                continue
+            # row and column t are clear; p must divide the rest
+            ij = next(((i, j) for i in range(t + 1, m)
+                       for j in range(t + 1, n)
+                       if (a[i][j] % p if p else a[i][j])), None)
+            if ij is None:
+                break
+            i, j = ij
+            if p:
+                col_op(t, j, -1)          # col_t += col_j
+            else:
+                swap_rows(t, i)
+                swap_cols(t, j)
+        if a[t][t] < 0:
+            for w in (a, v):
+                for row in w:
+                    row[t] = -row[t]
+    return (tuple(a[t][t] for t in range(min(m, n))),
+            tuple(map(tuple, u)), tuple(map(tuple, v)))
+
+
+def int_mat_pow_by_squaring(a: IntMat2, n: int) -> IntMat2:
+    """A^n by `algebra.power`: IntMat2 products, k + 1 of them for n = 2^k."""
+    return power(a, n, IntMat2.__matmul__, IntMat2.identity())
+
+
+def _integral_entries(row, radicands) -> list:
+    """The entries of an `integer_rows` row over the denominator 1, each
+    an int or an element of Z[sqrt(d)] for the one field it lies in."""
+    w = len(row) // len(radicands)
+    out = list(row[:w])
+    for k in range(w, len(row)):
+        if row[k]:
+            out[k % w] = _reduced(out[k % w], row[k], 1, radicands[k // w])
+    return out
+
+
+def lattice_frame_by_fractions(lat) -> tuple:
+    """(key, P, C, ca, cb, cn) of `nil._LatticeFrame` as it was built from
+    the scalars: alpha, beta, a, b, c as Fraction or QuadRat products,
+    D and G off two `integer_rows`, so that a lattice over two fields
+    meets MixedDiscriminantError where QuadRat arithmetic does, or names
+    the least two fields of those five values."""
+    (u1, u2), (v1, v2), n = lat.u, lat.v, lat.n
+    scale = Fraction(n) / lat.lam
+    a, b = scale * u1 * u2, scale * v1 * v2
+    c = scale * (u1 * v2 + u2 * v1)
+    alpha, beta = 2 * scale * lat.r - a, 2 * scale * lat.s - b
+    d, rad, (system,) = integer_rows(((alpha, beta),))
+    g, rad_c, (center,) = integer_rows(((a, b, c),))
+    fields = sorted({*rad[1:], *rad_c[1:]})
+    if len(fields) > 1:
+        raise MixedDiscriminantError(
+            f"cannot mix sqrt({fields[0]}) with sqrt({fields[1]})")
+    P = 2 * n * d
+    C = P * P * g
+    ra, rb = _integral_entries(system, rad)
+    qa, qb, qc = _integral_entries(center, rad_c)
+    return ((n, d * n, g * n, ra, rb, qa, qb, qc), P, C,
+            2 * n * P * g * ra, 2 * n * P * g * rb, C * n)
+
+
 def elementary_divisors_stack(rows: list[list[int]], ncols: int) -> list[int]:
     """Elementary divisors d1 | d2 | ... of an integer matrix given by rows.
 
@@ -1529,11 +1646,16 @@ def word_ball(identity, moves, compose, key, bound=None, *, cap: int):
 
 def euclid_quotient_isometry_by_word_ball(g) -> IsoDescriptor:
     """The planar descriptor of a crystal group g with point generators,
-    from its generators in the lattice basis closed by `word_ball`."""
+    from its generators in the lattice basis closed by `word_ball`.  The
+    basis is the span's rows as Fraction vectors, and a generator's matrix
+    the `lattice_coords` of its images of them, as `euclid` read both
+    before it kept the integer rows."""
     betti, torus = euclid.betti_identity_component(g)
-    pg = planar_point_group(*g._lattice_basis)
-    mats = [tuple(map(tuple, m))
-            for m in euclid.point_gens_in_lattice_basis(g)]
+    den, span = g._lattice
+    basis = [tuple(Fraction(x, den) for x in row) for row in span.basis]
+    pg = planar_point_group(*basis)
+    mats = [tuple(zip(*(g.lattice_coords(mat2_apply(gen, w)) for w in basis)))
+            for gen in g.point_gens]
     group = list(word_ball(((1, 0), (0, 1)), mats, matmul, tuple, cap=96))
     if len(group) == pg.order and betti == 0:
         rows = [[x - (i == j) for j, x in enumerate(row)]

@@ -20,7 +20,7 @@ from geom3 import (cli, descriptors, fibered, hyperbolic, intmat, nil,
                    selfcheck)
 from geom3.descriptors import canonical_json
 from geom3.intmat import MAT2_ID
-from support import deadline
+from support import clear_nil_caches, deadline
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -570,12 +570,19 @@ def test_selfcheck_detects_corrupted_lookup(monkeypatch):
 
 
 def test_selfcheck_detects_snf_mismatch(monkeypatch):
+    # the adjoined Nil item solves its coset congruences mod n > 1 through
+    # snf; the caches are cleared so that it computes with the broken one
     def broken_snf(rows):
         return (1, 1), MAT2_ID, MAT2_ID
 
     monkeypatch.setattr(intmat, "snf", broken_snf)
-    report = {r["id"]: r["ok"] for r in selfcheck.run_selfcheck()}
+    clear_nil_caches()
+    try:
+        report = {r["id"]: r["ok"] for r in selfcheck.run_selfcheck()}
+    finally:
+        clear_nil_caches()
     assert not report["sol/iso-table"]
+    assert not report["nil/iso-hz-adjoin-d4"]
     assert report["algebra/galois-sqrt2"]
     assert report["nil/iso-hz"]
 

@@ -23,6 +23,7 @@ from geom3.euclid import (
     crystal_group_make,
     euclid_quotient_isometry,
     euclid_volume_verdict,
+    point_gens_in_lattice_basis,
     preset_crystal,
     translation_rank,
 )
@@ -258,6 +259,25 @@ def test_point_generators_see_the_lattice_not_the_vectors():
     # a lattice that the swap does not preserve is still refused
     with pytest.raises(ValueError, match="preserve the translation"):
         crystal_group_make([SWAP_XY], [(2, 2, 0), (3, 0, 0), (0, 0, 1)])
+
+
+# the reflection in the line of (2, 1): its entries are over 5
+REFL_21 = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(4, 5), Fraction(-3, 5)))
+
+
+def test_a_generator_over_a_denominator_acts_on_the_integer_rows():
+    # it maps the square lattice of (2, 1), (-1, 2) onto itself: its
+    # matrix M in the lattice basis B has R B = B M; it maps (1, 0) of
+    # Z^2 to (3/5, 4/5), off the lattice
+    g = crystal_group_make([REFL_21], [(2, 1), (-1, 2)])
+    (m,) = point_gens_in_lattice_basis(g)
+    den, span = g._lattice
+    basis = [[Fraction(x, den) for x in row] for row in span.basis]
+    for j, w in enumerate(basis):
+        assert [sum(r * x for r, x in zip(row, w)) for row in REFL_21] == [
+            sum(m[i][j] * basis[i][k] for i in range(2)) for k in range(2)]
+    with pytest.raises(ValueError, match="preserve the translation"):
+        crystal_group_make([REFL_21], Z2_BASIS)
 
 
 def test_empty_and_zero_translation_vectors():

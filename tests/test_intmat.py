@@ -62,6 +62,7 @@ from support import (
     determinant,
     elementary_divisors_stack,
     entry_records,
+    int_mat_pow_by_squaring,
     lattice_points_by_walk,
     matmul_rect,
     matrix_order_by_powers,
@@ -69,6 +70,7 @@ from support import (
     point_group_elements_by_products,
     rational_rank_by_elimination,
     rationals_as_fractions,
+    snf_by_row_steps,
     vec2_dot,
     word_ball,
     zsqrt_basis,
@@ -209,6 +211,50 @@ def test_snf_of_empty_and_wide_matrices():
     assert snf([[]]) == ((), ((1,),), ())
     assert checked_snf([[0, 0, 5], [0, 0, 0]]) == (5, 0)
     assert checked_snf([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == (2, 6, 12)
+
+
+# entries up to 10^6, half of them 0: long Euclid runs down a column, and
+# columns and rows that are clear already
+sparse_entries = st.one_of(st.just(0), st.integers(-10**6, 10**6))
+
+
+@st.composite
+def sparse_matrices(draw):
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    return [[draw(sparse_entries) for _ in range(n)] for _ in range(m)]
+
+
+@given(sparse_matrices())
+@settings(max_examples=400, deadline=None)
+@example([[0, 7, 0], [0, 0, 0], [5, 0, 0]])
+@example([[999983, 0], [0, 0], [1000003, 2], [-999979, 0]])
+def test_snf_matches_the_row_step_oracle(rows):
+    # (d, u, v) of the pivot Euclid equal those of whole-row steps
+    assert snf(rows) == snf_by_row_steps(rows)
+
+
+@given(st.sampled_from([(1, 1, 1, 0)] + [(1, 1, k, k + 1)
+                                         for k in range(1, 40)]),
+       st.integers(1, 80))
+@settings(max_examples=200, deadline=None)
+@example((1, 1, 1, 0), 80)
+def test_snf_of_i_minus_a_power_matches_the_row_step_oracle(entries, n):
+    rows = (IntMat2.identity() - int_mat_pow(IntMat2(*entries), n)).rows()
+    assert snf(rows) == snf_by_row_steps(rows)
+
+
+singular = st.builds(lambda a, b, k: IntMat2(a, b, k * a, k * b),
+                     entries, entries, st.integers(-5, 5))
+
+
+@given(st.one_of(matrices, singular), st.integers(0, 64))
+@settings(max_examples=300, deadline=None)
+@example(IntMat2(1, 1, 1, 0), 64)           # det -1
+@example(IntMat2(2, 1, 1, 1), 0)
+@example(IntMat2(0, 0, 0, 0), 0)
+@example(IntMat2(3, 6, -1, -2), 7)          # det 0
+def test_int_mat_pow_matches_repeated_squaring(a, n):
+    assert int_mat_pow(a, n) == int_mat_pow_by_squaring(a, n)
 
 
 @st.composite
@@ -484,20 +530,17 @@ def test_int_mat_pow_is_repeated_multiplication():
             power = power @ a
 
 
-def test_int_mat_pow_of_a_power_of_two_squares_once_per_bit(monkeypatch):
-    # n = 2**k takes the first factor and k squarings: k + 1 products
-    calls = []
-    product = IntMat2.__matmul__
+def test_int_mat_pow_runs_no_matrix_product(monkeypatch):
+    # the closed form s_n A + (s_(n+1) - t s_n) I: no IntMat2 product, not
+    # even the k + 1 that squaring takes for n = 2**k
+    a = IntMat2(2, 1, 1, 1)
+    expected = [int_mat_pow_by_squaring(a, 2**k) for k in range(10)]
 
-    def counted(self, other):
-        calls.append(1)
-        return product(self, other)
+    def refuse(self, other):
+        raise AssertionError("IntMat2 product in int_mat_pow")
 
-    monkeypatch.setattr(IntMat2, "__matmul__", counted)
-    for k in range(10):
-        calls.clear()
-        int_mat_pow(IntMat2(2, 1, 1, 1), 2**k)
-        assert len(calls) == k + 1
+    monkeypatch.setattr(IntMat2, "__matmul__", refuse)
+    assert [int_mat_pow(a, 2**k) for k in range(10)] == expected
 
 
 def test_fibonacci_pattern():

@@ -58,7 +58,6 @@ from geom3.nil import (
     _matrix_order,
     _normalizing_cosets,
     _point_group_generators,
-    _point_group_of,
     _schreier_translations,
     _vector,
     heis_commutator,
@@ -73,6 +72,7 @@ from geom3.nil import (
     nil_quotient_isometry,
     nil_volume_verdict,
     planar_point_group,
+    point_group_of_rows,
 )
 from support import (
     SIGNED_PERMUTATIONS,
@@ -97,6 +97,7 @@ from support import (
     iso_inverse,
     iso_is_identity,
     lattice_contains,
+    lattice_frame_by_fractions,
     lift_group_closes_by_pairs,
     mat2_eq,
     mat2_transpose,
@@ -850,7 +851,7 @@ def test_point_group_builds_no_scalar_product(monkeypatch):
             monkeypatch.setattr(cls, name, refuse)
     got = [planar_point_group(u, v) for u, v in bases]
     monkeypatch.undo()
-    assert _point_group_of.cache_info().misses == len(bases)
+    assert point_group_of_rows.cache_info().misses == len(bases)
     assert got == expected
     assert [pg.tag for pg in got] == ["D4", "D6", "D4"]
 
@@ -891,7 +892,7 @@ def test_cold_warm_and_fresh_lattice_point_groups_agree(basis):
     assert planar_point_group(u, v) is warm
     assert _group_record(nil_lattice_make(u, v).point_group) == cold
     # a rational entry keys as its Fraction, so the twin shares the key
-    assert _point_group_of.cache_info().currsize == 1
+    assert point_group_of_rows.cache_info().currsize == 1
 
 
 def test_a_relabelled_basis_shares_the_cache_entry_of_its_twin():
@@ -901,9 +902,9 @@ def test_a_relabelled_basis_shares_the_cache_entry_of_its_twin():
                  ((Fraction(1, 2), 0), (0, Fraction(1, 2)))):
         clear_nil_caches()
         plain = planar_point_group((1, 0), (0, 1))
-        hits = _point_group_of.cache_info().hits
+        hits = point_group_of_rows.cache_info().hits
         labelled = planar_point_group(*twin)
-        assert _point_group_of.cache_info()[:2] == (hits + 1, 1)
+        assert point_group_of_rows.cache_info()[:2] == (hits + 1, 1)
         assert labelled is plain
         assert {type(x) for m in plain.elements for row in m for x in row} \
             == {Fraction}
@@ -920,11 +921,11 @@ def test_a_relabelled_basis_shares_the_cache_entry_of_its_twin():
 ], ids=["sqrt2", "sqrt5-and-sqrt3", "rational-dependent",
         "sqrt3-dependent"])
 def test_a_failed_point_group_raises_on_every_call(u, v, message):
-    cached = _point_group_of.cache_info().currsize
+    cached = point_group_of_rows.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ValueError, match=re.escape(message)):
             planar_point_group(u, v)
-        assert _point_group_of.cache_info().currsize == cached
+        assert point_group_of_rows.cache_info().currsize == cached
 
 
 @pytest.mark.parametrize("u, v, entry", [
@@ -934,18 +935,18 @@ def test_a_failed_point_group_raises_on_every_call(u, v, message):
 ], ids=["half", "one", "nan"])
 def test_a_float_entry_raises_before_any_key(u, v, entry):
     planar_point_group((1, 0), (0, 1))
-    info = _point_group_of.cache_info()
+    info = point_group_of_rows.cache_info()
     with pytest.raises(ValueError, match=re.escape(
             f"exact entries required, not {entry}")):
         planar_point_group(u, v)
-    assert _point_group_of.cache_info() == info
+    assert point_group_of_rows.cache_info() == info
 
 
 def test_a_string_entry_keys_as_its_fraction():
     pg = planar_point_group((Fraction(1, 2), 0), (0, 1))
-    hits = _point_group_of.cache_info().hits
+    hits = point_group_of_rows.cache_info().hits
     assert planar_point_group(("1/2", 0), ("0", "1")) is pg
-    assert _point_group_of.cache_info().hits == hits + 1
+    assert point_group_of_rows.cache_info().hits == hits + 1
 
 
 offsets = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -2346,7 +2347,7 @@ def test_the_dichotomy_runs_no_snf(family, data):
 
 def test_clear_nil_caches_empties_every_cache():
     assert sorted(nil_caches()) == ["_adjoined_counts", "_linear_group",
-                                    "_point_group_of"]
+                                    "point_group_of_rows"]
     # bounded, so that a long-lived process cannot grow one without end
     assert all(isinstance(c.cache_info().maxsize, int)
                for c in nil_caches().values())
@@ -2523,3 +2524,78 @@ def test_the_line_path_uses_no_scalar_arithmetic(gens, monkeypatch):
     for name in ("mat2_mul", "mat2_det", "vec2_cross"):
         monkeypatch.setattr(nil, name, _refuse_scalars)
     assert _line_direction(gens) == expected
+
+
+# -- the lattice frame on integers read once ---------------------------------
+
+def _frame_outcome(build, lat):
+    """The records of (key, P, C, ca, cb, cn) of a frame, or the kind and
+    text of the error building it raises."""
+    try:
+        key, *scales = build(lat)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return _records(key) + _records(scales)
+
+
+def _integer_frame(lat):
+    frame = _LatticeFrame(lat)
+    return frame._key, frame.P, frame.C, frame.ca, frame.cb, frame.cn
+
+
+# r and s over Q or Q(sqrt(3)), a rational one also as a QuadRat
+frame_offsets = st.one_of(
+    offsets, st.builds(QuadRat, offsets, offsets, st.just(3)),
+    st.builds(QuadRat, offsets, st.just(0), st.sampled_from([3, 5])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_bases(), frame_offsets, frame_offsets, st.integers(1, 6))
+@example(HEX, QuadRat(HALF, Fraction(1, 3), 3), Fraction(-2, 3), 5)
+def test_frame_matches_the_fraction_frame(basis, r, s, n):
+    # the integers off one integer_rows equal, in value and type, those the
+    # frame built from Fraction and QuadRat products
+    lat = nil_lattice_make(*basis, r=r, s=s, n=n)
+    assert _frame_outcome(_integer_frame, lat) \
+        == _frame_outcome(lattice_frame_by_fractions, lat)
+
+
+SQRT3_Z2 = ((SQRT3, 0), (0, SQRT3))
+# r and s over Q, Q(sqrt(2)), Q(sqrt(3)) or Q(sqrt(5))
+field_offsets = offsets | st.builds(QuadRat, offsets, offsets,
+                                    st.sampled_from([2, 3, 5]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([((1, 0), (0, 1)), HEX, SQRT3_Z2,
+                        ((SQRT3, 0), (SQRT3, 2 * SQRT3)),
+                        ((HALF * SQRT3, Fraction(3, 2)), (SQRT3, 0)),
+                        ((1, 0), (Fraction(1, 3), Fraction(7, 5)))]),
+       field_offsets, field_offsets, st.integers(1, 4))
+@example(HEX, QuadRat(0, 1, 2), 0, 1)
+@example(((1, 0), (0, 1)), 0, QuadRat(1, 1, 2), 1)
+@example(SQRT3_Z2, QuadRat(0, 1, 2), QuadRat(1, 1, 2), 2)
+def test_a_lattice_over_two_fields_meets_the_fraction_frame(basis, r, s, n):
+    # the error, and its text, where the products met two fields, or the
+    # frame where the five values came to lie in one field
+    lat = nil_lattice_make(*basis, r=r, s=s, n=n)
+    assert _frame_outcome(_integer_frame, lat) \
+        == _frame_outcome(lattice_frame_by_fractions, lat)
+
+
+@pytest.mark.parametrize("basis, r, s, text", [
+    (HEX, QuadRat(0, 1, 2), 0, "cannot mix sqrt(3) with sqrt(2)"),
+    (((1, 0), (0, 1)), QuadRat(0, 1, 5), QuadRat(0, 1, 2),
+     "cannot mix sqrt(2) with sqrt(5)"),
+    (SQRT3_Z2, QuadRat(0, 1, 2), SQRT3, "cannot mix sqrt(2) with sqrt(3)"),
+    (SQRT3_Z2, QuadRat(0, 1, 2), QuadRat(1, 1, 2), None),
+])
+def test_two_fields_are_refused_as_the_products_met_them(basis, r, s, text):
+    # hex: 2 scale r multiplies sqrt(3) by sqrt(2) first; sqrt(3) Z^2 has
+    # rational lam, a, b, c, so r, s in Q(sqrt(2)) leave one field
+    lat = nil_lattice_make(*basis, r=r, s=s)
+    if text is None:
+        assert _LatticeFrame(lat).ra == QuadRat(0, 2, 2)     # 3 (2/3 sqrt(2))
+        return
+    with pytest.raises(MixedDiscriminantError, match=re.escape(text)):
+        _LatticeFrame(lat)
