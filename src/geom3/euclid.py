@@ -11,7 +11,7 @@ order reads a Smith normal form, for its elementary divisors.  The
 lattice is kept as those integer rows and no Fraction basis is built: a
 point generator acts on the rows as an integer matrix over its own
 denominator, and the planar point group is read off the rows by
-`nil.point_group_of_rows`.  With no point generators the Betti torus is
+`plane.point_group_of_rows`.  With no point generators the Betti torus is
 the whole space.  Only split (i.e. symmorphic) extensions are supported
 for the Betti computation.
 """
@@ -212,20 +212,14 @@ def coinvariant_rank(g: CrystalGroup) -> int:
     return g.dim - ZSpan(rows).rank
 
 
-def _planar_point_group(g: CrystalGroup):
-    """Point group of the rank-2 translation lattice, from the integer rows
-    of its basis."""
-    from .nil import point_group_of_rows  # no other euclid code needs nil
-    return point_group_of_rows((1,), g._lattice[1].basis)
-
-
 def euclid_quotient_isometry(g: CrystalGroup) -> IsoDescriptor:
     """Identity component is the Betti torus; the finite part is computed
     exactly for the planar lattice and lattice-with-full-point-group cases
     and reported as not computed otherwise."""
     betti, torus = betti_identity_component(g)
     if g.dim == 2:
-        pg = _planar_point_group(g)
+        from .plane import point_group_of_rows  # only a planar lattice needs it
+        pg = point_group_of_rows((1,), g._lattice[1].basis)
         if not g.point_gens:
             finite = {"order": pg.order, "structure": pg.tag,
                       "point_group": pg.tag}

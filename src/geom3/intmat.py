@@ -1,5 +1,4 @@
-"""Integer matrices: lattices, the Smith normal form, 2x2 matrices, planar
-bases.
+"""Integer matrices: lattices, the Smith normal form, 2x2 matrices.
 
 `ZSpan` is the one lattice kernel: the rank, an echelon basis and the
 integer coordinates of the Z-span of integer rows, built by Euclid steps
@@ -16,28 +15,24 @@ closed form in the trace and determinant, with no matrix product.
 
 The helpers the geometry modules share live here too: 2x2/vector
 arithmetic over exact scalars, 2x2 matrices over Z[sqrt(d)] acting on
-integer rows (the Nil Schreier walk), a planar basis given by the integer
-rows of its vectors (`ZsqrtBasis`: the Gram matrix, its `gauss_reduce`,
-and the isometries of the reduced basis that make the elements of a
-planar point group), the product `_zmul` in Z[sqrt(d)] that Sol's
-Galois check and the Nil lattice frame run on, the n x n matrix product
-and its unrolled 3x3 case `mat3_mul` (the S^2 x R rotations), and
-`closure`, the breadth-first walk that builds every finite group geom3
-closes: the Nil linear parts (`nil._linear_group`, whose edges the
-Schreier walk reads), the subgroups of a planar point group
-(`nil.PlanarPointGroup.subgroup`: the adjoined Nil point groups and
-Euclid's planar point generators) and the kernel F of an S^2 x R group
-(`fibered._twist_closure`).
+integer rows (the Nil Schreier walk), the product `_zmul` in Z[sqrt(d)]
+that Sol's Galois check, the Nil lattice frame and `plane`'s planar bases
+run on, the n x n matrix product and its unrolled 3x3 case `mat3_mul`
+(the S^2 x R rotations), and `closure`, the breadth-first walk that
+builds every finite group geom3 closes: the Nil linear parts
+(`nil._linear_group`, whose edges the Schreier walk reads), the subgroups
+of a planar point group (`plane.PlanarPointGroup.subgroup`: the adjoined
+Nil point groups and Euclid's planar point generators) and the kernel F
+of an S^2 x R group (`fibered._twist_closure`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
-from operator import add, sub
+from math import gcd
 from typing import Optional
 
-from .algebra import Scalar, _reduced, one_field
+from .algebra import Scalar
 from .descriptors import _Frozen
 
 Mat2 = tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]
@@ -110,131 +105,11 @@ def zsqrt_mul(m, n_t, d: int, den: int) -> Optional[tuple[int, ...]]:
     return tuple(map(den.__rfloordiv__, prod))
 
 
-# -- planar bases over Z[sqrt(d)] ---------------------------------------------
+# -- products in Z[sqrt(d)] --------------------------------------------------
 
 def _zmul(x, y, d: int) -> tuple[int, int]:
     """(p, q) of x y for x, y in Z[sqrt(d)] given as pairs (p, q)."""
     return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _zsign(x, d: int) -> int:
-    """Sign of p + q sqrt(d): p^2 = d q^2 only for 0, d being square-free."""
-    p, q = x
-    return (p > 0) - (p < 0) if p * p > d * q * q else (q > 0) - (q < 0)
-
-
-def gauss_reduce(gram, d: int) -> tuple[tuple, Mat2]:
-    """Lagrange-Gauss reduction of a planar lattice basis, in integers.
-
-    gram is (g11, g12, g22), the Gram matrix of the basis over Z[sqrt(d)],
-    each entry a pair (p, q) for p + q sqrt(d).  Returns (gram', p): p is
-    an integer matrix of determinant +-1 and gram' the Gram matrix of the
-    basis u' = p00 u + p10 v, v' = p01 u + p11 v, with g'11 <= g'22 and
-    -g'11 <= 2 g'12 < g'11 (Cohen, A Course in Computational Algebraic
-    Number Theory, Alg. 1.3.14; a half rounds up, so 2 g'12 = g'11 never
-    remains).  The nearest integer to g12 / g11 is the floor of
-    (2 g12 + g11) conj(g11) / (2 N(g11)), for the norm N and the conjugate
-    conj of Z[sqrt(d)], with isqrt for the floor of q sqrt(d): no float
-    enters, whatever the size of the entries, and d = 0 (every q = 0) is
-    the rational case.
-    """
-    (g11, g12, g22), (p00, p01, p10, p11) = gram, (1, 0, 0, 1)
-    while True:
-        if _zsign((g22[0] - g11[0], g22[1] - g11[1]), d) < 0:
-            g11, g22 = g22, g11
-            p00, p01, p10, p11 = p01, p00, p11, p10
-        a, b = g11
-        x, y = _zmul((2 * g12[0] + a, 2 * g12[1] + b), (a, -b), d)
-        n = 2 * (a * a - d * b * b)
-        if n < 0:
-            x, y, n = -x, -y, -n
-        root = isqrt(d * y * y)
-        q = (x + (root if y >= 0 else -root - 1)) // n
-        if q == 0:
-            return (g11, g12, g22), ((p00, p01), (p10, p11))
-        g12, old = (g12[0] - q * a, g12[1] - q * b), g12
-        g22 = (g22[0] - q * (old[0] + g12[0]), g22[1] - q * (old[1] + g12[1]))
-        p01 -= q * p00
-        p11 -= q * p10
-
-
-class ZsqrtBasis:
-    """A planar basis over Z or Z[sqrt(d)], from the `algebra.integer_rows`
-    rows (radicands, rows) of its vectors u, v.
-
-    The rows are the columns of a matrix B over Z[sqrt(d)] (d = 0 when
-    every entry is rational), kept as `b`, its entries in row order, each
-    a pair (p, q) for p + q sqrt(d); `det` is det(B) as such a pair, (0,
-    0) when u and v are dependent.  B is the basis (u v) scaled by its
-    common denominator, which no result below depends on: the Gram matrix
-    only scales, and B M B^-1 does not change.  Two fields raise
-    MixedDiscriminantError, as their scalar product does.  `isometries`
-    builds the planar point groups.
-    """
-
-    def __init__(self, radicands, rows):
-        if len(radicands) > 2:
-            one_field(*radicands[1:3])
-        self.d = d = radicands[1] if len(radicands) > 1 else 0
-        (u0, u1, p0, p1), (v0, v1, q0, q1) = ((*row, 0, 0)[:4]
-                                              for row in rows)
-        self.b = b00, b01, b10, b11 = (u0, p0), (v0, q0), (u1, p1), (v1, q1)
-        self.det = tuple(map(sub, _zmul(b00, b11, d), _zmul(b01, b10, d)))
-
-    def gram(self) -> tuple:
-        """(g11, g12, g22) of B^T B, the Gram matrix of B's columns."""
-        (b00, b01, b10, b11), d = self.b, self.d
-        return (tuple(map(add, _zmul(b00, b00, d), _zmul(b10, b10, d))),
-                tuple(map(add, _zmul(b00, b01, d), _zmul(b10, b11, d))),
-                tuple(map(add, _zmul(b01, b01, d), _zmul(b11, b11, d))))
-
-    def isometries(self, p, g11, g12, mats) -> list[Mat2]:
-        """B' C B'^-1 for each C of mats, a group of integer matrices
-        keeping the Gram matrix g11, g12 of the reduced basis B' = (u' v')
-        = B p (see `gauss_reduce`): a rational entry is a Fraction, an
-        irrational one a QuadRat of Q(sqrt(d)), each distinct one built
-        once.
-
-        As complex numbers C sends u' to w = c0 u' + c1 v', (c0, c1) its
-        first column.  A rotation multiplies by w conj(u') / g11 = (c0 g11
-        + c1 (g12 + i det B')) / g11; a reflection is z |-> (a + ib)
-        conj(z), a + ib = (c0 u'^2 + c1 v'u') / g11, with u'^2 = 2 u'_x u'
-        - g11 and v'u' = 2 u'_x v' - (g12 + i det B').  A quotient by g11
-        is a product with its conjugate over its norm.
-        """
-        ((b0, r0), (b1, r1), (b2, r2), (b3, r3)), d = self.b, self.d
-        (p00, p01), (p10, p11) = p
-        e = p00 * p11 - p01 * p10           # det B' = e det B
-        det = (e * self.det[0], e * self.det[1])
-        twice = (2 * (p00 * b0 + p10 * b1), 2 * (p00 * r0 + p10 * r1))
-        (x0, x1), xy, (v0, v1), (w0, w1) = [_zmul(twice, w, d) for w in (
-            (p00 * b0 + p10 * b1, p00 * r0 + p10 * r1),      # 2 u'_x u'_x
-            (p00 * b2 + p10 * b3, p00 * r2 + p10 * r3),      # 2 u'_x u'_y
-            (p01 * b0 + p11 * b1, p01 * r0 + p11 * r1),      # 2 u'_x v'_x
-            (p01 * b2 + p11 * b3, p01 * r2 + p11 * r3))]     # 2 u'_x v'_y
-        # Re and Im of the u' and v' terms: a rotation's, a reflection's
-        parts = [g11, (0, 0), g12, det, (x0 - g11[0], x1 - g11[1]), xy,
-                 (v0 - g12[0], v1 - g12[1]), (w0 - det[0], w1 - det[1])]
-        n, b = g11
-        if b:
-            inv = (n, -b) if n * n > d * b * b else (-n, b)
-            n = abs(n * n - d * b * b)
-            parts = [_zmul(x, inv, d) for x in parts]
-        turn, flip, keys = parts[:4], parts[4:], []
-        for (c0, e01), (c1, e11) in mats:
-            rot = c0 * e11 > e01 * c1
-            (x0, x1), (y0, y1), (s0, s1), (t0, t1) = turn if rot else flip
-            keys.append(((c0 * x0 + c1 * s0, c0 * x1 + c1 * s1),
-                         (c0 * y0 + c1 * t0, c0 * y1 + c1 * t1), rot))
-        # -I is in mats, so the negated pairs are among these keys
-        made = {}
-        for x, y, _ in keys:
-            made[x] = made[y] = None
-        for x, y in made:
-            made[x, y] = _reduced(x, y, n, d) if y else Fraction(x, n)
-        return [((made[x], made[-y[0], -y[1]]), (made[y], made[x])) if rot
-                else ((made[x], made[y]), (made[y], made[-x[0], -x[1]]))
-                for x, y, rot in keys]
 
 
 def mat3_mul(a, b) -> tuple:

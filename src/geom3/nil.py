@@ -58,11 +58,9 @@ from .intmat import (
     SearchCapError,
     Vec2,
     ZSpan,
-    ZsqrtBasis,
     _zmul,
     closure,
     congruence_solutions,
-    gauss_reduce,
     mat2_apply,
     mat2_det,
     mat2_mul,
@@ -70,15 +68,9 @@ from .intmat import (
     zsqrt_apply,
     zsqrt_mul,
 )
+from .plane import POINT_GROUP_CAP, PlanarPointGroup, planar_point_group
 
 HALF = Fraction(1, 2)
-
-# Cap of the point-group closures: the largest exactly representable point
-# group is D12.  `_linear_group` keys the elements of a group by their
-# integer rows, and `PlanarPointGroup.subgroup` by their matrices (tuples
-# of rows; a QuadRat with b = 0 hashes as its rational part, so hashing
-# agrees with ==).
-POINT_GROUP_CAP = 24
 
 
 # -- points -------------------------------------------------------------------
@@ -370,141 +362,6 @@ def nil_normalizer(lat: NilLattice) -> NilNormalizer:
         planar_v=(lat.v[0] * inv_n, lat.v[1] * inv_n),
         index=lat.n ** 2,
     )
-
-
-# -- planar point groups ------------------------------------------------------
-
-_PG_TAGS = {2: "C2", 4: "D2", 8: "D4", 12: "D6"}
-
-
-def _stabilizer(*gens) -> tuple[tuple[Mat2, Mat2], ...]:
-    """The pairs (C, -C) of the group that -I and gens generate."""
-    neg = ((-1, 0), (0, -1))
-    group = closure(MAT2_ID, (neg,) + gens, mat2_mul, cap=POINT_GROUP_CAP)[0]
-    return tuple((m, mat2_mul(neg, m)) for m in group if m > mat2_mul(neg, m))
-
-
-# The stabilizer of a Gauss-reduced basis u', v' in its own coordinates
-# (columns: the images of u' and v'), keyed by g12 = 0, g11 = g22 and 2 g12
-# = -g11 (`gauss_reduce` leaves -g11 <= 2 g12 < g11).
-_SWAP = ((0, 1), (1, 0))
-_STABILIZERS = {
-    (True, True, False): _stabilizer(_SWAP, ((1, 0), (0, -1))),     # D4
-    (True, False, False): _stabilizer(((1, 0), (0, -1))),           # D2
-    (False, True, True): _stabilizer(_SWAP, ((1, -1), (1, 0))),     # D6
-    (False, True, False): _stabilizer(_SWAP),                       # D2
-    (False, False, True): _stabilizer(((1, -1), (0, -1))),          # D2
-    (False, False, False): _stabilizer(),                           # C2
-}
-
-
-class PlanarPointGroup(_Frozen):
-    """Full orthogonal stabilizer of a planar lattice.
-
-    basis_matrices holds, for each element R, the integer matrix B^-1 R B
-    in the basis B = (u v) the group was computed from (not compared, not
-    shown: not in `_fields`, so copy and pickle pass it on themselves).
-    """
-
-    _fields = ("tag", "elements")
-
-    def __init__(self, tag: str, elements: tuple[Mat2, ...],
-                 basis_matrices: tuple[Mat2, ...] = ()):
-        _setattr(self, "tag", tag)
-        _setattr(self, "elements", elements)
-        _setattr(self, "basis_matrices", basis_matrices)
-
-    def __reduce__(self):
-        return PlanarPointGroup, (self.tag, self.elements, self.basis_matrices)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def subgroup(self, mats) -> list[Mat2]:
-        """The group that the orthogonal matrices mats (or the elements of
-        a PlanarPointGroup) generate, as lattice matrices, identity first.
-
-        When every matrix lies in this group, its lattice matrix is read
-        off `basis_matrices`.  Otherwise the group is not in this one: it
-        is "too large" when the closure of the matrices themselves passes
-        POINT_GROUP_CAP, and it does not normalize the lattice otherwise.
-        The whole group is its own lattice matrices, identity first.
-        """
-        if mats is self:
-            return [MAT2_ID] + [m for m in self.basis_matrices if m != MAT2_ID]
-        mats = tuple(mats.elements if isinstance(mats, PlanarPointGroup)
-                     else mats)
-        # found by ==, not by hash: hashing Fraction entries costs more here
-        in_basis = list(zip(self.elements, self.basis_matrices))
-        moves = tuple(next((b for r, b in in_basis if r == rows), None)
-                      for rows in (tuple(map(tuple, m)) for m in mats))
-        if None in moves:
-            try:
-                closure(MAT2_ID, mats, mat2_mul, cap=POINT_GROUP_CAP)
-            except SearchCapError:
-                raise ValueError(
-                    "adjoined set generates too large a group") from None
-            raise ValueError("adjoined point group does not normalize "
-                             "the lattice")
-        return closure(MAT2_ID, moves, mat2_mul, cap=POINT_GROUP_CAP)[0]
-
-
-def planar_point_group(u, v) -> PlanarPointGroup:
-    """Orthogonal stabilizer of the lattice Z u + Z v, computed exactly:
-    `point_group_of_rows` on the `integer_rows` of u and v, so no float
-    enters (a float entry is a domain error)."""
-    _, radicands, rows = integer_rows((u, v))
-    return point_group_of_rows(radicands, tuple(rows))
-
-
-@functools.lru_cache(maxsize=256)
-def point_group_of_rows(radicands: tuple, rows: tuple) -> PlanarPointGroup:
-    """`planar_point_group` of the basis B = (u v) whose `integer_rows`,
-    over any common denominator, are radicands and rows.
-
-    All is integer arithmetic over Z[sqrt(3)] (`ZsqrtBasis`).  A
-    Gauss-reduced basis u', v' (see `gauss_reduce`), with -g11 <= 2 g12 <
-    g11 <= g22, has one of six stabilizers, read off three exact equalities
-    (`_STABILIZERS`): D4 for g12 = 0 = g11 - g22, D2 for g12 = 0, D6 for
-    -2 g12 = g11 = g22, D2 for g11 = g22 or -2 g12 = g11, and C2 otherwise.
-    The elements are ordered by the coordinates of their images of u and v
-    in the basis u, v, and each comes with its integer matrix M = p C p^-1
-    in that basis (once for each pair +-C, -M being the matrix of -C), for
-    C in reduced coordinates and u', v' = (u v) p; the element itself is
-    read off the reduced basis (`ZsqrtBasis.isometries`), its rational
-    entries Fractions and the others QuadRats of Q(sqrt(3)).
-
-    Scaling u and v together changes neither, so every `Gp:N` shares the
-    group of Z^2, every `hex:N` that of the hexagonal lattice, and `euclid`
-    passes its lattice's integer rows as they are.  The key holds no
-    scalars (their hash equates a float with an int): (1/2, 0), (0, 1/2)
-    shares the entry of Z^2, and a value keys alike as an int, a Fraction,
-    a rational QuadRat or a string.  Failures are not cached.
-    """
-    if radicands not in ((1,), (1, 3)):
-        raise ValueError("planar scalars must lie in Q or Q(sqrt(3))")
-    basis = ZsqrtBasis(radicands, rows)
-    if basis.det == (0, 0):
-        raise ValueError("u and v are linearly dependent")
-    (g11, g12, g22), p = gauss_reduce(basis.gram(), basis.d)
-    # M = p C p^-1 in the basis u, v: p^-1 = det * adj(p), det = +-1
-    (a, b), (c, e) = p
-    det = a * e - b * c
-    q00, q01, q10, q11 = det * e, -det * b, -det * c, det * a
-    found = []
-    row = g12 == (0, 0), g11 == g22, (-2 * g12[0], -2 * g12[1]) == g11
-    for mat, neg in _STABILIZERS[row]:
-        (c00, c01), (c10, c11) = mat
-        x0, x1 = a * c00 + b * c10, c * c00 + e * c10
-        y0, y1 = a * c01 + b * c11, c * c01 + e * c11
-        m00, m10 = x0 * q00 + y0 * q10, x1 * q00 + y1 * q10
-        m01, m11 = x0 * q01 + y0 * q11, x1 * q01 + y1 * q11
-        found += ((m00, m10, m01, m11), mat), ((-m00, -m10, -m01, -m11), neg)
-    found.sort()
-    in_basis = tuple([((ku, kv), (lu, lv)) for (ku, lu, kv, lv), _ in found])
-    return PlanarPointGroup(_PG_TAGS[len(found)], tuple(basis.isometries(
-        p, g11, g12, [mat for _, mat in found])), in_basis)
 
 
 # -- the lattice frame ---------------------------------------------------------

@@ -59,7 +59,7 @@ per entry for the column of its field, for vectors of any one width.
 `clear_denominators` is the conversion that `ZsqrtBasis`, the Nil
 lattice frame and `euclid` used before `integer_rows` became the one
 conversion to integers; it refuses a string, which `integer_rows` parses.
-`zsqrt_basis` builds an `intmat.ZsqrtBasis` from a 2x2 matrix, through
+`zsqrt_basis` builds a `plane.ZsqrtBasis` from a 2x2 matrix, through
 the `integer_rows` of its columns, and `zsqrt_conjugates` is the integer
 conjugation B M B^-1 over that basis that `intmat` kept for Sol's Galois
 check until integer eigen-equations replaced it.
@@ -186,9 +186,10 @@ lam^n of a Sol lattice, read off tr(A) so that tr(A^n)^2 - 4 is never
 factored, and `tangent_action` the action of a Mobius map on T H^2:
 `sol` and `fibered` kept them for the tests alone.
 
-`clear_nil_caches` empties the value caches of `nil`, every function
-there with a `cache_clear` (`nil_caches` lists them), for the tests that
-patch arithmetic and must see a computation, not a cache hit.
+`clear_nil_caches` empties the value caches of `nil` and of `plane`,
+whose point groups every Nil lattice reads: every function of the two
+modules with a `cache_clear` (`nil_caches` lists them), for the tests
+that patch arithmetic and must see a computation, not a cache hit.
 """
 
 import contextlib
@@ -212,7 +213,7 @@ from geom3.algebra import (
     power,
     scalar_is_rational,
 )
-from geom3 import euclid, fibered, nil, sol
+from geom3 import euclid, fibered, nil, plane, sol
 from geom3.fibered import (
     BALL_CAP,
     LAMBDA_Z,
@@ -229,11 +230,9 @@ from geom3.intmat import (
     MAT2_ID,
     IntMat2,
     SearchCapError,
-    ZsqrtBasis,
     _zmul,
     closure,
     congruence_solutions,
-    gauss_reduce,
     mat2_apply,
     mat2_det,
     mat2_inv,
@@ -251,14 +250,18 @@ from geom3.nil import (
     HALF,
     HEIS_ID,
     NON_DISCRETE_INPUT,
-    POINT_GROUP_CAP,
     ROT_PI,
     DichotomyResult,
     HeisIsometry,
     HeisPoint,
-    PlanarPointGroup,
     _point_group_generators,
     heis_conjugate,
+)
+from geom3.plane import (
+    POINT_GROUP_CAP,
+    PlanarPointGroup,
+    ZsqrtBasis,
+    gauss_reduce,
     planar_point_group,
 )
 
@@ -460,7 +463,7 @@ def point_group_elements_by_products(u, v, basis_matrices) -> tuple:
 
 
 def planar_point_group_by_candidates(u, v) -> PlanarPointGroup:
-    """`nil.planar_point_group` by a candidate search on the Gauss-reduced
+    """`plane.planar_point_group` by a candidate search on the Gauss-reduced
     basis u', v', each element one integer conjugation B M B^-1.
 
     In a reduced basis, a u' + b v' with |b| >= 2, or with |b| = 1 and |a|
@@ -787,16 +790,18 @@ def global_quotient_isometry(lat, extra) -> IsoDescriptor:
 
 
 def nil_caches() -> dict:
-    """Every value cache of `nil`, by name: whatever there has a
-    `cache_clear`, so that a new cache needs no entry here."""
-    return {name: obj for name, obj in vars(nil).items()
+    """Every value cache of `nil` and `plane`, by module and name:
+    whatever there has a `cache_clear`, so that a new cache needs no
+    entry here."""
+    return {f"{module.__name__.rpartition('.')[2]}.{name}": obj
+            for module in (nil, plane) for name, obj in vars(module).items()
             if callable(getattr(obj, "cache_clear", None))}
 
 
 def clear_nil_caches():
-    """Empty nil's value caches, so that the next call computes afresh: a
-    test that patches the arithmetic of a cached function checks nothing
-    on a hit."""
+    """Empty the value caches of nil and plane, so that the next call
+    computes afresh: a test that patches the arithmetic of a cached
+    function checks nothing on a hit."""
     for cached in nil_caches().values():
         cached.cache_clear()
 
@@ -1257,7 +1262,7 @@ def integer_rows_by_parts(vectors, lead: int = 0):
 
 
 def zsqrt_basis(basis) -> ZsqrtBasis:
-    """`intmat.ZsqrtBasis` of the 2x2 matrix basis = (u v), from the
+    """`plane.ZsqrtBasis` of the 2x2 matrix basis = (u v), from the
     `integer_rows` of its columns u and v."""
     _, radicands, rows = integer_rows(tuple(zip(*basis)))
     return ZsqrtBasis(radicands, rows)
@@ -1265,7 +1270,7 @@ def zsqrt_basis(basis) -> ZsqrtBasis:
 
 def zsqrt_conjugates(basis: ZsqrtBasis, mats) -> list:
     """basis m basis^-1 for each integer 2x2 matrix m and an
-    `intmat.ZsqrtBasis` basis, in integers: `ZsqrtBasis.conjugates` as it
+    `plane.ZsqrtBasis` basis, in integers: `ZsqrtBasis.conjugates` as it
     was when it made Sol's Galois check and the elements of a planar point
     group.
 

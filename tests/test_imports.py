@@ -40,10 +40,11 @@ def run_fresh(script: str, *argv: str):
 # an exact Mobius map converts its entries to integers itself, with no
 # algebra or intmat
 NOT_FOR_HYP = (GEOMETRIES - {"geom3.hyperbolic"}) | {
-    "geom3.zimmer", "geom3.selfcheck", "geom3.algebra", "geom3.intmat"}
+    "geom3.zimmer", "geom3.selfcheck", "geom3.algebra", "geom3.intmat",
+    "geom3.plane"}
 # only the Galois-twist demo computes over Q(sqrt 2)
 NOT_FOR_ZIMMER = GEOMETRIES | {"geom3.selfcheck", "geom3.algebra",
-                               "geom3.intmat"}
+                               "geom3.intmat", "geom3.plane"}
 
 # command -> (a module it must load, modules it must not load)
 CASES = {
@@ -52,17 +53,24 @@ CASES = {
     "hyp commute --m1 2,0,0,0.5 --m2 1,1,0,1": ("geom3.hyperbolic",
                                                 NOT_FOR_HYP),
     "sol iso --matrix 2,1,1,1 --power 5": ("geom3.sol",
-                                           {"geom3.nil", "geom3.euclid"}),
+                                           {"geom3.nil", "geom3.euclid",
+                                            "geom3.plane"}),
     # a fixed line beyond the float range raises the FloatRangeError of
     # descriptors, which every call loads
     "sol fixed-line --x 1 --y 1 --t 1": ("geom3.sol", {"geom3.hyperbolic",
                                                        "geom3.nil",
-                                                       "geom3.euclid"}),
+                                                       "geom3.euclid",
+                                                       "geom3.plane"}),
     # the tables are read by descriptors, which every call loads
     "lookup --family all": ("geom3.descriptors",
                             GEOMETRIES | {"geom3.intmat", "geom3.algebra",
-                                          "geom3.zimmer", "geom3.selfcheck"}),
-    "euclid betti --preset Z3xD4xy": ("geom3.euclid", {"geom3.nil"}),
+                                          "geom3.zimmer", "geom3.selfcheck",
+                                          "geom3.plane"}),
+    "euclid betti --preset Z3xD4xy": ("geom3.euclid", {"geom3.nil",
+                                                       "geom3.plane"}),
+    # the planar point group lives in plane, not in nil
+    "euclid iso --preset Z2": ("geom3.plane", {"geom3.nil", "geom3.sol",
+                                               "geom3.selfcheck"}),
     "zimmer maxdim --space-dim 3": ("geom3.zimmer", NOT_FOR_ZIMMER),
     "zimmer verdict --geometry s3 --component SO(4) --factors SO(2,2) "
     "--uniform": ("geom3.zimmer", NOT_FOR_ZIMMER),
@@ -104,6 +112,14 @@ def test_adjoining_the_point_group_loads_no_further_module():
     full = run_fresh(CALL, "nil", "iso", "--preset", "HZ", "--adjoin", "full")
     assert plain[0] == full[0] == 0
     assert full[1] == plain[1]
+
+
+def test_plane_loads_no_geometry_module():
+    # plane sits below nil and euclid: both import it, it imports neither
+    modules = run_fresh("import json, sys, geom3.plane; "
+                        "print(json.dumps(sorted(sys.modules)))")
+    assert "geom3.plane" in modules
+    assert not {"geom3.nil", "geom3.euclid"} & set(modules)
 
 
 PACKAGE = """

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from geom3 import euclid, fibered, intmat, nil
+from geom3 import euclid, fibered, intmat, nil, plane
 from geom3.algebra import MixedDiscriminantError, QuadRat
 from geom3.cli import _S2R_PRESETS, _s2r_generators
 from geom3.euclid import _integer_span
@@ -32,7 +32,6 @@ from geom3.intmat import (
     ZSpan,
     closure,
     congruence_solutions,
-    gauss_reduce,
     int_mat_pow,
     mat2_apply,
     mat2_det,
@@ -54,6 +53,7 @@ from geom3.nil import (
     _point_group_generators,
     planar_point_group,
 )
+from geom3.plane import gauss_reduce
 from geom3.sol import sol_q_structure
 from support import (
     ZSpanBySnf,
@@ -862,11 +862,11 @@ def test_every_finite_group_is_built_by_the_closure_kernel():
         (nil, lambda: _linear_group.__wrapped__((ROT_PI_2, REFLECT))),
         # a proper generating set: the whole point group is read off its
         # lattice matrices, with no closure
-        (nil, lambda: nil.nil_quotient_isometry(
+        (plane, lambda: nil.nil_quotient_isometry(
             nil.lattice_hz(), extra=(ROT_PI_2,))),
         (fibered, lambda: fibered.s2r_decompose(
             _s2r_generators(_S2R_PRESETS["klein"]))),
-        (nil, lambda: euclid.euclid_quotient_isometry(
+        (plane, lambda: euclid.euclid_quotient_isometry(
             euclid.preset_crystal("Z2xD4"))),
     ]
     for module, call in sites:

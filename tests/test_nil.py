@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from geom3 import algebra, intmat, nil, selfcheck
+from geom3 import algebra, intmat, nil, plane, selfcheck
 from geom3.algebra import (
     MixedDiscriminantError,
     QuadRat,
@@ -24,7 +24,6 @@ from geom3.descriptors import canonical_json
 from geom3.intmat import (
     MAT2_ID,
     closure,
-    gauss_reduce,
     mat2_apply,
     mat2_det,
     mat2_inv,
@@ -72,8 +71,8 @@ from geom3.nil import (
     nil_quotient_isometry,
     nil_volume_verdict,
     planar_point_group,
-    point_group_of_rows,
 )
+from geom3.plane import gauss_reduce, point_group_of_rows
 from support import (
     SIGNED_PERMUTATIONS,
     clear_nil_caches,
@@ -845,7 +844,7 @@ def test_point_group_builds_no_scalar_product(monkeypatch):
         raise AssertionError("scalar arithmetic in the point group")
 
     clear_nil_caches()          # else every call below is a cache hit
-    monkeypatch.setattr(nil, "mat2_mul", refuse)
+    monkeypatch.setattr(plane, "mat2_mul", refuse)
     for cls in (Fraction, QuadRat):
         for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
             monkeypatch.setattr(cls, name, refuse)
@@ -1427,7 +1426,7 @@ def _columns(m):
 
 
 _R3 = QuadRat(0, HALF, 3)                 # sqrt(3)/2
-# bases for each row of nil._STABILIZERS, with g12 of each sign (the
+# bases for each row of plane._STABILIZERS, with g12 of each sign (the
 # reduction leaves 2 g12 = -g11, never g11), in both orientations (u, v)
 # and (v, u)
 TABLE_ROWS = [
@@ -1470,12 +1469,12 @@ def test_adjoining_the_whole_group_runs_no_closure(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("closure of the whole group")
 
-    monkeypatch.setattr(nil, "closure", refuse)
+    monkeypatch.setattr(plane, "closure", refuse)
     assert pg.subgroup(pg) == expected
 
 
 def _table_row(gram) -> tuple:
-    """The key of nil._STABILIZERS for a reduced Gram matrix."""
+    """The key of plane._STABILIZERS for a reduced Gram matrix."""
     g11, g12, g22 = gram
     return g12 == (0, 0), g11 == g22, (-2 * g12[0], -2 * g12[1]) == g11
 
@@ -1488,7 +1487,7 @@ def test_every_table_row_is_met():
     for u, v in TABLE_ROWS:
         basis = zsqrt_basis(((u[0], v[0]), (u[1], v[1])))
         rows.add(_table_row(gauss_reduce(basis.gram(), basis.d)[0]))
-    assert rows == set(nil._STABILIZERS)
+    assert rows == set(plane._STABILIZERS)
 
 
 def test_selfcheck_meets_every_table_row(monkeypatch):
@@ -1500,9 +1499,9 @@ def test_selfcheck_meets_every_table_row(monkeypatch):
         return out
 
     clear_nil_caches()          # else the point groups are cache hits
-    monkeypatch.setattr(nil, "gauss_reduce", spy)
+    monkeypatch.setattr(plane, "gauss_reduce", spy)
     assert selfcheck.check_point_groups()
-    assert set(rows) == set(nil._STABILIZERS)
+    assert set(rows) == set(plane._STABILIZERS)
 
 
 # -- the exact dichotomy ------------------------------------------------------------
@@ -2346,8 +2345,9 @@ def test_the_dichotomy_runs_no_snf(family, data):
 # -- the linear parts are converted once per set ------------------------------
 
 def test_clear_nil_caches_empties_every_cache():
-    assert sorted(nil_caches()) == ["_adjoined_counts", "_linear_group",
-                                    "point_group_of_rows"]
+    assert sorted(nil_caches()) == ["nil._adjoined_counts",
+                                    "nil._linear_group",
+                                    "plane.point_group_of_rows"]
     # bounded, so that a long-lived process cannot grow one without end
     assert all(isinstance(c.cache_info().maxsize, int)
                for c in nil_caches().values())
